@@ -193,11 +193,9 @@ func main() {
 	})
 	if pipelined {
 		pipeline.CheckTrace(rep.Trace, copts, pipeline.Config{
-			Workers: *parallel,
-			Tracer:  tracer,
-			OnChecker: func(c core.Checker) {
-				velo.Checker = c
-			},
+			Workers:  *parallel,
+			Tracer:   tracer,
+			Observer: &core.Observer{Checker: func(c core.Checker) { velo.Checker = c }},
 		})
 		be = velo
 	}

@@ -64,9 +64,8 @@ func run() int {
 	idleTimeout := flag.Duration("idle-timeout", 30*time.Second, "per-read deadline: fail a session that goes this long without a byte")
 	sessionTimeout := flag.Duration("session-timeout", 0, "bound one session's total wall-clock time (0 = unbounded)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "on SIGINT/SIGTERM, let in-flight sessions finish this long before cutting them")
-	bufferOps := flag.Int("buffer-ops", 1024, "decoded ops buffered ahead of each session's engine (backpressure bound)")
 	engine := flag.String("engine", "optimized", "default analysis engine for sessions that name none: "+core.EngineNames())
-	parallel := flag.Int("parallel", 0, "check each session through the staged pipeline with this many shard workers (0 or 1 = serial)")
+	parallel := flag.Int("parallel", 0, "shard workers in front of each session's engine (0 or 1 = decode-ahead only)")
 	spanTrace := flag.Bool("span-trace", true, "trace each session's pipeline stages (decode/filter/graph/forensics); summaries land in verdicts, /api/sessions and /debug/velo")
 	traceDir := flag.String("trace-dir", "", "write each session's full span timeline as <dir>/<session>.trace.json (Chrome trace-event format)")
 	history := flag.Int("history", server.DefaultHistorySize, "completed sessions retained for /api/sessions and the /debug/velo dashboard")
@@ -93,7 +92,6 @@ func run() int {
 		MaxSessions:    *maxSessions,
 		IdleTimeout:    *idleTimeout,
 		MaxSessionTime: *sessionTimeout,
-		BufferOps:      *bufferOps,
 		Metrics:        obs.NewRegistry(),
 		NoSpans:        !*spanTrace,
 		TraceDir:       *traceDir,

@@ -435,20 +435,8 @@ func execAndCollect(dir string) (trace.Trace, []string, error) {
 	}
 	pw.Close() // child holds the write end now
 
-	var tr trace.Trace
 	dec := trace.NewDecoder(pr)
-	var decErr error
-	for {
-		op, err := dec.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			decErr = err
-			break
-		}
-		tr = append(tr, op)
-	}
+	tr, decErr := dec.ReadAll()
 	io.Copy(io.Discard, pr) // drain after a decode error so the child can exit
 	pr.Close()
 	if err := cmd.Wait(); err != nil {

@@ -91,14 +91,6 @@ type Options struct {
 	// spans never read or write engine state, so verdicts, warning
 	// positions and blame are bit-identical with tracing on or off.
 	Spans *span.Buf
-	// Parallel is the requested worker count for the staged checking
-	// pipeline (internal/pipeline). The engines themselves ignore it —
-	// checking stays strictly sequential per checker — but drivers
-	// consult it to route a session through the pipeline: 0 or 1 means
-	// the plain serial path, N>1 asks for N filter-shard workers.
-	// Verdicts, warning positions, blame and filter counts are
-	// bit-identical at every value.
-	Parallel int
 	// Ignore names atomic blocks exempted from checking (the paper's
 	// atomicity specification, Section 5: the tool takes "a specification
 	// of which methods in that program should be atomic"). An ignored
@@ -263,20 +255,12 @@ type Result struct {
 	// path (Section 5); Stats.FilteredEdges separately counts edge
 	// re-insertions served by the graph's last-edge memo.
 	Filtered int64
-}
-
-// CheckTrace runs a fresh Checker over the whole trace.
-func CheckTrace(tr trace.Trace, opts Options) *Result {
-	c := New(opts)
-	for _, op := range tr {
-		c.Step(op)
-	}
-	return &Result{
-		Serializable: len(c.Warnings()) == 0,
-		Warnings:     c.Warnings(),
-		Stats:        c.Stats(),
-		Filtered:     c.Filtered(),
-	}
+	// Skipped counts operations the driver consumed through
+	// Checker.SkipFiltered on an honoured prefilter mark — the share of
+	// the trace the engine never ran its own filter on. It is driver
+	// accounting, not part of the verdict: always 0 without a marking
+	// source, and every skipped operation is also counted in Filtered.
+	Skipped int64
 }
 
 // common holds state shared by both engines.

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -101,5 +102,43 @@ func TestCheckStreamDecodeError(t *testing.T) {
 	}
 	if res == nil || !res.Serializable {
 		t.Fatalf("partial result = %+v", res)
+	}
+}
+
+// TestCheckObserver drives Check from a hand-written source: the observer
+// must see the checker first, every batch with its size, each warning
+// before the batch that raised it is reported, and the operations that
+// arrive together with a terminal error must still be checked.
+func TestCheckObserver(t *testing.T) {
+	batches := []trace.Trace{
+		{trace.Beg(1, "inc"), trace.Rd(1, 0)},
+		{},
+		{trace.Wr(2, 0), trace.Wr(1, 0), trace.Fin(1)},
+	}
+	boom := errors.New("boom")
+	i := 0
+	src := func() (Batch, error) {
+		b := Batch{Ops: batches[i]}
+		i++
+		if i == len(batches) {
+			return b, boom
+		}
+		return b, nil
+	}
+	var events []string
+	res, n, err := Check(src, Options{}, &Observer{
+		Checker: func(c Checker) { events = append(events, "checker") },
+		Batch:   func(ops, skipped int) { events = append(events, fmt.Sprintf("batch %d/%d", ops, skipped)) },
+		Warning: func(w *Warning) { events = append(events, fmt.Sprintf("warning@%d", w.OpIndex)) },
+	})
+	if err != boom || n != 5 {
+		t.Fatalf("Check = %d ops, err %v; want 5 ops and the source's error", n, err)
+	}
+	if res == nil || res.Serializable || len(res.Warnings) != 1 || res.Skipped != 0 {
+		t.Fatalf("result = %+v, want one warning from the final batch", res)
+	}
+	want := "[checker batch 2/0 warning@3 batch 3/0]"
+	if got := fmt.Sprint(events); got != want {
+		t.Errorf("observer saw %s, want %s", got, want)
 	}
 }

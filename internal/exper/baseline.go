@@ -110,10 +110,7 @@ func MeasureChecker(tr trace.Trace, opts core.Options) BaselineCell {
 		runtime.GC()
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			c := core.New(opts)
-			for _, op := range tr {
-				c.Step(op)
-			}
+			core.CheckTrace(tr, opts)
 		}
 		elapsed := time.Since(start)
 		if elapsed < minDuration && reps < 1<<16 {
@@ -134,10 +131,7 @@ func MeasureChecker(tr trace.Trace, opts core.Options) BaselineCell {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < allocReps; i++ {
-		c := core.New(opts)
-		for _, op := range tr {
-			c.Step(op)
-		}
+		core.CheckTrace(tr, opts)
 	}
 	runtime.ReadMemStats(&after)
 	cell.AllocsPerEvent = float64(after.Mallocs-before.Mallocs) / float64(allocReps) / float64(len(tr))

@@ -1,11 +1,13 @@
-// Package pipeline splits one session's atomicity check into staged
-// goroutines over bounded ring buffers:
+// Package pipeline is the staged source of the check driver
+// (core.Check): it feeds the driver from goroutines running ahead of it
+// over a bounded ring of recycled batches,
 //
-//	decode ──batches──▶ shard workers (N) ──marks──▶ engine (caller)
+//	decode ──batches──▶ shard workers (N ≥ 0) ──marks──▶ core.Check (caller)
 //
 // The decode stage keeps the existing zero-alloc decoder and hands off
-// fixed-size batches of operations. Every batch is then broadcast to N
-// shard workers; worker w owns the variables x with hash(x) == w and
+// batches of operations. With no workers that is all there is: the
+// driver steps batch k while batch k+1 is being decoded. Otherwise every
+// batch is broadcast to N shard workers; worker w owns the variables x with hash(x) == w and
 // scans the batch for accesses it can prove the engine's own Section 5
 // filter would discard, writing an anchor mark into the batch's mark
 // array (workers touch disjoint entries, so no locks). Because every
@@ -14,10 +16,11 @@
 // as ordered barriers inside each worker's scan: any such event on a
 // thread resets that thread's adjacency, exactly as it would invalidate
 // the serial filter's cached state. Marked survivors and everything
-// else are then re-sequenced — batches flow to the engine stage in
-// original trace order — and consumed by the single engine goroutine
-// (the caller's), which skips marked operations via Checker.SkipFiltered
-// and steps the rest. The engine stage stays serialized because the
+// else are then re-sequenced — batches reach the driver in original
+// trace order — and consumed on the single engine goroutine (the
+// caller's), where the driver skips marked operations via
+// Checker.SkipFiltered and steps the rest. The engine stage stays
+// serialized because the
 // happens-before graph and the clock engines are inherently sequential;
 // the parallel win is that <15% of a loop-regime trace ever reaches it.
 //
@@ -43,8 +46,8 @@
 // the graph, and a processed anchor can leave the filter unsatisfied
 // forever (its ⊕-refreshed edges carry newer tails than the stored
 // predecessor steps, so the edge-presence test keeps failing on every
-// repeat). The engine stage therefore adds the one graph-side fact only
-// it can know: it records, per dense variable, the index of the last
+// repeat). The driver therefore adds the one graph-side fact only the
+// engine stage can know: it records, per dense variable, the index of the last
 // access it fully Stepped and whether that Step was a filter hit, and
 // honors a mark only when that recorded index is at or past the mark's
 // anchor and the recorded Step was filtered. The anchor certifies that
@@ -66,13 +69,21 @@
 // counts and the engine's observable state are bit-identical to the
 // serial path at every worker count — the differential and fuzz tests
 // in this package enforce exactly that.
+//
+// # Cancellation
+//
+// Every channel operation of the producer and the workers also selects
+// on a stop channel that Source.Close closes. The consumer defers Close,
+// so one that panics or returns early strands no goroutine; on the
+// normal path Next itself waits for the stages when it delivers the
+// final batch, so their span buffers are quiescent once the driver
+// returns.
 package pipeline
 
 import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -84,32 +95,24 @@ import (
 // Config.Batch is zero.
 const DefaultBatch = 4096
 
-// Config tunes the pipeline. The zero value runs the serial path.
+// Config tunes the pipeline. The zero value decodes ahead of the engine
+// with no shard workers.
 type Config struct {
 	// Workers is the shard-worker count. 0 or 1 (or an engine without
-	// prefilter support, or Options.NoFilter/Forensics) selects the
-	// plain serial loop — same hooks, no extra goroutines.
+	// prefilter support, or Options.NoFilter/Forensics) runs none: the
+	// batches reach the driver unmarked.
 	Workers int
 	// Batch is the operations-per-batch granularity (DefaultBatch if 0).
 	Batch int
 	// Tracer, when non-nil, lets the decode and shard stages book their
 	// time into per-goroutine span buffers (span.StageDecode and
-	// span.StageShard). The engine stage books through Options.Spans as
-	// in the serial path.
+	// span.StageShard). The engine stage books through Options.Spans.
 	Tracer *span.Tracer
-	// OnOp, when non-nil, observes every trace operation after the
-	// engine stage consumed it, with the warning it produced (nil for
-	// filtered/skipped operations). Runs on the caller's goroutine in
-	// trace order.
-	OnOp func(op trace.Op, w *core.Warning)
-	// OnChecker, when non-nil, receives the engine's checker right
-	// after construction (before any operation), so drivers can publish
-	// stats from it while the check runs and assemble verdicts after.
-	OnChecker func(c core.Checker)
+	// Observer is handed to the driver (see core.Observer).
+	Observer *core.Observer
 	// Stats, when non-nil, is filled after the run with pipeline-side
-	// accounting: operations consumed and how many of them the engine
-	// stage skipped on an honored worker mark. Skipped is always zero on
-	// the serial fallback paths.
+	// accounting: operations consumed and how many of them the driver
+	// skipped on an honored worker mark.
 	Stats *Stats
 }
 
@@ -122,337 +125,219 @@ type Stats struct {
 	Skipped int64
 }
 
-func (cfg *Config) batch() int {
-	if cfg.Batch <= 0 {
-		return DefaultBatch
-	}
-	return cfg.Batch
-}
-
-// marked reports whether the pipeline's mark stage applies: the engine
-// must accept prefiltered skips and the run must not need every
-// operation to reach it.
-func marked(opts core.Options, cfg Config) bool {
-	return cfg.Workers > 1 && !opts.NoFilter && !opts.Forensics &&
-		core.InfoFor(opts.Engine).SupportsPrefilter
-}
-
 // CheckStream checks operations pulled from a streaming decoder through
-// the staged pipeline, mirroring core.CheckStream's results exactly: it
-// returns the result, the number of operations consumed, and the first
-// decode error (nil on clean EOF); operations consumed before a decode
-// error are reflected in the result, and a stream that ends before the
-// first operation returns core.ErrEmptyStream. When cfg requests no
-// workers (or the configuration cannot be marked), it degrades to the
-// serial loop with the same hooks.
+// the staged source, with core.CheckStream's results exactly.
 func CheckStream(d *trace.Decoder, opts core.Options, cfg Config) (*core.Result, int, error) {
-	if cfg.Workers == 0 {
-		cfg.Workers = opts.Parallel
-	}
-	if !marked(opts, cfg) {
-		return serialStream(d, opts, cfg)
-	}
-	src := func(buf []trace.Op, sp *span.Buf) (int, error) {
-		n := 0
-		for n < len(buf) {
-			var op trace.Op
-			var err error
-			if sp == nil {
-				op, err = d.Next()
-			} else {
-				t0 := time.Now()
-				op, err = d.Next()
-				sp.AddStage(span.StageDecode, int64(time.Since(t0)))
-			}
-			if err != nil {
-				return n, err
-			}
-			buf[n] = op
-			n++
-		}
-		return n, nil
-	}
-	return run(src, opts, cfg)
+	return check(newSource(d, nil, opts, cfg), opts, cfg)
 }
 
-// CheckTrace checks a materialized trace through the staged pipeline.
-// The result is bit-identical to core.CheckTrace at every worker count.
+// CheckTrace checks a materialized trace through the staged source. The
+// result is bit-identical to core.CheckTrace at every worker count.
 func CheckTrace(tr trace.Trace, opts core.Options, cfg Config) *core.Result {
-	if cfg.Workers == 0 {
-		cfg.Workers = opts.Parallel
-	}
-	if !marked(opts, cfg) {
-		c := core.New(opts)
-		if cfg.OnChecker != nil {
-			cfg.OnChecker(c)
-		}
-		for _, op := range tr {
-			w := c.Step(op)
-			if cfg.OnOp != nil {
-				cfg.OnOp(op, w)
-			}
-		}
-		if cfg.Stats != nil {
-			cfg.Stats.Ops, cfg.Stats.Skipped = int64(len(tr)), 0
-		}
-		return resultOf(c)
-	}
-	off := 0
-	src := func(buf []trace.Op, _ *span.Buf) (int, error) {
-		n := copy(buf, tr[off:])
-		off += n
-		if n == 0 {
-			return 0, io.EOF
-		}
-		return n, nil
-	}
-	res, _, err := run(src, opts, cfg)
-	if err != nil && err != core.ErrEmptyStream {
-		// A slice source only ever returns io.EOF.
-		panic("pipeline: impossible trace-source error: " + err.Error())
-	}
+	res, _, _ := check(newSource(nil, tr, opts, cfg), opts, cfg)
 	if res == nil {
 		res = core.CheckTrace(nil, opts) // empty trace: empty result, like core.CheckTrace
 	}
 	return res
 }
 
-// serialStream is the no-worker path: core.CheckStream semantics plus
-// the pipeline hooks.
-func serialStream(d *trace.Decoder, opts core.Options, cfg Config) (*core.Result, int, error) {
-	c := core.New(opts)
-	if cfg.OnChecker != nil {
-		cfg.OnChecker(c)
-	}
-	sp := opts.Spans
-	n := 0
-	for {
-		var op trace.Op
-		var err error
-		if sp == nil {
-			op, err = d.Next()
-		} else {
-			t0 := time.Now()
-			op, err = d.Next()
-			sp.AddStage(span.StageDecode, int64(time.Since(t0)))
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			if cfg.Stats != nil {
-				cfg.Stats.Ops, cfg.Stats.Skipped = int64(n), 0
-			}
-			return resultOf(c), n, err
-		}
-		w := c.Step(op)
-		n++
-		if cfg.OnOp != nil {
-			cfg.OnOp(op, w)
-		}
-	}
+func check(s *Source, opts core.Options, cfg Config) (*core.Result, int, error) {
+	defer s.Close()
+	res, n, err := core.Check(s.Next, opts, cfg.Observer)
 	if cfg.Stats != nil {
-		cfg.Stats.Ops, cfg.Stats.Skipped = int64(n), 0
-	}
-	if n == 0 {
-		return nil, 0, core.ErrEmptyStream
-	}
-	return resultOf(c), n, nil
-}
-
-func resultOf(c core.Checker) *core.Result {
-	return &core.Result{
-		Serializable: len(c.Warnings()) == 0,
-		Warnings:     c.Warnings(),
-		Stats:        c.Stats(),
-		Filtered:     c.Filtered(),
-	}
-}
-
-// batch is one ring-buffer slot: a fixed-size run of operations, the
-// workers' mark array (anchor trace index per op, -1 unmarked), and the
-// barrier the engine stage waits on. Ownership cycles
-// producer → workers+engine → producer along the channels; the pending
-// counter plus the ready channel hand the marks to the engine only
-// after every worker finished the batch.
-type batch struct {
-	ops     []trace.Op
-	marks   []int64
-	base    int64 // trace index of ops[0]
-	err     error // decode error hit right after these ops (final batch only)
-	pending atomic.Int32
-	ready   chan struct{}
-}
-
-// anchorRec is the engine stage's per-variable run anchor: the trace
-// index of the last fully-Stepped access of the variable and whether
-// that Step was discarded by the engine's own filter.
-type anchorRec struct {
-	idx      int64
-	filtered bool
-}
-
-// source fills buf with the next operations, returning how many were
-// produced and io.EOF (or a decode error) once exhausted. sp is the
-// producer goroutine's span buffer (nil without a tracer).
-type source func(buf []trace.Op, sp *span.Buf) (int, error)
-
-// run drives the full pipeline: producer goroutine → cfg.Workers shard
-// workers → engine stage on the calling goroutine.
-func run(src source, opts core.Options, cfg Config) (*core.Result, int, error) {
-	nw := cfg.Workers
-	bsize := cfg.batch()
-	ring := nw + 4 // batches in flight: decode ahead without unbounded memory
-
-	free := make(chan *batch, ring)
-	out := make(chan *batch, ring)
-	ins := make([]chan *batch, nw)
-	for i := range ins {
-		ins[i] = make(chan *batch, ring)
-	}
-
-	// Producer: decode into recycled batches, broadcast to every worker,
-	// and queue for the engine in trace order.
-	go func() {
-		var pb *span.Buf
-		if cfg.Tracer != nil {
-			pb = cfg.Tracer.Buffer("pipeline-decode")
-			defer pb.Flush()
+		*cfg.Stats = Stats{Ops: int64(n)}
+		if res != nil {
+			cfg.Stats.Skipped = res.Skipped
 		}
-		allocated := 0
-		var base int64
-		for {
-			var b *batch
-			if allocated < ring {
-				select {
-				case b = <-free:
-				default:
-					b = &batch{ops: make([]trace.Op, bsize), marks: make([]int64, bsize)}
-					allocated++
-				}
-			} else {
-				b = <-free
+	}
+	return res, n, err
+}
+
+// batch is one ring slot: a run of operations, the workers' mark array
+// (anchor trace index per op, -1 unmarked), and the barrier the consumer
+// waits on. Ownership cycles producer → workers+consumer → producer
+// along the channels; the marked group hands the marks to the consumer
+// only after every worker finished the batch.
+type batch struct {
+	ops    []trace.Op
+	marks  []int64
+	base   int64 // trace index of ops[0]
+	err    error // what ended the stream right after these ops (final batch only)
+	marked sync.WaitGroup
+}
+
+// Source is a core.Source (its Next method) fed by a producer goroutine
+// and Config.Workers shard workers. The consumer must call Close — at
+// any point, typically deferred — and must not call Next again once it
+// has returned an error.
+type Source struct {
+	dec *trace.Decoder // the input is dec, or tr when dec is nil
+	tr  trace.Trace
+
+	workers int
+	out     chan *batch // marked batches, in trace order
+	free    chan *batch // recycled batches
+	stop    chan struct{}
+	stages  sync.WaitGroup
+	lent    *batch // the batch the consumer holds until its next call
+}
+
+// NewSource starts the stages over d. opts decides whether the
+// configuration can be marked at all and supplies the atomicity
+// specification the workers replicate.
+func NewSource(d *trace.Decoder, opts core.Options, cfg Config) *Source {
+	return newSource(d, nil, opts, cfg)
+}
+
+func newSource(d *trace.Decoder, tr trace.Trace, opts core.Options, cfg Config) *Source {
+	s := &Source{dec: d, tr: tr}
+	// The mark stage applies only when the engine accepts prefiltered
+	// skips and the run does not need every operation to reach it.
+	if cfg.Workers > 1 && !opts.NoFilter && !opts.Forensics &&
+		core.InfoFor(opts.Engine).SupportsPrefilter {
+		s.workers = cfg.Workers
+	}
+	bsize := cfg.Batch
+	if bsize <= 0 {
+		bsize = DefaultBatch
+	}
+	ring := s.workers + 4 // batches in flight: decode ahead without unbounded memory
+	s.free = make(chan *batch, ring)
+	s.out = make(chan *batch, ring)
+	s.stop = make(chan struct{})
+	ins := make([]chan *batch, s.workers)
+	for w := range ins {
+		ins[w] = make(chan *batch, ring)
+		s.stages.Add(1)
+		go s.shard(w, ins[w], opts.Ignore, cfg.Tracer)
+	}
+	s.stages.Add(1)
+	go s.produce(ins, bsize, ring, cfg.Tracer)
+	return s
+}
+
+// fill reads the next operations of the input into buf.
+func (s *Source) fill(buf []trace.Op, sp *span.Buf) (int, error) {
+	if s.dec != nil {
+		return core.DecodeBatch(s.dec, buf, sp)
+	}
+	n := copy(buf, s.tr)
+	s.tr = s.tr[n:]
+	if len(s.tr) == 0 {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// produce fills recycled batches, broadcasts each to every worker, and
+// queues it for the consumer in trace order, until the input ends.
+func (s *Source) produce(ins []chan *batch, bsize, ring int, tr *span.Tracer) {
+	defer s.stages.Done()
+	defer func() {
+		for _, in := range ins {
+			close(in)
+		}
+	}()
+	sp := tr.Buffer("pipeline-decode")
+	defer sp.Flush()
+	allocated := 0
+	var base int64
+	for {
+		// Reuse a recycled batch when one is back, grow the ring while
+		// it is below its bound, otherwise wait for the consumer.
+		var b *batch
+		select {
+		case b = <-s.free:
+		default:
+		}
+		if b == nil && allocated < ring {
+			b = &batch{ops: make([]trace.Op, bsize)}
+			if s.workers > 0 {
+				b.marks = make([]int64, bsize)
 			}
-			n, err := src(b.ops[:bsize], pb)
-			b.ops = b.ops[:n]
+			allocated++
+		}
+		if b == nil {
+			select {
+			case b = <-s.free:
+			case <-s.stop:
+				return
+			}
+		}
+		n, err := s.fill(b.ops[:bsize], sp)
+		b.ops = b.ops[:n]
+		b.base = base
+		base += int64(n)
+		b.err = err
+		if s.workers > 0 {
 			b.marks = b.marks[:n]
 			for i := range b.marks {
 				b.marks[i] = -1
 			}
-			b.base = base
-			base += int64(n)
-			b.err = nil
-			if err != nil && err != io.EOF {
-				b.err = err
-			}
-			b.pending.Store(int32(nw))
-			b.ready = make(chan struct{})
+			b.marked.Add(s.workers)
 			for _, in := range ins {
-				in <- b
-			}
-			out <- b
-			if err != nil {
-				break
-			}
-		}
-		for _, in := range ins {
-			close(in)
-		}
-		close(out)
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var sb *span.Buf
-			if cfg.Tracer != nil {
-				sb = cfg.Tracer.Buffer(fmt.Sprintf("pipeline-shard-%d", w))
-				defer sb.Flush()
-			}
-			sh := newShard(w, nw, opts.Ignore)
-			for b := range ins[w] {
-				if sb == nil {
-					sh.scan(b)
-				} else {
-					t0 := time.Now()
-					sh.scan(b)
-					sb.AddStage(span.StageShard, int64(time.Since(t0)))
-				}
-				if b.pending.Add(-1) == 0 {
-					close(b.ready)
+				select {
+				case in <- b:
+				case <-s.stop:
+					return
 				}
 			}
-		}(w)
-	}
-
-	// Engine stage, on the caller's goroutine so Options.Spans keeps its
-	// single-owner discipline.
-	c := core.New(opts)
-	if cfg.OnChecker != nil {
-		cfg.OnChecker(c)
-	}
-	// anchors[x] records, per dense variable, the trace index of the
-	// last access of x the engine fully Stepped and whether that Step
-	// was a filter hit. A worker mark with anchor a certifies that every
-	// access of x in (a, here] — and a itself — belongs to one strictly
-	// adjacent same-kind same-thread run; the recorded access therefore
-	// lies inside the run whenever its index is ≥ a, and if the engine's
-	// own filter discarded it, nothing the filter consults has changed
-	// since, so this repeat is a guaranteed serial filter hit (see the
-	// package comment). A run whose first accesses are processed
-	// re-anchors at its first filter hit and skips from there on; skips
-	// themselves leave the record untouched, so chains keep skipping.
-	anchors := make([]anchorRec, 0, 1024)
-	var n, nskip int64
-	var decodeErr error
-	for b := range out {
-		<-b.ready
-		for i := range b.ops {
-			op := b.ops[i]
-			var w *core.Warning
-			skipped := false
-			if a := b.marks[i]; a >= 0 && int(op.Target) < len(anchors) {
-				if r := anchors[op.Target]; r.idx >= a && r.filtered && c.SkipFiltered(op) {
-					skipped = true
-					nskip++
-				}
-			}
-			if !skipped {
-				before := c.Filtered()
-				w = c.Step(op)
-				if (op.Kind == trace.Read || op.Kind == trace.Write) &&
-					op.Target >= 0 && op.Target < core.PrefilterVarLimit {
-					for int(op.Target) >= len(anchors) {
-						anchors = append(anchors, anchorRec{idx: -1})
-					}
-					anchors[op.Target] = anchorRec{
-						idx:      b.base + int64(i),
-						filtered: c.Filtered() > before,
-					}
-				}
-			}
-			if cfg.OnOp != nil {
-				cfg.OnOp(op, w)
-			}
 		}
-		n += int64(len(b.ops))
-		if b.err != nil {
-			decodeErr = b.err
+		select {
+		case s.out <- b:
+		case <-s.stop:
+			return
 		}
-		free <- b // cap == every batch ever allocated: never blocks
+		if err != nil {
+			return
+		}
 	}
-	wg.Wait()
-
-	if cfg.Stats != nil {
-		cfg.Stats.Ops, cfg.Stats.Skipped = n, nskip
-	}
-	if decodeErr != nil {
-		return resultOf(c), int(n), decodeErr
-	}
-	if n == 0 {
-		return nil, 0, core.ErrEmptyStream
-	}
-	return resultOf(c), int(n), nil
 }
+
+// shard is worker w: it scans every batch in trace order and marks the
+// variables it owns.
+func (s *Source) shard(w int, in <-chan *batch, ignore map[trace.Label]bool, tr *span.Tracer) {
+	defer s.stages.Done()
+	sp := tr.Buffer(fmt.Sprintf("pipeline-shard-%d", w))
+	defer sp.Flush()
+	sh := newShard(w, s.workers, ignore)
+	for {
+		var b *batch
+		select {
+		case b = <-in:
+		case <-s.stop:
+			return
+		}
+		if b == nil {
+			return // the producer closed in: the input ended
+		}
+		if sp == nil {
+			sh.scan(b)
+		} else {
+			t0 := time.Now()
+			sh.scan(b)
+			sp.AddStage(span.StageShard, int64(time.Since(t0)))
+		}
+		b.marked.Done()
+	}
+}
+
+// Next implements core.Source. The batch delivered with the error that
+// ends the stream is the last the stages produce, and Next waits for
+// them to exit before handing it over.
+func (s *Source) Next() (core.Batch, error) {
+	if s.lent != nil {
+		s.free <- s.lent // cap == every batch ever allocated: never blocks
+	}
+	b := <-s.out
+	s.lent = b
+	b.marked.Wait()
+	if b.err != nil {
+		s.stages.Wait()
+	}
+	return core.Batch{Ops: b.ops, Marks: b.marks}, b.err
+}
+
+// Close cancels the stages without waiting for them: a producer blocked
+// reading its transport exits once that read returns.
+func (s *Source) Close() { close(s.stop) }

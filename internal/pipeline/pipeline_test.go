@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -241,40 +243,44 @@ func TestIgnoreSpec(t *testing.T) {
 }
 
 // TestSerialFallbacks: configurations the mark stage must refuse
-// (filtering off, forensics on, one worker) run the plain loop and stay
-// identical trivially — but the hooks must still fire.
+// (filtering off, forensics on, one worker) reach the driver unmarked
+// and stay identical trivially — but the observer must still fire.
 func TestSerialFallbacks(t *testing.T) {
 	rep := rr.Run(rr.Options{Seed: 1, Record: true}, func(th *rr.Thread) {
 		bench.ByName("spinread").Body(th, bench.Params{Scale: 1})
 	})
 	tr := rep.Trace
-	for _, opts := range []core.Options{
-		{NoFilter: true},
-		{Forensics: true},
-		{Parallel: 1},
+	for _, tc := range []struct {
+		opts    core.Options
+		workers int
+	}{
+		{core.Options{NoFilter: true}, 4},
+		{core.Options{Forensics: true}, 4},
+		{core.Options{}, 1},
 	} {
-		want := core.CheckTrace(tr, opts)
-		var hooked int
+		want := core.CheckTrace(tr, tc.opts)
+		var hooked, skipped int
 		var chk core.Checker
-		got := CheckTrace(tr, opts, Config{Workers: 4, OnOp: func(trace.Op, *core.Warning) { hooked++ },
-			OnChecker: func(c core.Checker) { chk = c }})
-		if opts.NoFilter || opts.Forensics {
-			// serial path in both cases; Parallel:1 in opts is overridden by
-			// the explicit Workers above, still must stay identical.
-			_ = got
-		}
-		assertIdentical(t, fmt.Sprintf("%+v", opts), want, got)
+		got := CheckTrace(tr, tc.opts, Config{Workers: tc.workers, Observer: &core.Observer{
+			Checker: func(c core.Checker) { chk = c },
+			Batch:   func(ops, skip int) { hooked += ops; skipped += skip },
+		}})
+		assertIdentical(t, fmt.Sprintf("%+v/workers=%d", tc.opts, tc.workers), want, got)
 		if hooked != len(tr) {
-			t.Fatalf("OnOp fired %d times, want %d", hooked, len(tr))
+			t.Fatalf("observer saw %d ops, want %d", hooked, len(tr))
+		}
+		if skipped != 0 || got.Skipped != 0 {
+			t.Fatalf("unmarked run skipped %d ops (result says %d)", skipped, got.Skipped)
 		}
 		if chk == nil {
-			t.Fatal("OnChecker never fired")
+			t.Fatal("Observer.Checker never fired")
 		}
 	}
 }
 
-// TestOnOpWarnings: the per-op hook must see each warning exactly once,
-// at the op that produced it, at every worker count.
+// TestOnOpWarnings: the observer must see every op exactly once and
+// each warning exactly once, in trace order, before any later batch is
+// reported, at every worker count.
 func TestOnOpWarnings(t *testing.T) {
 	tr := trace.Trace{
 		trace.ForkOp(1, 2),
@@ -292,22 +298,26 @@ func TestOnOpWarnings(t *testing.T) {
 	for _, n := range workerCounts {
 		var seen []int
 		idx := 0
-		CheckTrace(tr, core.Options{}, Config{Workers: n, Batch: 2,
-			OnOp: func(op trace.Op, w *core.Warning) {
-				if w != nil {
-					seen = append(seen, w.OpIndex)
+		CheckTrace(tr, core.Options{}, Config{Workers: n, Batch: 2, Observer: &core.Observer{
+			Warning: func(w *core.Warning) {
+				// The warning's batch is still being stepped: it may not
+				// have been reported as consumed yet.
+				if w.OpIndex < idx {
+					t.Errorf("workers=%d: warning at op %d delivered after %d ops were reported consumed", n, w.OpIndex, idx)
 				}
-				idx++
-			}})
+				seen = append(seen, w.OpIndex)
+			},
+			Batch: func(ops, _ int) { idx += ops },
+		}})
 		if idx != len(tr) {
-			t.Fatalf("workers=%d: OnOp fired %d times, want %d", n, idx, len(tr))
+			t.Fatalf("workers=%d: observer saw %d ops, want %d", n, idx, len(tr))
 		}
 		var wantIdx []int
 		for _, w := range want.Warnings {
 			wantIdx = append(wantIdx, w.OpIndex)
 		}
 		if fmt.Sprint(seen) != fmt.Sprint(wantIdx) {
-			t.Fatalf("workers=%d: warnings at %v via OnOp, serial at %v", n, seen, wantIdx)
+			t.Fatalf("workers=%d: warnings at %v via the observer, serial at %v", n, seen, wantIdx)
 		}
 	}
 }
@@ -365,5 +375,41 @@ func TestWarningRendering(t *testing.T) {
 	}
 	if !strings.Contains(got.Warnings[0].String(), "transfer") {
 		t.Fatalf("blame lost: %s", got.Warnings[0])
+	}
+}
+
+// TestCloseReleasesStages: a consumer that stops early — it panicked, or
+// simply lost interest — strands no producer or shard worker, whether
+// they are parked on the ring or mid-stream; Close is all it takes.
+func TestCloseReleasesStages(t *testing.T) {
+	var tr trace.Trace
+	tr = append(tr, trace.Beg(1, "m"))
+	for i := 0; i < 100_000; i++ {
+		tr = append(tr, trace.Rd(1, trace.Var(int32(i/100%4))))
+	}
+	var buf bytes.Buffer
+	if err := trace.MarshalBinary(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{0, 4} {
+		for i := 0; i < 5; i++ {
+			func() {
+				src := NewSource(trace.NewDecoder(bytes.NewReader(buf.Bytes())), core.Options{},
+					Config{Workers: workers, Batch: 64})
+				defer src.Close()
+				defer func() { recover() }()
+				core.Check(src.Next, core.Options{}, &core.Observer{
+					Batch: func(int, int) { panic("consumer gone") },
+				})
+			}()
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines %d → %d: stages outlived Close", before, runtime.NumGoroutine())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -44,19 +44,24 @@ func CheckReader(addr string, hdr trace.SessionHeader, r io.Reader) (*trace.Sess
 	if _, err := conn.Write(hdr.Encode()); err != nil {
 		return nil, fmt.Errorf("server: writing session header: %w", err)
 	}
-	if _, err := io.Copy(conn, r); err != nil {
-		// The daemon may have already answered (e.g. busy, or malformed
-		// after a prefix) and closed its read side; prefer its verdict
-		// to a bare EPIPE when one is readable.
-		if v, verr := trace.ReadVerdict(conn); verr == nil {
-			return v, nil
-		}
-		return nil, fmt.Errorf("server: streaming trace: %w", err)
-	}
-	if hc, ok := conn.(writeCloser); ok {
-		if err := hc.CloseWrite(); err != nil {
-			return nil, fmt.Errorf("server: half-close: %w", err)
+	// The daemon may answer before the trace has been sent in full (busy,
+	// over quota, malformed after a prefix) and close its end; the copy
+	// or the half-close then fails with EPIPE / ENOTCONN. Prefer its
+	// verdict to the bare transport error when one is readable.
+	_, err = io.Copy(conn, r)
+	if err != nil {
+		err = fmt.Errorf("server: streaming trace: %w", err)
+	} else if hc, ok := conn.(writeCloser); ok {
+		if err = hc.CloseWrite(); err != nil {
+			err = fmt.Errorf("server: half-close: %w", err)
 		}
 	}
-	return trace.ReadVerdict(conn)
+	v, verr := trace.ReadVerdict(conn)
+	if verr == nil {
+		return v, nil
+	}
+	if err == nil {
+		err = verr
+	}
+	return nil, err
 }

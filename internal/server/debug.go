@@ -19,11 +19,11 @@ import (
 )
 
 // sessionStats is the lock-free per-session publisher behind /debug/velo.
-// The session goroutine stores into the atomics as it works (every op for
-// the cheap counters, every statsEvery ops for the graph snapshot); the
-// debug handler only loads. No field is read-modify-written by more than
-// one goroutine, so plain atomic stores suffice — a reader may see a
-// slightly torn view across fields, which is fine for introspection.
+// The session goroutine stores into the atomics as it works (once per
+// consumed batch, and per warning); the debug handler only loads. No
+// field is read-modify-written by more than one goroutine, so plain
+// atomic operations suffice — a reader may see a slightly torn view
+// across fields, which is fine for introspection.
 type sessionStats struct {
 	id      string
 	remote  string
@@ -39,11 +39,6 @@ type sessionStats struct {
 	warnings    atomic.Int64
 	lastWarning atomic.Pointer[string]
 }
-
-// statsEvery is how many ops pass between graph-stat refreshes on the
-// publisher: frequent enough that /debug/velo tracks a live session,
-// rare enough to stay off the per-op path.
-const statsEvery = 1024
 
 // publishEngine refreshes the graph-derived gauges from the session's
 // checker. Only ever called from the session goroutine that owns the

@@ -57,12 +57,6 @@ type Config struct {
 	// MaxSessionTime bounds one session's total wall-clock time,
 	// however chatty the client. 0 means unbounded.
 	MaxSessionTime time.Duration
-	// BufferOps is the capacity of the decoded-op channel between the
-	// decode and analysis goroutines of a session. When the engine
-	// falls behind, the channel fills, the decoder stops reading, and
-	// backpressure propagates to the client through the transport —
-	// memory per session stays bounded at BufferOps ops. Default 1024.
-	BufferOps int
 	// MaxWarnings caps the warning strings carried in one verdict
 	// (the engines record more internally). Default 16.
 	MaxWarnings int
@@ -93,21 +87,19 @@ type Config struct {
 	// Nil means a single unlimited default tenant, which keeps keyless
 	// legacy clients working exactly as before tenants existed.
 	Tenants *Tenants
-	// Parallel, when >1, checks each session through the staged
-	// decode → sharded-filter → engine pipeline (internal/pipeline)
-	// with that many shard workers. Verdicts are bit-identical to the
-	// serial path; sessions whose configuration the pipeline cannot
-	// mark (forensics, filter-less engines) degrade to the serial loop
-	// automatically. Default 0 (serial).
+	// Parallel, when >1, puts that many shard workers between each
+	// session's decode-ahead stage and its engine (internal/pipeline).
+	// Verdicts are bit-identical at every value; sessions the workers
+	// cannot mark (forensics, filter-less engines) run without them.
 	Parallel int
 	// Logger, when non-nil, receives one structured record per
 	// noteworthy event (session end, shed, panic), each carrying the
 	// session id and remote address. Defaults to silent.
 	Logger *slog.Logger
 
-	// stepHook, when non-nil, observes every op before it reaches the
-	// engine. Tests use it to inject per-session faults (e.g. a panic
-	// on a poisoned op) without a special wire format.
+	// stepHook, when non-nil, observes every op of a batch on the session
+	// goroutine before the batch reaches the engine. Tests use it to inject
+	// per-session faults (e.g. a panic on a poisoned op) without a wire format.
 	stepHook func(trace.Op)
 }
 
@@ -117,9 +109,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 30 * time.Second
-	}
-	if c.BufferOps <= 0 {
-		c.BufferOps = 1024
 	}
 	if c.MaxWarnings <= 0 {
 		c.MaxWarnings = 16
@@ -385,10 +374,22 @@ func (d *deadlineReader) Read(p []byte) (int, error) {
 	return d.conn.Read(p)
 }
 
-// handle runs one complete session: admission (header, rejection, load
-// shedding, the slot claim), op stream, verdict.
+// handle runs one session and writes its verdict — after session has
+// returned and so released the slot, the tenant quota and the live listing:
+// a client that reconnects the moment it reads the verdict finds them free.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
+	v := s.session(conn)
+	conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
+	if err := trace.WriteVerdict(conn, v); err != nil {
+		s.cfg.Logger.Warn("writing verdict failed",
+			"session", v.Session, "remote", conn.RemoteAddr().String(), "error", err)
+	}
+}
+
+// session is one complete session up to its verdict: admission (header,
+// rejection, load shedding, the slot claim), op stream, history record.
+func (s *Server) session(conn net.Conn) *trace.SessionVerdict {
 	start := time.Now()
 
 	dr := &deadlineReader{conn: conn, idle: s.cfg.IdleTimeout}
@@ -440,9 +441,7 @@ func (s *Server) handle(conn net.Conn) {
 		s.met.observeVerdict(v, time.Since(start))
 		s.cfg.Logger.Warn("session rejected",
 			"remote", conn.RemoteAddr().String(), "code", code, "error", err.Error())
-		conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-		trace.WriteVerdict(conn, v)
-		return
+		return v
 	}
 
 	// Tenant quotas come before the daemon-wide slot claim, so an
@@ -459,14 +458,12 @@ func (s *Server) handle(conn net.Conn) {
 		ten.quota.Inc()
 		s.cfg.Logger.Warn("session quota-rejected",
 			"remote", conn.RemoteAddr().String(), "tenant", ten.Name())
-		conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-		trace.WriteVerdict(conn, &trace.SessionVerdict{
+		return &trace.SessionVerdict{
 			Status: trace.StatusBusy,
 			Code:   trace.CodeQuotaExceeded,
 			Tenant: tenantLabel(ten),
 			Error:  fmt.Sprintf("tenant %s over its session quota", ten.Name()),
-		})
-		return
+		}
 	}
 
 	// Load shedding: claim a slot without blocking. A full daemon
@@ -479,14 +476,12 @@ func (s *Server) handle(conn net.Conn) {
 		ten.shed.Inc()
 		s.cfg.Logger.Warn("session shed",
 			"remote", conn.RemoteAddr().String(), "cap", s.cfg.MaxSessions)
-		conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-		trace.WriteVerdict(conn, &trace.SessionVerdict{
+		return &trace.SessionVerdict{
 			Status: trace.StatusBusy,
 			Code:   trace.CodeBusy,
 			Tenant: tenantLabel(ten),
 			Error:  fmt.Sprintf("session limit reached (%d active)", s.cfg.MaxSessions),
-		})
-		return
+		}
 	}
 	defer func() { <-s.slots }()
 
@@ -516,9 +511,9 @@ func (s *Server) handle(conn net.Conn) {
 	// The engine and decoder have quiesced (run returned), so the span
 	// rollup is safe to read; it rides in the verdict's metrics block as
 	// span_<stage>_ns so clients see where their session's time went.
-	// After a recovered panic (StatusError) the decode goroutine may
-	// still be draining and writing to its buffer, so the tracer is left
-	// untouched for that path.
+	// After a recovered panic (StatusError) the pipeline stages may
+	// still be winding down and writing to their buffers, so the tracer
+	// is left untouched for that path.
 	var sum *span.Summary
 	if v.Status != trace.StatusError {
 		sum = tr.Summary()
@@ -572,35 +567,22 @@ func (s *Server) handle(conn net.Conn) {
 		}
 	}
 	s.hist.Add(rec)
-
-	conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-	if err := trace.WriteVerdict(conn, v); err != nil {
-		logger.Warn("writing verdict failed", "error", err)
-	}
+	return v
 }
 
 // run decodes and checks one admitted session's stream, converting
 // every failure mode — malformed ops, engine panic — into a verdict.
-// (Header failures never reach here: handle rejects them before
+// (Header failures never reach here: session rejects them before
 // admission.) It never lets a panic escape: one poisoned session must
 // not take down the daemon. hdrStart/hdrEnd are the tracer timestamps
-// bracketing handle's header read, re-emitted here so the header stage
+// bracketing session's header read, re-emitted here so the header stage
 // still appears on the session's span timeline.
 func (s *Server) run(br *bufio.Reader, hdr trace.SessionHeader, info core.EngineInfo,
 	st *sessionStats, logger *slog.Logger, tr *span.Tracer, hdrStart, hdrEnd int64) (v *trace.SessionVerdict) {
-	// ops and its drain are declared here so the recover path can unblock
-	// a decode goroutine stuck sending to a consumer that panicked away.
-	var ops chan trace.Op
 	defer func() {
 		if r := recover(); r != nil {
 			s.met.panics.Inc()
 			logger.Error("session panic", "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
-			if ops != nil {
-				go func() {
-					for range ops {
-					}
-				}()
-			}
 			v = &trace.SessionVerdict{
 				Status: trace.StatusError,
 				Error:  fmt.Sprintf("internal: session panicked: %v", r),
@@ -609,9 +591,9 @@ func (s *Server) run(br *bufio.Reader, hdr trace.SessionHeader, info core.Engine
 	}()
 
 	// sb is the session goroutine's span buffer: the root span, the
-	// header/verdict stages, and — via core.Options.Spans — the engine's
-	// filter/graph/forensics attribution. The decode goroutine gets its
-	// own buffer below; both are inert when tracing is off (nil tracer).
+	// header/verdict stages, the per-batch decode/check spans and — via
+	// core.Options.Spans — the engine's filter/graph/forensics attribution.
+	// The pipeline stages own theirs; all are inert under a nil tracer.
 	sb := tr.Buffer("session")
 	root := sb.Start("session", 0)
 	sb.AttrStr(root, "session", st.id)
@@ -625,212 +607,76 @@ func (s *Server) run(br *bufio.Reader, hdr trace.SessionHeader, info core.Engine
 	st.forensics.Store(hdr.Forensics)
 	sb.AttrStr(root, "engine", engineName)
 
+	// Decode runs ahead of the engine over the pipeline's bounded batch ring:
+	// a full ring stops the decoder reading the transport, which backpressures
+	// the client. The deferred Close releases the stages even on a panic.
 	dec := trace.NewDecoder(br)
+	src := pipeline.NewSource(dec, opts, pipeline.Config{Workers: s.cfg.Parallel, Tracer: tr})
+	defer src.Close()
 
-	if s.cfg.Parallel > 1 {
-		return s.runPipelined(dec, opts, engineName, st, sb, tr, root)
-	}
-
-	// Decode ahead of the engine through a bounded channel: a full
-	// channel blocks the decoder, which stops reading the transport,
-	// which backpressures the client. decodeErr is buffered so the
-	// decoder goroutine can always exit, even if run is unwinding.
-	ops = make(chan trace.Op, s.cfg.BufferOps)
-	decodeErr := make(chan error, 1)
-	go func() {
-		defer close(ops)
-		// The decode goroutine owns its span buffer; its final Flush
-		// happens before the decodeErr send, which the session goroutine
-		// receives before reading the tracer — the ordinary
-		// happens-before of the channels covers the span data too.
-		db := tr.Buffer("decode")
-		batchStart := tr.Now()
-		var decoded int64
-		finish := func(err error) {
-			if decoded%statsEvery != 0 {
-				id := db.Emit("decode", root, batchStart, tr.Now())
-				db.AttrInt(id, "ops", decoded%statsEvery)
-			}
-			db.Flush()
-			decodeErr <- err
-		}
-		for {
-			t0 := tr.Now()
-			op, err := dec.Next()
-			db.AddStage(span.StageDecode, tr.Now()-t0)
-			if err == io.EOF {
-				finish(nil)
-				return
-			}
-			if err != nil {
-				finish(err)
-				return
-			}
-			if db != nil {
-				decoded++
-				if decoded%statsEvery == 0 {
-					now := tr.Now()
-					id := db.Emit("decode", root, batchStart, now)
-					db.AttrInt(id, "ops", statsEvery)
-					batchStart = now
-				}
-			}
-			ops <- op
-		}
-	}()
-
-	checker := core.New(opts)
-	var n int64
-	batchStart := tr.Now()
+	// emitBatch closes the timeline's current interval as one span: "decode"
+	// is the wait for a batch (decode time not hidden behind the engine),
+	// "check" its stepping, with children sized by the engine's stage deltas.
+	mark := tr.Now()
 	var prevStages [span.NumStages]int64
-	// emitBatch materializes the last statsEvery ops as one "check" span
-	// with filter/graph/forensics children sized by the engine's stage
-	// accumulators since the previous batch — the nesting the exported
-	// timeline shows under each session.
-	emitBatch := func(batchOps int64) {
-		if sb == nil || batchOps == 0 {
+	emitBatch := func(name string, ops int, stages ...span.Stage) {
+		if sb == nil || ops == 0 {
 			return
 		}
 		now := tr.Now()
-		id := sb.Emit("check", root, batchStart, now)
-		sb.AttrInt(id, "ops", batchOps)
-		sb.EmitStages(id, batchStart, now, &prevStages,
-			span.StageFilter, span.StageGraph, span.StageForensics)
-		batchStart = now
+		id := sb.Emit(name, root, mark, now)
+		sb.AttrInt(id, "ops", int64(ops))
+		sb.EmitStages(id, mark, now, &prevStages, stages...)
+		mark = now
 	}
-	for op := range ops {
+	next := func() (core.Batch, error) {
+		b, err := src.Next()
+		emitBatch("decode", len(b.Ops))
 		if s.cfg.stepHook != nil {
-			s.cfg.stepHook(op)
+			for _, op := range b.Ops {
+				s.cfg.stepHook(op)
+			}
 		}
-		if w := checker.Step(op); w != nil {
-			st.noteWarning(w.String())
-		}
-		n++
-		s.met.ops.Inc()
-		st.ops.Store(n)
-		if n%statsEvery == 0 {
-			st.publishEngine(checker)
-			emitBatch(statsEvery)
-		}
+		return b, err
 	}
-	st.publishEngine(checker)
-	emitBatch(n % statsEvery)
-	derr := <-decodeErr
+	var checker core.Checker
+	res, _, derr := core.Check(next, opts, &core.Observer{
+		Checker: func(c core.Checker) { checker = c },
+		Warning: func(w *core.Warning) { st.noteWarning(w.String()) },
+		// The batch is the live-stats and span interval.
+		Batch: func(ops, _ int) {
+			s.met.ops.Add(int64(ops))
+			st.ops.Add(int64(ops))
+			st.publishEngine(checker)
+			emitBatch("check", ops, span.StageFilter, span.StageGraph, span.StageForensics)
+		},
+	})
 
 	verdictStart := tr.Now()
 	v = &trace.SessionVerdict{
 		Engine:   engineName,
-		Ops:      n,
+		Ops:      st.ops.Load(),
 		Comments: dec.Comments,
 	}
-	if f, m := checker.Filtered(), checker.Stats().FilteredEdges; f > 0 || m > 0 {
-		v.Metrics = map[string]int64{
-			"core_events_filtered_total":  f,
-			"graph_edges_memo_hits_total": int64(m),
-		}
-	}
-	for _, w := range checker.Warnings() {
-		if len(v.Warnings) >= s.cfg.MaxWarnings {
-			break
-		}
-		v.Warnings = append(v.Warnings, w.String())
-		if rep := w.Forensics(); rep != nil {
-			line, merr := rep.MarshalJSONLine()
-			if merr != nil {
-				line = []byte("null") // keep Reports aligned with Warnings
-			}
-			v.Reports = append(v.Reports, json.RawMessage(line))
-		}
-	}
 	switch {
-	case derr != nil:
-		v.Status = trace.StatusMalformed
-		v.Code = trace.CodeDecodeError
-		v.Error = derr.Error()
-	case n == 0:
+	case derr == nil:
+		v.Status = trace.StatusOK
+		v.Serializable = res.Serializable
+	case errors.Is(derr, core.ErrEmptyStream):
 		// The zero-op hole, closed at the daemon too: an empty stream
 		// is a crashed producer, not a serializable program.
-		v.Status = trace.StatusMalformed
-		v.Code = trace.CodeEmptyStream
-		v.Error = core.ErrEmptyStream.Error()
+		v.Status, v.Code, v.Error = trace.StatusMalformed, trace.CodeEmptyStream, derr.Error()
+		res = &core.Result{}
 	default:
-		v.Status = trace.StatusOK
-		v.Serializable = len(checker.Warnings()) == 0
+		v.Status, v.Code, v.Error = trace.StatusMalformed, trace.CodeDecodeError, derr.Error()
 	}
-	if vid := sb.Emit("verdict", root, verdictStart, tr.Now()); vid != 0 {
-		sb.AddStage(span.StageVerdict, tr.Now()-verdictStart)
-		sb.AttrStr(vid, "status", v.Status)
-	}
-	sb.End(root)
-	sb.Flush()
-	return v
-}
-
-// runPipelined is run's engine loop routed through the staged pipeline:
-// the pipeline's decoder goroutine and shard workers replace the plain
-// decode-ahead channel, and the per-op hook keeps the session's live
-// stats, warning digests and span batches exactly as the serial loop
-// does. Decode errors, empty streams and verdict assembly all match the
-// serial path bit for bit.
-func (s *Server) runPipelined(dec *trace.Decoder, opts core.Options, engineName string,
-	st *sessionStats, sb *span.Buf, tr *span.Tracer, root span.SpanID) *trace.SessionVerdict {
-	var checker core.Checker
-	var n int64
-	batchStart := tr.Now()
-	var prevStages [span.NumStages]int64
-	emitBatch := func(batchOps int64) {
-		if sb == nil || batchOps == 0 {
-			return
-		}
-		now := tr.Now()
-		id := sb.Emit("check", root, batchStart, now)
-		sb.AttrInt(id, "ops", batchOps)
-		sb.EmitStages(id, batchStart, now, &prevStages,
-			span.StageFilter, span.StageGraph, span.StageForensics)
-		batchStart = now
-	}
-	_, consumed, derr := pipeline.CheckStream(dec, opts, pipeline.Config{
-		Workers: s.cfg.Parallel,
-		Tracer:  tr,
-		OnChecker: func(c core.Checker) {
-			checker = c
-		},
-		OnOp: func(op trace.Op, w *core.Warning) {
-			if s.cfg.stepHook != nil {
-				s.cfg.stepHook(op)
-			}
-			if w != nil {
-				st.noteWarning(w.String())
-			}
-			n++
-			s.met.ops.Inc()
-			st.ops.Store(n)
-			if n%statsEvery == 0 {
-				st.publishEngine(checker)
-				emitBatch(statsEvery)
-			}
-		},
-	})
-	n = int64(consumed)
-	st.publishEngine(checker)
-	emitBatch(n % statsEvery)
-	if derr == core.ErrEmptyStream {
-		derr = nil // the n == 0 case below reports it, as in the serial loop
-	}
-
-	verdictStart := tr.Now()
-	v := &trace.SessionVerdict{
-		Engine:   engineName,
-		Ops:      n,
-		Comments: dec.Comments,
-	}
-	if f, m := checker.Filtered(), checker.Stats().FilteredEdges; f > 0 || m > 0 {
+	if f, m := res.Filtered, res.Stats.FilteredEdges; f > 0 || m > 0 {
 		v.Metrics = map[string]int64{
 			"core_events_filtered_total":  f,
 			"graph_edges_memo_hits_total": int64(m),
 		}
 	}
-	for _, w := range checker.Warnings() {
+	for _, w := range res.Warnings {
 		if len(v.Warnings) >= s.cfg.MaxWarnings {
 			break
 		}
@@ -842,19 +688,6 @@ func (s *Server) runPipelined(dec *trace.Decoder, opts core.Options, engineName 
 			}
 			v.Reports = append(v.Reports, json.RawMessage(line))
 		}
-	}
-	switch {
-	case derr != nil:
-		v.Status = trace.StatusMalformed
-		v.Code = trace.CodeDecodeError
-		v.Error = derr.Error()
-	case n == 0:
-		v.Status = trace.StatusMalformed
-		v.Code = trace.CodeEmptyStream
-		v.Error = core.ErrEmptyStream.Error()
-	default:
-		v.Status = trace.StatusOK
-		v.Serializable = len(checker.Warnings()) == 0
 	}
 	if vid := sb.Emit("verdict", root, verdictStart, tr.Now()); vid != 0 {
 		sb.AddStage(span.StageVerdict, tr.Now()-verdictStart)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -37,6 +38,14 @@ func startServer(t *testing.T, cfg Config) (*Server, string, func()) {
 		}
 	}
 	return s, ln.Addr().String(), stop
+}
+
+// forParallel runs body against both shapes of the one session path:
+// decode-ahead only, and with shard workers in front of the engine.
+func forParallel(t *testing.T, body func(t *testing.T, parallel int)) {
+	for _, parallel := range []int{0, 4} {
+		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) { body(t, parallel) })
+	}
 }
 
 // cleanTrace is serializable; buggyTrace seeds the classic interleaved
@@ -372,8 +381,10 @@ func TestServerRejectsUnknownEngineBeforeAdmission(t *testing.T) {
 // TestServerGracefulDrain starts sessions that are mid-stream when
 // Shutdown begins and asserts they still receive real verdicts while
 // new connections are refused.
-func TestServerGracefulDrain(t *testing.T) {
-	s, addr, _ := startServer(t, Config{MaxSessions: 8})
+func TestServerGracefulDrain(t *testing.T) { forParallel(t, testServerGracefulDrain) }
+
+func testServerGracefulDrain(t *testing.T, parallel int) {
+	s, addr, _ := startServer(t, Config{MaxSessions: 8, Parallel: parallel})
 
 	const n = 4
 	conns := make([]net.Conn, n)
@@ -434,13 +445,17 @@ func TestServerGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestServerPanicIsolation poisons one session via the step hook and
-// asserts it gets an error verdict while a concurrent healthy session
-// and the daemon itself are untouched.
-func TestServerPanicIsolation(t *testing.T) {
+// TestServerPanicIsolation poisons sessions via the step hook and
+// asserts each gets an error verdict while the daemon itself is
+// untouched and keeps serving. The deep case panics 150 k ops into a
+// 400 k-op stream, with the decode-ahead stages (and the client) still
+// busy: every goroutine the sessions started must be gone afterwards.
+func TestServerPanicIsolation(t *testing.T) { forParallel(t, testServerPanicIsolation) }
+
+func testServerPanicIsolation(t *testing.T, parallel int) {
 	reg := obs.NewRegistry()
 	const poison = 66_666
-	_, addr, stop := startServer(t, Config{MaxSessions: 8, Metrics: reg, stepHook: func(op trace.Op) {
+	_, addr, stop := startServer(t, Config{MaxSessions: 8, Metrics: reg, Parallel: parallel, stepHook: func(op trace.Op) {
 		if op.Kind == trace.Write && op.Target == poison {
 			panic("poisoned op")
 		}
@@ -456,21 +471,51 @@ func TestServerPanicIsolation(t *testing.T) {
 		t.Fatalf("verdict %+v, want error/panic", v)
 	}
 
+	deep := make(trace.Trace, 0, 400_000)
+	deep = append(deep, trace.Beg(1, "loop"))
+	for len(deep) < 400_000 {
+		deep = append(deep, trace.Rd(1, trace.Var(int32(len(deep)/100%4))))
+	}
+	deep[150_000] = trace.Wr(1, poison)
+	body := encode(t, deep, true)
+	const deepSessions = 5
+	before := runtime.NumGoroutine()
+	for i := 0; i < deepSessions; i++ {
+		// The daemon hangs up with most of the stream unread, so the
+		// verdict can be lost to the connection reset: a transport error
+		// is acceptable here, any other verdict is not.
+		v, err := CheckReader(addr, trace.SessionHeader{Name: "deep"}, bytes.NewReader(body))
+		if err == nil && v.Status != trace.StatusError {
+			t.Fatalf("deep-poisoned session %d: verdict %+v, want error/panic", i, v)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines %d → %d after %d panicked sessions: pipeline stages leaked\n%s",
+				before, runtime.NumGoroutine(), deepSessions, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
 	// The daemon survives and keeps serving.
 	v, err = CheckReader(addr, trace.SessionHeader{}, bytes.NewReader(encode(t, cleanTrace(), true)))
 	if err != nil || v.Status != trace.StatusOK || !v.Serializable {
 		t.Fatalf("session after panic: %+v, err %v", v, err)
 	}
 	stop()
-	if got := reg.Snapshot().Counters["velodromed_session_panics_total"]; got != 1 {
-		t.Errorf("panics = %d, want 1", got)
+	if got := reg.Snapshot().Counters["velodromed_session_panics_total"]; got != 1+deepSessions {
+		t.Errorf("panics = %d, want %d", got, 1+deepSessions)
 	}
 }
 
 // TestServerIdleTimeout connects, sends half a session, and stalls: the
 // read deadline must fail the session rather than pin its slot forever.
-func TestServerIdleTimeout(t *testing.T) {
-	_, addr, stop := startServer(t, Config{MaxSessions: 2, IdleTimeout: 100 * time.Millisecond})
+func TestServerIdleTimeout(t *testing.T) { forParallel(t, testServerIdleTimeout) }
+
+func testServerIdleTimeout(t *testing.T, parallel int) {
+	_, addr, stop := startServer(t, Config{MaxSessions: 2, IdleTimeout: 100 * time.Millisecond, Parallel: parallel})
 	defer stop()
 
 	conn, err := Dial(addr, time.Second)
@@ -497,8 +542,10 @@ func TestServerIdleTimeout(t *testing.T) {
 // TestServerZeroOpSession is the wire-level regression for the
 // silent-success hole: a connection that opens a session and dies
 // immediately must yield a malformed verdict, exit code 2.
-func TestServerZeroOpSession(t *testing.T) {
-	_, addr, stop := startServer(t, Config{})
+func TestServerZeroOpSession(t *testing.T) { forParallel(t, testServerZeroOpSession) }
+
+func testServerZeroOpSession(t *testing.T, parallel int) {
+	_, addr, stop := startServer(t, Config{Parallel: parallel})
 	defer stop()
 	v, err := CheckReader(addr, trace.SessionHeader{}, bytes.NewReader(nil))
 	if err != nil {
@@ -511,8 +558,10 @@ func TestServerZeroOpSession(t *testing.T) {
 
 // TestServerTruncatedBinarySession streams a binary trace cut inside
 // the magic and mid-ops; both must come back malformed, never ok.
-func TestServerTruncatedBinarySession(t *testing.T) {
-	_, addr, stop := startServer(t, Config{})
+func TestServerTruncatedBinarySession(t *testing.T) { forParallel(t, testServerTruncatedBinarySession) }
+
+func testServerTruncatedBinarySession(t *testing.T, parallel int) {
+	_, addr, stop := startServer(t, Config{Parallel: parallel})
 	defer stop()
 	full := encode(t, cleanTrace(), true)
 	for _, cut := range []int{2, len(full) / 2, len(full) - 1} {

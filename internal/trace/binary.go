@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -72,76 +73,14 @@ func MarshalBinary(w io.Writer, tr Trace) error {
 
 // UnmarshalBinary reads a trace in the binary format.
 func UnmarshalBinary(r io.Reader) (Trace, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
+	d := NewDecoder(r)
+	if err := d.sniff(); err != nil {
+		return nil, err
 	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", magic[:])
+	if d.mode != 2 {
+		return nil, errors.New("trace: bad magic: not a binary trace")
 	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading count: %w", err)
-	}
-	const maxOps = 1 << 30
-	if count > maxOps {
-		return nil, fmt.Errorf("trace: implausible op count %d", count)
-	}
-	tr := make(Trace, 0, min(count, 1<<20))
-	var labels []Label
-	for i := uint64(0); i < count; i++ {
-		kind, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("trace: op %d: %w", i, err)
-		}
-		if Kind(kind) > Join {
-			return nil, fmt.Errorf("trace: op %d: unknown kind %d", i, kind)
-		}
-		tid, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: op %d thread: %w", i, err)
-		}
-		zz, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: op %d target: %w", i, err)
-		}
-		target := int32(uint32(zz>>1) ^ -uint32(zz&1))
-		op := Op{Kind: Kind(kind), Thread: Tid(tid), Target: target}
-		if op.Kind == Begin {
-			lv, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("trace: op %d label: %w", i, err)
-			}
-			if lv&1 == 1 {
-				idx := lv >> 1
-				if idx >= uint64(len(labels)) {
-					return nil, fmt.Errorf("trace: op %d: label back-reference %d out of range", i, idx)
-				}
-				op.Label = labels[idx]
-			} else {
-				n := lv >> 1
-				if n > 4096 {
-					return nil, fmt.Errorf("trace: op %d: label length %d too large", i, n)
-				}
-				b := make([]byte, n)
-				if _, err := io.ReadFull(br, b); err != nil {
-					return nil, fmt.Errorf("trace: op %d label bytes: %w", i, err)
-				}
-				op.Label = Label(b)
-				labels = append(labels, op.Label)
-			}
-		}
-		tr = append(tr, op)
-	}
-	return tr, nil
-}
-
-func min(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
+	return d.readAll()
 }
 
 // truncatedMagic reports a format-level error when a stream ended
@@ -161,16 +100,4 @@ func truncatedMagic(head []byte) error {
 }
 
 // ReadAuto decodes a trace in either format, sniffing the binary magic.
-func ReadAuto(r io.Reader) (Trace, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(4)
-	if err != nil {
-		if merr := truncatedMagic(head); merr != nil {
-			return nil, merr
-		}
-	}
-	if err == nil && [4]byte(head) == binaryMagic {
-		return UnmarshalBinary(br)
-	}
-	return Unmarshal(br)
-}
+func ReadAuto(r io.Reader) (Trace, error) { return NewDecoder(r).readAll() }

@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -118,6 +120,10 @@ type Decoder struct {
 // buffer fill across a few thousand typical (8-16 byte) trace lines.
 const decoderBufSize = 64 * 1024
 
+// maxLineBytes bounds one text line, so a stream that never sends a
+// newline cannot grow the spill buffer without limit.
+const maxLineBytes = 1 << 20
+
 // NewDecoder returns a Decoder reading from r.
 func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{br: bufio.NewReaderSize(r, decoderBufSize)}
@@ -126,32 +132,41 @@ func NewDecoder(r io.Reader) *Decoder {
 // Next returns the next operation, or io.EOF after the last one.
 func (d *Decoder) Next() (Op, error) {
 	if d.mode == 0 {
-		head, err := d.br.Peek(4)
-		if err != nil {
-			if merr := truncatedMagic(head); merr != nil {
-				return Op{}, merr
-			}
-		}
-		if err == nil && [4]byte(head) == binaryMagic {
-			d.mode = 2
-			d.br.Discard(4)
-			count, err := binary.ReadUvarint(d.br)
-			if err != nil {
-				return Op{}, fmt.Errorf("trace: reading count: %w", err)
-			}
-			const maxOps = 1 << 30
-			if count > maxOps {
-				return Op{}, fmt.Errorf("trace: implausible op count %d", count)
-			}
-			d.remaining = count
-		} else {
-			d.mode = 1
+		if err := d.sniff(); err != nil {
+			return Op{}, err
 		}
 	}
 	if d.mode == 2 {
 		return d.nextBinary()
 	}
 	return d.nextText()
+}
+
+// sniff picks the format from the stream's first bytes: the binary
+// magic (then it also reads the op count), or else text.
+func (d *Decoder) sniff() error {
+	head, err := d.br.Peek(4)
+	if err != nil {
+		if merr := truncatedMagic(head); merr != nil {
+			return merr
+		}
+	}
+	if err != nil || [4]byte(head) != binaryMagic {
+		d.mode = 1
+		return nil
+	}
+	d.mode = 2
+	d.br.Discard(4)
+	count, err := binary.ReadUvarint(d.br)
+	if err != nil {
+		return fmt.Errorf("trace: reading count: %w", err)
+	}
+	const maxOps = 1 << 30
+	if count > maxOps {
+		return fmt.Errorf("trace: implausible op count %d", count)
+	}
+	d.remaining = count
+	return nil
 }
 
 // readLine returns the next line (without requiring the trailing
@@ -162,6 +177,9 @@ func (d *Decoder) readLine() ([]byte, error) {
 	for {
 		frag, err := d.br.ReadSlice('\n')
 		if err == bufio.ErrBufferFull {
+			if len(d.lineBuf) >= maxLineBytes {
+				return nil, fmt.Errorf("line %d: longer than %d bytes", d.lineno+1, maxLineBytes)
+			}
 			d.lineBuf = append(d.lineBuf, frag...)
 			continue
 		}
@@ -173,33 +191,44 @@ func (d *Decoder) readLine() ([]byte, error) {
 }
 
 func (d *Decoder) nextText() (Op, error) {
-	if d.intern == nil {
-		d.intern = make(map[string]Label)
-	}
 	for {
 		line, err := d.readLine()
 		if err != nil && (err != io.EOF || len(line) == 0) {
 			return Op{}, err
 		}
-		d.lineno++
-		trimmed := trimSpaceBytes(line)
-		switch {
-		case len(trimmed) == 0:
-			// skip
-		case trimmed[0] == '#':
-			d.Comments = append(d.Comments, string(trimSpaceBytes(trimmed[1:])))
-		default:
-			op, perr := parseOpBytes(trimmed, d.intern)
-			if perr != nil {
-				return Op{}, fmt.Errorf("line %d: %w", d.lineno, perr)
-			}
-			return op, nil
+		op, ok, perr := d.textLine(line)
+		if ok || perr != nil {
+			return op, perr
 		}
 		if err == io.EOF {
 			return Op{}, io.EOF
 		}
 	}
 }
+
+// textLine parses one line of a text trace. ok is false for the lines
+// that carry no operation: blank ones, and comments (which it collects).
+func (d *Decoder) textLine(line []byte) (op Op, ok bool, err error) {
+	if d.intern == nil {
+		d.intern = make(map[string]Label)
+	}
+	d.lineno++
+	trimmed := trimSpaceBytes(line)
+	switch {
+	case len(trimmed) == 0:
+		return Op{}, false, nil
+	case trimmed[0] == '#':
+		d.Comments = append(d.Comments, string(trimSpaceBytes(trimmed[1:])))
+		return Op{}, false, nil
+	}
+	if op, err = parseOpBytes(trimmed, d.intern); err != nil {
+		return Op{}, false, fmt.Errorf("line %d: %w", d.lineno, err)
+	}
+	return op, true, nil
+}
+
+// unzigzag undoes the encoder's zig-zag mapping of signed targets.
+func unzigzag(zz uint64) int32 { return int32(uint32(zz>>1) ^ -uint32(zz&1)) }
 
 func (d *Decoder) nextBinary() (Op, error) {
 	if d.remaining == 0 {
@@ -221,8 +250,7 @@ func (d *Decoder) nextBinary() (Op, error) {
 	if err != nil {
 		return Op{}, fmt.Errorf("trace: op %d target: %w", i, err)
 	}
-	target := int32(uint32(zz>>1) ^ -uint32(zz&1))
-	op := Op{Kind: Kind(kind), Thread: Tid(tid), Target: target}
+	op := Op{Kind: Kind(kind), Thread: Tid(tid), Target: unzigzag(zz)}
 	if op.Kind == Begin {
 		lv, err := binary.ReadUvarint(d.br)
 		if err != nil {
@@ -252,17 +280,115 @@ func (d *Decoder) nextBinary() (Op, error) {
 	return op, nil
 }
 
-// ReadAll drains the decoder into a Trace.
+// NextBatch fills buf with the next operations and returns how many it
+// wrote. It blocks for the first one like Next (io.EOF after the last
+// operation), then keeps going only while the read buffer already holds
+// a complete further operation, so a slow live stream is handed on as a
+// short batch instead of waiting on the transport for a full one. An
+// error after the first operation is returned together with the
+// operations decoded before it.
+func (d *Decoder) NextBatch(buf []Op) (int, error) {
+	if len(buf) == 0 {
+		return 0, nil
+	}
+	op, err := d.Next()
+	if err != nil {
+		return 0, err
+	}
+	buf[0] = op
+	var n int
+	if d.mode == 2 {
+		n = d.fillBinary(buf[1:])
+	} else {
+		n, err = d.fillText(buf[1:])
+	}
+	return 1 + n, err
+}
+
+// fillText decodes the complete lines already sitting in the read
+// buffer: everything up to the last buffered newline can be consumed
+// without ReadSlice touching the transport.
+func (d *Decoder) fillText(buf []Op) (int, error) {
+	p, _ := d.br.Peek(d.br.Buffered())
+	budget := bytes.LastIndexByte(p, '\n') + 1
+	n := 0
+	for n < len(buf) && budget > 0 {
+		line, _ := d.br.ReadSlice('\n')
+		budget -= len(line)
+		op, ok, err := d.textLine(line)
+		if err != nil {
+			return n, err
+		}
+		if ok {
+			buf[n] = op
+			n++
+		}
+	}
+	return n, nil
+}
+
+// fillBinary decodes the operations that lie complete in the read
+// buffer, parsing the buffered bytes in place. It stops — consuming
+// nothing of the operation in question — at the first one that is
+// incomplete, malformed, or introduces a new label; the next blocking
+// Next decodes that one, so errors are reported by a single code path.
+func (d *Decoder) fillBinary(buf []Op) int {
+	p, _ := d.br.Peek(d.br.Buffered())
+	n, off := 0, 0
+	for n < len(buf) && uint64(n) < d.remaining && off < len(p) && Kind(p[off]) <= Join {
+		tid, a := binary.Uvarint(p[off+1:])
+		if a <= 0 {
+			break
+		}
+		zz, b := binary.Uvarint(p[off+1+a:])
+		if b <= 0 {
+			break
+		}
+		size := 1 + a + b
+		op := Op{Kind: Kind(p[off]), Thread: Tid(tid), Target: unzigzag(zz)}
+		if op.Kind == Begin {
+			lv, c := binary.Uvarint(p[off+size:])
+			if c <= 0 || lv&1 == 0 || lv>>1 >= uint64(len(d.labels)) {
+				break
+			}
+			op.Label = d.labels[lv>>1]
+			size += c
+		}
+		buf[n] = op
+		n++
+		off += size
+	}
+	d.br.Discard(off)
+	d.binIndex += uint64(n)
+	d.remaining -= uint64(n)
+	return n
+}
+
+// ReadAll drains the decoder into a Trace; on an error it also returns
+// the operations decoded before it.
 func (d *Decoder) ReadAll() (Trace, error) {
 	var tr Trace
 	for {
-		op, err := d.Next()
+		if len(tr) == cap(tr) {
+			tr = slices.Grow(tr, 512)
+		}
+		n, err := d.NextBatch(tr[len(tr):cap(tr)])
+		tr = tr[:len(tr)+n]
 		if err == io.EOF {
 			return tr, nil
 		}
 		if err != nil {
 			return tr, err
 		}
-		tr = append(tr, op)
 	}
+}
+
+// readAll is ReadAll for the one-shot readers, which return no trace
+// alongside an error.
+func (d *Decoder) readAll() (Trace, error) {
+	tr, err := d.ReadAll()
+	if err != nil {
+		return nil, err
+	}
+	return tr, nil
 }

@@ -2,10 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
+	"time"
 )
 
 func streamSampleTrace() Trace {
@@ -172,5 +175,162 @@ func TestEmitterConcurrent(t *testing.T) {
 		if n != per {
 			t.Fatalf("thread %d: %d ops, want %d", tid, n, per)
 		}
+	}
+}
+
+// decodeBatched drains a Decoder through NextBatch with a fixed buffer
+// size, returning the ops and the terminal error (nil on clean EOF).
+func decodeBatched(r io.Reader, size int) (Trace, error) {
+	dec := NewDecoder(r)
+	buf := make([]Op, size)
+	var tr Trace
+	for {
+		n, err := dec.NextBatch(buf)
+		tr = append(tr, buf[:n]...)
+		if err == io.EOF {
+			return tr, nil
+		}
+		if err != nil {
+			return tr, err
+		}
+		if n == 0 {
+			return tr, io.ErrNoProgress
+		}
+	}
+}
+
+// TestNextBatchMatchesNext is the batch fill's differential: for both
+// encodings, every batch size, whole and byte-at-a-time readers, and
+// every truncation of the binary corpus, NextBatch yields exactly the
+// ops, comments and terminal error of a Next loop.
+func TestNextBatchMatchesNext(t *testing.T) {
+	var bin bytes.Buffer
+	if err := MarshalBinary(&bin, truncCorpus()); err != nil {
+		t.Fatal(err)
+	}
+	inputs := map[string][]byte{
+		"text":         []byte("# head\n\n" + string(textBytes(benchTrace(300))) + "# velo events emitted=300\n"),
+		"binary":       binaryBytes(benchTrace(300)),
+		"no-newline":   []byte("rd(1,x2)\nwr(2,x2)"),
+		"parse-error":  []byte("rd(1,x2)\nwr(2,x2)\nbogus(1)\nrd(1,x2)\n"),
+		"empty":        nil,
+		"comment-only": []byte("# nothing\n"),
+	}
+	for cut := 1; cut < bin.Len(); cut++ {
+		inputs[fmt.Sprintf("binary-cut-%d", cut)] = bin.Bytes()[:cut]
+	}
+	for name, data := range inputs {
+		want, wantErr := decodeAll(data) // the Next loop
+		for _, size := range []int{1, 2, 3, 7, 4096} {
+			for _, slow := range []bool{false, true} {
+				var r io.Reader = bytes.NewReader(data)
+				if slow {
+					r = iotest.OneByteReader(r)
+				}
+				got, err := decodeBatched(r, size)
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Errorf("%s/size=%d/slow=%v: err %v, Next loop %v", name, size, slow, err, wantErr)
+				}
+				if got.String() != want.String() {
+					t.Errorf("%s/size=%d/slow=%v: %d ops, Next loop %d", name, size, slow, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestNextBatchDoesNotWaitForAFullBatch is the live-stream property: a
+// producer that wrote three ops and then went quiet (no EOF) gets all
+// three delivered, in either encoding, instead of the decoder blocking
+// on the transport to fill its buffer.
+func TestNextBatchDoesNotWaitForAFullBatch(t *testing.T) {
+	three := Trace{Beg(1, "m"), Rd(1, 0), Wr(1, 0)}
+	// The binary header announces four ops; end(1) is three bytes
+	// (kind, thread, target) and never arrives.
+	bin := binaryBytes(append(three, Fin(1)))
+	for name, data := range map[string][]byte{
+		"text":   textBytes(three),
+		"binary": bin[:len(bin)-3],
+	} {
+		pr, pw := io.Pipe()
+		go pw.Write(data) // one Write, then silence: the pipe stays open
+		type result struct {
+			n   int
+			err error
+		}
+		done := make(chan result, 1)
+		buf := make([]Op, 4096)
+		go func() {
+			n, err := NewDecoder(pr).NextBatch(buf)
+			done <- result{n, err}
+		}()
+		select {
+		case r := <-done:
+			if r.n != 3 || r.err != nil {
+				t.Errorf("%s: NextBatch = %d, %v; want the 3 written ops", name, r.n, r.err)
+			} else if Trace(buf[:3]).String() != three.String() {
+				t.Errorf("%s: decoded %v, want %v", name, Trace(buf[:3]), three)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s: NextBatch still blocked after 5s with 3 ops buffered", name)
+		}
+		pr.Close()
+	}
+}
+
+// TestNextBatchSteadyStateAllocs extends the decoder's zero-allocation
+// property to the batch fill, both encodings.
+func TestNextBatchSteadyStateAllocs(t *testing.T) {
+	tr := benchTrace(64)
+	for name, data := range map[string][]byte{
+		"text":   bytes.Repeat(textBytes(tr), 400),
+		"binary": binaryBytes(repeatOps(tr, 400)),
+	} {
+		d := NewDecoder(bytes.NewReader(data))
+		buf := make([]Op, 64)
+		for i := 0; i < 4; i++ { // warm-up: labels interned, buffers sized
+			if _, err := d.NextBatch(buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		avg := testing.AllocsPerRun(200, func() {
+			if _, err := d.NextBatch(buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("%s: steady-state NextBatch allocates %.2f objects/batch, want 0", name, avg)
+		}
+	}
+}
+
+func repeatOps(tr Trace, n int) Trace {
+	out := make(Trace, 0, len(tr)*n)
+	for i := 0; i < n; i++ {
+		out = append(out, tr...)
+	}
+	return out
+}
+
+// TestDecoderBoundsLineLength: a text stream that never sends a newline
+// is refused once the line passes maxLineBytes instead of being buffered
+// without limit — through Next, NextBatch and the one-shot reader alike.
+func TestDecoderBoundsLineLength(t *testing.T) {
+	long := "rd(1,x0)\n# " + strings.Repeat("x", maxLineBytes+2*decoderBufSize)
+	d := NewDecoder(strings.NewReader(long))
+	if _, err := d.Next(); err != nil {
+		t.Fatalf("first op: %v", err)
+	}
+	if _, err := d.Next(); err == nil || !strings.Contains(err.Error(), "line 2: longer than") {
+		t.Errorf("Next on an endless line: err = %v, want the line-length error", err)
+	}
+	if cap(d.lineBuf) > 2*maxLineBytes {
+		t.Errorf("spill buffer grew to %d bytes", cap(d.lineBuf))
+	}
+	if _, err := decodeBatched(strings.NewReader(long), 64); err == nil || !strings.Contains(err.Error(), "longer than") {
+		t.Errorf("NextBatch: err = %v, want the line-length error", err)
+	}
+	if _, err := Unmarshal(strings.NewReader(long)); err == nil {
+		t.Error("Unmarshal accepted an endless line")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // Marshal writes the trace in the textual format accepted by Unmarshal:
@@ -36,26 +35,9 @@ func Marshal(w io.Writer, tr Trace) error {
 //
 // Blank lines and lines beginning with '#' are ignored.
 func Unmarshal(r io.Reader) (Trace, error) {
-	var tr Trace
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		op, err := ParseOp(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineno, err)
-		}
-		tr = append(tr, op)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return tr, nil
+	d := NewDecoder(r)
+	d.mode = 1
+	return d.readAll()
 }
 
 // ParseOp parses a single operation in the syntax produced by Op.String.
