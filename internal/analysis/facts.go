@@ -129,6 +129,11 @@ type FuncInfo struct {
 	// paths held at every reachable call site (nil when the function is
 	// an analysis root or the inference is disabled).
 	Entry []string
+	// Threadable marks a declared function whose every invocation is a
+	// same-package direct call or go statement the scan saw (see
+	// directOnly): a rewriter may change its signature, because it can
+	// reach every caller.
+	Threadable bool
 }
 
 // Name renders the function for diagnostics.
@@ -216,7 +221,10 @@ type builder struct {
 	allFns   []*FuncInfo
 	goNamed  map[*types.Func]bool
 	refNamed map[*types.Func]bool
-	litInfo  map[*ast.FuncLit]*FuncInfo
+	// calleeIdents are the identifiers the scan consumed in callee
+	// position; any other use of a function's name is a reference.
+	calleeIdents map[*ast.Ident]bool
+	litInfo      map[*ast.FuncLit]*FuncInfo
 
 	// callSites feed the interprocedural entry-lock fixpoint.
 	callSites []callSite
@@ -258,15 +266,16 @@ func BuildFacts(p *Package, dirs *Directives, opts Options) *Facts {
 		declOf:  map[*ast.FuncDecl]*FuncInfo{},
 	}
 	b := &builder{
-		a:        a,
-		p:        p,
-		opts:     opts,
-		captured: map[*types.Var]bool{},
-		addrOf:   map[*types.Var]bool{},
-		funcs:    map[*types.Func]*FuncInfo{},
-		goNamed:  map[*types.Func]bool{},
-		refNamed: map[*types.Func]bool{},
-		litInfo:  map[*ast.FuncLit]*FuncInfo{},
+		a:            a,
+		p:            p,
+		opts:         opts,
+		captured:     map[*types.Var]bool{},
+		addrOf:       map[*types.Var]bool{},
+		funcs:        map[*types.Func]*FuncInfo{},
+		goNamed:      map[*types.Func]bool{},
+		refNamed:     map[*types.Func]bool{},
+		litInfo:      map[*ast.FuncLit]*FuncInfo{},
+		calleeIdents: map[*ast.Ident]bool{},
 	}
 	// Register named functions first so call edges resolve.
 	for _, f := range p.Files {
@@ -281,25 +290,6 @@ func BuildFacts(p *Package, dirs *Directives, opts Options) *Facts {
 				b.allFns = append(b.allFns, fi)
 				a.declOf[fd] = fi
 			}
-		}
-	}
-	// A function referenced from a package-level initializer expression
-	// (var handler = helper) escapes before main even runs: it may be
-	// invoked from any goroutine, with any lock state.
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				continue
-			}
-			ast.Inspect(gd, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					if fn, ok := p.Info.Uses[id].(*types.Func); ok && fn.Pkg() == p.Pkg {
-						b.refNamed[fn] = true
-					}
-				}
-				return true
-			})
 		}
 	}
 	// Scan every declared body; literals are queued as discovered.
@@ -322,6 +312,10 @@ func BuildFacts(p *Package, dirs *Directives, opts Options) *Facts {
 		b.queue = b.queue[1:]
 		b.scanStmts(w.fi, w.fi.Lit.Body.List, map[string]bool{})
 	}
+	b.markRefNamed()
+	for _, fi := range b.allFns {
+		fi.Threadable = fi.Decl != nil && b.directOnly(fi)
+	}
 	b.countSyncDecls()
 	b.fixpoint()
 	b.lockFixpoint()
@@ -329,6 +323,43 @@ func BuildFacts(p *Package, dirs *Directives, opts Options) *Facts {
 	a.Funcs = b.allFns
 	a.fnOf = b.funcs
 	return a
+}
+
+// markRefNamed marks every same-package function whose name is used
+// anywhere but the callee position of a scanned call: as an argument
+// (go run(h)), an assigned value (h := helper), a composite-literal
+// field, or anything inside a package-level initializer, which runs
+// before main and is never scanned. Such a function may be invoked from
+// any goroutine, with any lock state, through edges the scan cannot see.
+// Sweeping the type-checker's use map, rather than marking during the
+// scan, makes the set complete whatever syntax the scan skips.
+func (b *builder) markRefNamed() {
+	for id, obj := range b.p.Info.Uses {
+		if fn, ok := obj.(*types.Func); ok && fn.Pkg() == b.p.Pkg && !b.calleeIdents[id] {
+			b.refNamed[fn] = true
+		}
+	}
+}
+
+// directOnly reports whether every invocation of fi is an edge the scan
+// recorded: a same-package direct call or a go statement. That holds for
+// a literal in call position, and for a package-level function of
+// package main that is never referenced by name and is neither a method
+// (interface dispatch, method values), nor main or init (called by the
+// runtime); any named function of a library package may be called from
+// a sibling package or test.
+func (b *builder) directOnly(fi *FuncInfo) bool {
+	if fi.Decl == nil {
+		return !fi.Escapes
+	}
+	if b.p.Name != "main" || fi.Decl.Recv != nil {
+		return false
+	}
+	if name := fi.Decl.Name.Name; name == "main" || name == "init" {
+		return false
+	}
+	fn, _ := b.p.Info.Defs[fi.Decl.Name].(*types.Func)
+	return !b.refNamed[fn]
 }
 
 // ---- concurrency fixpoint ----
@@ -786,12 +817,9 @@ func (b *builder) scanExprInto(fi *FuncInfo, s ast.Stmt, e ast.Expr, held map[st
 	switch ex := e.(type) {
 	case nil:
 	case *ast.Ident:
-		// A same-package function named outside call position escapes:
-		// it may be invoked from any goroutine with any lock state. This
-		// covers arguments (go run(h)), assignments (h := helper), and
-		// composite-literal fields.
-		if fn, ok := b.p.Info.Uses[ex].(*types.Func); ok && fn.Pkg() == b.p.Pkg {
-			b.refNamed[fn] = true
+		// A function named outside call position is a reference
+		// (markRefNamed), not a data access.
+		if _, ok := b.p.Info.Uses[ex].(*types.Func); ok {
 			return
 		}
 		b.recordAccessInto(fi, s, ex, false, held, record)
@@ -848,6 +876,7 @@ func (b *builder) scanCall(fi *FuncInfo, s ast.Stmt, call *ast.CallExpr, held ma
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
 		if fn, ok := b.p.Info.Uses[fun].(*types.Func); ok && fn.Pkg() == b.p.Pkg {
+			b.calleeIdents[fun] = true
 			if launched {
 				b.goNamed[fn] = true
 			} else {
@@ -867,6 +896,7 @@ func (b *builder) scanCall(fi *FuncInfo, s ast.Stmt, call *ast.CallExpr, held ma
 			// other method receivers are a documented blind spot), but
 			// index expressions inside it still evaluate in this thread.
 			b.scanIndexPartsInto(fi, s, fun.X, held, record)
+			b.calleeIdents[fun.Sel] = true
 			if fn, ok := b.p.Info.Uses[fun.Sel].(*types.Func); ok && fn.Pkg() == b.p.Pkg && !launched {
 				fi.Calls = append(fi.Calls, fn)
 				// No callSite: methods stay interprocedural roots — they

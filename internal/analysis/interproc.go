@@ -1,6 +1,9 @@
 package analysis
 
-import "sort"
+import (
+	"go/types"
+	"sort"
+)
 
 // Interprocedural entry-lock inference: a meet-over-call-sites fixpoint
 // that computes, for every function body, the set of package-level
@@ -46,23 +49,17 @@ func (b *builder) lockFixpoint() {
 	for _, fi := range b.allFns {
 		states[fi] = &state{}
 	}
+	// A root starts with nothing held: a fresh goroutine (launched as a
+	// literal or by name), or an invocation the scan cannot see.
 	isRoot := func(fi *FuncInfo) bool {
-		if fi.GoLaunched || fi.Escapes {
+		if fi.GoLaunched || !b.directOnly(fi) {
 			return true
 		}
 		if fi.Decl == nil {
-			// A non-escaping, non-launched literal is reached only via
-			// its recorded immediate call site.
 			return false
 		}
-		if b.p.Name != "main" {
-			return true
-		}
-		if fi.Decl.Recv != nil {
-			return true
-		}
-		name := fi.Decl.Name.Name
-		return name == "main" || name == "init"
+		fn, _ := b.p.Info.Defs[fi.Decl.Name].(*types.Func)
+		return b.goNamed[fn]
 	}
 	// join meets held into the state; returns whether anything changed.
 	join := func(st *state, held []string) bool {
@@ -89,18 +86,6 @@ func (b *builder) lockFixpoint() {
 	}
 	for _, fi := range b.allFns {
 		if isRoot(fi) {
-			join(states[fi], nil)
-		}
-	}
-	// Functions launched or referenced by name are roots even when their
-	// own FuncInfo flags are unset (the facts live in the name maps).
-	for fn := range b.goNamed {
-		if fi := b.funcs[fn]; fi != nil {
-			join(states[fi], nil)
-		}
-	}
-	for fn := range b.refNamed {
-		if fi := b.funcs[fn]; fi != nil {
 			join(states[fi], nil)
 		}
 	}

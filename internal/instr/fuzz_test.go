@@ -67,6 +67,101 @@ func main() {
 	go func() { q.a++ }()
 }
 `)
+	// Tid threading: signatures the rewriter extends (unnamed, variadic
+	// and generic parameters, recursion), references that must keep a
+	// function's signature (a value, an explicit instantiation, a name in
+	// a package-level initializer, a send-statement channel expression),
+	// and every way of reaching a mutex (promoted, indexed, through a
+	// pointer the rewriter cannot trace, sync.Locker, a method value).
+	f.Add(`package main
+
+import "sync"
+
+type guard struct{ sync.Mutex }
+
+type nested struct{ g guard }
+
+var (
+	mu   sync.Mutex
+	mus  [2]sync.Mutex
+	byID = map[string]*sync.Mutex{"a": &mu}
+	g    guard
+	n    nested
+	wg   sync.WaitGroup
+	x    int
+)
+
+var hook = kept
+
+func kept(int) { x++ }
+
+func unnamed(int, string) { x++ }
+
+func variadic(vs ...int) { x += len(vs) }
+
+func generic[T any](v T) T { x++; return v }
+
+func pinned[T any](v T) T { x++; return v }
+
+func recurse(n int) {
+	if n > 0 {
+		recurse(n - 1)
+	}
+	x++
+}
+
+func pick(f func(int)) int { f(0); return 0 }
+
+func sent(int) { x++ }
+
+func locks(l sync.Locker, p *sync.Mutex) {
+	mu.Lock()
+	defer mu.Unlock()
+	mus[1].Lock()
+	mus[1].Unlock()
+	byID["a"].Lock()
+	byID["a"].Unlock()
+	g.Lock()
+	g.Unlock()
+	n.g.Lock()
+	n.g.Unlock()
+	(&mu).Lock()
+	(*p).Unlock()
+	p.Lock()
+	q := &mu
+	q.Unlock()
+	l.Lock()
+	l.Unlock()
+	unlock := mu.Unlock
+	mu.Lock()
+	unlock()
+	for i := range mus {
+		m := &mus[i]
+		m.Lock()
+		m.Unlock()
+	}
+}
+
+func main() {
+	chans := []chan int{make(chan int, 1)}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		unnamed(1, "a")
+		variadic(1, 2)
+		variadic()
+		_ = generic(1)
+		_ = pinned[int](2)
+		recurse(2)
+	}()
+	go locks(&mu, &mu)
+	chans[pick(sent)] <- 1
+	wg.Wait()
+	hook(1)
+	go wg.Wait()
+	defer func() { x++ }()
+}
+`)
 	f.Fuzz(func(t *testing.T, src string) {
 		fset := token.NewFileSet()
 		parsed, err := parser.ParseFile(fset, "fuzz.go", src, parser.ParseComments)

@@ -211,7 +211,7 @@ func TestRewriteTypechecks(t *testing.T) {
 	}
 	reparse(t, out)
 	src := string(out.Files["main.go"])
-	for _, want := range []string{"_velo_init()", "_velo_done()", "_velo_fork()", "_velo_child(", "_veloMutex", "_veloWaitGroup", "_velo_prune("} {
+	for _, want := range []string{"defer _velo_done()", "_velo_fork(", "defer _velo_exit(_velo_child(_velo_t))", "_veloMutex", "_veloWaitGroup", "_velo_prune("} {
 		if !strings.Contains(src, want) {
 			t.Errorf("instrumented source missing %q:\n%s", want, src)
 		}
@@ -271,7 +271,7 @@ func main() {
 	}
 	reparse(t, out)
 	src := string(out.Files["main.go"])
-	if !strings.Contains(src, `_velo_begin("update")`) || !strings.Contains(src, "defer _velo_end()") {
+	if !strings.Contains(src, `_velo_begin(_velo_t, "update")`) || !strings.Contains(src, "defer _velo_end(_velo_t)") {
 		t.Errorf("missing begin/end injection:\n%s", src)
 	}
 }
