@@ -1,9 +1,6 @@
 package core
 
 import (
-	"time"
-
-	"repro/internal/span"
 	"repro/internal/trace"
 	"repro/internal/vc"
 )
@@ -268,21 +265,10 @@ func (c *aeroChecker) addDepth(t trace.Tid, delta int32) {
 
 // Step implements Checker.
 func (c *aeroChecker) Step(op trace.Op) *Warning {
-	if c.met == nil && c.opts.Spans == nil {
+	if c.met == nil && c.opts.Spans == nil || !c.sampled() {
 		return c.step(op)
 	}
-	start := time.Now()
-	filteredBefore := c.filtered
-	forensicBefore := c.opts.Spans.StageNs(span.StageForensics)
-	w := c.step(op)
-	d := time.Since(start)
-	if c.met != nil {
-		c.met.observe(op, w, d)
-	}
-	if c.opts.Spans != nil {
-		c.spanStep(d, filteredBefore, forensicBefore)
-	}
-	return w
+	return c.timed(op, func() *Warning { return c.step(op) })
 }
 
 // SkipFiltered implements Checker: it consumes op as a filter hit
@@ -294,24 +280,17 @@ func (c *aeroChecker) SkipFiltered(op trace.Op) bool {
 	if c.done || c.opts.NoFilter {
 		return false
 	}
-	if c.met == nil && c.opts.Spans == nil {
-		c.filterHit()
-		c.idx++
+	if c.met == nil && c.opts.Spans == nil || !c.sampled() {
+		c.skipFiltered()
 		return true
 	}
-	start := time.Now()
-	filteredBefore := c.filtered
-	forensicBefore := c.opts.Spans.StageNs(span.StageForensics)
+	c.timed(op, func() *Warning { c.skipFiltered(); return nil })
+	return true
+}
+
+func (c *aeroChecker) skipFiltered() {
 	c.filterHit()
 	c.idx++
-	d := time.Since(start)
-	if c.met != nil {
-		c.met.observe(op, nil, d)
-	}
-	if c.opts.Spans != nil {
-		c.spanStep(d, filteredBefore, forensicBefore)
-	}
-	return true
 }
 
 // step is the uninstrumented Step body.

@@ -2,10 +2,8 @@ package core
 
 import (
 	"slices"
-	"time"
 
 	"repro/internal/graph"
-	"repro/internal/span"
 	"repro/internal/trace"
 )
 
@@ -72,21 +70,10 @@ func (c *basicChecker) checkedDepth(t trace.Tid) int {
 
 // Step implements Checker.
 func (c *basicChecker) Step(op trace.Op) *Warning {
-	if c.met == nil && c.opts.Spans == nil {
+	if c.met == nil && c.opts.Spans == nil || !c.sampled() {
 		return c.step(op)
 	}
-	start := time.Now()
-	filteredBefore := c.filtered
-	forensicBefore := c.opts.Spans.StageNs(span.StageForensics)
-	w := c.step(op)
-	d := time.Since(start)
-	if c.met != nil {
-		c.met.observe(op, w, d)
-	}
-	if c.opts.Spans != nil {
-		c.spanStep(d, filteredBefore, forensicBefore)
-	}
-	return w
+	return c.timed(op, func() *Warning { return c.step(op) })
 }
 
 // SkipFiltered implements Checker: it consumes op as a filter hit
@@ -99,21 +86,11 @@ func (c *basicChecker) SkipFiltered(op trace.Op) bool {
 	if c.done || c.opts.NoFilter {
 		return false
 	}
-	if c.met == nil && c.opts.Spans == nil {
+	if c.met == nil && c.opts.Spans == nil || !c.sampled() {
 		c.skipFiltered(op)
 		return true
 	}
-	start := time.Now()
-	filteredBefore := c.filtered
-	forensicBefore := c.opts.Spans.StageNs(span.StageForensics)
-	c.skipFiltered(op)
-	d := time.Since(start)
-	if c.met != nil {
-		c.met.observe(op, nil, d)
-	}
-	if c.opts.Spans != nil {
-		c.spanStep(d, filteredBefore, forensicBefore)
-	}
+	c.timed(op, func() *Warning { c.skipFiltered(op); return nil })
 	return true
 }
 

@@ -15,7 +15,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/forensic"
 	"repro/internal/graph"
@@ -83,13 +82,17 @@ type Options struct {
 	// graph's allocation gauges (see internal/obs). Nil disables all
 	// instrumentation, including the timing calls on the hot path.
 	Metrics *obs.Registry
-	// Spans, when non-nil, attributes each Step's latency to the span
-	// tracer's filter/graph/forensics stage accumulators and records a
-	// marker span per warning (see internal/span). The buffer must be
-	// owned by the goroutine calling Step. Nil — the default — keeps the
-	// hot path free of clock reads, exactly like a nil Metrics registry;
-	// spans never read or write engine state, so verdicts, warning
-	// positions and blame are bit-identical with tracing on or off.
+	// Spans, when non-nil, receives the checker's stage accounting (see
+	// internal/span): the exact time of every forensics report, a marker
+	// span per warning, and an estimate of the time in the redundancy
+	// filter and in graph work from timing a sample of the operations
+	// (sample.go; hit counts are within one stride of the operations seen,
+	// and exact when Metrics is set too). The buffer must be owned by the
+	// goroutine calling Step. Nil — the default — keeps the hot path free
+	// of clock reads and of the sampling counter, exactly like a nil
+	// Metrics registry; spans never read or write engine state, so
+	// verdicts, warning positions and blame are bit-identical with
+	// tracing on or off.
 	Spans *span.Buf
 	// Ignore names atomic blocks exempted from checking (the paper's
 	// atomicity specification, Section 5: the tool takes "a specification
@@ -237,13 +240,14 @@ func New(opts Options) Checker {
 	if opts.Forensics && InfoFor(opts.Engine).SupportsForensics {
 		rec = forensic.NewRecorder(opts.ForensicWindow)
 	}
+	cm := common{g: g, opts: opts, met: met, rec: rec, sampler: sampler{rng: sampleSeed}}
 	switch opts.Engine {
 	case Basic:
-		return &basicChecker{common: common{g: g, opts: opts, met: met, rec: rec}}
+		return &basicChecker{common: cm}
 	case Aero:
-		return &aeroChecker{common: common{g: g, opts: opts, met: met, rec: rec}}
+		return &aeroChecker{common: cm}
 	}
-	return &optChecker{common: common{g: g, opts: opts, met: met, rec: rec}}
+	return &optChecker{common: cm}
 }
 
 // Result is the outcome of checking a complete trace.
@@ -273,6 +277,8 @@ type common struct {
 	idx      int // index of the operation being processed
 	filtered int64
 	done     bool
+
+	sampler
 }
 
 // Warnings implements Checker.
@@ -296,29 +302,13 @@ func (c *common) filterHit() {
 // Graph implements Checker.
 func (c *common) Graph() *graph.Graph { return c.g }
 
-// spanStep attributes one completed Step to the filter or graph stage,
-// excluding any nanoseconds record separately booked to forensics
-// assembly during the same call.
-func (c *common) spanStep(d time.Duration, filteredBefore, forensicNsBefore int64) {
-	b := c.opts.Spans
-	ns := int64(d) - (b.StageNs(span.StageForensics) - forensicNsBefore)
-	if ns < 0 {
-		ns = 0
-	}
-	if c.filtered != filteredBefore {
-		b.AddStage(span.StageFilter, ns)
-	} else {
-		b.AddStage(span.StageGraph, ns)
-	}
-}
-
 func (c *common) record(w *Warning) *Warning {
 	if c.rec != nil {
 		// Eager: the flight-recorder windows are only valid right now.
 		if b := c.opts.Spans; b != nil {
-			t0 := time.Now()
+			t0 := span.Nanotime()
 			w.report = c.buildReport(w)
-			b.AddStage(span.StageForensics, int64(time.Since(t0)))
+			b.AddStage(span.StageForensics, span.Nanotime()-t0)
 		} else {
 			w.report = c.buildReport(w)
 		}

@@ -91,11 +91,18 @@ const syncBatch = 512
 // unlike CheckTrace it cannot be cross-checked against the offline
 // oracle, which needs the full trace. Results are as for Check.
 func CheckStream(d *trace.Decoder, opts Options) (*Result, int, error) {
-	buf := make([]trace.Op, syncBatch)
-	return Check(func() (Batch, error) {
-		n, err := DecodeBatch(d, buf, opts.Spans)
+	return Check(StreamSource(d, syncBatch, opts.Spans), opts, nil)
+}
+
+// StreamSource is the synchronous decoder source: every call decodes the
+// next batch of up to size operations from d on the caller's goroutine,
+// into one buffer it reuses, and books the time to sp's decode stage.
+func StreamSource(d *trace.Decoder, size int, sp *span.Buf) Source {
+	buf := make([]trace.Op, size)
+	return func() (Batch, error) {
+		n, err := DecodeBatch(d, buf, sp)
 		return Batch{Ops: buf[:n]}, err
-	}, opts, nil)
+	}
 }
 
 // DecodeBatch is Decoder.NextBatch with the time booked to sp's decode

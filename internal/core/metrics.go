@@ -11,9 +11,9 @@ import (
 // checkerMetrics instruments a Checker's hot path: per-operation-kind
 // event counts and step latencies, plus warning/blame outcome counters.
 // All instruments are cached pointers at construction, so the per-event
-// cost with metrics enabled is one time.Now pair and a handful of
-// atomic adds; with Options.Metrics nil the engines skip timing
-// entirely.
+// cost with metrics enabled is one pair of clock reads and a handful of
+// atomic adds; with Options.Metrics nil the engines time at most a sample
+// of their operations (sample.go), and none without Options.Spans.
 type checkerMetrics struct {
 	stepNs   [8]*obs.Histogram // per trace.Kind step latency, nanoseconds
 	events   [8]*obs.Counter   // per trace.Kind operations processed

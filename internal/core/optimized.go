@@ -1,10 +1,7 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/graph"
-	"repro/internal/span"
 	"repro/internal/trace"
 )
 
@@ -74,21 +71,10 @@ func (c *optChecker) addDepth(t trace.Tid, delta int32) {
 
 // Step implements Checker.
 func (c *optChecker) Step(op trace.Op) *Warning {
-	if c.met == nil && c.opts.Spans == nil {
+	if c.met == nil && c.opts.Spans == nil || !c.sampled() {
 		return c.step(op)
 	}
-	start := time.Now()
-	filteredBefore := c.filtered
-	forensicBefore := c.opts.Spans.StageNs(span.StageForensics)
-	w := c.step(op)
-	d := time.Since(start)
-	if c.met != nil {
-		c.met.observe(op, w, d)
-	}
-	if c.opts.Spans != nil {
-		c.spanStep(d, filteredBefore, forensicBefore)
-	}
-	return w
+	return c.timed(op, func() *Warning { return c.step(op) })
 }
 
 // SkipFiltered implements Checker: it consumes op as a filter hit
@@ -102,21 +88,11 @@ func (c *optChecker) SkipFiltered(op trace.Op) bool {
 	if c.done || c.opts.NoFilter {
 		return false
 	}
-	if c.met == nil && c.opts.Spans == nil {
+	if c.met == nil && c.opts.Spans == nil || !c.sampled() {
 		c.skipFiltered(op)
 		return true
 	}
-	start := time.Now()
-	filteredBefore := c.filtered
-	forensicBefore := c.opts.Spans.StageNs(span.StageForensics)
-	c.skipFiltered(op)
-	d := time.Since(start)
-	if c.met != nil {
-		c.met.observe(op, nil, d)
-	}
-	if c.opts.Spans != nil {
-		c.spanStep(d, filteredBefore, forensicBefore)
-	}
+	c.timed(op, func() *Warning { c.skipFiltered(op); return nil })
 	return true
 }
 

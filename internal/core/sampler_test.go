@@ -1,0 +1,165 @@
+package core_test
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/span"
+	"repro/internal/trace"
+)
+
+// The engines time a sample of their operations when Options.Spans is
+// set: every one of the first 64, then one at a pseudo-random offset in
+// each 64-operation stride, booked for the whole stride. The generator's
+// seed is fixed, so everything below is deterministic except the two
+// tests that read the clock.
+
+const stride = 64 // core's sampleStride
+
+// traced checks tr with a span buffer attached and returns the result,
+// the filter and graph stage totals, and the wall time of the call.
+func traced(tr trace.Trace, opts core.Options) (res *core.Result, filter, graph span.StageMetric, wall time.Duration) {
+	tracer := span.New()
+	opts.Spans = tracer.Buffer("engine")
+	t0 := time.Now()
+	res = core.CheckTrace(tr, opts)
+	wall = time.Since(t0)
+	sum := tracer.Summary()
+	return res, sum.Stages["filter"], sum.Stages["graph"], wall
+}
+
+// loopTrace is the 250 k-event loop-regime input of tests (b), (d), (e).
+func loopTrace() trace.Trace { return bench.SyntheticMix(250_000) }
+
+// TestSamplerShortTracesAreExact is (a): a session no longer than the
+// exact prefix is attributed operation by operation. (The trace has no
+// fork or join: the engines desugar those into two accesses and count a
+// filter hit for each, so Result.Filtered can exceed the operations.)
+func TestSamplerShortTracesAreExact(t *testing.T) {
+	var full trace.Trace
+	for len(full) < stride {
+		for u := trace.Tid(1); u <= 2; u++ {
+			x := trace.Var(u)
+			full = append(full, trace.Beg(u, "rmw"), trace.Rd(u, x), trace.Rd(u, x), trace.Wr(u, x),
+				trace.Wr(u, x), trace.Rd(u, 7), trace.Rd(u, 7), trace.Fin(u))
+		}
+	}
+	for _, info := range core.Engines() {
+		for _, n := range []int{1, 2, 31, 32, stride - 1, stride} {
+			tr := full[:n]
+			res, filter, graph, _ := traced(tr, core.Options{Engine: info.Engine})
+			if got := filter.Count + graph.Count; got != int64(n) {
+				t.Errorf("%s, %d ops: filter %d + graph %d hits = %d, want %d",
+					info.Name, n, filter.Count, graph.Count, got, n)
+			}
+			if filter.Count != res.Filtered {
+				t.Errorf("%s, %d ops: %d filter hits booked, engine filtered %d",
+					info.Name, n, filter.Count, res.Filtered)
+			}
+		}
+	}
+}
+
+// TestSamplerCountsTrackTheTrace is (b): on a long trace the booked hits
+// add up to the operations seen, to within the stride in progress when
+// the trace ended, and split between the stages as the engine's own
+// filter count does.
+func TestSamplerCountsTrackTheTrace(t *testing.T) {
+	tr := loopTrace()
+	for _, info := range core.Engines() {
+		res, filter, graph, _ := traced(tr, core.Options{Engine: info.Engine})
+		if diff := filter.Count + graph.Count - int64(len(tr)); diff < -stride || diff > stride {
+			t.Errorf("%s: %d hits booked for %d ops, off by more than one stride",
+				info.Name, filter.Count+graph.Count, len(tr))
+		}
+		if lo, hi := res.Filtered*95/100, res.Filtered*105/100; filter.Count < lo || filter.Count > hi {
+			t.Errorf("%s: %d filter hits booked, engine filtered %d (want within 5%%)",
+				info.Name, filter.Count, res.Filtered)
+		}
+	}
+}
+
+// TestSamplerDoesNotAlias is (c): a trace whose period is exactly the
+// stride — 63 filterable re-reads, then one lock operation, inside one
+// long transaction — keeps a fixed-stride sampler on the same phase for
+// ever, so it books either no graph work or nothing else. Offsets drawn
+// per stride see each phase at its own rate.
+func TestSamplerDoesNotAlias(t *testing.T) {
+	const periods = 4000
+	tr := trace.Trace{trace.Beg(1, "poll"), trace.Rd(1, 7)}
+	for len(tr)%stride != 0 {
+		tr = append(tr, trace.Rd(1, 7))
+	}
+	for p := 0; p < periods; p++ {
+		for i := 0; i < stride-1; i++ {
+			tr = append(tr, trace.Rd(1, 7))
+		}
+		if p%2 == 0 {
+			tr = append(tr, trace.Acq(1, 3))
+		} else {
+			tr = append(tr, trace.Rel(1, 3))
+		}
+	}
+	tr = append(tr, trace.Fin(1))
+	if err := trace.Validate(tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, info := range core.Engines() {
+		res, filter, graph, _ := traced(tr, core.Options{Engine: info.Engine})
+		truth := float64(res.Filtered) / float64(len(tr))
+		if want := float64(stride-1) / stride; truth < want-0.01 || truth > want+0.01 {
+			t.Fatalf("%s: the engine filtered %.4f of the trace, the test was built for %.4f", info.Name, truth, want)
+		}
+		got := float64(filter.Count) / float64(filter.Count+graph.Count)
+		if got < truth-0.05 || got > truth+0.05 {
+			t.Errorf("%s: sampled filter share %.4f, true share %.4f (want within 5 points)", info.Name, got, truth)
+		}
+		if graph.Count == 0 {
+			t.Errorf("%s: no graph operation was ever sampled", info.Name)
+		}
+	}
+}
+
+// TestSamplerOverheadGuard is (d): tracing must stay a sampling cost. A
+// clock read on every operation — what Options.Spans cost before the
+// engines sampled — is 6.6x on this trace. The two sides alternate, so a
+// slow spell of the host falls on both, and the fastest of five is
+// judged.
+func TestSamplerOverheadGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing guard")
+	}
+	tr := loopTrace()
+	var plain, spans time.Duration
+	for i := 0; i < 5; i++ {
+		t0 := time.Now()
+		core.CheckTrace(tr, core.Options{})
+		if d := time.Since(t0); i == 0 || d < plain {
+			plain = d
+		}
+		if _, _, _, d := traced(tr, core.Options{}); i == 0 || d < spans {
+			spans = d
+		}
+	}
+	t.Logf("untraced %v, traced %v (%.2fx)", plain, spans, float64(spans)/float64(plain))
+	if spans > plain*3/2 {
+		t.Errorf("CheckTrace with Spans took %v, without %v: more than 1.5x", spans, plain)
+	}
+}
+
+// TestSamplerBooksNoMoreThanElapsed is (e): the parts may not exceed the
+// whole, on any run — a reading scaled by its stride is capped by the
+// time that has actually passed.
+func TestSamplerBooksNoMoreThanElapsed(t *testing.T) {
+	tr := loopTrace()
+	for _, info := range core.Engines() {
+		for i := 0; i < 3; i++ {
+			_, filter, graph, wall := traced(tr, core.Options{Engine: info.Engine})
+			if booked := time.Duration(filter.Ns + graph.Ns); booked <= 0 || booked > wall {
+				t.Errorf("%s: filter+graph booked %v for a call that took %v", info.Name, booked, wall)
+			}
+		}
+	}
+}

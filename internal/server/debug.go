@@ -335,7 +335,10 @@ func (s *Server) writeSessionPage(w http.ResponseWriter, id string) {
 			}
 			fmt.Fprintf(w, "<tr><td>%s</td><td>%d</td><td>%.3fms</td></tr>\n", st, m.Count, float64(m.Ns)/1e6)
 		}
-		fmt.Fprint(w, "</table>\n")
+		fmt.Fprint(w, "</table>\n<p>filter and graph are estimates from a sample of the operations; the other stages are exact.</p>\n")
+	}
+	if rec.Spans != nil && rec.Spans.Dropped > 0 {
+		fmt.Fprintf(w, "<p>spans dropped: %d (over the per-buffer cap; the timeline has holes, the stage totals do not)</p>\n", rec.Spans.Dropped)
 	}
 
 	if len(rec.Warnings) > 0 {

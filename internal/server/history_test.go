@@ -487,6 +487,51 @@ func TestServerHistorySpansAndTraceDir(t *testing.T) {
 	}
 }
 
+// TestServerReportsDroppedSpans overfills the session's span buffer —
+// every warning leaves a marker span, and this session has more warnings
+// than a buffer holds spans — and checks that the loss reaches both
+// operator surfaces: span_dropped in the verdict's metrics block and the
+// session's /debug/velo page. A session that drops nothing carries no
+// such key.
+func TestServerReportsDroppedSpans(t *testing.T) {
+	s, addr, stop := startServer(t, Config{MaxWarnings: 10})
+	defer stop()
+	web := httptest.NewServer(s.DebugHandler())
+	defer web.Close()
+
+	const warnings = 1<<16 + 1000 // span's per-buffer cap, and then some
+	tr := trace.Trace{trace.Beg(1, "inc")}
+	for i := 0; i < warnings; i++ {
+		tr = append(tr, trace.Rd(1, 0), trace.Wr(2, 0), trace.Wr(1, 0))
+	}
+	tr = append(tr, trace.Fin(1))
+	v, err := CheckReader(addr, trace.SessionHeader{}, bytes.NewReader(encode(t, tr, true)))
+	if err != nil || v.Status != trace.StatusOK || v.Serializable {
+		t.Fatalf("verdict %+v, err %v", v, err)
+	}
+	dropped := v.Metrics["span_dropped"]
+	if dropped < 1000 {
+		t.Fatalf("span_dropped = %d in %v, want at least the %d markers past the cap", dropped, v.Metrics, 1000)
+	}
+	resp, err := http.Get(web.URL + "?session=" + v.Session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := fmt.Sprintf("spans dropped: %d", dropped); !strings.Contains(string(page), want) {
+		t.Errorf("session page lacks %q:\n%s", want, page)
+	}
+
+	v, err = CheckReader(addr, trace.SessionHeader{}, bytes.NewReader(encode(t, buggyTrace(), true)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := v.Metrics["span_dropped"]; ok {
+		t.Errorf("span_dropped present on a five-op session: %v", v.Metrics)
+	}
+}
+
 // TestServerNoSpans checks the disabled path end to end: no span
 // metrics in verdicts, no summaries in history, no trace files.
 func TestServerNoSpans(t *testing.T) {

@@ -9,7 +9,7 @@
 // share nothing and need no locks between them; isolation falls out of
 // construction rather than synchronization. The production concerns
 // live here instead: a session cap with load-shedding, per-read
-// deadlines so a hung client cannot pin a slot, bounded decode-ahead
+// deadlines so a hung client cannot pin a slot, batch-at-a-time decoding
 // with backpressure, panic isolation, and graceful drain.
 package server
 
@@ -71,9 +71,10 @@ type Config struct {
 	// NoSpans disables per-session span tracing. By default every
 	// session carries a lightweight tracer (see internal/span) whose
 	// per-stage rollup lands in the verdict's metrics block, the
-	// history ring and /debug/velo; spans never influence verdicts, so
-	// this knob only exists to shave the last few percent off a daemon
-	// that is purely in the checking business.
+	// history ring and /debug/velo; spans never influence verdicts and
+	// the engines time only a sample of their operations, so this knob
+	// only exists to shave the last few percent off a daemon that is
+	// purely in the checking business.
 	NoSpans bool
 	// TraceDir, when set, writes each session's full span timeline as
 	// a Chrome trace-event JSON file <TraceDir>/<session>.trace.json,
@@ -87,10 +88,12 @@ type Config struct {
 	// Nil means a single unlimited default tenant, which keeps keyless
 	// legacy clients working exactly as before tenants existed.
 	Tenants *Tenants
-	// Parallel, when >1, puts that many shard workers between each
-	// session's decode-ahead stage and its engine (internal/pipeline).
-	// Verdicts are bit-identical at every value; sessions the workers
-	// cannot mark (forensics, filter-less engines) run without them.
+	// Parallel, when >1, puts a decode-ahead stage and that many shard
+	// workers in front of each session's engine (internal/pipeline); at
+	// 0 or 1 a session decodes and checks on its own goroutine, like the
+	// CLIs. Verdicts are bit-identical at every value; sessions the
+	// workers cannot mark (forensics, filter-less engines) run without
+	// them.
 	Parallel int
 	// Logger, when non-nil, receives one structured record per
 	// noteworthy event (session end, shed, panic), each carrying the
@@ -525,6 +528,11 @@ func (s *Server) session(conn net.Conn) *trace.SessionVerdict {
 		for name, m := range sum.Stages {
 			v.Metrics["span_"+name+"_ns"] = m.Ns
 		}
+		// Spans lost to the per-buffer cap: the timeline has holes (the
+		// stage totals above do not — they are accumulators, not spans).
+		if sum.Dropped > 0 {
+			v.Metrics["span_dropped"] = sum.Dropped
+		}
 	}
 	s.met.observeVerdict(v, elapsed)
 	logger.Info("session complete",
@@ -607,12 +615,22 @@ func (s *Server) run(br *bufio.Reader, hdr trace.SessionHeader, info core.Engine
 	st.forensics.Store(hdr.Forensics)
 	sb.AttrStr(root, "engine", engineName)
 
-	// Decode runs ahead of the engine over the pipeline's bounded batch ring:
-	// a full ring stops the decoder reading the transport, which backpressures
-	// the client. The deferred Close releases the stages even on a panic.
+	// Without shard workers the session decodes and checks batch by batch on
+	// this goroutine: a step costs what a decode costs, so a decode-ahead
+	// goroutine would buy an idle host little and make a busy one's session
+	// times depend on which of the two found a CPU. With workers, decode runs
+	// ahead over the pipeline's bounded batch ring; the deferred Close
+	// releases the stages even on a panic. Either way the transport is read
+	// no faster than the engine consumes, which backpressures the client.
 	dec := trace.NewDecoder(br)
-	src := pipeline.NewSource(dec, opts, pipeline.Config{Workers: s.cfg.Parallel, Tracer: tr})
-	defer src.Close()
+	var source core.Source
+	if s.cfg.Parallel > 1 {
+		src := pipeline.NewSource(dec, opts, pipeline.Config{Workers: s.cfg.Parallel, Tracer: tr})
+		defer src.Close()
+		source = src.Next
+	} else {
+		source = core.StreamSource(dec, pipeline.DefaultBatch, sb)
+	}
 
 	// emitBatch closes the timeline's current interval as one span: "decode"
 	// is the wait for a batch (decode time not hidden behind the engine),
@@ -630,7 +648,7 @@ func (s *Server) run(br *bufio.Reader, hdr trace.SessionHeader, info core.Engine
 		mark = now
 	}
 	next := func() (core.Batch, error) {
-		b, err := src.Next()
+		b, err := source()
 		emitBatch("decode", len(b.Ops))
 		if s.cfg.stepHook != nil {
 			for _, op := range b.Ops {
@@ -689,8 +707,10 @@ func (s *Server) run(br *bufio.Reader, hdr trace.SessionHeader, info core.Engine
 			v.Reports = append(v.Reports, json.RawMessage(line))
 		}
 	}
-	if vid := sb.Emit("verdict", root, verdictStart, tr.Now()); vid != 0 {
-		sb.AddStage(span.StageVerdict, tr.Now()-verdictStart)
+	// One reading for both, so the stage's nanoseconds are the span's.
+	verdictEnd := tr.Now()
+	if vid := sb.Emit("verdict", root, verdictStart, verdictEnd); vid != 0 {
+		sb.AddStage(span.StageVerdict, verdictEnd-verdictStart)
 		sb.AttrStr(vid, "status", v.Status)
 	}
 	sb.End(root)

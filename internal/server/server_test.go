@@ -41,7 +41,8 @@ func startServer(t *testing.T, cfg Config) (*Server, string, func()) {
 }
 
 // forParallel runs body against both shapes of the one session path:
-// decode-ahead only, and with shard workers in front of the engine.
+// decode and check on the session goroutine, and decode-ahead with shard
+// workers in front of the engine.
 func forParallel(t *testing.T, body func(t *testing.T, parallel int)) {
 	for _, parallel := range []int{0, 4} {
 		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) { body(t, parallel) })
@@ -448,8 +449,8 @@ func testServerGracefulDrain(t *testing.T, parallel int) {
 // TestServerPanicIsolation poisons sessions via the step hook and
 // asserts each gets an error verdict while the daemon itself is
 // untouched and keeps serving. The deep case panics 150 k ops into a
-// 400 k-op stream, with the decode-ahead stages (and the client) still
-// busy: every goroutine the sessions started must be gone afterwards.
+// 400 k-op stream, with the client (and at parallel=4 the decode-ahead
+// stages) still busy: every goroutine the sessions started must be gone afterwards.
 func TestServerPanicIsolation(t *testing.T) { forParallel(t, testServerPanicIsolation) }
 
 func testServerPanicIsolation(t *testing.T, parallel int) {

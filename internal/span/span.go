@@ -17,22 +17,36 @@
 // — so recording a span is an append to a private arena with no atomics
 // and no locks. The tracer's mutex is taken only at flush points (every
 // flushEvery completed spans, and when the owner calls Flush) and at
-// export time, after the owning goroutines have quiesced. Cheap stage
+// export time, after the owning goroutines have quiesced. Stage
 // accounting that would be too hot for one span per event (the filter
-// and graph stages see every operation) goes through AddStage, a plain
-// add into a per-Buf accumulator, and is materialized as synthesized
-// summary spans by the drivers.
+// and graph stages see every operation) goes through AddStage and
+// AddStageN, plain adds into a per-Buf accumulator, and is materialized
+// as synthesized summary spans by the drivers.
+//
+// What a stage total means depends on who books it. Stages that run once
+// per batch, session or warning (header, decode, shard, forensics,
+// verdict) are timed every time and their totals are exact. The filter
+// and graph stages run once per operation — a step is ~20 ns, a clock
+// pair ~75 — so the engines time a sample of their operations (every one
+// of a checker's first 64, then one at a pseudo-random offset in each
+// 64-operation stride; see internal/core), subtract ClockPairNs from each
+// reading and book it through AddStageN scaled by the operations it
+// stands for. Those two totals are estimates: the hit counts are within
+// one stride of the operations seen, the nanoseconds carry sampling
+// error, and tracing a session costs about a nanosecond per operation.
 package span
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
 
 // Stage names one pipeline stage for the cheap per-Buf accumulators.
-// Stages are the aggregate complement to spans: per-operation work is
-// attributed with two clock reads and one add, and the totals surface
-// in Summary, the daemon's verdict metrics block, and /api/sessions.
+// Stages are the aggregate complement to spans: a stage's time is booked
+// with one add per timed unit of work — a batch, a warning, a sampled
+// operation — and the totals surface in Summary, the daemon's verdict
+// metrics block, and /api/sessions.
 type Stage uint8
 
 // Pipeline stages, in pipeline order.
@@ -127,6 +141,31 @@ type flushedRec struct {
 
 // New returns a Tracer whose clock starts now.
 func New() *Tracer { return &Tracer{epoch: time.Now()} }
+
+// processStart anchors Nanotime.
+var processStart = time.Now()
+
+// Nanotime reads the process's monotonic clock, in nanoseconds. It is the
+// cheapest clock the runtime offers — half a time.Now, which also reads
+// the wall clock — for callers that only ever subtract two readings.
+func Nanotime() int64 { return int64(time.Since(processStart)) }
+
+// ClockPairNs measures what two back-to-back Nanotime readings differ
+// by right now: the part of a timed interval that is the clock's own.
+// Whoever books intervals of the clock's order of magnitude — the
+// engines' sampled steps — subtracts it, so the booked time is the
+// stage's. The figure is the median of a short burst of pairs (well under
+// a microsecond); it moves with the host's clock speed, so long-running
+// callers measure it again now and then.
+func ClockPairNs() int64 {
+	var pairs [9]int64
+	for i := range pairs {
+		t0 := Nanotime()
+		pairs[i] = Nanotime() - t0
+	}
+	slices.Sort(pairs[:])
+	return pairs[len(pairs)/2]
+}
 
 // Now returns nanoseconds since the tracer's epoch (0 on a nil tracer).
 // The reading is monotonic: it can timestamp synthesized spans that
@@ -251,15 +290,20 @@ func (b *Buf) AttrInt(id SpanID, key string, val int64) {
 	}
 }
 
-// AddStage adds ns nanoseconds (and one hit) to a stage accumulator.
-// This is the per-operation path: no span record, no clock read, two
-// plain adds on goroutine-private memory.
-func (b *Buf) AddStage(s Stage, ns int64) {
+// AddStage adds ns nanoseconds and one hit to a stage accumulator: the
+// caller timed one unit of the stage's work. No span record, no clock
+// read, two plain adds on goroutine-private memory.
+func (b *Buf) AddStage(s Stage, ns int64) { b.AddStageN(s, ns, 1) }
+
+// AddStageN adds ns nanoseconds and hits hits to a stage accumulator:
+// the caller timed one unit of work in hits and has already scaled its
+// reading to stand for all of them.
+func (b *Buf) AddStageN(s Stage, ns, hits int64) {
 	if b == nil || s >= NumStages {
 		return
 	}
 	b.stageNs[s] += ns
-	b.stageCnt[s]++
+	b.stageCnt[s] += hits
 }
 
 // StageNs returns the accumulated nanoseconds for a stage (owner only).
@@ -268,6 +312,14 @@ func (b *Buf) StageNs(s Stage) int64 {
 		return 0
 	}
 	return b.stageNs[s]
+}
+
+// StageHits returns the accumulated hits for a stage (owner only).
+func (b *Buf) StageHits(s Stage) int64 {
+	if b == nil || s >= NumStages {
+		return 0
+	}
+	return b.stageCnt[s]
 }
 
 // Flush hands completed, unflushed spans to the tracer under its mutex.
