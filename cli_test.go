@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/span"
+	"repro/internal/trace"
 )
 
 // -update-velovet rewrites the testdata/velovet golden files from the
@@ -430,6 +432,60 @@ func TestCLITracecheckTruncatedMagic(t *testing.T) {
 	}
 	if strings.Contains(out, "line 1") {
 		t.Errorf("must not surface as a text parse error:\n%s", out)
+	}
+}
+
+// TestCLIBinaryStreamMustEnd: the streaming binary format an instrumented
+// program writes is whole only with its end record. A stream that is
+// cut, padded, or left open by a producer that never reached _velo_done
+// is an input error (exit 2) on every consumer — tracecheck, tracecheck
+// -server, veloinstr -run and veloinstr -run -server — never a verdict
+// on the prefix.
+func TestCLIBinaryStreamMustEnd(t *testing.T) {
+	addr, drain := startVelodromed(t)
+	defer drain()
+
+	tr, err := trace.ReadAuto(strings.NewReader("begin.m(1)\nrd(1,x0)\nwr(1,x0)\nend(1)\nrd(2,x0)\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.MarshalStream(&buf, tr, "velo events emitted=5 pruned=2"); err != nil {
+		t.Fatal(err)
+	}
+	whole := buf.Bytes()
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		body []byte
+		code int
+		want string
+	}{
+		{"whole", whole, 0, "# velo events emitted=5 pruned=2"},
+		{"cut", whole[:len(whole)-10], 2, "truncated binary stream"},
+		{"unended", whole[:bytes.IndexByte(whole, 0xFF)], 2, "truncated binary stream"},
+		{"padded", append(bytes.Clone(whole), '\n'), 2, "bytes follow"},
+	} {
+		p := filepath.Join(dir, c.name+".vts")
+		if err := os.WriteFile(p, c.body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{p}, {"-server", addr, p}} {
+			out, code := runTool(t, "tracecheck", args...)
+			if code != c.code || !strings.Contains(out, c.want) {
+				t.Errorf("tracecheck %v: exit %d, want %d and %q:\n%s", args, code, c.code, c.want, out)
+			}
+			if c.code != 0 && strings.Contains(out, "serializable") {
+				t.Errorf("tracecheck %v: a verdict on a stream that never ended:\n%s", args, out)
+			}
+		}
+	}
+
+	for _, args := range [][]string{{"-run"}, {"-run", "-server", addr}} {
+		out, code := runTool(t, "veloinstr", append(args, "testdata/instr/earlyexit")...)
+		if code != 2 || !strings.Contains(out, "truncated binary stream") || strings.Contains(out, "serializable") {
+			t.Errorf("veloinstr %v on a program that exits without closing its trace: exit %d, want 2 and the truncation named:\n%s", args, code, out)
+		}
 	}
 }
 

@@ -1,7 +1,10 @@
 // Command tracecheck reads a trace — the one-operation-per-line text
-// format or the compact binary format, auto-detected — and decides
+// format or either binary format (counted, or the streaming one an
+// instrumented program writes), auto-detected — and decides
 // conflict-serializability with the online Velodrome analysis,
-// cross-checking the offline oracle:
+// cross-checking the offline oracle. The trace's comments — a text
+// trace's "#" lines, a binary stream's trailer — are printed first, as
+// "# ..." lines:
 //
 //	tracecheck trace.txt
 //	tracecheck -          # read standard input
@@ -105,6 +108,7 @@ func main() {
 		}
 		switch v.Status {
 		case trace.StatusOK:
+			printComments(v.Comments)
 			if v.Serializable {
 				fmt.Printf("serializable: %d operations (checked by %s at %s; session %s in %dms)\n",
 					v.Ops, v.Engine, *serverAddr, v.Session, v.DurationMs)
@@ -143,7 +147,8 @@ func main() {
 	}
 
 	loadStart := tracer.Now()
-	tr, err := trace.ReadAuto(in)
+	dec := trace.NewDecoder(in)
+	tr, err := dec.ReadAll()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracecheck:", err)
 		os.Exit(2)
@@ -156,6 +161,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tracecheck: ill-formed trace:", err)
 		os.Exit(2)
 	}
+	printComments(dec.Comments)
 	if sb != nil {
 		sb.AddStage(span.StageDecode, tracer.Now()-loadStart)
 		id := sb.Emit("decode", root, loadStart, tracer.Now())
@@ -255,4 +261,13 @@ func main() {
 		sb.Emit("dot", root, dotStart, tracer.Now())
 	}
 	finish(1)
+}
+
+// printComments relays what the producer said out of band — for an
+// instrumented program, its "velo events emitted=N pruned=M" trailer —
+// in the form veloinstr -run prints it.
+func printComments(comments []string) {
+	for _, c := range comments {
+		fmt.Println("#", c)
+	}
 }

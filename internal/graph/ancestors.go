@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // Ancestor tracking (Section 5): "For each node, we maintain a set of
 // ancestors of that node. This ancestor set allows us to immediately
 // detect when a cycle is about to be added to the graph", keeps the graph
@@ -42,28 +44,52 @@ func (g *Graph) isAncestor(a, b NodeID) bool {
 	return found
 }
 
+// ancMark is addAncestors' membership stamp for one node id: during the
+// merge numbered gen, the set being merged into holds an entry for that
+// id with this birth. Stamps of earlier merges are stale by their number,
+// so nothing is ever cleared.
+type ancMark struct {
+	gen   uint64
+	birth uint64
+}
+
 // addAncestors merges entries into n's ancestor set and, when anything
 // new arrived, pushes the same entries to n's descendants. The graph is
 // acyclic, so the walk terminates; it prunes wherever a node already
-// knows every entry.
+// knows every entry. Membership is tested against stamps laid over the
+// set once per merge, not by scanning the set once per entry: a node
+// joining a chain of k open-transaction ancestors costs O(k), where the
+// scan made it O(k²). ancReads counts the entries read, scans included,
+// so that bound is tested as a count and not as a duration.
 func (g *Graph) addAncestors(n NodeID, entries []ancEntry) {
 	nd := &g.nodes[n]
+	g.ancGen++
+	gen, marks := g.ancGen, g.ancMarks
+	g.ancReads += uint64(len(nd.anc) + len(entries))
+	for _, have := range nd.anc {
+		marks[have.id] = ancMark{gen, have.birth}
+	}
 	added := false
 	for _, e := range entries {
 		if e.id == n {
 			continue // self-entries cannot arise on an acyclic graph
 		}
-		present := false
-		for _, have := range nd.anc {
-			if have == e {
-				present = true
-				break
+		// A stamp holds one birth per id. The set can also hold a stale
+		// entry for an earlier incarnation of the same id; only then
+		// does a mismatch need the scan.
+		m := &marks[e.id]
+		if m.gen == gen {
+			if m.birth == e.birth {
+				continue
+			}
+			g.ancReads += uint64(len(nd.anc))
+			if slices.Contains(nd.anc, e) {
+				continue
 			}
 		}
-		if !present {
-			nd.anc = append(nd.anc, e)
-			added = true
-		}
+		*m = ancMark{gen, e.birth}
+		nd.anc = append(nd.anc, e)
+		added = true
 	}
 	if !added {
 		return

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -195,5 +196,155 @@ func TestInvariantsUnderRandomUse(t *testing.T) {
 				t.Fatalf("iter %d step %d: %v", iter, e, err)
 			}
 		}
+	}
+}
+
+// addAncestorsScan is the membership test addAncestors replaced: one
+// scan of the set per incoming entry. It stays here as the reference.
+func (g *Graph) addAncestorsScan(n NodeID, entries []ancEntry) {
+	nd := &g.nodes[n]
+	added := false
+	for _, e := range entries {
+		if e.id == n {
+			continue
+		}
+		if !slices.Contains(nd.anc, e) {
+			nd.anc = append(nd.anc, e)
+			added = true
+		}
+	}
+	if !added {
+		return
+	}
+	for _, e := range nd.out {
+		g.addAncestorsScan(e.to, entries)
+	}
+}
+
+// cloneForAncestors copies what addAncestors reads and writes.
+func (g *Graph) cloneForAncestors() *Graph {
+	c := &Graph{nodes: slices.Clone(g.nodes), ancMarks: slices.Clone(g.ancMarks), ancGen: g.ancGen}
+	for i := range c.nodes {
+		c.nodes[i].anc = slices.Clone(c.nodes[i].anc)
+		c.nodes[i].out = slices.Clone(c.nodes[i].out)
+	}
+	return c
+}
+
+// TestAddAncestorsMatchesScan grows random DAGs whose nodes finish, get
+// collected and have their ids recycled, and before every edge runs the
+// merge that edge is about to cause through the stamped addAncestors and
+// through the scan it replaced, on two copies: every node's set must come
+// out the same, entry for entry and in the same order. Every fourth merge
+// is hostile instead: duplicates, entries of dead incarnations, and ids
+// the set already holds under another birth.
+func TestAddAncestorsMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	merges, recycled := 0, 0
+	for iter := 0; iter < 300; iter++ {
+		g := New()
+		var steps []Step
+		for i := 0; i < 6; i++ {
+			steps = append(steps, g.NewNode(true, nil))
+		}
+		for e := 0; e < 40; e++ {
+			switch rng.Intn(6) {
+			case 0:
+				steps = append(steps, g.NewNode(true, nil))
+				continue
+			case 1:
+				g.Finish(steps[rng.Intn(len(steps))])
+				continue
+			}
+			src, dst := steps[rng.Intn(len(steps))], steps[rng.Intn(len(steps))]
+			if g.Resolve(src) == None || g.Resolve(dst) == None || src.ID() == dst.ID() {
+				continue
+			}
+			entries := slices.Clone(g.ancestorsPlusSelf(src.ID()))
+			if e%4 == 3 {
+				for i := rng.Intn(6); i >= 0; i-- {
+					id := NodeID(rng.Intn(len(g.nodes)))
+					entries = append(entries, ancEntry{id: id, birth: g.nodes[id].birthTime - uint64(rng.Intn(3))})
+				}
+				entries = append(entries, entries[rng.Intn(len(entries))])
+				rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+			}
+			got, want := g.cloneForAncestors(), g.cloneForAncestors()
+			got.addAncestors(dst.ID(), entries)
+			want.addAncestorsScan(dst.ID(), entries)
+			merges++
+			for id := range want.nodes {
+				if !slices.Equal(got.nodes[id].anc, want.nodes[id].anc) {
+					t.Fatalf("iter %d step %d: merging %v into n%d: n%d holds %v, the scan gives %v",
+						iter, e, entries, dst.ID(), id, got.nodes[id].anc, want.nodes[id].anc)
+				}
+			}
+			g.AddEdge(src, dst, anyOp)
+		}
+		recycled += g.Stats().Recycled
+	}
+	if merges < 3000 || recycled < 300 {
+		t.Fatalf("%d merges compared over %d recycled ids: the driver is not reaching what it is for", merges, recycled)
+	}
+}
+
+// TestOpenTransactionChainIsLinearPerNode builds the chain a fast
+// producer makes an ordinary program leave behind: one transaction stays
+// open while another thread completes 4096 that conflict with it, so
+// each new node takes the open node's edge first and then its
+// predecessor's whole ancestor set. Merging k entries into the set cost
+// the scan k²/2 compares (10¹⁰ over this chain); stamped, it reads the
+// set and the entries once each. The bound is on Graph.ancReads, the
+// entries addAncestors read, not on a clock: the same under the race
+// detector and on a loaded host.
+func TestOpenTransactionChainIsLinearPerNode(t *testing.T) {
+	const chain = 4096
+	g := New()
+	open := g.NewNode(true, nil)
+	prev := None
+	for k := 0; k < chain; k++ {
+		n := g.NewNode(true, nil)
+		if c := g.AddEdge(open, n, anyOp); c != nil {
+			t.Fatalf("node %d: cycle %v", k, c)
+		}
+		if prev != None {
+			if c := g.AddEdge(prev, n, anyOp); c != nil {
+				t.Fatalf("node %d: cycle %v", k, c)
+			}
+		}
+		g.Finish(n)
+		if got := len(g.nodes[n.ID()].anc); got != k+1 {
+			t.Fatalf("node %d has %d ancestors, want %d", k, got, k+1)
+		}
+		prev = n
+	}
+	if g.Stats().MaxAlive != chain+1 {
+		t.Fatalf("max alive %d, want %d: the chain was collected", g.Stats().MaxAlive, chain+1)
+	}
+	// Node k read its own one-entry set and its predecessor's k+1: the
+	// chain sums to chain²/2 and a little. The scan's sum is chain³/6.
+	if g.ancReads > chain*chain {
+		t.Errorf("building a %d-node chain read %d ancestor entries, over %d: addAncestors is quadratic in the set again", chain, g.ancReads, chain*chain)
+	}
+
+	last := g.NewNode(true, nil)
+	g.AddEdge(open, last, anyOp)
+	entries := slices.Clone(g.ancestorsPlusSelf(prev.ID()))
+	nd := &g.nodes[last.ID()] // last has no descendants: the merge touches this set only
+	reads := g.ancReads
+	g.addAncestors(last.ID(), entries)
+	if got := len(nd.anc); got != chain+1 {
+		t.Fatalf("merged set has %d entries, want %d", got, chain+1)
+	}
+	if got, want := g.ancReads-reads, uint64(1+len(entries)); got != want {
+		t.Errorf("merging %d entries into a set of 1 read %d, want %d", len(entries), got, want)
+	}
+
+	// The one case that still scans is counted: an id the set holds under
+	// another birth costs the set's length again.
+	reads = g.ancReads
+	g.addAncestors(last.ID(), []ancEntry{{id: open.ID(), birth: g.nodes[open.ID()].birthTime + 1}})
+	if got, want := g.ancReads-reads, uint64(2*(chain+1)+1); got != want {
+		t.Errorf("merging one entry of another incarnation read %d, want %d: the scan is not counted", got, want)
 	}
 }

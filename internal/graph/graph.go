@@ -120,16 +120,19 @@ type Stats struct {
 // Graph is a transactional happens-before graph. It is not safe for
 // concurrent use; the Velodrome back-end serializes the event stream.
 type Graph struct {
-	nodes      []node
-	free       []NodeID
-	gen        uint64
-	noGC       bool
-	noMemo     bool
+	nodes       []node
+	free        []NodeID
+	gen         uint64
+	noGC        bool
+	noMemo      bool
 	scratch     []Step     // Merge's reusable candidate buffer
 	provScratch []EdgeProv // MergeP's reusable provenance buffer
 	ancScratch  []ancEntry // ancestorsPlusSelf's reusable buffer
-	stats      Stats
-	met        *metrics // optional obs mirror, see SetMetrics
+	ancMarks    []ancMark  // addAncestors' stamps, one per node id
+	ancGen      uint64     // number of the current addAncestors merge
+	ancReads    uint64     // ancestor entries addAncestors has read
+	stats       Stats
+	met         *metrics // optional obs mirror, see SetMetrics
 }
 
 // New returns an empty graph with garbage collection enabled.
@@ -169,6 +172,7 @@ func (g *Graph) NewNode(active bool, data any) Step {
 			panic("graph: node pool exhausted (65536 live nodes); enable GC")
 		}
 		g.nodes = append(g.nodes, node{})
+		g.ancMarks = append(g.ancMarks, ancMark{})
 		id = NodeID(len(g.nodes) - 1)
 	}
 	nd := &g.nodes[id]

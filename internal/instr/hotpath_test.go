@@ -136,7 +136,7 @@ func TestShimContract(t *testing.T) {
 	for _, imp := range f.Imports {
 		path, _ := strconv.Unquote(imp.Path.Value)
 		switch path {
-		case "fmt", "os", "reflect", "runtime", "strconv", "strings", "sync", "sync/atomic":
+		case "encoding/binary", "fmt", "os", "reflect", "runtime", "strconv", "strings", "sync", "sync/atomic":
 		default:
 			t.Errorf("the shim imports %s", path)
 		}
@@ -150,6 +150,11 @@ func TestShimContract(t *testing.T) {
 		}
 		if usesPackage(fd.Body, "runtime") && name != "_velo_gid" {
 			t.Errorf("%s uses runtime; only _velo_gid may", name)
+		}
+		// One encoder: the text one formatted ids with strconv, which is
+		// left for parsing VELO_TRACE only.
+		if usesPackage(fd.Body, "strconv") && name != "_velo_open" {
+			t.Errorf("%s uses strconv; the text emit path was to be replaced, not kept", name)
 		}
 	}
 }

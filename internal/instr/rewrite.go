@@ -14,8 +14,8 @@ import (
 // classified, turns go statements into fork+register sequences, wraps
 // //velo:atomic bodies in begin/end, swaps sync.Mutex / sync.WaitGroup
 // for the shim wrappers, and prints the result as valid Go alongside a
-// self-contained runtime shim (shim.go) that streams the
-// internal/trace text format.
+// self-contained runtime shim (shim.go) that streams internal/trace's
+// streaming binary format.
 //
 // Every event carries the emitting thread's id, and the rewriter — not
 // the shim — supplies it. A function body runs, deferred calls included,

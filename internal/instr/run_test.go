@@ -59,6 +59,14 @@ func runInstrumented(t *testing.T, out *Output, extra map[string]string) (raw []
 // the trace is well formed.
 func decodeChecked(t *testing.T, raw []byte) trace.Trace {
 	t.Helper()
+	tr, _ := decodeCheckedComments(t, raw)
+	return tr
+}
+
+// decodeCheckedComments is decodeChecked, also returning the stream's
+// trailer comments.
+func decodeCheckedComments(t *testing.T, raw []byte) (trace.Trace, []string) {
+	t.Helper()
 	dec := trace.NewDecoder(bytes.NewReader(raw))
 	tr, err := dec.ReadAll()
 	if err != nil {
@@ -75,7 +83,7 @@ func decodeChecked(t *testing.T, raw []byte) trace.Trace {
 	if err := trace.Validate(tr); err != nil {
 		t.Fatalf("ill-formed trace: %v\n%s", err, raw)
 	}
-	return tr
+	return tr, dec.Comments
 }
 
 // TestTidAgreement runs the routes fixture, in which goroutine i touches
@@ -146,15 +154,17 @@ func TestTidAgreement(t *testing.T) {
 			}
 		}
 		if t.Failed() {
-			t.Logf("trace:\n%s", raw)
+			t.Logf("trace:\n%s", tr)
 		}
 	}
 }
 
 // TestSingleGoroutineTraceGolden pins the trace of a one-goroutine
-// program byte for byte. The golden comes from the shim that looked the
-// goroutine id up on every event, so it is not regenerated by -update:
-// where the tid comes from must not show in the trace.
+// program, operation for operation and trailer included. The goldens
+// are text, from the shim that looked the goroutine id up on every event
+// and wrote text itself, so they are not regenerated by -update: neither
+// where the tid comes from nor how the shim encodes may show in the
+// trace's content.
 func TestSingleGoroutineTraceGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs an instrumented program")
@@ -165,13 +175,34 @@ func TestSingleGoroutineTraceGolden(t *testing.T) {
 	}{{"single.trace.golden", true}, {"single.noprune.trace.golden", false}} {
 		out := instrumentDir(t, filepath.Join("testdata", "single"), RewriteOptions{Prune: c.prune})
 		raw, _ := runInstrumented(t, out, nil)
-		decodeChecked(t, raw)
+		if !bytes.HasPrefix(raw, []byte("VTS1")) {
+			t.Errorf("the shim's trace does not open with the streaming binary magic: %q", raw[:min(len(raw), 8)])
+		}
+		// The stream's content in the goldens' syntax: its operations as
+		// text lines, its trailer as the closing comment line.
+		tr, comments := decodeCheckedComments(t, raw)
+		var got bytes.Buffer
+		if err := trace.Marshal(&got, tr); err != nil {
+			t.Fatal(err)
+		}
+		for _, cm := range comments {
+			fmt.Fprintf(&got, "# %s\n", cm)
+		}
+		// The shim's encoder is a copy the generated file has to carry;
+		// internal/trace's is the definition. They must agree to the byte.
+		var canonical bytes.Buffer
+		if err := trace.MarshalStream(&canonical, tr, strings.Join(comments, "")); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(raw, canonical.Bytes()) {
+			t.Errorf("the shim's bytes differ from trace.MarshalStream of the same trace:\n%x\n%x", raw, canonical.Bytes())
+		}
 		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(raw, want) {
-			t.Errorf("trace differs from testdata/%s\n--- got ---\n%s", c.golden, raw)
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("trace differs from testdata/%s\n--- got ---\n%s", c.golden, got.Bytes())
 		}
 	}
 }
@@ -201,7 +232,7 @@ func TestEventsBeforeMain(t *testing.T) {
 		}
 	}
 	if acquires != 3 || forks != 1 || joins != 1 {
-		t.Errorf("%d acquires, %d forks, %d joins; want 3, 1, 1\n%s", acquires, forks, joins, raw)
+		t.Errorf("%d acquires, %d forks, %d joins; want 3, 1, 1\n%s", acquires, forks, joins, tr)
 	}
 }
 

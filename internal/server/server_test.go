@@ -404,6 +404,15 @@ func testServerGracefulDrain(t *testing.T, parallel int) {
 		}
 	}
 
+	// The accept loop takes connections off the listener in its own
+	// time; one still queued there when the listener closes is reset by
+	// the kernel, and that is not the drain under test.
+	for deadline := time.Now().Add(5 * time.Second); s.Health().Accepted < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d connections accepted", s.Health().Accepted, n)
+		}
+	}
+
 	shutdownDone := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -572,6 +581,50 @@ func testServerTruncatedBinarySession(t *testing.T, parallel int) {
 		}
 		if v.Status != trace.StatusMalformed {
 			t.Errorf("cut %d: verdict %+v, want malformed", cut, v)
+		}
+	}
+}
+
+// TestServerStreamingBinarySession sends what an instrumented program's
+// shim writes: the streaming binary format, whose end record carries the
+// trailer. Whole, the verdict reports the trailer in Comments, where
+// veloinstr -run -server cross-checks it; cut anywhere or padded, the
+// session is malformed with the decode-error code, never ok.
+func TestServerStreamingBinarySession(t *testing.T) {
+	forParallel(t, testServerStreamingBinarySession)
+}
+
+func testServerStreamingBinarySession(t *testing.T, parallel int) {
+	_, addr, stop := startServer(t, Config{Parallel: parallel})
+	defer stop()
+	const trailer = "velo events emitted=9 pruned=4"
+	var buf bytes.Buffer
+	if err := trace.MarshalStream(&buf, cleanTrace(), trailer); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	v, err := CheckReader(addr, trace.SessionHeader{}, bytes.NewReader(full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Status != trace.StatusOK || !v.Serializable || v.Ops != int64(len(cleanTrace())) ||
+		len(v.Comments) != 1 || v.Comments[0] != trailer {
+		t.Errorf("whole stream: verdict %+v, want ok, serializable, %d ops and the trailer", v, len(cleanTrace()))
+	}
+	bad := map[string][]byte{"padded": append(bytes.Clone(full), 0)}
+	for cut := 1; cut < len(full); cut++ {
+		bad[fmt.Sprintf("cut at %d", cut)] = full[:cut]
+	}
+	for name, body := range bad {
+		v, err := CheckReader(addr, trace.SessionHeader{}, bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if v.Status != trace.StatusMalformed || v.Code != trace.CodeDecodeError || v.ExitCode() != 2 {
+			t.Errorf("%s: verdict %+v (exit %d), want malformed/decode-error/2", name, v, v.ExitCode())
+		}
+		if len(v.Comments) != 0 {
+			t.Errorf("%s: a refused stream's trailer %q reached the verdict", name, v.Comments)
 		}
 	}
 }

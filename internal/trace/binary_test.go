@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -32,6 +35,29 @@ func TestBinaryRoundTrip(t *testing.T) {
 	for i := range tr {
 		if got[i] != tr[i] {
 			t.Errorf("op %d: %+v != %+v", i, got[i], tr[i])
+		}
+	}
+}
+
+// TestBinaryNegativeTargetRoundTrip pins the 32-bit zig-zag: until the
+// two writers shared one encoder, MarshalBinary wrote -1 as 0x1FFFFFFFF,
+// which decodes as 0.
+func TestBinaryNegativeTargetRoundTrip(t *testing.T) {
+	tr := Trace{Rd(1, -1), Wr(2, -1<<31), Rd(1, 1<<31-1)}
+	var bin, stream bytes.Buffer
+	if err := MarshalBinary(&bin, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := MarshalStream(&stream, tr, ""); err != nil {
+		t.Fatal(err)
+	}
+	for name, buf := range map[string]*bytes.Buffer{"MarshalBinary": &bin, "MarshalStream": &stream} {
+		got, err := UnmarshalBinary(buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !slices.Equal(got, tr) {
+			t.Errorf("%s: read back %v, wrote %v", name, got, tr)
 		}
 	}
 }
@@ -165,4 +191,103 @@ func TestBinaryTextEquivalence(t *testing.T) {
 	if fromBin.String() != fromTxt.String() {
 		t.Fatal("binary and text decoders disagree")
 	}
+}
+
+// TestStreamMatchesTextRoundTrip: what a producer says in the streaming
+// binary format reaches the consumer exactly as it would have in text —
+// the same operations, and the trailer as the same comment.
+func TestStreamMatchesTextRoundTrip(t *testing.T) {
+	const trailer = "velo events emitted=300 pruned=7"
+	tr := append(benchTrace(300), truncCorpus()...)
+	tr = append(tr, Beg(9, ""), Fin(9), Rd(1<<20, 1<<30))
+
+	var txt bytes.Buffer
+	e := NewEmitter(&txt)
+	for _, op := range tr {
+		e.Emit(op)
+	}
+	e.Comment(trailer)
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	fromText := NewDecoder(&txt)
+	want, err := fromText.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fromStream := NewDecoder(bytes.NewReader(streamBytes(tr, trailer)))
+	got, err := fromStream.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(tr) || len(want) != len(tr) {
+		t.Fatalf("%d ops from the stream, %d from text, %d written", len(got), len(want), len(tr))
+	}
+	for i := range tr {
+		if got[i] != want[i] || got[i] != tr[i] {
+			t.Fatalf("op %d: stream %v, text %v, written %v", i, got[i], want[i], tr[i])
+		}
+	}
+	if !slices.Equal(fromStream.Comments, fromText.Comments) {
+		t.Errorf("comments: stream %q, text %q", fromStream.Comments, fromText.Comments)
+	}
+	// The one-shot readers take the variant too.
+	for name, read := range map[string]func(io.Reader) (Trace, error){"ReadAuto": ReadAuto, "UnmarshalBinary": UnmarshalBinary} {
+		if tr2, err := read(bytes.NewReader(streamBytes(tr, trailer))); err != nil || tr2.String() != tr.String() {
+			t.Errorf("%s on a stream: %d ops, err %v", name, len(tr2), err)
+		}
+	}
+}
+
+// FuzzStreamDecode: whatever follows the streaming magic, the decoder
+// must not panic and must not allocate beyond its input (a hostile
+// length is refused, not obeyed); and what it accepts is a fixed point
+// of decode → MarshalStream, operations and trailer alike.
+func FuzzStreamDecode(f *testing.F) {
+	whole := streamBytes(truncCorpus(), truncTrailer)
+	f.Add(whole[4:])
+	f.Add(whole[4 : len(whole)-3])
+	f.Add(append(bytes.Clone(whole[4:]), 0))
+	f.Add([]byte{streamEnd, 0})
+	f.Add([]byte{streamEnd, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
+	f.Add([]byte{byte(Begin), 1, 0, 0xFF, 0xFF, 0xFF, 0x7F})
+	f.Add([]byte{byte(Acquire), 48, 49, streamEnd, 0})     // a negative target: the encoder's zig-zag was wrong for those
+	f.Add([]byte{streamEnd, 0xFF, 0xFF, 0xFF, 0xFF, 0xC1}) // a length cut mid-varint is not a length
+	f.Fuzz(func(t *testing.T, body []byte) {
+		data := append(streamMagic[:], body...)
+		dec := NewDecoder(bytes.NewReader(data))
+		tr, err := dec.ReadAll()
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				t.Fatalf("a refused stream reports an error that unwraps to io.EOF: %v", err)
+			}
+			return
+		}
+		// An op takes three bytes at least and a label's text is spelled
+		// out where it is introduced: what is kept is bounded by the input.
+		var held int
+		for _, l := range dec.labels {
+			held += len(l)
+		}
+		if held > len(data) || 3*len(tr) > len(data) {
+			t.Fatalf("%d input bytes produced %d ops holding %d label bytes", len(data), len(tr), held)
+		}
+		if len(dec.Comments) > 1 {
+			t.Fatalf("comments %q from one end record", dec.Comments)
+		}
+		trailer := strings.Join(dec.Comments, "")
+		enc := streamBytes(tr, trailer)
+		dec2 := NewDecoder(bytes.NewReader(enc))
+		tr2, err := dec2.ReadAll()
+		if err != nil {
+			t.Fatalf("re-decoding an accepted stream: %v", err)
+		}
+		if !slices.Equal(tr, tr2) || !slices.Equal(dec.Comments, dec2.Comments) {
+			t.Fatalf("re-encoding changed the stream's content")
+		}
+		if again := streamBytes(tr2, trailer); !bytes.Equal(enc, again) {
+			t.Fatalf("encoding is not a fixed point: %x then %x", enc, again)
+		}
+	})
 }

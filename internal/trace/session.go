@@ -184,9 +184,10 @@ type SessionVerdict struct {
 	// a raw forensic.Report JSON object; this package keeps it opaque so
 	// the wire format does not depend on the engine packages.
 	Reports []json.RawMessage `json:"reports,omitempty"`
-	// Comments are the "#" comment lines seen in a text stream, in
-	// order — instrumented programs report their emission counters this
-	// way, and clients cross-check them against Ops.
+	// Comments are the Decoder's: the "#" comment lines seen in a text
+	// stream, in order, or a binary stream's trailer — instrumented
+	// programs report their emission counters this way, and clients
+	// cross-check them against Ops.
 	Comments []string `json:"comments,omitempty"`
 	// Metrics carries per-session engine counters (same names as the
 	// daemon-wide /metrics gauges): core_events_filtered_total and

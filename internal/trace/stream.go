@@ -4,18 +4,21 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strings"
 	"sync"
 )
 
 // This file is the streaming half of the trace format: an Emitter that
-// writes operations one at a time (the emission API mirrored by the
-// runtime shim that veloinstr injects into instrumented programs) and a
-// Decoder that reads them back incrementally, so a checker can consume a
-// trace while the instrumented program is still producing it.
+// writes text operations one at a time (the recording back-end of
+// internal/rr; the runtime shim that veloinstr injects writes the
+// streaming binary format of binary.go itself) and a Decoder that reads
+// every format back incrementally, so a checker can consume a trace
+// while the instrumented program is still producing it.
 
 // Emitter streams operations in the textual trace format. It is safe for
 // concurrent use: instrumented programs emit from many goroutines, and
@@ -98,7 +101,7 @@ func (e *Emitter) Flush() error {
 // so each distinct label is copied out of the buffer exactly once.
 type Decoder struct {
 	br     *bufio.Reader
-	mode   int // 0 undecided, 1 text, 2 binary
+	mode   int // modeUnknown until the first bytes are sniffed
 	lineno int
 
 	// text state
@@ -106,15 +109,25 @@ type Decoder struct {
 	intern  map[string]Label // Begin-label dedup (keeps ops off the read buffer)
 
 	// binary state
-	remaining uint64
+	remaining uint64 // ops still to come; in modeStream, nonzero until the end record
 	labels    []Label
 	binIndex  uint64
 
-	// Comments collects "#" comment lines seen in a text trace, in
-	// order. Instrumented programs use a trailing comment to report
-	// runtime counters (events emitted vs pruned) out of band.
+	// Comments collects the "#" comment lines of a text trace, in
+	// order, or the end record's trailer of a streaming binary one.
+	// Instrumented programs report their runtime counters (events
+	// emitted vs pruned) there, out of band.
 	Comments []string
 }
+
+// Decoder modes. The binary ones sort last: both decode operations with
+// nextBinary and fillBinary.
+const (
+	modeUnknown = iota
+	modeText
+	modeBinary // "VTR1": op count up front
+	modeStream // "VTS1": no count, closed by an end record
+)
 
 // decoderBufSize is sized so that batched reads amortize the syscall per
 // buffer fill across a few thousand typical (8-16 byte) trace lines.
@@ -131,41 +144,50 @@ func NewDecoder(r io.Reader) *Decoder {
 
 // Next returns the next operation, or io.EOF after the last one.
 func (d *Decoder) Next() (Op, error) {
-	if d.mode == 0 {
+	if d.mode == modeUnknown {
 		if err := d.sniff(); err != nil {
 			return Op{}, err
 		}
 	}
-	if d.mode == 2 {
+	if d.mode == modeBinary {
 		return d.nextBinary()
+	}
+	if d.mode == modeStream {
+		return d.nextStream()
 	}
 	return d.nextText()
 }
 
-// sniff picks the format from the stream's first bytes: the binary
-// magic (then it also reads the op count), or else text.
+// sniff picks the format from the stream's first bytes: a binary magic
+// (after "VTR1" it also reads the op count), or else text.
 func (d *Decoder) sniff() error {
 	head, err := d.br.Peek(4)
 	if err != nil {
 		if merr := truncatedMagic(head); merr != nil {
 			return merr
 		}
-	}
-	if err != nil || [4]byte(head) != binaryMagic {
-		d.mode = 1
+		d.mode = modeText
 		return nil
 	}
-	d.mode = 2
-	d.br.Discard(4)
-	count, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		return fmt.Errorf("trace: reading count: %w", err)
+	switch [4]byte(head) {
+	case binaryMagic:
+		d.mode = modeBinary
+		d.br.Discard(4)
+		count, err := binary.ReadUvarint(d.br)
+		if err != nil {
+			return fmt.Errorf("trace: reading count: %w", err)
+		}
+		const maxOps = 1 << 30
+		if count > maxOps {
+			return fmt.Errorf("trace: implausible op count %d", count)
+		}
+		d.remaining = count
+	case streamMagic:
+		d.br.Discard(4)
+		d.mode, d.remaining = modeStream, math.MaxUint64
+	default:
+		d.mode = modeText
 	}
-	const maxOps = 1 << 30
-	if count > maxOps {
-		return fmt.Errorf("trace: implausible op count %d", count)
-	}
-	d.remaining = count
 	return nil
 }
 
@@ -264,7 +286,7 @@ func (d *Decoder) nextBinary() (Op, error) {
 			op.Label = d.labels[idx]
 		} else {
 			n := lv >> 1
-			if n > 4096 {
+			if n > maxLabelBytes {
 				return Op{}, fmt.Errorf("trace: op %d: label length %d too large", i, n)
 			}
 			b := make([]byte, n)
@@ -278,6 +300,52 @@ func (d *Decoder) nextBinary() (Op, error) {
 	d.binIndex++
 	d.remaining--
 	return op, nil
+}
+
+// nextStream is nextBinary for the streaming variant: the end record, not
+// a count, closes the stream, and running out of bytes before it is an
+// error that cannot be mistaken for io.EOF, even through errors.Is.
+func (d *Decoder) nextStream() (Op, error) {
+	if d.remaining == 0 {
+		return Op{}, io.EOF
+	}
+	if head, _ := d.br.Peek(1); len(head) == 1 && head[0] == streamEnd {
+		return Op{}, d.readEnd()
+	}
+	op, err := d.nextBinary()
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		err = fmt.Errorf("trace: truncated binary stream, no end record: %v", err) // %v: the cause must not unwrap to io.EOF
+	}
+	return op, err
+}
+
+// readEnd consumes the end record and its trailer, checks that nothing
+// follows, and returns io.EOF.
+func (d *Decoder) readEnd() error {
+	d.br.Discard(1)
+	n, err := binary.ReadUvarint(d.br)
+	if err == nil && n > maxTrailerBytes {
+		return fmt.Errorf("trace: end record: trailer length %d too large", n)
+	}
+	var trailer []byte
+	if err == nil {
+		trailer = make([]byte, n)
+		_, err = io.ReadFull(d.br, trailer)
+	}
+	if err != nil {
+		return fmt.Errorf("trace: truncated binary stream, cut inside the end record after %d ops: %v", d.binIndex, err)
+	}
+	if _, err := d.br.Peek(1); err != io.EOF {
+		if err == nil {
+			err = errors.New("bytes follow it")
+		}
+		return fmt.Errorf("trace: end record after %d ops does not close the stream: %v", d.binIndex, err)
+	}
+	if n > 0 {
+		d.Comments = append(d.Comments, string(trailer))
+	}
+	d.remaining = 0
+	return io.EOF
 }
 
 // NextBatch fills buf with the next operations and returns how many it
@@ -297,7 +365,7 @@ func (d *Decoder) NextBatch(buf []Op) (int, error) {
 	}
 	buf[0] = op
 	var n int
-	if d.mode == 2 {
+	if d.mode >= modeBinary {
 		n = d.fillBinary(buf[1:])
 	} else {
 		n, err = d.fillText(buf[1:])

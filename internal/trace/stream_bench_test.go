@@ -41,6 +41,14 @@ func binaryBytes(tr Trace) []byte {
 	return buf.Bytes()
 }
 
+func streamBytes(tr Trace, trailer string) []byte {
+	var buf bytes.Buffer
+	if err := MarshalStream(&buf, tr, trailer); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
 func benchDecode(b *testing.B, data []byte) {
 	b.ReportAllocs()
 	b.SetBytes(int64(len(data)))

@@ -199,25 +199,32 @@ func decodeBatched(r io.Reader, size int) (Trace, error) {
 	}
 }
 
-// TestNextBatchMatchesNext is the batch fill's differential: for both
-// encodings, every batch size, whole and byte-at-a-time readers, and
-// every truncation of the binary corpus, NextBatch yields exactly the
-// ops, comments and terminal error of a Next loop.
+// TestNextBatchMatchesNext is the batch fill's differential: for every
+// encoding, every batch size, whole and byte-at-a-time readers, and
+// every truncation of the two binary corpora, NextBatch yields exactly
+// the ops, comments and terminal error of a Next loop.
 func TestNextBatchMatchesNext(t *testing.T) {
 	var bin bytes.Buffer
 	if err := MarshalBinary(&bin, truncCorpus()); err != nil {
 		t.Fatal(err)
 	}
+	stream := streamBytes(truncCorpus(), truncTrailer)
 	inputs := map[string][]byte{
-		"text":         []byte("# head\n\n" + string(textBytes(benchTrace(300))) + "# velo events emitted=300\n"),
-		"binary":       binaryBytes(benchTrace(300)),
-		"no-newline":   []byte("rd(1,x2)\nwr(2,x2)"),
-		"parse-error":  []byte("rd(1,x2)\nwr(2,x2)\nbogus(1)\nrd(1,x2)\n"),
-		"empty":        nil,
-		"comment-only": []byte("# nothing\n"),
+		"text":          []byte("# head\n\n" + string(textBytes(benchTrace(300))) + "# velo events emitted=300\n"),
+		"binary":        binaryBytes(benchTrace(300)),
+		"stream":        streamBytes(benchTrace(300), "velo events emitted=300 pruned=0"),
+		"stream-empty":  streamBytes(nil, ""),
+		"stream-padded": append(bytes.Clone(stream), 0),
+		"no-newline":    []byte("rd(1,x2)\nwr(2,x2)"),
+		"parse-error":   []byte("rd(1,x2)\nwr(2,x2)\nbogus(1)\nrd(1,x2)\n"),
+		"empty":         nil,
+		"comment-only":  []byte("# nothing\n"),
 	}
 	for cut := 1; cut < bin.Len(); cut++ {
 		inputs[fmt.Sprintf("binary-cut-%d", cut)] = bin.Bytes()[:cut]
+	}
+	for cut := 1; cut < len(stream); cut++ {
+		inputs[fmt.Sprintf("stream-cut-%d", cut)] = stream[:cut]
 	}
 	for name, data := range inputs {
 		want, wantErr := decodeAll(data) // the Next loop
@@ -248,9 +255,11 @@ func TestNextBatchDoesNotWaitForAFullBatch(t *testing.T) {
 	// The binary header announces four ops; end(1) is three bytes
 	// (kind, thread, target) and never arrives.
 	bin := binaryBytes(append(three, Fin(1)))
+	stream := streamBytes(three, "")
 	for name, data := range map[string][]byte{
 		"text":   textBytes(three),
 		"binary": bin[:len(bin)-3],
+		"stream": stream[:len(stream)-2], // the end record (0xFF, length 0) never arrives
 	} {
 		pr, pw := io.Pipe()
 		go pw.Write(data) // one Write, then silence: the pipe stays open
@@ -285,6 +294,7 @@ func TestNextBatchSteadyStateAllocs(t *testing.T) {
 	for name, data := range map[string][]byte{
 		"text":   bytes.Repeat(textBytes(tr), 400),
 		"binary": binaryBytes(repeatOps(tr, 400)),
+		"stream": streamBytes(repeatOps(tr, 400), ""),
 	} {
 		d := NewDecoder(bytes.NewReader(data))
 		buf := make([]Op, 64)

@@ -36,7 +36,7 @@ func Marshal(w io.Writer, tr Trace) error {
 // Blank lines and lines beginning with '#' are ignored.
 func Unmarshal(r io.Reader) (Trace, error) {
 	d := NewDecoder(r)
-	d.mode = 1
+	d.mode = modeText
 	return d.readAll()
 }
 

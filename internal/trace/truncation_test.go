@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -116,5 +118,107 @@ func TestTruncatedMagicNotText(t *testing.T) {
 	_, err = decodeAll([]byte("xyz"))
 	if err == nil || strings.Contains(err.Error(), "truncated binary trace") {
 		t.Errorf("non-magic short input must fall through to text parsing: %v", err)
+	}
+}
+
+const truncTrailer = "velo events emitted=11 pruned=3"
+
+// TestStreamTruncationCorpus is TestBinaryTruncationCorpus for the
+// streaming variant, which has no count to fall short of: the end record
+// alone says the stream is whole. Every proper prefix must fail, through
+// Next and through NextBatch, with an error nobody can take for a clean
+// end — not io.EOF itself and not a wrapper of it.
+func TestStreamTruncationCorpus(t *testing.T) {
+	full := truncCorpus()
+	data := streamBytes(full, truncTrailer)
+
+	dec := NewDecoder(bytes.NewReader(data))
+	tr, err := dec.ReadAll()
+	if err != nil || tr.String() != full.String() {
+		t.Fatalf("full decode: %d ops, err %v", len(tr), err)
+	}
+	if len(dec.Comments) != 1 || dec.Comments[0] != truncTrailer {
+		t.Fatalf("comments = %q, want the trailer", dec.Comments)
+	}
+	if op, err := dec.Next(); err != io.EOF {
+		t.Errorf("Next after the end record = %v, %v; want io.EOF again", op, err)
+	}
+
+	for cut := 0; cut < len(data); cut++ {
+		for name, decode := range map[string]func([]byte) (Trace, error){
+			"Next":      decodeAll,
+			"NextBatch": func(b []byte) (Trace, error) { return decodeBatched(bytes.NewReader(b), 4) },
+		} {
+			tr, err := decode(data[:cut])
+			if cut == 0 {
+				// As for "VTR1": the empty stream is zero text ops, and
+				// rejecting it is CheckStream's job.
+				if err != nil || len(tr) != 0 {
+					t.Errorf("%s, cut 0: want clean empty decode, got %d ops, err %v", name, len(tr), err)
+				}
+				continue
+			}
+			if err == nil || errors.Is(err, io.EOF) {
+				t.Errorf("%s, cut at byte %d of %d: %d ops, err %v; a cut stream must be an error, and not one that wraps io.EOF",
+					name, cut, len(data), len(tr), err)
+				continue
+			}
+			if !strings.Contains(err.Error(), "truncated binary") {
+				t.Errorf("%s, cut at byte %d: the error does not say the stream was cut: %v", name, cut, err)
+			}
+			if cut < 4 && !strings.Contains(err.Error(), "byte offset") {
+				t.Errorf("%s, cut at byte %d (inside the magic): error must name the byte offset: %v", name, cut, err)
+			}
+			if !strings.HasPrefix(full.String(), tr.String()) {
+				t.Errorf("%s, cut at byte %d: the ops before the error are not a prefix of the trace", name, cut)
+			}
+		}
+	}
+}
+
+// TestStreamRejectsWhatFollowsTheEnd: an end record closes the stream.
+// Padding, a second stream, or a second end record after it is an error,
+// and the trailer of a stream that fails this way is not reported.
+func TestStreamRejectsWhatFollowsTheEnd(t *testing.T) {
+	data := streamBytes(truncCorpus(), truncTrailer)
+	for name, tail := range map[string][]byte{
+		"one zero byte":  {0},
+		"newline":        []byte("\n"),
+		"second end":     {streamEnd, 0},
+		"second stream":  data,
+		"a text comment": []byte("# velo events emitted=11 pruned=3\n"),
+	} {
+		dec := NewDecoder(bytes.NewReader(append(bytes.Clone(data), tail...)))
+		tr, err := dec.ReadAll()
+		if err == nil || !strings.Contains(err.Error(), "bytes follow") {
+			t.Errorf("%s after the end record: %d ops, err %v; want the stream refused", name, len(tr), err)
+		}
+		if len(dec.Comments) != 0 {
+			t.Errorf("%s after the end record: trailer %q reported for a refused stream", name, dec.Comments)
+		}
+	}
+}
+
+// TestStreamBoundsLengths: the two lengths a stream can announce are
+// checked before anything is allocated for them (a 2^40-byte make would
+// not return an error, it would end the process).
+func TestStreamBoundsLengths(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<40)
+	for name, data := range map[string][]byte{
+		"trailer": append(append(streamMagic[:], streamEnd), huge...),
+		"label":   append(append(streamMagic[:], byte(Begin), 1, 0), huge...),
+	} {
+		if _, err := decodeAll(data); err == nil || !strings.Contains(err.Error(), "too large") {
+			t.Errorf("%s length 2^40: err %v, want it refused as too large", name, err)
+		}
+	}
+	// At the bound itself both are accepted.
+	long := strings.Repeat("l", maxLabelBytes)
+	data := streamBytes(Trace{Beg(1, Label(long)), Fin(1)}, strings.Repeat("t", maxTrailerBytes))
+	if tr, err := decodeAll(data); err != nil || len(tr) != 2 || string(tr[0].Label) != long {
+		t.Errorf("label and trailer at their bounds: %d ops, err %v", len(tr), err)
+	}
+	if err := MarshalStream(io.Discard, nil, strings.Repeat("t", maxTrailerBytes+1)); err == nil {
+		t.Error("MarshalStream wrote a trailer its own decoder refuses")
 	}
 }
