@@ -14,6 +14,7 @@
 package repro_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -202,6 +203,47 @@ func BenchmarkCheckerThroughput(b *testing.B) {
 			b.ReportMetric(float64(len(tr)), "ops/trace")
 		})
 	}
+}
+
+// BenchmarkCheckDense is one pass of the ledger's check-dense workload
+// (benchmark/check.go) as a testing.B: the fifteen Table 1 programs, four
+// seeded recordings each at scale 5 — about 290 k events and 14 k
+// warnings — binary-encoded and streamed through the decoder into the
+// default engine. B/op and allocs/op are per pass; what remains of them
+// is the output (a Warning, its Cycle and the cycle's edges per warning,
+// a TxnMeta per transaction) and ~80 KiB of decode buffers per check.
+func BenchmarkCheckDense(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var inputs [][]byte
+	events := 0
+	for _, w := range bench.All() {
+		for r := 0; r < 4; r++ {
+			rep := rr.Run(rr.Options{Seed: rng.Int63(), Record: true}, func(t *rr.Thread) {
+				w.Body(t, bench.Params{Scale: 5})
+			})
+			var buf bytes.Buffer
+			if err := trace.MarshalBinary(&buf, rep.Trace); err != nil {
+				b.Fatal(err)
+			}
+			inputs = append(inputs, buf.Bytes())
+			events += len(rep.Trace)
+		}
+	}
+	b.ReportAllocs()
+	warnings := 0
+	for b.Loop() {
+		warnings = 0
+		for _, in := range inputs {
+			res, _, err := core.CheckStream(trace.NewDecoder(bytes.NewReader(in)), core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			warnings += len(res.Warnings)
+		}
+	}
+	b.ReportMetric(float64(events), "events/pass")
+	b.ReportMetric(float64(warnings), "warnings/pass")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
 }
 
 // BenchmarkAblationMerge quantifies the merge optimization (Section 4.2):

@@ -300,7 +300,7 @@ func (c *aeroChecker) step(op trace.Op) *Warning {
 	}
 	var w *Warning
 	if op.Kind == trace.Fork || op.Kind == trace.Join {
-		for _, sub := range (trace.Trace{op}).Desugar() {
+		for _, sub := range trace.DesugarOp(op) {
 			if ww := c.step1(sub); ww != nil && w == nil {
 				w = ww
 			}
@@ -341,6 +341,9 @@ func (c *aeroChecker) step1(op trace.Op) *Warning {
 	case trace.End:
 		stack := c.stack(t)
 		n := len(stack) - 1
+		if n < 0 {
+			return nil // an end that closes nothing: an ill-formed stream is not a panic
+		}
 		popped := stack[n]
 		c.setStack(t, stack[:n])
 		if !popped.ignored {

@@ -109,7 +109,7 @@ func (c *basicChecker) step(op trace.Op) *Warning {
 	defer func() { c.idx++ }()
 	if op.Kind == trace.Fork || op.Kind == trace.Join {
 		var w *Warning
-		for _, sub := range (trace.Trace{op}).Desugar() {
+		for _, sub := range trace.DesugarOp(op) {
 			if ww := c.step1(sub); ww != nil && w == nil {
 				w = ww
 			}
@@ -133,6 +133,9 @@ func (c *basicChecker) step1(op trace.Op) *Warning {
 		return nil
 	case trace.End:
 		bs := c.blocks[t]
+		if len(bs) == 0 {
+			return nil // an end that closes nothing: an ill-formed stream is not a panic
+		}
 		popped := bs[len(bs)-1]
 		c.blocks[t] = bs[:len(bs)-1]
 		if !popped && c.checkedDepth(t) == 0 {

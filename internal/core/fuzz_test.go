@@ -107,3 +107,57 @@ func FuzzCheckerMatchesOracle(f *testing.F) {
 		}
 	})
 }
+
+// fuzzIDLimit is the largest thread, lock or fork/join id
+// FuzzDecodedInputNeverPanics lets through. Such an id is valid up to
+// MaxInt32 and sizes a dense table (ROADMAP item 1(c): the resource
+// budget's job), which a fuzz run on a shared machine must not do.
+const fuzzIDLimit = 1 << 12
+
+// FuzzDecodedInputNeverPanics: the decoders are the only gate between a
+// byte stream and the engines' tables, so whatever they accept — well
+// formed or not: an end with no begin, a release nobody holds, a join of
+// a thread never forked, a negative variable — every registered engine
+// must step without panicking, and what they refuse (ids that would wrap
+// or go negative as an index) must come back as CheckStream's error.
+func FuzzDecodedInputNeverPanics(f *testing.F) {
+	for _, text := range []string{
+		"rd(-1,x1)\n", "acq(0,m-5)\n", "rd(4294967295,x1)\n", "wr(2147483648,x1)\n",
+		"fork(0,t-1)\n", "join(0,t4294967295)\n",
+		"rd(0,x-1)\nwr(1,x-1)\nbegin.a(0)\nrd(0,x-2147483648)\nwr(1,x2147483647)\nend(0)\n",
+		"end(0)\nrel(0,m1)\njoin(0,t3)\nend(3)\nfork(3,t0)\nfork(0,t0)\n",
+		"begin.a(1)\nrd(1,x0)\nfork(1,t2)\nwr(2,x0)\njoin(1,t2)\nwr(1,x0)\nend(1)\n",
+		"begin(4095)\nacq(4095,m4095)\nfork(4095,t4095)\nrd(0,x65535)\nwr(0,x65536)\nwr(0,x16777216)\n",
+	} {
+		f.Add([]byte(text))
+	}
+	tr := trace.Trace{trace.Beg(1, "a"), trace.Rd(1, -3), trace.ForkOp(1, 2), trace.Wr(2, -3), trace.Wr(1, -3), trace.Fin(1), trace.Fin(1)}
+	var bin, stream bytes.Buffer
+	trace.MarshalBinary(&bin, tr)
+	trace.MarshalStream(&stream, tr, "")
+	f.Add(bin.Bytes())
+	f.Add(stream.Bytes())
+	f.Add([]byte{'V', 'T', 'R', '1', 1, byte(trace.Read), 0x80, 0x80, 0x80, 0x80, 0x08, 2}) // thread 1<<31
+	f.Add([]byte{'V', 'T', 'S', '1', byte(trace.Acquire), 0, 9, 0xFF, 0})                   // lock -5
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ops, _ := trace.NewDecoder(bytes.NewReader(data)).ReadAll()
+		for _, op := range ops {
+			if op.Thread > fuzzIDLimit || op.Kind >= trace.Acquire && op.Target > fuzzIDLimit {
+				t.Skip("an id this large sizes a dense table")
+			}
+		}
+		for _, info := range Engines() {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%s panicked on %q: %v", info.Name, data, r)
+					}
+				}()
+				res, n, err := CheckStream(trace.NewDecoder(bytes.NewReader(data)), Options{Engine: info.Engine})
+				if n != len(ops) || err == nil && n > 0 && res == nil {
+					t.Fatalf("%s: %d ops checked of %d decoded, result %v, err %v", info.Name, n, len(ops), res, err)
+				}
+			}()
+		}
+	})
+}

@@ -32,7 +32,7 @@ func TestAncestorSetMatchesDFS(t *testing.T) {
 					continue
 				}
 				set := g.isAncestor(a.ID(), b.ID())
-				dfs := g.findPath(a.ID(), b.ID()) != nil
+				_, dfs := g.findPath(a.ID(), b.ID())
 				if set != dfs {
 					t.Fatalf("iter %d: isAncestor(%v,%v)=%v but DFS=%v",
 						iter, a, b, set, dfs)
@@ -98,9 +98,6 @@ func TestQuickRandomGraphsStayAcyclic(t *testing.T) {
 				continue
 			}
 			if g.isAncestor(s.ID(), s.ID()) {
-				return false
-			}
-			if g.findPath(s.ID(), s.ID()) != nil && s.ID() != s.ID() {
 				return false
 			}
 		}
@@ -288,6 +285,35 @@ func TestAddAncestorsMatchesScan(t *testing.T) {
 	}
 }
 
+const openChainLen = 4096
+
+// buildOpenChain adds to g one open transaction and openChainLen finished
+// ones that each conflict with it and with their predecessor, and returns
+// the open node's step and the last one's: nothing of it can be collected
+// before the open node finishes, and node k holds k+1 ancestors.
+func buildOpenChain(t *testing.T, g *Graph) (open, last Step) {
+	t.Helper()
+	open = g.NewNode(true, nil)
+	last = None
+	for k := 0; k < openChainLen; k++ {
+		n := g.NewNode(true, nil)
+		if c := g.AddEdge(open, n, anyOp); c != nil {
+			t.Fatalf("node %d: cycle %v", k, c)
+		}
+		if last != None {
+			if c := g.AddEdge(last, n, anyOp); c != nil {
+				t.Fatalf("node %d: cycle %v", k, c)
+			}
+		}
+		g.Finish(n)
+		if got := len(g.nodes[n.ID()].anc); got != k+1 {
+			t.Fatalf("node %d has %d ancestors, want %d", k, got, k+1)
+		}
+		last = n
+	}
+	return open, last
+}
+
 // TestOpenTransactionChainIsLinearPerNode builds the chain a fast
 // producer makes an ordinary program leave behind: one transaction stays
 // open while another thread completes 4096 that conflict with it, so
@@ -298,26 +324,9 @@ func TestAddAncestorsMatchesScan(t *testing.T) {
 // entries addAncestors read, not on a clock: the same under the race
 // detector and on a loaded host.
 func TestOpenTransactionChainIsLinearPerNode(t *testing.T) {
-	const chain = 4096
+	const chain = openChainLen
 	g := New()
-	open := g.NewNode(true, nil)
-	prev := None
-	for k := 0; k < chain; k++ {
-		n := g.NewNode(true, nil)
-		if c := g.AddEdge(open, n, anyOp); c != nil {
-			t.Fatalf("node %d: cycle %v", k, c)
-		}
-		if prev != None {
-			if c := g.AddEdge(prev, n, anyOp); c != nil {
-				t.Fatalf("node %d: cycle %v", k, c)
-			}
-		}
-		g.Finish(n)
-		if got := len(g.nodes[n.ID()].anc); got != k+1 {
-			t.Fatalf("node %d has %d ancestors, want %d", k, got, k+1)
-		}
-		prev = n
-	}
+	open, prev := buildOpenChain(t, g)
 	if g.Stats().MaxAlive != chain+1 {
 		t.Fatalf("max alive %d, want %d: the chain was collected", g.Stats().MaxAlive, chain+1)
 	}

@@ -128,20 +128,19 @@ func (g *Graph) AddEdgeP(from, to Step, op trace.Op, prov EdgeProv) *Cycle {
 	// the (rare) violation path, to extract the cycle for the report.
 	if g.isAncestor(dst, src) {
 		// to ⇒* from already holds; adding from ⇒ to would close a cycle.
-		path := g.findPath(dst, src)
-		if path == nil {
+		path, ok := g.findPath(dst, src)
+		if !ok {
 			panic("graph: ancestor set claims a path the edges do not have")
 		}
-		edges := make([]CycleEdge, 0, len(path)+1)
-		for _, e := range path {
-			edges = append(edges, e)
-		}
-		edges = append(edges, CycleEdge{
+		// The one copy: path is scratch, the Cycle is the caller's.
+		edges := make([]CycleEdge, len(path)+1)
+		copy(edges, path)
+		edges[len(path)] = CycleEdge{
 			From: src, To: dst,
 			FromData: g.nodes[src].data, ToData: g.nodes[dst].data,
 			TailTime: from.Time(), HeadTime: to.Time(),
 			Op: op, Prov: prov,
-		})
+		}
 		if g.met != nil {
 			g.met.cyclesDetected.Inc()
 		}
@@ -190,21 +189,27 @@ func (g *Graph) HappensBeforeOrSame(a, b Step) bool {
 	return g.isAncestor(a.ID(), b.ID())
 }
 
-// findPath returns the edges of some path src ⇒* dst, or nil if none.
-// The live graph is small (a few dozen nodes even on large benchmarks,
-// Table 1), so an iterative DFS per query is cheap.
-func (g *Graph) findPath(src, dst NodeID) []CycleEdge {
+// pathFrame is one level of findPath's DFS: a node and the index of its
+// next out-edge to try.
+type pathFrame struct {
+	id   NodeID
+	next int
+}
+
+// findPath reports whether some path src ⇒* dst exists and returns its
+// edges (none when src == dst). The result is the graph's own scratch,
+// valid until the next findPath: AddEdgeP copies it into the Cycle it
+// returns, and nothing else keeps it. The live graph is small (a few
+// dozen nodes even on large benchmarks, Table 1), so an iterative DFS
+// per query is cheap.
+func (g *Graph) findPath(src, dst NodeID) ([]CycleEdge, bool) {
 	if src == dst {
-		return []CycleEdge{}
+		return nil, true
 	}
 	g.gen++
-	type frame struct {
-		id   NodeID
-		next int
-	}
-	stack := []frame{{id: src}}
+	stack := append(g.pathStack[:0], pathFrame{id: src})
+	path := g.pathScratch[:0]
 	g.nodes[src].visited = g.gen
-	var path []CycleEdge
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		nd := &g.nodes[f.id]
@@ -215,7 +220,7 @@ func (g *Graph) findPath(src, dst NodeID) []CycleEdge {
 			}
 			continue
 		}
-		e := nd.out[f.next]
+		e := &nd.out[f.next]
 		f.next++
 		path = append(path, CycleEdge{
 			From: f.id, To: e.to,
@@ -224,16 +229,16 @@ func (g *Graph) findPath(src, dst NodeID) []CycleEdge {
 			Op: e.op, Prov: e.prov,
 		})
 		if e.to == dst {
-			out := make([]CycleEdge, len(path))
-			copy(out, path)
-			return out
+			g.pathStack, g.pathScratch = stack, path
+			return path, true
 		}
 		if g.nodes[e.to].visited != g.gen {
 			g.nodes[e.to].visited = g.gen
-			stack = append(stack, frame{id: e.to})
+			stack = append(stack, pathFrame{id: e.to})
 		} else {
 			path = path[:len(path)-1]
 		}
 	}
-	return nil
+	g.pathStack, g.pathScratch = stack, path
+	return nil, false
 }

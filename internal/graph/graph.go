@@ -42,6 +42,18 @@ const (
 	maxNodes = 1 << 16
 )
 
+// maxKeptEdges and maxKeptAnc cap the out-edge and ancestor arrays a
+// collected node carries into the pool for its next incarnation. Under GC
+// a transaction has a handful of edges and ancestors (Table 1: a few dozen
+// live nodes), so these cover the steady state and recycling allocates
+// nothing; the exception is an open-transaction chain, where node k holds
+// k ancestors — arrays that large go back to the allocator when the chain
+// is collected instead of being parked, k entries each, in the free list.
+const (
+	maxKeptEdges = 32
+	maxKeptAnc   = 64
+)
+
 func pack(id NodeID, time uint64) Step {
 	return Step(id)<<timeBits | Step(time)&timeMask
 }
@@ -125,12 +137,14 @@ type Graph struct {
 	gen         uint64
 	noGC        bool
 	noMemo      bool
-	scratch     []Step     // Merge's reusable candidate buffer
-	provScratch []EdgeProv // MergeP's reusable provenance buffer
-	ancScratch  []ancEntry // ancestorsPlusSelf's reusable buffer
-	ancMarks    []ancMark  // addAncestors' stamps, one per node id
-	ancGen      uint64     // number of the current addAncestors merge
-	ancReads    uint64     // ancestor entries addAncestors has read
+	scratch     []Step      // Merge's reusable candidate buffer
+	provScratch []EdgeProv  // MergeP's reusable provenance buffer
+	ancScratch  []ancEntry  // ancestorsPlusSelf's reusable buffer
+	pathStack   []pathFrame // findPath's DFS stack
+	pathScratch []CycleEdge // findPath's result, valid until its next call
+	ancMarks    []ancMark   // addAncestors' stamps, one per node id
+	ancGen      uint64      // number of the current addAncestors merge
+	ancReads    uint64      // ancestor entries addAncestors has read
 	stats       Stats
 	met         *metrics // optional obs mirror, see SetMetrics
 }
@@ -177,11 +191,16 @@ func (g *Graph) NewNode(active bool, data any) Step {
 	}
 	nd := &g.nodes[id]
 	birth := nd.curTime + 1
+	// A recycled node keeps the arrays maybeCollect left it, emptied: the
+	// new incarnation has no edges and no ancestors, and allocates none
+	// until it outgrows what the last one needed.
 	*nd = node{
 		inUse:     true,
 		active:    active,
 		birthTime: birth,
 		curTime:   birth,
+		out:       nd.out[:0],
+		anc:       nd.anc[:0],
 		data:      data,
 		memoIdx:   -1,
 	}
@@ -325,7 +344,16 @@ func (g *Graph) maybeCollect(id NodeID) {
 	}
 	out := nd.out
 	nd.inUse = false
-	nd.out = nil
+	// The arrays stay with the pooled node for its next incarnation,
+	// emptied (out is still walked below), unless this one grew them past
+	// the retention caps.
+	nd.out, nd.anc = nd.out[:0], nd.anc[:0]
+	if cap(nd.out) > maxKeptEdges {
+		nd.out = nil
+	}
+	if cap(nd.anc) > maxKeptAnc {
+		nd.anc = nil
+	}
 	nd.data = nil
 	g.stats.Alive--
 	g.stats.Collected++
@@ -417,8 +445,9 @@ func (g *Graph) CheckInvariants() error {
 			return fmt.Errorf("graph: n%d finished with no incoming edges but not collected", id)
 		}
 		for _, e := range nd.out {
-			// findPath is reflexive, so test reachability from successors.
-			if e.to == NodeID(id) || g.findPath(e.to, NodeID(id)) != nil {
+			// findPath is reflexive, so test reachability from successors
+			// (a self-edge makes the successor the node itself).
+			if _, ok := g.findPath(e.to, NodeID(id)); ok {
 				return fmt.Errorf("graph: n%d lies on a cycle", id)
 			}
 		}
@@ -426,7 +455,7 @@ func (g *Graph) CheckInvariants() error {
 			if !g.liveEntry(e) {
 				continue // stale entries are legal; compacted lazily
 			}
-			if g.findPath(e.id, NodeID(id)) == nil {
+			if _, ok := g.findPath(e.id, NodeID(id)); !ok {
 				return fmt.Errorf("graph: n%d claims ancestor n%d with no path", id, e.id)
 			}
 		}

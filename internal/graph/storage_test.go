@@ -1,0 +1,221 @@
+package graph
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/trace"
+)
+
+// These tests hold the node-storage discipline: a collected node takes
+// its out-edge and ancestor arrays into the pool, emptied, and findPath
+// walks on the graph's own scratch. Nothing of either may be visible
+// from outside — not in a Cycle handed to the caller, not in what a
+// recycled node knows.
+
+// TestReturnedCycleIsNotScratch: a *Cycle from AddEdge is the caller's.
+// Later cycles of other lengths, CheckInvariants (which runs findPath for
+// every edge) and the recycling of every node on it leave it as it was.
+func TestReturnedCycleIsNotScratch(t *testing.T) {
+	g := New()
+	op := func(i int) trace.Op { return trace.Wr(trace.Tid(i), trace.Var(i)) }
+	a, b, c := g.NewNode(true, "a"), g.NewNode(true, "b"), g.NewNode(true, "c")
+	g.AddEdge(a, b, op(1))
+	g.AddEdge(b, c, op(2))
+	type held struct {
+		got  *Cycle
+		want []CycleEdge
+	}
+	var cycles []held
+	hold := func(cyc *Cycle, edges int) {
+		t.Helper()
+		if cyc == nil || len(cyc.Edges) != edges {
+			t.Fatalf("cycle %v, want one of %d edges", cyc, edges)
+		}
+		cycles = append(cycles, held{cyc, slices.Clone(cyc.Edges)})
+	}
+	hold(g.AddEdgeP(c, a, op(3), EdgeProv{HeadIdx: 7, TailIdx: 3, HasTail: true}), 3) // a→b→c, then c→a
+	d := g.NewNode(true, "d")
+	g.AddEdge(c, d, op(4))
+	hold(g.AddEdge(d, a, op(5)), 4) // longer than the first: the whole scratch is rewritten
+	hold(g.AddEdge(b, a, op(6)), 2) // shorter: its head is rewritten
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []Step{a, b, c, d} {
+		g.Finish(s)
+	}
+	if g.Alive() != 0 {
+		t.Fatalf("%d nodes alive, want all four collected", g.Alive())
+	}
+	// The same ids, new transactions, another cycle through them.
+	x, y := g.NewNode(true, "x"), g.NewNode(true, "y")
+	g.AddEdge(x, y, op(8))
+	hold(g.AddEdge(y, x, op(9)), 2)
+	if g.Stats().Recycled != 2 {
+		t.Fatalf("recycled %d ids, want 2", g.Stats().Recycled)
+	}
+	for i, h := range cycles {
+		if !slices.Equal(h.got.Edges, h.want) {
+			t.Errorf("cycle %d changed after it was returned:\n got %v\nwant %v", i, h.got.Edges, h.want)
+		}
+	}
+	if p := cycles[0].got.Edges[2].Prov; p.HeadIdx != 7 || !p.HasTail {
+		t.Errorf("rejected edge lost its provenance: %+v", p)
+	}
+}
+
+// dropPooledArrays makes g behave as the graph did before nodes kept
+// their storage: whatever sits in the pool holds no arrays, so the next
+// incarnation of every id starts on fresh ones.
+func (g *Graph) dropPooledArrays() {
+	for _, id := range g.free {
+		g.nodes[id].out, g.nodes[id].anc = nil, nil
+	}
+}
+
+// TestRecycledNodeStartsEmpty drives two graphs through the same seeded
+// random workloads — eight slots whose transactions keep finishing and
+// being replaced, so a few ids are reused hundreds of times — one keeping
+// node storage across incarnations, the reference dropping it after
+// every operation. They must agree after each step on the cycle
+// reported, edge for edge, on Stats, and on every live node's edges and
+// ancestor set, and both must pass CheckInvariants.
+func TestRecycledNodeStartsEmpty(t *testing.T) {
+	cyclesSeen, recycled := 0, 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g, ref := New(), New()
+		var steps []Step
+		both := func(f func(*Graph) Step) Step {
+			s, r := f(g), f(ref)
+			ref.dropPooledArrays()
+			if s != r {
+				t.Fatalf("seed %d: step %v, reference %v", seed, s, r)
+			}
+			return s
+		}
+		for i := 0; i < 8; i++ {
+			steps = append(steps, both(func(g *Graph) Step { return g.NewNode(true, i) }))
+		}
+		for e := 0; e < 400; e++ {
+			i, j := rng.Intn(len(steps)), rng.Intn(len(steps))
+			var got, want *Cycle
+			switch rng.Intn(8) {
+			case 0, 1:
+				// The slot's transaction ends and the thread begins another.
+				both(func(g *Graph) Step { g.Finish(steps[i]); return None })
+				steps[i] = both(func(g *Graph) Step { return g.NewNode(true, 100*e+i) })
+			case 2:
+				if n := both(func(g *Graph) Step { return g.Tick(steps[i]) }); n != None {
+					steps[i] = n
+				}
+			case 3:
+				both(func(g *Graph) Step { return g.Merge([]Step{steps[i], steps[j]}, anyOp, e) })
+			default:
+				op := trace.Wr(trace.Tid(i), trace.Var(e))
+				got, want = g.AddEdge(steps[i], steps[j], op), ref.AddEdge(steps[i], steps[j], op)
+			}
+			if (got == nil) != (want == nil) || got != nil && !slices.Equal(got.Edges, want.Edges) {
+				t.Fatalf("seed %d step %d: cycle %v, reference %v", seed, e, got, want)
+			}
+			if got != nil {
+				cyclesSeen++
+			}
+			if g.Stats() != ref.Stats() {
+				t.Fatalf("seed %d step %d: stats %+v, reference %+v", seed, e, g.Stats(), ref.Stats())
+			}
+			for id := range g.nodes {
+				a, b := &g.nodes[id], &ref.nodes[id]
+				if a.inUse != b.inUse || a.inUse && !(slices.Equal(a.out, b.out) && slices.Equal(a.anc, b.anc)) {
+					t.Fatalf("seed %d step %d: n%d holds edges %v ancestors %v, reference %v %v",
+						seed, e, id, a.out, a.anc, b.out, b.anc)
+				}
+			}
+			for name, gr := range map[string]*Graph{"recycling": g, "reference": ref} {
+				if err := gr.CheckInvariants(); err != nil {
+					t.Fatalf("seed %d step %d, %s graph: %v", seed, e, name, err)
+				}
+			}
+		}
+		recycled += g.Stats().Recycled
+	}
+	if cyclesSeen < 500 || recycled < 2000 {
+		t.Fatalf("%d cycles over %d recycled ids: the driver is not reaching what it is for", cyclesSeen, recycled)
+	}
+}
+
+// TestPooledStorageIsBounded: an open-transaction chain grows arrays as
+// long as itself — the open node's out-edges, node k's k+1 ancestors.
+// When the chain is collected the pool must not keep them: every pooled
+// node holds at most the retention caps, and building the same chain
+// again on the recycled ids reads exactly as many ancestor entries as
+// the first time (PR 16's linear-per-node bound, unchanged by what the
+// recycled nodes carried over).
+func TestPooledStorageIsBounded(t *testing.T) {
+	g := New()
+	open, _ := buildOpenChain(t, g)
+	first := g.ancReads
+	g.Finish(open)
+	if g.Alive() != 0 || len(g.free) != openChainLen+1 {
+		t.Fatalf("%d alive, %d pooled: the chain was not collected", g.Alive(), len(g.free))
+	}
+	var outCap, ancCap, kept int
+	for _, id := range g.free {
+		nd := &g.nodes[id]
+		if len(nd.out) != 0 || len(nd.anc) != 0 {
+			t.Fatalf("pooled n%d still lists %d edges, %d ancestors", id, len(nd.out), len(nd.anc))
+		}
+		if cap(nd.out) > maxKeptEdges || cap(nd.anc) > maxKeptAnc {
+			t.Fatalf("pooled n%d keeps room for %d edges and %d ancestors, caps are %d and %d",
+				id, cap(nd.out), cap(nd.anc), maxKeptEdges, maxKeptAnc)
+		}
+		outCap += cap(nd.out)
+		ancCap += cap(nd.anc)
+		if cap(nd.anc) > 0 {
+			kept++
+		}
+	}
+	// The chain needed ~chain²/2 ancestor entries (8.4 M here). What stays
+	// is the short sets at its head, and nothing of the long ones.
+	if ancCap > maxKeptAnc*maxKeptAnc || kept == 0 {
+		t.Errorf("pool keeps %d ancestor entries in %d nodes: want the first nodes' small sets only", ancCap, kept)
+	}
+	t.Logf("pool of %d nodes keeps room for %d edges, %d ancestor entries", len(g.free), outCap, ancCap)
+
+	buildOpenChain(t, g)
+	if again := g.ancReads - first; again != first {
+		t.Errorf("rebuilding the chain on recycled ids read %d ancestor entries, the first build %d", again, first)
+	}
+	if first > openChainLen*openChainLen {
+		t.Errorf("building the chain read %d ancestor entries, over %d", first, openChainLen*openChainLen)
+	}
+	if g.Stats().Recycled != openChainLen+1 {
+		t.Errorf("recycled %d ids, want %d", g.Stats().Recycled, openChainLen+1)
+	}
+}
+
+// TestSteadyStateAllocatesNothing is a transaction's life once the pool
+// is warm: a node from the pool, an edge in from each of two others and
+// their ancestors with it, finished, collected. No node, edge or
+// ancestor entry of it is an allocation.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	g := New()
+	l, r := g.NewNode(true, nil), g.NewNode(true, nil)
+	life := func() {
+		n := g.NewNode(true, nil)
+		g.AddEdge(l, n, anyOp)
+		g.AddEdge(r, n, anyOp)
+		g.Finish(n) // stays, reachable from l and r, until they finish
+		g.Finish(l)
+		g.Finish(r)
+		l, r = g.NewNode(true, nil), g.NewNode(true, nil)
+	}
+	if avg := testing.AllocsPerRun(200, life); avg != 0 {
+		t.Errorf("%.2f allocations per transaction in the steady state, want 0", avg)
+	}
+	if g.Alive() != 2 || g.Stats().Recycled < 600 {
+		t.Errorf("alive %d, recycled %d: the pool is not being used", g.Alive(), g.Stats().Recycled)
+	}
+}

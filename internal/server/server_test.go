@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -657,4 +658,35 @@ func TestVerdictFilterMetrics(t *testing.T) {
 				engine, got, v.Metrics)
 		}
 	}
+}
+
+// TestServerOutOfRangeIDsAreDecodeErrors: a thread, lock or fork/join id
+// that would wrap or go negative as a table index never reaches an
+// engine. On every engine and both session shapes the verdict is
+// malformed/decode-error and names the place — it used to be the
+// session's recover that answered, with an index-out-of-range panic.
+func TestServerOutOfRangeIDsAreDecodeErrors(t *testing.T) {
+	forParallel(t, func(t *testing.T, parallel int) {
+		_, addr, stop := startServer(t, Config{Parallel: parallel})
+		defer stop()
+		streams := map[string]struct{ body, pos string }{
+			"negative thread":   {"begin.a(0)\nrd(-1,x1)\nend(0)\n", "line 2"},
+			"negative lock":     {"begin.a(0)\nacq(0,m-5)\nend(0)\n", "line 2"},
+			"thread past int32": {"begin.a(0)\nrd(4294967295,x1)\nend(0)\n", "line 2"},
+			"binary, thread 1<<31": {"VTR1\x02" + string([]byte{byte(trace.End), 0, 0}) +
+				string([]byte{byte(trace.Read), 0x80, 0x80, 0x80, 0x80, 0x08, 2}), "op 1"},
+		}
+		for _, info := range core.Engines() {
+			for name, s := range streams {
+				v, err := CheckReader(addr, trace.SessionHeader{Engine: info.Name}, strings.NewReader(s.body))
+				if err != nil {
+					t.Fatalf("%s, %s: %v", info.Name, name, err)
+				}
+				if v.Status != trace.StatusMalformed || v.Code != trace.CodeDecodeError || v.Ops != 1 ||
+					!strings.Contains(v.Error, s.pos) || !strings.Contains(v.Error, "out of range") {
+					t.Errorf("%s, %s: verdict %+v, want malformed/decode-error after 1 op, naming %s", info.Name, name, v, s.pos)
+				}
+			}
+		}
+	})
 }

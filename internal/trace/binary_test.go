@@ -254,6 +254,9 @@ func FuzzStreamDecode(f *testing.F) {
 	f.Add([]byte{byte(Begin), 1, 0, 0xFF, 0xFF, 0xFF, 0x7F})
 	f.Add([]byte{byte(Acquire), 48, 49, streamEnd, 0})     // a negative target: the encoder's zig-zag was wrong for those
 	f.Add([]byte{streamEnd, 0xFF, 0xFF, 0xFF, 0xFF, 0xC1}) // a length cut mid-varint is not a length
+	for _, c := range outOfRangeIDs {                      // ids that wrapped or went negative in an engine's tables
+		f.Add(append(rawRecord(c.kind, c.tid, c.zz), streamEnd, 0))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		data := append(streamMagic[:], body...)
 		dec := NewDecoder(bytes.NewReader(data))

@@ -252,6 +252,15 @@ func (d *Decoder) textLine(line []byte) (op Op, ok bool, err error) {
 // unzigzag undoes the encoder's zig-zag mapping of signed targets.
 func unzigzag(zz uint64) int32 { return int32(uint32(zz>>1) ^ -uint32(zz&1)) }
 
+// idsInRange reports whether a binary record's thread and zig-zagged
+// target are ids an engine can take: both fit their int32, and only a
+// variable may be negative (odd zig-zag). Thread, lock and fork/join ids
+// index dense tables; the text parser holds its input to the same rule.
+func idsInRange(kind Kind, tid, zz uint64) bool {
+	return tid <= math.MaxInt32 && zz <= math.MaxUint32 &&
+		(zz&1 == 0 || kind == Read || kind == Write)
+}
+
 func (d *Decoder) nextBinary() (Op, error) {
 	if d.remaining == 0 {
 		return Op{}, io.EOF
@@ -271,6 +280,9 @@ func (d *Decoder) nextBinary() (Op, error) {
 	zz, err := binary.ReadUvarint(d.br)
 	if err != nil {
 		return Op{}, fmt.Errorf("trace: op %d target: %w", i, err)
+	}
+	if !idsInRange(Kind(kind), tid, zz) {
+		return Op{}, fmt.Errorf("trace: op %d: id out of range (%s, thread %d, target %d)", i, Kind(kind), tid, int64(zz>>1)^-int64(zz&1))
 	}
 	op := Op{Kind: Kind(kind), Thread: Tid(tid), Target: unzigzag(zz)}
 	if op.Kind == Begin {
@@ -398,8 +410,9 @@ func (d *Decoder) fillText(buf []Op) (int, error) {
 // fillBinary decodes the operations that lie complete in the read
 // buffer, parsing the buffered bytes in place. It stops — consuming
 // nothing of the operation in question — at the first one that is
-// incomplete, malformed, or introduces a new label; the next blocking
-// Next decodes that one, so errors are reported by a single code path.
+// incomplete, malformed, out of id range, or introduces a new label; the
+// next blocking Next decodes that one, so errors are reported by a single
+// code path.
 func (d *Decoder) fillBinary(buf []Op) int {
 	p, _ := d.br.Peek(d.br.Buffered())
 	n, off := 0, 0
@@ -409,7 +422,7 @@ func (d *Decoder) fillBinary(buf []Op) int {
 			break
 		}
 		zz, b := binary.Uvarint(p[off+1+a:])
-		if b <= 0 {
+		if b <= 0 || !idsInRange(Kind(p[off]), tid, zz) {
 			break
 		}
 		size := 1 + a + b

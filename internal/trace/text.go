@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Marshal writes the trace in the textual format accepted by Unmarshal:
@@ -123,6 +124,12 @@ func parseOpBytes(s []byte, intern map[string]Label) (Op, error) {
 	if !ok {
 		return Op{}, fmt.Errorf("malformed thread id in %q", s)
 	}
+	// Thread, lock and fork/join ids index the engines' dense tables, so
+	// only 0 … MaxInt32 decodes; a variable id may be negative (the
+	// tables keep those in their sparse map) but must fit its int32.
+	if tid < 0 || tid > math.MaxInt32 {
+		return Op{}, fmt.Errorf("thread id %d out of range in %q", tid, s)
+	}
 	t := Tid(tid)
 	arg := func(prefix byte) (int32, error) {
 		if !hasSecond || bytes.IndexByte(second, ',') >= 0 {
@@ -135,6 +142,9 @@ func parseOpBytes(s []byte, intern map[string]Label) (Op, error) {
 		n, ok := parseIntBytes(a[1:])
 		if !ok {
 			return 0, fmt.Errorf("malformed argument in %q", s)
+		}
+		if n > math.MaxInt32 || n < math.MinInt32 || n < 0 && prefix != 'x' {
+			return 0, fmt.Errorf("id %c%d out of range in %q", prefix, n, s)
 		}
 		return int32(n), nil
 	}

@@ -198,22 +198,26 @@ func TokenVar(x Var) (other Tid, join bool, ok bool) {
 func (tr Trace) Desugar() Trace {
 	out := make(Trace, 0, len(tr)+8)
 	for _, op := range tr {
-		switch op.Kind {
-		case Fork:
-			u := op.Other()
-			out = append(out,
-				Wr(op.Thread, Var(forkVarBase+2*int32(u))),
-				Rd(u, Var(forkVarBase+2*int32(u))))
-		case Join:
-			u := op.Other()
-			out = append(out,
-				Wr(u, Var(forkVarBase+2*int32(u)+1)),
-				Rd(op.Thread, Var(forkVarBase+2*int32(u)+1)))
-		default:
+		if op.Kind == Fork || op.Kind == Join {
+			subs := DesugarOp(op)
+			out = append(out, subs[:]...)
+		} else {
 			out = append(out, op)
 		}
 	}
 	return out
+}
+
+// DesugarOp is Desugar for a single Fork or Join: the two token-variable
+// accesses that stand for it, in trace order, as an array so that the
+// engines, which step them in place of the operation, allocate nothing.
+func DesugarOp(op Op) [2]Op {
+	u := op.Other()
+	tok := Var(forkVarBase + 2*int32(u))
+	if op.Kind == Fork {
+		return [2]Op{Wr(op.Thread, tok), Rd(u, tok)}
+	}
+	return [2]Op{Wr(u, tok+1), Rd(op.Thread, tok+1)}
 }
 
 // Stats summarizes a trace: operation counts per kind and the numbers of
