@@ -4,24 +4,23 @@
 //	velobench -table 1             Table 1 (timings + graph statistics)
 //	velobench -table 2             Table 2 (Atomizer vs Velodrome warnings)
 //	velobench -table 2 -adversarial   ... with the adversarial scheduler
-//	velobench -replay              per-event analysis cost on recorded traces
-//	velobench -baseline            filter on/off hot-path baseline → BENCH_core.json
-//	velobench -pipeline            parallel-pipeline scaling sweep → BENCH_pipeline.json
-//	velobench -pipeline -smoke     verify pipeline identity + throughput vs the committed report
 //	velobench -smoke               every engine's verdicts on the loop regime; exit 1 on drift
 //	velobench -inject              the 30% → 70% defect-injection study
 //	velobench -policies            compare adversarial pause policies
 //	velobench -ablate              merge/GC design-choice ablation
+//	velobench -coverage            cumulative warnings per run
 //	velobench -all                 everything
 //
 // Each table prints the paper's published numbers alongside the measured
-// ones. See EXPERIMENTS.md for the recorded comparison.
+// ones. See EXPERIMENTS.md for the recorded comparison. Per-layer
+// ns/event and daemon sessions/s figures come from `go run ./benchmark`.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -34,8 +33,6 @@ import (
 
 func main() {
 	table := flag.Int("table", 0, "reproduce table 1 or 2")
-	replay := flag.Bool("replay", false, "measure per-event analysis cost on recorded traces")
-	baseline := flag.Bool("baseline", false, "replay the workload suite through both engines, filter on and off")
 	smoke := flag.Bool("smoke", false, "cross-check every registered engine's verdicts on the loop-regime family; exit 1 on drift")
 	inject := flag.Bool("inject", false, "run the defect-injection experiment")
 	policyStudy := flag.Bool("policies", false, "compare adversarial pause policies on the injection trials")
@@ -48,11 +45,6 @@ func main() {
 	specFiltered := flag.Bool("spec-filtered", false, "table 1: exempt known non-atomic methods first (the paper's configuration)")
 	seeds := flag.String("seeds", "1,2,3,4,5", "comma-separated scheduler seeds (the paper's five runs)")
 	detail := flag.Bool("detail", false, "list flagged methods per benchmark (table 2)")
-	obsOut := flag.String("obs-out", "BENCH_obs.json", "with -replay: write per-event-kind latency quantiles to this file (empty to disable)")
-	baselineOut := flag.String("baseline-out", "BENCH_core.json", "with -baseline: write the filter baseline to this file (empty to disable)")
-	pipelineBench := flag.Bool("pipeline", false, "sweep the parallel pipeline over worker counts on synthetic loop-regime traces")
-	pipelineOut := flag.String("pipeline-out", "BENCH_pipeline.json", "with -pipeline: write the scaling report to this file (empty to disable); with -pipeline -smoke: the committed report to compare against")
-	pipelineEvents := flag.Int("pipeline-events", 10_000_000, "with -pipeline: events in the loop-regime synthetic trace")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event timeline with one span per experiment to this file")
 	var oflags obs.CLIFlags
 	oflags.Register(flag.CommandLine, obs.FlagMetrics|obs.FlagProfile)
@@ -141,95 +133,7 @@ func main() {
 		fmt.Println()
 		done()
 	}
-	if *replay || *all {
-		done := mark("replay")
-		rows := exper.Replay(seedList[0], *scale*10)
-		report.Replay(os.Stdout, rows)
-		fmt.Println()
-		if *obsOut != "" {
-			// Machine-readable per-event-kind latency quantiles — the
-			// perf-trajectory seed for future PRs (see EXPERIMENTS.md).
-			rep := exper.ReplayObs(seedList[0], *scale*10)
-			f, err := os.Create(*obsOut)
-			if err == nil {
-				err = rep.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "velobench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote per-event-kind latency quantiles to %s\n\n", *obsOut)
-		}
-		done()
-	}
-	if *baseline || *all {
-		done := mark("baseline")
-		rep := exper.Baseline(seedList[0], *scale*10)
-		report.Baseline(os.Stdout, rep)
-		fmt.Println()
-		if *baselineOut != "" {
-			f, err := os.Create(*baselineOut)
-			if err == nil {
-				err = rep.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "velobench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote filter baseline to %s\n\n", *baselineOut)
-		}
-		done()
-	}
-	if *pipelineBench {
-		done := mark("pipeline")
-		if *smoke {
-			// CI mode: compare a reduced re-measurement against the
-			// committed report. Verdict identity is unconditional;
-			// throughput only gates on a matching host.
-			f, err := os.Open(*pipelineOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "velobench:", err)
-				os.Exit(1)
-			}
-			committed, err := exper.ReadPipeline(f)
-			f.Close()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "velobench:", err)
-				os.Exit(1)
-			}
-			ok := exper.PipelineSmoke(committed, os.Stdout)
-			done()
-			if !ok {
-				os.Exit(1)
-			}
-			fmt.Printf("pipeline smoke passed against %s\n\n", *pipelineOut)
-		} else {
-			rep := exper.Pipeline(*pipelineEvents)
-			report.Pipeline(os.Stdout, rep)
-			if *pipelineOut != "" {
-				f, err := os.Create(*pipelineOut)
-				if err == nil {
-					err = rep.WriteJSON(f)
-					if cerr := f.Close(); err == nil {
-						err = cerr
-					}
-				}
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "velobench:", err)
-					os.Exit(1)
-				}
-				fmt.Printf("wrote pipeline scaling report to %s\n\n", *pipelineOut)
-			}
-			done()
-		}
-	}
-	if (*smoke && !*pipelineBench) || *all {
+	if *smoke || *all {
 		done := mark("smoke")
 		rows := exper.Smoke(seedList[0], *scale*10)
 		var engineCols []string
@@ -299,8 +203,8 @@ func parseSeeds(s string) ([]int64, error) {
 		if part == "" {
 			continue
 		}
-		var v int64
-		if _, err := fmt.Sscanf(part, "%d", &v); err != nil {
+		v, err := strconv.ParseInt(part, 10, 64)
+		if err != nil {
 			return nil, fmt.Errorf("bad seed %q", part)
 		}
 		out = append(out, v)

@@ -6,17 +6,39 @@
 package exper
 
 import (
+	"runtime"
 	"sort"
 
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/rr"
-	"repro/internal/trace"
 )
 
 // DefaultSeeds are the five scheduler seeds standing in for the paper's
 // five runs.
 var DefaultSeeds = []int64{1, 2, 3, 4, 5}
+
+// HostInfo records the machine a measurement ran on; the benchmark
+// ledger embeds it in every result so that two runs are only compared
+// when the parallelism available to them was the same.
+type HostInfo struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+}
+
+// CollectHost snapshots the current machine.
+func CollectHost() HostInfo {
+	return HostInfo{
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+	}
+}
 
 // RunResult is the outcome of one workload run under both checkers.
 type RunResult struct {
@@ -99,7 +121,3 @@ func sortedKeys(set map[string]bool) []string {
 	sort.Strings(out)
 	return out
 }
-
-// checkTraceValid is a harness self-check used by tests: recorded traces
-// must satisfy the well-formedness rules of the formal semantics.
-func checkTraceValid(tr trace.Trace) error { return trace.Validate(tr) }

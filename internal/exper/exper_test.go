@@ -215,28 +215,6 @@ func TestPolicyStudyShape(t *testing.T) {
 	}
 }
 
-// TestReplayRows exercises the per-event cost harness.
-func TestReplayRows(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing loop")
-	}
-	rows := Replay(1, 1)
-	if len(rows) != 15 {
-		t.Fatalf("%d rows, want 15", len(rows))
-	}
-	for _, r := range rows {
-		if r.Events == 0 {
-			t.Errorf("%s: empty trace", r.Name)
-		}
-		if r.Empty <= 0 || r.Velodrome <= 0 || r.Eraser <= 0 || r.Atomizer <= 0 {
-			t.Errorf("%s: missing timings %+v", r.Name, r)
-		}
-		if r.Velodrome < r.Empty {
-			t.Errorf("%s: velodrome cheaper than the empty back-end?", r.Name)
-		}
-	}
-}
-
 // TestAblateExactness: the ablation harness confirms the optimizations
 // never change a verdict and always help.
 func TestAblateExactness(t *testing.T) {

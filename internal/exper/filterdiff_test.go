@@ -3,6 +3,7 @@ package exper
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
@@ -12,19 +13,55 @@ import (
 	"repro/internal/trace"
 )
 
-// corpusTraces records every bench workload (the Table 1/2 suite plus
-// the hot-loop redundancy group) at a fixed seed and scale.
-func corpusTraces(scale int) map[string]trace.Trace {
-	out := map[string]trace.Trace{}
-	for _, w := range append(bench.All(), bench.Hot()...) {
-		w := w
-		rep := rr.Run(rr.Options{Seed: 1, Record: true}, func(t *rr.Thread) {
-			w.Body(t, bench.Params{Scale: scale})
-		})
-		out[w.Name] = rep.Trace
-	}
-	return out
+// corpus is the bench suite (the Table 1/2 programs plus the hot-loop
+// redundancy group) recorded at seed 1 and one scale, with the offline
+// serial oracle's verdict per workload. Recording it and running the
+// quadratic oracle are most of what the differential tests in this
+// package cost, so both happen once per scale for the whole test binary;
+// the maps are shared and must not be written to.
+type corpus struct {
+	traces       func() map[string]trace.Trace
+	serializable func() map[string]bool
 }
+
+var (
+	corpusMu      sync.Mutex
+	corpusByScale = map[int]*corpus{}
+)
+
+func corpusAt(scale int) *corpus {
+	corpusMu.Lock()
+	defer corpusMu.Unlock()
+	c := corpusByScale[scale]
+	if c != nil {
+		return c
+	}
+	c = &corpus{}
+	c.traces = sync.OnceValue(func() map[string]trace.Trace {
+		out := map[string]trace.Trace{}
+		for _, w := range append(bench.All(), bench.Hot()...) {
+			rep := rr.Run(rr.Options{Seed: 1, Record: true}, func(t *rr.Thread) {
+				w.Body(t, bench.Params{Scale: scale})
+			})
+			out[w.Name] = rep.Trace
+		}
+		return out
+	})
+	c.serializable = sync.OnceValue(func() map[string]bool {
+		out := map[string]bool{}
+		for name, tr := range c.traces() {
+			out[name], _ = serial.Check(tr)
+		}
+		return out
+	})
+	corpusByScale[scale] = c
+	return c
+}
+
+// corpusTraces returns the recorded corpus at scale; corpusOracle the
+// serial oracle's verdict on each of its traces.
+func corpusTraces(scale int) map[string]trace.Trace { return corpusAt(scale).traces() }
+func corpusOracle(scale int) map[string]bool        { return corpusAt(scale).serializable() }
 
 func warnKey(w *core.Warning) string {
 	blamed := ""
@@ -47,8 +84,9 @@ func TestFilterMatrixOnBenchCorpus(t *testing.T) {
 	if testing.Short() {
 		scale = 2
 	}
+	oracle := corpusOracle(scale)
 	for name, tr := range corpusTraces(scale) {
-		want, _ := serial.Check(tr)
+		want := oracle[name]
 		for _, engine := range []core.Engine{core.Optimized, core.Basic, core.Aero} {
 			off := core.CheckTrace(tr, core.Options{Engine: engine, NoFilter: true})
 			on := core.CheckTrace(tr, core.Options{Engine: engine})
@@ -85,8 +123,9 @@ func TestAeroCorpusFirstViolationParity(t *testing.T) {
 	if testing.Short() {
 		scale = 2
 	}
+	oracle := corpusOracle(scale)
 	for name, tr := range corpusTraces(scale) {
-		want, _ := serial.Check(tr)
+		want := oracle[name]
 		opt := core.CheckTrace(tr, core.Options{FirstOnly: true})
 		aero := core.CheckTrace(tr, core.Options{Engine: core.Aero})
 		if opt.Serializable != want || aero.Serializable != want {
@@ -105,40 +144,40 @@ func TestAeroCorpusFirstViolationParity(t *testing.T) {
 	}
 }
 
-// TestFilterRegressionGuard compares the live engine against the floors
-// the committed BENCH_core.json baseline established: the hot-loop
-// workloads must keep filtering the bulk of their events, and the
-// filter-on steady state must stay allocation-lean. Timing is
-// deliberately not asserted — wall-clock floors are what flake on
-// shared machines; the filtered share and allocation rate are the
-// deterministic proxies the speedup rests on.
+// TestFilterRegressionGuard holds the redundancy filter to floors on
+// the share of events it discards and to a ceiling on what the
+// filter-on steady state allocates. The loop-regime speedup rests on
+// exactly these two quantities, and unlike a wall-clock floor they are
+// deterministic at a fixed seed and scale: a filter change that stops
+// recognising an idiom, or starts allocating per event, fails here on
+// any host. Each floor sits well under the share measured when the
+// filter landed (seed 1, scale 10), quoted beside it.
 func TestFilterRegressionGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regression guard needs full-scale traces")
 	}
-	floors := map[string]float64{ // filtered%, well under the committed values
-		"spinread":  80,
-		"scanloop":  70,
-		"rmwloop":   80,
-		"pollqueue": 80,
-		"logbuffer": 80,
-		"servermix": 70,
+	floors := map[string]float64{ // filtered%, graph engine
+		"spinread":  80, // measured 94.3
+		"scanloop":  70, // 86.2
+		"rmwloop":   80, // 95.2
+		"pollqueue": 80, // 95.4
+		"logbuffer": 80, // 94.3
+		"servermix": 70, // 88.3
 		// Two Table 1 reproductions whose idioms filter substantially:
 		// their floors guard the paper-workload regime too.
-		"sor":      25,
-		"multiset": 35,
+		"sor":      25, // 37.4
+		"multiset": 35, // 47.0
 	}
 	// AeroDrome's decision cache covers plain read/write redundancy only
 	// (no acquire/release fast path), so its floors sit below the graph
-	// engine's on lock-heavy loops; the committed aero_filter_on values
-	// are rmwloop 92.6, logbuffer 94.1, servermix 82.5, scanloop 73.8.
+	// engine's on lock-heavy loops.
 	aeroFloors := map[string]float64{
-		"rmwloop":   85,
-		"logbuffer": 85,
-		"servermix": 75,
-		"scanloop":  65,
+		"rmwloop":   85, // measured 92.6
+		"logbuffer": 85, // 94.1
+		"servermix": 75, // 82.5
+		"scanloop":  65, // 73.8
 	}
-	const maxAllocsPerEvent = 0.15 // committed hot-loop values are ~0.02
+	const maxAllocsPerEvent = 0.15 // measured ~0.02 on the hot-loop group
 	traces := corpusTraces(10)
 	for name, floor := range floors {
 		tr := traces[name]

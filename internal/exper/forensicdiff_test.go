@@ -102,9 +102,8 @@ func validateReport(t *testing.T, name string, tr trace.Trace, rep *forensic.Rep
 }
 
 // BenchmarkForensics measures the per-event cost of the flight recorder
-// on a redundancy-heavy loop workload and a violation-dense one — the
-// two regimes of the filtering baseline. The recorded numbers live in
-// EXPERIMENTS.md ("Forensics overhead").
+// on a redundancy-heavy loop workload and a violation-dense one. The
+// recorded numbers live in EXPERIMENTS.md ("Forensics overhead").
 func BenchmarkForensics(b *testing.B) {
 	traces := corpusTraces(10)
 	for _, wl := range []string{"rmwloop", "multiset"} {

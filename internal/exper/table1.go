@@ -10,9 +10,6 @@ import (
 	"repro/internal/trace"
 )
 
-// traceT aliases the event-stream type for the replay harness.
-type traceT = trace.Trace
-
 // Table1Row is one benchmark's timing and graph statistics in the shape
 // of Table 1.
 type Table1Row struct {
@@ -169,56 +166,3 @@ func nodeStats(w *bench.Workload, seed int64, p bench.Params, noMerge bool) (all
 
 // GraphStats re-exports the stats type for tool use.
 type GraphStats = graph.Stats
-
-// ReplayRow isolates pure analysis cost: the workload's event stream is
-// recorded once, then each back-end consumes it directly, with no
-// scheduler in the loop. This is the sharpest analogue of the paper's
-// slowdown comparison, since the virtual-thread scheduler (unlike a JVM)
-// dominates the in-situ timings.
-type ReplayRow struct {
-	Name   string
-	Events int
-	// Nanoseconds per event for each analysis.
-	Empty, Eraser, Atomizer, Velodrome float64
-}
-
-// Replay measures per-event analysis cost on each benchmark's recorded
-// trace.
-func Replay(seed int64, scale int) []ReplayRow {
-	var rows []ReplayRow
-	for _, w := range bench.All() {
-		rep := rr.Run(rr.Options{Seed: seed, Record: true}, func(t *rr.Thread) {
-			w.Body(t, bench.Params{Scale: scale})
-		})
-		tr := rep.Trace
-		row := ReplayRow{Name: w.Name, Events: len(tr)}
-		row.Empty = replayTime(tr, func() rr.Backend { return &rr.Empty{} })
-		row.Eraser = replayTime(tr, func() rr.Backend { return rr.NewEraser() })
-		row.Atomizer = replayTime(tr, func() rr.Backend { return rr.NewAtomizer() })
-		row.Velodrome = replayTime(tr, func() rr.Backend { return rr.NewVelodrome(core.Options{}) })
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-func replayTime(tr traceT, mk func() rr.Backend) float64 {
-	if len(tr) == 0 {
-		return 0
-	}
-	const minDuration = 10 * time.Millisecond
-	reps := 1
-	for {
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			be := mk()
-			for _, op := range tr {
-				be.Event(op)
-			}
-		}
-		elapsed := time.Since(start)
-		if elapsed >= minDuration || reps >= 1<<16 {
-			return float64(elapsed.Nanoseconds()) / float64(reps) / float64(len(tr))
-		}
-		reps *= 4
-	}
-}

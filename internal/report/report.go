@@ -152,28 +152,6 @@ func sortStrings(s []string) {
 	}
 }
 
-// Replay renders the per-event analysis cost table (the pure-analysis
-// analogue of Table 1's slowdown columns).
-func Replay(w io.Writer, rows []exper.ReplayRow) {
-	fmt.Fprintln(w, "Replay: per-event analysis cost on recorded traces (ns/event)")
-	fmt.Fprintln(w, "(slowdown vs Empty in parentheses — the pure-analysis analogue of Table 1)")
-	fmt.Fprintln(w)
-	widths := []int{11, 8, 8, 14, 14, 16}
-	writeRow(w, widths, "Program", "Events", "Empty", "Eraser", "Atomizer", "Velodrome")
-	for _, r := range rows {
-		rel := func(v float64) string {
-			if r.Empty <= 0 {
-				return fmt.Sprintf("%.0f", v)
-			}
-			return fmt.Sprintf("%.0f (%.1fx)", v, v/r.Empty)
-		}
-		writeRow(w, widths, r.Name,
-			fmt.Sprintf("%d", r.Events),
-			fmt.Sprintf("%.1f", r.Empty),
-			rel(r.Eraser), rel(r.Atomizer), rel(r.Velodrome))
-	}
-}
-
 // Policies renders the scheduling-policy study (Section 5's exploration).
 func Policies(w io.Writer, results []exper.PolicyResult) {
 	fmt.Fprintln(w, "Adversarial pause policies (Section 5) on the injection trials:")
@@ -254,56 +232,5 @@ func Smoke(w io.Writer, rows []exper.SmokeRow, engines []string) {
 		}
 		cells = append(cells, drift)
 		writeRow(w, widths, cells...)
-	}
-}
-
-// Baseline renders the hot-path filter baseline (the human-readable
-// companion of BENCH_core.json).
-func Baseline(w io.Writer, rep *exper.BaselineReport) {
-	fmt.Fprintln(w, "Baseline: per-event analysis cost, redundant-event filter on vs off")
-	fmt.Fprintln(w, "(optimized engine; allocs = steady-state allocations per event;")
-	fmt.Fprintln(w, " aero = AeroDrome vector-clock engine, filter on, speedup vs optimized)")
-	fmt.Fprintln(w)
-	widths := []int{11, 8, 9, 9, 8, 9, 9, 10, 9, 8}
-	writeRow(w, widths, "Program", "Events", "on ns", "off ns", "speedup", "on alloc", "off alloc", "filtered%", "aero ns", "aero x")
-	for _, r := range rep.Rows {
-		writeRow(w, widths, r.Workload,
-			fmt.Sprintf("%d", r.Events),
-			fmt.Sprintf("%.1f", r.FilterOn.NsPerEvent),
-			fmt.Sprintf("%.1f", r.FilterOff.NsPerEvent),
-			fmt.Sprintf("%.2fx", r.Speedup),
-			fmt.Sprintf("%.3f", r.FilterOn.AllocsPerEvent),
-			fmt.Sprintf("%.3f", r.FilterOff.AllocsPerEvent),
-			fmt.Sprintf("%.1f", r.FilterOn.FilteredPct),
-			fmt.Sprintf("%.1f", r.AeroOn.NsPerEvent),
-			fmt.Sprintf("%.2fx", r.AeroSpeedup))
-	}
-}
-
-// Pipeline prints the parallel-pipeline scaling sweep from a
-// BENCH_pipeline.json report: one block per synthetic family, one row
-// per worker count, with the serial baseline above each block.
-func Pipeline(w io.Writer, rep *exper.PipelineReport) {
-	fmt.Fprintln(w, "Pipeline: decode → sharded filter → engine, vs the serial checker")
-	fmt.Fprintf(w, "(host: %d CPUs, GOMAXPROCS=%d, %s %s/%s; batch %d)\n",
-		rep.Host.NumCPU, rep.Host.GOMAXPROCS, rep.Host.GoVersion,
-		rep.Host.GOOS, rep.Host.GOARCH, rep.Batch)
-	fmt.Fprintln(w)
-	widths := []int{6, 9, 9, 12, 8, 9, 10}
-	for _, r := range rep.Rows {
-		fmt.Fprintf(w, "%s: %d events, %.1f%% filtered serially, serial %.1f ns/ev (%.2fM ev/s)\n",
-			r.Family, r.Events, r.FilteredPct,
-			r.SerialNsPerEvent, r.SerialEventsPerSec/1e6)
-		writeRow(w, widths, "", "workers", "ns/ev", "Mev/s", "speedup", "skipped%", "identical")
-		for _, c := range r.Cells {
-			writeRow(w, widths, "",
-				fmt.Sprintf("%d", c.Workers),
-				fmt.Sprintf("%.1f", c.NsPerEvent),
-				fmt.Sprintf("%.2f", c.EventsPerSec/1e6),
-				fmt.Sprintf("%.2fx", c.Speedup),
-				fmt.Sprintf("%.1f", c.SkippedPct),
-				fmt.Sprintf("%v", c.Identical))
-		}
-		fmt.Fprintln(w)
 	}
 }

@@ -65,20 +65,6 @@ func TestInjectRendering(t *testing.T) {
 	}
 }
 
-func TestReplayRendering(t *testing.T) {
-	rows := []exper.ReplayRow{{
-		Name: "tsp", Events: 3670, Empty: 2.0, Eraser: 37, Atomizer: 93, Velodrome: 106,
-	}}
-	var b strings.Builder
-	Replay(&b, rows)
-	out := b.String()
-	for _, want := range []string{"tsp", "3670", "(18.5x)", "(53.0x)"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestMethodDetail(t *testing.T) {
 	rows := []exper.Table2Row{{
 		Name:        "demo",

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -207,6 +208,112 @@ func TestServerTenantQuotaVerdicts(t *testing.T) {
 	}
 	if got := snap.Counters["velodromed_sessions_quota_rejected_total"]; got != 1 {
 		t.Errorf("daemon quota counter = %d, want 1", got)
+	}
+}
+
+// TestServerTenantQuotaConcurrentClients drives tenant quotas under
+// concurrent load: four closed-loop clients send 40 sessions, three in
+// four through the unlimited default tenant and one in four through a
+// tenant limited to one session per second. Every session must end ok or
+// quota-exceeded (never error, never shed: the daemon has spare slots),
+// rejects must land on the limited tenant only, the per-tenant counters
+// must account for every session sent and agree with what the clients
+// saw, and the buggy traces in the mix must still be found.
+func TestServerTenantQuotaConcurrentClients(t *testing.T) {
+	const sessions, clients = 40, 4
+	reg := obs.NewRegistry()
+	tens, err := NewTenants([]TenantConfig{
+		{Name: "tight", Key: "tight-key", RatePerSec: 1, Burst: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr, stop := startServer(t, Config{MaxSessions: 8, Metrics: reg, Tenants: tens})
+
+	bodies := [][]byte{encode(t, cleanTrace(), true), encode(t, buggyTrace(), true)}
+	verdicts := make([]*trace.SessionVerdict, sessions)
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				hdr := trace.SessionHeader{}
+				if i%4 == 3 {
+					hdr.Key = "tight-key"
+				}
+				v, err := CheckReader(addr, hdr, bytes.NewReader(bodies[i%2]))
+				if err != nil {
+					t.Errorf("session %d: %v", i, err)
+					continue
+				}
+				verdicts[i] = v
+			}
+		}()
+	}
+	for i := 0; i < sessions; i++ {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
+	stop()
+
+	// What the clients saw, by tenant.
+	ok := map[string]int64{}
+	rejected := map[string]int64{}
+	notSerializable := 0
+	for i, v := range verdicts {
+		if v == nil {
+			continue // transport error, already reported
+		}
+		name, wantLabel := DefaultTenant, ""
+		if i%4 == 3 {
+			name, wantLabel = "tight", "tight"
+		}
+		if v.Tenant != wantLabel {
+			t.Errorf("session %d: verdict tenant %q, want %q", i, v.Tenant, wantLabel)
+		}
+		switch {
+		case v.Status == trace.StatusOK:
+			ok[name]++
+			if !v.Serializable {
+				notSerializable++
+			}
+		case v.Status == trace.StatusBusy && v.Code == trace.CodeQuotaExceeded:
+			rejected[name]++
+		default:
+			t.Errorf("session %d: verdict %s/%s (%s), want ok or %s/%s",
+				i, v.Status, v.Code, v.Error, trace.StatusBusy, trace.CodeQuotaExceeded)
+		}
+	}
+	if rejected["tight"] == 0 {
+		t.Error("tight tenant (1/s, burst 1) sent 10 sessions and never hit its quota")
+	}
+	if rejected[DefaultTenant] != 0 {
+		t.Errorf("%d quota rejects on the unlimited default tenant", rejected[DefaultTenant])
+	}
+	if notSerializable == 0 {
+		t.Error("no verdict found the buggy trace's violation")
+	}
+
+	// What the daemon counted: the same numbers, and all 40 of them.
+	snap := reg.Snapshot()
+	var counted int64
+	for _, name := range []string{DefaultTenant, "tight"} {
+		admitted := snap.Counters[fmt.Sprintf("velodromed_tenant_sessions_total{tenant=%q}", name)]
+		quota := snap.Counters[fmt.Sprintf("velodromed_tenant_quota_rejected_total{tenant=%q}", name)]
+		if admitted != ok[name] || quota != rejected[name] {
+			t.Errorf("tenant %s: daemon counted %d admitted / %d quota-rejected, clients saw %d / %d",
+				name, admitted, quota, ok[name], rejected[name])
+		}
+		counted += admitted + quota
+	}
+	if counted != sessions {
+		t.Errorf("per-tenant counters account for %d sessions, sent %d", counted, sessions)
+	}
+	if got := snap.Counters["velodromed_sessions_quota_rejected_total"]; got != rejected["tight"] {
+		t.Errorf("daemon quota counter = %d, want %d", got, rejected["tight"])
 	}
 }
 
