@@ -79,7 +79,7 @@ func BenchmarkTable1Nodes(b *testing.B) {
 					rr.Run(rr.Options{Seed: 1, Backend: velo}, func(t *rr.Thread) {
 						w.Body(t, bench.Params{Scale: 2})
 					})
-					st := velo.Checker.Stats()
+					st := velo.Checker.Snapshot().Stats
 					allocated, maxAlive = st.Allocated, st.MaxAlive
 				}
 				b.ReportMetric(float64(allocated), "allocated")

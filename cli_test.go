@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -228,6 +229,25 @@ func TestCLIStatsJSONSnapshot(t *testing.T) {
 	if counters["rr_events_total"] == 0 {
 		t.Errorf("scheduler events should be counted: %v", counters)
 	}
+	if counters[`velodrome_stage_ops_total{stage="graph"}`] == 0 {
+		t.Errorf("an observed run publishes the engine's stage clock: %v", counters)
+	}
+	// The snapshot is a view of the same counters the human table prints.
+	out, code = runTool(t, "velodrome", "-workload", "multiset", "-stats")
+	if code != 0 {
+		t.Fatalf("exit %d:\n%s", code, out)
+	}
+	var gauges map[string]int64
+	if err := json.Unmarshal(last["gauges"], &gauges); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("graph: allocated=%d maxAlive=%d collected=%d merged=%d recycled=%d\nfilter: events=%d edgeMemoHits=%d\n",
+		counters["graph_nodes_allocated_total"], gauges["graph_nodes_max_alive"], counters["graph_nodes_collected_total"],
+		counters["graph_merges_total"], counters["graph_nodes_recycled_total"],
+		counters["core_events_filtered_total"], counters["graph_edges_memo_hits_total"])
+	if !strings.Contains(out, want) {
+		t.Errorf("-stats table does not match the -stats -json snapshot; want\n%sin\n%s", want, out)
+	}
 }
 
 // TestCLIMetricsServe runs a workload big enough to outlast an HTTP
@@ -268,11 +288,15 @@ func TestCLIMetricsServe(t *testing.T) {
 		if resp.StatusCode != 200 {
 			t.Fatalf("status %d", resp.StatusCode)
 		}
-		if strings.Contains(string(body), "# TYPE rr_sched_steps_total counter") {
+		// The engine's families are published at batch boundaries: a
+		// live node count and the sampled stage clock show mid-run.
+		if s := string(body); strings.Contains(s, "# TYPE rr_sched_steps_total counter") &&
+			strings.Contains(s, "\ngraph_nodes_alive ") && !strings.Contains(s, "\ngraph_nodes_alive 0\n") &&
+			strings.Contains(s, `velodrome_stage_ns_total{stage="graph"}`) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Errorf("rr_sched_steps_total never appeared; last exposition:\n%.500s", body)
+			t.Errorf("rr_sched_steps_total, a non-zero graph_nodes_alive and the graph stage clock never appeared together; last exposition:\n%.2000s", body)
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -525,10 +549,18 @@ func TestCLIVelodromedRoundTrip(t *testing.T) {
 	if code != 2 || !strings.Contains(out, "empty trace") {
 		t.Fatalf("empty stream via daemon: exit %d:\n%s", code, out)
 	}
-	// The basic engine is selectable per session.
+	// The engine is selectable per session — among the production
+	// engines: the Figure 2 reference engine stays a local -engine.
+	out, code = runTool(t, "tracecheck", "-server", addr, "-engine", "aerodrome", "testdata/setadd.txt")
+	if code != 1 || !strings.Contains(out, "checked by aerodrome") {
+		t.Fatalf("aerodrome engine via daemon: exit %d:\n%s", code, out)
+	}
 	out, code = runTool(t, "tracecheck", "-server", addr, "-engine", "basic", "testdata/setadd.txt")
-	if code != 1 || !strings.Contains(out, "checked by basic") {
+	if code != 2 || !strings.Contains(out, `unknown engine "basic"`) {
 		t.Fatalf("basic engine via daemon: exit %d:\n%s", code, out)
+	}
+	if out, code = runTool(t, "tracecheck", "-engine", "basic", "testdata/setadd.txt"); code != 1 {
+		t.Fatalf("basic engine locally: exit %d:\n%s", code, out)
 	}
 }
 
@@ -779,7 +811,7 @@ func TestCLIVeloinstrRunBankbug(t *testing.T) {
 	}
 	for _, want := range []string{
 		"NOT serializable",
-		"optimized, basic, aerodrome engines and serial oracle agree",
+		"optimized, aerodrome engines and serial oracle agree",
 		"withdrawAll",
 		"is not atomic",
 		"pruned",
@@ -799,7 +831,7 @@ func TestCLIVeloinstrRunFixed(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("bankfixed must be serializable; exit %d:\n%s", code, out)
 	}
-	if !strings.Contains(out, "serializable: optimized, basic, aerodrome engines agree, serial oracle confirms") {
+	if !strings.Contains(out, "serializable: optimized, aerodrome engines agree, serial oracle confirms") {
 		t.Errorf("missing agreement line:\n%s", out)
 	}
 }
@@ -912,9 +944,19 @@ func TestCLITracecheckTraceOut(t *testing.T) {
 			t.Errorf("trace missing %q nested under %q", nest[0], nest[1])
 		}
 	}
-	if out, code := runTool(t, "tracecheck", "-trace-out", outPath, "-server", "127.0.0.1:1", tracePath); code != 2 ||
-		!strings.Contains(out, "-trace-out only applies to local checking") {
-		t.Errorf("-trace-out with -server: exit %d:\n%s", code, out)
+	// What the daemon cannot honour is refused before anything is sent.
+	dotPath := filepath.Join(t.TempDir(), "out.dot")
+	for _, local := range [][]string{
+		{"-trace-out", outPath}, {"-nofilter"}, {"-dot", dotPath}, {"-obs-json"}, {"-parallel", "4"},
+	} {
+		args := append(append([]string{"tracecheck"}, local...), "-server", "127.0.0.1:1", tracePath)
+		if out, code := runTool(t, args[0], args[1:]...); code != 2 ||
+			!strings.Contains(out, local[0]+" only applies to local checking") {
+			t.Errorf("%s with -server: exit %d:\n%s", local[0], code, out)
+		}
+	}
+	if _, err := os.Stat(dotPath); err == nil {
+		t.Errorf("-dot with -server wrote %s", dotPath)
 	}
 }
 

@@ -48,7 +48,7 @@ func main() {
 	dotOut := flag.String("dot", "", "write error graphs (dot format) to this file")
 	engine := flag.String("engine", "optimized", "analysis engine: "+core.EngineNames())
 	quiet := flag.Bool("q", false, "suppress warning details")
-	obsJSON := flag.Bool("obs-json", false, "emit the full obs snapshot (per-kind latencies, graph stats) as JSON on stderr")
+	obsJSON := flag.Bool("obs-json", false, "emit the full obs snapshot (graph stats, warning and filter counts, stage times) as JSON on stderr")
 	noFilter := flag.Bool("nofilter", false, "disable the redundant-event fast path (Section 5 filtering)")
 	parallel := flag.Int("parallel", 1, "decode and filter with this many pipeline workers (local checking; >1 enables the staged pipeline)")
 	forensics := flag.Bool("forensics", false, "enable the event flight recorder (provenance reports on warnings)")
@@ -94,9 +94,19 @@ func main() {
 	}
 
 	if *serverAddr != "" {
-		if *traceOut != "" {
-			fmt.Fprintln(os.Stderr, "tracecheck: -trace-out only applies to local checking (the daemon traces sessions itself; see velodromed -trace-dir)")
-			os.Exit(2)
+		// A flag the daemon cannot honour is refused, not dropped: it
+		// traces, filters and meters sessions itself and sends no graphs.
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"-trace-out", *traceOut != ""}, {"-nofilter", *noFilter}, {"-dot", *dotOut != ""},
+			{"-obs-json", *obsJSON}, {"-parallel", *parallel > 1},
+		} {
+			if f.set {
+				fmt.Fprintf(os.Stderr, "tracecheck: %s only applies to local checking, not to -server (the daemon has its own -trace-dir, -parallel and /metrics)\n", f.name)
+				os.Exit(2)
+			}
 		}
 		// Client mode: stream the raw bytes to the daemon and relay its
 		// verdict, mapping statuses onto the local exit convention.
@@ -132,13 +142,14 @@ func main() {
 		os.Exit(v.ExitCode())
 	}
 
-	// The pipeline tracer (nil when -trace-out is unset, and then every
-	// span call below is an inert pointer test — the traced and untraced
-	// paths run the same code).
+	// The pipeline tracer (nil unless -trace-out or -obs-json is set, and
+	// then every span call below is an inert pointer test — the traced
+	// and untraced paths run the same code). -obs-json reads the stage
+	// accumulators of its buffer.
 	var tracer *span.Tracer
 	var sb *span.Buf
 	var root span.SpanID
-	if *traceOut != "" {
+	if *traceOut != "" || *obsJSON {
 		tracer = span.New()
 		sb = tracer.Buffer("tracecheck")
 		root = sb.Start("session", 0)
@@ -169,10 +180,6 @@ func main() {
 	}
 
 	opts := core.Options{Engine: einfo.Engine, NoFilter: *noFilter, Forensics: *forensics, Spans: sb}
-	reg := obs.NewRegistry()
-	if *obsJSON {
-		opts.Metrics = reg
-	}
 	stopProf, _, err := oflags.StartProfile()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracecheck:", err)
@@ -180,14 +187,17 @@ func main() {
 	}
 	// finish finalizes the profile, snapshot and pipeline trace before
 	// exiting, since os.Exit skips deferred calls.
+	var res *core.Result
 	finish := func(code int) {
 		if err := stopProf(); err != nil {
 			fmt.Fprintln(os.Stderr, "tracecheck: profile:", err)
 		}
 		if *obsJSON {
+			reg := obs.NewRegistry()
+			core.NewPublisher(reg, sb).Publish(res.Snapshot)
 			reg.Snapshot().WriteJSON(os.Stderr)
 		}
-		if tracer != nil {
+		if *traceOut != "" {
 			sb.End(root)
 			sb.Flush()
 			if err := tracer.WriteChromeFile(*traceOut); err != nil {
@@ -202,7 +212,6 @@ func main() {
 		os.Exit(code)
 	}
 	checkStart := tracer.Now()
-	var res *core.Result
 	if *parallel > 1 {
 		res = pipeline.CheckTrace(tr, opts, pipeline.Config{Workers: *parallel})
 	} else {

@@ -81,12 +81,11 @@ func main() {
 		return
 	}
 
-	// One registry observes the whole stack: the checker (per-kind step
-	// latencies, warnings), the happens-before graph (nodes, edges, GC)
-	// and the scheduler (steps, events, threads). A nil registry makes
-	// the engines skip the clock entirely, so it is attached only when
-	// the run is actually observed — an unobserved run costs exactly
-	// what it did before the instrumentation existed.
+	// One registry observes the whole stack: the checker's snapshot
+	// (warnings, filter hits, the happens-before graph's nodes, edges and
+	// GC) and stage clock, published at batch boundaries, and the
+	// scheduler (steps, events, threads). It exists only when the run is
+	// actually observed.
 	var reg *obs.Registry
 	if oflags.MetricsAddr != "" || oflags.Heartbeat > 0 || *stats {
 		reg = obs.NewRegistry()
@@ -114,17 +113,19 @@ func main() {
 		}
 	}()
 
-	// The pipeline tracer: inert (nil) without -trace-out, so the traced
-	// and untraced paths run identical code. The scheduler serializes
-	// backend calls, so one buffer serves the whole run.
+	// The pipeline tracer: inert (nil) unless the run is traced or
+	// observed (the engine's stage clock is what the registry's stage
+	// families are published from), so all paths run identical code. The
+	// scheduler serializes backend calls, so one buffer serves the whole
+	// run.
 	var tracer *span.Tracer
 	var sbuf *span.Buf
 	var root span.SpanID
-	if *traceOut != "" {
-		if *backend != "velodrome" {
-			fmt.Fprintln(os.Stderr, "velodrome: -trace-out requires -backend velodrome")
-			os.Exit(2)
-		}
+	if *traceOut != "" && *backend != "velodrome" {
+		fmt.Fprintln(os.Stderr, "velodrome: -trace-out requires -backend velodrome")
+		os.Exit(2)
+	}
+	if *traceOut != "" || reg != nil && *backend == "velodrome" {
 		tracer = span.New()
 		sbuf = tracer.Buffer("velodrome")
 		root = sbuf.Start("run", 0)
@@ -137,9 +138,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	copts := core.Options{Engine: einfo.Engine, NoMerge: *noMerge, NoFilter: *noFilter, Metrics: reg, Forensics: *forensics, Spans: sbuf}
+	copts := core.Options{Engine: einfo.Engine, NoMerge: *noMerge, NoFilter: *noFilter, Forensics: *forensics, Spans: sbuf}
 	var be rr.Backend
 	var velo *rr.Velodrome
+	publish := func() {} // an observed velodrome run: the checker's snapshot to the registry
 	pipelined := *parallel > 1 && *backend == "velodrome"
 	switch *backend {
 	case "velodrome":
@@ -152,6 +154,11 @@ func main() {
 		} else {
 			velo = rr.NewVelodrome(copts)
 			be = velo
+		}
+		if reg != nil {
+			pub := core.NewPublisher(reg, sbuf)
+			publish = func() { pub.Publish(velo.Checker.Snapshot()) }
+			velo.Batch = publish
 		}
 	case "atomizer":
 		be = rr.NewAtomizer()
@@ -177,8 +184,8 @@ func main() {
 	}
 	if oflags.Heartbeat > 0 {
 		events := reg.Counter("rr_events_total")
-		alive := reg.Gauge("graph_nodes_alive")
-		warns := reg.Counter("velodrome_warnings_total")
+		alive := reg.Gauge(core.MetricNodesAlive)
+		warns := reg.Counter(core.MetricWarnings)
 		rate := obs.NewRate(time.Now())
 		stopHB := obs.StartHeartbeat(os.Stderr, oflags.Heartbeat, func() string {
 			ev := events.Value()
@@ -193,13 +200,17 @@ func main() {
 	})
 	if pipelined {
 		pipeline.CheckTrace(rep.Trace, copts, pipeline.Config{
-			Workers:  *parallel,
-			Tracer:   tracer,
-			Observer: &core.Observer{Checker: func(c core.Checker) { velo.Checker = c }},
+			Workers: *parallel,
+			Tracer:  tracer,
+			Observer: &core.Observer{
+				Checker: func(c core.Checker) { velo.Checker = c },
+				Batch:   func(int, int) { publish() },
+			},
 		})
 		be = velo
 	}
-	if sbuf != nil {
+	publish() // the end-of-run values
+	if *traceOut != "" {
 		// rr.Run has returned, so every backend Step (and its AddStage
 		// bookkeeping) is sequenced before this point.
 		now := tracer.Now()
@@ -282,11 +293,12 @@ func main() {
 			}
 		}
 		if *stats {
-			st := b.Checker.Stats()
+			snap := b.Checker.Snapshot()
+			st := snap.Stats
 			fmt.Printf("graph: allocated=%d maxAlive=%d collected=%d merged=%d recycled=%d\n",
 				st.Allocated, st.MaxAlive, st.Collected, st.Merged, st.Recycled)
 			fmt.Printf("filter: events=%d edgeMemoHits=%d\n",
-				b.Checker.Filtered(), st.FilteredEdges)
+				snap.Filtered, st.FilteredEdges)
 		}
 		if *dotOut != "" {
 			var firsts []*core.Warning

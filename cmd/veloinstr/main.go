@@ -85,12 +85,13 @@ func run() int {
 	}
 	dir := flag.Arg(0)
 
-	// The pipeline tracer: inert (nil) without -trace-out, so both paths
-	// run the same code.
+	// The pipeline tracer: inert (nil) without -trace-out or -obs-json
+	// (which reads its buffer's stage accumulators), so all paths run the
+	// same code.
 	var tracer *span.Tracer
 	var sb *span.Buf
 	var root span.SpanID
-	if *spanOut != "" {
+	if *spanOut != "" || *obsJSON {
 		tracer = span.New()
 		sb = tracer.Buffer("veloinstr")
 		root = sb.Start("run", 0)
@@ -162,7 +163,7 @@ func run() int {
 	}
 
 	// -run: materialize, execute with the trace on an inherited pipe,
-	// and stream the events through both engines as they arrive.
+	// collect it, and run the production engines and the oracle over it.
 	runDir := *outDir
 	if runDir == "" {
 		tmp, err := os.MkdirTemp("", "veloinstr-*")
@@ -227,17 +228,18 @@ func run() int {
 		}
 	}
 
-	// Every registered engine walks the same trace; the offline oracle
-	// arbitrates. The optimized run carries the span/metrics hooks (it
-	// is the production engine whose pipeline the timeline is for).
+	// Every production engine walks the same trace (the Figure 2
+	// reference engine is the test suites' business); the offline oracle
+	// arbitrates. The optimized run carries the span hook (it is the
+	// engine whose pipeline the timeline and the snapshot are for).
 	results := make(map[string]*core.Result, len(core.Engines()))
 	for _, info := range core.Engines() {
+		if info.Reference {
+			continue
+		}
 		eopts := core.Options{Engine: info.Engine}
 		if info.Engine == core.Optimized {
 			eopts.Spans = sb
-			if *obsJSON {
-				eopts.Metrics = reg
-			}
 		}
 		engStart := tracer.Now()
 		if *parallel > 1 {
@@ -258,7 +260,7 @@ func run() int {
 	oracleStart := tracer.Now()
 	offline, _ := serial.Check(tr)
 	sb.Emit("oracle", root, oracleStart, tracer.Now())
-	if tracer != nil {
+	if *spanOut != "" {
 		sb.End(root)
 		sb.Flush()
 		if err := tracer.WriteChromeFile(*spanOut); err != nil {
@@ -270,6 +272,7 @@ func run() int {
 
 	reg.Counter("instr_trace_ops").Add(int64(len(tr)))
 	if *obsJSON {
+		core.NewPublisher(reg, sb).Publish(optimized.Snapshot)
 		defer reg.Snapshot().WriteJSON(os.Stderr)
 	}
 
@@ -288,11 +291,11 @@ func run() int {
 		}
 	}
 	if optimized.Serializable {
-		fmt.Printf("serializable: %s engines agree, serial oracle confirms\n", core.EngineNames())
+		fmt.Printf("serializable: %s engines agree, serial oracle confirms\n", core.ProductionEngineNames())
 		return 0
 	}
 	fmt.Printf("NOT serializable: %d warnings (optimized); %s engines and serial oracle agree\n",
-		len(optimized.Warnings), core.EngineNames())
+		len(optimized.Warnings), core.ProductionEngineNames())
 	for _, w := range optimized.Warnings {
 		fmt.Println(w)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/rr"
 )
 
@@ -21,10 +20,8 @@ func TestAeroSubscriberPeakBounded(t *testing.T) {
 		rep := rr.Run(rr.Options{Seed: 1, Record: true}, func(th *rr.Thread) {
 			bench.ByName("raja").Body(th, bench.Params{Scale: scale})
 		})
-		reg := obs.NewRegistry()
-		res := core.CheckTrace(rep.Trace, core.Options{Engine: core.Aero, Metrics: reg})
-		peak := reg.Snapshot().Gauges["core_aero_subscribers_peak"]
-		if peak > bound {
+		res := core.CheckTrace(rep.Trace, core.Options{Engine: core.Aero})
+		if peak := res.AeroSubsPeak; peak > bound {
 			t.Errorf("scale %d (%d ops): subscriber peak %d exceeds bound %d",
 				scale, len(rep.Trace), peak, bound)
 		}

@@ -265,10 +265,10 @@ func (c *aeroChecker) addDepth(t trace.Tid, delta int32) {
 
 // Step implements Checker.
 func (c *aeroChecker) Step(op trace.Op) *Warning {
-	if c.met == nil && c.opts.Spans == nil || !c.sampled() {
+	if c.opts.Spans == nil || !c.sampled() {
 		return c.step(op)
 	}
-	return c.timed(op, func() *Warning { return c.step(op) })
+	return c.timed(func() *Warning { return c.step(op) })
 }
 
 // SkipFiltered implements Checker: it consumes op as a filter hit
@@ -280,16 +280,16 @@ func (c *aeroChecker) SkipFiltered(op trace.Op) bool {
 	if c.done || c.opts.NoFilter {
 		return false
 	}
-	if c.met == nil && c.opts.Spans == nil || !c.sampled() {
+	if c.opts.Spans == nil || !c.sampled() {
 		c.skipFiltered()
 		return true
 	}
-	c.timed(op, func() *Warning { c.skipFiltered(); return nil })
+	c.timed(func() *Warning { c.skipFiltered(); return nil })
 	return true
 }
 
 func (c *aeroChecker) skipFiltered() {
-	c.filterHit()
+	c.snap.Filtered++
 	c.idx++
 }
 
@@ -367,7 +367,7 @@ func (c *aeroChecker) step1(op trace.Op) *Warning {
 	}
 
 	if !c.opts.NoFilter && c.filterAero(op) {
-		c.filterHit()
+		c.snap.Filtered++
 		return nil
 	}
 	if inside {
@@ -421,9 +421,7 @@ func (c *aeroChecker) subscribe(src, sub *aeroObj) {
 	}
 	src.subs = append(src.subs, sub)
 	sub.ups++
-	if c.met != nil {
-		c.met.aeroSubsPeak.SetMax(int64(len(src.subs)))
-	}
+	c.snap.AeroSubsPeak = max(c.snap.AeroSubsPeak, len(src.subs))
 }
 
 // freeze finalizes an object whose clock can no longer change (inactive

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/rr"
 	"repro/internal/trace"
 )
@@ -50,21 +49,20 @@ func TestDenseAllocBudget(t *testing.T) {
 	corpus := denseCorpus(t)
 	for eng, perCheck := range perCheckAllocs {
 		name := core.InfoFor(eng).Name
-		// A metered pass counts what the budget is made of.
-		reg := obs.NewRegistry()
-		var events, warnings, refuted, txns int
+		// A first pass counts what the budget is made of.
+		var events, warnings, refuted, txns, cycles int
 		for _, tr := range corpus {
-			res := core.CheckTrace(tr, core.Options{Engine: eng, Metrics: reg})
+			res := core.CheckTrace(tr, core.Options{Engine: eng})
 			events += len(tr)
 			warnings += len(res.Warnings)
 			txns += res.Stats.Allocated
+			cycles += res.Stats.CyclesDetected
 			for _, w := range res.Warnings {
 				if len(w.Refuted) > 0 {
 					refuted++
 				}
 			}
 		}
-		cycles := int(reg.Counter("graph_cycles_detected_total").Value())
 		got := testing.AllocsPerRun(3, func() {
 			for _, tr := range corpus {
 				core.CheckTrace(tr, core.Options{Engine: eng})

@@ -70,10 +70,10 @@ func (c *basicChecker) checkedDepth(t trace.Tid) int {
 
 // Step implements Checker.
 func (c *basicChecker) Step(op trace.Op) *Warning {
-	if c.met == nil && c.opts.Spans == nil || !c.sampled() {
+	if c.opts.Spans == nil || !c.sampled() {
 		return c.step(op)
 	}
-	return c.timed(op, func() *Warning { return c.step(op) })
+	return c.timed(func() *Warning { return c.step(op) })
 }
 
 // SkipFiltered implements Checker: it consumes op as a filter hit
@@ -86,17 +86,17 @@ func (c *basicChecker) SkipFiltered(op trace.Op) bool {
 	if c.done || c.opts.NoFilter {
 		return false
 	}
-	if c.met == nil && c.opts.Spans == nil || !c.sampled() {
+	if c.opts.Spans == nil || !c.sampled() {
 		c.skipFiltered(op)
 		return true
 	}
-	c.timed(op, func() *Warning { c.skipFiltered(op); return nil })
+	c.timed(func() *Warning { c.skipFiltered(op); return nil })
 	return true
 }
 
 func (c *basicChecker) skipFiltered(op trace.Op) {
 	c.noteOp(op)
-	c.filterHit()
+	c.snap.Filtered++
 	c.idx++
 }
 
@@ -145,7 +145,7 @@ func (c *basicChecker) step1(op trace.Op) *Warning {
 	}
 	if c.checkedDepth(t) > 0 {
 		if !c.opts.NoFilter && c.filterInside(op) {
-			c.filterHit()
+			c.snap.Filtered++
 			return nil
 		}
 		return c.action(op)

@@ -2,14 +2,16 @@
 // (Flanagan, Freund, Yi — PLDI 2008): a sound and complete online checker
 // for conflict-serializability of observed traces.
 //
-// Two engines are provided. The Basic engine is the initial analysis of
-// Figure 2 (one graph node per transaction, non-transactional operations
-// wrapped in unary transactions via [INS OUTSIDE]). The Optimized engine is
-// the refined analysis of Figure 4: steps with per-operation timestamps,
-// nested atomic blocks, reference-counting garbage collection, node
-// merging for non-transactional operations, and blame assignment via
-// increasing cycles. Both engines report a warning if and only if the
-// observed trace is not conflict-serializable.
+// Three engines are registered (registry.go). The Basic engine is the
+// initial analysis of Figure 2 (one graph node per transaction,
+// non-transactional operations wrapped in unary transactions via [INS
+// OUTSIDE]). The Optimized engine is the refined analysis of Figure 4:
+// steps with per-operation timestamps, nested atomic blocks,
+// reference-counting garbage collection, node merging for
+// non-transactional operations, and blame assignment via increasing
+// cycles. The Aero engine checks with vector clocks and no graph, and
+// stops at the first violation. Every engine reports a warning if and
+// only if the observed trace is not conflict-serializable.
 package core
 
 import (
@@ -18,7 +20,6 @@ import (
 
 	"repro/internal/forensic"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/span"
 	"repro/internal/trace"
 )
@@ -73,26 +74,17 @@ type Options struct {
 	// behind every cycle edge. Off by default: the default path stays
 	// zero-overhead and verdicts are identical either way.
 	Forensics bool
-	// ForensicWindow is the per-thread flight-recorder depth
-	// (forensic.DefaultWindow when 0). Ignored unless Forensics is set.
-	ForensicWindow int
-	// Metrics, when non-nil, instruments the checker on the named
-	// registry: per-operation-kind step latency histograms and event
-	// counters, warning/blame outcome counters, and the underlying
-	// graph's allocation gauges (see internal/obs). Nil disables all
-	// instrumentation, including the timing calls on the hot path.
-	Metrics *obs.Registry
 	// Spans, when non-nil, receives the checker's stage accounting (see
 	// internal/span): the exact time of every forensics report, a marker
 	// span per warning, and an estimate of the time in the redundancy
 	// filter and in graph work from timing a sample of the operations
-	// (sample.go; hit counts are within one stride of the operations seen,
-	// and exact when Metrics is set too). The buffer must be owned by the
-	// goroutine calling Step. Nil — the default — keeps the hot path free
-	// of clock reads and of the sampling counter, exactly like a nil
-	// Metrics registry; spans never read or write engine state, so
-	// verdicts, warning positions and blame are bit-identical with
-	// tracing on or off.
+	// (sample.go; hit counts are within one stride of the operations
+	// seen). It is the engines' only instrument: everything else an
+	// observer sees is a Snapshot of their plain counters. The buffer
+	// must be owned by the goroutine calling Step. Nil — the default —
+	// keeps the hot path free of clock reads and of the sampling counter;
+	// spans never read or write engine state, so verdicts, warning
+	// positions and blame are bit-identical with tracing on or off.
 	Spans *span.Buf
 	// Ignore names atomic blocks exempted from checking (the paper's
 	// atomicity specification, Section 5: the tool takes "a specification
@@ -204,11 +196,8 @@ type Checker interface {
 	Step(op trace.Op) *Warning
 	// Warnings returns all warnings reported so far.
 	Warnings() []*Warning
-	// Stats returns node-allocation statistics of the underlying graph.
-	Stats() graph.Stats
-	// Filtered returns the number of operations discarded by the
-	// redundant-event fast path (always 0 under Options.NoFilter).
-	Filtered() int64
+	// Snapshot returns the engine's counters as of the last Step.
+	Snapshot() Snapshot
 	// Graph exposes the underlying happens-before graph (for tools).
 	Graph() *graph.Graph
 	// SkipFiltered consumes op as a filter hit decided by an external
@@ -231,16 +220,11 @@ func New(opts Options) Checker {
 	g := graph.New()
 	g.SetGC(!opts.NoGC)
 	g.SetMemo(!opts.NoFilter)
-	var met *checkerMetrics
-	if opts.Metrics != nil {
-		g.SetMetrics(opts.Metrics)
-		met = newCheckerMetrics(opts.Metrics)
-	}
 	var rec *forensic.Recorder
 	if opts.Forensics && InfoFor(opts.Engine).SupportsForensics {
-		rec = forensic.NewRecorder(opts.ForensicWindow)
+		rec = forensic.NewRecorder(forensic.DefaultWindow)
 	}
-	cm := common{g: g, opts: opts, met: met, rec: rec, sampler: sampler{rng: sampleSeed}}
+	cm := common{g: g, opts: opts, rec: rec, sampler: sampler{rng: sampleSeed}}
 	switch opts.Engine {
 	case Basic:
 		return &basicChecker{common: cm}
@@ -250,15 +234,39 @@ func New(opts Options) Checker {
 	return &optChecker{common: cm}
 }
 
+// Snapshot is an engine's plain counters at one moment: what every
+// observer — a metrics registry (Publisher), the daemon's /debug/velo
+// and session records, a Result — is a view of. Taking one reads no
+// clock and is meant for batch boundaries, not for every operation.
+type Snapshot struct {
+	// Stats is the happens-before graph's accounting (all zero for the
+	// Aero engine, which builds no graph).
+	Stats graph.Stats
+	// Filtered counts operations discarded by the redundant-event fast
+	// path (Section 5; always 0 under Options.NoFilter).
+	// Stats.FilteredEdges separately counts edge re-insertions served by
+	// the graph's last-edge memo.
+	Filtered int64
+	// Warnings counts the cycles reported — every one, where
+	// Checker.Warnings keeps at most Options.MaxWarnings — Increasing
+	// those whose cycle was increasing, Blamed those with blame assigned
+	// (Section 4.3), and Refuted the atomic-block labels refuted across
+	// them.
+	Warnings, Increasing, Blamed, Refuted int
+	// AeroSubsPeak is the longest subscriber list any AeroDrome clock
+	// object reached — the quantity the freeze cascade bounds on
+	// join-dominated traces. Stays 0 on the graph engines.
+	AeroSubsPeak int
+}
+
 // Result is the outcome of checking a complete trace.
 type Result struct {
 	Serializable bool
-	Warnings     []*Warning
-	Stats        graph.Stats
-	// Filtered counts operations discarded by the redundant-event fast
-	// path (Section 5); Stats.FilteredEdges separately counts edge
-	// re-insertions served by the graph's last-edge memo.
-	Filtered int64
+	// Warnings are the recorded warnings; it shadows the embedded
+	// Snapshot's count of the same name, which MaxWarnings does not cap.
+	Warnings []*Warning
+	// Snapshot is the engine's final counters (Stats, Filtered, …).
+	Snapshot
 	// Skipped counts operations the driver consumed through
 	// Checker.SkipFiltered on an honoured prefilter mark — the share of
 	// the trace the engine never ran its own filter on. It is driver
@@ -267,16 +275,15 @@ type Result struct {
 	Skipped int64
 }
 
-// common holds state shared by both engines.
+// common holds state shared by every engine.
 type common struct {
-	g        *graph.Graph
-	opts     Options
-	met      *checkerMetrics    // nil when Options.Metrics is nil
-	rec      *forensic.Recorder // nil when Options.Forensics is off
-	warns    []*Warning
-	idx      int // index of the operation being processed
-	filtered int64
-	done     bool
+	g     *graph.Graph
+	opts  Options
+	rec   *forensic.Recorder // nil when Options.Forensics is off
+	warns []*Warning
+	idx   int      // index of the operation being processed
+	snap  Snapshot // all but Stats, which Snapshot reads off the graph
+	done  bool
 
 	sampler
 }
@@ -284,20 +291,17 @@ type common struct {
 // Warnings implements Checker.
 func (c *common) Warnings() []*Warning { return c.warns }
 
-// Stats implements Checker.
-func (c *common) Stats() graph.Stats { return c.g.Stats() }
-
-// Filtered implements Checker.
-func (c *common) Filtered() int64 { return c.filtered }
-
-// filterHit counts one operation discarded by the redundant-event fast
-// path.
-func (c *common) filterHit() {
-	c.filtered++
-	if c.met != nil {
-		c.met.filtered.Inc()
-	}
+// Snapshot implements Checker.
+func (c *common) Snapshot() Snapshot {
+	s := c.snap
+	s.Stats = c.g.Stats()
+	return s
 }
+
+// filterCount is the driver's view of the filter counter: on the marked
+// path it reads it around every Step, where copying a Snapshot would
+// cost as much as the step.
+func (c *common) filterCount() *int64 { return &c.snap.Filtered }
 
 // Graph implements Checker.
 func (c *common) Graph() *graph.Graph { return c.g }
@@ -323,6 +327,14 @@ func (c *common) record(w *Warning) *Warning {
 		}
 		b.End(id)
 	}
+	c.snap.Warnings++
+	if w.Increasing {
+		c.snap.Increasing++
+	}
+	if w.Blamed != nil {
+		c.snap.Blamed++
+	}
+	c.snap.Refuted += len(w.Refuted)
 	if len(c.warns) < c.opts.MaxWarnings {
 		c.warns = append(c.warns, w)
 	}

@@ -149,6 +149,7 @@ func drive(src Source, opts Options, obs *Observer) (*Result, int, error) {
 	// skipping. Any other mark falls back to a full Step, which re-runs
 	// the serial filter against identical state.
 	var anchors []anchorRec
+	filtered := c.(interface{ filterCount() *int64 }).filterCount()
 	n, skipped := 0, 0
 	for {
 		b, err := src()
@@ -161,14 +162,14 @@ func drive(src Source, opts Options, obs *Observer) (*Result, int, error) {
 						continue
 					}
 				}
-				filtered := c.Filtered()
+				before := *filtered
 				w := c.Step(op)
 				if (op.Kind == trace.Read || op.Kind == trace.Write) &&
 					op.Target >= 0 && op.Target < PrefilterVarLimit {
 					for int(op.Target) >= len(anchors) {
 						anchors = append(anchors, anchorRec{idx: -1})
 					}
-					anchors[op.Target] = anchorRec{idx: n + i, filtered: c.Filtered() > filtered}
+					anchors[op.Target] = anchorRec{idx: n + i, filtered: *filtered > before}
 				}
 				if w != nil && obs.Warning != nil {
 					obs.Warning(w)
@@ -193,8 +194,7 @@ func drive(src Source, opts Options, obs *Observer) (*Result, int, error) {
 			return &Result{
 				Serializable: len(c.Warnings()) == 0,
 				Warnings:     c.Warnings(),
-				Stats:        c.Stats(),
-				Filtered:     c.Filtered(),
+				Snapshot:     c.Snapshot(),
 				Skipped:      int64(skipped),
 			}, n, err
 		}

@@ -42,7 +42,7 @@ func ExampleNew() {
 		}
 	}
 	fmt.Println("warnings:", len(c.Warnings()))
-	fmt.Println("nodes allocated:", c.Stats().Allocated)
+	fmt.Println("nodes allocated:", c.Snapshot().Stats.Allocated)
 	// Output:
 	// warnings: 0
 	// nodes allocated: 1

@@ -193,14 +193,14 @@ func TestFilteredAccessAddsNothing(t *testing.T) {
 	c := New(Options{})
 	c.Step(trace.Beg(t1, "m"))
 	c.Step(trace.Rd(t1, x)) // first read: performs graph work
-	before := c.Stats()
-	if got := c.Filtered(); got != 0 {
+	before := c.Snapshot().Stats
+	if got := c.Snapshot().Filtered; got != 0 {
 		t.Fatalf("unexpected filtering before the repeat: %d", got)
 	}
 	c.Step(trace.Rd(t1, x)) // repeat: must be discarded
-	after := c.Stats()
-	if got := c.Filtered(); got != 1 {
-		t.Fatalf("repeat read not filtered: Filtered()=%d", got)
+	after := c.Snapshot().Stats
+	if got := c.Snapshot().Filtered; got != 1 {
+		t.Fatalf("repeat read not filtered: Filtered=%d", got)
 	}
 	if after.Allocated != before.Allocated {
 		t.Fatalf("filtered access allocated a node: %d -> %d", before.Allocated, after.Allocated)
@@ -212,10 +212,10 @@ func TestFilteredAccessAddsNothing(t *testing.T) {
 	// Same check through the decision cache: a third repeat hits the
 	// memoized validation and must be equally invisible.
 	c.Step(trace.Rd(t1, x))
-	if got := c.Filtered(); got != 2 {
-		t.Fatalf("cached repeat not filtered: Filtered()=%d", got)
+	if got := c.Snapshot().Filtered; got != 2 {
+		t.Fatalf("cached repeat not filtered: Filtered=%d", got)
 	}
-	final := c.Stats()
+	final := c.Snapshot().Stats
 	if final.Allocated != before.Allocated || final.Edges != before.Edges {
 		t.Fatalf("cached filtered access changed the graph: %+v -> %+v", before, final)
 	}

@@ -1,6 +1,6 @@
 package core
 
-// Forensics support shared by both engines: provenance construction for
+// Forensics support shared by the graph engines: provenance construction for
 // happens-before edges and the assembly of a warning's provenance report
 // from the detected cycle plus the flight recorder. Everything here runs
 // only under Options.Forensics; the rec == nil path never reaches it.

@@ -180,24 +180,3 @@ func TestForensicsReportJSON(t *testing.T) {
 		t.Errorf("round trip changed report:\n%s\n%s", d1, d2)
 	}
 }
-
-// TestForensicWindowOption: the configured window bounds each thread's
-// retained history.
-func TestForensicWindowOption(t *testing.T) {
-	x := trace.Var(0)
-	var tr trace.Trace
-	tr = append(tr, trace.Beg(1, "a"), trace.Rd(1, x))
-	for i := 0; i < 50; i++ {
-		tr = append(tr, trace.Wr(2, x))
-	}
-	tr = append(tr, trace.Wr(1, x), trace.Fin(1))
-	r := CheckTrace(tr, Options{Forensics: true, ForensicWindow: 4})
-	if len(r.Warnings) == 0 {
-		t.Fatal("no warnings")
-	}
-	for _, tw := range r.Warnings[0].Forensics().Threads {
-		if len(tw.Ops) > 4 {
-			t.Errorf("thread t%d window has %d ops, want ≤ 4", tw.Thread, len(tw.Ops))
-		}
-	}
-}

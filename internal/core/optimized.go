@@ -71,10 +71,10 @@ func (c *optChecker) addDepth(t trace.Tid, delta int32) {
 
 // Step implements Checker.
 func (c *optChecker) Step(op trace.Op) *Warning {
-	if c.met == nil && c.opts.Spans == nil || !c.sampled() {
+	if c.opts.Spans == nil || !c.sampled() {
 		return c.step(op)
 	}
-	return c.timed(op, func() *Warning { return c.step(op) })
+	return c.timed(func() *Warning { return c.step(op) })
 }
 
 // SkipFiltered implements Checker: it consumes op as a filter hit
@@ -88,18 +88,18 @@ func (c *optChecker) SkipFiltered(op trace.Op) bool {
 	if c.done || c.opts.NoFilter {
 		return false
 	}
-	if c.met == nil && c.opts.Spans == nil || !c.sampled() {
+	if c.opts.Spans == nil || !c.sampled() {
 		c.skipFiltered(op)
 		return true
 	}
-	c.timed(op, func() *Warning { c.skipFiltered(op); return nil })
+	c.timed(func() *Warning { c.skipFiltered(op); return nil })
 	return true
 }
 
 func (c *optChecker) skipFiltered(op trace.Op) {
 	c.noteOp(op)
 	c.cacheStore(op)
-	c.filterHit()
+	c.snap.Filtered++
 	c.idx++
 }
 
@@ -200,12 +200,12 @@ func (c *optChecker) step1(op trace.Op) *Warning {
 	if inside {
 		if !c.opts.NoFilter {
 			if c.filterFast(op) {
-				c.filterHit()
+				c.snap.Filtered++
 				return nil
 			}
 			if c.filterInside(op) {
 				c.cacheStore(op)
-				c.filterHit()
+				c.snap.Filtered++
 				return nil
 			}
 		}
@@ -232,7 +232,7 @@ func (c *optChecker) step1(op trace.Op) *Warning {
 	}
 	if !c.opts.NoFilter {
 		if c.filterFast(op) {
-			c.filterHit()
+			c.snap.Filtered++
 			return nil
 		}
 		if c.filterOutside(op) {
@@ -240,7 +240,7 @@ func (c *optChecker) step1(op trace.Op) *Warning {
 			// provenance tables must advance with them.
 			c.access(op)
 			c.cacheStore(op)
-			c.filterHit()
+			c.snap.Filtered++
 			return nil
 		}
 	}

@@ -31,6 +31,11 @@ type EngineInfo struct {
 	// sharded mark stage ahead of this engine. Engines without it fall
 	// back to the plain serial loop inside the pipeline.
 	SupportsPrefilter bool
+	// Reference: the engine is a reproduction artifact kept as the
+	// differential reference (tests, velobench, the benchmark's
+	// reference check, and every CLI -engine flag), not a production
+	// engine: the daemon refuses it and veloinstr -run leaves it out.
+	Reference bool
 }
 
 // engines is the registry, in display order. Optimized first: it is the
@@ -55,6 +60,7 @@ var engines = []EngineInfo{
 		SupportsForensics:    true,
 		SupportsGraph:        true,
 		SupportsPrefilter:    true,
+		Reference:            true,
 	},
 	{
 		Engine:               Aero,
@@ -106,10 +112,18 @@ func EngineByName(name string) (EngineInfo, bool) {
 
 // EngineNames returns the canonical names joined for usage and error
 // strings: "optimized, basic, aerodrome".
-func EngineNames() string {
-	names := make([]string, len(engines))
-	for i, info := range engines {
-		names[i] = info.Name
+func EngineNames() string { return joinNames(true) }
+
+// ProductionEngineNames is EngineNames without the reference engines:
+// what velodromed accepts and veloinstr -run runs.
+func ProductionEngineNames() string { return joinNames(false) }
+
+func joinNames(reference bool) string {
+	var names []string
+	for _, info := range engines {
+		if reference || !info.Reference {
+			names = append(names, info.Name)
+		}
 	}
 	return strings.Join(names, ", ")
 }

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"repro/internal/span"
-	"repro/internal/trace"
-)
+import "repro/internal/span"
 
 // Stage timing. A step is ~20 ns and a pair of clock reads ~75, so a
 // checker with Options.Spans set times a sample of its operations: every
@@ -23,7 +18,7 @@ const (
 	outlierCap      = 64 // bound on one stride-scaled reading, in multiples of its stage's mean
 )
 
-// sampler is a checker's sampling state, live only with metrics or spans.
+// sampler is a checker's sampling state, live only with Options.Spans.
 type sampler struct {
 	seen    int64  // operations offered to Step and SkipFiltered so far
 	timeAt  int64  // index of the next operation to time
@@ -38,7 +33,7 @@ type sampler struct {
 // the whole cost of tracing an operation that is not.
 func (c *common) sampled() bool {
 	c.seen++
-	return c.seen > c.timeAt || c.met != nil
+	return c.seen > c.timeAt
 }
 
 // schedule picks the operation to time after the one just timed and
@@ -57,36 +52,26 @@ func (s *sampler) schedule() int64 {
 	return sampleStride
 }
 
-// timed runs one operation between two clock reads and books it: to the
-// per-kind histogram when metrics are on (every operation is timed then,
-// and stands for itself), and to the filter or graph stage, by whether it
-// was a filter hit, net of the clock's own cost and of the forensics
-// assembly record booked during the call, scaled by what it stands for.
-func (c *common) timed(op trace.Op, step func() *Warning) *Warning {
+// timed runs one sampled operation between two clock reads and books it
+// to the filter or graph stage, by whether it was a filter hit, net of the
+// clock's own cost and of the forensics assembly record booked during the
+// call, scaled by what it stands for.
+func (c *common) timed(step func() *Warning) *Warning {
 	b := c.opts.Spans
-	if b != nil && c.timings%recalEvery == 0 {
+	if c.timings%recalEvery == 0 {
 		c.clockNs = span.ClockPairNs()
 	}
 	c.timings++
-	filteredBefore, forensicsBefore := c.filtered, b.StageNs(span.StageForensics)
+	filteredBefore, forensicsBefore := c.snap.Filtered, b.StageNs(span.StageForensics)
 	start := span.Nanotime()
 	w := step()
 	end := span.Nanotime()
-	if c.met != nil {
-		c.met.observe(op, w, time.Duration(end-start))
-	}
-	if b == nil {
-		return w
-	}
-	hits := int64(1)
-	if c.met == nil {
-		hits = c.schedule()
-	}
+	hits := c.schedule()
 	if c.timings == 1 {
 		c.began = start
 	}
 	stage := span.StageGraph
-	if c.filtered != filteredBefore {
+	if c.snap.Filtered != filteredBefore {
 		stage = span.StageFilter
 	}
 	ns := end - start - c.clockNs - (b.StageNs(span.StageForensics) - forensicsBefore)

@@ -1,11 +1,14 @@
 package core_test
 
 import (
+	"io"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/pipeline"
 	"repro/internal/span"
 	"repro/internal/trace"
 )
@@ -122,17 +125,42 @@ func TestSamplerDoesNotAlias(t *testing.T) {
 	}
 }
 
-// TestSamplerOverheadGuard is (d): tracing must stay a sampling cost. A
-// clock read on every operation — what Options.Spans cost before the
-// engines sampled — is 6.6x on this trace. The two sides alternate, so a
-// slow spell of the host falls on both, and the fastest of five is
-// judged.
+// observed checks tr the way an observed run does — a span buffer
+// attached, the engine's snapshot published to a registry after every
+// batch of the drivers' size — and returns the wall time of the call.
+func observed(tr trace.Trace) time.Duration {
+	const batch = pipeline.DefaultBatch
+	sb := span.New().Buffer("engine")
+	pub := core.NewPublisher(obs.NewRegistry(), sb)
+	src := func() (core.Batch, error) {
+		if len(tr) <= batch {
+			return core.Batch{Ops: tr}, io.EOF
+		}
+		b := core.Batch{Ops: tr[:batch]}
+		tr = tr[batch:]
+		return b, nil
+	}
+	var c core.Checker
+	t0 := time.Now()
+	core.Check(src, core.Options{Spans: sb}, &core.Observer{
+		Checker: func(ck core.Checker) { c = ck },
+		Batch:   func(int, int) { pub.Publish(c.Snapshot()) },
+	})
+	return time.Since(t0)
+}
+
+// TestSamplerOverheadGuard is (d): tracing, and being observed, must stay
+// a sampling cost. A clock read on every operation — what Options.Spans
+// cost before the engines sampled, and what a metrics registry cost while
+// the engines timed every operation for it — is 6.6x to 7.7x on this
+// trace. The sides alternate, so a slow spell of the host falls on all,
+// and the fastest of five is judged.
 func TestSamplerOverheadGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard")
 	}
 	tr := loopTrace()
-	var plain, spans time.Duration
+	var plain, spans, obsd time.Duration
 	for i := 0; i < 5; i++ {
 		t0 := time.Now()
 		core.CheckTrace(tr, core.Options{})
@@ -142,10 +170,17 @@ func TestSamplerOverheadGuard(t *testing.T) {
 		if _, _, _, d := traced(tr, core.Options{}); i == 0 || d < spans {
 			spans = d
 		}
+		if d := observed(tr); i == 0 || d < obsd {
+			obsd = d
+		}
 	}
-	t.Logf("untraced %v, traced %v (%.2fx)", plain, spans, float64(spans)/float64(plain))
+	t.Logf("untraced %v, traced %v (%.2fx), observed %v (%.2fx)",
+		plain, spans, float64(spans)/float64(plain), obsd, float64(obsd)/float64(plain))
 	if spans > plain*3/2 {
 		t.Errorf("CheckTrace with Spans took %v, without %v: more than 1.5x", spans, plain)
+	}
+	if obsd > plain*3/2 {
+		t.Errorf("an observed check (Spans, a publish per batch) took %v, a plain one %v: more than 1.5x", obsd, plain)
 	}
 }
 

@@ -25,7 +25,7 @@ func TestNodeRecyclingStress(t *testing.T) {
 	if len(c.Warnings()) != 0 {
 		t.Fatalf("serial transaction stream produced %d warnings", len(c.Warnings()))
 	}
-	st := c.Stats()
+	st := c.Snapshot().Stats
 	if st.Allocated < 100_000 {
 		t.Fatalf("allocated = %d; recycling not exercised", st.Allocated)
 	}
@@ -124,6 +124,9 @@ func TestMaxWarnings(t *testing.T) {
 	if got := len(c.Warnings()); got != 5 {
 		t.Fatalf("warnings = %d, want capped at 5", got)
 	}
+	if got := c.Snapshot().Warnings; got != 100 {
+		t.Fatalf("snapshot counts %d warnings, want all 100: the cap bounds what is kept, not what is counted", got)
+	}
 }
 
 // TestFirstOnlyStops verifies FirstOnly freezes the analysis after the
@@ -137,10 +140,10 @@ func TestFirstOnlyStops(t *testing.T) {
 	if w := c.Step(trace.Wr(1, x)); w == nil {
 		t.Fatal("violation missed")
 	}
-	before := c.Stats()
+	before := c.Snapshot().Stats
 	c.Step(trace.Fin(1))
 	c.Step(trace.Wr(2, x))
-	if c.Stats() != before {
+	if c.Snapshot().Stats != before {
 		t.Fatal("FirstOnly checker kept mutating state")
 	}
 	if len(c.Warnings()) != 1 {

@@ -29,7 +29,7 @@ func Ablate(seed int64, scale int) []AblateRow {
 			rr.Run(rr.Options{Seed: seed, Backend: velo}, func(t *rr.Thread) {
 				w.Body(t, p)
 			})
-			return velo.Checker.Stats(), len(velo.Warnings()) > 0
+			return velo.Checker.Snapshot().Stats, len(velo.Warnings()) > 0
 		}
 		base, w0 := run(core.Options{})
 		noMerge, w1 := run(core.Options{NoMerge: true})

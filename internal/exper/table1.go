@@ -160,7 +160,7 @@ func nodeStats(w *bench.Workload, seed int64, p bench.Params, noMerge bool) (all
 	rr.Run(rr.Options{Seed: seed, Backend: velo}, func(t *rr.Thread) {
 		w.Body(t, p)
 	})
-	st := velo.Checker.Stats()
+	st := velo.Checker.Snapshot().Stats
 	return st.Allocated, st.MaxAlive
 }
 

@@ -116,14 +116,9 @@ func (g *Graph) AddEdgeP(from, to Step, op trace.Op, prov EdgeProv) *Cycle {
 			g.nodes[dst].lastInHead = h
 		}
 		g.stats.FilteredEdges++
-		if g.met != nil {
-			g.met.memoHits.Inc()
-		}
 		return nil
 	}
-	if g.met != nil {
-		g.met.cycleChecks.Inc()
-	}
+	g.stats.CycleChecks++
 	// O(1) cycle test via the ancestor sets; the DFS below runs only on
 	// the (rare) violation path, to extract the cycle for the report.
 	if g.isAncestor(dst, src) {
@@ -141,9 +136,7 @@ func (g *Graph) AddEdgeP(from, to Step, op trace.Op, prov EdgeProv) *Cycle {
 			TailTime: from.Time(), HeadTime: to.Time(),
 			Op: op, Prov: prov,
 		}
-		if g.met != nil {
-			g.met.cyclesDetected.Inc()
-		}
+		g.stats.CyclesDetected++
 		return &Cycle{Edges: edges}
 	}
 	for i := range nd.out {
@@ -167,10 +160,7 @@ func (g *Graph) AddEdgeP(from, to Step, op trace.Op, prov EdgeProv) *Cycle {
 		g.nodes[dst].lastInHead = h
 	}
 	g.stats.Edges++
-	if g.met != nil {
-		g.met.edgesAdded.Inc()
-		g.met.edges.Add(1)
-	}
+	g.stats.EdgesAdded++
 	g.addAncestors(dst, g.ancestorsPlusSelf(src))
 	return nil
 }

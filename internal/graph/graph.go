@@ -127,6 +127,13 @@ type Stats struct {
 	// so only the timestamps were refreshed (the ⊕ of Section 4.3) with
 	// no ancestor-set work.
 	FilteredEdges int
+	// CycleChecks counts AddEdge calls that reached the ancestor-set
+	// cycle test (every insertion the memo did not serve),
+	// CyclesDetected those it refused, EdgesAdded those that put a new
+	// edge in H.
+	CycleChecks    int
+	CyclesDetected int
+	EdgesAdded     int
 }
 
 // Graph is a transactional happens-before graph. It is not safe for
@@ -146,7 +153,6 @@ type Graph struct {
 	ancGen      uint64      // number of the current addAncestors merge
 	ancReads    uint64      // ancestor entries addAncestors has read
 	stats       Stats
-	met         *metrics // optional obs mirror, see SetMetrics
 }
 
 // New returns an empty graph with garbage collection enabled.
@@ -178,9 +184,6 @@ func (g *Graph) NewNode(active bool, data any) Step {
 		id = g.free[n-1]
 		g.free = g.free[:n-1]
 		g.stats.Recycled++
-		if g.met != nil {
-			g.met.recycled.Inc()
-		}
 	} else {
 		if len(g.nodes) >= maxNodes {
 			panic("graph: node pool exhausted (65536 live nodes); enable GC")
@@ -208,11 +211,6 @@ func (g *Graph) NewNode(active bool, data any) Step {
 	g.stats.Alive++
 	if g.stats.Alive > g.stats.MaxAlive {
 		g.stats.MaxAlive = g.stats.Alive
-	}
-	if g.met != nil {
-		g.met.allocated.Inc()
-		g.met.alive.Add(1)
-		g.met.maxAlive.SetMax(int64(g.stats.MaxAlive))
 	}
 	return pack(id, birth)
 }
@@ -358,11 +356,6 @@ func (g *Graph) maybeCollect(id NodeID) {
 	g.stats.Alive--
 	g.stats.Collected++
 	g.stats.Edges -= len(out)
-	if g.met != nil {
-		g.met.collected.Inc()
-		g.met.alive.Add(-1)
-		g.met.edges.Add(int64(-len(out)))
-	}
 	g.free = append(g.free, id)
 	for _, e := range out {
 		to := &g.nodes[e.to]

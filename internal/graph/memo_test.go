@@ -1,18 +1,12 @@
 package graph
 
-import (
-	"testing"
-
-	"repro/internal/obs"
-)
+import "testing"
 
 // Repeated insertion of the same (src,dst) pair must be served by the
 // last-edge memo: timestamps are ⊕-replaced, no new edge or ancestor
 // work happens, and Stats.FilteredEdges counts the hits.
 func TestEdgeMemoDedupesRepeatedPair(t *testing.T) {
 	g := New()
-	reg := obs.NewRegistry()
-	g.SetMetrics(reg)
 	a := g.NewNode(true, "a")
 	b := g.NewNode(true, "b")
 
@@ -22,7 +16,7 @@ func TestEdgeMemoDedupesRepeatedPair(t *testing.T) {
 	if g.Stats().FilteredEdges != 0 {
 		t.Fatalf("first insertion filtered: %+v", g.Stats())
 	}
-	checksBefore := reg.Counter("graph_cycle_checks_total").Value()
+	checksBefore := g.Stats().CycleChecks
 	for i := 0; i < 5; i++ {
 		a2, b2 := g.Tick(a), g.Tick(b)
 		if c := g.AddEdge(a2, b2, anyOp); c != nil {
@@ -37,11 +31,8 @@ func TestEdgeMemoDedupesRepeatedPair(t *testing.T) {
 	if st.Edges != 1 {
 		t.Fatalf("Edges = %d, want 1 (⊕ must replace, not append)", st.Edges)
 	}
-	if got := reg.Counter("graph_edges_memo_hits_total").Value(); got != 5 {
-		t.Fatalf("memo hit counter = %d, want 5", got)
-	}
-	if got := reg.Counter("graph_cycle_checks_total").Value(); got != checksBefore {
-		t.Fatalf("memo hits ran %d extra cycle checks", got-checksBefore)
+	if st.CycleChecks != checksBefore {
+		t.Fatalf("memo hits ran %d extra cycle checks", st.CycleChecks-checksBefore)
 	}
 	// The replaced timestamps must be the latest pair, exactly as the
 	// slow ⊕ path would leave them.

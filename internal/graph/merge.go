@@ -61,9 +61,6 @@ func (g *Graph) MergeP(preds []Step, op trace.Op, data any, provs []EdgeProv) St
 		}
 		if ok {
 			g.stats.Merged++
-			if g.met != nil {
-				g.met.merged.Inc()
-			}
 			return cand
 		}
 	}

@@ -15,7 +15,7 @@
 // label set baked into the name string itself:
 //
 //	reg.Counter("velodrome_warnings_total").Inc()
-//	reg.Histogram(`velodrome_step_ns{kind="rd"}`).Observe(int64(d))
+//	reg.Counter(`velodrome_stage_ns_total{stage="graph"}`).Add(ns)
 //
 // The registry treats the whole string as the series key; the renderers
 // split base name and labels only at exposition time.
@@ -50,16 +50,6 @@ func (g *Gauge) Set(x int64) { g.v.Store(x) }
 
 // Add adds d (negative to decrease).
 func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// SetMax raises the gauge to x if x is larger (high-water marks).
-func (g *Gauge) SetMax(x int64) {
-	for {
-		cur := g.v.Load()
-		if x <= cur || g.v.CompareAndSwap(cur, x) {
-			return
-		}
-	}
-}
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }

@@ -31,7 +31,16 @@ func (s Stream) Event(op trace.Op) { s.E.Emit(op) }
 // Velodrome adapts a core.Checker to the Backend interface.
 type Velodrome struct {
 	Checker core.Checker
+	// Batch, when non-nil, runs after every batchEvents events, on the
+	// goroutine that stepped them: where an observed run publishes the
+	// checker's snapshot.
+	Batch  func()
+	events int
 }
+
+// batchEvents is the batch size of the check drivers
+// (pipeline.DefaultBatch).
+const batchEvents = 4096
 
 // NewVelodrome returns a Velodrome back-end with the given options.
 func NewVelodrome(opts core.Options) *Velodrome {
@@ -39,7 +48,12 @@ func NewVelodrome(opts core.Options) *Velodrome {
 }
 
 // Event implements Backend.
-func (v *Velodrome) Event(op trace.Op) { v.Checker.Step(op) }
+func (v *Velodrome) Event(op trace.Op) {
+	v.Checker.Step(op)
+	if v.events++; v.Batch != nil && v.events%batchEvents == 0 {
+		v.Batch()
+	}
+}
 
 // Warnings returns the atomicity violations observed.
 func (v *Velodrome) Warnings() []*core.Warning { return v.Checker.Warnings() }

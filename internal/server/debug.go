@@ -33,21 +33,9 @@ type sessionStats struct {
 	engine      atomic.Pointer[string] // nil until the header is parsed
 	forensics   atomic.Bool
 	ops         atomic.Int64
-	filtered    atomic.Int64
-	nodes       atomic.Int64
-	edges       atomic.Int64
+	snap        atomic.Pointer[core.Snapshot] // never nil: the engine at the last batch boundary, zero before the first
 	warnings    atomic.Int64
 	lastWarning atomic.Pointer[string]
-}
-
-// publishEngine refreshes the graph-derived gauges from the session's
-// checker. Only ever called from the session goroutine that owns the
-// checker — the checker itself is not safe for concurrent use.
-func (st *sessionStats) publishEngine(c core.Checker) {
-	gs := c.Stats()
-	st.nodes.Store(int64(gs.Alive))
-	st.edges.Store(int64(gs.Edges))
-	st.filtered.Store(c.Filtered())
 }
 
 func (st *sessionStats) noteWarning(s string) {
@@ -107,15 +95,16 @@ func (s *Server) debugState(tenantFilter string) DebugState {
 		if tenantFilter != "" && ss.tenant != tenantFilter {
 			return true
 		}
+		snap := ss.snap.Load()
 		info := SessionInfo{
 			Session:    ss.id,
 			Remote:     ss.remote,
 			Forensics:  ss.forensics.Load(),
 			AgeSeconds: time.Since(ss.started).Seconds(),
 			Ops:        ss.ops.Load(),
-			Filtered:   ss.filtered.Load(),
-			GraphNodes: ss.nodes.Load(),
-			GraphEdges: ss.edges.Load(),
+			Filtered:   snap.Filtered,
+			GraphNodes: int64(snap.Stats.Alive),
+			GraphEdges: int64(snap.Stats.Edges),
 			Warnings:   ss.warnings.Load(),
 		}
 		if ss.tenant != DefaultTenant {

@@ -56,13 +56,13 @@ func testDebugVeloLiveSessions(t *testing.T, parallel int) {
 	warm.Write(trace.SessionHeader{Engine: "optimized", Name: "warm"}.Encode())
 	warm.Write([]byte("begin.inc(1)\nrd(1,x0)\nwr(2,x0)\nwr(1,x0)\n"))
 
-	// Session two: basic engine with the flight recorder on.
+	// Session two: the flight recorder on.
 	cold, err := Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cold.Close()
-	cold.Write(trace.SessionHeader{Engine: "basic", Forensics: true, Name: "cold"}.Encode())
+	cold.Write(trace.SessionHeader{Engine: "optimized", Forensics: true, Name: "cold"}.Encode())
 	cold.Write([]byte("rd(1,x0)\nwr(1,x0)\n"))
 
 	// The sessions are admitted and stepped asynchronously; poll until
@@ -74,10 +74,10 @@ func testDebugVeloLiveSessions(t *testing.T, parallel int) {
 		warmed := false
 		forensicsOn := false
 		for _, info := range state.Sessions {
-			if info.Engine == "optimized" && info.Warnings >= 1 && info.Ops >= 4 {
+			if !info.Forensics && info.Warnings >= 1 && info.Ops >= 4 {
 				warmed = true
 			}
-			if info.Engine == "basic" && info.Forensics && info.Ops >= 2 {
+			if info.Forensics && info.Ops >= 2 {
 				forensicsOn = true
 			}
 		}
@@ -96,7 +96,18 @@ func testDebugVeloLiveSessions(t *testing.T, parallel int) {
 		if !strings.HasPrefix(info.Session, "s") || info.Remote == "" {
 			t.Errorf("session row missing identity: %+v", info)
 		}
-		if info.Engine == "optimized" {
+		if info.Forensics {
+			// rd, wr by the only thread, outside any transaction: both
+			// redundant, the graph never touched.
+			if info.Filtered != 2 || info.GraphNodes != 0 || info.GraphEdges != 0 {
+				t.Errorf("cold row filtered=%d graphNodes=%d graphEdges=%d, want 2, 0, 0", info.Filtered, info.GraphNodes, info.GraphEdges)
+			}
+		} else {
+			// The engine's counters as of the last batch boundary: the open
+			// transaction and the writer it conflicts with, one edge kept.
+			if info.Filtered != 0 || info.GraphNodes != 2 || info.GraphEdges != 1 {
+				t.Errorf("warm row filtered=%d graphNodes=%d graphEdges=%d, want 0, 2, 1", info.Filtered, info.GraphNodes, info.GraphEdges)
+			}
 			if !strings.Contains(info.LastWarning, "inc") {
 				t.Errorf("last warning %q does not name the blamed block", info.LastWarning)
 			}
@@ -113,7 +124,7 @@ func testDebugVeloLiveSessions(t *testing.T, parallel int) {
 	}
 	html, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"velodromed sessions", "2 active / 8 max", "basic +forensics", "optimized"} {
+	for _, want := range []string{"velodromed sessions", "2 active / 8 max", "optimized +forensics", "optimized"} {
 		if !strings.Contains(string(html), want) {
 			t.Errorf("HTML listing missing %q:\n%s", want, html)
 		}
@@ -133,6 +144,18 @@ func testDebugVeloLiveSessions(t *testing.T, parallel int) {
 			t.Fatal("sessions never left the listing")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	// The history records carry the engines' final counters: every
+	// transaction over, the graph collected.
+	for _, rec := range s.History().Recent(10, 0) {
+		wantFiltered := int64(0)
+		if rec.Forensics {
+			wantFiltered = 2
+		}
+		if rec.Filtered != wantFiltered || rec.GraphNodes != 0 || rec.GraphEdges != 0 {
+			t.Errorf("record %s: filtered=%d graphNodes=%d graphEdges=%d, want %d, 0, 0",
+				rec.Session, rec.Filtered, rec.GraphNodes, rec.GraphEdges, wantFiltered)
+		}
 	}
 	stop()
 }

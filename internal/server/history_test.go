@@ -442,7 +442,7 @@ func TestServerHistorySpansAndTraceDir(t *testing.T) {
 	s, addr, stop := startServer(t, Config{Metrics: obs.NewRegistry(), TraceDir: dir})
 	defer stop()
 
-	v, err := CheckReader(addr, trace.SessionHeader{Engine: "basic", Name: "traced"},
+	v, err := CheckReader(addr, trace.SessionHeader{Engine: "aerodrome", Name: "traced"},
 		bytes.NewReader(encode(t, buggyTrace(), false)))
 	if err != nil {
 		t.Fatal(err)
@@ -460,7 +460,7 @@ func TestServerHistorySpansAndTraceDir(t *testing.T) {
 	if !ok {
 		t.Fatalf("session %s not in history", v.Session)
 	}
-	if rec.Engine != "basic" || rec.Serializable || rec.Ops != 5 || len(rec.Warnings) != 1 {
+	if rec.Engine != "aerodrome" || rec.Serializable || rec.Ops != 5 || len(rec.Warnings) != 1 {
 		t.Errorf("history record %+v", rec)
 	}
 	if strings.Contains(rec.Warnings[0], "\n") {

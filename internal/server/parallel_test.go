@@ -30,7 +30,7 @@ func TestParallelSessionsMatchSerial(t *testing.T) {
 	}{
 		{"clean", trace.SessionHeader{}, encode(t, cleanTrace(), true)},
 		{"buggy", trace.SessionHeader{}, encode(t, buggyTrace(), true)},
-		{"buggy-basic", trace.SessionHeader{Engine: "basic"}, encode(t, buggyTrace(), false)},
+		{"basic-refused", trace.SessionHeader{Engine: "basic"}, encode(t, buggyTrace(), false)},
 		{"buggy-aero", trace.SessionHeader{Engine: "aerodrome"}, encode(t, buggyTrace(), true)},
 		{"elevator", trace.SessionHeader{}, elevator.Bytes()},
 		{"empty", trace.SessionHeader{}, nil},

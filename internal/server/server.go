@@ -423,10 +423,8 @@ func (s *Server) session(conn net.Conn) *trace.SessionVerdict {
 	case hdr.Engine == "":
 		info = core.InfoFor(s.cfg.DefaultEngine)
 	default:
-		var ok bool
-		if info, ok = core.EngineByName(hdr.Engine); !ok {
+		if info, err = SessionEngine(hdr.Engine); err != nil {
 			code = trace.CodeUnknownEngine
-			err = fmt.Errorf("unknown engine %q (want %s)", hdr.Engine, core.EngineNames())
 		}
 	}
 	// Tenant resolution joins the pre-admission gate: an unknown key is
@@ -498,6 +496,7 @@ func (s *Server) session(conn net.Conn) *trace.SessionVerdict {
 		tenant:  ten.Name(),
 		started: start,
 	}
+	st.snap.Store(&core.Snapshot{})
 	s.active.Store(st.id, st)
 	defer s.active.Delete(st.id)
 	logger := s.cfg.Logger.With("session", st.id, "remote", st.remote)
@@ -539,6 +538,7 @@ func (s *Server) session(conn net.Conn) *trace.SessionVerdict {
 		"engine", v.Engine, "status", v.Status, "ops", v.Ops,
 		"warnings", len(v.Warnings), "duration", elapsed.Round(time.Millisecond).String())
 
+	snap := st.snap.Load()
 	rec := SessionRecord{
 		Session:      st.id,
 		Tenant:       tenantLabel(ten),
@@ -547,9 +547,9 @@ func (s *Server) session(conn net.Conn) *trace.SessionVerdict {
 		Status:       v.Status,
 		Serializable: v.Serializable,
 		Ops:          v.Ops,
-		Filtered:     st.filtered.Load(),
-		GraphNodes:   st.nodes.Load(),
-		GraphEdges:   st.edges.Load(),
+		Filtered:     snap.Filtered,
+		GraphNodes:   int64(snap.Stats.Alive),
+		GraphEdges:   int64(snap.Stats.Edges),
 		Started:      start,
 		DurationMs:   v.DurationMs,
 		Error:        v.Error,
@@ -576,6 +576,15 @@ func (s *Server) session(conn net.Conn) *trace.SessionVerdict {
 	}
 	s.hist.Add(rec)
 	return v
+}
+
+// SessionEngine resolves an engine name for a session: the registry
+// minus its reference engines, which the daemon does not run.
+func SessionEngine(name string) (core.EngineInfo, error) {
+	if info, ok := core.EngineByName(name); ok && !info.Reference {
+		return info, nil
+	}
+	return core.EngineInfo{}, fmt.Errorf("unknown engine %q (want %s)", name, core.ProductionEngineNames())
 }
 
 // run decodes and checks one admitted session's stream, converting
@@ -665,7 +674,8 @@ func (s *Server) run(br *bufio.Reader, hdr trace.SessionHeader, info core.Engine
 		Batch: func(ops, _ int) {
 			s.met.ops.Add(int64(ops))
 			st.ops.Add(int64(ops))
-			st.publishEngine(checker)
+			snap := checker.Snapshot()
+			st.snap.Store(&snap)
 			emitBatch("check", ops, span.StageFilter, span.StageGraph, span.StageForensics)
 		},
 	})
@@ -690,8 +700,8 @@ func (s *Server) run(br *bufio.Reader, hdr trace.SessionHeader, info core.Engine
 	}
 	if f, m := res.Filtered, res.Stats.FilteredEdges; f > 0 || m > 0 {
 		v.Metrics = map[string]int64{
-			"core_events_filtered_total":  f,
-			"graph_edges_memo_hits_total": int64(m),
+			core.MetricFiltered: f,
+			core.MetricMemoHits: int64(m),
 		}
 	}
 	for _, w := range res.Warnings {

@@ -124,7 +124,7 @@ func TestServerConcurrentSessions(t *testing.T) {
 				defer wg.Done()
 				engine := "optimized"
 				if i%3 == 0 {
-					engine = "basic"
+					engine = "aerodrome"
 				}
 				hdr := trace.SessionHeader{Engine: engine, Name: fmt.Sprintf("%s-%d", kind.name, i)}
 				v, err := CheckReader(addr, hdr, bytes.NewReader(kind.body(i)))
@@ -302,23 +302,27 @@ func TestServerRejectsUnknownEngineBeforeAdmission(t *testing.T) {
 	}
 
 	// A full server still answers the unknown engine with malformed —
-	// the header is judged before the cap is consulted.
-	v, err := CheckReader(addr, trace.SessionHeader{Engine: "warpdrive"},
-		bytes.NewReader(encode(t, cleanTrace(), false)))
-	if err != nil {
-		t.Fatalf("rejected client: %v", err)
-	}
-	if v.Status != trace.StatusMalformed || v.Code != trace.CodeUnknownEngine {
-		t.Fatalf("verdict %+v, want malformed/%s", v, trace.CodeUnknownEngine)
-	}
-	if v.Session != "" {
-		t.Errorf("rejected session was assigned id %q, want none", v.Session)
-	}
-	if !strings.Contains(v.Error, "warpdrive") || !strings.Contains(v.Error, "aerodrome") {
-		t.Errorf("error %q should name the bad engine and list the known ones", v.Error)
-	}
-	if v.ExitCode() != 2 {
-		t.Errorf("rejection exit code = %d, want 2", v.ExitCode())
+	// the header is judged before the cap is consulted. The registry's
+	// reference engine (Figure 2) is as unknown to the daemon as a name
+	// nobody registered.
+	for _, engine := range []string{"warpdrive", "basic"} {
+		v, err := CheckReader(addr, trace.SessionHeader{Engine: engine},
+			bytes.NewReader(encode(t, cleanTrace(), false)))
+		if err != nil {
+			t.Fatalf("rejected client: %v", err)
+		}
+		if v.Status != trace.StatusMalformed || v.Code != trace.CodeUnknownEngine {
+			t.Fatalf("verdict %+v, want malformed/%s", v, trace.CodeUnknownEngine)
+		}
+		if v.Session != "" {
+			t.Errorf("rejected session was assigned id %q, want none", v.Session)
+		}
+		if !strings.Contains(v.Error, `"`+engine+`"`) || !strings.Contains(v.Error, "optimized, aerodrome") {
+			t.Errorf("error %q should name the bad engine and list the accepted ones", v.Error)
+		}
+		if v.ExitCode() != 2 {
+			t.Errorf("rejection exit code = %d, want 2", v.ExitCode())
+		}
 	}
 
 	// A garbage first line is the same path with its own code.
@@ -349,7 +353,7 @@ func TestServerRejectsUnknownEngineBeforeAdmission(t *testing.T) {
 		t.Fatalf("slow session verdict %+v, err %v", v, err)
 	}
 	slow.Close()
-	v, err = CheckReader(addr, trace.SessionHeader{Engine: "aerodrome"},
+	v, err := CheckReader(addr, trace.SessionHeader{Engine: "aerodrome"},
 		bytes.NewReader(encode(t, cleanTrace(), false)))
 	if err != nil || v.Status != trace.StatusOK || !v.Serializable {
 		t.Fatalf("post-rejection session: %+v, err %v", v, err)
@@ -357,14 +361,14 @@ func TestServerRejectsUnknownEngineBeforeAdmission(t *testing.T) {
 	stop()
 
 	snap := reg.Snapshot()
-	if got := snap.Counters["velodromed_sessions_rejected_total"]; got != 2 {
-		t.Errorf("rejected = %d, want 2", got)
+	if got := snap.Counters["velodromed_sessions_rejected_total"]; got != 3 {
+		t.Errorf("rejected = %d, want 3", got)
 	}
 	if got := snap.Counters["velodromed_sessions_shed_total"]; got != 0 {
 		t.Errorf("shed = %d, want 0 (rejections must not count as shed)", got)
 	}
-	if got := snap.Counters[`velodromed_verdicts_total{status="malformed"}`]; got != 2 {
-		t.Errorf("malformed verdicts = %d, want 2", got)
+	if got := snap.Counters[`velodromed_verdicts_total{status="malformed"}`]; got != 3 {
+		t.Errorf("malformed verdicts = %d, want 3", got)
 	}
 	if got := snap.Gauges["velodromed_sessions_active"]; got != 0 {
 		t.Errorf("active sessions after drain = %d, want 0", got)
@@ -632,8 +636,8 @@ func testServerStreamingBinarySession(t *testing.T, parallel int) {
 
 // TestVerdictFilterMetrics asserts a session's verdict carries the
 // engine's redundant-event counters: a transaction re-reading one
-// variable in a loop must report filtered events (and the basic-engine
-// path must report them too, since both engines share the fast path).
+// variable in a loop must report filtered events (and the clock
+// engine must report them too: it runs the same redundancy test).
 func TestVerdictFilterMetrics(t *testing.T) {
 	_, addr, stop := startServer(t, Config{})
 	defer stop()
@@ -645,7 +649,7 @@ func TestVerdictFilterMetrics(t *testing.T) {
 	}
 	tr = append(tr, trace.Fin(1))
 
-	for _, engine := range []string{"optimized", "basic", "aerodrome"} {
+	for _, engine := range []string{"optimized", "aerodrome"} {
 		v, err := CheckReader(addr, trace.SessionHeader{Engine: engine}, bytes.NewReader(encode(t, tr, false)))
 		if err != nil {
 			t.Fatal(err)
@@ -677,6 +681,9 @@ func TestServerOutOfRangeIDsAreDecodeErrors(t *testing.T) {
 				string([]byte{byte(trace.Read), 0x80, 0x80, 0x80, 0x80, 0x08, 2}), "op 1"},
 		}
 		for _, info := range core.Engines() {
+			if info.Reference {
+				continue // the daemon refuses it on the header
+			}
 			for name, s := range streams {
 				v, err := CheckReader(addr, trace.SessionHeader{Engine: info.Name}, strings.NewReader(s.body))
 				if err != nil {
