@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/span"
 	"repro/internal/trace"
 )
@@ -161,6 +162,39 @@ func TestCLIVelodromeJSONAndDot(t *testing.T) {
 	data, err := os.ReadFile(dotPath)
 	if err != nil || !strings.Contains(string(data), "digraph velodrome") {
 		t.Errorf("dot output missing: %v", err)
+	}
+}
+
+// TestCLIEveryEngineJSONAndDot: the renderings of a warning hold for every
+// registered engine, AeroDrome's position-only warning included — it has
+// no cycle, and -json used to dereference one.
+func TestCLIEveryEngineJSONAndDot(t *testing.T) {
+	for _, info := range core.Engines() {
+		out, code := runTool(t, "velodrome", "-workload", "multiset", "-engine", info.Name, "-json")
+		if code != 0 {
+			t.Fatalf("%s: velodrome -json: exit %d:\n%s", info.Name, code, out)
+		}
+		lines := strings.Split(strings.TrimSpace(out), "\n")
+		for _, line := range lines {
+			var w struct {
+				OpIndex *int              `json:"opIndex"`
+				Cycle   []json.RawMessage `json:"cycle"`
+			}
+			if err := json.Unmarshal([]byte(line), &w); err != nil || w.OpIndex == nil {
+				t.Fatalf("%s: velodrome -json printed %q: %v", info.Name, line, err)
+			}
+			if (len(w.Cycle) > 0) != (info.Engine != core.Aero) {
+				t.Errorf("%s: warning at op %d carries %d cycle edges", info.Name, *w.OpIndex, len(w.Cycle))
+			}
+		}
+		dotPath := filepath.Join(t.TempDir(), "g.dot")
+		out, code = runTool(t, "tracecheck", "-engine", info.Name, "-dot", dotPath, "testdata/setadd.txt")
+		if code != 1 {
+			t.Fatalf("%s: tracecheck -dot: exit %d:\n%s", info.Name, code, out)
+		}
+		if data, err := os.ReadFile(dotPath); err != nil || !strings.Contains(string(data), "digraph velodrome") {
+			t.Errorf("%s: tracecheck -dot wrote %q, %v", info.Name, data, err)
+		}
 	}
 }
 

@@ -209,12 +209,12 @@ type aeroFC struct {
 // aeroChecker is the AeroDrome engine behind the Checker interface.
 type aeroChecker struct {
 	common
-	c    [][]frame  // open atomic blocks per thread (as optChecker)
-	d    []int32    // open non-ignored blocks per thread
-	cur  []*aeroObj // running object per thread
-	l    aeroLockTable
-	w    aeroVarTable
-	r    aeroReadTable
+	c     [][]frame  // open atomic blocks per thread (as optChecker)
+	d     []int32    // open non-ignored blocks per thread
+	cur   []*aeroObj // running object per thread
+	l     aeroLockTable
+	w     aeroVarTable
+	r     aeroReadTable
 	fc    []aeroFC
 	work  []*aeroObj // propagation worklist, reused across events
 	srcs  []*aeroObj // join-source scratch, reused across events
@@ -268,8 +268,14 @@ func (c *aeroChecker) Step(op trace.Op) *Warning {
 	if c.opts.Spans == nil || !c.sampled() {
 		return c.step(op)
 	}
-	return c.timed(func() *Warning { return c.step(op) })
+	t := c.startTimed()
+	w := c.step(op)
+	c.endTimed(t)
+	return w
 }
+
+// StepBatch implements Checker.
+func (c *aeroChecker) StepBatch(ops []trace.Op, warn func(*Warning)) { stepEach(c, ops, warn) }
 
 // SkipFiltered implements Checker: it consumes op as a filter hit
 // decided by the pipeline's sharded prefilter, replaying filterAero's
@@ -284,7 +290,9 @@ func (c *aeroChecker) SkipFiltered(op trace.Op) bool {
 		c.skipFiltered()
 		return true
 	}
-	c.timed(func() *Warning { c.skipFiltered(); return nil })
+	t := c.startTimed()
+	c.skipFiltered()
+	c.endTimed(t)
 	return true
 }
 

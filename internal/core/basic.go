@@ -73,8 +73,14 @@ func (c *basicChecker) Step(op trace.Op) *Warning {
 	if c.opts.Spans == nil || !c.sampled() {
 		return c.step(op)
 	}
-	return c.timed(func() *Warning { return c.step(op) })
+	t := c.startTimed()
+	w := c.step(op)
+	c.endTimed(t)
+	return w
 }
+
+// StepBatch implements Checker.
+func (c *basicChecker) StepBatch(ops []trace.Op, warn func(*Warning)) { stepEach(c, ops, warn) }
 
 // SkipFiltered implements Checker: it consumes op as a filter hit
 // decided by the pipeline's sharded prefilter, replaying the basic
@@ -90,7 +96,9 @@ func (c *basicChecker) SkipFiltered(op trace.Op) bool {
 		c.skipFiltered(op)
 		return true
 	}
-	c.timed(func() *Warning { c.skipFiltered(op); return nil })
+	t := c.startTimed()
+	c.skipFiltered(op)
+	c.endTimed(t)
 	return true
 }
 

@@ -177,14 +177,22 @@ func (w *Warning) String() string {
 	} else {
 		fmt.Fprintf(&b, "warning: non-serializable trace, blame unassigned (op %d: %s)", w.OpIndex, w.Op)
 	}
-	if w.Cycle != nil { // the Aero engine reports no cycle structure
-		for _, e := range w.Cycle.Edges {
-			from, _ := e.FromData.(*TxnMeta)
-			to, _ := e.ToData.(*TxnMeta)
-			fmt.Fprintf(&b, "\n  %s ⇒ %s via %s", from, to, e.Op)
-		}
+	for _, e := range w.CycleEdges() {
+		from, _ := e.FromData.(*TxnMeta)
+		to, _ := e.ToData.(*TxnMeta)
+		fmt.Fprintf(&b, "\n  %s ⇒ %s via %s", from, to, e.Op)
 	}
 	return b.String()
+}
+
+// CycleEdges returns the cycle's edges, the closing one last, or nil: the
+// Aero engine reports a position and no cycle structure, so every reader
+// of a warning's cycle goes through here.
+func (w *Warning) CycleEdges() []graph.CycleEdge {
+	if w.Cycle == nil {
+		return nil
+	}
+	return w.Cycle.Edges
 }
 
 // Checker is an online conflict-serializability analysis: feed it the
@@ -194,12 +202,17 @@ type Checker interface {
 	// completed a happens-before cycle (nil otherwise). The cycle-closing
 	// edge is discarded so the graph stays acyclic and checking continues.
 	Step(op trace.Op) *Warning
+	// StepBatch processes ops in order, as Step would one at a time, and
+	// hands each warning to warn (which may be nil) before the operation
+	// behind it runs. It is what a driver calls: an engine's own loop over
+	// the batch, with no call per operation across this interface. warn
+	// runs inside the engine's loop and must not call back into the
+	// Checker's stepping methods; Warnings and Snapshot are safe.
+	StepBatch(ops []trace.Op, warn func(*Warning))
 	// Warnings returns all warnings reported so far.
 	Warnings() []*Warning
 	// Snapshot returns the engine's counters as of the last Step.
 	Snapshot() Snapshot
-	// Graph exposes the underlying happens-before graph (for tools).
-	Graph() *graph.Graph
 	// SkipFiltered consumes op as a filter hit decided by an external
 	// prefilter (internal/pipeline's sharded mark stage) and returns
 	// true, leaving the engine in exactly the state Step would have left
@@ -303,8 +316,14 @@ func (c *common) Snapshot() Snapshot {
 // cost as much as the step.
 func (c *common) filterCount() *int64 { return &c.snap.Filtered }
 
-// Graph implements Checker.
-func (c *common) Graph() *graph.Graph { return c.g }
+// stepEach is StepBatch for an engine without a batch loop of its own.
+func stepEach(c Checker, ops []trace.Op, warn func(*Warning)) {
+	for i := range ops {
+		if w := c.Step(ops[i]); w != nil && warn != nil {
+			warn(w)
+		}
+	}
+}
 
 func (c *common) record(w *Warning) *Warning {
 	if c.rec != nil {

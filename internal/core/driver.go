@@ -176,11 +176,7 @@ func drive(src Source, opts Options, obs *Observer) (*Result, int, error) {
 				}
 			}
 		} else {
-			for _, op := range b.Ops {
-				if w := c.Step(op); w != nil && obs.Warning != nil {
-					obs.Warning(w)
-				}
-			}
+			c.StepBatch(b.Ops, obs.Warning)
 		}
 		n += len(b.Ops)
 		skipped += skip

@@ -45,27 +45,25 @@ type fcEntry struct {
 
 // filterFast is the cache-hit check: a few loads and compares, no graph
 // access. Only dense variable ids are cached; token variables and cache
-// misses fall through to the full validation.
-func (c *optChecker) filterFast(op trace.Op) bool {
-	x := op.Target
-	if x < 0 || int(x) >= len(c.fc) {
+// misses fall through to the full validation. Its one caller, run, asks
+// before it knows the kind or whether the thread is inside a transaction,
+// which is safe: only rd/wr entries exist; cacheStore runs only with the
+// filter on, so under NoFilter the cache stays empty; and an entry can
+// only match while L(t) is the step it was validated at, which the End
+// that takes t out of its transaction has Ticked away — under NoMerge,
+// where outside operations are never filtered, none of them can hit.
+func (c *optChecker) filterFast(op *trace.Op) bool {
+	x, t := op.Target, int32(op.Thread)
+	if uint32(x) >= uint32(len(c.fc)) {
 		return false
 	}
 	e := &c.fc[x]
-	switch op.Kind {
-	case trace.Read:
-		return e.rdTid == int32(op.Thread)+1 &&
-			e.rdL == c.l.get(int32(op.Thread)) &&
-			e.rdW == c.w.get(trace.Var(x))
-	case trace.Write:
-		return e.wrTid == int32(op.Thread)+1 &&
-			e.wrL == c.l.get(int32(op.Thread)) &&
-			e.wrW == c.w.get(trace.Var(x)) &&
-			e.wrVer == c.r.ver(trace.Var(x))
+	if op.Kind == trace.Read {
+		return e.rdTid == t+1 && e.rdL == c.l.get(t) && e.rdW == c.w.dense.get(x)
 	}
-	return false
+	return op.Kind == trace.Write && e.wrTid == t+1 && e.wrL == c.l.get(t) &&
+		e.wrW == c.w.dense.get(x) && e.wrVer == c.r.ver(trace.Var(x))
 }
-
 
 // cacheStore records the post-event state after a successful full filter
 // validation, so immediate repeats of the same access hit filterFast.

@@ -86,7 +86,8 @@ func (c *common) buildReport(w *Warning) *forensic.Report {
 		rep.Txns = append(rep.Txns, t)
 		return i
 	}
-	for i, e := range w.Cycle.Edges {
+	edges := w.CycleEdges()
+	for i, e := range edges {
 		from := addTxn(e.From, e.FromData)
 		to := addTxn(e.To, e.ToData)
 		kind, conflict := "conflict", forensic.ConflictTarget(e.Op)
@@ -100,7 +101,7 @@ func (c *common) buildReport(w *Warning) *forensic.Report {
 			},
 			TailTime: e.TailTime,
 			HeadTime: e.HeadTime,
-			Closing:  i == len(w.Cycle.Edges)-1,
+			Closing:  i == len(edges)-1,
 		}
 		if e.Prov.HasTail {
 			re.Tail = &forensic.AccessJSON{

@@ -2,6 +2,10 @@ package core
 
 import (
 	"bytes"
+	"hash/fnv"
+	"io"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/serial"
@@ -53,12 +57,37 @@ func decodeOps(data []byte) trace.Trace {
 	return tr
 }
 
+// checkSplit is CheckTrace with the trace handed to the driver in random
+// batches of 1…32 operations (the inputs here are at most 128 long).
+func checkSplit(tr trace.Trace, opts Options, rng *rand.Rand) *Result {
+	res, _, _ := drive(func() (Batch, error) {
+		n := min(1+rng.Intn(32), len(tr))
+		b := Batch{Ops: tr[:n]}
+		if tr = tr[n:]; len(tr) == 0 {
+			return b, io.EOF
+		}
+		return b, nil
+	}, opts, nil)
+	return res
+}
+
+// positions lists where a result's warnings stand.
+func positions(r *Result) []int {
+	var at []int
+	for _, w := range r.Warnings {
+		at = append(at, w.OpIndex)
+	}
+	return at
+}
+
 // FuzzCheckerMatchesOracle drives the optimized engine with arbitrary
 // well-formed traces and cross-checks the offline oracle, plus the
 // invariant battery: no panics, GC empties the graph when quiet, engines
 // agree. Inputs of odd length run every engine with a span buffer
 // attached, and may be twice as long, so that the checkers leave
-// their exact prefix and sample: tracing must not move a verdict.
+// their exact prefix and sample: tracing must not move a verdict. Every
+// check runs twice, over the whole trace and over a split seeded by the
+// input: where the batches end must not move a warning.
 func FuzzCheckerMatchesOracle(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte("atomicity"))
@@ -79,19 +108,30 @@ func FuzzCheckerMatchesOracle(f *testing.F) {
 			t.Fatalf("decoder produced ill-formed trace: %v", err)
 		}
 		want, _ := serial.Check(tr)
-		opt := CheckTrace(tr, Options{Spans: sb})
+		h := fnv.New64a()
+		h.Write(data)
+		rng := rand.New(rand.NewSource(int64(h.Sum64())))
+		check := func(opts Options) *Result {
+			whole, split := CheckTrace(tr, opts), checkSplit(tr, opts, rng)
+			if !slices.Equal(positions(whole), positions(split)) || whole.Snapshot != split.Snapshot {
+				t.Fatalf("%+v: warnings at %v (%+v) from split batches, at %v (%+v) from one\n%s",
+					opts, positions(split), split.Snapshot, positions(whole), whole.Snapshot, tr)
+			}
+			return whole
+		}
+		opt := check(Options{Spans: sb})
 		if opt.Serializable != want {
 			t.Fatalf("optimized=%v oracle=%v\n%s", opt.Serializable, want, tr)
 		}
-		bas := CheckTrace(tr, Options{Engine: Basic, Spans: sb})
+		bas := check(Options{Engine: Basic, Spans: sb})
 		if bas.Serializable != want {
 			t.Fatalf("basic=%v oracle=%v\n%s", bas.Serializable, want, tr)
 		}
-		noMerge := CheckTrace(tr, Options{NoMerge: true, Spans: sb})
+		noMerge := check(Options{NoMerge: true, Spans: sb})
 		if noMerge.Serializable != want {
 			t.Fatalf("no-merge=%v oracle=%v\n%s", noMerge.Serializable, want, tr)
 		}
-		aero := CheckTrace(tr, Options{Engine: Aero, Spans: sb})
+		aero := check(Options{Engine: Aero, Spans: sb})
 		if aero.Serializable != want {
 			t.Fatalf("aero=%v oracle=%v\n%s", aero.Serializable, want, tr)
 		}
@@ -99,7 +139,7 @@ func FuzzCheckerMatchesOracle(f *testing.F) {
 			if len(aero.Warnings) != 1 {
 				t.Fatalf("aero reported %d warnings, want 1\n%s", len(aero.Warnings), tr)
 			}
-			first := CheckTrace(tr, Options{FirstOnly: true, Spans: sb})
+			first := check(Options{FirstOnly: true, Spans: sb})
 			if aero.Warnings[0].OpIndex != first.Warnings[0].OpIndex {
 				t.Fatalf("aero first warning at op %d, optimized at op %d\n%s",
 					aero.Warnings[0].OpIndex, first.Warnings[0].OpIndex, tr)
@@ -110,7 +150,7 @@ func FuzzCheckerMatchesOracle(f *testing.F) {
 
 // fuzzIDLimit is the largest thread, lock or fork/join id
 // FuzzDecodedInputNeverPanics lets through. Such an id is valid up to
-// MaxInt32 and sizes a dense table (ROADMAP item 1(c): the resource
+// MaxInt32 and sizes a dense table (ROADMAP item 2(b): the resource
 // budget's job), which a fuzz run on a shared machine must not do.
 const fuzzIDLimit = 1 << 12
 

@@ -69,12 +69,71 @@ func (c *optChecker) addDepth(t trace.Tid, delta int32) {
 	c.d[t] += delta
 }
 
-// Step implements Checker.
+// Step implements Checker: the batch of one.
 func (c *optChecker) Step(op trace.Op) *Warning {
-	if c.opts.Spans == nil || !c.sampled() {
-		return c.step(op)
+	var w *Warning
+	c.StepBatch([]trace.Op{op}, func(ww *Warning) { w = ww })
+	return w
+}
+
+// StepBatch implements Checker. With Options.Spans the batch is split at
+// the operations the sampler picks, and a picked operation is a run of
+// one between startTimed and endTimed: it takes the path its untimed
+// neighbours take.
+func (c *optChecker) StepBatch(ops []trace.Op, warn func(*Warning)) {
+	if c.opts.Spans == nil {
+		c.run(ops, warn)
+		return
 	}
-	return c.timed(func() *Warning { return c.step(op) })
+	for len(ops) > 0 {
+		k := c.untimed(len(ops))
+		c.run(ops[:k], warn)
+		if k == len(ops) {
+			return
+		}
+		t := c.startTimed()
+		c.run(ops[k:k+1], warn)
+		c.endTimed(t)
+		ops = ops[k+1:]
+	}
+}
+
+// run is the engine's one loop. The decision cache is tested first, on
+// the operation where it lies, and a hit ends there: filterFast fails on
+// every operation whose kind or state keeps step1 from filtering it (see
+// filterFast), so only a miss pays for the copy and the call.
+func (c *optChecker) run(ops []trace.Op, warn func(*Warning)) {
+	if c.done {
+		return
+	}
+	for i := range ops {
+		op := &ops[i]
+		if c.filterFast(op) {
+			c.noteOp(*op) // the flight recorder sees every operation, even filtered ones
+			c.snap.Filtered++
+			c.idx++
+			continue
+		}
+		var w *Warning
+		if op.Kind == trace.Fork || op.Kind == trace.Join {
+			for _, sub := range trace.DesugarOp(*op) {
+				if ww := c.step1(sub); ww != nil && w == nil {
+					w = ww
+				}
+			}
+		} else {
+			w = c.step1(*op)
+		}
+		c.idx++
+		if w != nil {
+			if warn != nil {
+				warn(w)
+			}
+			if c.done {
+				return
+			}
+		}
+	}
 }
 
 // SkipFiltered implements Checker: it consumes op as a filter hit
@@ -92,7 +151,9 @@ func (c *optChecker) SkipFiltered(op trace.Op) bool {
 		c.skipFiltered(op)
 		return true
 	}
-	c.timed(func() *Warning { c.skipFiltered(op); return nil })
+	t := c.startTimed()
+	c.skipFiltered(op)
+	c.endTimed(t)
 	return true
 }
 
@@ -101,25 +162,6 @@ func (c *optChecker) skipFiltered(op trace.Op) {
 	c.cacheStore(op)
 	c.snap.Filtered++
 	c.idx++
-}
-
-// step is the uninstrumented Step body.
-func (c *optChecker) step(op trace.Op) *Warning {
-	if c.done {
-		return nil
-	}
-	var w *Warning
-	if op.Kind == trace.Fork || op.Kind == trace.Join {
-		for _, sub := range trace.DesugarOp(op) {
-			if ww := c.step1(sub); ww != nil && w == nil {
-				w = ww
-			}
-		}
-	} else {
-		w = c.step1(op)
-	}
-	c.idx++
-	return w
 }
 
 // checkedDepth counts the open non-ignored blocks: a transaction is
@@ -134,8 +176,9 @@ func checkedDepth(stack []frame) int {
 	return n
 }
 
+// step1 processes one desugared operation that missed the decision cache.
 func (c *optChecker) step1(op trace.Op) *Warning {
-	c.noteOp(op) // flight recorder sees every operation, even filtered ones
+	c.noteOp(op)
 	t := op.Thread
 	inside := c.depth(t) > 0
 	switch op.Kind {
@@ -198,16 +241,10 @@ func (c *optChecker) step1(op trace.Op) *Warning {
 	}
 
 	if inside {
-		if !c.opts.NoFilter {
-			if c.filterFast(op) {
-				c.snap.Filtered++
-				return nil
-			}
-			if c.filterInside(op) {
-				c.cacheStore(op)
-				c.snap.Filtered++
-				return nil
-			}
+		if !c.opts.NoFilter && c.filterInside(op) {
+			c.cacheStore(op)
+			c.snap.Filtered++
+			return nil
 		}
 		return c.insideOp(op)
 	}
@@ -230,19 +267,13 @@ func (c *optChecker) step1(op trace.Op) *Warning {
 		c.g.Finish(s)
 		return w
 	}
-	if !c.opts.NoFilter {
-		if c.filterFast(op) {
-			c.snap.Filtered++
-			return nil
-		}
-		if c.filterOutside(op) {
-			// The fast path performed the table stores itself, so the
-			// provenance tables must advance with them.
-			c.access(op)
-			c.cacheStore(op)
-			c.snap.Filtered++
-			return nil
-		}
+	if !c.opts.NoFilter && c.filterOutside(op) {
+		// The fast path performed the table stores itself, so the
+		// provenance tables must advance with them.
+		c.access(op)
+		c.cacheStore(op)
+		c.snap.Filtered++
+		return nil
 	}
 	return c.outsideOp(op)
 }

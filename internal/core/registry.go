@@ -23,9 +23,6 @@ type EngineInfo struct {
 	// Requires a happens-before cycle to annotate, so it is a graph
 	// engine capability.
 	SupportsForensics bool
-	// SupportsGraph: Checker.Graph() exposes a meaningful
-	// happens-before graph (dot export, graph stats).
-	SupportsGraph bool
 	// SupportsPrefilter: SkipFiltered consumes externally prefiltered
 	// operations state-identically, so internal/pipeline may run its
 	// sharded mark stage ahead of this engine. Engines without it fall
@@ -48,7 +45,6 @@ var engines = []EngineInfo{
 		Summary:              "transactional happens-before graph with merging, GC and blame (Figure 4)",
 		ReportsAllViolations: true,
 		SupportsForensics:    true,
-		SupportsGraph:        true,
 		SupportsPrefilter:    true,
 	},
 	{
@@ -58,7 +54,6 @@ var engines = []EngineInfo{
 		Summary:              "the initial analysis of Figure 2 (differential testing; no blame)",
 		ReportsAllViolations: true,
 		SupportsForensics:    true,
-		SupportsGraph:        true,
 		SupportsPrefilter:    true,
 		Reference:            true,
 	},
@@ -69,7 +64,6 @@ var engines = []EngineInfo{
 		Summary:              "linear-time vector-clock engine; first violation only, no graph",
 		ReportsAllViolations: false,
 		SupportsForensics:    false,
-		SupportsGraph:        false,
 		SupportsPrefilter:    true,
 	},
 }

@@ -29,12 +29,21 @@ type sampler struct {
 	booked  int64  // nanoseconds booked to the filter and graph stages since
 }
 
+// untimed offers the sampler the next n operations. It returns how many
+// of them run before the next one to time; when that is fewer than n, the
+// one behind them has been offered too and is the one to time.
+func (s *sampler) untimed(n int) int {
+	k := min(int64(n), max(0, s.timeAt-s.seen))
+	s.seen += k
+	if k < int64(n) {
+		s.seen++
+	}
+	return int(k)
+}
+
 // sampled reports whether the operation now offered is one to time. It is
 // the whole cost of tracing an operation that is not.
-func (c *common) sampled() bool {
-	c.seen++
-	return c.seen > c.timeAt
-}
+func (s *sampler) sampled() bool { return s.untimed(1) == 0 }
 
 // schedule picks the operation to time after the one just timed and
 // returns how many operations that one stood for.
@@ -52,29 +61,33 @@ func (s *sampler) schedule() int64 {
 	return sampleStride
 }
 
-// timed runs one sampled operation between two clock reads and books it
-// to the filter or graph stage, by whether it was a filter hit, net of the
-// clock's own cost and of the forensics assembly record booked during the
-// call, scaled by what it stands for.
-func (c *common) timed(step func() *Warning) *Warning {
-	b := c.opts.Spans
+// timing is what startTimed hands to endTimed.
+type timing struct{ start, filtered, forensics int64 }
+
+// startTimed and endTimed put one sampled operation between two clock
+// reads and book it to the filter or graph stage, by whether it was a
+// filter hit, net of the clock's own cost and of the forensics assembly
+// record booked in between, scaled by what it stands for.
+func (c *common) startTimed() timing {
 	if c.timings%recalEvery == 0 {
 		c.clockNs = span.ClockPairNs()
 	}
 	c.timings++
-	filteredBefore, forensicsBefore := c.snap.Filtered, b.StageNs(span.StageForensics)
-	start := span.Nanotime()
-	w := step()
+	return timing{filtered: c.snap.Filtered, forensics: c.opts.Spans.StageNs(span.StageForensics), start: span.Nanotime()}
+}
+
+func (c *common) endTimed(t timing) {
 	end := span.Nanotime()
+	b := c.opts.Spans
 	hits := c.schedule()
 	if c.timings == 1 {
-		c.began = start
+		c.began = t.start
 	}
 	stage := span.StageGraph
-	if c.snap.Filtered != filteredBefore {
+	if c.snap.Filtered != t.filtered {
 		stage = span.StageFilter
 	}
-	ns := end - start - c.clockNs - (b.StageNs(span.StageForensics) - forensicsBefore)
+	ns := end - t.start - c.clockNs - (b.StageNs(span.StageForensics) - t.forensics)
 	if n := b.StageHits(stage); hits > 1 && n > 0 {
 		// A preemption is as likely to land in the timed window as in the
 		// untimed steps around it, and would be booked for a whole stride:
@@ -87,5 +100,4 @@ func (c *common) timed(step func() *Warning) *Warning {
 	ns = max(0, min(ns*hits, end-c.began-c.booked))
 	c.booked += ns
 	b.AddStageN(stage, ns, hits)
-	return w
 }

@@ -56,16 +56,13 @@ const PrefilterVarLimit = denseVarLimit
 
 // varTable maps variable ids to Steps with a sparse overflow.
 type varTable struct {
-	dense  []graph.Step
+	dense  stepTable
 	sparse map[trace.Var]graph.Step
 }
 
 func (t *varTable) get(x trace.Var) graph.Step {
 	if x >= 0 && x < denseVarLimit {
-		if int(x) < len(t.dense) {
-			return t.dense[x]
-		}
-		return graph.None
+		return t.dense.get(int32(x))
 	}
 	if s, ok := t.sparse[x]; ok {
 		return s
@@ -75,10 +72,7 @@ func (t *varTable) get(x trace.Var) graph.Step {
 
 func (t *varTable) set(x trace.Var, s graph.Step) {
 	if x >= 0 && x < denseVarLimit {
-		if int(x) >= len(t.dense) {
-			t.dense = growSteps(t.dense, int(x)+1)
-		}
-		t.dense[x] = s
+		t.dense.set(int32(x), s)
 		return
 	}
 	if t.sparse == nil {

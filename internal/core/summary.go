@@ -75,7 +75,9 @@ func (w *Warning) JSON() WarningJSON {
 	for _, l := range w.Refuted {
 		out.Refuted = append(out.Refuted, string(l))
 	}
-	for _, e := range w.Cycle.Edges {
+	edges := w.CycleEdges()
+	out.Cycle = make([]EdgeJSON, 0, len(edges)) // "cycle": [] from an engine that reports none
+	for _, e := range edges {
 		from, _ := e.FromData.(*TxnMeta)
 		to, _ := e.ToData.(*TxnMeta)
 		out.Cycle = append(out.Cycle, EdgeJSON{

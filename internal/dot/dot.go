@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/forensic"
-	"repro/internal/graph"
 )
 
 // Render returns the dot source for one warning's error graph.
@@ -43,17 +42,18 @@ func Render(w *core.Warning) string {
 		fmt.Fprintf(&b, "  %s [%s];\n", id, attrs)
 		return id
 	}
-	if w.Cycle == nil {
+	edges := w.CycleEdges()
+	if len(edges) == 0 {
 		// Engines without graph structure (AeroDrome) report only the
 		// violating position; render it as a single annotated node.
 		fmt.Fprintf(&b, "  n0 [label=%q];\n",
 			fmt.Sprintf("violation at op %d: %s", w.OpIndex, w.Op.String()))
 	}
-	for i, e := range cycleEdges(w) {
+	for i, e := range edges {
 		from := name(e.FromData)
 		to := name(e.ToData)
 		style := ""
-		if i == len(w.Cycle.Edges)-1 {
+		if i == len(edges)-1 {
 			style = ", style=dashed" // the cycle-closing edge
 		}
 		fmt.Fprintf(&b, "  %s -> %s [label=%q%s];\n", from, to, e.Op.String(), style)
@@ -61,13 +61,6 @@ func Render(w *core.Warning) string {
 	_ = order
 	b.WriteString("}\n")
 	return b.String()
-}
-
-func cycleEdges(w *core.Warning) []graph.CycleEdge {
-	if w.Cycle == nil {
-		return nil
-	}
-	return w.Cycle.Edges
 }
 
 func metaKey(data any) string {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"slices"
@@ -243,7 +244,10 @@ func TestStreamMatchesTextRoundTrip(t *testing.T) {
 // FuzzStreamDecode: whatever follows the streaming magic, the decoder
 // must not panic and must not allocate beyond its input (a hostile
 // length is refused, not obeyed); and what it accepts is a fixed point
-// of decode → MarshalStream, operations and trailer alike.
+// of decode → MarshalStream, operations and trailer alike. And after
+// either magic there is one decoder at two speeds: NextBatch, whatever
+// the batch size and however the reader cuts the bytes up, yields the
+// operations and the error text of the record-at-a-time code.
 func FuzzStreamDecode(f *testing.F) {
 	whole := streamBytes(truncCorpus(), truncTrailer)
 	f.Add(whole[4:])
@@ -257,7 +261,24 @@ func FuzzStreamDecode(f *testing.F) {
 	for _, c := range outOfRangeIDs {                      // ids that wrapped or went negative in an engine's tables
 		f.Add(append(rawRecord(c.kind, c.tid, c.zz), streamEnd, 0))
 	}
+	for _, recs := range hardRecords {
+		f.Add(append(bytes.Clone(recs), streamEnd, 0))
+		f.Add(append([]byte{3}, recs...)) // as the body of a counted trace
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, magic := range [][4]byte{binaryMagic, streamMagic} {
+			data := append(magic[:], body...)
+			want, wantErr := decodeRecords(data)
+			for _, size := range []int{1, 7, 512} {
+				for how, wrap := range cutReaders {
+					got, err := decodeBatched(wrap(bytes.NewReader(data)), size)
+					if !slices.Equal(got, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+						t.Fatalf("%q, batches of %d, %s reads: %d ops and %v, record at a time %d ops and %v",
+							magic, size, how, len(got), err, len(want), wantErr)
+					}
+				}
+			}
+		}
 		data := append(streamMagic[:], body...)
 		dec := NewDecoder(bytes.NewReader(data))
 		tr, err := dec.ReadAll()

@@ -104,6 +104,14 @@ type Decoder struct {
 	mode   int // modeUnknown until the first bytes are sniffed
 	lineno int
 
+	// win is the window: br's buffered bytes as of the last read through
+	// it, of which the in-place fills have parsed the first parsed bytes
+	// and br has not been told. NextBatch settles that before any read
+	// through br, so a call served from the window costs no Peek and no
+	// Discard (nor a pointer store: only parsed moves).
+	win    []byte
+	parsed int
+
 	// text state
 	lineBuf []byte           // spill buffer for lines longer than br's buffer
 	intern  map[string]Label // Begin-label dedup (keeps ops off the read buffer)
@@ -142,20 +150,14 @@ func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{br: bufio.NewReaderSize(r, decoderBufSize)}
 }
 
-// Next returns the next operation, or io.EOF after the last one.
+// Next returns the next operation, or io.EOF after the last one. It is
+// NextBatch of one: the decoder has a single entry point.
 func (d *Decoder) Next() (Op, error) {
-	if d.mode == modeUnknown {
-		if err := d.sniff(); err != nil {
-			return Op{}, err
-		}
+	var one [1]Op
+	if n, err := d.NextBatch(one[:]); n == 0 {
+		return Op{}, err
 	}
-	if d.mode == modeBinary {
-		return d.nextBinary()
-	}
-	if d.mode == modeStream {
-		return d.nextStream()
-	}
-	return d.nextText()
+	return one[0], nil
 }
 
 // sniff picks the format from the stream's first bytes: a binary magic
@@ -361,74 +363,123 @@ func (d *Decoder) readEnd() error {
 }
 
 // NextBatch fills buf with the next operations and returns how many it
-// wrote. It blocks for the first one like Next (io.EOF after the last
-// operation), then keeps going only while the read buffer already holds
-// a complete further operation, so a slow live stream is handed on as a
-// short batch instead of waiting on the transport for a full one. An
-// error after the first operation is returned together with the
-// operations decoded before it.
+// wrote. It first takes what the read buffer already holds, without
+// touching the transport; only when that yields nothing does it block
+// for one operation (io.EOF after the last), and then again takes what
+// the refill brought. A slow live stream is therefore handed on as a
+// short batch instead of waiting on the transport for a full one. A
+// text parse error is returned together with the operations decoded
+// before it; a binary one alone, by the next call.
 func (d *Decoder) NextBatch(buf []Op) (int, error) {
 	if len(buf) == 0 {
 		return 0, nil
 	}
-	op, err := d.Next()
+	if d.mode == modeUnknown {
+		if err := d.sniff(); err != nil {
+			return 0, err
+		}
+	}
+	n, err := d.fill(buf)
+	if n > 0 || err != nil {
+		return n, err
+	}
+	// Hand the reader back what the fills took from its buffer, read one
+	// operation through it, and look at what it holds now.
+	d.br.Discard(d.parsed)
+	d.parsed, d.win = 0, nil
+	switch d.mode {
+	case modeText:
+		buf[0], err = d.nextText()
+	case modeBinary:
+		buf[0], err = d.nextBinary()
+	default:
+		buf[0], err = d.nextStream()
+	}
 	if err != nil {
 		return 0, err
 	}
-	buf[0] = op
-	var n int
-	if d.mode >= modeBinary {
-		n = d.fillBinary(buf[1:])
-	} else {
-		n, err = d.fillText(buf[1:])
-	}
+	d.win, _ = d.br.Peek(d.br.Buffered())
+	n, err = d.fill(buf[1:])
 	return 1 + n, err
 }
 
-// fillText decodes the complete lines already sitting in the read
-// buffer: everything up to the last buffered newline can be consumed
-// without ReadSlice touching the transport.
-func (d *Decoder) fillText(buf []Op) (int, error) {
-	p, _ := d.br.Peek(d.br.Buffered())
-	budget := bytes.LastIndexByte(p, '\n') + 1
-	n := 0
-	for n < len(buf) && budget > 0 {
-		line, _ := d.br.ReadSlice('\n')
-		budget -= len(line)
-		op, ok, err := d.textLine(line)
-		if err != nil {
-			return n, err
-		}
-		if ok {
-			buf[n] = op
-			n++
-		}
+// fill decodes, in place, the operations that lie complete in the window,
+// and leaves the first that does not for the blocking code.
+func (d *Decoder) fill(buf []Op) (int, error) {
+	if d.mode == modeText {
+		return d.fillText(buf)
 	}
-	return n, nil
+	return d.fillBinary(buf), nil
 }
 
-// fillBinary decodes the operations that lie complete in the read
-// buffer, parsing the buffered bytes in place. It stops — consuming
-// nothing of the operation in question — at the first one that is
-// incomplete, malformed, out of id range, or introduces a new label; the
-// next blocking Next decodes that one, so errors are reported by a single
-// code path.
-func (d *Decoder) fillBinary(buf []Op) int {
-	p, _ := d.br.Peek(d.br.Buffered())
+// fillText decodes the lines that have their newline in the window.
+func (d *Decoder) fillText(buf []Op) (int, error) {
+	p := d.win[d.parsed:]
 	n, off := 0, 0
-	for n < len(buf) && uint64(n) < d.remaining && off < len(p) && Kind(p[off]) <= Join {
-		tid, a := binary.Uvarint(p[off+1:])
+	var err error
+	for n < len(buf) && err == nil {
+		i := bytes.IndexByte(p[off:], '\n')
+		if i < 0 {
+			break
+		}
+		var ok bool
+		if buf[n], ok, err = d.textLine(p[off : off+i+1]); ok {
+			n++
+		}
+		off += i + 1
+	}
+	d.parsed += off
+	return n, err
+}
+
+// fillBinary decodes the records that lie complete in the window. The
+// common one — any kind but Begin, a one-byte thread, a target varint of
+// up to three bytes — is taken without a call; every other well-formed
+// one (longer varints, a Begin naming a label already seen) by the
+// general code below it. It stops — consuming nothing of the operation in
+// question — at the first one that is incomplete, malformed, out of id
+// range, or introduces a new label; nextBinary decodes that one, so
+// errors are reported by a single code path.
+func (d *Decoder) fillBinary(buf []Op) int {
+	p := d.win[d.parsed:]
+	if uint64(len(buf)) > d.remaining {
+		buf = buf[:d.remaining]
+	}
+	n, off := 0, 0
+	for n < len(buf) {
+		r := p[off:]
+		if len(r) >= 5 && r[0] <= byte(Join) && r[0] != byte(Begin) && r[1] < 0x80 {
+			zz, size := uint32(r[2]), 3
+			if zz >= 0x80 {
+				zz, size = zz&0x7f|uint32(r[3])<<7, 4
+				if zz >= 1<<14 {
+					zz, size = zz&(1<<14-1)|uint32(r[4])<<14, 5
+				}
+			}
+			// A fourth target byte leaves zz >= 1<<21; an odd zig-zag is
+			// a negative id, which only a variable may carry.
+			if zz < 1<<21 && (zz&1 == 0 || r[0] <= byte(Write)) {
+				buf[n] = Op{Kind: Kind(r[0]), Thread: Tid(r[1]), Target: int32(zz>>1) ^ -int32(zz&1)}
+				n++
+				off += size
+				continue
+			}
+		}
+		if len(r) == 0 || Kind(r[0]) > Join {
+			break
+		}
+		tid, a := binary.Uvarint(r[1:])
 		if a <= 0 {
 			break
 		}
-		zz, b := binary.Uvarint(p[off+1+a:])
-		if b <= 0 || !idsInRange(Kind(p[off]), tid, zz) {
+		zz, b := binary.Uvarint(r[1+a:])
+		if b <= 0 || !idsInRange(Kind(r[0]), tid, zz) {
 			break
 		}
 		size := 1 + a + b
-		op := Op{Kind: Kind(p[off]), Thread: Tid(tid), Target: unzigzag(zz)}
+		op := Op{Kind: Kind(r[0]), Thread: Tid(tid), Target: unzigzag(zz)}
 		if op.Kind == Begin {
-			lv, c := binary.Uvarint(p[off+size:])
+			lv, c := binary.Uvarint(r[size:])
 			if c <= 0 || lv&1 == 0 || lv>>1 >= uint64(len(d.labels)) {
 				break
 			}
@@ -439,7 +490,7 @@ func (d *Decoder) fillBinary(buf []Op) int {
 		n++
 		off += size
 	}
-	d.br.Discard(off)
+	d.parsed += off
 	d.binIndex += uint64(n)
 	d.remaining -= uint64(n)
 	return n

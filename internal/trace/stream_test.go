@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -199,10 +201,73 @@ func decodeBatched(r io.Reader, size int) (Trace, error) {
 	}
 }
 
-// TestNextBatchMatchesNext is the batch fill's differential: for every
-// encoding, every batch size, whole and byte-at-a-time readers, and
-// every truncation of the two binary corpora, NextBatch yields exactly
-// the ops, comments and terminal error of a Next loop.
+// decodeRecords drains data through the blocking record-at-a-time code —
+// nextText, nextBinary, nextStream: the only producers of decode errors —
+// without the in-place fill that Next and NextBatch put in front of it.
+func decodeRecords(data []byte) (Trace, error) {
+	d := NewDecoder(bytes.NewReader(data))
+	if err := d.sniff(); err != nil {
+		return nil, err
+	}
+	next := map[int]func() (Op, error){modeText: d.nextText, modeBinary: d.nextBinary, modeStream: d.nextStream}[d.mode]
+	var tr Trace
+	for {
+		op, err := next()
+		if err == io.EOF {
+			return tr, nil
+		}
+		if err != nil {
+			return tr, err
+		}
+		tr = append(tr, op)
+	}
+}
+
+// hardRecords are binary record sequences the in-place parser must hand
+// to the general code or to nextBinary, each with where it stands among
+// ordinary ones; they seed FuzzStreamDecode too.
+var hardRecords = map[string][]byte{
+	"non-minimal-thread": {byte(Read), 0x80, 0x00, 2, byte(Write), 1, 2},
+	"non-minimal-target": {byte(Read), 1, 0x80, 0x00, byte(Read), 1, 0x82, 0x80, 0x00, byte(Write), 1, 2},
+	"four-byte-target":   append(rawRecord(Read, 1, 1<<21), rawRecord(Write, 1, 1<<21|1)...),
+	"five-byte-target":   append(rawRecord(Read, 1, 1<<28), rawRecord(Write, 1, 1<<32-1)...),
+	"three-byte-target":  append(rawRecord(Read, 1, 1<<21-1), rawRecord(Acquire, 1, 1<<21-2)...),
+	"six-byte-target":    append(rawRecord(Read, 1, 4), rawRecord(Read, 1, 1<<35)...),
+	"odd-zigzag-acq":     append(rawRecord(Read, 1, 3), rawRecord(Acquire, 1, 3)...),
+	"odd-zigzag-rel-2b":  append(rawRecord(Write, 1, 0x81), rawRecord(Release, 1, 0x81)...),
+	"thread-128":         append(rawRecord(Read, 128, 2), rawRecord(Read, 127, 2)...),
+	"unknown-kind":       append(rawRecord(Read, 1, 2), 8, 1, 2),
+	"begin-backref":      {byte(Begin), 1, 0, 2, 'm', byte(Read), 1, 2, byte(Begin), 2, 0, 1, byte(End), 2, 0, byte(Begin), 2, 0, 3},
+}
+
+// cutReaders deliver a stream whole, in halves and a byte at a time, so
+// that records straddle every refill of the decoder's buffer.
+var cutReaders = map[string]func(io.Reader) io.Reader{
+	"whole": func(r io.Reader) io.Reader { return r }, "half": iotest.HalfReader, "byte": iotest.OneByteReader,
+}
+
+// straddler returns records laid out so that one of five bytes starts two
+// bytes short of the decoder's first buffer edge, behind a header of the
+// given length, and how many records that is.
+func straddler(header int) ([]byte, int) {
+	var b []byte
+	n := 0
+	for ; (decoderBufSize-2-header-len(b))%3 != 0; n++ {
+		b = append(b, rawRecord(Read, 1, 0x80)...) // four bytes
+	}
+	for ; header+len(b) < decoderBufSize-2; n++ {
+		b = append(b, rawRecord(Write, 2, 6)...)
+	}
+	b = append(b, rawRecord(Read, 3, 1<<14)...) // five bytes, across the edge
+	return append(b, rawRecord(Write, 3, 8)...), n + 2
+}
+
+// TestNextBatchMatchesNext is the in-place fill's differential: for
+// every encoding, every batch size, readers that deliver whole, half and
+// byte at a time (so records straddle every refill), every truncation of
+// the two binary corpora and of the records the fill must pass on, Next
+// and NextBatch yield exactly the ops and the terminal error text of the
+// blocking record-at-a-time code.
 func TestNextBatchMatchesNext(t *testing.T) {
 	var bin bytes.Buffer
 	if err := MarshalBinary(&bin, truncCorpus()); err != nil {
@@ -220,29 +285,49 @@ func TestNextBatchMatchesNext(t *testing.T) {
 		"empty":         nil,
 		"comment-only":  []byte("# nothing\n"),
 	}
-	for cut := 1; cut < bin.Len(); cut++ {
-		inputs[fmt.Sprintf("binary-cut-%d", cut)] = bin.Bytes()[:cut]
+	cuts := func(name string, data []byte, from int) {
+		for cut := from; cut < len(data); cut++ {
+			inputs[fmt.Sprintf("%s-cut-%d", name, cut)] = data[:cut]
+		}
 	}
-	for cut := 1; cut < len(stream); cut++ {
-		inputs[fmt.Sprintf("stream-cut-%d", cut)] = stream[:cut]
+	cuts("binary", bin.Bytes(), 1)
+	cuts("stream", stream, 1)
+	for name, recs := range hardRecords {
+		whole := bytes.Join([][]byte{streamMagic[:], recs, {streamEnd, 0}}, nil)
+		inputs[name] = whole
+		cuts(name, whole, 5)
+		inputs[name+"-counted"] = bytes.Join([][]byte{binaryMagic[:], {3}, recs}, nil)
 	}
+	recs, n := straddler(len(streamMagic))
+	inputs["straddle-stream"] = bytes.Join([][]byte{streamMagic[:], recs, {streamEnd, 0}}, nil)
+	recs, n = straddler(len(binaryMagic) + 3)
+	inputs["straddle-binary"] = bytes.Join([][]byte{binary.AppendUvarint(binaryMagic[:], uint64(n)), recs}, nil)
+	inputs["straddle-binary-cut"] = inputs["straddle-binary"][:decoderBufSize+1]
 	for name, data := range inputs {
-		want, wantErr := decodeAll(data) // the Next loop
-		for _, size := range []int{1, 2, 3, 7, 4096} {
-			for _, slow := range []bool{false, true} {
-				var r io.Reader = bytes.NewReader(data)
-				if slow {
-					r = iotest.OneByteReader(r)
-				}
-				got, err := decodeBatched(r, size)
-				if fmt.Sprint(err) != fmt.Sprint(wantErr) {
-					t.Errorf("%s/size=%d/slow=%v: err %v, Next loop %v", name, size, slow, err, wantErr)
-				}
-				if got.String() != want.String() {
-					t.Errorf("%s/size=%d/slow=%v: %d ops, Next loop %d", name, size, slow, len(got), len(want))
-				}
+		want, wantErr := decodeRecords(data)
+		check := func(how string, got Trace, err error) {
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Errorf("%s/%s: err %v, record at a time %v", name, how, err, wantErr)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s/%s: %d ops, record at a time %d", name, how, len(got), len(want))
 			}
 		}
+		got, err := decodeAll(data)
+		check("Next", got, err)
+		sizes := []int{1, 2, 3, 7, 512, 4096}
+		if len(data) > decoderBufSize {
+			sizes = []int{1, 512} // a byte at a time, 64 KiB is slow
+		}
+		for _, size := range sizes {
+			for how, wrap := range cutReaders {
+				got, err := decodeBatched(wrap(bytes.NewReader(data)), size)
+				check(fmt.Sprintf("size=%d/%s", size, how), got, err)
+			}
+		}
+	}
+	if got, _ := decodeRecords(inputs["straddle-stream"]); len(got) < decoderBufSize/4 || got[len(got)-2] != Rd(3, 1<<13) {
+		t.Errorf("straddle-stream decodes to %d ops ending %v: the input is not what it says", len(got), got[max(0, len(got)-2):])
 	}
 }
 
