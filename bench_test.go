@@ -209,9 +209,10 @@ func BenchmarkCheckerThroughput(b *testing.B) {
 // (benchmark/check.go) as a testing.B: the fifteen Table 1 programs, four
 // seeded recordings each at scale 5 — about 290 k events and 14 k
 // warnings — binary-encoded and streamed through the decoder into the
-// default engine. B/op and allocs/op are per pass; what remains of them
-// is the output (a Warning, its Cycle and the cycle's edges per warning,
-// a TxnMeta per transaction) and ~80 KiB of decode buffers per check.
+// default engine. B/op and allocs/op are per pass; the bytes are the
+// output (a Warning, its Cycle and the cycle's edges per warning, a
+// TxnMeta per transaction), written into chunks, and per check a 16 KiB
+// batch buffer and a read buffer no larger than the recording.
 func BenchmarkCheckDense(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	var inputs [][]byte

@@ -136,7 +136,7 @@ func (c *basicChecker) step1(op trace.Op) *Warning {
 		wasInside := c.checkedDepth(t) > 0
 		c.blocks[t] = append(c.blocks[t], ignored)
 		if !ignored && !wasInside {
-			c.enter(t, &TxnMeta{Thread: t, Label: op.Label, Start: c.idx, End: -1}, op)
+			c.enter(t, c.newMeta(TxnMeta{Thread: t, Label: op.Label, Start: c.idx, End: -1}), op)
 		}
 		return nil
 	case trace.End:
@@ -159,7 +159,7 @@ func (c *basicChecker) step1(op trace.Op) *Warning {
 		return c.action(op)
 	}
 	// [INS OUTSIDE]: wrap in a fresh unary transaction.
-	c.enter(t, &TxnMeta{Thread: t, Start: c.idx, Unary: true, End: -1}, op)
+	c.enter(t, c.newMeta(TxnMeta{Thread: t, Start: c.idx, Unary: true, End: -1}), op)
 	w := c.action(op)
 	c.exit(t)
 	return w
@@ -171,7 +171,7 @@ func (c *basicChecker) enter(t trace.Tid, meta *TxnMeta, op trace.Op) {
 	if c.rec == nil {
 		c.g.AddEdge(stepOf(c.l, t), n, op) // fresh target: cannot close a cycle
 	} else {
-		c.g.AddEdgeP(stepOf(c.l, t), n, op, c.poProv())
+		c.addEdgeP(stepOf(c.l, t), n, op, c.poProv())
 		c.curMeta[t] = meta
 	}
 	c.cur[t] = n
@@ -201,7 +201,7 @@ func (c *basicChecker) action(op trace.Op) *Warning {
 		if c.rec == nil {
 			cyc = c.g.AddEdge(stepOf(c.u, op.Lock()), n, op)
 		} else {
-			cyc = c.g.AddEdgeP(stepOf(c.u, op.Lock()), n, op, c.tailProv(c.rec.LastRelease(op.Lock())))
+			cyc = c.addEdgeP(stepOf(c.u, op.Lock()), n, op, c.tailProv(c.rec.LastRelease(op.Lock())))
 		}
 		if cyc != nil {
 			return c.violation(op, cyc)
@@ -215,7 +215,7 @@ func (c *basicChecker) action(op trace.Op) *Warning {
 		if c.rec == nil {
 			cyc = c.g.AddEdge(stepOf(c.w, x), n, op)
 		} else {
-			cyc = c.g.AddEdgeP(stepOf(c.w, x), n, op, c.tailProv(c.rec.LastWrite(x)))
+			cyc = c.addEdgeP(stepOf(c.w, x), n, op, c.tailProv(c.rec.LastWrite(x)))
 		}
 		m := c.r[x]
 		if m == nil {
@@ -243,7 +243,7 @@ func (c *basicChecker) action(op trace.Op) *Warning {
 			if c.rec == nil {
 				cy = c.g.AddEdge(rs, n, op)
 			} else {
-				cy = c.g.AddEdgeP(rs, n, op, c.tailProv(c.rec.LastRead(x, t2)))
+				cy = c.addEdgeP(rs, n, op, c.tailProv(c.rec.LastRead(x, t2)))
 			}
 			if cy != nil && cyc == nil {
 				cyc = cy
@@ -253,7 +253,7 @@ func (c *basicChecker) action(op trace.Op) *Warning {
 		if c.rec == nil {
 			cy = c.g.AddEdge(stepOf(c.w, x), n, op)
 		} else {
-			cy = c.g.AddEdgeP(stepOf(c.w, x), n, op, c.tailProv(c.rec.LastWrite(x)))
+			cy = c.addEdgeP(stepOf(c.w, x), n, op, c.tailProv(c.rec.LastWrite(x)))
 		}
 		if cy != nil && cyc == nil {
 			cyc = cy
@@ -270,5 +270,5 @@ func (c *basicChecker) action(op trace.Op) *Warning {
 // violation records a warning. The basic engine has no timestamps, so no
 // blame is assigned (Section 4.3 is an extension of the optimized engine).
 func (c *basicChecker) violation(op trace.Op, cyc *graph.Cycle) *Warning {
-	return c.record(&Warning{OpIndex: c.idx, Op: op, Cycle: cyc})
+	return c.record(c.newWarning(op, cyc))
 }

@@ -298,7 +298,47 @@ type common struct {
 	snap  Snapshot // all but Stats, which Snapshot reads off the graph
 	done  bool
 
+	// The graph engines' output, per transaction and per violation.
+	metas    chunks[TxnMeta]
+	warnings chunks[Warning]
+	labels   chunks[trace.Label]
+
 	sampler
+}
+
+// chunks is graph's chunks for the engines' own output: slabs of chunkMin
+// entries doubling to chunkMax, never reallocated or reused, so what is
+// handed out belongs to the Result — a retained *Warning keeps its slab,
+// and the TxnMeta slab it blames into, alive.
+type chunks[T any] struct{ cur []T }
+
+const (
+	chunkMin = 8
+	chunkMax = 256
+)
+
+// take returns n zeroed entries nobody else holds, with len == cap.
+func (c *chunks[T]) take(n int) []T {
+	if cap(c.cur)-len(c.cur) < n {
+		c.cur = make([]T, 0, max(n, min(max(2*cap(c.cur), chunkMin), chunkMax)))
+	}
+	lo := len(c.cur)
+	c.cur = c.cur[:lo+n]
+	return c.cur[lo : lo+n : lo+n]
+}
+
+// newMeta returns m as a transaction's metadata.
+func (c *common) newMeta(m TxnMeta) *TxnMeta {
+	p := &c.metas.take(1)[0]
+	*p = m
+	return p
+}
+
+// newWarning starts the warning for op, the operation being processed.
+func (c *common) newWarning(op trace.Op, cyc *graph.Cycle) *Warning {
+	w := &c.warnings.take(1)[0]
+	*w = Warning{OpIndex: c.idx, Op: op, Cycle: cyc}
+	return w
 }
 
 // Warnings implements Checker.

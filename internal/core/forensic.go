@@ -31,6 +31,11 @@ func (c *common) tailProv(tail forensic.Access) graph.EdgeProv {
 	return p
 }
 
+// addEdgeP inserts from ⇒ to with prov beside it (graph.AddEdgeP copies).
+func (c *common) addEdgeP(from, to graph.Step, op trace.Op, prov graph.EdgeProv) *graph.Cycle {
+	return c.g.AddEdgeP(from, to, op, &prov)
+}
+
 // noteOp feeds the flight recorder; access mirrors a W/R/U table store
 // into the last-access provenance tables. Both are no-ops with
 // forensics off.
@@ -47,8 +52,8 @@ func (c *common) access(op trace.Op) {
 }
 
 // buildReport assembles the provenance report for w at warning time: the
-// cycle's transactions and edges (with the access pairs riding on
-// graph.EdgeProv) plus the involved threads' flight-recorder windows.
+// cycle's transactions and edges (with the access pairs each edge's
+// graph.EdgeProv names) plus the involved threads' flight-recorder windows.
 func (c *common) buildReport(w *Warning) *forensic.Report {
 	rep := &forensic.Report{
 		OpIndex:    int64(w.OpIndex),
@@ -90,24 +95,28 @@ func (c *common) buildReport(w *Warning) *forensic.Report {
 	for i, e := range edges {
 		from := addTxn(e.From, e.FromData)
 		to := addTxn(e.To, e.ToData)
+		var prov graph.EdgeProv // every edge has one under forensics; none reads as the zero value
+		if e.Prov != nil {
+			prov = *e.Prov
+		}
 		kind, conflict := "conflict", forensic.ConflictTarget(e.Op)
-		if e.Prov.Program {
+		if prov.Program {
 			kind, conflict = "program-order", ""
 		}
 		re := forensic.Edge{
 			From: from, To: to, Kind: kind, Conflict: conflict,
 			Head: forensic.AccessJSON{
-				Index: e.Prov.HeadIdx, Op: e.Op.String(), Thread: int32(e.Op.Thread),
+				Index: prov.HeadIdx, Op: e.Op.String(), Thread: int32(e.Op.Thread),
 			},
 			TailTime: e.TailTime,
 			HeadTime: e.HeadTime,
 			Closing:  i == len(edges)-1,
 		}
-		if e.Prov.HasTail {
+		if prov.HasTail {
 			re.Tail = &forensic.AccessJSON{
-				Index:  e.Prov.TailIdx,
-				Op:     e.Prov.TailOp.String(),
-				Thread: int32(e.Prov.TailOp.Thread),
+				Index:  prov.TailIdx,
+				Op:     prov.TailOp.String(),
+				Thread: int32(prov.TailOp.Thread),
 			}
 		}
 		threads[e.Op.Thread] = true

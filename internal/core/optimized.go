@@ -202,12 +202,12 @@ func (c *optChecker) step1(op trace.Op) *Warning {
 		}
 		// [INS2 ENTER]: fresh transaction node, ordered after the
 		// thread's previous transaction.
-		meta := &TxnMeta{Thread: t, Label: op.Label, Start: c.idx, End: -1}
+		meta := c.newMeta(TxnMeta{Thread: t, Label: op.Label, Start: c.idx, End: -1})
 		s := c.g.NewNode(true, meta)
 		if c.rec == nil {
 			c.g.AddEdge(c.l.get(int32(t)), s, op) // fresh target: cannot close a cycle
 		} else {
-			c.g.AddEdgeP(c.l.get(int32(t)), s, op, c.poProv())
+			c.addEdgeP(c.l.get(int32(t)), s, op, c.poProv())
 			c.setOpenMeta(t, meta)
 		}
 		c.setStack(t, append(stack, frame{op.Label, s.Time(), false}))
@@ -250,12 +250,11 @@ func (c *optChecker) step1(op trace.Op) *Warning {
 	}
 	if c.opts.NoMerge {
 		// [INS OUTSIDE]: wrap the operation in its own unary transaction.
-		meta := &TxnMeta{Thread: t, Start: c.idx, Unary: true, End: c.idx}
-		s := c.g.NewNode(true, meta)
+		s := c.g.NewNode(true, c.newMeta(TxnMeta{Thread: t, Start: c.idx, Unary: true, End: c.idx}))
 		if c.rec == nil {
 			c.g.AddEdge(c.l.get(int32(t)), s, op)
 		} else {
-			c.g.AddEdgeP(c.l.get(int32(t)), s, op, c.poProv())
+			c.addEdgeP(c.l.get(int32(t)), s, op, c.poProv())
 		}
 		c.setStack(t, append(c.stack(t), frame{"", s.Time(), false}))
 		c.l.set(int32(t), s)
@@ -289,7 +288,7 @@ func (c *optChecker) insideOp(op trace.Op) *Warning {
 		if c.rec == nil {
 			cyc = c.g.AddEdge(c.u.get(op.Target), s, op)
 		} else {
-			cyc = c.g.AddEdgeP(c.u.get(op.Target), s, op, c.tailProv(c.rec.LastRelease(op.Lock())))
+			cyc = c.addEdgeP(c.u.get(op.Target), s, op, c.tailProv(c.rec.LastRelease(op.Lock())))
 		}
 		if cyc != nil {
 			return c.violation(op, cyc)
@@ -303,7 +302,7 @@ func (c *optChecker) insideOp(op trace.Op) *Warning {
 		if c.rec == nil {
 			cyc = c.g.AddEdge(c.w.get(x), s, op)
 		} else {
-			cyc = c.g.AddEdgeP(c.w.get(x), s, op, c.tailProv(c.rec.LastWrite(x)))
+			cyc = c.addEdgeP(c.w.get(x), s, op, c.tailProv(c.rec.LastWrite(x)))
 		}
 		c.r.set(x, t, s)
 		c.access(op)
@@ -322,20 +321,26 @@ func (c *optChecker) insideOp(op trace.Op) *Warning {
 			if cy == nil {
 				return
 			}
-			if cyc == nil || (!cyc.Increasing() && cy.Increasing()) {
+			if cyc == nil || (!cyc.Increasing && cy.Increasing) {
 				cyc = cy
 			}
 		}
+		// Most of a row is ⊥ — the threads that never read x — and an edge
+		// from ⊥ is none: those entries are not worth the call.
 		if c.rec == nil {
 			for _, rs := range c.r.row(x) {
-				keep(c.g.AddEdge(rs, s, op))
+				if rs != graph.None {
+					keep(c.g.AddEdge(rs, s, op))
+				}
 			}
 			keep(c.g.AddEdge(c.w.get(x), s, op))
 		} else {
 			for t2, rs := range c.r.row(x) {
-				keep(c.g.AddEdgeP(rs, s, op, c.tailProv(c.rec.LastRead(x, trace.Tid(t2)))))
+				if rs != graph.None {
+					keep(c.addEdgeP(rs, s, op, c.tailProv(c.rec.LastRead(x, trace.Tid(t2)))))
+				}
 			}
-			keep(c.g.AddEdgeP(c.w.get(x), s, op, c.tailProv(c.rec.LastWrite(x))))
+			keep(c.addEdgeP(c.w.get(x), s, op, c.tailProv(c.rec.LastWrite(x))))
 		}
 		c.w.set(x, s)
 		c.access(op)
@@ -407,10 +412,9 @@ func (c *optChecker) outsideOp(op trace.Op) *Warning {
 // when a node was actually allocated. provs, non-nil only under
 // forensics, annotates the edge from each predecessor.
 func (c *optChecker) merge(op trace.Op, preds []graph.Step, provs []graph.EdgeProv) graph.Step {
-	before := c.g.Stats().Allocated
-	s := c.g.MergeP(preds, op, nil, provs)
-	if c.g.Stats().Allocated != before {
-		c.g.SetData(s, &TxnMeta{Thread: op.Thread, Start: c.idx, Unary: true, End: c.idx})
+	s, fresh := c.g.MergeP(preds, op, nil, provs)
+	if fresh {
+		c.g.SetData(s, c.newMeta(TxnMeta{Thread: op.Thread, Start: c.idx, Unary: true, End: c.idx}))
 	}
 	return s
 }
@@ -421,20 +425,24 @@ func (c *optChecker) merge(op trace.Op, preds []graph.Step, provs []graph.EdgePr
 // self-serializable and every open atomic block of D whose first operation
 // precedes the cycle's root operation is refuted.
 func (c *optChecker) violation(op trace.Op, cyc *graph.Cycle) *Warning {
-	w := &Warning{OpIndex: c.idx, Op: op, Cycle: cyc, Increasing: cyc.Increasing()}
-	if w.Increasing {
+	w := c.newWarning(op, cyc)
+	if w.Increasing = cyc.Increasing; w.Increasing {
 		if meta, ok := cyc.CompleterData().(*TxnMeta); ok {
 			w.Blamed = meta
 		}
-		root := cyc.RootTime()
-		for _, f := range c.stack(op.Thread) {
+		root, stack := cyc.RootTime(), c.stack(op.Thread)
+		refuted := c.labels.take(len(stack))[:0]
+		for _, f := range stack {
 			if f.ignored {
 				continue // exempted by the atomicity specification
 			}
 			if f.start > root {
 				break // inner blocks started after the root op: serializable
 			}
-			w.Refuted = append(w.Refuted, f.label)
+			refuted = append(refuted, f.label)
+		}
+		if len(refuted) > 0 {
+			w.Refuted = refuted[:len(refuted):len(refuted)]
 		}
 	}
 	return c.record(w)

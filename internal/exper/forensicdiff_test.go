@@ -1,13 +1,90 @@
 package exper
 
 import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dot"
 	"repro/internal/forensic"
 	"repro/internal/trace"
 )
+
+// reportsGolden pins every provenance report the graph engines produce
+// over the corpus and the repository's testdata traces: per input and
+// engine, how many reports and a digest of their three renderings — the
+// -explain text, the JSON line and dot.RenderReport. Where an edge's
+// provenance is kept is the engines' business and may change; a byte of
+// a report may not, without this file saying so. Regenerate, at both
+// scales, with
+//
+//	go test ./internal/exper -run ForensicsDifferential -update-forensic-golden
+//	go test ./internal/exper -run ForensicsDifferential -update-forensic-golden -short
+const reportsGolden = "testdata/forensic_reports.golden"
+
+var updateReportsGolden = flag.Bool("update-forensic-golden", false, "rewrite "+reportsGolden+" for the scale being run")
+
+// reportsDigest is one golden line without its key.
+func reportsDigest(t *testing.T, warns []*core.Warning) string {
+	h := sha256.New()
+	for _, w := range warns {
+		rep := w.Forensics()
+		js, err := rep.MarshalJSONLine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s\n%s\n%s\n", rep, js, dot.RenderReport(rep))
+	}
+	return fmt.Sprintf("%d %x", len(warns), h.Sum(nil)[:12])
+}
+
+// checkReportsGolden compares got (key → digest, keys starting with
+// prefix) with the golden file's lines under the same prefix, or under
+// -update-forensic-golden replaces those lines with got.
+func checkReportsGolden(t *testing.T, prefix string, got map[string]string) {
+	t.Helper()
+	data, err := os.ReadFile(reportsGolden)
+	if err != nil && !*updateReportsGolden {
+		t.Fatal(err)
+	}
+	var others []string
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		key, digest, _ := strings.Cut(line, " = ")
+		if strings.HasPrefix(key, prefix) {
+			want[key] = digest
+		} else if line != "" {
+			others = append(others, line)
+		}
+	}
+	if *updateReportsGolden {
+		for key, digest := range got {
+			others = append(others, key+" = "+digest)
+		}
+		slices.Sort(others)
+		if err := os.MkdirAll(filepath.Dir(reportsGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(reportsGolden, []byte(strings.Join(others, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	for key, digest := range got {
+		if want[key] != digest {
+			t.Errorf("%s: reports digest %q, golden %q", key, digest, want[key])
+		}
+	}
+	if len(want) != len(got) {
+		t.Errorf("%d inputs under %q produced reports, the golden file lists %d", len(got), prefix, len(want))
+	}
+}
 
 // validateReport checks one provenance report against the trace that
 // produced it: every cycle edge's access pair must name real trace
@@ -127,19 +204,23 @@ func BenchmarkForensics(b *testing.B) {
 }
 
 // TestForensicsDifferentialOnBenchCorpus is the acceptance gate for the
-// forensics layer. Across every workload trace and both engines:
-// with the recorder off the result is bit-identical to a forensics-on
-// run — same verdict, warning positions, blame, graph statistics and
-// filter counters, and no warning carries a report — so recording
-// cannot perturb the analysis; with it on, every warning carries a
-// provenance report whose cycle edges check out against the trace.
+// forensics layer. Across every workload trace, the repository's testdata
+// traces and both engines: with the recorder off the result is
+// bit-identical to a forensics-on run — same verdict, warning positions,
+// blame, graph statistics and filter counters — no warning carries a
+// report and no cycle edge a provenance, so recording cannot perturb the
+// analysis and costs nothing when off; with it on, every warning carries
+// a provenance report whose cycle edges check out against the trace, and
+// every report is, byte for byte, the one reportsGolden pins — edges
+// refreshed through the last-edge memo and edges into merged unary nodes
+// included.
 func TestForensicsDifferentialOnBenchCorpus(t *testing.T) {
 	scale := 4
 	if testing.Short() {
 		scale = 2
 	}
-	reports := 0
-	for name, tr := range corpusTraces(scale) {
+	reports, intoUnary, memoHits := 0, 0, 0
+	diff := func(name string, tr trace.Trace, digests map[string]string) {
 		for _, engine := range []core.Engine{core.Optimized, core.Basic} {
 			off := core.CheckTrace(tr, core.Options{Engine: engine})
 			on := core.CheckTrace(tr, core.Options{Engine: engine, Forensics: true})
@@ -160,11 +241,6 @@ func TestForensicsDifferentialOnBenchCorpus(t *testing.T) {
 					name, engine, len(off.Warnings), len(on.Warnings))
 			}
 			for i := range off.Warnings {
-				// warnKey covers position, increasing flag, blame and
-				// refutations. The cycle rendering itself is not compared:
-				// when several readers' edges could close a cycle the engine
-				// extracts whichever a map iteration surfaces first, so two
-				// runs of the SAME configuration can already differ there.
 				if a, b := warnKey(off.Warnings[i]), warnKey(on.Warnings[i]); a != b {
 					t.Fatalf("%s engine %v warning %d:\noff %s\non  %s", name, engine, i, a, b)
 				}
@@ -175,13 +251,54 @@ func TestForensicsDifferentialOnBenchCorpus(t *testing.T) {
 				if rep == nil {
 					t.Fatalf("%s engine %v warning %d: no report with forensics on", name, engine, i)
 				}
+				for k, e := range off.Warnings[i].CycleEdges() {
+					if e.Prov != nil || on.Warnings[i].CycleEdges()[k].Prov == nil {
+						t.Fatalf("%s engine %v warning %d edge %d: provenance with forensics off, or none with it on", name, engine, i, k)
+					}
+				}
 				validateReport(t, name, tr, rep)
+				for _, e := range rep.Edges {
+					if rep.Txns[e.To].Unary {
+						intoUnary++
+					}
+				}
 				reports++
+			}
+			if len(on.Warnings) > 0 {
+				digests[name+"/"+core.InfoFor(engine).Name] = reportsDigest(t, on.Warnings)
+				memoHits += on.Stats.FilteredEdges
 			}
 		}
 	}
-	if reports == 0 {
-		t.Fatal("corpus produced no warnings — the differential test checked nothing")
+
+	prefix, digests := fmt.Sprintf("scale=%d/", scale), map[string]string{}
+	for name, tr := range corpusTraces(scale) {
+		diff(prefix+name, tr, digests)
 	}
-	t.Logf("validated %d provenance reports", reports)
+	checkReportsGolden(t, prefix, digests)
+
+	files, err := filepath.Glob("../../testdata/*.txt")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata traces: %v", err)
+	}
+	digests = map[string]string{}
+	for _, file := range files {
+		f, err := os.Open(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := trace.NewDecoder(f).ReadAll()
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		diff("testdata/"+filepath.Base(file), tr, digests)
+	}
+	checkReportsGolden(t, "testdata/", digests)
+
+	if reports == 0 || intoUnary == 0 || memoHits == 0 {
+		t.Fatalf("%d reports, %d edges into merged unary nodes, %d last-edge memo refreshes in the runs behind them: the differential is not reaching what it is for",
+			reports, intoUnary, memoHits)
+	}
+	t.Logf("validated %d provenance reports (%d edges into unary nodes)", reports, intoUnary)
 }

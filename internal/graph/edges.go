@@ -6,9 +6,10 @@ import "repro/internal/trace"
 // trace operations created it. The head access is the operation whose
 // Step insertion added (or refreshed) the edge; the tail access is the
 // earlier conflicting operation in the source transaction whose stored
-// step (W(x), R(x,t) or U(m)) the edge was drawn from. Provenance is
-// populated only when forensics is enabled — the zero value means "not
-// recorded" and costs nothing on the default path.
+// step (W(x), R(x,t) or U(m)) the edge was drawn from. Provenance exists
+// only when forensics is enabled, and is kept out of the hot structs — a
+// node's prov slice beside its out-edges, a pointer on a CycleEdge — so
+// the default path builds, stores and copies none.
 type EdgeProv struct {
 	// HeadIdx is the trace index of the operation that inserted the edge.
 	HeadIdx int64
@@ -29,10 +30,10 @@ type EdgeProv struct {
 type CycleEdge struct {
 	From, To         NodeID
 	FromData, ToData any
-	TailTime         uint64   // timestamp of the operation at the source
-	HeadTime         uint64   // timestamp of the operation at the destination
-	Op               trace.Op // the operation that generated the edge
-	Prov             EdgeProv // access-pair provenance (forensics only)
+	TailTime         uint64    // timestamp of the operation at the source
+	HeadTime         uint64    // timestamp of the operation at the destination
+	Op               trace.Op  // the operation that generated the edge
+	Prov             *EdgeProv // access-pair provenance; nil unless the edge was inserted with one
 }
 
 // Cycle is a non-trivial cycle in the transactional happens-before graph,
@@ -42,6 +43,12 @@ type CycleEdge struct {
 // potentially blamed transaction D and Edges[len-1] is the rejected edge.
 type Cycle struct {
 	Edges []CycleEdge
+	// Increasing reports whether the cycle is increasing (Section 4.3): for
+	// every node m other than the completer, the timestamp on the incoming
+	// edge to m is at most the timestamp on the outgoing edge from m. An
+	// increasing cycle witnesses that the completing transaction is not
+	// self-serializable, so blame can be assigned to it.
+	Increasing bool
 }
 
 // Completer returns the node that completed the cycle (the paper's D).
@@ -50,20 +57,15 @@ func (c *Cycle) Completer() NodeID { return c.Edges[0].From }
 // CompleterData returns the metadata of the completing node.
 func (c *Cycle) CompleterData() any { return c.Edges[0].FromData }
 
-// Increasing reports whether the cycle is increasing (Section 4.3): for
-// every node m other than the completer, the timestamp on the incoming
-// edge to m is at most the timestamp on the outgoing edge from m. An
-// increasing cycle witnesses that the completing transaction is not
-// self-serializable, so blame can be assigned to it.
-func (c *Cycle) Increasing() bool {
-	n := len(c.Edges)
+// increasing computes Cycle.Increasing, once, where the cycle is built.
+func increasing(edges []CycleEdge) bool {
+	n := len(edges)
 	for i := 0; i < n; i++ {
-		in := c.Edges[i]
-		out := c.Edges[(i+1)%n]
-		if out.From == c.Completer() {
+		out := &edges[(i+1)%n]
+		if out.From == edges[0].From {
 			continue // the completer itself is exempt
 		}
-		if in.HeadTime > out.TailTime {
+		if edges[i].HeadTime > out.TailTime {
 			return false
 		}
 	}
@@ -71,13 +73,45 @@ func (c *Cycle) Increasing() bool {
 }
 
 // RootTime returns the timestamp within the completing transaction of the
-// cycle's root operation — the operation whose edge leaves D. Together
-// with TargetTime it identifies which atomic blocks of D to refute.
+// cycle's root operation — the operation whose edge leaves D. It decides
+// which atomic blocks of D to refute.
 func (c *Cycle) RootTime() uint64 { return c.Edges[0].TailTime }
 
-// TargetTime returns the timestamp within the completing transaction of
-// the operation that closed the cycle.
-func (c *Cycle) TargetTime() uint64 { return c.Edges[len(c.Edges)-1].HeadTime }
+// chunks hands out what a violation report is made of from slabs the
+// graph owns. A slab is never reallocated or reused: the pointers and
+// slices into it are the caller's to keep. Slabs start at chunkMin entries
+// and double to chunkMax, so a short check does not pay for a long one's.
+type chunks[T any] struct{ cur []T }
+
+const (
+	chunkMin = 8
+	chunkMax = 256
+)
+
+// take returns n zeroed entries nobody else holds, with len == cap: an
+// append by the holder copies them out instead of running on into a
+// neighbour's.
+func (c *chunks[T]) take(n int) []T {
+	if cap(c.cur)-len(c.cur) < n {
+		c.cur = make([]T, 0, max(n, min(max(2*cap(c.cur), chunkMin), chunkMax)))
+	}
+	lo := len(c.cur)
+	c.cur = c.cur[:lo+n]
+	return c.cur[lo : lo+n : lo+n]
+}
+
+// setProv records p as the provenance of nd.out[i]. The slice beside out
+// comes into being with the first one: a graph handed none keeps none.
+func (nd *node) setProv(i int, p *EdgeProv) {
+	if p != nil {
+		for len(nd.prov) <= i {
+			nd.prov = append(nd.prov, EdgeProv{})
+		}
+		nd.prov[i] = *p
+	} else if i < len(nd.prov) {
+		nd.prov[i] = EdgeProv{}
+	}
+}
 
 // AddEdge extends the happens-before relation with from ⇒ to (the paper's
 // H ⊕ {(from, to)}). Edges from or to ⊥ (including stale steps) and
@@ -85,14 +119,15 @@ func (c *Cycle) TargetTime() uint64 { return c.Edges[len(c.Edges)-1].HeadTime }
 // is returned and the edge is NOT added, keeping the graph acyclic; the
 // caller reports the violation and continues.
 func (g *Graph) AddEdge(from, to Step, op trace.Op) *Cycle {
-	return g.AddEdgeP(from, to, op, EdgeProv{})
+	return g.AddEdgeP(from, to, op, nil)
 }
 
-// AddEdgeP is AddEdge carrying access-pair provenance for the edge. The
-// forensics-enabled engines use it; prov rides along on the edge (and is
-// refreshed with the timestamps under ⊕) so a later cycle report can name
-// the exact accesses that created each edge.
-func (g *Graph) AddEdgeP(from, to Step, op trace.Op, prov EdgeProv) *Cycle {
+// AddEdgeP is AddEdge carrying access-pair provenance for the edge (nil
+// for none). The forensics-enabled engines use it; *prov is copied beside
+// the edge (and refreshed with the timestamps under ⊕) so a later cycle
+// report can name the exact accesses that created each edge. A returned
+// Cycle is the caller's to keep: the graph never writes its chunks again.
+func (g *Graph) AddEdgeP(from, to Step, op trace.Op, prov *EdgeProv) *Cycle {
 	from, to = g.Resolve(from), g.Resolve(to)
 	if from == None || to == None || from.ID() == to.ID() {
 		return nil
@@ -111,7 +146,7 @@ func (g *Graph) AddEdgeP(from, to Step, op trace.Op, prov EdgeProv) *Cycle {
 		e.tailTime = from.Time()
 		e.headTime = to.Time()
 		e.op = op
-		e.prov = prov
+		nd.setProv(int(nd.memoIdx), prov)
 		if h := to.Time(); h > g.nodes[dst].lastInHead {
 			g.nodes[dst].lastInHead = h
 		}
@@ -128,16 +163,19 @@ func (g *Graph) AddEdgeP(from, to Step, op trace.Op, prov EdgeProv) *Cycle {
 			panic("graph: ancestor set claims a path the edges do not have")
 		}
 		// The one copy: path is scratch, the Cycle is the caller's.
-		edges := make([]CycleEdge, len(path)+1)
+		edges := g.cycEdges.take(len(path) + 1)
 		copy(edges, path)
 		edges[len(path)] = CycleEdge{
 			From: src, To: dst,
 			FromData: g.nodes[src].data, ToData: g.nodes[dst].data,
 			TailTime: from.Time(), HeadTime: to.Time(),
-			Op: op, Prov: prov,
+			Op: op,
 		}
+		keepProvs(edges, prov)
 		g.stats.CyclesDetected++
-		return &Cycle{Edges: edges}
+		cyc := &g.cycles.take(1)[0]
+		*cyc = Cycle{Edges: edges, Increasing: increasing(edges)}
+		return cyc
 	}
 	for i := range nd.out {
 		if nd.out[i].to == dst {
@@ -145,7 +183,7 @@ func (g *Graph) AddEdgeP(from, to Step, op trace.Op, prov EdgeProv) *Cycle {
 			nd.out[i].tailTime = from.Time()
 			nd.out[i].headTime = to.Time()
 			nd.out[i].op = op
-			nd.out[i].prov = prov
+			nd.setProv(i, prov)
 			nd.memoTo, nd.memoIdx = dst, int32(i)
 			if h := to.Time(); h > g.nodes[dst].lastInHead {
 				g.nodes[dst].lastInHead = h
@@ -153,7 +191,8 @@ func (g *Graph) AddEdgeP(from, to Step, op trace.Op, prov EdgeProv) *Cycle {
 			return nil
 		}
 	}
-	nd.out = append(nd.out, edge{to: dst, tailTime: from.Time(), headTime: to.Time(), op: op, prov: prov})
+	nd.out = append(nd.out, edge{to: dst, tailTime: from.Time(), headTime: to.Time(), op: op})
+	nd.setProv(len(nd.out)-1, prov)
 	nd.memoTo, nd.memoIdx = dst, int32(len(nd.out)-1)
 	g.nodes[dst].in++
 	if h := to.Time(); h > g.nodes[dst].lastInHead {
@@ -163,6 +202,28 @@ func (g *Graph) AddEdgeP(from, to Step, op trace.Op, prov EdgeProv) *Cycle {
 	g.stats.EdgesAdded++
 	g.addAncestors(dst, g.ancestorsPlusSelf(src))
 	return nil
+}
+
+// keepProvs gives a new cycle's edges their own copies of the provenance
+// they point at — a path edge's is in its node's prov slice, which ⊕ and
+// recycling rewrite, the closing edge's in the caller's frame — in one
+// array per cycle, and only when some edge carries provenance at all.
+func keepProvs(edges []CycleEdge, closing *EdgeProv) {
+	var own []EdgeProv
+	for i := range edges {
+		p := edges[i].Prov
+		if i == len(edges)-1 {
+			p = closing
+		}
+		if p == nil {
+			continue
+		}
+		if own == nil {
+			own = make([]EdgeProv, 0, len(edges)-i)
+		}
+		own = append(own, *p)
+		edges[i].Prov = &own[len(own)-1]
+	}
 }
 
 // HappensBeforeOrSame reports whether a's node reaches b's node in H*
@@ -188,8 +249,9 @@ type pathFrame struct {
 
 // findPath reports whether some path src ⇒* dst exists and returns its
 // edges (none when src == dst). The result is the graph's own scratch,
-// valid until the next findPath: AddEdgeP copies it into the Cycle it
-// returns, and nothing else keeps it. The live graph is small (a few
+// valid until the next findPath, its Prov pointers until the next
+// insertion: AddEdgeP copies both into the Cycle it returns, and
+// nothing else keeps them. The live graph is small (a few
 // dozen nodes even on large benchmarks, Table 1), so an iterative DFS
 // per query is cheap.
 func (g *Graph) findPath(src, dst NodeID) ([]CycleEdge, bool) {
@@ -211,12 +273,16 @@ func (g *Graph) findPath(src, dst NodeID) ([]CycleEdge, bool) {
 			continue
 		}
 		e := &nd.out[f.next]
+		var prov *EdgeProv
+		if f.next < len(nd.prov) {
+			prov = &nd.prov[f.next]
+		}
 		f.next++
 		path = append(path, CycleEdge{
 			From: f.id, To: e.to,
 			FromData: nd.data, ToData: g.nodes[e.to].data,
 			TailTime: e.tailTime, HeadTime: e.headTime,
-			Op: e.op, Prov: e.prov,
+			Op: e.op, Prov: prov,
 		})
 		if e.to == dst {
 			g.pathStack, g.pathScratch = stack, path

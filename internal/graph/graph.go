@@ -83,7 +83,6 @@ type edge struct {
 	tailTime uint64
 	headTime uint64
 	op       trace.Op
-	prov     EdgeProv // access-pair provenance; zero unless forensics is on
 }
 
 type node struct {
@@ -95,6 +94,7 @@ type node struct {
 	birthTime uint64
 	curTime   uint64
 	out       []edge
+	prov      []EdgeProv // provenance of out[i]; empty unless edges are inserted with one (forensics)
 	anc       []ancEntry // ancestor set (Section 5), lazily compacted
 	visited   uint64     // DFS generation marker (cycle extraction only)
 	data      any        // client metadata, cleared on recycle
@@ -144,14 +144,16 @@ type Graph struct {
 	gen         uint64
 	noGC        bool
 	noMemo      bool
-	scratch     []Step      // Merge's reusable candidate buffer
-	provScratch []EdgeProv  // MergeP's reusable provenance buffer
-	ancScratch  []ancEntry  // ancestorsPlusSelf's reusable buffer
-	pathStack   []pathFrame // findPath's DFS stack
-	pathScratch []CycleEdge // findPath's result, valid until its next call
-	ancMarks    []ancMark   // addAncestors' stamps, one per node id
-	ancGen      uint64      // number of the current addAncestors merge
-	ancReads    uint64      // ancestor entries addAncestors has read
+	scratch     []Step            // Merge's reusable candidate buffer
+	provScratch []EdgeProv        // MergeP's reusable provenance buffer
+	ancScratch  []ancEntry        // ancestorsPlusSelf's reusable buffer
+	pathStack   []pathFrame       // findPath's DFS stack
+	pathScratch []CycleEdge       // findPath's result, valid until its next call
+	cycles      chunks[Cycle]     // the cycles AddEdgeP has returned
+	cycEdges    chunks[CycleEdge] // and their edges
+	ancMarks    []ancMark         // addAncestors' stamps, one per node id
+	ancGen      uint64            // number of the current addAncestors merge
+	ancReads    uint64            // ancestor entries addAncestors has read
 	stats       Stats
 }
 
@@ -203,6 +205,7 @@ func (g *Graph) NewNode(active bool, data any) Step {
 		birthTime: birth,
 		curTime:   birth,
 		out:       nd.out[:0],
+		prov:      nd.prov[:0],
 		anc:       nd.anc[:0],
 		data:      data,
 		memoIdx:   -1,
@@ -247,18 +250,9 @@ func (g *Graph) Tick(s Step) Step {
 	return pack(s.ID(), nd.curTime)
 }
 
-// Data returns the client metadata attached to the step's node, or nil for
-// stale steps.
-func (g *Graph) Data(s Step) any {
-	if nd := g.live(s); nd != nil {
-		return nd.data
-	}
-	return nil
-}
-
-// Active reports whether the step's node is a currently executing
+// active reports whether the step's node is a currently executing
 // transaction.
-func (g *Graph) Active(s Step) bool {
+func (g *Graph) active(s Step) bool {
 	nd := g.live(s)
 	return nd != nil && nd.active
 }
@@ -345,9 +339,12 @@ func (g *Graph) maybeCollect(id NodeID) {
 	// The arrays stay with the pooled node for its next incarnation,
 	// emptied (out is still walked below), unless this one grew them past
 	// the retention caps.
-	nd.out, nd.anc = nd.out[:0], nd.anc[:0]
+	nd.out, nd.prov, nd.anc = nd.out[:0], nd.prov[:0], nd.anc[:0]
 	if cap(nd.out) > maxKeptEdges {
 		nd.out = nil
+	}
+	if cap(nd.prov) > maxKeptEdges {
+		nd.prov = nil
 	}
 	if cap(nd.anc) > maxKeptAnc {
 		nd.anc = nil

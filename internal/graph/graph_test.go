@@ -28,7 +28,9 @@ func TestNewNodeAndTick(t *testing.T) {
 	if g.Resolve(s) != s {
 		t.Fatal("fresh step should resolve to itself")
 	}
-	if g.Data(s) != "meta" {
+	o := g.NewNode(true, nil)
+	g.AddEdge(s, o, anyOp)
+	if cyc := g.AddEdge(o, s, anyOp); cyc == nil || cyc.Edges[0].FromData != "meta" {
 		t.Fatal("data lost")
 	}
 	s2 := g.Tick(s)
@@ -240,7 +242,7 @@ func TestMergeAllocatesOnIncomparable(t *testing.T) {
 	if !g.HappensBeforeOrSame(a, s) || !g.HappensBeforeOrSame(b, s) {
 		t.Error("merge node must happen-after all predecessors")
 	}
-	if g.Data(s) != "u" {
+	if cyc := g.AddEdge(s, a, anyOp); cyc == nil || cyc.Edges[0].ToData != "u" {
 		t.Error("data not attached to fresh merge node")
 	}
 }

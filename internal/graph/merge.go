@@ -25,14 +25,16 @@ import "repro/internal/trace"
 // Candidates earlier in preds are preferred, so callers pass L(t) first.
 // data is attached to a freshly allocated node, if any.
 func (g *Graph) Merge(preds []Step, op trace.Op, data any) Step {
-	return g.MergeP(preds, op, data, nil)
+	s, _ := g.MergeP(preds, op, data, nil)
+	return s
 }
 
 // MergeP is Merge carrying per-predecessor access-pair provenance:
 // provs[i], when provs is non-nil, annotates the edge drawn from preds[i]
 // into a freshly allocated node. The forensics-enabled engines use it so
 // even the edges into merged unary transactions name their accesses.
-func (g *Graph) MergeP(preds []Step, op trace.Op, data any, provs []EdgeProv) Step {
+// fresh reports whether the result is such a node.
+func (g *Graph) MergeP(preds []Step, op trace.Op, data any, provs []EdgeProv) (_ Step, fresh bool) {
 	live := g.scratch[:0] // reused buffer; callers do not retain it
 	liveProv := g.provScratch[:0]
 	for i, s := range preds {
@@ -46,10 +48,10 @@ func (g *Graph) MergeP(preds []Step, op trace.Op, data any, provs []EdgeProv) St
 	g.scratch = live[:0]
 	g.provScratch = liveProv[:0]
 	if len(live) == 0 {
-		return None
+		return None, false
 	}
 	for _, cand := range live {
-		if g.Active(cand) {
+		if g.active(cand) {
 			continue
 		}
 		ok := true
@@ -61,14 +63,14 @@ func (g *Graph) MergeP(preds []Step, op trace.Op, data any, provs []EdgeProv) St
 		}
 		if ok {
 			g.stats.Merged++
-			return cand
+			return cand, false
 		}
 	}
 	s := g.NewNode(false, data)
 	for i, p := range live {
-		var prov EdgeProv
+		var prov *EdgeProv
 		if i < len(liveProv) {
-			prov = liveProv[i]
+			prov = &liveProv[i]
 		}
 		// Edges into a brand-new node with no outgoing edges can never
 		// close a cycle.
@@ -76,5 +78,5 @@ func (g *Graph) MergeP(preds []Step, op trace.Op, data any, provs []EdgeProv) St
 			panic("graph: impossible cycle through fresh merge node")
 		}
 	}
-	return s
+	return s, true
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/trace"
 )
@@ -13,6 +14,36 @@ import (
 // walks on the graph's own scratch. Nothing of either may be visible
 // from outside — not in a Cycle handed to the caller, not in what a
 // recycled node knows.
+
+// sameCycleEdges compares two cycles edge for edge, provenance by value:
+// no two cycles share an EdgeProv, so the pointers never match.
+func sameCycleEdges(a, b []CycleEdge) bool {
+	return slices.EqualFunc(a, b, func(x, y CycleEdge) bool {
+		px, py := x.Prov, y.Prov
+		x.Prov, y.Prov = nil, nil
+		return x == y && (px == nil) == (py == nil) && (px == nil || *px == *py)
+	})
+}
+
+// cloneCycleEdges copies a cycle's edges and the provenance they point at.
+func cloneCycleEdges(edges []CycleEdge) []CycleEdge {
+	out := slices.Clone(edges)
+	for i := range out {
+		if p := out[i].Prov; p != nil {
+			cp := *p
+			out[i].Prov = &cp
+		}
+	}
+	return out
+}
+
+// TestCycleEdgeSize: provenance is 56 bytes that only a forensics report
+// reads; an edge on a cycle carries a pointer to it, not the bytes.
+func TestCycleEdgeSize(t *testing.T) {
+	if n := unsafe.Sizeof(CycleEdge{}); n > 96 {
+		t.Errorf("CycleEdge is %d bytes, want at most 96", n)
+	}
+}
 
 // TestReturnedCycleIsNotScratch: a *Cycle from AddEdge is the caller's.
 // Later cycles of other lengths, CheckInvariants (which runs findPath for
@@ -33,9 +64,9 @@ func TestReturnedCycleIsNotScratch(t *testing.T) {
 		if cyc == nil || len(cyc.Edges) != edges {
 			t.Fatalf("cycle %v, want one of %d edges", cyc, edges)
 		}
-		cycles = append(cycles, held{cyc, slices.Clone(cyc.Edges)})
+		cycles = append(cycles, held{cyc, cloneCycleEdges(cyc.Edges)})
 	}
-	hold(g.AddEdgeP(c, a, op(3), EdgeProv{HeadIdx: 7, TailIdx: 3, HasTail: true}), 3) // a→b→c, then c→a
+	hold(g.AddEdgeP(c, a, op(3), &EdgeProv{HeadIdx: 7, TailIdx: 3, HasTail: true}), 3) // a→b→c, then c→a
 	d := g.NewNode(true, "d")
 	g.AddEdge(c, d, op(4))
 	hold(g.AddEdge(d, a, op(5)), 4) // longer than the first: the whole scratch is rewritten
@@ -57,12 +88,15 @@ func TestReturnedCycleIsNotScratch(t *testing.T) {
 		t.Fatalf("recycled %d ids, want 2", g.Stats().Recycled)
 	}
 	for i, h := range cycles {
-		if !slices.Equal(h.got.Edges, h.want) {
+		if !sameCycleEdges(h.got.Edges, h.want) {
 			t.Errorf("cycle %d changed after it was returned:\n got %v\nwant %v", i, h.got.Edges, h.want)
 		}
 	}
-	if p := cycles[0].got.Edges[2].Prov; p.HeadIdx != 7 || !p.HasTail {
+	if p := cycles[0].got.Edges[2].Prov; p == nil || p.HeadIdx != 7 || !p.HasTail {
 		t.Errorf("rejected edge lost its provenance: %+v", p)
+	}
+	if p := cycles[0].got.Edges[0].Prov; p != nil {
+		t.Errorf("an edge inserted without provenance reports some: %+v", p)
 	}
 }
 
@@ -71,7 +105,7 @@ func TestReturnedCycleIsNotScratch(t *testing.T) {
 // incarnation of every id starts on fresh ones.
 func (g *Graph) dropPooledArrays() {
 	for _, id := range g.free {
-		g.nodes[id].out, g.nodes[id].anc = nil, nil
+		g.nodes[id].out, g.nodes[id].prov, g.nodes[id].anc = nil, nil, nil
 	}
 }
 
@@ -80,8 +114,10 @@ func (g *Graph) dropPooledArrays() {
 // being replaced, so a few ids are reused hundreds of times — one keeping
 // node storage across incarnations, the reference dropping it after
 // every operation. They must agree after each step on the cycle
-// reported, edge for edge, on Stats, and on every live node's edges and
-// ancestor set, and both must pass CheckInvariants.
+// reported, edge for edge, on Stats, and on every live node's edges,
+// their provenance and its ancestor set, and both must pass
+// CheckInvariants. Odd seeds insert every edge with provenance, as a
+// forensics run does; even seeds with none, and must keep none.
 func TestRecycledNodeStartsEmpty(t *testing.T) {
 	cyclesSeen, recycled := 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
@@ -112,12 +148,20 @@ func TestRecycledNodeStartsEmpty(t *testing.T) {
 					steps[i] = n
 				}
 			case 3:
-				both(func(g *Graph) Step { return g.Merge([]Step{steps[i], steps[j]}, anyOp, e) })
+				var provs []EdgeProv
+				if seed%2 == 1 {
+					provs = []EdgeProv{{HeadIdx: int64(e), Program: true}, {HeadIdx: int64(e), TailIdx: int64(j), HasTail: true}}
+				}
+				both(func(g *Graph) Step { s, _ := g.MergeP([]Step{steps[i], steps[j]}, anyOp, e, provs); return s })
 			default:
 				op := trace.Wr(trace.Tid(i), trace.Var(e))
-				got, want = g.AddEdge(steps[i], steps[j], op), ref.AddEdge(steps[i], steps[j], op)
+				var prov *EdgeProv
+				if seed%2 == 1 {
+					prov = &EdgeProv{HeadIdx: int64(e), TailIdx: int64(i), TailOp: op, HasTail: true}
+				}
+				got, want = g.AddEdgeP(steps[i], steps[j], op, prov), ref.AddEdgeP(steps[i], steps[j], op, prov)
 			}
-			if (got == nil) != (want == nil) || got != nil && !slices.Equal(got.Edges, want.Edges) {
+			if (got == nil) != (want == nil) || got != nil && !sameCycleEdges(got.Edges, want.Edges) {
 				t.Fatalf("seed %d step %d: cycle %v, reference %v", seed, e, got, want)
 			}
 			if got != nil {
@@ -128,9 +172,12 @@ func TestRecycledNodeStartsEmpty(t *testing.T) {
 			}
 			for id := range g.nodes {
 				a, b := &g.nodes[id], &ref.nodes[id]
-				if a.inUse != b.inUse || a.inUse && !(slices.Equal(a.out, b.out) && slices.Equal(a.anc, b.anc)) {
-					t.Fatalf("seed %d step %d: n%d holds edges %v ancestors %v, reference %v %v",
-						seed, e, id, a.out, a.anc, b.out, b.anc)
+				if a.inUse != b.inUse || a.inUse && !(slices.Equal(a.out, b.out) && slices.Equal(a.prov, b.prov) && slices.Equal(a.anc, b.anc)) {
+					t.Fatalf("seed %d step %d: n%d holds edges %v provenance %v ancestors %v, reference %v %v %v",
+						seed, e, id, a.out, a.prov, a.anc, b.out, b.prov, b.anc)
+				}
+				if want := (seed%2 == 1) && a.inUse; want && len(a.prov) != len(a.out) || !want && len(a.prov) != 0 {
+					t.Fatalf("seed %d step %d: n%d has %d edges and provenance for %d", seed, e, id, len(a.out), len(a.prov))
 				}
 			}
 			for name, gr := range map[string]*Graph{"recycling": g, "reference": ref} {

@@ -265,16 +265,20 @@ func FuzzStreamDecode(f *testing.F) {
 		f.Add(append(bytes.Clone(recs), streamEnd, 0))
 		f.Add(append([]byte{3}, recs...)) // as the body of a counted trace
 	}
+	f.Add(streamBytes(benchTrace(300), truncTrailer)[4:]) // longer than the smallest read buffer
 	f.Fuzz(func(t *testing.T, body []byte) {
-		for _, magic := range [][4]byte{binaryMagic, streamMagic} {
-			data := append(magic[:], body...)
-			want, wantErr := decodeRecords(data)
-			for _, size := range []int{1, 7, 512} {
-				for how, wrap := range cutReaders {
-					got, err := decodeBatched(wrap(bytes.NewReader(data)), size)
-					if !slices.Equal(got, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
-						t.Fatalf("%q, batches of %d, %s reads: %d ops and %v, record at a time %d ops and %v",
-							magic, size, how, len(got), err, len(want), wantErr)
+		defer func() { testBuf = 0 }()
+		for _, testBuf = range []int{0, minDecoderBuf} {
+			for _, magic := range [][4]byte{binaryMagic, streamMagic} {
+				data := append(magic[:], body...)
+				want, wantErr := decodeRecords(data)
+				for _, size := range []int{1, 7, 512} {
+					for how, wrap := range cutReaders {
+						got, err := decodeBatched(wrap(bytes.NewReader(data)), size)
+						if !slices.Equal(got, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+							t.Fatalf("%q, %d-byte buffer, batches of %d, %s reads: %d ops and %v, record at a time %d ops and %v",
+								magic, testBuf, size, how, len(got), err, len(want), wantErr)
+						}
 					}
 				}
 			}

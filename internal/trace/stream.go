@@ -139,15 +139,30 @@ const (
 
 // decoderBufSize is sized so that batched reads amortize the syscall per
 // buffer fill across a few thousand typical (8-16 byte) trace lines.
-const decoderBufSize = 64 * 1024
+// minDecoderBuf is the least a source of known length gets.
+const (
+	decoderBufSize = 64 * 1024
+	minDecoderBuf  = 512
+)
 
 // maxLineBytes bounds one text line, so a stream that never sends a
 // newline cannot grow the spill buffer without limit.
 const maxLineBytes = 1 << 20
 
-// NewDecoder returns a Decoder reading from r.
+// NewDecoder returns a Decoder reading from r. A source that says how
+// much it holds (*bytes.Reader, *bytes.Buffer, *strings.Reader) gets a
+// read buffer no larger than that: a short in-memory trace does not pay
+// for, and zero, the buffer of a socket, pipe or file.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{br: bufio.NewReaderSize(r, decoderBufSize)}
+	size := decoderBufSize
+	if l, ok := r.(interface{ Len() int }); ok {
+		size = min(size, max(minDecoderBuf, l.Len()))
+	}
+	return newDecoderSize(r, size)
+}
+
+func newDecoderSize(r io.Reader, size int) *Decoder {
+	return &Decoder{br: bufio.NewReaderSize(r, size)}
 }
 
 // Next returns the next operation, or io.EOF after the last one. It is

@@ -90,9 +90,11 @@ func BenchmarkParseOp(b *testing.B) {
 // TestDecoderSteadyStateAllocs pins the tentpole property: once the
 // decoder has seen each distinct Begin label once, decoding text
 // allocates nothing per operation.
-func TestDecoderSteadyStateAllocs(t *testing.T) {
+func TestDecoderSteadyStateAllocs(t *testing.T) { eachBufSize(t, testDecoderSteadyStateAllocs) }
+
+func testDecoderSteadyStateAllocs(t *testing.T) {
 	data := textBytes(benchTrace(64))
-	d := NewDecoder(bytes.NewReader(bytes.Repeat(data, 200)))
+	d := testDecoder(bytes.NewReader(bytes.Repeat(data, 200)))
 	// Warm-up: intern the labels and size the internal buffers.
 	for i := 0; i < 128; i++ {
 		if _, err := d.Next(); err != nil {

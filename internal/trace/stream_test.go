@@ -180,10 +180,39 @@ func TestEmitterConcurrent(t *testing.T) {
 	}
 }
 
+// testBuf is the read-buffer size the decoder suites' decoders get; 0 is
+// whatever NewDecoder chooses. eachBufSize runs a suite that way and then
+// at minDecoderBuf, where a few dozen records fill the buffer, so that a
+// small input takes the window through hundreds of refills.
+var testBuf int
+
+func testDecoder(r io.Reader) *Decoder {
+	if testBuf == 0 {
+		return NewDecoder(r)
+	}
+	return newDecoderSize(r, testBuf)
+}
+
+func eachBufSize(t *testing.T, suite func(*testing.T)) {
+	defer func() { testBuf = 0 }()
+	for _, testBuf = range []int{0, minDecoderBuf} {
+		t.Run(fmt.Sprintf("buf=%d", testBuf), suite)
+	}
+}
+
+// bufEdge is where the decoder under test first runs out of buffer on an
+// input longer than that.
+func bufEdge() int {
+	if testBuf == 0 {
+		return decoderBufSize
+	}
+	return testBuf
+}
+
 // decodeBatched drains a Decoder through NextBatch with a fixed buffer
 // size, returning the ops and the terminal error (nil on clean EOF).
 func decodeBatched(r io.Reader, size int) (Trace, error) {
-	dec := NewDecoder(r)
+	dec := testDecoder(r)
 	buf := make([]Op, size)
 	var tr Trace
 	for {
@@ -205,7 +234,7 @@ func decodeBatched(r io.Reader, size int) (Trace, error) {
 // nextText, nextBinary, nextStream: the only producers of decode errors —
 // without the in-place fill that Next and NextBatch put in front of it.
 func decodeRecords(data []byte) (Trace, error) {
-	d := NewDecoder(bytes.NewReader(data))
+	d := testDecoder(bytes.NewReader(data))
 	if err := d.sniff(); err != nil {
 		return nil, err
 	}
@@ -252,10 +281,11 @@ var cutReaders = map[string]func(io.Reader) io.Reader{
 func straddler(header int) ([]byte, int) {
 	var b []byte
 	n := 0
-	for ; (decoderBufSize-2-header-len(b))%3 != 0; n++ {
+	edge := bufEdge()
+	for ; (edge-2-header-len(b))%3 != 0; n++ {
 		b = append(b, rawRecord(Read, 1, 0x80)...) // four bytes
 	}
-	for ; header+len(b) < decoderBufSize-2; n++ {
+	for ; header+len(b) < edge-2; n++ {
 		b = append(b, rawRecord(Write, 2, 6)...)
 	}
 	b = append(b, rawRecord(Read, 3, 1<<14)...) // five bytes, across the edge
@@ -268,7 +298,9 @@ func straddler(header int) ([]byte, int) {
 // the two binary corpora and of the records the fill must pass on, Next
 // and NextBatch yield exactly the ops and the terminal error text of the
 // blocking record-at-a-time code.
-func TestNextBatchMatchesNext(t *testing.T) {
+func TestNextBatchMatchesNext(t *testing.T) { eachBufSize(t, testNextBatchMatchesNext) }
+
+func testNextBatchMatchesNext(t *testing.T) {
 	var bin bytes.Buffer
 	if err := MarshalBinary(&bin, truncCorpus()); err != nil {
 		t.Fatal(err)
@@ -302,7 +334,7 @@ func TestNextBatchMatchesNext(t *testing.T) {
 	inputs["straddle-stream"] = bytes.Join([][]byte{streamMagic[:], recs, {streamEnd, 0}}, nil)
 	recs, n = straddler(len(binaryMagic) + 3)
 	inputs["straddle-binary"] = bytes.Join([][]byte{binary.AppendUvarint(binaryMagic[:], uint64(n)), recs}, nil)
-	inputs["straddle-binary-cut"] = inputs["straddle-binary"][:decoderBufSize+1]
+	inputs["straddle-binary-cut"] = inputs["straddle-binary"][:bufEdge()+1]
 	for name, data := range inputs {
 		want, wantErr := decodeRecords(data)
 		check := func(how string, got Trace, err error) {
@@ -326,7 +358,7 @@ func TestNextBatchMatchesNext(t *testing.T) {
 			}
 		}
 	}
-	if got, _ := decodeRecords(inputs["straddle-stream"]); len(got) < decoderBufSize/4 || got[len(got)-2] != Rd(3, 1<<13) {
+	if got, _ := decodeRecords(inputs["straddle-stream"]); len(got) < bufEdge()/4 || got[len(got)-2] != Rd(3, 1<<13) {
 		t.Errorf("straddle-stream decodes to %d ops ending %v: the input is not what it says", len(got), got[max(0, len(got)-2):])
 	}
 }
@@ -374,14 +406,16 @@ func TestNextBatchDoesNotWaitForAFullBatch(t *testing.T) {
 
 // TestNextBatchSteadyStateAllocs extends the decoder's zero-allocation
 // property to the batch fill, both encodings.
-func TestNextBatchSteadyStateAllocs(t *testing.T) {
+func TestNextBatchSteadyStateAllocs(t *testing.T) { eachBufSize(t, testNextBatchSteadyStateAllocs) }
+
+func testNextBatchSteadyStateAllocs(t *testing.T) {
 	tr := benchTrace(64)
 	for name, data := range map[string][]byte{
 		"text":   bytes.Repeat(textBytes(tr), 400),
 		"binary": binaryBytes(repeatOps(tr, 400)),
 		"stream": streamBytes(repeatOps(tr, 400), ""),
 	} {
-		d := NewDecoder(bytes.NewReader(data))
+		d := testDecoder(bytes.NewReader(data))
 		buf := make([]Op, 64)
 		for i := 0; i < 4; i++ { // warm-up: labels interned, buffers sized
 			if _, err := d.NextBatch(buf); err != nil {

@@ -31,7 +31,7 @@ func truncCorpus() Trace {
 // decodeAll drains a Decoder, returning the ops and the terminal error
 // (nil only on clean EOF).
 func decodeAll(data []byte) (Trace, error) {
-	dec := NewDecoder(bytes.NewReader(data))
+	dec := testDecoder(bytes.NewReader(data))
 	var tr Trace
 	for {
 		op, err := dec.Next()
@@ -50,7 +50,9 @@ func decodeAll(data []byte) (Trace, error) {
 // binary format's up-front count makes every truncation detectable, and
 // silently returning a prefix would hand the checker an incomplete
 // trace with a plausible verdict.
-func TestBinaryTruncationCorpus(t *testing.T) {
+func TestBinaryTruncationCorpus(t *testing.T) { eachBufSize(t, testBinaryTruncationCorpus) }
+
+func testBinaryTruncationCorpus(t *testing.T) {
 	var buf bytes.Buffer
 	full := truncCorpus()
 	if err := MarshalBinary(&buf, full); err != nil {
@@ -128,11 +130,13 @@ const truncTrailer = "velo events emitted=11 pruned=3"
 // alone says the stream is whole. Every proper prefix must fail, through
 // Next and through NextBatch, with an error nobody can take for a clean
 // end — not io.EOF itself and not a wrapper of it.
-func TestStreamTruncationCorpus(t *testing.T) {
+func TestStreamTruncationCorpus(t *testing.T) { eachBufSize(t, testStreamTruncationCorpus) }
+
+func testStreamTruncationCorpus(t *testing.T) {
 	full := truncCorpus()
 	data := streamBytes(full, truncTrailer)
 
-	dec := NewDecoder(bytes.NewReader(data))
+	dec := testDecoder(bytes.NewReader(data))
 	tr, err := dec.ReadAll()
 	if err != nil || tr.String() != full.String() {
 		t.Fatalf("full decode: %d ops, err %v", len(tr), err)
