@@ -382,20 +382,6 @@ func TestCLIVelodromeParallel(t *testing.T) {
 	}
 }
 
-func TestCLIVelodromePipeline(t *testing.T) {
-	serial, code := runTool(t, "velodrome", "-workload", "elevator", "-stats")
-	if code != 0 {
-		t.Fatalf("serial exit %d:\n%s", code, serial)
-	}
-	par, code := runTool(t, "velodrome", "-workload", "elevator", "-stats", "-parallel", "4")
-	if code != 0 {
-		t.Fatalf("parallel exit %d:\n%s", code, par)
-	}
-	if par != serial {
-		t.Errorf("-parallel 4 output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, par)
-	}
-}
-
 // runToolStdin is runTool with the contents of a file piped to stdin.
 func runToolStdin(t *testing.T, stdinPath, name string, args ...string) (string, int) {
 	t.Helper()
@@ -981,7 +967,7 @@ func TestCLITracecheckTraceOut(t *testing.T) {
 	// What the daemon cannot honour is refused before anything is sent.
 	dotPath := filepath.Join(t.TempDir(), "out.dot")
 	for _, local := range [][]string{
-		{"-trace-out", outPath}, {"-nofilter"}, {"-dot", dotPath}, {"-obs-json"}, {"-parallel", "4"},
+		{"-trace-out", outPath}, {"-nofilter"}, {"-dot", dotPath}, {"-obs-json"},
 	} {
 		args := append(append([]string{"tracecheck"}, local...), "-server", "127.0.0.1:1", tracePath)
 		if out, code := runTool(t, args[0], args[1:]...); code != 2 ||

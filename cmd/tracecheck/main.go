@@ -37,7 +37,6 @@ import (
 	"repro/internal/dot"
 	"repro/internal/forensic"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/serial"
 	"repro/internal/server"
 	"repro/internal/span"
@@ -50,7 +49,6 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress warning details")
 	obsJSON := flag.Bool("obs-json", false, "emit the full obs snapshot (graph stats, warning and filter counts, stage times) as JSON on stderr")
 	noFilter := flag.Bool("nofilter", false, "disable the redundant-event fast path (Section 5 filtering)")
-	parallel := flag.Int("parallel", 1, "decode and filter with this many pipeline workers (local checking; >1 enables the staged pipeline)")
 	forensics := flag.Bool("forensics", false, "enable the event flight recorder (provenance reports on warnings)")
 	explain := flag.Bool("explain", false, "print a provenance report per warning (implies -forensics; works in -server mode too)")
 	inFlag := flag.String("in", "", "trace input: a file name or - for standard input (alternative to the positional argument)")
@@ -101,10 +99,10 @@ func main() {
 			set  bool
 		}{
 			{"-trace-out", *traceOut != ""}, {"-nofilter", *noFilter}, {"-dot", *dotOut != ""},
-			{"-obs-json", *obsJSON}, {"-parallel", *parallel > 1},
+			{"-obs-json", *obsJSON},
 		} {
 			if f.set {
-				fmt.Fprintf(os.Stderr, "tracecheck: %s only applies to local checking, not to -server (the daemon has its own -trace-dir, -parallel and /metrics)\n", f.name)
+				fmt.Fprintf(os.Stderr, "tracecheck: %s only applies to local checking, not to -server (the daemon has its own -trace-dir and /metrics)\n", f.name)
 				os.Exit(2)
 			}
 		}
@@ -212,11 +210,7 @@ func main() {
 		os.Exit(code)
 	}
 	checkStart := tracer.Now()
-	if *parallel > 1 {
-		res = pipeline.CheckTrace(tr, opts, pipeline.Config{Workers: *parallel})
-	} else {
-		res = core.CheckTrace(tr, opts)
-	}
+	res = core.CheckTrace(tr, opts)
 	if sb != nil {
 		now := tracer.Now()
 		chk := sb.Emit("check", root, checkStart, now)

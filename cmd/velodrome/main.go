@@ -27,7 +27,6 @@ import (
 	"repro/internal/dot"
 	"repro/internal/obs"
 	"repro/internal/obs/obshttp"
-	"repro/internal/pipeline"
 	"repro/internal/rr"
 	"repro/internal/span"
 	"repro/internal/trace"
@@ -49,7 +48,6 @@ func main() {
 	stats := flag.Bool("stats", false, "print happens-before graph statistics")
 	asJSON := flag.Bool("json", false, "emit velodrome warnings as JSON lines (with -stats: one obs snapshot object)")
 	goroutines := flag.Bool("goroutines", false, "run on real goroutines instead of the deterministic scheduler")
-	parallel := flag.Int("parallel", 1, "with -backend velodrome: record the run, then check it through the staged pipeline with this many workers")
 	forensics := flag.Bool("forensics", false, "enable the event flight recorder (provenance reports on warnings)")
 	explain := flag.Bool("explain", false, "print a provenance report per warning (implies -forensics)")
 	traceOut := flag.String("trace-out", "", "with -backend velodrome: write a Chrome trace-event timeline of the run (check, filter, graph stages) to this file")
@@ -140,21 +138,11 @@ func main() {
 
 	copts := core.Options{Engine: einfo.Engine, NoMerge: *noMerge, NoFilter: *noFilter, Forensics: *forensics, Spans: sbuf}
 	var be rr.Backend
-	var velo *rr.Velodrome
 	publish := func() {} // an observed velodrome run: the checker's snapshot to the registry
-	pipelined := *parallel > 1 && *backend == "velodrome"
 	switch *backend {
 	case "velodrome":
-		if pipelined {
-			// Parallel checking: the scheduler records the trace against
-			// an empty back-end, and the staged pipeline checks it after
-			// the run (the captured checker backs the reporting below).
-			velo = &rr.Velodrome{}
-			be = &rr.Empty{}
-		} else {
-			velo = rr.NewVelodrome(copts)
-			be = velo
-		}
+		velo := rr.NewVelodrome(copts)
+		be = velo
 		if reg != nil {
 			pub := core.NewPublisher(reg, sbuf)
 			publish = func() { pub.Publish(velo.Checker.Snapshot()) }
@@ -175,7 +163,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := rr.Options{Seed: *seed, Backend: be, Record: *record != "" || pipelined, Parallel: *goroutines, Metrics: reg}
+	opts := rr.Options{Seed: *seed, Backend: be, Record: *record != "", Parallel: *goroutines, Metrics: reg}
 	if *adversarial {
 		adv := rr.NewAtomizerAdvisor()
 		opts.Backend = rr.Multi{be, adv}
@@ -198,17 +186,6 @@ func main() {
 	rep := rr.Run(opts, func(t *rr.Thread) {
 		w.Body(t, bench.Params{Scale: *scale})
 	})
-	if pipelined {
-		pipeline.CheckTrace(rep.Trace, copts, pipeline.Config{
-			Workers: *parallel,
-			Tracer:  tracer,
-			Observer: &core.Observer{
-				Checker: func(c core.Checker) { velo.Checker = c },
-				Batch:   func(int, int) { publish() },
-			},
-		})
-		be = velo
-	}
 	publish() // the end-of-run values
 	if *traceOut != "" {
 		// rr.Run has returned, so every backend Step (and its AddStage

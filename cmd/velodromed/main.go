@@ -65,7 +65,6 @@ func run() int {
 	sessionTimeout := flag.Duration("session-timeout", 0, "bound one session's total wall-clock time (0 = unbounded)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "on SIGINT/SIGTERM, let in-flight sessions finish this long before cutting them")
 	engine := flag.String("engine", "optimized", "default analysis engine for sessions that name none: "+core.ProductionEngineNames())
-	parallel := flag.Int("parallel", 0, "shard workers in front of each session's engine, behind a decode-ahead goroutine (0 or 1 = none: a session decodes and checks on its own goroutine)")
 	spanTrace := flag.Bool("span-trace", true, "trace each session's pipeline stages (decode/filter/graph/forensics); summaries land in verdicts, /api/sessions and /debug/velo. The engine stages are sampled: 1-2 ns per operation, a few per cent of throughput (EXPERIMENTS.md, \"Tracing overhead\")")
 	traceDir := flag.String("trace-dir", "", "write each session's full span timeline as <dir>/<session>.trace.json (Chrome trace-event format)")
 	history := flag.Int("history", server.DefaultHistorySize, "completed sessions retained for /api/sessions and the /debug/velo dashboard")
@@ -96,7 +95,6 @@ func run() int {
 		NoSpans:        !*spanTrace,
 		TraceDir:       *traceDir,
 		HistorySize:    *history,
-		Parallel:       *parallel,
 	}
 	if *traceDir != "" {
 		if !*spanTrace {

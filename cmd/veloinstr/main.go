@@ -37,7 +37,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/instr"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/serial"
 	"repro/internal/server"
 	"repro/internal/span"
@@ -53,7 +52,6 @@ func run() int {
 	jsonOut := flag.Bool("json", false, "with -analyze: emit the report as JSON (velovet diagnostic schema)")
 	intra := flag.Bool("intra", false, "disable interprocedural entry-lock inference (classify each function in isolation)")
 	doRun := flag.Bool("run", false, "instrument, build and run the package, checking the emitted trace online")
-	parallel := flag.Int("parallel", 1, "with -run: check the collected trace through the staged pipeline with this many workers")
 	outDir := flag.String("o", "", "write the instrumented package to this directory")
 	noprune := flag.Bool("noprune", false, "emit events even for accesses the analysis proved redundant")
 	traceOut := flag.String("trace", "", "with -run: also save the collected trace to this file")
@@ -242,11 +240,7 @@ func run() int {
 			eopts.Spans = sb
 		}
 		engStart := tracer.Now()
-		if *parallel > 1 {
-			results[info.Name] = pipeline.CheckTrace(tr, eopts, pipeline.Config{Workers: *parallel})
-		} else {
-			results[info.Name] = core.CheckTrace(tr, eopts)
-		}
+		results[info.Name] = core.CheckTrace(tr, eopts)
 		if sb != nil {
 			now := tracer.Now()
 			chk := sb.Emit("check:"+info.Name, root, engStart, now)

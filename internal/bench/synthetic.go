@@ -4,25 +4,18 @@ import (
 	"repro/internal/trace"
 )
 
-// Synthetic trace generators for the parallel-pipeline benchmark. Unlike
-// the Table 1/2 workloads these do not run under the rr scheduler: they
-// emit traces directly, so event counts in the tens of millions are
-// cheap and exactly reproducible. Three families bracket the pipeline's
-// regimes:
+// A synthetic loop-regime trace for the engine tests. Unlike the
+// Table 1/2 workloads it does not run under the rr scheduler: it is
+// emitted directly, so event counts in the millions are cheap and exactly
+// reproducible. It interleaves two kinds of transaction round-robin:
 //
-//   - spin: the loop regime the redundancy filter (Section 5) and the
-//     pipeline's shard marking both target. Worker threads poll a shared
-//     flag in long transactions of identical reads, so nearly every
-//     access is a strictly-adjacent repeat and the shards mark almost
-//     the whole trace.
-//   - rmw: transactions alternate read and write on a thread-private
-//     variable. Adjacent accesses never share a kind, so the shards mark
-//     nothing — this family prices the pipeline's fixed overhead
-//     (batching, fan-out, re-sequencing) with no skip payoff at all.
-//   - mix: spin and rmw transactions interleaved round-robin, the
-//     in-between case.
+//   - spin: worker threads poll a shared flag in long transactions of
+//     identical reads, the loop regime the redundancy filter (Section 5)
+//     targets;
+//   - rmw: a transaction alternates read and write on a thread-private
+//     variable, so adjacent accesses never share a kind.
 //
-// All three are violation-free by construction (reads of a flag written
+// The trace is violation-free by construction (reads of a flag written
 // before the fork; thread-private data), so measured time is pure
 // analysis cost with no warning-path work in the window.
 
@@ -33,35 +26,9 @@ const (
 	synFlag      = trace.Var(7)
 )
 
-// SyntheticSpin builds a violation-free loop-regime trace of roughly
-// `events` operations: a main thread publishes a flag, forks four
-// pollers, and the pollers take turns running whole spin transactions.
-func SyntheticSpin(events int) trace.Trace {
-	tr := make(trace.Trace, 0, events+4*synWorkers+8)
-	tr = synPrologue(tr)
-	for len(tr) < events {
-		for u := trace.Tid(2); u < 2+synWorkers; u++ {
-			tr = synSpinTxn(tr, u)
-		}
-	}
-	return synEpilogue(tr)
-}
-
-// SyntheticRMW builds a trace of roughly `events` operations in which
-// every transaction alternates read and write on a thread-private
-// variable: zero markable runs, so the pipeline can only lose here.
-func SyntheticRMW(events int) trace.Trace {
-	tr := make(trace.Trace, 0, events+4*synWorkers+8)
-	tr = synPrologue(tr)
-	for len(tr) < events {
-		for u := trace.Tid(2); u < 2+synWorkers; u++ {
-			tr = synRMWTxn(tr, u)
-		}
-	}
-	return synEpilogue(tr)
-}
-
-// SyntheticMix interleaves spin and rmw transactions round-robin.
+// SyntheticMix builds a trace of roughly `events` operations: a main
+// thread publishes a flag and forks four workers, which take turns
+// running a spin and an rmw transaction each.
 func SyntheticMix(events int) trace.Trace {
 	tr := make(trace.Trace, 0, events+4*synWorkers+8)
 	tr = synPrologue(tr)

@@ -8,7 +8,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/span"
 	"repro/internal/trace"
 )
@@ -127,9 +126,10 @@ func TestSamplerDoesNotAlias(t *testing.T) {
 
 // observed checks tr the way an observed run does — a span buffer
 // attached, the engine's snapshot published to a registry after every
-// batch of the drivers' size — and returns the wall time of the call.
+// 4096-operation batch, a daemon session's size — and returns the wall
+// time of the call.
 func observed(tr trace.Trace) time.Duration {
-	const batch = pipeline.DefaultBatch
+	const batch = 4096
 	sb := span.New().Buffer("engine")
 	pub := core.NewPublisher(obs.NewRegistry(), sb)
 	src := func() (core.Batch, error) {

@@ -76,18 +76,14 @@
 // on a stop channel that Source.Close closes. The consumer defers Close,
 // so one that panics or returns early strands no goroutine; on the
 // normal path Next itself waits for the stages when it delivers the
-// final batch, so their span buffers are quiescent once the driver
-// returns.
+// final batch, so they have exited once the driver returns.
 package pipeline
 
 import (
-	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/span"
 	"repro/internal/trace"
 )
 
@@ -104,10 +100,6 @@ type Config struct {
 	Workers int
 	// Batch is the operations-per-batch granularity (DefaultBatch if 0).
 	Batch int
-	// Tracer, when non-nil, lets the decode and shard stages book their
-	// time into per-goroutine span buffers (span.StageDecode and
-	// span.StageShard). The engine stage books through Options.Spans.
-	Tracer *span.Tracer
 	// Observer is handed to the driver (see core.Observer).
 	Observer *core.Observer
 	// Stats, when non-nil, is filled after the run with pipeline-side
@@ -182,13 +174,9 @@ type Source struct {
 	lent    *batch // the batch the consumer holds until its next call
 }
 
-// NewSource starts the stages over d. opts decides whether the
-// configuration can be marked at all and supplies the atomicity
-// specification the workers replicate.
-func NewSource(d *trace.Decoder, opts core.Options, cfg Config) *Source {
-	return newSource(d, nil, opts, cfg)
-}
-
+// newSource starts the stages over d, or over tr when d is nil. opts
+// decides whether the configuration can be marked at all and supplies the
+// atomicity specification the workers replicate.
 func newSource(d *trace.Decoder, tr trace.Trace, opts core.Options, cfg Config) *Source {
 	s := &Source{dec: d, tr: tr}
 	// The mark stage applies only when the engine accepts prefiltered
@@ -209,17 +197,17 @@ func newSource(d *trace.Decoder, tr trace.Trace, opts core.Options, cfg Config) 
 	for w := range ins {
 		ins[w] = make(chan *batch, ring)
 		s.stages.Add(1)
-		go s.shard(w, ins[w], opts.Ignore, cfg.Tracer)
+		go s.shard(w, ins[w], opts.Ignore)
 	}
 	s.stages.Add(1)
-	go s.produce(ins, bsize, ring, cfg.Tracer)
+	go s.produce(ins, bsize, ring)
 	return s
 }
 
 // fill reads the next operations of the input into buf.
-func (s *Source) fill(buf []trace.Op, sp *span.Buf) (int, error) {
+func (s *Source) fill(buf []trace.Op) (int, error) {
 	if s.dec != nil {
-		return core.DecodeBatch(s.dec, buf, sp)
+		return core.DecodeBatch(s.dec, buf, nil)
 	}
 	n := copy(buf, s.tr)
 	s.tr = s.tr[n:]
@@ -231,15 +219,13 @@ func (s *Source) fill(buf []trace.Op, sp *span.Buf) (int, error) {
 
 // produce fills recycled batches, broadcasts each to every worker, and
 // queues it for the consumer in trace order, until the input ends.
-func (s *Source) produce(ins []chan *batch, bsize, ring int, tr *span.Tracer) {
+func (s *Source) produce(ins []chan *batch, bsize, ring int) {
 	defer s.stages.Done()
 	defer func() {
 		for _, in := range ins {
 			close(in)
 		}
 	}()
-	sp := tr.Buffer("pipeline-decode")
-	defer sp.Flush()
 	allocated := 0
 	var base int64
 	for {
@@ -264,7 +250,7 @@ func (s *Source) produce(ins []chan *batch, bsize, ring int, tr *span.Tracer) {
 				return
 			}
 		}
-		n, err := s.fill(b.ops[:bsize], sp)
+		n, err := s.fill(b.ops[:bsize])
 		b.ops = b.ops[:n]
 		b.base = base
 		base += int64(n)
@@ -296,10 +282,8 @@ func (s *Source) produce(ins []chan *batch, bsize, ring int, tr *span.Tracer) {
 
 // shard is worker w: it scans every batch in trace order and marks the
 // variables it owns.
-func (s *Source) shard(w int, in <-chan *batch, ignore map[trace.Label]bool, tr *span.Tracer) {
+func (s *Source) shard(w int, in <-chan *batch, ignore map[trace.Label]bool) {
 	defer s.stages.Done()
-	sp := tr.Buffer(fmt.Sprintf("pipeline-shard-%d", w))
-	defer sp.Flush()
 	sh := newShard(w, s.workers, ignore)
 	for {
 		var b *batch
@@ -311,13 +295,7 @@ func (s *Source) shard(w int, in <-chan *batch, ignore map[trace.Label]bool, tr 
 		if b == nil {
 			return // the producer closed in: the input ended
 		}
-		if sp == nil {
-			sh.scan(b)
-		} else {
-			t0 := time.Now()
-			sh.scan(b)
-			sp.AddStage(span.StageShard, int64(time.Since(t0)))
-		}
+		sh.scan(b)
 		b.marked.Done()
 	}
 }

@@ -395,7 +395,7 @@ func TestCloseReleasesStages(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		for i := 0; i < 5; i++ {
 			func() {
-				src := NewSource(trace.NewDecoder(bytes.NewReader(buf.Bytes())), core.Options{},
+				src := newSource(trace.NewDecoder(bytes.NewReader(buf.Bytes())), nil, core.Options{},
 					Config{Workers: workers, Batch: 64})
 				defer src.Close()
 				defer func() { recover() }()

@@ -38,8 +38,8 @@ type Velodrome struct {
 	events int
 }
 
-// batchEvents is the batch size of the check drivers
-// (pipeline.DefaultBatch).
+// batchEvents is a daemon session's batch size, so an observed run
+// publishes as often as a session does.
 const batchEvents = 4096
 
 // NewVelodrome returns a Velodrome back-end with the given options.

@@ -40,10 +40,10 @@ func getDebugState(t *testing.T, url string) DebugState {
 // with a warning already recorded, one with forensics requested — and
 // asserts the /debug/velo listing tracks them live: ids, engines, op
 // counts, warning summaries, and the forensics marker.
-func TestDebugVeloLiveSessions(t *testing.T) { forParallel(t, testDebugVeloLiveSessions) }
+func TestDebugVeloLiveSessions(t *testing.T) { t.Run(sessionSubtest, testDebugVeloLiveSessions) }
 
-func testDebugVeloLiveSessions(t *testing.T, parallel int) {
-	s, addr, stop := startServer(t, Config{MaxSessions: 8, Metrics: obs.NewRegistry(), Parallel: parallel})
+func testDebugVeloLiveSessions(t *testing.T) {
+	s, addr, stop := startServer(t, Config{MaxSessions: 8, Metrics: obs.NewRegistry()})
 	web := httptest.NewServer(s.DebugHandler())
 	defer web.Close()
 

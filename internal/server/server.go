@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/span"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -88,13 +87,6 @@ type Config struct {
 	// Nil means a single unlimited default tenant, which keeps keyless
 	// legacy clients working exactly as before tenants existed.
 	Tenants *Tenants
-	// Parallel, when >1, puts a decode-ahead stage and that many shard
-	// workers in front of each session's engine (internal/pipeline); at
-	// 0 or 1 a session decodes and checks on its own goroutine, like the
-	// CLIs. Verdicts are bit-identical at every value; sessions the
-	// workers cannot mark (forensics, filter-less engines) run without
-	// them.
-	Parallel int
 	// Logger, when non-nil, receives one structured record per
 	// noteworthy event (session end, shed, panic), each carrying the
 	// session id and remote address. Defaults to silent.
@@ -513,9 +505,10 @@ func (s *Server) session(conn net.Conn) *trace.SessionVerdict {
 	// The engine and decoder have quiesced (run returned), so the span
 	// rollup is safe to read; it rides in the verdict's metrics block as
 	// span_<stage>_ns so clients see where their session's time went.
-	// After a recovered panic (StatusError) the pipeline stages may
-	// still be winding down and writing to their buffers, so the tracer
-	// is left untouched for that path.
+	// After a recovered panic (StatusError) the session's buffer was
+	// abandoned mid-batch, its root span open and never flushed, and its
+	// totals would describe a run the verdict does not; the tracer is left
+	// untouched for that path.
 	var sum *span.Summary
 	if v.Status != trace.StatusError {
 		sum = tr.Summary()
@@ -587,6 +580,10 @@ func SessionEngine(name string) (core.EngineInfo, error) {
 	return core.EngineInfo{}, fmt.Errorf("unknown engine %q (want %s)", name, core.ProductionEngineNames())
 }
 
+// sessionBatch is the number of operations a session decodes and steps
+// at a time.
+const sessionBatch = 4096
+
 // run decodes and checks one admitted session's stream, converting
 // every failure mode — malformed ops, engine panic — into a verdict.
 // (Header failures never reach here: session rejects them before
@@ -610,7 +607,7 @@ func (s *Server) run(br *bufio.Reader, hdr trace.SessionHeader, info core.Engine
 	// sb is the session goroutine's span buffer: the root span, the
 	// header/verdict stages, the per-batch decode/check spans and — via
 	// core.Options.Spans — the engine's filter/graph/forensics attribution.
-	// The pipeline stages own theirs; all are inert under a nil tracer.
+	// All are inert under a nil tracer.
 	sb := tr.Buffer("session")
 	root := sb.Start("session", 0)
 	sb.AttrStr(root, "session", st.id)
@@ -624,22 +621,13 @@ func (s *Server) run(br *bufio.Reader, hdr trace.SessionHeader, info core.Engine
 	st.forensics.Store(hdr.Forensics)
 	sb.AttrStr(root, "engine", engineName)
 
-	// Without shard workers the session decodes and checks batch by batch on
-	// this goroutine: a step costs what a decode costs, so a decode-ahead
-	// goroutine would buy an idle host little and make a busy one's session
-	// times depend on which of the two found a CPU. With workers, decode runs
-	// ahead over the pipeline's bounded batch ring; the deferred Close
-	// releases the stages even on a panic. Either way the transport is read
-	// no faster than the engine consumes, which backpressures the client.
+	// The session decodes and checks batch by batch on this goroutine: a
+	// step costs what a decode costs, so a decode-ahead goroutine would buy
+	// an idle host little and make a busy one's session times depend on
+	// which of the two found a CPU. The transport is read no faster than
+	// the engine consumes, which backpressures the client.
 	dec := trace.NewDecoder(br)
-	var source core.Source
-	if s.cfg.Parallel > 1 {
-		src := pipeline.NewSource(dec, opts, pipeline.Config{Workers: s.cfg.Parallel, Tracer: tr})
-		defer src.Close()
-		source = src.Next
-	} else {
-		source = core.StreamSource(dec, pipeline.DefaultBatch, sb)
-	}
+	source := core.StreamSource(dec, sessionBatch, sb)
 
 	// emitBatch closes the timeline's current interval as one span: "decode"
 	// is the wait for a batch (decode time not hidden behind the engine),

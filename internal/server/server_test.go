@@ -17,6 +17,11 @@ import (
 	"repro/internal/trace"
 )
 
+// sessionSubtest names the subtest a session test runs its body in. The
+// name dates from when sessions could also run sharded (parallel=4); it
+// is kept so each test's results keep one name across that change.
+const sessionSubtest = "parallel=0"
+
 // startServer spins up a Server on a loopback TCP listener and returns
 // its address plus a shutdown func that fails the test on unclean drain.
 func startServer(t *testing.T, cfg Config) (*Server, string, func()) {
@@ -39,15 +44,6 @@ func startServer(t *testing.T, cfg Config) (*Server, string, func()) {
 		}
 	}
 	return s, ln.Addr().String(), stop
-}
-
-// forParallel runs body against both shapes of the one session path:
-// decode and check on the session goroutine, and decode-ahead with shard
-// workers in front of the engine.
-func forParallel(t *testing.T, body func(t *testing.T, parallel int)) {
-	for _, parallel := range []int{0, 4} {
-		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) { body(t, parallel) })
-	}
 }
 
 // cleanTrace is serializable; buggyTrace seeds the classic interleaved
@@ -387,10 +383,10 @@ func TestServerRejectsUnknownEngineBeforeAdmission(t *testing.T) {
 // TestServerGracefulDrain starts sessions that are mid-stream when
 // Shutdown begins and asserts they still receive real verdicts while
 // new connections are refused.
-func TestServerGracefulDrain(t *testing.T) { forParallel(t, testServerGracefulDrain) }
+func TestServerGracefulDrain(t *testing.T) { t.Run(sessionSubtest, testServerGracefulDrain) }
 
-func testServerGracefulDrain(t *testing.T, parallel int) {
-	s, addr, _ := startServer(t, Config{MaxSessions: 8, Parallel: parallel})
+func testServerGracefulDrain(t *testing.T) {
+	s, addr, _ := startServer(t, Config{MaxSessions: 8})
 
 	const n = 4
 	conns := make([]net.Conn, n)
@@ -463,14 +459,14 @@ func testServerGracefulDrain(t *testing.T, parallel int) {
 // TestServerPanicIsolation poisons sessions via the step hook and
 // asserts each gets an error verdict while the daemon itself is
 // untouched and keeps serving. The deep case panics 150 k ops into a
-// 400 k-op stream, with the client (and at parallel=4 the decode-ahead
-// stages) still busy: every goroutine the sessions started must be gone afterwards.
-func TestServerPanicIsolation(t *testing.T) { forParallel(t, testServerPanicIsolation) }
+// 400 k-op stream, with the client still busy: every goroutine the
+// sessions started must be gone afterwards.
+func TestServerPanicIsolation(t *testing.T) { t.Run(sessionSubtest, testServerPanicIsolation) }
 
-func testServerPanicIsolation(t *testing.T, parallel int) {
+func testServerPanicIsolation(t *testing.T) {
 	reg := obs.NewRegistry()
 	const poison = 66_666
-	_, addr, stop := startServer(t, Config{MaxSessions: 8, Metrics: reg, Parallel: parallel, stepHook: func(op trace.Op) {
+	_, addr, stop := startServer(t, Config{MaxSessions: 8, Metrics: reg, stepHook: func(op trace.Op) {
 		if op.Kind == trace.Write && op.Target == poison {
 			panic("poisoned op")
 		}
@@ -508,7 +504,7 @@ func testServerPanicIsolation(t *testing.T, parallel int) {
 	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines %d → %d after %d panicked sessions: pipeline stages leaked\n%s",
+			t.Fatalf("goroutines %d → %d after %d panicked sessions: session goroutines leaked\n%s",
 				before, runtime.NumGoroutine(), deepSessions, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -527,10 +523,10 @@ func testServerPanicIsolation(t *testing.T, parallel int) {
 
 // TestServerIdleTimeout connects, sends half a session, and stalls: the
 // read deadline must fail the session rather than pin its slot forever.
-func TestServerIdleTimeout(t *testing.T) { forParallel(t, testServerIdleTimeout) }
+func TestServerIdleTimeout(t *testing.T) { t.Run(sessionSubtest, testServerIdleTimeout) }
 
-func testServerIdleTimeout(t *testing.T, parallel int) {
-	_, addr, stop := startServer(t, Config{MaxSessions: 2, IdleTimeout: 100 * time.Millisecond, Parallel: parallel})
+func testServerIdleTimeout(t *testing.T) {
+	_, addr, stop := startServer(t, Config{MaxSessions: 2, IdleTimeout: 100 * time.Millisecond})
 	defer stop()
 
 	conn, err := Dial(addr, time.Second)
@@ -557,10 +553,10 @@ func testServerIdleTimeout(t *testing.T, parallel int) {
 // TestServerZeroOpSession is the wire-level regression for the
 // silent-success hole: a connection that opens a session and dies
 // immediately must yield a malformed verdict, exit code 2.
-func TestServerZeroOpSession(t *testing.T) { forParallel(t, testServerZeroOpSession) }
+func TestServerZeroOpSession(t *testing.T) { t.Run(sessionSubtest, testServerZeroOpSession) }
 
-func testServerZeroOpSession(t *testing.T, parallel int) {
-	_, addr, stop := startServer(t, Config{Parallel: parallel})
+func testServerZeroOpSession(t *testing.T) {
+	_, addr, stop := startServer(t, Config{})
 	defer stop()
 	v, err := CheckReader(addr, trace.SessionHeader{}, bytes.NewReader(nil))
 	if err != nil {
@@ -573,10 +569,12 @@ func testServerZeroOpSession(t *testing.T, parallel int) {
 
 // TestServerTruncatedBinarySession streams a binary trace cut inside
 // the magic and mid-ops; both must come back malformed, never ok.
-func TestServerTruncatedBinarySession(t *testing.T) { forParallel(t, testServerTruncatedBinarySession) }
+func TestServerTruncatedBinarySession(t *testing.T) {
+	t.Run(sessionSubtest, testServerTruncatedBinarySession)
+}
 
-func testServerTruncatedBinarySession(t *testing.T, parallel int) {
-	_, addr, stop := startServer(t, Config{Parallel: parallel})
+func testServerTruncatedBinarySession(t *testing.T) {
+	_, addr, stop := startServer(t, Config{})
 	defer stop()
 	full := encode(t, cleanTrace(), true)
 	for _, cut := range []int{2, len(full) / 2, len(full) - 1} {
@@ -596,11 +594,11 @@ func testServerTruncatedBinarySession(t *testing.T, parallel int) {
 // veloinstr -run -server cross-checks it; cut anywhere or padded, the
 // session is malformed with the decode-error code, never ok.
 func TestServerStreamingBinarySession(t *testing.T) {
-	forParallel(t, testServerStreamingBinarySession)
+	t.Run(sessionSubtest, testServerStreamingBinarySession)
 }
 
-func testServerStreamingBinarySession(t *testing.T, parallel int) {
-	_, addr, stop := startServer(t, Config{Parallel: parallel})
+func testServerStreamingBinarySession(t *testing.T) {
+	_, addr, stop := startServer(t, Config{})
 	defer stop()
 	const trailer = "velo events emitted=9 pruned=4"
 	var buf bytes.Buffer
@@ -666,34 +664,36 @@ func TestVerdictFilterMetrics(t *testing.T) {
 
 // TestServerOutOfRangeIDsAreDecodeErrors: a thread, lock or fork/join id
 // that would wrap or go negative as a table index never reaches an
-// engine. On every engine and both session shapes the verdict is
+// engine. On every engine the verdict is
 // malformed/decode-error and names the place — it used to be the
 // session's recover that answered, with an index-out-of-range panic.
 func TestServerOutOfRangeIDsAreDecodeErrors(t *testing.T) {
-	forParallel(t, func(t *testing.T, parallel int) {
-		_, addr, stop := startServer(t, Config{Parallel: parallel})
-		defer stop()
-		streams := map[string]struct{ body, pos string }{
-			"negative thread":   {"begin.a(0)\nrd(-1,x1)\nend(0)\n", "line 2"},
-			"negative lock":     {"begin.a(0)\nacq(0,m-5)\nend(0)\n", "line 2"},
-			"thread past int32": {"begin.a(0)\nrd(4294967295,x1)\nend(0)\n", "line 2"},
-			"binary, thread 1<<31": {"VTR1\x02" + string([]byte{byte(trace.End), 0, 0}) +
-				string([]byte{byte(trace.Read), 0x80, 0x80, 0x80, 0x80, 0x08, 2}), "op 1"},
+	t.Run(sessionSubtest, testServerOutOfRangeIDsAreDecodeErrors)
+}
+
+func testServerOutOfRangeIDsAreDecodeErrors(t *testing.T) {
+	_, addr, stop := startServer(t, Config{})
+	defer stop()
+	streams := map[string]struct{ body, pos string }{
+		"negative thread":   {"begin.a(0)\nrd(-1,x1)\nend(0)\n", "line 2"},
+		"negative lock":     {"begin.a(0)\nacq(0,m-5)\nend(0)\n", "line 2"},
+		"thread past int32": {"begin.a(0)\nrd(4294967295,x1)\nend(0)\n", "line 2"},
+		"binary, thread 1<<31": {"VTR1\x02" + string([]byte{byte(trace.End), 0, 0}) +
+			string([]byte{byte(trace.Read), 0x80, 0x80, 0x80, 0x80, 0x08, 2}), "op 1"},
+	}
+	for _, info := range core.Engines() {
+		if info.Reference {
+			continue // the daemon refuses it on the header
 		}
-		for _, info := range core.Engines() {
-			if info.Reference {
-				continue // the daemon refuses it on the header
+		for name, s := range streams {
+			v, err := CheckReader(addr, trace.SessionHeader{Engine: info.Name}, strings.NewReader(s.body))
+			if err != nil {
+				t.Fatalf("%s, %s: %v", info.Name, name, err)
 			}
-			for name, s := range streams {
-				v, err := CheckReader(addr, trace.SessionHeader{Engine: info.Name}, strings.NewReader(s.body))
-				if err != nil {
-					t.Fatalf("%s, %s: %v", info.Name, name, err)
-				}
-				if v.Status != trace.StatusMalformed || v.Code != trace.CodeDecodeError || v.Ops != 1 ||
-					!strings.Contains(v.Error, s.pos) || !strings.Contains(v.Error, "out of range") {
-					t.Errorf("%s, %s: verdict %+v, want malformed/decode-error after 1 op, naming %s", info.Name, name, v, s.pos)
-				}
+			if v.Status != trace.StatusMalformed || v.Code != trace.CodeDecodeError || v.Ops != 1 ||
+				!strings.Contains(v.Error, s.pos) || !strings.Contains(v.Error, "out of range") {
+				t.Errorf("%s, %s: verdict %+v, want malformed/decode-error after 1 op, naming %s", info.Name, name, v, s.pos)
 			}
 		}
-	})
+	}
 }

@@ -24,9 +24,9 @@
 // as synthesized summary spans by the drivers.
 //
 // What a stage total means depends on who books it. Stages that run once
-// per batch, session or warning (header, decode, shard, forensics,
-// verdict) are timed every time and their totals are exact. The filter
-// and graph stages run once per operation — a step is ~20 ns, a clock
+// per batch, session or warning (header, decode, forensics, verdict) are
+// timed every time and their totals are exact. The filter and graph
+// stages run once per operation — a step is ~20 ns, a clock
 // pair ~75 — so the engines time a sample of their operations (every one
 // of a checker's first 64, then one at a pseudo-random offset in each
 // 64-operation stride; see internal/core), subtract ClockPairNs from each
@@ -51,13 +51,8 @@ type Stage uint8
 
 // Pipeline stages, in pipeline order.
 const (
-	StageAccept Stage = iota
-	StageHeader
+	StageHeader Stage = iota
 	StageDecode
-	// StageShard is the pipeline's sharded mark stage (internal/
-	// pipeline): per-variable redundancy decisions made ahead of the
-	// engine by the filter-shard workers.
-	StageShard
 	StageFilter
 	StageGraph
 	StageForensics
@@ -66,7 +61,7 @@ const (
 )
 
 var stageNames = [NumStages]string{
-	"accept", "header", "decode", "shard", "filter", "graph", "forensics", "verdict",
+	"header", "decode", "filter", "graph", "forensics", "verdict",
 }
 
 // String returns the stage's lower-case name.
@@ -90,9 +85,9 @@ func (id SpanID) split() (buf int32, idx int) { return int32(id>>32) - 1, int(id
 // An Attr is one key/value pair on a span: either a string or an int64
 // payload, kept unboxed so attaching an attribute never allocates.
 type Attr struct {
-	Key string
-	Str string
-	Int int64
+	Key   string
+	Str   string
+	Int   int64
 	IsInt bool
 }
 

@@ -245,6 +245,23 @@ func TestSummaryJSONShape(t *testing.T) {
 	}
 }
 
+// TestStageNames pins the stage vocabulary: every consumer (/metrics,
+// verdict span_*_ns keys, /api/sessions, /debug/velo) keys stages by
+// these names, in this order.
+func TestStageNames(t *testing.T) {
+	want := []string{"header", "decode", "filter", "graph", "forensics", "verdict"}
+	var got []string
+	for s := Stage(0); s < NumStages; s++ {
+		got = append(got, s.String())
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("stages = %v, want %v", got, want)
+	}
+	if s := NumStages.String(); s != "unknown" {
+		t.Errorf("NumStages.String() = %q, want unknown", s)
+	}
+}
+
 // BenchmarkSpan backs the EXPERIMENTS.md tracing-overhead table.
 func BenchmarkSpan(b *testing.B) {
 	b.Run("start-end", func(b *testing.B) {
