@@ -44,46 +44,52 @@ func reportsDigest(t *testing.T, warns []*core.Warning) string {
 	return fmt.Sprintf("%d %x", len(warns), h.Sum(nil)[:12])
 }
 
-// checkReportsGolden compares got (key → digest, keys starting with
-// prefix) with the golden file's lines under the same prefix, or under
-// -update-forensic-golden replaces those lines with got.
-func checkReportsGolden(t *testing.T, prefix string, got map[string]string) {
+// checkGolden compares got (key → value, keys starting with prefix) with
+// the lines of the golden file at path under the same prefix, or under
+// update replaces those lines with got.
+func checkGolden(t *testing.T, path string, update bool, prefix string, got map[string]string) {
 	t.Helper()
-	data, err := os.ReadFile(reportsGolden)
-	if err != nil && !*updateReportsGolden {
+	data, err := os.ReadFile(path)
+	if err != nil && !update {
 		t.Fatal(err)
 	}
 	var others []string
 	want := map[string]string{}
 	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		key, digest, _ := strings.Cut(line, " = ")
+		key, value, _ := strings.Cut(line, " = ")
 		if strings.HasPrefix(key, prefix) {
-			want[key] = digest
+			want[key] = value
 		} else if line != "" {
 			others = append(others, line)
 		}
 	}
-	if *updateReportsGolden {
-		for key, digest := range got {
-			others = append(others, key+" = "+digest)
+	if update {
+		for key, value := range got {
+			others = append(others, key+" = "+value)
 		}
 		slices.Sort(others)
-		if err := os.MkdirAll(filepath.Dir(reportsGolden), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(reportsGolden, []byte(strings.Join(others, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(strings.Join(others, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	for key, digest := range got {
-		if want[key] != digest {
-			t.Errorf("%s: reports digest %q, golden %q", key, digest, want[key])
+	for key, value := range got {
+		if want[key] != value {
+			t.Errorf("%s:\n got    %s\n golden %s", key, value, want[key])
 		}
 	}
 	if len(want) != len(got) {
-		t.Errorf("%d inputs under %q produced reports, the golden file lists %d", len(got), prefix, len(want))
+		t.Errorf("%d inputs under %q, %s lists %d", len(got), prefix, path, len(want))
 	}
+}
+
+// checkReportsGolden is checkGolden on reportsGolden.
+func checkReportsGolden(t *testing.T, prefix string, got map[string]string) {
+	t.Helper()
+	checkGolden(t, reportsGolden, *updateReportsGolden, prefix, got)
 }
 
 // validateReport checks one provenance report against the trace that
