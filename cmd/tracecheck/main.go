@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dot"
@@ -242,22 +241,7 @@ func main() {
 	}
 	if *dotOut != "" {
 		dotStart := tracer.Now()
-		out := dot.RenderAll(res.Warnings)
-		if *forensics {
-			var b strings.Builder
-			for i, w := range res.Warnings {
-				if i > 0 {
-					b.WriteByte('\n')
-				}
-				if rep := w.Forensics(); rep != nil {
-					b.WriteString(dot.RenderReport(rep))
-				} else {
-					b.WriteString(dot.Render(w))
-				}
-			}
-			out = b.String()
-		}
-		if err := os.WriteFile(*dotOut, []byte(out), 0o644); err != nil {
+		if err := os.WriteFile(*dotOut, []byte(dot.RenderAll(res.Warnings)), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "tracecheck:", err)
 			finish(2)
 		}

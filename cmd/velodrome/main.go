@@ -282,24 +282,7 @@ func main() {
 			for _, s := range sums {
 				firsts = append(firsts, s.First)
 			}
-			out := dot.RenderAll(firsts)
-			if *forensics {
-				// With the recorder on, the provenance rendering carries
-				// trace spans and access pairs the plain one cannot.
-				var b strings.Builder
-				for i, w := range firsts {
-					if i > 0 {
-						b.WriteByte('\n')
-					}
-					if rep := w.Forensics(); rep != nil {
-						b.WriteString(dot.RenderReport(rep))
-					} else {
-						b.WriteString(dot.Render(w))
-					}
-				}
-				out = b.String()
-			}
-			if err := os.WriteFile(*dotOut, []byte(out), 0o644); err != nil {
+			if err := os.WriteFile(*dotOut, []byte(dot.RenderAll(firsts)), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, "velodrome:", err)
 				os.Exit(1)
 			}

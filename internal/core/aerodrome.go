@@ -15,10 +15,13 @@ import (
 //   - Every operation of thread t ticks t's component of the running
 //     transaction's clock, so a transaction owns the tick interval
 //     [begin, now] of its thread.
-//   - The tables L (last release per lock), W (last write per variable)
-//     and R (last read per variable and thread) store *pointers* to
-//     transaction objects, not snapshots. A conflict joins the stored
-//     object's clock into the running transaction's clock in place.
+//   - The tables U (last release per lock; L in the AeroDrome paper), W
+//     (last write per variable) and R (last read per variable and
+//     thread) store *pointers* to transaction objects, not snapshots —
+//     the optimized engine's tables (state.go) over a different element.
+//     A conflict joins the stored object's clock into the running
+//     transaction's clock in place. L(t) holds thread t's running (or
+//     last) transaction object.
 //   - A violation fires exactly when a join source has transitively
 //     observed a tick of the running transaction itself — the stored
 //     object is ordered both before (by the conflict) and after (by the
@@ -73,294 +76,84 @@ type aeroObj struct {
 // mayGrow reports whether the object's clock can still change.
 func (o *aeroObj) mayGrow() bool { return o.active || o.ups > 0 }
 
-// aeroLockTable maps lock ids to objects (L).
-type aeroLockTable struct{ dense []*aeroObj }
-
-func (t *aeroLockTable) get(i int32) *aeroObj {
-	if int(i) < len(t.dense) {
-		return t.dense[i]
-	}
-	return nil
-}
-
-func (t *aeroLockTable) set(i int32, o *aeroObj) {
-	if int(i) >= len(t.dense) {
-		t.dense = append(t.dense, make([]*aeroObj, int(i)+1-len(t.dense))...)
-	}
-	t.dense[i] = o
-}
-
-// aeroVarTable maps variable ids to objects (W), with the same sparse
-// overflow for fork/join token variables as varTable.
-type aeroVarTable struct {
-	dense  []*aeroObj
-	sparse map[trace.Var]*aeroObj
-}
-
-func (t *aeroVarTable) get(x trace.Var) *aeroObj {
-	if x >= 0 && x < denseVarLimit {
-		if int(x) < len(t.dense) {
-			return t.dense[x]
-		}
-		return nil
-	}
-	return t.sparse[x]
-}
-
-func (t *aeroVarTable) set(x trace.Var, o *aeroObj) {
-	if x >= 0 && x < denseVarLimit {
-		if int(x) >= len(t.dense) {
-			t.dense = append(t.dense, make([]*aeroObj, int(x)+1-len(t.dense))...)
-		}
-		t.dense[x] = o
-		return
-	}
-	if t.sparse == nil {
-		t.sparse = map[trace.Var]*aeroObj{}
-	}
-	t.sparse[x] = o
-}
-
-// aeroReadTable is R: per variable, the last-read object of each
-// thread, with a version counter per dense row for the decision cache.
-type aeroReadTable struct {
-	dense  [][]*aeroObj
-	vers   []uint32
-	sparse map[trace.Var][]*aeroObj
-}
-
-func (t *aeroReadTable) ver(x trace.Var) uint32 {
-	if int(x) < len(t.vers) {
-		return t.vers[x]
-	}
-	return 0
-}
-
-func (t *aeroReadTable) row(x trace.Var) []*aeroObj {
-	if x >= 0 && x < denseVarLimit {
-		if int(x) < len(t.dense) {
-			return t.dense[x]
-		}
-		return nil
-	}
-	return t.sparse[x]
-}
-
-func (t *aeroReadTable) bump(x trace.Var) {
-	if int(x) >= len(t.vers) {
-		t.vers = append(t.vers, make([]uint32, int(x)+1-len(t.vers))...)
-	}
-	t.vers[x]++
-}
-
-func (t *aeroReadTable) set(x trace.Var, tid trace.Tid, o *aeroObj) {
-	var row []*aeroObj
-	if x >= 0 && x < denseVarLimit {
-		if int(x) >= len(t.dense) {
-			t.dense = append(t.dense, make([][]*aeroObj, int(x)+1-len(t.dense))...)
-		}
-		row = t.dense[x]
-	} else {
-		if t.sparse == nil {
-			t.sparse = map[trace.Var][]*aeroObj{}
-		}
-		row = t.sparse[x]
-	}
-	if int(tid) >= len(row) {
-		row = append(row, make([]*aeroObj, int(tid)+1-len(row))...)
-	}
-	row[tid] = o
-	if x >= 0 && x < denseVarLimit {
-		t.dense[x] = row
-		t.bump(x)
-	} else {
-		t.sparse[x] = row
-	}
-}
-
-// clear empties R(x, *): a write subsumes all prior reads — the writer
-// joined them (and subscribed to the growable ones), so later conflicts
-// reach them transitively through W(x).
-func (t *aeroReadTable) clear(x trace.Var) {
-	row := t.row(x)
-	if row == nil {
-		return
-	}
-	for i := range row {
-		row[i] = nil
-	}
-	if x >= 0 && x < denseVarLimit {
-		t.bump(x)
-	}
-}
-
-// aeroFC is the per-variable decision cache (the Section 5 filter
-// analog): pointer-identity compares prove a repeat access is a no-op —
-// the re-join adds nothing (subscriptions keep the running object
-// up to date with growable sources eagerly, with the violation check
-// performed at growth time), and the table stores are idempotent.
-type aeroFC struct {
-	rdTid, wrTid int32 // tid+1; 0 = no entry
-	rdW, rdCur   *aeroObj
-	wrW, wrCur   *aeroObj
-	wrVer        uint32
-}
-
 // aeroChecker is the AeroDrome engine behind the Checker interface.
 type aeroChecker struct {
 	common
-	c     [][]frame  // open atomic blocks per thread (as optChecker)
-	d     []int32    // open non-ignored blocks per thread
-	cur   []*aeroObj // running object per thread
-	l     aeroLockTable
-	w     aeroVarTable
-	r     aeroReadTable
-	fc    []aeroFC
+	tables[*aeroObj]
 	work  []*aeroObj // propagation worklist, reused across events
 	srcs  []*aeroObj // join-source scratch, reused across events
 	fwork []*aeroObj // freeze-cascade worklist, reused across events
 }
 
-func (c *aeroChecker) obj(t trace.Tid) *aeroObj {
-	if int(t) < len(c.cur) {
-		return c.cur[t]
-	}
-	return nil
-}
-
-func (c *aeroChecker) setObj(t trace.Tid, o *aeroObj) {
-	for int(t) >= len(c.cur) {
-		c.cur = append(c.cur, nil)
-	}
-	c.cur[t] = o
-}
-
-func (c *aeroChecker) stack(t trace.Tid) []frame {
-	if int(t) < len(c.c) {
-		return c.c[t]
-	}
-	return nil
-}
-
-func (c *aeroChecker) setStack(t trace.Tid, fs []frame) {
-	for int(t) >= len(c.c) {
-		c.c = append(c.c, nil)
-	}
-	c.c[t] = fs
-}
-
-func (c *aeroChecker) depth(t trace.Tid) int32 {
-	if int(t) < len(c.d) {
-		return c.d[t]
-	}
-	return 0
-}
-
-func (c *aeroChecker) addDepth(t trace.Tid, delta int32) {
-	for int(t) >= len(c.d) {
-		c.d = append(c.d, 0)
-	}
-	c.d[t] += delta
-}
-
-// Step implements Checker.
-func (c *aeroChecker) Step(op trace.Op) *Warning {
-	if c.opts.Spans == nil || !c.sampled() {
-		return c.step(op)
-	}
-	t := c.startTimed()
-	w := c.step(op)
-	c.endTimed(t)
-	return w
-}
-
-// StepBatch implements Checker.
-func (c *aeroChecker) StepBatch(ops []trace.Op, warn func(*Warning)) { stepEach(c, ops, warn) }
-
-// SkipFiltered implements Checker: it consumes op as a filter hit
-// decided by the pipeline's sharded prefilter, replaying filterAero's
-// hit path — filter accounting and index advance; the decision cache
-// holds pointers whose values a repeat hit leaves untouched, so no
-// store is needed.
-func (c *aeroChecker) SkipFiltered(op trace.Op) bool {
-	if c.done || c.opts.NoFilter {
-		return false
-	}
-	if c.opts.Spans == nil || !c.sampled() {
-		c.skipFiltered()
-		return true
-	}
-	t := c.startTimed()
-	c.skipFiltered()
-	c.endTimed(t)
-	return true
-}
-
-func (c *aeroChecker) skipFiltered() {
-	c.snap.Filtered++
-	c.idx++
-}
-
-// step is the uninstrumented Step body.
-func (c *aeroChecker) step(op trace.Op) *Warning {
+// run is the engine's one loop: the decision cache first, as in
+// optChecker.run, then the operation itself.
+func (c *aeroChecker) run(ops []trace.Op, warn func(*Warning)) {
 	if c.done {
-		return nil
+		return
 	}
-	var w *Warning
-	if op.Kind == trace.Fork || op.Kind == trace.Join {
-		for _, sub := range trace.DesugarOp(op) {
-			if ww := c.step1(sub); ww != nil && w == nil {
-				w = ww
+	for i := range ops {
+		op := &ops[i]
+		if c.hit(op) {
+			c.snap.Filtered++
+			c.idx++
+			continue
+		}
+		var w *Warning
+		if op.Kind == trace.Fork || op.Kind == trace.Join {
+			for _, sub := range trace.DesugarOp(*op) {
+				if ww := c.step1(sub); ww != nil && w == nil {
+					w = ww
+				}
+			}
+		} else {
+			w = c.step1(*op)
+		}
+		c.idx++
+		if w != nil {
+			if warn != nil {
+				warn(w)
+			}
+			if c.done {
+				return
 			}
 		}
-	} else {
-		w = c.step1(op)
 	}
-	c.idx++
-	return w
 }
+
+// hitStore stores nothing: a hit leaves the cache entry it matched as
+// it was.
+func (c *aeroChecker) hitStore(trace.Op) {}
 
 func (c *aeroChecker) step1(op trace.Op) *Warning {
 	t := op.Thread
 	inside := c.depth(t) > 0
 	switch op.Kind {
 	case trace.Begin:
-		stack := c.stack(t)
 		ignored := c.opts.Ignore[op.Label]
-		if !ignored {
-			c.addDepth(t, 1)
-		}
 		if inside || ignored {
 			// Nested blocks tick within the running transaction; exempted
 			// blocks push a marker frame but never start one.
 			var start uint64
 			if inside {
-				start = c.obj(t).vc.Tick(t)
+				start = c.l.get(int32(t)).vc.Tick(t)
 			}
-			c.setStack(t, append(stack, frame{op.Label, start, ignored}))
+			c.push(t, frame{op.Label, start, ignored})
 			return nil
 		}
-		meta := &TxnMeta{Thread: t, Label: op.Label, Start: c.idx, End: -1}
-		o := c.newObj(t, meta)
+		o := c.newObj(t, c.newMeta(TxnMeta{Thread: t, Label: op.Label, Start: c.idx, End: -1}))
 		o.active = true
-		c.setStack(t, append(stack, frame{op.Label, o.begin, false}))
+		c.push(t, frame{op.Label, o.begin, false})
 		return nil
 
 	case trace.End:
-		stack := c.stack(t)
-		n := len(stack) - 1
-		if n < 0 {
-			return nil // an end that closes nothing: an ill-formed stream is not a panic
-		}
-		popped := stack[n]
-		c.setStack(t, stack[:n])
-		if !popped.ignored {
-			c.addDepth(t, -1)
+		popped, ok := c.pop(t)
+		if !ok {
+			return nil
 		}
 		if inside {
-			o := c.obj(t)
+			o := c.l.get(int32(t))
 			o.vc.Tick(t)
-			if !popped.ignored && checkedDepth(stack[:n]) == 0 {
+			if !popped.ignored && c.depth(t) == 0 {
 				o.active = false
 				if o.ups == 0 {
 					// The clock is final — no growable source can ever push
@@ -374,10 +167,6 @@ func (c *aeroChecker) step1(op trace.Op) *Warning {
 		return nil
 	}
 
-	if !c.opts.NoFilter && c.filterAero(op) {
-		c.snap.Filtered++
-		return nil
-	}
 	if inside {
 		return c.insideOp(op)
 	}
@@ -387,7 +176,7 @@ func (c *aeroChecker) step1(op trace.Op) *Warning {
 // newObj starts a fresh transaction object for t, ordered after the
 // thread's previous object by program order.
 func (c *aeroChecker) newObj(t trace.Tid, meta *TxnMeta) *aeroObj {
-	prev := c.obj(t)
+	prev := c.l.get(int32(t))
 	o := &aeroObj{owner: t, meta: meta}
 	if prev != nil {
 		prev.vc.CopyInto(&o.vc)
@@ -399,7 +188,7 @@ func (c *aeroChecker) newObj(t trace.Tid, meta *TxnMeta) *aeroObj {
 		}
 	}
 	o.begin = o.vc.Tick(t)
-	c.setObj(t, o)
+	c.l.set(int32(t), o)
 	return o
 }
 
@@ -465,7 +254,7 @@ func (c *aeroChecker) joinFrom(d, s *aeroObj, op trace.Op) *Warning {
 		return nil
 	}
 	if s.vc.Get(d.owner) >= d.begin {
-		return c.violation(op, s)
+		return c.violation(op)
 	}
 	s.outs++
 	grew := d.vc.Join(&s.vc)
@@ -491,7 +280,7 @@ func (c *aeroChecker) propagate(o *aeroObj, op trace.Op) *Warning {
 		for _, r := range src.subs {
 			if src.vc.Get(r.owner) >= r.begin {
 				c.work = work[:0]
-				return c.violation(op, src)
+				return c.violation(op)
 			}
 			if r.vc.Join(&src.vc) {
 				work = append(work, r)
@@ -502,18 +291,24 @@ func (c *aeroChecker) propagate(o *aeroObj, op trace.Op) *Warning {
 	return nil
 }
 
-// insideOp handles one operation of a running transaction.
+// insideOp handles one operation of a running transaction. Like
+// outsideOp, it stores the access in the decision cache once processed:
+// a repeat by the same thread with the same running object L(t), the
+// same W(x) and, for a write, no read of x recorded since, is a no-op —
+// its re-join adds nothing (subscriptions keep the running clock current
+// against growable sources, with the violation check performed at growth
+// time), and its table stores are pointer-idempotent.
 func (c *aeroChecker) insideOp(op trace.Op) *Warning {
 	t := op.Thread
-	o := c.obj(t)
+	o := c.l.get(int32(t))
 	o.vc.Tick(t)
 	switch op.Kind {
 	case trace.Acquire:
-		if w := c.joinFrom(o, c.l.get(op.Target), op); w != nil {
+		if w := c.joinFrom(o, c.u.get(op.Target), op); w != nil {
 			return w
 		}
 	case trace.Release:
-		c.l.set(op.Target, o)
+		c.u.set(op.Target, o)
 	case trace.Read:
 		x := op.Var()
 		if w := c.joinFrom(o, c.w.get(x), op); w != nil {
@@ -529,7 +324,7 @@ func (c *aeroChecker) insideOp(op trace.Op) *Warning {
 		c.r.clear(x)
 	}
 	if !c.opts.NoFilter {
-		c.cacheAero(op)
+		c.store(op)
 	}
 	return nil
 }
@@ -558,19 +353,19 @@ func (c *aeroChecker) outsideOp(op trace.Op) *Warning {
 	if op.Kind == trace.Release && !c.opts.NoMerge {
 		// A release has no incoming conflict orderings, so it always
 		// merges into the thread's current object ([INS2 OUTSIDE REL]).
-		o := c.obj(t)
+		o := c.l.get(int32(t))
 		if o == nil {
-			o = c.newObj(t, &TxnMeta{Thread: t, Start: c.idx, Unary: true, End: c.idx})
+			o = c.newObj(t, c.newMeta(TxnMeta{Thread: t, Start: c.idx, Unary: true, End: c.idx}))
 		} else {
 			o.vc.Tick(t)
 		}
-		c.l.set(op.Target, o)
+		c.u.set(op.Target, o)
 		return nil
 	}
 	srcs := c.srcs[:0]
 	switch op.Kind {
 	case trace.Acquire:
-		srcs = append(srcs, c.l.get(op.Target))
+		srcs = append(srcs, c.u.get(op.Target))
 	case trace.Read:
 		srcs = append(srcs, c.w.get(op.Var()))
 	case trace.Write:
@@ -595,7 +390,7 @@ func (c *aeroChecker) outsideOp(op trace.Op) *Warning {
 	}
 	switch op.Kind {
 	case trace.Release:
-		c.l.set(op.Target, o) // NoMerge path
+		c.u.set(op.Target, o) // NoMerge path
 	case trace.Read:
 		c.r.set(op.Var(), t, o)
 	case trace.Write:
@@ -603,7 +398,7 @@ func (c *aeroChecker) outsideOp(op trace.Op) *Warning {
 		c.r.clear(op.Var())
 	}
 	if !c.opts.NoFilter {
-		c.cacheAero(op)
+		c.store(op)
 	}
 	return nil
 }
@@ -612,7 +407,7 @@ func (c *aeroChecker) outsideOp(op trace.Op) *Warning {
 // operation: the thread's current unary container when extending it is
 // provably equivalent, a fresh unary transaction otherwise.
 func (c *aeroChecker) unaryTarget(t trace.Tid, srcs []*aeroObj) *aeroObj {
-	prev := c.obj(t)
+	prev := c.l.get(int32(t))
 	if !c.opts.NoMerge && prev != nil && !prev.active &&
 		prev.meta != nil && prev.meta.Unary && prev.outs == 0 {
 		reuse := true
@@ -633,55 +428,7 @@ func (c *aeroChecker) unaryTarget(t trace.Tid, srcs []*aeroObj) *aeroObj {
 			return prev
 		}
 	}
-	return c.newObj(t, &TxnMeta{Thread: t, Start: c.idx, Unary: true, End: c.idx})
-}
-
-// filterAero reports whether op is a provably redundant repeat access:
-// same thread, same running object, same stored conflict state as a
-// previously processed access. The re-join is a no-op (subscriptions
-// keep the running clock current against growable sources, checking at
-// growth time), and the table stores are pointer-idempotent.
-func (c *aeroChecker) filterAero(op trace.Op) bool {
-	if op.Kind != trace.Read && op.Kind != trace.Write {
-		return false
-	}
-	x := op.Var()
-	if x < 0 || x >= denseVarLimit || int(x) >= len(c.fc) {
-		return false
-	}
-	e := &c.fc[x]
-	t := op.Thread
-	cur := c.obj(t)
-	if cur == nil {
-		return false
-	}
-	if op.Kind == trace.Read {
-		return e.rdTid == int32(t)+1 && e.rdCur == cur && e.rdW == c.w.get(x)
-	}
-	return e.wrTid == int32(t)+1 && e.wrCur == cur && e.wrW == c.w.get(x) &&
-		e.wrVer == c.r.ver(x)
-}
-
-// cacheAero records the post-state of a processed access for filterAero.
-func (c *aeroChecker) cacheAero(op trace.Op) {
-	if op.Kind != trace.Read && op.Kind != trace.Write {
-		return
-	}
-	x := op.Var()
-	if x < 0 || x >= denseVarLimit {
-		return
-	}
-	if int(x) >= len(c.fc) {
-		c.fc = append(c.fc, make([]aeroFC, int(x)+1-len(c.fc))...)
-	}
-	e := &c.fc[x]
-	t := op.Thread
-	cur := c.obj(t)
-	if op.Kind == trace.Read {
-		e.rdTid, e.rdCur, e.rdW = int32(t)+1, cur, c.w.get(x)
-		return
-	}
-	e.wrTid, e.wrCur, e.wrW, e.wrVer = int32(t)+1, cur, c.w.get(x), c.r.ver(x)
+	return c.newObj(t, c.newMeta(TxnMeta{Thread: t, Start: c.idx, Unary: true, End: c.idx}))
 }
 
 // violation reports the first observed cycle and stops the checker:
@@ -697,8 +444,7 @@ func (c *aeroChecker) cacheAero(op trace.Op) {
 // invariant 5. Blame and forensics remain graph-engine capabilities
 // (EngineInfo.SupportsForensics); AeroDrome trades them for the
 // linear-time verdict.
-func (c *aeroChecker) violation(op trace.Op, s *aeroObj) *Warning {
-	_ = s
+func (c *aeroChecker) violation(op trace.Op) *Warning {
 	c.done = true
-	return c.record(&Warning{OpIndex: c.idx, Op: op})
+	return c.record(c.newWarning(op, nil))
 }

@@ -26,7 +26,7 @@ func TestAeroFreezeOnTransactionEnd(t *testing.T) {
 		step(trace.Beg(1, "reader"), trace.Rd(1, 9), trace.Fin(1))
 	}
 
-	last := c.obj(1) // the most recent (ended) reader transaction
+	last := c.l.get(1) // the most recent (ended) reader transaction
 	if last == nil {
 		t.Fatal("no reader object")
 	}

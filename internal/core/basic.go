@@ -31,13 +31,13 @@ func sortedTids(m map[trace.Tid]graph.Step) []trace.Tid {
 // same non-serializable traces as the optimized engine (invariant 1 of
 // DESIGN.md) but performs no blame assignment.
 //
-// Figure 2 predates nesting, so nested atomic blocks are flattened with a
-// per-thread stack of (possibly spec-exempted) markers: only the
+// Figure 2 predates nesting, so nested atomic blocks are flattened on
+// the block stack C (frames of possibly spec-exempted blocks): only the
 // outermost non-exempted begin allocates a transaction node.
 type basicChecker struct {
 	common
-	cur     map[trace.Tid]graph.Step               // C
-	blocks  map[trace.Tid][]bool                   // open blocks: exempted?
+	blocks
+	cur     map[trace.Tid]graph.Step               // C of Figure 2: the running transaction
 	l       map[trace.Tid]graph.Step               // L
 	u       map[trace.Lock]graph.Step              // U
 	r       map[trace.Var]map[trace.Tid]graph.Step // R
@@ -45,87 +45,37 @@ type basicChecker struct {
 	curMeta map[trace.Tid]*TxnMeta                 // forensics: open txn metadata
 }
 
-func (c *basicChecker) init() {
-	if c.cur == nil {
-		c.cur = map[trace.Tid]graph.Step{}
-		c.blocks = map[trace.Tid][]bool{}
-		c.l = map[trace.Tid]graph.Step{}
-		c.u = map[trace.Lock]graph.Step{}
-		c.r = map[trace.Var]map[trace.Tid]graph.Step{}
-		c.w = map[trace.Var]graph.Step{}
-		c.curMeta = map[trace.Tid]*TxnMeta{}
-	}
-}
-
-// checkedDepth counts open non-exempted blocks of t.
-func (c *basicChecker) checkedDepth(t trace.Tid) int {
-	n := 0
-	for _, ig := range c.blocks[t] {
-		if !ig {
-			n++
-		}
-	}
-	return n
-}
-
-// Step implements Checker.
-func (c *basicChecker) Step(op trace.Op) *Warning {
-	if c.opts.Spans == nil || !c.sampled() {
-		return c.step(op)
-	}
-	t := c.startTimed()
-	w := c.step(op)
-	c.endTimed(t)
-	return w
-}
-
-// StepBatch implements Checker.
-func (c *basicChecker) StepBatch(ops []trace.Op, warn func(*Warning)) { stepEach(c, ops, warn) }
-
-// SkipFiltered implements Checker: it consumes op as a filter hit
-// decided by the pipeline's sharded prefilter, replaying the basic
-// engine's filterInside hit path — flight-recorder note, filter
-// accounting, index advance — so state stays bit-identical to a serial
-// filter hit (the basic engine stores nothing on a hit).
-func (c *basicChecker) SkipFiltered(op trace.Op) bool {
-	c.init()
-	if c.done || c.opts.NoFilter {
-		return false
-	}
-	if c.opts.Spans == nil || !c.sampled() {
-		c.skipFiltered(op)
-		return true
-	}
-	t := c.startTimed()
-	c.skipFiltered(op)
-	c.endTimed(t)
-	return true
-}
-
-func (c *basicChecker) skipFiltered(op trace.Op) {
-	c.noteOp(op)
-	c.snap.Filtered++
-	c.idx++
-}
-
-// step is the uninstrumented Step body.
-func (c *basicChecker) step(op trace.Op) *Warning {
-	c.init()
+// run is the engine's one loop.
+func (c *basicChecker) run(ops []trace.Op, warn func(*Warning)) {
 	if c.done {
-		return nil
+		return
 	}
-	defer func() { c.idx++ }()
-	if op.Kind == trace.Fork || op.Kind == trace.Join {
+	for i := range ops {
+		op := ops[i]
 		var w *Warning
-		for _, sub := range trace.DesugarOp(op) {
-			if ww := c.step1(sub); ww != nil && w == nil {
-				w = ww
+		if op.Kind == trace.Fork || op.Kind == trace.Join {
+			for _, sub := range trace.DesugarOp(op) {
+				if ww := c.step1(sub); ww != nil && w == nil {
+					w = ww
+				}
+			}
+		} else {
+			w = c.step1(op)
+		}
+		c.idx++
+		if w != nil {
+			if warn != nil {
+				warn(w)
+			}
+			if c.done {
+				return
 			}
 		}
-		return w
 	}
-	return c.step1(op)
 }
+
+// hitStore stores nothing: the basic engine's filter keeps no cache.
+func (c *basicChecker) hitStore(trace.Op) {}
 
 func (c *basicChecker) step1(op trace.Op) *Warning {
 	c.noteOp(op)
@@ -133,25 +83,18 @@ func (c *basicChecker) step1(op trace.Op) *Warning {
 	switch op.Kind {
 	case trace.Begin:
 		ignored := c.opts.Ignore[op.Label]
-		wasInside := c.checkedDepth(t) > 0
-		c.blocks[t] = append(c.blocks[t], ignored)
-		if !ignored && !wasInside {
+		if !ignored && c.depth(t) == 0 {
 			c.enter(t, c.newMeta(TxnMeta{Thread: t, Label: op.Label, Start: c.idx, End: -1}), op)
 		}
+		c.push(t, frame{label: op.Label, ignored: ignored})
 		return nil
 	case trace.End:
-		bs := c.blocks[t]
-		if len(bs) == 0 {
-			return nil // an end that closes nothing: an ill-formed stream is not a panic
-		}
-		popped := bs[len(bs)-1]
-		c.blocks[t] = bs[:len(bs)-1]
-		if !popped && c.checkedDepth(t) == 0 {
+		if popped, ok := c.pop(t); ok && !popped.ignored && c.depth(t) == 0 {
 			c.exit(t)
 		}
 		return nil
 	}
-	if c.checkedDepth(t) > 0 {
+	if c.depth(t) > 0 {
 		if !c.opts.NoFilter && c.filterInside(op) {
 			c.snap.Filtered++
 			return nil

@@ -240,11 +240,19 @@ func New(opts Options) Checker {
 	cm := common{g: g, opts: opts, rec: rec, sampler: sampler{rng: sampleSeed}}
 	switch opts.Engine {
 	case Basic:
-		return &basicChecker{common: cm}
+		c := &basicChecker{common: cm, cur: map[trace.Tid]graph.Step{}, l: map[trace.Tid]graph.Step{},
+			u: map[trace.Lock]graph.Step{}, r: map[trace.Var]map[trace.Tid]graph.Step{},
+			w: map[trace.Var]graph.Step{}, curMeta: map[trace.Tid]*TxnMeta{}}
+		c.eng = c
+		return c
 	case Aero:
-		return &aeroChecker{common: cm}
+		c := &aeroChecker{common: cm} // ⊥ is nil, the zero value
+		c.eng = c
+		return c
 	}
-	return &optChecker{common: cm}
+	c := &optChecker{common: cm, tables: newTables(graph.None)}
+	c.eng = c
+	return c
 }
 
 // Snapshot is an engine's plain counters at one moment: what every
@@ -298,45 +306,39 @@ type common struct {
 	snap  Snapshot // all but Stats, which Snapshot reads off the graph
 	done  bool
 
-	// The graph engines' output, per transaction and per violation.
-	metas    chunks[TxnMeta]
-	warnings chunks[Warning]
-	labels   chunks[trace.Label]
+	// The engines' output, per transaction and per violation: chunks
+	// never reallocated or reused, so what is handed out belongs to the
+	// Result — a retained *Warning keeps its slab, and the TxnMeta slab it
+	// blames into, alive.
+	metas    graph.Chunks[TxnMeta]
+	warnings graph.Chunks[Warning]
+	labels   graph.Chunks[trace.Label]
+
+	eng   engine      // the engine this is part of
+	one   [1]trace.Op // Step's batch
+	first *Warning    // the first warning recorded since Step began
 
 	sampler
 }
 
-// chunks is graph's chunks for the engines' own output: slabs of chunkMin
-// entries doubling to chunkMax, never reallocated or reused, so what is
-// handed out belongs to the Result — a retained *Warning keeps its slab,
-// and the TxnMeta slab it blames into, alive.
-type chunks[T any] struct{ cur []T }
-
-const (
-	chunkMin = 8
-	chunkMax = 256
-)
-
-// take returns n zeroed entries nobody else holds, with len == cap.
-func (c *chunks[T]) take(n int) []T {
-	if cap(c.cur)-len(c.cur) < n {
-		c.cur = make([]T, 0, max(n, min(max(2*cap(c.cur), chunkMin), chunkMax)))
-	}
-	lo := len(c.cur)
-	c.cur = c.cur[:lo+n]
-	return c.cur[lo : lo+n : lo+n]
+// engine is what an engine adds to common: its one loop over a batch,
+// and the store its own filter makes on a hit, which SkipFiltered
+// replays.
+type engine interface {
+	run(ops []trace.Op, warn func(*Warning))
+	hitStore(op trace.Op)
 }
 
 // newMeta returns m as a transaction's metadata.
 func (c *common) newMeta(m TxnMeta) *TxnMeta {
-	p := &c.metas.take(1)[0]
+	p := &c.metas.Take(1)[0]
 	*p = m
 	return p
 }
 
 // newWarning starts the warning for op, the operation being processed.
 func (c *common) newWarning(op trace.Op, cyc *graph.Cycle) *Warning {
-	w := &c.warnings.take(1)[0]
+	w := &c.warnings.Take(1)[0]
 	*w = Warning{OpIndex: c.idx, Op: op, Cycle: cyc}
 	return w
 }
@@ -356,16 +358,63 @@ func (c *common) Snapshot() Snapshot {
 // cost as much as the step.
 func (c *common) filterCount() *int64 { return &c.snap.Filtered }
 
-// stepEach is StepBatch for an engine without a batch loop of its own.
-func stepEach(c Checker, ops []trace.Op, warn func(*Warning)) {
-	for i := range ops {
-		if w := c.Step(ops[i]); w != nil && warn != nil {
-			warn(w)
+// Step implements Checker: the batch of one.
+func (c *common) Step(op trace.Op) *Warning {
+	c.one[0], c.first = op, nil
+	c.StepBatch(c.one[:], nil)
+	return c.first
+}
+
+// StepBatch implements Checker: the engine's loop over ops. With
+// Options.Spans the batch is split at the operations the sampler picks,
+// and a picked operation is a run of one between startTimed and
+// endTimed: it takes the path its untimed neighbours take.
+func (c *common) StepBatch(ops []trace.Op, warn func(*Warning)) {
+	if c.opts.Spans == nil {
+		c.eng.run(ops, warn)
+		return
+	}
+	for len(ops) > 0 {
+		k := c.untimed(len(ops))
+		c.eng.run(ops[:k], warn)
+		if k == len(ops) {
+			return
 		}
+		t := c.startTimed()
+		c.eng.run(ops[k:k+1], warn)
+		c.endTimed(t)
+		ops = ops[k+1:]
 	}
 }
 
+// SkipFiltered implements Checker: it consumes op as a filter hit
+// decided by the pipeline's sharded prefilter, replaying what the
+// engine's own filter does on a hit — flight-recorder note, the engine's
+// hitStore, filter accounting, index advance — so the engine state is
+// bit-identical to a serial filter hit.
+func (c *common) SkipFiltered(op trace.Op) bool {
+	if c.done || c.opts.NoFilter {
+		return false
+	}
+	var t timing
+	timed := c.opts.Spans != nil && c.sampled()
+	if timed {
+		t = c.startTimed()
+	}
+	c.noteOp(op)
+	c.eng.hitStore(op)
+	c.snap.Filtered++
+	c.idx++
+	if timed {
+		c.endTimed(t)
+	}
+	return true
+}
+
 func (c *common) record(w *Warning) *Warning {
+	if c.first == nil {
+		c.first = w
+	}
 	if c.rec != nil {
 		// Eager: the flight-recorder windows are only valid right now.
 		if b := c.opts.Spans; b != nil {

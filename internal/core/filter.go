@@ -13,11 +13,9 @@ import (
 // events and the fast path") carries the full equivalence argument;
 // the differential matrix in filter_test.go enforces it.
 
-// fcEntry memoizes, per variable, the engine state under which the last
-// full filter validation succeeded — one slot for reads, one for writes.
-// Thread ids are stored shifted by one so the zero value (a freshly grown
-// entry) can never match. A bitwise re-match of the recorded state proves
-// the event is still redundant without touching the graph at all:
+// The optimized engine stores into the decision cache (tables.hit and
+// tables.store) only after the full validation below succeeded, so a hit
+// re-matches the state of a validated redundant access:
 //
 //   - L(t) unchanged ⟹ no state-changing operation of t has run since
 //     the validation (every unfiltered operation of t either Ticks L(t)
@@ -31,64 +29,13 @@ import (
 //   - for writes, the R(x) row version unchanged ⟹ no thread recorded a
 //     new read of x, so every validated read predecessor still stands.
 //
-// A hit therefore costs a handful of word compares — the FastTrack-style
-// same-epoch check Section 5's filtering calls for.
-type fcEntry struct {
-	rdTid int32 // validated reader tid + 1; 0 = empty
-	wrTid int32 // validated writer tid + 1; 0 = empty
-	rdL   graph.Step
-	rdW   graph.Step
-	wrL   graph.Step
-	wrW   graph.Step
-	wrVer uint32 // R(x) row version at write validation
-}
-
-// filterFast is the cache-hit check: a few loads and compares, no graph
-// access. Only dense variable ids are cached; token variables and cache
-// misses fall through to the full validation. Its one caller, run, asks
-// before it knows the kind or whether the thread is inside a transaction,
-// which is safe: only rd/wr entries exist; cacheStore runs only with the
-// filter on, so under NoFilter the cache stays empty; and an entry can
-// only match while L(t) is the step it was validated at, which the End
-// that takes t out of its transaction has Ticked away — under NoMerge,
-// where outside operations are never filtered, none of them can hit.
-func (c *optChecker) filterFast(op *trace.Op) bool {
-	x, t := op.Target, int32(op.Thread)
-	if uint32(x) >= uint32(len(c.fc)) {
-		return false
-	}
-	e := &c.fc[x]
-	if op.Kind == trace.Read {
-		return e.rdTid == t+1 && e.rdL == c.l.get(t) && e.rdW == c.w.dense.get(x)
-	}
-	return op.Kind == trace.Write && e.wrTid == t+1 && e.wrL == c.l.get(t) &&
-		e.wrW == c.w.dense.get(x) && e.wrVer == c.r.ver(trace.Var(x))
-}
-
-// cacheStore records the post-event state after a successful full filter
-// validation, so immediate repeats of the same access hit filterFast.
-func (c *optChecker) cacheStore(op trace.Op) {
-	x := op.Target
-	if x < 0 || x >= denseVarLimit {
-		return
-	}
-	if int(x) >= len(c.fc) {
-		c.fc = append(c.fc, make([]fcEntry, int(x)+1-len(c.fc))...)
-	}
-	e := &c.fc[x]
-	lt := c.l.get(int32(op.Thread))
-	switch op.Kind {
-	case trace.Read:
-		e.rdTid = int32(op.Thread) + 1
-		e.rdL = lt
-		e.rdW = c.w.get(trace.Var(x))
-	case trace.Write:
-		e.wrTid = int32(op.Thread) + 1
-		e.wrL = lt
-		e.wrW = c.w.get(trace.Var(x))
-		e.wrVer = c.r.ver(trace.Var(x))
-	}
-}
+// run asks before it knows the kind or whether the thread is inside a
+// transaction, which is safe: only rd/wr entries exist; store runs only
+// with the filter on, so under NoFilter the cache stays empty; and an
+// entry can only match while L(t) is the step it was validated at, which
+// the End that takes t out of its transaction has Ticked away — under
+// NoMerge, where outside operations are never filtered, none of them can
+// hit.
 
 // filterInside decides whether an in-transaction rd/wr is redundant for
 // the optimized engine. Conditions, writing n for the thread's active

@@ -5,24 +5,10 @@ import (
 	"repro/internal/trace"
 )
 
-// frame is one entry of the per-thread atomic-block stack C(t) of
-// Section 4.3: the block's label and the timestamp of its first operation.
-type frame struct {
-	label   trace.Label
-	start   uint64
-	ignored bool // exempted by the atomicity specification
-}
-
 // optChecker is the optimized analysis of Figure 4.
 type optChecker struct {
 	common
-	c     [][]frame // C: open atomic blocks per thread
-	d     []int32   // open non-ignored blocks per thread (checkedDepth, maintained)
-	l     stepTable // L: last step of each thread
-	u     stepTable // U: last release of each lock
-	r     readTable // R: last read of each variable per thread
-	w     varTable  // W: last write of each variable
-	fc    []fcEntry // per-variable filter decision cache
+	tables[graph.Step]
 	preds []graph.Step
 	// Forensics-only state: a reusable provenance buffer parallel to
 	// preds, and the open transaction's metadata per thread so its End
@@ -38,77 +24,17 @@ func (c *optChecker) setOpenMeta(t trace.Tid, m *TxnMeta) {
 	c.openMeta[t] = m
 }
 
-func (c *optChecker) stack(t trace.Tid) []frame {
-	if int(t) < len(c.c) {
-		return c.c[t]
-	}
-	return nil
-}
-
-func (c *optChecker) setStack(t trace.Tid, fs []frame) {
-	for int(t) >= len(c.c) {
-		c.c = append(c.c, nil)
-	}
-	c.c[t] = fs
-}
-
-// depth returns the number of open non-ignored blocks of t. It mirrors
-// checkedDepth(c.stack(t)) but is maintained incrementally at Begin/End
-// so the per-event hot path needs no frame-stack scan.
-func (c *optChecker) depth(t trace.Tid) int32 {
-	if int(t) < len(c.d) {
-		return c.d[t]
-	}
-	return 0
-}
-
-func (c *optChecker) addDepth(t trace.Tid, delta int32) {
-	for int(t) >= len(c.d) {
-		c.d = append(c.d, 0)
-	}
-	c.d[t] += delta
-}
-
-// Step implements Checker: the batch of one.
-func (c *optChecker) Step(op trace.Op) *Warning {
-	var w *Warning
-	c.StepBatch([]trace.Op{op}, func(ww *Warning) { w = ww })
-	return w
-}
-
-// StepBatch implements Checker. With Options.Spans the batch is split at
-// the operations the sampler picks, and a picked operation is a run of
-// one between startTimed and endTimed: it takes the path its untimed
-// neighbours take.
-func (c *optChecker) StepBatch(ops []trace.Op, warn func(*Warning)) {
-	if c.opts.Spans == nil {
-		c.run(ops, warn)
-		return
-	}
-	for len(ops) > 0 {
-		k := c.untimed(len(ops))
-		c.run(ops[:k], warn)
-		if k == len(ops) {
-			return
-		}
-		t := c.startTimed()
-		c.run(ops[k:k+1], warn)
-		c.endTimed(t)
-		ops = ops[k+1:]
-	}
-}
-
 // run is the engine's one loop. The decision cache is tested first, on
-// the operation where it lies, and a hit ends there: filterFast fails on
-// every operation whose kind or state keeps step1 from filtering it (see
-// filterFast), so only a miss pays for the copy and the call.
+// the operation where it lies, and a hit ends there: hit fails on every
+// operation whose kind or state keeps step1 from filtering it (see
+// filter.go), so only a miss pays for the copy and the call.
 func (c *optChecker) run(ops []trace.Op, warn func(*Warning)) {
 	if c.done {
 		return
 	}
 	for i := range ops {
 		op := &ops[i]
-		if c.filterFast(op) {
+		if c.hit(op) {
 			c.noteOp(*op) // the flight recorder sees every operation, even filtered ones
 			c.snap.Filtered++
 			c.idx++
@@ -136,45 +62,10 @@ func (c *optChecker) run(ops []trace.Op, warn func(*Warning)) {
 	}
 }
 
-// SkipFiltered implements Checker: it consumes op as a filter hit
-// decided by the pipeline's sharded prefilter. The body replays exactly
-// what step1 does on its filterInside path — flight-recorder note,
-// decision-cache store, filter accounting, index advance — so the
-// engine state is bit-identical to a serial filter hit. cacheStore is
-// idempotent when serial would instead have hit filterFast (the cached
-// words already equal what it stores).
-func (c *optChecker) SkipFiltered(op trace.Op) bool {
-	if c.done || c.opts.NoFilter {
-		return false
-	}
-	if c.opts.Spans == nil || !c.sampled() {
-		c.skipFiltered(op)
-		return true
-	}
-	t := c.startTimed()
-	c.skipFiltered(op)
-	c.endTimed(t)
-	return true
-}
-
-func (c *optChecker) skipFiltered(op trace.Op) {
-	c.noteOp(op)
-	c.cacheStore(op)
-	c.snap.Filtered++
-	c.idx++
-}
-
-// checkedDepth counts the open non-ignored blocks: a transaction is
-// active exactly while this is positive.
-func checkedDepth(stack []frame) int {
-	n := 0
-	for _, f := range stack {
-		if !f.ignored {
-			n++
-		}
-	}
-	return n
-}
+// hitStore is what step1's filterInside path stores on a hit. It is
+// idempotent when serial would instead have hit the cache: the cached
+// words already equal what it stores.
+func (c *optChecker) hitStore(op trace.Op) { c.store(op) }
 
 // step1 processes one desugared operation that missed the decision cache.
 func (c *optChecker) step1(op trace.Op) *Warning {
@@ -183,11 +74,7 @@ func (c *optChecker) step1(op trace.Op) *Warning {
 	inside := c.depth(t) > 0
 	switch op.Kind {
 	case trace.Begin:
-		stack := c.stack(t)
 		ignored := c.opts.Ignore[op.Label]
-		if !ignored {
-			c.addDepth(t, 1)
-		}
 		if inside || ignored {
 			// [INS2 RE-ENTER] for nested blocks; exempted blocks push a
 			// marker frame but never start or extend a transaction.
@@ -197,7 +84,7 @@ func (c *optChecker) step1(op trace.Op) *Warning {
 				c.l.set(int32(t), s)
 				start = s.Time()
 			}
-			c.setStack(t, append(stack, frame{op.Label, start, ignored}))
+			c.push(t, frame{op.Label, start, ignored})
 			return nil
 		}
 		// [INS2 ENTER]: fresh transaction node, ordered after the
@@ -210,26 +97,20 @@ func (c *optChecker) step1(op trace.Op) *Warning {
 			c.addEdgeP(c.l.get(int32(t)), s, op, c.poProv())
 			c.setOpenMeta(t, meta)
 		}
-		c.setStack(t, append(stack, frame{op.Label, s.Time(), false}))
+		c.push(t, frame{op.Label, s.Time(), false})
 		c.l.set(int32(t), s)
 		return nil
 
 	case trace.End:
 		// [INS2 EXIT]: pop the innermost block.
-		stack := c.stack(t)
-		n := len(stack) - 1
-		if n < 0 {
-			return nil // an end that closes nothing: an ill-formed stream is not a panic
-		}
-		popped := stack[n]
-		c.setStack(t, stack[:n])
-		if !popped.ignored {
-			c.addDepth(t, -1)
+		popped, ok := c.pop(t)
+		if !ok {
+			return nil
 		}
 		if inside {
 			s := c.g.Tick(c.l.get(int32(t)))
 			c.l.set(int32(t), s)
-			if !popped.ignored && checkedDepth(stack[:n]) == 0 {
+			if !popped.ignored && c.depth(t) == 0 {
 				c.g.Finish(s)
 				if c.rec != nil && int(t) < len(c.openMeta) && c.openMeta[t] != nil {
 					c.openMeta[t].End = c.idx
@@ -242,7 +123,7 @@ func (c *optChecker) step1(op trace.Op) *Warning {
 
 	if inside {
 		if !c.opts.NoFilter && c.filterInside(op) {
-			c.cacheStore(op)
+			c.store(op)
 			c.snap.Filtered++
 			return nil
 		}
@@ -256,12 +137,11 @@ func (c *optChecker) step1(op trace.Op) *Warning {
 		} else {
 			c.addEdgeP(c.l.get(int32(t)), s, op, c.poProv())
 		}
-		c.setStack(t, append(c.stack(t), frame{"", s.Time(), false}))
+		c.push(t, frame{"", s.Time(), false})
 		c.l.set(int32(t), s)
 		w := c.insideOp(op)
 		s = c.g.Tick(c.l.get(int32(t)))
-		cur := c.stack(t)
-		c.setStack(t, cur[:len(cur)-1]) // pop only the wrapper frame
+		c.pop(t) // only the wrapper frame
 		c.l.set(int32(t), s)
 		c.g.Finish(s)
 		return w
@@ -270,7 +150,7 @@ func (c *optChecker) step1(op trace.Op) *Warning {
 		// The fast path performed the table stores itself, so the
 		// provenance tables must advance with them.
 		c.access(op)
-		c.cacheStore(op)
+		c.store(op)
 		c.snap.Filtered++
 		return nil
 	}
@@ -431,7 +311,7 @@ func (c *optChecker) violation(op trace.Op, cyc *graph.Cycle) *Warning {
 			w.Blamed = meta
 		}
 		root, stack := cyc.RootTime(), c.stack(op.Thread)
-		refuted := c.labels.take(len(stack))[:0]
+		refuted := c.labels.Take(len(stack))[:0]
 		for _, f := range stack {
 			if f.ignored {
 				continue // exempted by the atomicity specification

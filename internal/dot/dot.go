@@ -78,14 +78,20 @@ func label(m *core.TxnMeta) string {
 }
 
 // RenderAll concatenates the error graphs of several warnings, each as its
-// own digraph.
+// own digraph: RenderReport for a warning that carries a provenance
+// report — it has the trace spans and access pairs the live graph lacks
+// — and Render otherwise.
 func RenderAll(warns []*core.Warning) string {
 	var b strings.Builder
 	for i, w := range warns {
 		if i > 0 {
 			b.WriteByte('\n')
 		}
-		b.WriteString(Render(w))
+		if rep := w.Forensics(); rep != nil {
+			b.WriteString(RenderReport(rep))
+		} else {
+			b.WriteString(Render(w))
+		}
 	}
 	return b.String()
 }

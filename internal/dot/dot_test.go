@@ -10,6 +10,11 @@ import (
 
 func rmwWarning(t *testing.T) *core.Warning {
 	t.Helper()
+	return rmwWarningWith(t, core.Options{})
+}
+
+func rmwWarningWith(t *testing.T, opts core.Options) *core.Warning {
+	t.Helper()
 	x := trace.Var(0)
 	tr := trace.Trace{
 		trace.Beg(1, "Set.add"),
@@ -18,7 +23,7 @@ func rmwWarning(t *testing.T) *core.Warning {
 		trace.Wr(1, x),
 		trace.Fin(1),
 	}
-	res := core.CheckTrace(tr, core.Options{})
+	res := core.CheckTrace(tr, opts)
 	if res.Serializable || len(res.Warnings) == 0 {
 		t.Fatal("expected a warning")
 	}
@@ -72,14 +77,31 @@ func TestRenderWithoutBlame(t *testing.T) {
 	}
 }
 
+// TestRenderAll: one digraph per warning, drawn from its provenance
+// report when it carries one.
 func TestRenderAll(t *testing.T) {
-	w := rmwWarning(t)
-	out := RenderAll([]*core.Warning{w, w})
-	if got := strings.Count(out, "digraph velodrome"); got != 2 {
-		t.Errorf("digraphs = %d, want 2", got)
+	plain := rmwWarning(t)
+	forensic := rmwWarningWith(t, core.Options{Forensics: true})
+	rep := forensic.Forensics()
+	if rep == nil {
+		t.Fatal("no forensic report attached")
 	}
-	if RenderAll(nil) != "" {
-		t.Error("empty input should render empty")
+	for _, c := range []struct {
+		name  string
+		warns []*core.Warning
+		want  string
+	}{
+		{"empty", nil, ""},
+		{"plain", []*core.Warning{plain, plain}, Render(plain) + "\n" + Render(plain)},
+		{"forensic", []*core.Warning{forensic, plain}, RenderReport(rep) + "\n" + Render(plain)},
+	} {
+		out := RenderAll(c.warns)
+		if out != c.want {
+			t.Errorf("%s: RenderAll =\n%s\nwant\n%s", c.name, out, c.want)
+		}
+		if got := strings.Count(out, "digraph velodrome"); got != len(c.warns) {
+			t.Errorf("%s: digraphs = %d, want %d", c.name, got, len(c.warns))
+		}
 	}
 }
 
@@ -177,11 +199,11 @@ func TestRenderReport(t *testing.T) {
 	out := RenderReport(rep)
 	for _, want := range []string{
 		"Warning: Set.add@0(t1) is not atomic",
-		"peripheries=2",   // blamed box outlined
-		"style=dashed",    // closing edge dashed
-		"ops 0.. (open)",  // blamed txn still open: span rendered
-		"x0:",             // conflict edge names the contended variable
-		"wr(2,x0)@2",      // ... and the recorded access pair
+		"peripheries=2",  // blamed box outlined
+		"style=dashed",   // closing edge dashed
+		"ops 0.. (open)", // blamed txn still open: span rendered
+		"x0:",            // conflict edge names the contended variable
+		"wr(2,x0)@2",     // ... and the recorded access pair
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in report rendering:\n%s", want, out)
@@ -189,4 +211,3 @@ func TestRenderReport(t *testing.T) {
 	}
 	checkStructure(t, out)
 }
-

@@ -77,21 +77,23 @@ func increasing(edges []CycleEdge) bool {
 // which atomic blocks of D to refute.
 func (c *Cycle) RootTime() uint64 { return c.Edges[0].TailTime }
 
-// chunks hands out what a violation report is made of from slabs the
-// graph owns. A slab is never reallocated or reused: the pointers and
-// slices into it are the caller's to keep. Slabs start at chunkMin entries
-// and double to chunkMax, so a short check does not pay for a long one's.
-type chunks[T any] struct{ cur []T }
+// Chunks hands out what a violation report is made of — the graph's
+// cycles and their edges, the engines' warnings and transaction metadata
+// — from slabs its owner keeps. A slab is never reallocated or reused:
+// the pointers and slices into it are the caller's to keep. Slabs start
+// at chunkMin entries and double to chunkMax, so a short check does not
+// pay for a long one's. The zero value is ready to use.
+type Chunks[T any] struct{ cur []T }
 
 const (
 	chunkMin = 8
 	chunkMax = 256
 )
 
-// take returns n zeroed entries nobody else holds, with len == cap: an
+// Take returns n zeroed entries nobody else holds, with len == cap: an
 // append by the holder copies them out instead of running on into a
 // neighbour's.
-func (c *chunks[T]) take(n int) []T {
+func (c *Chunks[T]) Take(n int) []T {
 	if cap(c.cur)-len(c.cur) < n {
 		c.cur = make([]T, 0, max(n, min(max(2*cap(c.cur), chunkMin), chunkMax)))
 	}
@@ -163,7 +165,7 @@ func (g *Graph) AddEdgeP(from, to Step, op trace.Op, prov *EdgeProv) *Cycle {
 			panic("graph: ancestor set claims a path the edges do not have")
 		}
 		// The one copy: path is scratch, the Cycle is the caller's.
-		edges := g.cycEdges.take(len(path) + 1)
+		edges := g.cycEdges.Take(len(path) + 1)
 		copy(edges, path)
 		edges[len(path)] = CycleEdge{
 			From: src, To: dst,
@@ -173,7 +175,7 @@ func (g *Graph) AddEdgeP(from, to Step, op trace.Op, prov *EdgeProv) *Cycle {
 		}
 		keepProvs(edges, prov)
 		g.stats.CyclesDetected++
-		cyc := &g.cycles.take(1)[0]
+		cyc := &g.cycles.Take(1)[0]
 		*cyc = Cycle{Edges: edges, Increasing: increasing(edges)}
 		return cyc
 	}

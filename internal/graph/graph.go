@@ -149,8 +149,8 @@ type Graph struct {
 	ancScratch  []ancEntry        // ancestorsPlusSelf's reusable buffer
 	pathStack   []pathFrame       // findPath's DFS stack
 	pathScratch []CycleEdge       // findPath's result, valid until its next call
-	cycles      chunks[Cycle]     // the cycles AddEdgeP has returned
-	cycEdges    chunks[CycleEdge] // and their edges
+	cycles      Chunks[Cycle]     // the cycles AddEdgeP has returned
+	cycEdges    Chunks[CycleEdge] // and their edges
 	ancMarks    []ancMark         // addAncestors' stamps, one per node id
 	ancGen      uint64            // number of the current addAncestors merge
 	ancReads    uint64            // ancestor entries addAncestors has read
