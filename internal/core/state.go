@@ -18,15 +18,12 @@ import (
 
 // grow extends s to length n in a single grow — the append(s,
 // make(...)...) form compiles to one copy-free slice extension — then
-// fills the new tail with none when that is not the zero value.
+// fills the new tail with none.
 func grow[E comparable](s []E, n int, none E) []E {
 	old := len(s)
 	s = append(s, make([]E, n-old)...)
-	var zero E
-	if none != zero {
-		for i := old; i < n; i++ {
-			s[i] = none
-		}
+	for i := old; i < n; i++ {
+		s[i] = none
 	}
 	return s
 }
