@@ -49,30 +49,50 @@ var paperTable1Nodes = map[string][4]string{
 	"jigsaw":     {"123,000", "99", "36,600", "17"},
 }
 
-// timeRun measures one configuration, repeating short runs for a stable
-// wall-clock figure.
-func timeRun(w *bench.Workload, seed int64, p bench.Params, mk func() rr.Backend) (time.Duration, int) {
-	const minDuration = 20 * time.Millisecond
-	reps := 1
-	for {
-		start := time.Now()
-		events := 0
-		for i := 0; i < reps; i++ {
-			var be rr.Backend
-			if mk != nil {
-				be = mk()
-			}
-			rep := rr.Run(rr.Options{Seed: seed, Backend: be}, func(t *rr.Thread) {
-				w.Body(t, p)
-			})
-			events = rep.Events
+// Each configuration is timed as the fastest of timingRounds batches of
+// at least minBatch, taken round by round across the configurations. On a
+// shared host interference only ever adds time, in stretches longer than
+// a batch: the minimum is the stable figure, and interleaving exposes
+// every configuration to the same drift instead of one of them to all of
+// it.
+const (
+	timingRounds = 5
+	minBatch     = 10 * time.Millisecond
+)
+
+// timeRuns measures w's per-run wall time under each back-end factory
+// (nil is the uninstrumented base run) and returns the events one run
+// delivers.
+func timeRuns(w *bench.Workload, seed int64, p bench.Params, mks []func() rr.Backend) ([]time.Duration, int) {
+	run := func(mk func() rr.Backend) int {
+		var be rr.Backend
+		if mk != nil {
+			be = mk()
 		}
-		elapsed := time.Since(start)
-		if elapsed >= minDuration || reps >= 1<<16 {
-			return elapsed / time.Duration(reps), events
-		}
-		reps *= 4
+		return rr.Run(rr.Options{Seed: seed, Backend: be}, func(t *rr.Thread) {
+			w.Body(t, p)
+		}).Events
 	}
+	reps := make([]int, len(mks))
+	events := 0
+	for i, mk := range mks {
+		start := time.Now() // a warm-up run sizes the batch
+		events = run(mk)
+		reps[i] = max(1, min(int(minBatch/max(time.Since(start), 1)), 1<<16))
+	}
+	best := make([]time.Duration, len(mks))
+	for r := 0; r < timingRounds; r++ {
+		for i, mk := range mks {
+			start := time.Now()
+			for j := 0; j < reps[i]; j++ {
+				run(mk)
+			}
+			if d := time.Since(start) / time.Duration(reps[i]); r == 0 || d < best[i] {
+				best[i] = d
+			}
+		}
+	}
+	return best, events
 }
 
 // NonAtomicSpec runs Velodrome over the standard seeds and returns the
@@ -118,28 +138,25 @@ func table1(seed int64, scale int, specFiltered bool) []Table1Row {
 			spec = NonAtomicSpec(w, DefaultSeeds, 1)
 		}
 
-		base, _ := timeRun(w, seed, p, nil)
-		row.BaseTime = base
+		times, events := timeRuns(w, seed, p, []func() rr.Backend{
+			nil,
+			func() rr.Backend { return &rr.Empty{} },
+			func() rr.Backend { return rr.NewEraser() },
+			func() rr.Backend {
+				a := rr.NewAtomizer()
+				a.Checker.SetSpec(spec)
+				return a
+			},
+			func() rr.Backend { return rr.NewVelodrome(core.Options{Ignore: spec}) },
+		})
+		row.BaseTime, row.Events = times[0], events
 		ratio := func(d time.Duration) float64 {
-			if base <= 0 {
+			if row.BaseTime <= 0 {
 				return 0
 			}
-			return float64(d) / float64(base)
+			return float64(d) / float64(row.BaseTime)
 		}
-		d, ev := timeRun(w, seed, p, func() rr.Backend { return &rr.Empty{} })
-		row.Empty, row.Events = ratio(d), ev
-		d, _ = timeRun(w, seed, p, func() rr.Backend { return rr.NewEraser() })
-		row.Eraser = ratio(d)
-		d, _ = timeRun(w, seed, p, func() rr.Backend {
-			a := rr.NewAtomizer()
-			a.Checker.SetSpec(spec)
-			return a
-		})
-		row.Atomizer = ratio(d)
-		d, _ = timeRun(w, seed, p, func() rr.Backend {
-			return rr.NewVelodrome(core.Options{Ignore: spec})
-		})
-		row.Velodrome = ratio(d)
+		row.Empty, row.Eraser, row.Atomizer, row.Velodrome = ratio(times[1]), ratio(times[2]), ratio(times[3]), ratio(times[4])
 
 		row.NoMergeAllocated, row.NoMergeMaxAlive = nodeStats(w, seed, p, true)
 		row.MergeAllocated, row.MergeMaxAlive = nodeStats(w, seed, p, false)

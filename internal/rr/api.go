@@ -25,10 +25,10 @@ func (t *Thread) ID() trace.Tid { return t.th.id }
 // Runtime returns the owning runtime (for registry lookups).
 func (t *Thread) Runtime() *Runtime { return t.rt }
 
-// do publishes op as the thread's next operation, waits for the scheduler
-// grant, applies the state change, and emits the event. finalize may
-// rewrite the operation (used by Fork, whose child id is only known once
-// the action runs).
+// do publishes op as the thread's next operation, hands control on until
+// the thread is granted (see pass), applies the state change, and emits
+// the event. finalize may rewrite the operation (used by Fork, whose
+// child id is only known once the action runs).
 func (t *Thread) do(op trace.Op, action func(), finalize func() trace.Op) {
 	if t.rt.par != nil {
 		t.doParallel(op, action, finalize)
@@ -36,8 +36,7 @@ func (t *Thread) do(op trace.Op, action func(), finalize func() trace.Op) {
 	}
 	th := t.th
 	th.pending = op
-	t.rt.ctl <- th
-	<-th.resume
+	t.rt.pass(th)
 	if t.rt.aborted {
 		runtime.Goexit()
 	}
