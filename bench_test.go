@@ -123,7 +123,6 @@ func BenchmarkInjection(b *testing.B) {
 					adv := rr.NewAtomizerAdvisor()
 					opts.Backend = rr.Multi{velo, adv}
 					opts.Advisor = adv
-					opts.ParkSteps = 40
 				}
 				rr.Run(opts, func(t *rr.Thread) {
 					w.Body(t, bench.Params{Disabled: map[string]bool{inj.Point: true}})

@@ -163,6 +163,34 @@ func TestCLIVelodromeJSONAndDot(t *testing.T) {
 	if err != nil || !strings.Contains(string(data), "digraph velodrome") {
 		t.Errorf("dot output missing: %v", err)
 	}
+	// -json writes the graphs too.
+	jsonDot := filepath.Join(t.TempDir(), "j.dot")
+	out, code = runTool(t, "velodrome", "-workload", "multiset", "-json", "-dot", jsonDot)
+	if code != 0 || !strings.Contains(out, `"method":"Multiset.`) {
+		t.Fatalf("-json -dot: exit %d:\n%s", code, out)
+	}
+	if data, err := os.ReadFile(jsonDot); err != nil || !strings.Contains(string(data), "digraph velodrome") {
+		t.Errorf("-json -dot wrote %q, %v", data, err)
+	}
+}
+
+// TestCLIVelodromeOnlyFlags: what only the Velodrome back-end honours is
+// a usage error under any other back-end, and nothing gets written.
+func TestCLIVelodromeOnlyFlags(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-dot", filepath.Join(dir, "c.dot")}, {"-explain"}, {"-forensics"}, {"-no-merge"},
+		{"-nofilter"}, {"-engine", "optimized"}, {"-trace-out", filepath.Join(dir, "t.json")},
+	} {
+		all := append([]string{"-workload", "multiset", "-backend", "atomizer"}, args...)
+		out, code := runTool(t, "velodrome", all...)
+		if code != 2 || !strings.Contains(out, args[0]+" requires -backend velodrome") {
+			t.Errorf("%s under atomizer: exit %d:\n%s", args[0], code, out)
+		}
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Errorf("refused runs wrote %d files", len(files))
+	}
 }
 
 // TestCLIEveryEngineJSONAndDot: the renderings of a warning hold for every
@@ -369,16 +397,6 @@ func TestCLIProfileFlag(t *testing.T) {
 	}
 	if !strings.Contains(out, `"velodrome_warnings_total":3`) {
 		t.Errorf("-obs-json snapshot missing:\n%s", out)
-	}
-}
-
-func TestCLIVelodromeParallel(t *testing.T) {
-	out, code := runTool(t, "velodrome", "-workload", "raja", "-goroutines")
-	if code != 0 {
-		t.Fatalf("exit %d:\n%s", code, out)
-	}
-	if !strings.Contains(out, "velodrome: 0 warnings") {
-		t.Errorf("raja under real goroutines must stay clean:\n%s", out)
 	}
 }
 

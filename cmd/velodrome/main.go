@@ -47,7 +47,6 @@ func main() {
 	noFilter := flag.Bool("nofilter", false, "disable the redundant-event fast path (Section 5 filtering)")
 	stats := flag.Bool("stats", false, "print happens-before graph statistics")
 	asJSON := flag.Bool("json", false, "emit velodrome warnings as JSON lines (with -stats: one obs snapshot object)")
-	goroutines := flag.Bool("goroutines", false, "run on real goroutines instead of the deterministic scheduler")
 	forensics := flag.Bool("forensics", false, "enable the event flight recorder (provenance reports on warnings)")
 	explain := flag.Bool("explain", false, "print a provenance report per warning (implies -forensics)")
 	traceOut := flag.String("trace-out", "", "with -backend velodrome: write a Chrome trace-event timeline of the run (check, filter, graph stages) to this file")
@@ -58,6 +57,17 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "velodrome:", err)
 		os.Exit(2)
+	}
+	// What only the Velodrome back-end honours is refused under any
+	// other, not dropped.
+	if *backend != "velodrome" {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "engine", "dot", "explain", "forensics", "no-merge", "nofilter", "trace-out":
+				fmt.Fprintf(os.Stderr, "velodrome: -%s requires -backend velodrome\n", f.Name)
+				os.Exit(2)
+			}
+		})
 	}
 	if *explain {
 		*forensics = true
@@ -119,10 +129,6 @@ func main() {
 	var tracer *span.Tracer
 	var sbuf *span.Buf
 	var root span.SpanID
-	if *traceOut != "" && *backend != "velodrome" {
-		fmt.Fprintln(os.Stderr, "velodrome: -trace-out requires -backend velodrome")
-		os.Exit(2)
-	}
 	if *traceOut != "" || reg != nil && *backend == "velodrome" {
 		tracer = span.New()
 		sbuf = tracer.Buffer("velodrome")
@@ -163,12 +169,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := rr.Options{Seed: *seed, Backend: be, Record: *record != "", Parallel: *goroutines, Metrics: reg}
+	opts := rr.Options{Seed: *seed, Backend: be, Record: *record != "", Metrics: reg}
 	if *adversarial {
 		adv := rr.NewAtomizerAdvisor()
 		opts.Backend = rr.Multi{be, adv}
 		opts.Advisor = adv
-		opts.ParkSteps = 40
 	}
 	if oflags.Heartbeat > 0 {
 		events := reg.Counter("rr_events_total")
@@ -260,22 +265,22 @@ func main() {
 					os.Exit(1)
 				}
 			}
-			return
-		}
-		fmt.Printf("velodrome: %d warnings across %d methods\n", len(b.Warnings()), len(sums))
-		for _, s := range sums {
-			fmt.Printf("[%d warnings, %d increasing]\n%s\n", s.Count, s.Increasing, s.First)
-			if rep := s.First.Forensics(); *explain && rep != nil {
-				rep.WriteText(os.Stdout)
+		} else {
+			fmt.Printf("velodrome: %d warnings across %d methods\n", len(b.Warnings()), len(sums))
+			for _, s := range sums {
+				fmt.Printf("[%d warnings, %d increasing]\n%s\n", s.Count, s.Increasing, s.First)
+				if rep := s.First.Forensics(); *explain && rep != nil {
+					rep.WriteText(os.Stdout)
+				}
 			}
-		}
-		if *stats {
-			snap := b.Checker.Snapshot()
-			st := snap.Stats
-			fmt.Printf("graph: allocated=%d maxAlive=%d collected=%d merged=%d recycled=%d\n",
-				st.Allocated, st.MaxAlive, st.Collected, st.Merged, st.Recycled)
-			fmt.Printf("filter: events=%d edgeMemoHits=%d\n",
-				snap.Filtered, st.FilteredEdges)
+			if *stats {
+				snap := b.Checker.Snapshot()
+				st := snap.Stats
+				fmt.Printf("graph: allocated=%d maxAlive=%d collected=%d merged=%d recycled=%d\n",
+					st.Allocated, st.MaxAlive, st.Collected, st.Merged, st.Recycled)
+				fmt.Printf("filter: events=%d edgeMemoHits=%d\n",
+					snap.Filtered, st.FilteredEdges)
+			}
 		}
 		if *dotOut != "" {
 			var firsts []*core.Warning
@@ -286,7 +291,12 @@ func main() {
 				fmt.Fprintln(os.Stderr, "velodrome:", err)
 				os.Exit(1)
 			}
-			fmt.Printf("wrote %d error graphs to %s\n", len(firsts), *dotOut)
+			// Under -json stdout carries nothing but JSON.
+			notice := os.Stdout
+			if *asJSON {
+				notice = os.Stderr
+			}
+			fmt.Fprintf(notice, "wrote %d error graphs to %s\n", len(firsts), *dotOut)
 		}
 	case *rr.Atomizer:
 		fmt.Printf("atomizer: %d warnings\n", len(b.Warnings()))

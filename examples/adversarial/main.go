@@ -59,7 +59,6 @@ func detect(seed int64, adversarial bool) (bool, int) {
 		adv := rr.NewAtomizerAdvisor()
 		opts.Backend = rr.Multi{velo, adv}
 		opts.Advisor = adv
-		opts.ParkSteps = 40
 	}
 	rep := rr.Run(opts, workload)
 	for _, w := range velo.Warnings() {

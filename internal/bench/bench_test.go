@@ -216,42 +216,6 @@ func TestDisabledSyncPointsStillRun(t *testing.T) {
 	}
 }
 
-// TestWorkloadsRunParallel runs a sample of workloads in parallel mode
-// (real goroutines): they must terminate, produce well-formed traces, and
-// Velodrome must still never blame an atomic method under whatever
-// interleaving the Go scheduler produced.
-func TestWorkloadsRunParallel(t *testing.T) {
-	// Busy-wait-heavy workloads (barriers, shutdown polling) spin hot on
-	// real goroutines, so parallel mode is exercised on the poll-light
-	// ones; the deterministic scheduler covers the rest.
-	for _, name := range []string{"philo", "multiset", "tsp", "raja", "jbb", "colt", "webl"} {
-		w := ByName(name)
-		t.Run(w.Name, func(t *testing.T) {
-			for iter := 0; iter < 2; iter++ {
-				velo := rr.NewVelodrome(core.Options{})
-				rep := rr.Run(rr.Options{Parallel: true, Backend: velo, Record: true},
-					func(th *rr.Thread) { w.Body(th, Params{}) })
-				if rep.Truncated {
-					t.Fatalf("iter %d: truncated", iter)
-				}
-				if err := trace.Validate(rep.Trace); err != nil {
-					t.Fatalf("iter %d: invalid trace: %v", iter, err)
-				}
-				for _, warn := range velo.Warnings() {
-					m := string(warn.Method())
-					if m == "" {
-						continue
-					}
-					if truth, known := w.Truth[m]; known && truth == Atomic {
-						t.Fatalf("iter %d: blamed atomic method %q under real concurrency:\n%s",
-							iter, m, warn)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestDescribe renders every workload's inventory.
 func TestDescribe(t *testing.T) {
 	for _, w := range All() {

@@ -63,7 +63,6 @@ func RunBoth(w *bench.Workload, seed int64, p bench.Params, adversarial bool) *R
 		adv := rr.NewAtomizerAdvisor()
 		opts.Backend = rr.Multi{velo, atom, adv}
 		opts.Advisor = adv
-		opts.ParkSteps = 40 // the analogue of the paper's 100 ms suspension
 	}
 	rep := rr.Run(opts, func(t *rr.Thread) { w.Body(t, p) })
 	res := &RunResult{

@@ -73,7 +73,6 @@ func injectedCaught(w *bench.Workload, inj bench.Injection, seed int64, scale in
 		adv := rr.NewAtomizerAdvisor()
 		opts.Backend = rr.Multi{velo, adv}
 		opts.Advisor = adv
-		opts.ParkSteps = 40 // the analogue of the paper's 100 ms suspension
 	}
 	p := bench.Params{Scale: scale, Disabled: map[string]bool{inj.Point: true}}
 	rr.Run(opts, func(t *rr.Thread) { w.Body(t, p) })

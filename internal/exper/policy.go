@@ -76,7 +76,6 @@ func policyCaught(w *bench.Workload, inj bench.Injection, seed int64, scale int,
 	if adv != nil {
 		opts.Backend = rr.Multi{velo, adv}
 		opts.Advisor = adv
-		opts.ParkSteps = 40
 	}
 	p := bench.Params{Scale: scale, Disabled: map[string]bool{inj.Point: true}}
 	rr.Run(opts, func(t *rr.Thread) { w.Body(t, p) })

@@ -30,10 +30,6 @@ func (t *Thread) Runtime() *Runtime { return t.rt }
 // the event. finalize may rewrite the operation (used by Fork, whose
 // child id is only known once the action runs).
 func (t *Thread) do(op trace.Op, action func(), finalize func() trace.Op) {
-	if t.rt.par != nil {
-		t.doParallel(op, action, finalize)
-		return
-	}
 	th := t.th
 	th.pending = op
 	t.rt.pass(th)
@@ -96,11 +92,7 @@ func (h *Handle) ID() trace.Tid { return h.th.id }
 func (t *Thread) Fork(body func(*Thread)) *Handle {
 	var h *Handle
 	t.do(trace.ForkOp(t.th.id, 0), func() {
-		if t.rt.par != nil {
-			h = &Handle{th: t.rt.spawnParallel(body)}
-		} else {
-			h = &Handle{th: t.rt.spawn(body)}
-		}
+		h = &Handle{th: t.rt.spawn(body)}
 	}, func() trace.Op {
 		return trace.ForkOp(t.th.id, h.th.id)
 	})
@@ -123,8 +115,6 @@ type Var struct {
 // NewVar registers a fresh shared variable under name. Safe to call from
 // any virtual thread.
 func (rt *Runtime) NewVar(name string) *Var {
-	rt.registryLock()
-	defer rt.registryUnlock()
 	v := &Var{rt: rt, id: rt.nextVar}
 	rt.nextVar++
 	rt.varNames[v.id] = name
@@ -165,8 +155,6 @@ type Ref[T any] struct {
 // NewRef registers a typed shared cell under name. Safe to call from any
 // virtual thread.
 func NewRef[T any](rt *Runtime, name string) *Ref[T] {
-	rt.registryLock()
-	defer rt.registryUnlock()
 	r := &Ref[T]{rt: rt, id: rt.nextVar}
 	rt.nextVar++
 	rt.varNames[r.id] = name
@@ -207,8 +195,6 @@ type Mutex struct {
 // NewMutex registers a fresh lock under name. Safe to call from any
 // virtual thread.
 func (rt *Runtime) NewMutex(name string) *Mutex {
-	rt.registryLock()
-	defer rt.registryUnlock()
 	m := &Mutex{rt: rt, id: trace.Lock(len(rt.locks))}
 	rt.locks = append(rt.locks, m)
 	rt.lockNms[m.id] = name
@@ -246,13 +232,9 @@ func (m *Mutex) Unlock(t *Thread) {
 }
 
 // reentrantAcquire handles the re-entrant fast path. Only the holder ever
-// sees holder == itself, so the deterministic mode reads it directly; the
-// parallel mode takes the global lock to keep the access race-free.
+// sees holder == itself, and only one virtual thread runs at a time, so
+// it reads the holder directly.
 func (m *Mutex) reentrantAcquire(t *Thread) bool {
-	if p := t.rt.par; p != nil {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
 	if m.holder == t.th.id {
 		m.depth++
 		return true
@@ -263,10 +245,6 @@ func (m *Mutex) reentrantAcquire(t *Thread) bool {
 // reentrantRelease pops one level of a re-entrant chain; the outermost
 // release falls through to the instrumented path. Non-holders panic.
 func (m *Mutex) reentrantRelease(t *Thread) bool {
-	if p := t.rt.par; p != nil {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
 	if m.holder != t.th.id {
 		panic(fmt.Sprintf("rr: unlock of %s by non-holder thread %d", m.rt.LockName(m.id), t.th.id))
 	}

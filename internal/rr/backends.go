@@ -120,14 +120,6 @@ func (m Multi) Event(op trace.Op) {
 // hands Velodrome a concrete witness. The suspended thread resumes as
 // soon as a conflicting operation lands (see Runtime.wakeConflicting) or
 // the park expires.
-//
-// Unlike the paper's testbed, where a 100 ms pause is a sliver of the
-// run, our runs are short; pausing at every suspicious site (many of
-// which are the Atomizer's own false alarms) would serialize the whole
-// execution. Cooldown therefore spaces pauses out: after granting one,
-// the advisor stays quiet for that many events, bounding the total time
-// the schedule spends single-threaded while still sampling pause sites
-// across the whole run.
 type AtomizerAdvisor struct {
 	Checker *atomizer.Checker
 	// PauseWrites and PauseReads select which suspicious accesses pause;
@@ -138,14 +130,9 @@ type AtomizerAdvisor struct {
 	// NeverPause exempts threads from pausing ("allowing some threads to
 	// never pause", Section 5).
 	NeverPause map[trace.Tid]bool
-	// Cooldown is the minimum number of events between granted pauses
-	// (0 = no spacing).
-	Cooldown int
 	// PauseBudget bounds pauses per atomic block label (0 = unlimited),
 	// so a handful of hot suspicious sites cannot monopolize the pauses.
 	PauseBudget int
-	events      int
-	lastPark    int
 	paused      map[trace.Label]int
 }
 
@@ -162,10 +149,7 @@ func NewAtomizerAdvisor() *AtomizerAdvisor {
 }
 
 // Event implements Backend: the advisor must also observe the stream.
-func (a *AtomizerAdvisor) Event(op trace.Op) {
-	a.events++
-	a.Checker.Step(op)
-}
+func (a *AtomizerAdvisor) Event(op trace.Op) { a.Checker.Step(op) }
 
 // Delay implements Advisor.
 func (a *AtomizerAdvisor) Delay(op trace.Op) int {
@@ -181,9 +165,6 @@ func (a *AtomizerAdvisor) Delay(op trace.Op) int {
 	if !a.Checker.Suspicious(op) {
 		return 0
 	}
-	if a.Cooldown > 0 && a.lastPark > 0 && a.events-a.lastPark < a.Cooldown {
-		return 0
-	}
 	if a.PauseBudget > 0 {
 		label := a.Checker.InnermostLabel(op.Thread)
 		if a.paused[label] >= a.PauseBudget {
@@ -191,7 +172,6 @@ func (a *AtomizerAdvisor) Delay(op trace.Op) int {
 		}
 		a.paused[label]++
 	}
-	a.lastPark = a.events
 	return 1
 }
 

@@ -299,7 +299,7 @@ func TestRefCell(t *testing.T) {
 
 func TestAdvisorDelays(t *testing.T) {
 	adv := NewAtomizerAdvisor()
-	rep := Run(Options{Seed: 2, Backend: adv, Advisor: adv, ParkSteps: 3}, func(th *Thread) {
+	rep := Run(Options{Seed: 2, Backend: adv, Advisor: adv}, func(th *Thread) {
 		rt := th.Runtime()
 		x := rt.NewVar("x")
 		// Make x racy with a sibling that keeps running, then perform

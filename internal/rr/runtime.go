@@ -45,6 +45,10 @@ type Advisor interface {
 	Delay(op trace.Op) int
 }
 
+// parkSteps is how many scheduling decisions an advisor delay parks a
+// thread for: the analogue of the paper's 100 ms suspension.
+const parkSteps = 40
+
 // Options configure one execution.
 type Options struct {
 	// Seed determines the interleaving.
@@ -64,15 +68,6 @@ type Options struct {
 	// MaxSteps bounds scheduling decisions (0 = 10,000,000); exceeded
 	// runs report Truncated.
 	MaxSteps int
-	// ParkSteps is how many scheduling decisions an advisor delay parks a
-	// thread for (default 20), the analogue of the paper's 100 ms
-	// suspension. In parallel mode it scales a real sleep instead.
-	ParkSteps int
-	// Parallel runs threads as real goroutines racing under the Go
-	// scheduler, serializing only the instrumented operations — how
-	// RoadRunner actually deploys. Seed is ignored; runs are
-	// nondeterministic; deadlocked workloads hang (no detection).
-	Parallel bool
 	// Metrics, when non-nil, mirrors the run's progress onto the
 	// registry (scheduling steps, events delivered, thread counts,
 	// advisor delays) so a heartbeat or /metrics scrape can watch a
@@ -145,7 +140,6 @@ type Runtime struct {
 	done      chan struct{}           // closed by whoever ends the run
 	aborted   bool
 	panicVal  any
-	par       *pruntime  // set in parallel mode
 	met       *rrMetrics // nil when Options.Metrics is nil
 	report    Report
 }
@@ -156,9 +150,6 @@ type Runtime struct {
 func Run(opts Options, main func(*Thread)) *Report {
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = 10_000_000
-	}
-	if opts.ParkSteps == 0 {
-		opts.ParkSteps = 20
 	}
 	rt := &Runtime{
 		opts:     opts,
@@ -172,15 +163,11 @@ func Run(opts Options, main func(*Thread)) *Report {
 	if opts.Metrics != nil {
 		rt.met = newRRMetrics(opts.Metrics)
 	}
-	if opts.Parallel {
-		rt.runParallel(main)
-	} else {
-		rt.spawn(main)
-		rt.admitNew()
-		rt.grant(rt.decide())
-		<-rt.done
-		rt.teardown()
-	}
+	rt.spawn(main)
+	rt.admitNew()
+	rt.grant(rt.decide())
+	<-rt.done
+	rt.teardown()
 	if rt.panicVal != nil {
 		panic(rt.panicVal) // propagate a virtual thread's panic to the caller
 	}
@@ -318,7 +305,7 @@ func (rt *Runtime) decide() *thread {
 		// no other thread could use the pause to interleave.
 		if rt.opts.Advisor != nil && !th.delayed && len(cands) > 1 {
 			if d := rt.opts.Advisor.Delay(th.pending); d > 0 {
-				th.park = rt.opts.ParkSteps
+				th.park = parkSteps
 				th.delayed = true
 				rt.report.Delays++
 				if rt.met != nil {

@@ -17,7 +17,7 @@ import (
 // scheduleGolden pins the scheduler's decisions: for every Table 1
 // program × seeds 1–3 at scale 3 in four modes (plain recording, the
 // thread-local filter, the Atomizer advisor as back-end and advisor with
-// velodrome -adversarial's ParkSteps, and MaxSteps truncation), for a
+// velodrome -adversarial's park length, and MaxSteps truncation), for a
 // two-lock program that deadlocks on some seeds, and for runs that mirror
 // onto a registry, it records every Report field, the rr_* counters (when
 // a registry is attached) and a SHA-256 of the recorded trace. The
@@ -87,7 +87,7 @@ func TestScheduleGolden(t *testing.T) {
 		{"threadlocal", func(seed int64) rr.Options { return rr.Options{Seed: seed, FilterThreadLocal: true} }},
 		{"advisor", func(seed int64) rr.Options {
 			adv := rr.NewAtomizerAdvisor()
-			return rr.Options{Seed: seed, Backend: adv, Advisor: adv, ParkSteps: 40}
+			return rr.Options{Seed: seed, Backend: adv, Advisor: adv}
 		}},
 		{"maxsteps", func(seed int64) rr.Options { return rr.Options{Seed: seed, MaxSteps: 500} }},
 	}
