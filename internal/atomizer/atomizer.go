@@ -55,7 +55,9 @@ type block struct {
 }
 
 // Checker is the online Atomizer analysis. It embeds an Eraser detector
-// for mover classification; Races gives access to its warnings.
+// for mover classification; Races gives access to its warnings. It takes
+// ops whose label ids index the process-wide table, as trace.Beg and
+// rr's recordings mint them.
 type Checker struct {
 	er     *eraser.Detector
 	blocks map[trace.Tid][]*block
@@ -91,8 +93,8 @@ func (c *Checker) Step(op trace.Op) []Warning {
 	var out []Warning
 	switch op.Kind {
 	case trace.Begin:
-		b := &block{label: op.Label}
-		if c.ignore[op.Label] {
+		b := &block{label: trace.ProcessLabels().Name(op.Label)}
+		if c.ignore[b.label] {
 			b.violated = true // exempted: never warns
 		}
 		c.blocks[t] = append(c.blocks[t], b)

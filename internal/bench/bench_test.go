@@ -246,7 +246,7 @@ func TestTruthLabelsMatchReality(t *testing.T) {
 				})
 				for _, op := range rep.Trace {
 					if op.Kind == trace.Begin {
-						seen[string(op.Label)] = true
+						seen[string(trace.ProcessLabels().Name(op.Label))] = true
 					}
 				}
 			}

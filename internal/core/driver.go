@@ -31,6 +31,10 @@ var ErrEmptyStream = errors.New("core: empty trace: stream ended before the firs
 // Batch is a run of consecutive trace operations handed to the driver.
 type Batch struct {
 	Ops []trace.Op
+	// Labels is the table Ops' Begin label ids index: the decoder's for
+	// a stream. Nil means the process-wide table (trace.Beg, rr, the
+	// one-shot readers).
+	Labels *trace.Labels
 	// Marks, when non-nil, carries one prefilter mark per operation: the
 	// trace index of the run anchor a shard worker certified, or -1 (see
 	// internal/pipeline for the marking contract). Nil means unmarked.
@@ -101,7 +105,7 @@ func StreamSource(d *trace.Decoder, size int, sp *span.Buf) Source {
 	buf := make([]trace.Op, size)
 	return func() (Batch, error) {
 		n, err := DecodeBatch(d, buf, sp)
-		return Batch{Ops: buf[:n]}, err
+		return Batch{Ops: buf[:n], Labels: d.Labels()}, err
 	}
 }
 
@@ -150,9 +154,13 @@ func drive(src Source, opts Options, obs *Observer) (*Result, int, error) {
 	// the serial filter against identical state.
 	var anchors []anchorRec
 	filtered := c.(interface{ filterCount() *int64 }).filterCount()
+	labelled := c.(interface{ useLabels(*trace.Labels) })
 	n, skipped := 0, 0
 	for {
 		b, err := src()
+		if b.Labels != nil {
+			labelled.useLabels(b.Labels)
+		}
 		skip := 0
 		if b.Marks != nil {
 			for i, op := range b.Ops {

@@ -57,7 +57,7 @@ func (c *common) access(op trace.Op) {
 func (c *common) buildReport(w *Warning) *forensic.Report {
 	rep := &forensic.Report{
 		OpIndex:    int64(w.OpIndex),
-		Op:         w.Op.String(),
+		Op:         w.Format(w.Op),
 		Increasing: w.Increasing,
 	}
 	if w.Blamed != nil {
@@ -106,7 +106,7 @@ func (c *common) buildReport(w *Warning) *forensic.Report {
 		re := forensic.Edge{
 			From: from, To: to, Kind: kind, Conflict: conflict,
 			Head: forensic.AccessJSON{
-				Index: prov.HeadIdx, Op: e.Op.String(), Thread: int32(e.Op.Thread),
+				Index: prov.HeadIdx, Op: w.Format(e.Op), Thread: int32(e.Op.Thread),
 			},
 			TailTime: e.TailTime,
 			HeadTime: e.HeadTime,
@@ -115,7 +115,7 @@ func (c *common) buildReport(w *Warning) *forensic.Report {
 		if prov.HasTail {
 			re.Tail = &forensic.AccessJSON{
 				Index:  prov.TailIdx,
-				Op:     prov.TailOp.String(),
+				Op:     w.Format(prov.TailOp),
 				Thread: int32(prov.TailOp.Thread),
 			}
 		}
@@ -128,7 +128,7 @@ func (c *common) buildReport(w *Warning) *forensic.Report {
 	}
 	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
 	for _, t := range tids {
-		if ops := c.rec.ThreadWindow(t); len(ops) > 0 {
+		if ops := c.rec.ThreadWindow(t, c.labels); len(ops) > 0 {
 			rep.Threads = append(rep.Threads, forensic.ThreadWindow{Thread: int32(t), Ops: ops})
 		}
 	}

@@ -9,6 +9,10 @@ import (
 	"repro/internal/trace"
 )
 
+// labelOf names a Begin's label: these traces are built in code, so their
+// ids index the process-wide table.
+func labelOf(op trace.Op) trace.Label { return trace.ProcessLabels().Name(op.Label) }
+
 // stripIgnored removes begin/end pairs of ignored labels from a trace —
 // the reference semantics of the atomicity specification: an exempted
 // block is as if it were never marked atomic.
@@ -19,7 +23,7 @@ func stripIgnored(tr trace.Trace, ignore map[trace.Label]bool) trace.Trace {
 	for _, op := range tr {
 		switch op.Kind {
 		case trace.Begin:
-			ig := ignore[op.Label]
+			ig := ignore[labelOf(op)]
 			stacks[op.Thread] = append(stacks[op.Thread], ent{ig})
 			if ig {
 				continue
@@ -48,8 +52,8 @@ func TestIgnoreSpecMatchesStripping(t *testing.T) {
 		// Exempt a pseudo-random subset of the labels present.
 		ignore := map[trace.Label]bool{}
 		for _, op := range tr {
-			if op.Kind == trace.Begin && (len(op.Label)+i)%2 == 0 {
-				ignore[op.Label] = true
+			if op.Kind == trace.Begin && (len(labelOf(op))+i)%2 == 0 {
+				ignore[labelOf(op)] = true
 			}
 		}
 		got := CheckTrace(tr, Options{Ignore: ignore})
@@ -108,8 +112,8 @@ func TestIgnoreWithNoMerge(t *testing.T) {
 		tr := sema.RandomTrace(rng, sema.DefaultGenConfig())
 		ignore := map[trace.Label]bool{}
 		for _, op := range tr {
-			if op.Kind == trace.Begin && len(op.Label)%2 == 1 {
-				ignore[op.Label] = true
+			if op.Kind == trace.Begin && len(labelOf(op))%2 == 1 {
+				ignore[labelOf(op)] = true
 			}
 		}
 		a := CheckTrace(tr, Options{Ignore: ignore})
@@ -128,8 +132,8 @@ func TestIgnoreSpecBasicEngine(t *testing.T) {
 		tr := sema.RandomTrace(rng, sema.DefaultGenConfig())
 		ignore := map[trace.Label]bool{}
 		for _, op := range tr {
-			if op.Kind == trace.Begin && (len(op.Label)+i)%2 == 0 {
-				ignore[op.Label] = true
+			if op.Kind == trace.Begin && (len(labelOf(op))+i)%2 == 0 {
+				ignore[labelOf(op)] = true
 			}
 		}
 		opt := CheckTrace(tr, Options{Ignore: ignore})

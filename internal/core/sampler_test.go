@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -153,27 +154,24 @@ func observed(tr trace.Trace) time.Duration {
 // a sampling cost. A clock read on every operation — what Options.Spans
 // cost before the engines sampled, and what a metrics registry cost while
 // the engines timed every operation for it — is 6.6x to 7.7x on this
-// trace. The sides alternate, so a slow spell of the host falls on all,
-// and the fastest of five is judged.
+// trace. Each side is timed as Table 1 times its configurations
+// (fastestBatches), so a slow spell of a loaded host neither falls on one
+// side alone nor decides the figure.
 func TestSamplerOverheadGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing guard")
 	}
 	tr := loopTrace()
-	var plain, spans, obsd time.Duration
-	for i := 0; i < 5; i++ {
-		t0 := time.Now()
-		core.CheckTrace(tr, core.Options{})
-		if d := time.Since(t0); i == 0 || d < plain {
-			plain = d
-		}
-		if _, _, _, d := traced(tr, core.Options{}); i == 0 || d < spans {
-			spans = d
-		}
-		if d := observed(tr); i == 0 || d < obsd {
-			obsd = d
-		}
-	}
+	best := fastestBatches([]func() time.Duration{
+		func() time.Duration {
+			t0 := time.Now()
+			core.CheckTrace(tr, core.Options{})
+			return time.Since(t0)
+		},
+		func() time.Duration { _, _, _, d := traced(tr, core.Options{}); return d },
+		func() time.Duration { return observed(tr) },
+	})
+	plain, spans, obsd := best[0], best[1], best[2]
 	t.Logf("untraced %v, traced %v (%.2fx), observed %v (%.2fx)",
 		plain, spans, float64(spans)/float64(plain), obsd, float64(obsd)/float64(plain))
 	if spans > plain*3/2 {
@@ -182,6 +180,32 @@ func TestSamplerOverheadGuard(t *testing.T) {
 	if obsd > plain*3/2 {
 		t.Errorf("an observed check (Spans, a publish per batch) took %v, a plain one %v: more than 1.5x", obsd, plain)
 	}
+}
+
+// fastestBatches times each of runs — each returns the time of the call
+// it measures — as the fastest of thirty batches of at least 10 ms of its
+// calls, taken round by round across runs, as Table 1's timing does
+// (internal/exper): interference on a shared host only ever adds time,
+// in stretches longer than a batch, so the minimum is the stable figure,
+// and interleaving exposes every run to the same drift.
+func fastestBatches(runs []func() time.Duration) []time.Duration {
+	const rounds, minBatch = 30, 10 * time.Millisecond
+	best := make([]time.Duration, len(runs))
+	for r := 0; r < rounds; r++ {
+		for i, run := range runs {
+			runtime.GC() // every batch starts from the same heap
+			var sum time.Duration
+			n := 0
+			for sum < minBatch {
+				sum += run()
+				n++
+			}
+			if d := sum / time.Duration(n); r == 0 || d < best[i] {
+				best[i] = d
+			}
+		}
+	}
+	return best
 }
 
 // TestSamplerBooksNoMoreThanElapsed is (e): the parts may not exceed the

@@ -175,7 +175,7 @@ func (t *readTable[E]) clear(x trace.Var) {
 // frame is one entry of the per-thread atomic-block stack C(t) of
 // Section 4.3: the block's label and the timestamp of its first operation.
 type frame struct {
-	label   trace.Label
+	label   trace.LabelID
 	start   uint64
 	ignored bool // exempted by the atomicity specification
 }

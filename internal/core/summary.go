@@ -68,7 +68,7 @@ type EdgeJSON struct {
 func (w *Warning) JSON() WarningJSON {
 	out := WarningJSON{
 		OpIndex:    w.OpIndex,
-		Op:         w.Op.String(),
+		Op:         w.Format(w.Op),
 		Method:     string(w.Method()),
 		Increasing: w.Increasing,
 	}
@@ -81,7 +81,7 @@ func (w *Warning) JSON() WarningJSON {
 		from, _ := e.FromData.(*TxnMeta)
 		to, _ := e.ToData.(*TxnMeta)
 		out.Cycle = append(out.Cycle, EdgeJSON{
-			From: from.String(), To: to.String(), Op: e.Op.String(),
+			From: from.String(), To: to.String(), Op: w.Format(e.Op),
 		})
 	}
 	return out

@@ -47,7 +47,7 @@ func Render(w *core.Warning) string {
 		// Engines without graph structure (AeroDrome) report only the
 		// violating position; render it as a single annotated node.
 		fmt.Fprintf(&b, "  n0 [label=%q];\n",
-			fmt.Sprintf("violation at op %d: %s", w.OpIndex, w.Op.String()))
+			fmt.Sprintf("violation at op %d: %s", w.OpIndex, w.Format(w.Op)))
 	}
 	for i, e := range edges {
 		from := name(e.FromData)
@@ -56,7 +56,7 @@ func Render(w *core.Warning) string {
 		if i == len(edges)-1 {
 			style = ", style=dashed" // the cycle-closing edge
 		}
-		fmt.Fprintf(&b, "  %s -> %s [label=%q%s];\n", from, to, e.Op.String(), style)
+		fmt.Fprintf(&b, "  %s -> %s [label=%q%s];\n", from, to, w.Format(e.Op), style)
 	}
 	_ = order
 	b.WriteString("}\n")

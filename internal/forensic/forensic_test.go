@@ -3,22 +3,24 @@ package forensic
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/layout"
 	"repro/internal/trace"
 )
 
 // TestRingWindow checks ordering and wraparound of the flight recorder.
 func TestRingWindow(t *testing.T) {
 	r := NewRecorder(4)
-	if w := r.ThreadWindow(0); w != nil {
+	if w := r.ThreadWindow(0, trace.ProcessLabels()); w != nil {
 		t.Fatalf("fresh recorder window = %v, want nil", w)
 	}
 	for i := 0; i < 10; i++ {
 		r.Note(int64(i), trace.Rd(1, trace.Var(i)))
 	}
-	w := r.ThreadWindow(1)
+	w := r.ThreadWindow(1, trace.ProcessLabels())
 	if len(w) != 4 {
 		t.Fatalf("window length %d, want 4", len(w))
 	}
@@ -33,7 +35,7 @@ func TestRingWindow(t *testing.T) {
 	}
 	// A short-lived thread keeps everything it did.
 	r.Note(100, trace.Wr(3, 7))
-	if w := r.ThreadWindow(3); len(w) != 1 || w[0].Index != 100 {
+	if w := r.ThreadWindow(3, trace.ProcessLabels()); len(w) != 1 || w[0].Index != 100 {
 		t.Errorf("thread 3 window = %v", w)
 	}
 }
@@ -100,7 +102,7 @@ func TestAccessTables(t *testing.T) {
 	if nilRec.LastWrite(3).OK || nilRec.LastRead(3, 1).OK || nilRec.LastRelease(0).OK || nilRec.LastOf(1).OK {
 		t.Error("nil recorder must report no accesses")
 	}
-	if nilRec.Recorded() != 0 || nilRec.ThreadWindow(0) != nil {
+	if nilRec.Recorded() != 0 || nilRec.ThreadWindow(0, trace.ProcessLabels()) != nil {
 		t.Error("nil recorder must be empty")
 	}
 }
@@ -198,7 +200,7 @@ func TestWindowDepth(t *testing.T) {
 	for i := 0; i < 250; i++ {
 		r.Note(int64(i), trace.Rd(0, trace.Var(i%7)))
 	}
-	w := r.ThreadWindow(0)
+	w := r.ThreadWindow(0, trace.ProcessLabels())
 	if len(w) != 100 {
 		t.Fatalf("window length %d, want 100", len(w))
 	}
@@ -207,5 +209,13 @@ func TestWindowDepth(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%d", r.Recorded()); got != "250" {
 		t.Errorf("Recorded = %s", got)
+	}
+}
+
+// TestRingEntryIsPointerFree: the flight recorder's per-thread rings are
+// memory the collector never marks.
+func TestRingEntryIsPointerFree(t *testing.T) {
+	if err := layout.PointerFree(reflect.TypeOf(ringEntry{})); err != nil {
+		t.Errorf("flight-recorder entry holds a pointer: %v", err)
 	}
 }

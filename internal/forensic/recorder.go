@@ -54,8 +54,9 @@ func (r *ring) push(idx int64, op trace.Op) {
 	r.n++
 }
 
-// window copies the retained entries oldest-first.
-func (r *ring) window() []WindowOp {
+// window copies the retained entries oldest-first, naming Begin labels
+// through labels.
+func (r *ring) window(labels *trace.Labels) []WindowOp {
 	if r == nil || r.n == 0 {
 		return nil
 	}
@@ -70,7 +71,7 @@ func (r *ring) window() []WindowOp {
 	}
 	for i := int64(0); i < k; i++ {
 		e := r.buf[(start+int(i))%len(r.buf)]
-		out = append(out, WindowOp{Index: e.idx, Op: e.op.String()})
+		out = append(out, WindowOp{Index: e.idx, Op: e.op.Format(labels)})
 	}
 	return out
 }
@@ -135,12 +136,13 @@ func (r *Recorder) Note(idx int64, op trace.Op) {
 }
 
 // ThreadWindow returns thread t's retained operations, oldest first
-// (nil when the thread was never seen).
-func (r *Recorder) ThreadWindow(t trace.Tid) []WindowOp {
+// (nil when the thread was never seen), rendered with Begin labels named
+// through labels, the table the ops' ids index.
+func (r *Recorder) ThreadWindow(t trace.Tid, labels *trace.Labels) []WindowOp {
 	if r == nil || int(t) >= len(r.threads) {
 		return nil
 	}
-	return r.threads[t].window()
+	return r.threads[t].window(labels)
 }
 
 // Access records op at idx into the last-access provenance tables. The

@@ -370,8 +370,9 @@ func (g *Graph) SetData(s Step, v any) {
 }
 
 // DebugDot renders the current live graph in Graphviz dot form, for
-// inspecting the handful of nodes GC leaves alive at any moment.
-func (g *Graph) DebugDot() string {
+// inspecting the handful of nodes GC leaves alive at any moment. Edge
+// ops name Begin labels through labels, the table their ids index.
+func (g *Graph) DebugDot(labels *trace.Labels) string {
 	var b strings.Builder
 	b.WriteString("digraph hbgraph {\n  node [shape=box];\n")
 	for id := range g.nodes {
@@ -395,7 +396,7 @@ func (g *Graph) DebugDot() string {
 			continue
 		}
 		for _, e := range nd.out {
-			fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", id, e.to, e.op.String())
+			fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", id, e.to, e.op.Format(labels))
 		}
 	}
 	b.WriteString("}\n")

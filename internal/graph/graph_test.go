@@ -304,7 +304,7 @@ func TestDebugDot(t *testing.T) {
 	a := g.NewNode(true, "A")
 	b := g.NewNode(false, "B")
 	g.AddEdge(a, b, trace.Rd(2, 7))
-	out := g.DebugDot()
+	out := g.DebugDot(trace.ProcessLabels())
 	for _, want := range []string{"digraph hbgraph", `label="A"`, `label="B"`, "rd(2,x7)", "style=bold"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)

@@ -2,10 +2,12 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"unsafe"
 
+	"repro/internal/layout"
 	"repro/internal/trace"
 )
 
@@ -264,5 +266,14 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	if g.Alive() != 2 || g.Stats().Recycled < 600 {
 		t.Errorf("alive %d, recycled %d: the pool is not being used", g.Alive(), g.Stats().Recycled)
+	}
+}
+
+// TestEdgeIsPointerFree: an edge's slot in a node's out list holds no
+// pointer, so the out lists are memory the collector never marks and an
+// AddEdge stores no write barrier.
+func TestEdgeIsPointerFree(t *testing.T) {
+	if err := layout.PointerFree(reflect.TypeOf(edge{})); err != nil {
+		t.Errorf("graph edge holds a pointer: %v", err)
 	}
 }

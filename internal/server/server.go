@@ -96,6 +96,10 @@ type Config struct {
 	// goroutine before the batch reaches the engine. Tests use it to inject
 	// per-session faults (e.g. a panic on a poisoned op) without a wire format.
 	stepHook func(trace.Op)
+	// labelsHook, when non-nil, is handed each session's label table as
+	// the session opens. Tests use it to check that a table is the
+	// session's alone and dies with it.
+	labelsHook func(*trace.Labels)
 }
 
 func (c *Config) applyDefaults() {
@@ -625,8 +629,14 @@ func (s *Server) run(br *bufio.Reader, hdr trace.SessionHeader, info core.Engine
 	// step costs what a decode costs, so a decode-ahead goroutine would buy
 	// an idle host little and make a busy one's session times depend on
 	// which of the two found a CPU. The transport is read no faster than
-	// the engine consumes, which backpressures the client.
-	dec := trace.NewDecoder(br)
+	// the engine consumes, which backpressures the client. The decoder
+	// mints the session's label ids in a table of its own: nothing a
+	// client names outlives its session or reaches another's verdict.
+	labels := trace.NewLabels()
+	if s.cfg.labelsHook != nil {
+		s.cfg.labelsHook(labels)
+	}
+	dec := trace.NewDecoderLabels(br, labels)
 	source := core.StreamSource(dec, sessionBatch, sb)
 
 	// emitBatch closes the timeline's current interval as one span: "decode"

@@ -20,7 +20,9 @@ import (
 //
 // Labels are interned: the low bit of the length marks a back-reference
 // to a previously seen label index, so repeated method names cost two
-// bytes after their first occurrence.
+// bytes after their first occurrence. The wire index is the stream's own;
+// the decoder maps it to an id in its Labels table, and the encoders
+// name an op's id through the process-wide table.
 //
 // A producer that does not know its length in advance — the runtime shim
 // of an instrumented program — writes the streaming variant instead:
@@ -47,12 +49,18 @@ const (
 	// strings a binary stream can make the decoder allocate.
 	maxLabelBytes   = 4096
 	maxTrailerBytes = 4096
+	// maxStreamLabelBytes bounds the labels one stream may introduce,
+	// each counting its length plus one: past it the next new label is a
+	// decode error, in text as in binary, so a session's label table
+	// stays within the text decoder's line bound however many distinct
+	// names a client sends.
+	maxStreamLabelBytes = 1 << 20
 )
 
 // opEncoder appends operations in the per-op record both binary
-// variants share.
+// variants share, naming Begin labels through the process-wide table.
 type opEncoder struct {
-	labelIdx map[Label]uint64
+	labelIdx map[LabelID]uint64
 }
 
 func (e *opEncoder) append(b []byte, op Op) []byte {
@@ -68,11 +76,12 @@ func (e *opEncoder) append(b []byte, op Op) []byte {
 		return binary.AppendUvarint(b, idx<<1|1)
 	}
 	if e.labelIdx == nil {
-		e.labelIdx = map[Label]uint64{}
+		e.labelIdx = map[LabelID]uint64{}
 	}
 	e.labelIdx[op.Label] = uint64(len(e.labelIdx))
-	b = binary.AppendUvarint(b, uint64(len(op.Label))<<1)
-	return append(b, op.Label...)
+	l := processLabels.Name(op.Label)
+	b = binary.AppendUvarint(b, uint64(len(l))<<1)
+	return append(b, l...)
 }
 
 // marshalOps writes head, then every operation's record, then tail.

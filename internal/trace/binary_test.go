@@ -80,7 +80,7 @@ func TestBinaryLabelInterning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[998].Label != "a.rather.long.method.name" {
+	if ProcessLabels().Name(got[998].Label) != "a.rather.long.method.name" {
 		t.Error("interned label lost")
 	}
 }
@@ -265,7 +265,8 @@ func FuzzStreamDecode(f *testing.F) {
 		f.Add(append(bytes.Clone(recs), streamEnd, 0))
 		f.Add(append([]byte{3}, recs...)) // as the body of a counted trace
 	}
-	f.Add(streamBytes(benchTrace(300), truncTrailer)[4:]) // longer than the smallest read buffer
+	f.Add(streamBytes(benchTrace(300), truncTrailer)[4:])                            // longer than the smallest read buffer
+	f.Add(append(labelFlood(maxStreamLabelBytes/(maxLabelBytes+1)+1), streamEnd, 0)) // labels past the stream's bound
 	f.Fuzz(func(t *testing.T, body []byte) {
 		defer func() { testBuf = 0 }()
 		for _, testBuf = range []int{0, minDecoderBuf} {
@@ -293,12 +294,9 @@ func FuzzStreamDecode(f *testing.F) {
 			return
 		}
 		// An op takes three bytes at least and a label's text is spelled
-		// out where it is introduced: what is kept is bounded by the input.
-		var held int
-		for _, l := range dec.labels {
-			held += len(l)
-		}
-		if held > len(data) || 3*len(tr) > len(data) {
+		// out where it is introduced, after a length byte: what is kept is
+		// bounded by the input.
+		if held := dec.labelBytes; held > len(data) || 3*len(tr) > len(data) {
 			t.Fatalf("%d input bytes produced %d ops holding %d label bytes", len(data), len(tr), held)
 		}
 		if len(dec.Comments) > 1 {

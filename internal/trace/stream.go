@@ -98,7 +98,8 @@ func (e *Emitter) Flush() error {
 // The text path is allocation-free in steady state: lines are parsed in
 // place from the read buffer (spilling into a reused side buffer only
 // when a line straddles a buffer boundary) and Begin labels are interned
-// so each distinct label is copied out of the buffer exactly once.
+// so each distinct label is copied out of the buffer exactly once, into
+// the decoder's Labels table.
 type Decoder struct {
 	br     *bufio.Reader
 	mode   int // modeUnknown until the first bytes are sniffed
@@ -112,13 +113,18 @@ type Decoder struct {
 	win    []byte
 	parsed int
 
+	// table mints the ids of the labels the stream introduces;
+	// labelBytes counts what they cost against maxStreamLabelBytes.
+	table      *Labels
+	labelBytes int
+
 	// text state
-	lineBuf []byte           // spill buffer for lines longer than br's buffer
-	intern  map[string]Label // Begin-label dedup (keeps ops off the read buffer)
+	lineBuf []byte             // spill buffer for lines longer than br's buffer
+	intern  map[string]LabelID // the labels this stream has named so far
 
 	// binary state
-	remaining uint64 // ops still to come; in modeStream, nonzero until the end record
-	labels    []Label
+	remaining uint64    // ops still to come; in modeStream, nonzero until the end record
+	labels    []LabelID // by the stream's label index
 	binIndex  uint64
 
 	// Comments collects the "#" comment lines of a text trace, in
@@ -149,20 +155,39 @@ const (
 // newline cannot grow the spill buffer without limit.
 const maxLineBytes = 1 << 20
 
-// NewDecoder returns a Decoder reading from r. A source that says how
-// much it holds (*bytes.Reader, *bytes.Buffer, *strings.Reader) gets a
-// read buffer no larger than that: a short in-memory trace does not pay
-// for, and zero, the buffer of a socket, pipe or file.
-func NewDecoder(r io.Reader) *Decoder {
+// NewDecoder returns a Decoder reading from r that mints label ids in the
+// process-wide table. A source that says how much it holds
+// (*bytes.Reader, *bytes.Buffer, *strings.Reader) gets a read buffer no
+// larger than that: a short in-memory trace does not pay for, and zero,
+// the buffer of a socket, pipe or file.
+func NewDecoder(r io.Reader) *Decoder { return NewDecoderLabels(r, processLabels) }
+
+// NewDecoderLabels is NewDecoder minting label ids in labels instead:
+// a daemon session's decoder owns a table, so what one tenant's stream
+// names is neither kept past the session nor visible to another's.
+func NewDecoderLabels(r io.Reader, labels *Labels) *Decoder {
 	size := decoderBufSize
 	if l, ok := r.(interface{ Len() int }); ok {
 		size = min(size, max(minDecoderBuf, l.Len()))
 	}
-	return newDecoderSize(r, size)
+	return newDecoderSize(r, size, labels)
 }
 
-func newDecoderSize(r io.Reader, size int) *Decoder {
-	return &Decoder{br: bufio.NewReaderSize(r, size)}
+func newDecoderSize(r io.Reader, size int, labels *Labels) *Decoder {
+	return &Decoder{br: bufio.NewReaderSize(r, size), table: labels}
+}
+
+// Labels returns the table the decoded ops' label ids index.
+func (d *Decoder) Labels() *Labels { return d.table }
+
+// mint interns a label the stream introduces, charging its bytes (and
+// one for its introduction, so even empty ones count) against
+// maxStreamLabelBytes.
+func (d *Decoder) mint(l Label) (LabelID, error) {
+	if d.labelBytes += len(l) + 1; d.labelBytes > maxStreamLabelBytes {
+		return 0, fmt.Errorf("labels exceed %d bytes in one stream", maxStreamLabelBytes)
+	}
+	return d.table.Intern(l), nil
 }
 
 // Next returns the next operation, or io.EOF after the last one. It is
@@ -248,9 +273,6 @@ func (d *Decoder) nextText() (Op, error) {
 // textLine parses one line of a text trace. ok is false for the lines
 // that carry no operation: blank ones, and comments (which it collects).
 func (d *Decoder) textLine(line []byte) (op Op, ok bool, err error) {
-	if d.intern == nil {
-		d.intern = make(map[string]Label)
-	}
 	d.lineno++
 	trimmed := trimSpaceBytes(line)
 	switch {
@@ -260,10 +282,33 @@ func (d *Decoder) textLine(line []byte) (op Op, ok bool, err error) {
 		d.Comments = append(d.Comments, string(trimSpaceBytes(trimmed[1:])))
 		return Op{}, false, nil
 	}
-	if op, err = parseOpBytes(trimmed, d.intern); err != nil {
+	op, label, err := parseOpBytes(trimmed)
+	if err == nil && len(label) > 0 {
+		op.Label, err = d.internText(label)
+	}
+	if err != nil {
 		return Op{}, false, fmt.Errorf("line %d: %w", d.lineno, err)
 	}
 	return op, true, nil
+}
+
+// internText returns the id of a label a text line names. label may
+// alias the read buffer: a label new to the stream is copied out once,
+// and a repeat costs a map lookup that allocates nothing.
+func (d *Decoder) internText(label []byte) (LabelID, error) {
+	if id, ok := d.intern[string(label)]; ok {
+		return id, nil
+	}
+	name := Label(label) // the copy: label may be the read buffer
+	id, err := d.mint(name)
+	if err != nil {
+		return 0, err
+	}
+	if d.intern == nil {
+		d.intern = make(map[string]LabelID)
+	}
+	d.intern[string(name)] = id
+	return id, nil
 }
 
 // unzigzag undoes the encoder's zig-zag mapping of signed targets.
@@ -322,7 +367,9 @@ func (d *Decoder) nextBinary() (Op, error) {
 			if _, err := io.ReadFull(d.br, b); err != nil {
 				return Op{}, fmt.Errorf("trace: op %d label bytes: %w", i, err)
 			}
-			op.Label = Label(b)
+			if op.Label, err = d.mint(Label(b)); err != nil {
+				return Op{}, fmt.Errorf("trace: op %d: %w", i, err)
+			}
 			d.labels = append(d.labels, op.Label)
 		}
 	}
@@ -511,8 +558,9 @@ func (d *Decoder) fillBinary(buf []Op) int {
 	return n
 }
 
-// ReadAll drains the decoder into a Trace; on an error it also returns
-// the operations decoded before it.
+// ReadAll drains the decoder into a Trace, whose label ids index
+// d.Labels(); on an error it also returns the operations decoded before
+// it.
 func (d *Decoder) ReadAll() (Trace, error) {
 	var tr Trace
 	for {

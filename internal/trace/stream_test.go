@@ -190,7 +190,7 @@ func testDecoder(r io.Reader) *Decoder {
 	if testBuf == 0 {
 		return NewDecoder(r)
 	}
-	return newDecoderSize(r, testBuf)
+	return newDecoderSize(r, testBuf, processLabels)
 }
 
 func eachBufSize(t *testing.T, suite func(*testing.T)) {

@@ -41,9 +41,14 @@ func Unmarshal(r io.Reader) (Trace, error) {
 	return d.readAll()
 }
 
-// ParseOp parses a single operation in the syntax produced by Op.String.
+// ParseOp parses a single operation in the syntax produced by Op.String,
+// interning a Begin's label in the process-wide table.
 func ParseOp(s string) (Op, error) {
-	return parseOpBytes([]byte(s), nil)
+	op, label, err := parseOpBytes([]byte(s))
+	if len(label) > 0 {
+		op.Label = processLabels.Intern(Label(label))
+	}
+	return op, err
 }
 
 // asciiSpace matches the characters unicode.IsSpace treats as ASCII
@@ -97,20 +102,18 @@ func parseIntBytes(b []byte) (int, bool) {
 	return n, true
 }
 
-// parseOpBytes is the allocation-free core of ParseOp. The input may be a
-// reused read buffer, so anything retained past the call (only Begin
-// labels) is copied out; intern, when non-nil, deduplicates those copies
-// so a steady-state stream of repeated labels allocates nothing. Error
-// paths allocate freely — they terminate the stream.
-func parseOpBytes(s []byte, intern map[string]Label) (Op, error) {
+// parseOpBytes is the allocation-free core of ParseOp. A Begin's label
+// comes back beside the op, aliasing s, for the caller to intern in its
+// table; the op's own Label is left 0. Error paths allocate freely —
+// they terminate the stream.
+func parseOpBytes(s []byte) (op Op, label []byte, err error) {
 	open := bytes.IndexByte(s, '(')
 	if open < 0 || len(s) == 0 || s[len(s)-1] != ')' {
-		return Op{}, fmt.Errorf("malformed operation %q", s)
+		return Op{}, nil, fmt.Errorf("malformed operation %q", s)
 	}
 	head, args := s[:open], s[open+1:len(s)-1]
-	var labelBytes []byte
 	if dot := bytes.IndexByte(head, '.'); dot >= 0 {
-		labelBytes = head[dot+1:]
+		label = head[dot+1:]
 		head = head[:dot]
 	}
 	first := args
@@ -122,13 +125,13 @@ func parseOpBytes(s []byte, intern map[string]Label) (Op, error) {
 	}
 	tid, ok := parseIntBytes(trimSpaceBytes(first))
 	if !ok {
-		return Op{}, fmt.Errorf("malformed thread id in %q", s)
+		return Op{}, nil, fmt.Errorf("malformed thread id in %q", s)
 	}
 	// Thread, lock and fork/join ids index the engines' dense tables, so
 	// only 0 … MaxInt32 decodes; a variable id may be negative (the
 	// tables keep those in their sparse map) but must fit its int32.
 	if tid < 0 || tid > math.MaxInt32 {
-		return Op{}, fmt.Errorf("thread id %d out of range in %q", tid, s)
+		return Op{}, nil, fmt.Errorf("thread id %d out of range in %q", tid, s)
 	}
 	t := Tid(tid)
 	arg := func(prefix byte) (int32, error) {
@@ -152,45 +155,34 @@ func parseOpBytes(s []byte, intern map[string]Label) (Op, error) {
 	case "rd", "wr":
 		x, err := arg('x')
 		if err != nil {
-			return Op{}, err
+			return Op{}, nil, err
 		}
 		if head[0] == 'r' {
-			return Rd(t, Var(x)), nil
+			return Rd(t, Var(x)), nil, nil
 		}
-		return Wr(t, Var(x)), nil
+		return Wr(t, Var(x)), nil, nil
 	case "acq", "rel":
 		m, err := arg('m')
 		if err != nil {
-			return Op{}, err
+			return Op{}, nil, err
 		}
 		if head[0] == 'a' {
-			return Acq(t, Lock(m)), nil
+			return Acq(t, Lock(m)), nil, nil
 		}
-		return Rel(t, Lock(m)), nil
+		return Rel(t, Lock(m)), nil, nil
 	case "begin":
-		label := Label("")
-		if len(labelBytes) > 0 {
-			if l, ok := intern[string(labelBytes)]; ok { // no-alloc lookup
-				label = l
-			} else {
-				label = Label(labelBytes) // copy: s may be a reused buffer
-				if intern != nil {
-					intern[string(label)] = label
-				}
-			}
-		}
-		return Beg(t, label), nil
+		return Op{Kind: Begin, Thread: t}, label, nil
 	case "end":
-		return Fin(t), nil
+		return Fin(t), nil, nil
 	case "fork", "join":
 		u, err := arg('t')
 		if err != nil {
-			return Op{}, err
+			return Op{}, nil, err
 		}
 		if head[0] == 'f' {
-			return ForkOp(t, Tid(u)), nil
+			return ForkOp(t, Tid(u)), nil, nil
 		}
-		return JoinOp(t, Tid(u)), nil
+		return JoinOp(t, Tid(u)), nil, nil
 	}
-	return Op{}, fmt.Errorf("unknown operation %q", head)
+	return Op{}, nil, fmt.Errorf("unknown operation %q", head)
 }

@@ -23,6 +23,7 @@ type Var int32
 type Lock int32
 
 // Label identifies an atomic block for error reporting ([INS ENTER]'s l).
+// An Op carries it as a LabelID into a Labels table.
 type Label string
 
 // Kind enumerates operation kinds.
@@ -69,12 +70,16 @@ func (k Kind) String() string {
 
 // Op is a single operation by one thread. The meaning of Target depends on
 // Kind: a Var for Read/Write, a Lock for Acquire/Release, the child/joined
-// Tid for Fork/Join, and unused for Begin/End. Label is used by Begin only.
+// Tid for Fork/Join, and unused for Begin/End. An Op is 16 bytes and holds
+// no pointer, so the collector never scans a slice of them.
 type Op struct {
 	Kind   Kind
 	Thread Tid
 	Target int32
-	Label  Label
+
+	// Label is used by Begin only: the block's label, as an id into the
+	// table of whoever produced the op (see Labels).
+	Label LabelID
 }
 
 // Var returns the variable accessed by a Read or Write.
@@ -87,16 +92,21 @@ func (o Op) Lock() Lock { return Lock(o.Target) }
 func (o Op) Other() Tid { return Tid(o.Target) }
 
 // String renders the operation in the paper's concrete syntax,
-// e.g. "rd(1,x3)" or "begin.m(2)".
-func (o Op) String() string {
+// e.g. "rd(1,x3)" or "begin.m(2)", naming a Begin's label through the
+// process-wide table. An op from a table of its own renders with Format.
+func (o Op) String() string { return o.Format(processLabels) }
+
+// Format is String with a Begin's label named through labels, the table
+// the op's producer minted its id in.
+func (o Op) Format(labels *Labels) string {
 	switch o.Kind {
 	case Read, Write:
 		return fmt.Sprintf("%s(%d,x%d)", o.Kind, o.Thread, o.Target)
 	case Acquire, Release:
 		return fmt.Sprintf("%s(%d,m%d)", o.Kind, o.Thread, o.Target)
 	case Begin:
-		if o.Label != "" {
-			return fmt.Sprintf("begin.%s(%d)", o.Label, o.Thread)
+		if l := labels.Name(o.Label); l != "" {
+			return fmt.Sprintf("begin.%s(%d)", l, o.Thread)
 		}
 		return fmt.Sprintf("begin(%d)", o.Thread)
 	case End:
@@ -121,8 +131,8 @@ func Acq(t Tid, m Lock) Op { return Op{Kind: Acquire, Thread: t, Target: int32(m
 // Rel returns rel(t, m).
 func Rel(t Tid, m Lock) Op { return Op{Kind: Release, Thread: t, Target: int32(m)} }
 
-// Beg returns begin_l(t).
-func Beg(t Tid, l Label) Op { return Op{Kind: Begin, Thread: t, Label: l} }
+// Beg returns begin_l(t), with l interned in the process-wide table.
+func Beg(t Tid, l Label) Op { return Op{Kind: Begin, Thread: t, Label: processLabels.Intern(l)} }
 
 // Fin returns end(t).
 func Fin(t Tid) Op { return Op{Kind: End, Thread: t} }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -219,10 +220,48 @@ func TestStreamBoundsLengths(t *testing.T) {
 	// At the bound itself both are accepted.
 	long := strings.Repeat("l", maxLabelBytes)
 	data := streamBytes(Trace{Beg(1, Label(long)), Fin(1)}, strings.Repeat("t", maxTrailerBytes))
-	if tr, err := decodeAll(data); err != nil || len(tr) != 2 || string(tr[0].Label) != long {
+	if tr, err := decodeAll(data); err != nil || len(tr) != 2 || string(ProcessLabels().Name(tr[0].Label)) != long {
 		t.Errorf("label and trailer at their bounds: %d ops, err %v", len(tr), err)
 	}
 	if err := MarshalStream(io.Discard, nil, strings.Repeat("t", maxTrailerBytes+1)); err == nil {
 		t.Error("MarshalStream wrote a trailer its own decoder refuses")
+	}
+}
+
+// labelFlood returns a binary stream body introducing n labels of
+// maxLabelBytes each, spelled out every time (never back-referenced):
+// what a client that names new blocks without end sends.
+func labelFlood(n int) []byte {
+	rec := append([]byte{byte(Begin), 1, 0}, binary.AppendUvarint(nil, maxLabelBytes<<1)...)
+	rec = append(rec, strings.Repeat("l", maxLabelBytes)...)
+	return bytes.Repeat(rec, n)
+}
+
+// TestStreamBoundsLabelBytes: the labels one stream introduces cost at
+// most maxStreamLabelBytes in all, in either format; the next new one is
+// a decode error that names the bound and where it stood, and the ops in
+// front of it are still handed over.
+func TestStreamBoundsLabelBytes(t *testing.T) {
+	fits := maxStreamLabelBytes / (maxLabelBytes + 1) // each label costs its bytes plus one
+	bound := "exceed 1048576 bytes"
+	bin := append(append(streamMagic[:], labelFlood(fits+1)...), streamEnd, 0)
+	tr, err := decodeAll(bin)
+	if err == nil || !strings.Contains(err.Error(), bound) || !strings.Contains(err.Error(), fmt.Sprintf("op %d:", fits)) || len(tr) != fits {
+		t.Errorf("binary: %d ops, err %v; want %d ops and the bound named at op %d", len(tr), err, fits, fits)
+	}
+	if _, err := decodeAll(append(append(streamMagic[:], labelFlood(fits)...), streamEnd, 0)); err != nil {
+		t.Errorf("binary, %d labels: %v", fits, err)
+	}
+
+	// Text names each label once per stream however often it repeats, so
+	// the flood is of distinct names.
+	var text strings.Builder
+	for i := range fits + 1 {
+		fmt.Fprintf(&text, "begin.%0*d(1)\nend(1)\n", maxLabelBytes, i)
+	}
+	fmt.Fprintf(&text, "begin.%0*d(1)\n", maxLabelBytes, 0) // a repeat costs nothing
+	tr, err = decodeAll([]byte(text.String()))
+	if err == nil || !strings.Contains(err.Error(), bound) || !strings.Contains(err.Error(), fmt.Sprintf("line %d", 2*fits+1)) || len(tr) != 2*fits {
+		t.Errorf("text: %d ops, err %v; want %d ops and the bound named at line %d", len(tr), err, 2*fits, 2*fits+1)
 	}
 }
