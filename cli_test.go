@@ -837,6 +837,27 @@ func TestCLIVeloinstrAnnotationLint(t *testing.T) {
 	}
 }
 
+// TestCLIVeloinstrUnresolvedImport: an import go list cannot resolve
+// fails type-checking, so instrumenting, -analyze and velovet all exit
+// 2 and name the import.
+func TestCLIVeloinstrUnresolvedImport(t *testing.T) {
+	dir := t.TempDir()
+	src := "package main\n\nimport \"nosuch/pkg\"\n\nfunc main() { pkg.F() }\n"
+	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"veloinstr", "-o", filepath.Join(t.TempDir(), "out"), dir},
+		{"veloinstr", "-analyze", dir},
+		{"velovet", dir},
+	} {
+		out, code := runTool(t, args[0], args[1:]...)
+		if code != 2 || !strings.Contains(out, "nosuch/pkg") {
+			t.Errorf("%v: want exit 2 naming nosuch/pkg; exit %d:\n%s", args, code, out)
+		}
+	}
+}
+
 // TestCLIVeloinstrRunBankbug is the headline end-to-end path: the
 // seeded atomicity bug must be reported by every registered engine with
 // the serial oracle agreeing, and the saved trace must round-trip

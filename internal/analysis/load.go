@@ -1,15 +1,19 @@
 package analysis
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -75,11 +79,14 @@ func LoadSource(name string, src []byte) (*Package, error) {
 }
 
 // Check type-checks already-parsed files into a Package (exported for
-// tests that re-parse rewritten output).
+// tests that re-parse rewritten output). Imports resolve from compiler
+// export data, located by running go list in dir (see exportImporter).
 func Check(dir string, fset *token.FileSet, files []*ast.File, names []string) (*Package, error) {
-	conf := types.Config{
-		Importer: importer.ForCompiler(fset, "source", nil),
+	imp, err := exportImporter(dir, fset, files)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: type-checking %s: %w", dir, err)
 	}
+	conf := types.Config{Importer: imp}
 	info := newInfo()
 	pkgName := files[0].Name.Name
 	pkg, err := conf.Check(pkgName, fset, files, info)
@@ -95,6 +102,56 @@ func Check(dir string, fset *token.FileSet, files []*ast.File, names []string) (
 		Pkg:   pkg,
 		Info:  info,
 	}, nil
+}
+
+// exportImporter resolves the files' imports from the export data the
+// compiler writes to the build cache, as go/packages does: one
+// "go list -export" in dir over those imports names each one's export
+// file, building it if the cache lacks it (the go build that follows
+// reuses it). The gc importer asks only for the files' direct imports,
+// since export data carries every type it refers to, so go list needs
+// no -deps. unsafe is the importer's own; a package importing nothing
+// else runs no go list.
+func exportImporter(dir string, fset *token.FileSet, files []*ast.File) (types.Importer, error) {
+	seen := map[string]bool{"unsafe": true}
+	var paths []string
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			path, err := strconv.Unquote(spec.Path.Value)
+			if err == nil && !seen[path] {
+				seen[path] = true
+				paths = append(paths, path)
+			}
+		}
+	}
+	exports := map[string]string{}
+	if len(paths) > 0 {
+		goCmd, err := exec.LookPath("go")
+		if err != nil {
+			return nil, fmt.Errorf("resolving imports needs the go command: %w", err)
+		}
+		args := append([]string{"list", "-export", "-f", "{{.ImportPath}}\t{{.Export}}", "--"}, paths...)
+		cmd := exec.Command(goCmd, args...)
+		cmd.Dir = dir
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			return nil, fmt.Errorf("go list -export %s: %v: %s", strings.Join(paths, " "), err, bytes.TrimSpace(stderr.Bytes()))
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if path, file, ok := strings.Cut(line, "\t"); ok && file != "" {
+				exports[path] = file
+			}
+		}
+	}
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("go list reported no export data for %q", path)
+		}
+		return os.Open(file)
+	}), nil
 }
 
 // Position renders a node position relative to the package directory.

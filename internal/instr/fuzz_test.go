@@ -13,8 +13,10 @@ import (
 // FuzzInstrument asserts the rewriter's core contract on arbitrary
 // inputs: if a program parses and type-checks, its instrumented form
 // (sources plus shim) must also parse and type-check. Imports are
-// restricted to a small whitelist so the source importer doesn't chase
-// arbitrary packages.
+// restricted to sync, the one package whose operations the rewriter
+// instruments: any other path costs a go list run per input, either to
+// be skipped because nothing provides it or to add a package the
+// rewriter passes through untouched.
 func FuzzInstrument(f *testing.F) {
 	f.Add(classifySrc)
 	f.Add(`package main
