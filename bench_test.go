@@ -21,8 +21,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/exper"
-	"repro/internal/fasttrack"
-	"repro/internal/hb"
 	"repro/internal/rr"
 	"repro/internal/sema"
 	"repro/internal/trace"
@@ -311,27 +309,4 @@ func BenchmarkBlameAssignment(b *testing.B) {
 			b.Fatal("expected warnings")
 		}
 	}
-}
-
-// BenchmarkRaceDetectors compares the full vector-clock happens-before
-// detector against the epoch-based FastTrack on the same trace — the
-// performance argument of the group's 2009 follow-on paper.
-func BenchmarkRaceDetectors(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	cfg := sema.GenConfig{Threads: 8, OpsPerThd: 3000, Vars: 64, Locks: 8, PAtomic: 0, PLock: 0.3}
-	tr := sema.RandomTrace(rng, cfg)
-	b.Run("VectorClock", func(b *testing.B) {
-		b.SetBytes(int64(len(tr)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			hb.CheckTrace(tr)
-		}
-	})
-	b.Run("FastTrack", func(b *testing.B) {
-		b.SetBytes(int64(len(tr)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			fasttrack.CheckTrace(tr)
-		}
-	})
 }

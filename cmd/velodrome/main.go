@@ -4,7 +4,6 @@
 //	velodrome -workload elevator                    Velodrome (default)
 //	velodrome -workload jbb -backend atomizer       the Atomizer baseline
 //	velodrome -workload tsp -backend eraser         Eraser race detection
-//	velodrome -workload webl -backend hb            happens-before races
 //	velodrome -workload colt -adversarial           Atomizer-guided scheduling
 //	velodrome -workload raytracer -dot out.dot      write error graphs
 //	velodrome -list                                 list workloads
@@ -34,7 +33,7 @@ import (
 
 func main() {
 	workload := flag.String("workload", "", "benchmark to run (see -list)")
-	backend := flag.String("backend", "velodrome", "analysis: velodrome, atomizer, eraser, hb, fasttrack, empty")
+	backend := flag.String("backend", "velodrome", "analysis: velodrome, atomizer, eraser, empty")
 	engine := flag.String("engine", "optimized", "with -backend velodrome: the core engine, one of "+core.EngineNames())
 	seed := flag.Int64("seed", 1, "scheduler seed")
 	scale := flag.Int("scale", 1, "workload scale multiplier")
@@ -158,10 +157,6 @@ func main() {
 		be = rr.NewAtomizer()
 	case "eraser":
 		be = rr.NewEraser()
-	case "hb":
-		be = rr.NewHB()
-	case "fasttrack":
-		be = rr.NewFastTrack()
 	case "empty":
 		be = &rr.Empty{}
 	default:
@@ -311,16 +306,6 @@ func main() {
 		fmt.Printf("eraser: %d potential races\n", len(b.Warnings()))
 		for _, warn := range b.Warnings() {
 			fmt.Println(warn)
-		}
-	case *rr.HB:
-		fmt.Printf("happens-before: %d races\n", len(b.Races()))
-		for _, r := range b.Races() {
-			fmt.Println(r)
-		}
-	case *rr.FastTrack:
-		fmt.Printf("fasttrack: %d racy variables\n", len(b.Races()))
-		for _, r := range b.Races() {
-			fmt.Println(r)
 		}
 	case *rr.Empty:
 		fmt.Printf("empty backend consumed %d events\n", b.Count)

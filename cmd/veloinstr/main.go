@@ -6,8 +6,8 @@
 // and optionally runs the result with the events piped straight into
 // the online engines and the offline serial oracle:
 //
-//	veloinstr -analyze examples/instr/bankbug      classification + velovet diagnostics
-//	veloinstr -analyze -json <pkg>                 same, machine-readable (velovet schema)
+//	veloinstr -analyze examples/instr/bankbug      classification + annotation errors
+//	veloinstr -analyze -json <pkg>                 same, machine-readable
 //	veloinstr -analyze -intra <pkg>                disable interprocedural lock inference
 //	veloinstr examples/instr/bankbug               print instrumented source
 //	veloinstr -o /tmp/out examples/instr/bankbug   write instrumented package
@@ -15,12 +15,14 @@
 //	veloinstr -run -server 127.0.0.1:7764 <pkg>    stream the trace to velodromed
 //
 // Atomicity specifications are //velo:atomic comments on function
-// declarations.
+// declarations. -analyze takes only -json and -intra; -trace,
+// -trace-out, -obs-json and -server need -run.
 //
-// Exit status, both modes: 0 clean (serializable trace / no static
-// findings), 1 findings (a non-serializable trace / error- or
-// warning-severity diagnostics), 2 usage, infrastructure or
-// type-checking error.
+// Exit status: -analyze exits 0 when every annotation is well formed
+// and 1 when one is not; -run exits 0 for a serializable trace and 1
+// for a non-serializable one. Both exit 2 on a usage, infrastructure or
+// type-checking error, and so does rewriting a package with an
+// ill-formed annotation.
 package main
 
 import (
@@ -48,8 +50,8 @@ func main() {
 }
 
 func run() int {
-	analyze := flag.Bool("analyze", false, "print the access classification table and velovet diagnostics, without rewriting")
-	jsonOut := flag.Bool("json", false, "with -analyze: emit the report as JSON (velovet diagnostic schema)")
+	analyze := flag.Bool("analyze", false, "print the access classification table and annotation errors, without rewriting")
+	jsonOut := flag.Bool("json", false, "with -analyze: emit the report as JSON")
 	intra := flag.Bool("intra", false, "disable interprocedural entry-lock inference (classify each function in isolation)")
 	doRun := flag.Bool("run", false, "instrument, build and run the package, checking the emitted trace online")
 	outDir := flag.String("o", "", "write the instrumented package to this directory")
@@ -66,15 +68,26 @@ func run() int {
 		return 2
 	}
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: veloinstr [-analyze [-json] | -run] [-intra] [-o dir] [-noprune] [-server addr] <package dir>")
+		fmt.Fprintln(os.Stderr, "usage: veloinstr -analyze [-json] [-intra] <package dir>")
+		fmt.Fprintln(os.Stderr, "       veloinstr [-run [-server addr | -trace file -trace-out file -obs-json]] [-intra] [-o dir] [-noprune] <package dir>")
 		return 2
 	}
-	if *serverAddr != "" && (!*doRun || *traceOut != "" || *obsJSON || *spanOut != "") {
-		fmt.Fprintln(os.Stderr, "veloinstr: -server requires -run and is incompatible with -trace, -trace-out and -obs-json")
-		return 2
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range []string{"run", "o", "noprune", "trace", "trace-out", "obs-json", "server"} {
+		if *analyze && set[name] {
+			fmt.Fprintf(os.Stderr, "veloinstr: -analyze takes only -json and -intra, not -%s\n", name)
+			return 2
+		}
 	}
-	if *spanOut != "" && !*doRun {
-		fmt.Fprintln(os.Stderr, "veloinstr: -trace-out requires -run")
+	for _, name := range []string{"trace", "trace-out", "obs-json", "server"} {
+		if !*doRun && set[name] {
+			fmt.Fprintf(os.Stderr, "veloinstr: -%s requires -run\n", name)
+			return 2
+		}
+	}
+	if *serverAddr != "" && (*traceOut != "" || *obsJSON || *spanOut != "") {
+		fmt.Fprintln(os.Stderr, "veloinstr: -server is incompatible with -trace, -trace-out and -obs-json")
 		return 2
 	}
 	if *jsonOut && !*analyze {
@@ -117,22 +130,17 @@ func run() int {
 		} else {
 			rep.WriteTable(os.Stdout)
 		}
-		if rep.FindingCount() > 0 {
+		if len(rep.Diags) > 0 {
 			return 1
 		}
 		return 0
 	}
-	// Error-severity diagnostics (malformed directives) make the atomicity
-	// spec unreliable, so instrumentation refuses to proceed; warnings and
-	// suggestions are -analyze's business and don't block a rewrite.
-	blocked := false
+	// An ill-formed annotation makes the atomicity spec unreliable, so
+	// instrumentation refuses to proceed.
 	for _, d := range dirs.Diags {
-		if d.Severity == analysis.SevError {
-			fmt.Fprintln(os.Stderr, "veloinstr: annotation error:", d)
-			blocked = true
-		}
+		fmt.Fprintln(os.Stderr, "veloinstr: annotation error:", d)
 	}
-	if blocked {
+	if len(dirs.Diags) > 0 {
 		return 2
 	}
 

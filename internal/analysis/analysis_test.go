@@ -1,31 +1,20 @@
 package analysis
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
 
-// analyzeSrc loads one in-memory file, scans directives, builds facts
-// with the given options and runs every pass.
-func analyzeSrc(t *testing.T, src string, opts Options) (*Facts, []Diagnostic) {
+// analyzeSrc loads one in-memory file, scans directives and builds
+// facts with the given options.
+func analyzeSrc(t *testing.T, src string, opts Options) (*Facts, *Directives) {
 	t.Helper()
 	p, err := LoadSource("main.go", []byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dirs := ScanDirectives(p)
-	facts := BuildFacts(p, dirs, opts)
-	return facts, RunPasses(p, dirs, facts)
-}
-
-// codesOf collects the distinct diagnostic codes.
-func codesOf(ds []Diagnostic) map[string]int {
-	m := map[string]int{}
-	for _, d := range ds {
-		m[d.Code]++
-	}
-	return m
+	return BuildFacts(p, dirs, opts), dirs
 }
 
 func varByName(t *testing.T, facts *Facts, name string) *VarInfo {
@@ -39,169 +28,9 @@ func varByName(t *testing.T, facts *Facts, name string) *VarInfo {
 	return nil
 }
 
-func TestSeverityJSONRoundTrip(t *testing.T) {
-	for _, s := range []Severity{SevError, SevWarning, SevInfo, SevSuggestion} {
-		b, err := json.Marshal(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got Severity
-		if err := json.Unmarshal(b, &got); err != nil || got != s {
-			t.Errorf("%s: round-tripped to %v (%v)", s, got, err)
-		}
-	}
-	var s Severity
-	if err := json.Unmarshal([]byte(`"catastrophe"`), &s); err == nil {
-		t.Error("unknown severity must not decode")
-	}
-	if !SevError.IsFinding() || !SevWarning.IsFinding() || SevInfo.IsFinding() || SevSuggestion.IsFinding() {
-		t.Error("findings are exactly errors and warnings")
-	}
-}
-
-func TestCatalogAndPasses(t *testing.T) {
-	cat := Catalog()
-	if len(cat) != 11 {
-		t.Fatalf("catalog has %d codes, want 11", len(cat))
-	}
-	seen := map[string]bool{}
-	for _, c := range cat {
-		if !strings.HasPrefix(c.Code, "velo-") || c.Doc == "" {
-			t.Errorf("malformed catalog entry %+v", c)
-		}
-		if seen[c.Code] {
-			t.Errorf("duplicate code %s", c.Code)
-		}
-		seen[c.Code] = true
-	}
-	if got := len(Passes()); got != 5 {
-		t.Errorf("want 5 passes, got %d", got)
-	}
-	for _, p := range Passes() {
-		if p.Name == "" || p.Doc == "" || p.run == nil {
-			t.Errorf("malformed pass %+v", p)
-		}
-	}
-}
-
-// TestValueReceiverAtomic covers the directive-placement lint for
-// //velo:atomic on a value-receiver method: the "atomic" writes land on
-// a receiver copy.
-func TestValueReceiverAtomic(t *testing.T) {
-	_, diags := analyzeSrc(t, `package main
-
-import "sync"
-
-var mu sync.Mutex
-
-type counter struct{ n int }
-
-//velo:atomic
-func (c counter) Inc() {
-	mu.Lock()
-	c.n++
-	mu.Unlock()
-}
-
-func main() {
-	var c counter
-	c.Inc()
-}
-`, DefaultOptions())
-	if codesOf(diags)["velo-value-recv"] != 1 {
-		t.Errorf("want one velo-value-recv, got %v", codesOf(diags))
-	}
-	// The pointer-receiver variant is fine.
-	_, diags = analyzeSrc(t, `package main
-
-import "sync"
-
-var mu sync.Mutex
-
-type counter struct{ n int }
-
-//velo:atomic
-func (c *counter) Inc() {
-	mu.Lock()
-	c.n++
-	mu.Unlock()
-}
-
-func main() {
-	var c counter
-	c.Inc()
-}
-`, DefaultOptions())
-	if codesOf(diags)["velo-value-recv"] != 0 {
-		t.Errorf("pointer receiver must not warn: %v", codesOf(diags))
-	}
-}
-
-// TestEmptyAtomic covers the annotation-with-nothing-to-check lint: a
-// directive on a function with no shared accesses, lock operations or
-// forks warns instead of silently checking nothing; reaching an access
-// through a callee clears it.
-func TestEmptyAtomic(t *testing.T) {
-	_, diags := analyzeSrc(t, `package main
-
-//velo:atomic
-func nop() {}
-
-func main() { nop() }
-`, DefaultOptions())
-	if codesOf(diags)["velo-atomic-empty"] != 1 {
-		t.Errorf("want one velo-atomic-empty, got %v", codesOf(diags))
-	}
-
-	_, diags = analyzeSrc(t, `package main
-
-var n int
-
-//velo:atomic
-func outer() { inner() }
-
-func inner() { n++ }
-
-func main() { outer() }
-`, DefaultOptions())
-	if codesOf(diags)["velo-atomic-empty"] != 0 {
-		t.Errorf("outer reaches inner's access; got %v", codesOf(diags))
-	}
-}
-
-// TestNestedAtomic covers the informational nesting note: transactions
-// nest legally, but the inner boundary is subsumed.
-func TestNestedAtomic(t *testing.T) {
-	_, diags := analyzeSrc(t, `package main
-
-var n int
-
-//velo:atomic
-func outer() { inner() }
-
-//velo:atomic
-func inner() { n++ }
-
-func main() { outer() }
-`, DefaultOptions())
-	found := false
-	for _, d := range diags {
-		if d.Code == "velo-nested-atomic" {
-			found = true
-			if d.Severity != SevInfo || !strings.Contains(d.Message, "outer") || !strings.Contains(d.Message, "inner") {
-				t.Errorf("unexpected nesting note: %+v", d)
-			}
-		}
-	}
-	if !found {
-		t.Errorf("missing velo-nested-atomic: %v", codesOf(diags))
-	}
-}
-
-// TestDuplicateDirective covers the duplicate-annotation error path
-// through the pass pipeline (not just ScanDirectives).
+// TestDuplicateDirective covers the duplicate-annotation error.
 func TestDuplicateDirective(t *testing.T) {
-	_, diags := analyzeSrc(t, `package main
+	_, dirs := analyzeSrc(t, `package main
 
 var n int
 
@@ -212,20 +41,20 @@ func f() { n++ }
 func main() { f() }
 `, DefaultOptions())
 	found := false
-	for _, d := range diags {
-		if d.Code == "velo-directive" && d.Severity == SevError && strings.Contains(d.Message, "duplicate") {
+	for _, d := range dirs.Diags {
+		if d.Code == "velo-directive" && d.Severity == "error" && strings.Contains(d.Message, "duplicate") {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("missing duplicate-directive error: %v", diags)
+		t.Errorf("missing duplicate-directive error: %v", dirs.Diags)
 	}
 }
 
-// TestLocksetPass covers the static Eraser rule: concurrent accesses
-// under disjoint locksets.
-func TestLocksetPass(t *testing.T) {
-	facts, diags := analyzeSrc(t, `package main
+// TestDisjointLocksetsStayShared: a variable accessed concurrently
+// under two different mutexes has no common lock, so it stays shared.
+func TestDisjointLocksetsStayShared(t *testing.T) {
+	facts, _ := analyzeSrc(t, `package main
 
 import "sync"
 
@@ -248,133 +77,6 @@ func main() {
 `, DefaultOptions())
 	if v := varByName(t, facts, "n"); v.Class != ClassShared {
 		t.Errorf("n must be shared under disjoint locksets, got %v", v.Class)
-	}
-	if codesOf(diags)["velo-lockset"] != 1 {
-		t.Errorf("want one velo-lockset, got %v", codesOf(diags))
-	}
-}
-
-// TestCheckThenActPass covers the read-then-unprotected-write smell.
-func TestCheckThenActPass(t *testing.T) {
-	_, diags := analyzeSrc(t, `package main
-
-import "sync"
-
-var n int
-
-var wg sync.WaitGroup
-
-func worker() {
-	if n == 0 {
-		n = 1
-	}
-}
-
-func main() {
-	wg.Add(1)
-	go func() { defer wg.Done(); worker() }()
-	n = 2
-	wg.Wait()
-}
-`, DefaultOptions())
-	if codesOf(diags)["velo-check-act"] != 1 {
-		t.Errorf("want one velo-check-act, got %v", codesOf(diags))
-	}
-}
-
-// TestRMWPass covers unlocked read-modify-writes of shared state.
-func TestRMWPass(t *testing.T) {
-	_, diags := analyzeSrc(t, `package main
-
-import "sync"
-
-var n int
-
-var wg sync.WaitGroup
-
-func worker() { n++ }
-
-func main() {
-	wg.Add(1)
-	go func() { defer wg.Done(); worker() }()
-	n++
-	wg.Wait()
-}
-`, DefaultOptions())
-	if codesOf(diags)["velo-rmw"] == 0 {
-		t.Errorf("want velo-rmw for the unlocked n++, got %v", codesOf(diags))
-	}
-}
-
-// TestDeferLoopPass covers the deferred-unlock-in-loop smell.
-func TestDeferLoopPass(t *testing.T) {
-	_, diags := analyzeSrc(t, `package main
-
-import "sync"
-
-var mu sync.Mutex
-
-var n int
-
-func f() {
-	for i := 0; i < 2; i++ {
-		mu.Lock()
-		defer mu.Unlock()
-		n++
-	}
-}
-
-func main() { f() }
-`, DefaultOptions())
-	if codesOf(diags)["velo-defer-loop"] != 1 {
-		t.Errorf("want one velo-defer-loop, got %v", codesOf(diags))
-	}
-}
-
-// TestSuggestPass covers //velo:atomic inference: two-phase-locked
-// functions with every shared access protected get the suggestion;
-// functions that release and re-acquire do not.
-func TestSuggestPass(t *testing.T) {
-	_, diags := analyzeSrc(t, `package main
-
-import "sync"
-
-var mu sync.Mutex
-
-var n int
-
-var wg sync.WaitGroup
-
-func bump() {
-	mu.Lock()
-	n++
-	mu.Unlock()
-}
-
-func shaky() {
-	mu.Lock()
-	n++
-	mu.Unlock()
-	mu.Lock()
-	n++
-	mu.Unlock()
-}
-
-func main() {
-	wg.Add(1)
-	go func() { defer wg.Done(); bump() }()
-	shaky()
-	wg.Wait()
-}
-`, DefaultOptions())
-	var suggested []string
-	for _, d := range diags {
-		if d.Code == "velo-atomic-suggest" {
-			suggested = append(suggested, d.Message)
-		}
-	}
-	if len(suggested) != 1 || !strings.Contains(suggested[0], "bump") {
-		t.Errorf("want exactly a suggestion for bump, got %v", suggested)
 	}
 }
 
@@ -410,25 +112,19 @@ func main() {
 `
 
 // TestInterprocFixpoint is the positive case: the entry-lock fixpoint
-// strictly improves on the syntactic analysis, and the improvement is
-// surfaced as a velo-interproc note.
+// strictly improves on the syntactic analysis, and marks the variable
+// it alone proved protected.
 func TestInterprocFixpoint(t *testing.T) {
-	facts, diags := analyzeSrc(t, srcInterproc, DefaultOptions())
+	facts, _ := analyzeSrc(t, srcInterproc, DefaultOptions())
 	v := varByName(t, facts, "n")
 	if v.Class != ClassLockProtected || v.Lock != "mu" || !v.Interproc {
 		t.Errorf("n = {class: %v, lock: %q, interproc: %v}, want interprocedurally mu-protected", v.Class, v.Lock, v.Interproc)
 	}
-	if codesOf(diags)["velo-interproc"] != 1 {
-		t.Errorf("want one velo-interproc note, got %v", codesOf(diags))
-	}
 
 	// The same package classified intraprocedurally degrades to shared.
-	facts, diags = analyzeSrc(t, srcInterproc, Options{Interprocedural: false})
+	facts, _ = analyzeSrc(t, srcInterproc, Options{Interprocedural: false})
 	if v := varByName(t, facts, "n"); v.Class != ClassShared || v.Interproc {
 		t.Errorf("intra: n = {class: %v, interproc: %v}, want plain shared", v.Class, v.Interproc)
-	}
-	if codesOf(diags)["velo-interproc"] != 0 {
-		t.Errorf("intra analysis must not report interprocedural facts: %v", codesOf(diags))
 	}
 }
 
@@ -508,14 +204,11 @@ func main() {
 	}
 }
 
-// TestDiagnosticRender pins the rendered shape velovet and goldens rely
-// on.
+// TestDiagnosticRender pins the rendered shape -analyze prints.
 func TestDiagnosticRender(t *testing.T) {
-	d := Diagnostic{Pos: "main.go:3:1", Severity: SevWarning, Code: "velo-split", Message: "boom"}
-	d.Related = append(d.Related, RelatedPos{Pos: "main.go:9:2", Message: "again"})
-	want := "pkg/main.go:3:1: warning: boom [velo-split]\n    pkg/main.go:9:2: again"
-	if got := d.Render("pkg/"); got != want {
-		t.Errorf("Render:\n got %q\nwant %q", got, want)
+	d := Diagnostic{Pos: "main.go:3:1", Severity: "error", Code: "velo-directive", Message: "boom"}
+	if want := "main.go:3:1: error: boom [velo-directive]"; d.Render() != want {
+		t.Errorf("Render:\n got %q\nwant %q", d.Render(), want)
 	}
 	if d.String() != "main.go:3:1: boom" {
 		t.Errorf("String: %q", d.String())

@@ -1,7 +1,10 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
+	"go/token"
+	"sort"
 	"strings"
 )
 
@@ -22,10 +25,30 @@ const directivePrefix = "//velo:"
 type Directives struct {
 	// Atomic maps annotated function declarations to their block label.
 	Atomic map[*ast.FuncDecl]string
-	// Diags lists ill-formed annotations, in source order. They carry
-	// code "velo-directive" at SevError: an unparseable specification
-	// must block instrumentation, not weaken it silently.
+	// Diags lists ill-formed annotations, in source order. Each is an
+	// error: an unparseable specification must block instrumentation,
+	// not weaken it silently.
 	Diags []Diagnostic
+}
+
+// Diagnostic is one ill-formed //velo: annotation. Severity and Code
+// are always "error" and "velo-directive"; they are fields so that
+// -analyze -json spells them out.
+type Diagnostic struct {
+	Pos      string `json:"pos"` // package-relative file:line:col
+	Severity string `json:"severity"`
+	Code     string `json:"code"`
+	Message  string `json:"message"`
+
+	at token.Pos // sort key
+}
+
+// String renders "pos: message".
+func (d Diagnostic) String() string { return d.Pos + ": " + d.Message }
+
+// Render prints the vet-style line "main.go:12:2: error: message [code]".
+func (d Diagnostic) Render() string {
+	return fmt.Sprintf("%s: %s: %s [%s]", d.Pos, d.Severity, d.Message, d.Code)
 }
 
 // ScanDirectives collects //velo: annotations and their diagnostics.
@@ -82,12 +105,20 @@ func ScanDirectives(p *Package) *Directives {
 			}
 		}
 	}
-	sortDiagnostics(d.Diags)
+	// Files are parsed in name order, so position order is file, line,
+	// column order.
+	sort.Slice(d.Diags, func(i, j int) bool { return d.Diags[i].at < d.Diags[j].at })
 	return d
 }
 
 func (d *Directives) diag(p *Package, c *ast.Comment, format string, args ...any) {
-	d.Diags = append(d.Diags, newDiag(p, c.Pos(), SevError, "velo-directive", format, args...))
+	d.Diags = append(d.Diags, Diagnostic{
+		Pos:      p.Position(c.Pos()),
+		Severity: "error",
+		Code:     "velo-directive",
+		Message:  fmt.Sprintf(format, args...),
+		at:       c.Pos(),
+	})
 }
 
 // parseDirective splits "//velo:verb arg" into its parts. Only comments

@@ -2,19 +2,15 @@
 // reproduction: a stdlib-only (go/parser + go/types) analyzer that
 // classifies every candidate memory access of a package as shared,
 // thread-local or lock-protected — the static analogue of the paper's
-// Section 5 redundant-event filters — and layers named diagnostic
-// passes on top of those facts.
+// Section 5 redundant-event filters.
 //
-// The package has two consumers with one source of truth:
-//
-//   - internal/instr (and cmd/veloinstr) uses the facts to decide which
-//     accesses the rewriter instruments and which it prunes;
-//   - cmd/velovet runs the passes and reports the Diagnostics directly
-//     to developers, vet-style.
+// Its consumer is internal/instr (and cmd/veloinstr): the rewriter
+// decides from the facts which accesses it instruments and which it
+// prunes, and -analyze prints them as the classification table.
 //
 // Construction is BuildFacts (Load/LoadSource → ScanDirectives →
-// BuildFacts); diagnostics come from RunPasses. The interprocedural
-// entry-lock fixpoint (interproc.go) is what makes the pruning strictly
-// stronger than a per-function scan; its soundness argument lives in
-// DESIGN.md.
+// BuildFacts); ScanDirectives also reports ill-formed //velo:
+// annotations as error Diagnostics. The interprocedural entry-lock
+// fixpoint (interproc.go) is what makes the pruning strictly stronger
+// than a per-function scan; its soundness argument lives in DESIGN.md.
 package analysis

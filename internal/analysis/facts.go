@@ -55,7 +55,6 @@ func (c Class) String() string {
 
 // VarInfo is one row of the classification table.
 type VarInfo struct {
-	Obj    *types.Var
 	Name   string
 	Kind   string // "pkg var", "captured local", "addressed local", "local ref"
 	Class  Class
@@ -68,7 +67,7 @@ type VarInfo struct {
 	// shared.
 	Interproc bool
 	// Accs are the candidate accesses aggregated into this row, in scan
-	// order (passes sort by position as needed).
+	// order.
 	Accs []*Access
 }
 
@@ -85,8 +84,6 @@ type Access struct {
 	SynHeld []string
 	Held    []string
 	Fn      *FuncInfo
-	Stmt    ast.Stmt // statement the access is attributed to
-	RMW     bool     // half of a compound assignment or ++/--
 	Action  Action
 	Opaque  bool
 }
@@ -120,11 +117,6 @@ type FuncInfo struct {
 	Escapes    bool // literal referenced outside an immediate call
 	Concurrent bool
 	Calls      []*types.Func
-	// LockOps is the source-order sequence of syntactic mutex operations
-	// in this body (the smell and inference passes read it).
-	LockOps []LockOp
-	// Accesses are the candidate accesses recorded in this body.
-	Accesses []*Access
 	// Entry is the interprocedural entry lock set: package-level mutex
 	// paths held at every reachable call site (nil when the function is
 	// an analysis root or the inference is disabled).
@@ -134,23 +126,6 @@ type FuncInfo struct {
 	// directOnly): a rewriter may change its signature, because it can
 	// reach every caller.
 	Threadable bool
-}
-
-// Name renders the function for diagnostics.
-func (fi *FuncInfo) Name() string {
-	if fi.Decl != nil {
-		return funcLabel(fi.Decl)
-	}
-	return "func literal"
-}
-
-// LockOp is one syntactic sync.Mutex operation in a function body.
-type LockOp struct {
-	Path     string // stable protection path, "" when dynamic
-	PkgLevel bool   // rooted at a package-level variable
-	Lock     bool   // Lock (true) or Unlock (false)
-	Deferred bool   // defer mu.Unlock()
-	Pos      token.Pos
 }
 
 // Options configure fact construction.
@@ -165,18 +140,10 @@ type Options struct {
 // DefaultOptions enable everything.
 func DefaultOptions() Options { return Options{Interprocedural: true} }
 
-// Facts is the classification result consumed by the rewriter and the
-// diagnostic passes.
+// Facts is the classification result the rewriter consumes.
 type Facts struct {
-	P    *Package
-	Dirs *Directives
-	Opts Options
-
 	Vars   []*VarInfo // sorted by name
 	ByStmt map[ast.Stmt]*StmtSites
-	// GoStmts lists every go statement (the rewriter turns each into a
-	// fork + registered child).
-	GoStmts map[*ast.GoStmt]bool
 	// Funcs lists every scanned function body: declarations in file
 	// order, then literals in discovery order.
 	Funcs []*FuncInfo
@@ -193,22 +160,14 @@ type Facts struct {
 	WaitGroups int
 
 	accesses []*Access
-	varOf    map[*types.Var]*VarInfo
-	declOf   map[*ast.FuncDecl]*FuncInfo
 	fnOf     map[*types.Func]*FuncInfo
 }
 
 // StmtFor exposes per-statement sites to the rewriter.
 func (a *Facts) StmtFor(s ast.Stmt) *StmtSites { return a.ByStmt[s] }
 
-// FuncOf looks up the FuncInfo of a function declaration.
-func (a *Facts) FuncOf(fd *ast.FuncDecl) *FuncInfo { return a.declOf[fd] }
-
 // FuncOfObj looks up the FuncInfo of a named function object.
 func (a *Facts) FuncOfObj(fn *types.Func) *FuncInfo { return a.fnOf[fn] }
-
-// VarOf looks up the classification row of a variable object.
-func (a *Facts) VarOf(v *types.Var) *VarInfo { return a.varOf[v] }
 
 type builder struct {
 	a        *Facts
@@ -229,7 +188,6 @@ type builder struct {
 	// callSites feed the interprocedural entry-lock fixpoint.
 	callSites []callSite
 	inDefer   bool
-	inRMW     bool
 }
 
 type litWork struct {
@@ -256,15 +214,7 @@ func Analyze(p *Package, dirs *Directives) *Facts {
 
 // BuildFacts classifies every candidate access of the package.
 func BuildFacts(p *Package, dirs *Directives, opts Options) *Facts {
-	a := &Facts{
-		P:       p,
-		Dirs:    dirs,
-		Opts:    opts,
-		ByStmt:  map[ast.Stmt]*StmtSites{},
-		GoStmts: map[*ast.GoStmt]bool{},
-		varOf:   map[*types.Var]*VarInfo{},
-		declOf:  map[*ast.FuncDecl]*FuncInfo{},
-	}
+	a := &Facts{ByStmt: map[ast.Stmt]*StmtSites{}}
 	b := &builder{
 		a:            a,
 		p:            p,
@@ -288,7 +238,6 @@ func BuildFacts(p *Package, dirs *Directives, opts Options) *Facts {
 				fi := &FuncInfo{Decl: fd}
 				b.funcs[fn] = fi
 				b.allFns = append(b.allFns, fi)
-				a.declOf[fd] = fi
 			}
 		}
 	}
@@ -428,7 +377,7 @@ func (b *builder) classify() {
 		}
 		g := agg[root]
 		if g == nil {
-			g = &VarInfo{Obj: root, Name: root.Name(), Kind: b.varKind(ac)}
+			g = &VarInfo{Name: root.Name(), Kind: b.varKind(ac)}
 			agg[root] = g
 			order = append(order, root)
 		}
@@ -476,7 +425,6 @@ func (b *builder) classify() {
 			ac.Action = act
 		}
 		a.Vars = append(a.Vars, g)
-		a.varOf[root] = g
 	}
 	sort.Strings(a.Opaque)
 	sort.Strings(a.Unsupported)
@@ -608,7 +556,6 @@ func (b *builder) scanStmt(fi *FuncInfo, s ast.Stmt, held map[string]bool) {
 	switch st := s.(type) {
 	case *ast.ExprStmt:
 		if path, pkgLevel, locked, ok := b.lockOp(st.X); ok {
-			fi.LockOps = append(fi.LockOps, LockOp{Path: path, PkgLevel: pkgLevel, Lock: locked, Pos: st.Pos()})
 			if locked {
 				if path != "" {
 					held[path] = pkgLevel
@@ -623,8 +570,7 @@ func (b *builder) scanStmt(fi *FuncInfo, s ast.Stmt, held map[string]bool) {
 		// "defer mu.Unlock()" keeps mu held for the rest of the body:
 		// there is no explicit Unlock statement to pop it, which is
 		// exactly the conservative reading we want.
-		if path, pkgLevel, _, ok := b.lockOp(st.Call); ok {
-			fi.LockOps = append(fi.LockOps, LockOp{Path: path, PkgLevel: pkgLevel, Lock: false, Deferred: true, Pos: st.Pos()})
+		if _, _, _, ok := b.lockOp(st.Call); ok {
 			return
 		}
 		wasDefer := b.inDefer
@@ -632,7 +578,6 @@ func (b *builder) scanStmt(fi *FuncInfo, s ast.Stmt, held map[string]bool) {
 		b.scanExpr(fi, s, pre, st.Call, held)
 		b.inDefer = wasDefer
 	case *ast.GoStmt:
-		b.a.GoStmts[st] = true
 		// Arguments are evaluated in the parent goroutine at the go
 		// statement; the callee body runs concurrently.
 		b.scanGoCall(fi, s, st.Call, held)
@@ -649,20 +594,14 @@ func (b *builder) scanStmt(fi *FuncInfo, s ast.Stmt, held map[string]bool) {
 				b.scanIndexParts(fi, s, lhs, held)
 			} else {
 				// Compound assignment reads then writes the lvalue.
-				wasRMW := b.inRMW
-				b.inRMW = true
 				b.recordAccess(fi, s, pre, lhs, false, held)
 				b.recordAccess(fi, s, post, lhs, true, held)
-				b.inRMW = wasRMW
 				b.scanIndexParts(fi, s, lhs, held)
 			}
 		}
 	case *ast.IncDecStmt:
-		wasRMW := b.inRMW
-		b.inRMW = true
 		b.recordAccess(fi, s, pre, st.X, false, held)
 		b.recordAccess(fi, s, post, st.X, true, held)
-		b.inRMW = wasRMW
 		b.scanIndexParts(fi, s, st.X, held)
 	case *ast.ReturnStmt:
 		for _, r := range st.Results {
@@ -778,11 +717,8 @@ func (b *builder) scanPostStmt(fi *FuncInfo, owner ast.Stmt, postStmt ast.Stmt, 
 	record := func(ss *StmtSites, ac *Access) { ss.LoopEnd = append(ss.LoopEnd, ac) }
 	switch st := postStmt.(type) {
 	case *ast.IncDecStmt:
-		wasRMW := b.inRMW
-		b.inRMW = true
 		b.recordAccessInto(fi, owner, st.X, false, held, record)
 		b.recordAccessInto(fi, owner, st.X, true, held, record)
-		b.inRMW = wasRMW
 	case *ast.AssignStmt:
 		for _, rhs := range st.Rhs {
 			b.scanExprInto(fi, owner, rhs, held, record)
@@ -999,7 +935,7 @@ func (b *builder) recordAccessInto(fi *FuncInfo, s ast.Stmt, lv ast.Expr, write 
 		if lvalueShape(lv) {
 			// A candidate-shaped lvalue rooted in a call or other
 			// non-variable expression: opaque, cannot re-evaluate safely.
-			ac := &Access{Lv: lv, Write: write, Opaque: true, Fn: fi, Stmt: s}
+			ac := &Access{Lv: lv, Write: write, Opaque: true, Fn: fi}
 			b.a.accesses = append(b.a.accesses, ac)
 		}
 		return
@@ -1022,8 +958,6 @@ func (b *builder) recordAccessInto(fi *FuncInfo, s ast.Stmt, lv ast.Expr, write 
 		Deref:   b.derefShape(lv),
 		SynHeld: heldList(held),
 		Fn:      fi,
-		Stmt:    s,
-		RMW:     b.inRMW,
 	}
 	if clonable(lv) {
 		ac.Addr = addrTarget(b.p, lv)
@@ -1034,7 +968,6 @@ func (b *builder) recordAccessInto(fi *FuncInfo, s ast.Stmt, lv ast.Expr, write 
 		ac.Opaque = true
 	}
 	b.a.accesses = append(b.a.accesses, ac)
-	fi.Accesses = append(fi.Accesses, ac)
 	record(b.sites(s), ac)
 }
 
@@ -1150,16 +1083,12 @@ func addrTarget(p *Package, lv ast.Expr) ast.Expr {
 
 // ---- sync primitive detection ----
 
-func (b *builder) lockOp(e ast.Expr) (path string, pkgLevel, locked, ok bool) {
-	return LockCall(b.p, e)
-}
-
-// LockCall recognizes a path.Lock() / path.Unlock() call on a sync.Mutex
+// lockOp recognizes a path.Lock() / path.Unlock() call on a sync.Mutex
 // and returns its stable path ("" when the receiver is dynamic, e.g. an
 // index by a variable) plus whether the path is rooted at a
-// package-level variable. Exported so the smell passes can walk raw AST
-// outside the fact builder.
-func LockCall(p *Package, e ast.Expr) (path string, pkgLevel, locked, ok bool) {
+// package-level variable.
+func (b *builder) lockOp(e ast.Expr) (path string, pkgLevel, locked, ok bool) {
+	p := b.p
 	call, isCall := unparen(e).(*ast.CallExpr)
 	if !isCall {
 		return "", false, false, false

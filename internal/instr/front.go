@@ -2,10 +2,9 @@ package instr
 
 import "repro/internal/analysis"
 
-// The static front-end (loading, directive scanning, classification,
-// diagnostic passes) lives in internal/analysis, where cmd/velovet
-// shares it; this package keeps the rewriter, the runtime shim, and the
-// report. The aliases below keep instr's historical API — Load,
+// The static front-end (loading, directive scanning, classification)
+// lives in internal/analysis; this package keeps the rewriter, the
+// runtime shim, and the report. The aliases below keep instr's historical API — Load,
 // ScanDirectives, Analyze and their result types — as the thin facade
 // the rewriter and cmd/veloinstr program against.
 

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"text/tabwriter"
 
-	"repro/internal/analysis"
 	"repro/internal/obs"
 )
 
@@ -30,13 +29,11 @@ type Report struct {
 	WaitGroups   int
 	Opaque       []string
 	Unsupported  []string
-	// Findings are the diagnostics of every velovet pass (directive
-	// lint, lockset, smells, suggestions), position-sorted.
-	Findings []Diagnostic
+	// Diags are the ill-formed annotations, in source order.
+	Diags []Diagnostic
 }
 
-// NewReport assembles the report from the analysis results and runs the
-// diagnostic passes.
+// NewReport assembles the report from the analysis results.
 func NewReport(p *Package, dirs *Directives, a *Analysis) *Report {
 	r := &Report{
 		Package:     p.Name,
@@ -45,7 +42,7 @@ func NewReport(p *Package, dirs *Directives, a *Analysis) *Report {
 		WaitGroups:  a.WaitGroups,
 		Opaque:      a.Opaque,
 		Unsupported: a.Unsupported,
-		Findings:    analysis.RunPasses(p, dirs, a),
+		Diags:       dirs.Diags,
 	}
 	for _, v := range a.Vars {
 		switch v.Class {
@@ -71,12 +68,8 @@ func NewReport(p *Package, dirs *Directives, a *Analysis) *Report {
 // elided (the paper's redundant-event optimizations).
 func (r *Report) Pruned() int { return r.ThreadLocal + r.LockProtected }
 
-// FindingCount reports how many diagnostics are error- or
-// warning-severity (the set that flips -analyze's exit code to 1).
-func (r *Report) FindingCount() int { return analysis.CountFindings(r.Findings) }
-
 // WriteTable prints the classification table, annotation summary and
-// pass diagnostics.
+// annotation diagnostics.
 func (r *Report) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "package %s: %d candidate variables (%d shared, %d thread-local, %d lock-protected)\n",
 		r.Package, len(r.Vars), r.Shared, r.ThreadLocal, r.LockProtected)
@@ -109,8 +102,8 @@ func (r *Report) WriteTable(w io.Writer) {
 	for _, s := range r.Unsupported {
 		fmt.Fprintf(w, "warning: %s\n", s)
 	}
-	for _, d := range r.Findings {
-		fmt.Fprintln(w, d.Render(""))
+	for _, d := range r.Diags {
+		fmt.Fprintln(w, d.Render())
 	}
 }
 
@@ -125,8 +118,8 @@ type jsonVar struct {
 	Interproc bool   `json:"interprocedural,omitempty"`
 }
 
-// WriteJSON emits the report in the same Diagnostic schema velovet
-// uses, wrapped with the classification table.
+// WriteJSON emits the classification table and the annotation
+// diagnostics as one JSON document.
 func (r *Report) WriteJSON(w io.Writer) error {
 	vars := make([]jsonVar, 0, len(r.Vars))
 	for _, v := range r.Vars {
@@ -140,7 +133,7 @@ func (r *Report) WriteJSON(w io.Writer) error {
 			Interproc: v.Interproc,
 		})
 	}
-	diags := r.Findings
+	diags := r.Diags
 	if diags == nil {
 		diags = []Diagnostic{}
 	}
@@ -170,5 +163,4 @@ func (r *Report) Record(reg *obs.Registry) {
 	reg.Gauge("instr_sync_waitgroups").Set(int64(r.WaitGroups))
 	reg.Gauge("instr_opaque_accesses").Set(int64(len(r.Opaque)))
 	reg.Gauge("instr_unsupported_sync").Set(int64(len(r.Unsupported)))
-	reg.Gauge("instr_findings").Set(int64(r.FindingCount()))
 }

@@ -4,8 +4,6 @@ import (
 	"repro/internal/atomizer"
 	"repro/internal/core"
 	"repro/internal/eraser"
-	"repro/internal/fasttrack"
-	"repro/internal/hb"
 	"repro/internal/trace"
 )
 
@@ -86,20 +84,6 @@ func (a *Atomizer) Event(op trace.Op) { a.Checker.Step(op) }
 // Warnings returns the reduction violations observed.
 func (a *Atomizer) Warnings() []atomizer.Warning { return a.Checker.Warnings() }
 
-// HB adapts the precise happens-before race detector.
-type HB struct {
-	Detector *hb.Detector
-}
-
-// NewHB returns a happens-before back-end.
-func NewHB() *HB { return &HB{Detector: hb.New()} }
-
-// Event implements Backend.
-func (h *HB) Event(op trace.Op) { h.Detector.Step(op) }
-
-// Races returns the races observed.
-func (h *HB) Races() []hb.Race { return h.Detector.Races() }
-
 // Multi fans one event stream out to several back-ends, the way
 // RoadRunner runs Velodrome and the Atomizer (or a race detector)
 // concurrently (Section 5).
@@ -174,18 +158,3 @@ func (a *AtomizerAdvisor) Delay(op trace.Op) int {
 	}
 	return 1
 }
-
-// FastTrack adapts the epoch-based race detector (the group's PLDI 2009
-// follow-on, also a RoadRunner back-end).
-type FastTrack struct {
-	Detector *fasttrack.Detector
-}
-
-// NewFastTrack returns a FastTrack back-end.
-func NewFastTrack() *FastTrack { return &FastTrack{Detector: fasttrack.New()} }
-
-// Event implements Backend.
-func (f *FastTrack) Event(op trace.Op) { f.Detector.Step(op) }
-
-// Races returns the races observed.
-func (f *FastTrack) Races() []fasttrack.Race { return f.Detector.Races() }

@@ -1,3 +1,5 @@
+// Package vc implements vector clocks (Mattern 1988). Dense is the
+// slice-backed clock the AeroDrome engine keeps per transaction.
 package vc
 
 import (
@@ -15,8 +17,7 @@ import (
 //
 // Components at or beyond len(t) are zero: the slice length is a
 // high-water mark, not a canonical form, and every operation treats
-// missing and explicit-zero entries identically (the same contract the
-// map-backed Clock keeps by never storing zeros).
+// missing and explicit-zero entries identically.
 type Dense struct {
 	t []uint64
 }
@@ -135,9 +136,8 @@ func (d *Dense) Equal(other *Dense) bool {
 	return d.LessEq(other) && other.LessEq(d)
 }
 
-// String renders the clock as [t1:3 t2:7], skipping zero components —
-// the same format as Clock.String, so the two representations print
-// identically for equal clocks.
+// String renders the clock as [t1:3 t2:7], skipping zero components,
+// so equal clocks print identically.
 func (d *Dense) String() string {
 	if d == nil {
 		return "[]"

@@ -1,12 +1,132 @@
 package vc
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/trace"
 )
+
+// Clock is the reference model Dense is checked against: a vector
+// clock as a map from thread to logical time. The zero value is the
+// all-zeros clock.
+//
+// Representation invariant: a component is zero iff it is absent from the
+// map. Every operation maintains this canonical form, so explicit-zero
+// and absent components can never diverge under Copy, Join, LessEq,
+// Equal or String — Set(t, 0) removes the entry rather than storing 0.
+type Clock struct {
+	times map[trace.Tid]uint64
+}
+
+// New returns an empty (all-zeros) clock.
+func New() *Clock { return &Clock{} }
+
+// Get returns the component for thread t.
+func (c *Clock) Get(t trace.Tid) uint64 {
+	if c == nil || c.times == nil {
+		return 0
+	}
+	return c.times[t]
+}
+
+// Set assigns the component for thread t. Setting zero removes the
+// entry, keeping the representation canonical (absent ≡ zero).
+func (c *Clock) Set(t trace.Tid, v uint64) {
+	if v == 0 {
+		delete(c.times, t) // delete on a nil map is a no-op
+		return
+	}
+	if c.times == nil {
+		c.times = map[trace.Tid]uint64{}
+	}
+	c.times[t] = v
+}
+
+// Tick increments thread t's component and returns the new value.
+func (c *Clock) Tick(t trace.Tid) uint64 {
+	v := c.Get(t) + 1
+	c.Set(t, v)
+	return v
+}
+
+// Join merges other into c pointwise (c := c ⊔ other).
+func (c *Clock) Join(other *Clock) {
+	if other == nil {
+		return
+	}
+	for t, v := range other.times {
+		if v > c.Get(t) {
+			c.Set(t, v)
+		}
+	}
+}
+
+// Copy returns an independent copy of c.
+func (c *Clock) Copy() *Clock {
+	out := New()
+	if c != nil {
+		for t, v := range c.times {
+			out.Set(t, v)
+		}
+	}
+	return out
+}
+
+// LessEq reports whether c ⊑ other pointwise (c happens-before-or-equals
+// other when c is an operation's clock snapshot).
+func (c *Clock) LessEq(other *Clock) bool {
+	if c == nil {
+		return true
+	}
+	for t, v := range c.times {
+		if v > other.Get(t) {
+			return false
+		}
+	}
+	return true
+}
+
+// Concurrent reports whether neither clock precedes the other.
+func (c *Clock) Concurrent(other *Clock) bool {
+	return !c.LessEq(other) && !other.LessEq(c)
+}
+
+// Equal reports whether the clocks agree on every component. Because
+// zeros are never stored, this is a map comparison with no special
+// casing for absent-versus-explicit-zero entries.
+func (c *Clock) Equal(other *Clock) bool {
+	return c.LessEq(other) && other.LessEq(c)
+}
+
+// String renders the clock as [t1:3 t2:7].
+func (c *Clock) String() string {
+	if c == nil || len(c.times) == 0 {
+		return "[]"
+	}
+	var ts []trace.Tid
+	for t := range c.times {
+		ts = append(ts, t)
+	}
+	for i := 1; i < len(ts); i++ {
+		for j := i; j > 0 && ts[j] < ts[j-1]; j-- {
+			ts[j], ts[j-1] = ts[j-1], ts[j]
+		}
+	}
+	var b strings.Builder
+	b.WriteByte('[')
+	for i, t := range ts {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "t%d:%d", t, c.times[t])
+	}
+	b.WriteByte(']')
+	return b.String()
+}
 
 func TestZeroClock(t *testing.T) {
 	c := New()
@@ -70,22 +190,6 @@ func TestLessEqAndConcurrent(t *testing.T) {
 	}
 	if a.Concurrent(b) {
 		t.Fatal("ordered clocks are not concurrent")
-	}
-}
-
-func TestEpoch(t *testing.T) {
-	c := New()
-	c.Set(2, 4)
-	e := Epoch{Thread: 2, Time: 3}
-	if !e.HappensBefore(c) {
-		t.Fatal("epoch 3 ⊑ clock with t2:4")
-	}
-	e.Time = 5
-	if e.HappensBefore(c) {
-		t.Fatal("epoch 5 must not precede t2:4")
-	}
-	if (Epoch{}).Zero() != true {
-		t.Fatal("zero epoch")
 	}
 }
 
