@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/span"
 	"repro/internal/trace"
@@ -146,6 +147,28 @@ func TestCLITracecheckCorpus(t *testing.T) {
 	}
 	if _, code := runTool(t, "tracecheck", "no-such-file"); code != 2 {
 		t.Error("missing file should exit 2")
+	}
+}
+
+// TestCLITracecheckLongTrace: tracecheck always runs the offline oracle
+// beside the engine, so a trace of hundreds of thousands of operations
+// must come back in a single pass, not after n² pair tests.
+func TestCLITracecheckLongTrace(t *testing.T) {
+	tr := bench.SyntheticMix(300_000)
+	path := filepath.Join(t.TempDir(), "mix.bin")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.MarshalBinary(f, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, code := runTool(t, "tracecheck", "-q", path)
+	if want := fmt.Sprintf("serializable: %d operations", len(tr)); code != 0 || !strings.HasPrefix(out, want) {
+		t.Fatalf("exit %d, want 0 and %q:\n%s", code, want, out)
 	}
 }
 

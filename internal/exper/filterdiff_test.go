@@ -15,10 +15,10 @@ import (
 
 // corpus is the bench suite (the Table 1/2 programs plus the hot-loop
 // redundancy group) recorded at seed 1 and one scale, with the offline
-// serial oracle's verdict per workload. Recording it and running the
-// quadratic oracle are most of what the differential tests in this
-// package cost, so both happen once per scale for the whole test binary;
-// the maps are shared and must not be written to.
+// serial oracle's verdict per workload. Recording it is much of what the
+// differential tests in this package cost, so recording and oracle both
+// happen once per scale for the whole test binary; the maps are shared
+// and must not be written to.
 type corpus struct {
 	traces       func() map[string]trace.Trace
 	serializable func() map[string]bool
