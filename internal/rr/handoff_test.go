@@ -82,6 +82,105 @@ func TestNoGoroutineLeft(t *testing.T) {
 	checkGoroutines(t, start)
 }
 
+// unwinding counts what recoveringLockOrder's forked threads do.
+type unwinding struct {
+	ops       int // operations the bodies saw complete
+	recovered int // bodies that recovered from whatever ended them
+	again     int // operations after that recover that panicked again
+}
+
+// recoveringLockOrder is lockOrder with forked bodies that recover
+// whatever ends them and then try one more operation.
+func recoveringLockOrder(u *unwinding) func(*rr.Thread) {
+	return func(th *rr.Thread) {
+		rt := th.Runtime()
+		a, b := rt.NewMutex("a"), rt.NewMutex("b")
+		x := rt.NewVar("x")
+		loop := func(first, second *rr.Mutex) func(*rr.Thread) {
+			return func(c *rr.Thread) {
+				defer func() {
+					if recover() == nil {
+						return
+					}
+					u.recovered++
+					defer func() {
+						if recover() != nil {
+							u.again++
+						}
+					}()
+					x.Load(c)
+				}()
+				for {
+					for i := 0; i < 8; i++ {
+						v := x.Load(c)
+						u.ops++
+						x.Store(c, v+1)
+						u.ops++
+					}
+					first.Lock(c)
+					u.ops++
+					second.Lock(c)
+					u.ops++
+					second.Unlock(c)
+					u.ops++
+					first.Unlock(c)
+					u.ops++
+				}
+			}
+		}
+		h1 := th.Fork(loop(a, b))
+		h2 := th.Fork(loop(b, a))
+		th.Join(h1)
+		th.Join(h2)
+	}
+}
+
+// TestTeardownUnwindsRecoveringBody checks teardown against forked bodies
+// that recover whatever ends them: each run reports what lockOrder's run
+// reports, no body gets past the operation it was blocked in (every
+// operation in the trace was granted, and the bodies saw no other
+// complete), an operation after the recover panics again, and no
+// goroutine is left.
+func TestTeardownUnwindsRecoveringBody(t *testing.T) {
+	start := runtime.NumGoroutine()
+	deadlocked, truncated := 0, 0
+	for seed := int64(1); seed <= 40; seed++ {
+		opts := rr.Options{Seed: seed, MaxSteps: 200, Record: true}
+		want := rr.Run(opts, lockOrder)
+		var u unwinding
+		got := rr.Run(opts, recoveringLockOrder(&u))
+		if got.Deadlocked != want.Deadlocked || got.Truncated != want.Truncated ||
+			got.Steps != want.Steps || got.Events != want.Events ||
+			got.Trace.String() != want.Trace.String() {
+			t.Fatalf("seed %d: recovering bodies changed the run:\n got  %+v\n want %+v", seed, got, want)
+		}
+		if len(got.Trace) != got.Steps {
+			t.Errorf("seed %d: %d operations in the trace, %d granted", seed, len(got.Trace), got.Steps)
+		}
+		forked := 0
+		for _, op := range got.Trace {
+			if op.Thread != 1 {
+				forked++
+			}
+		}
+		if u.ops != forked {
+			t.Errorf("seed %d: bodies saw %d operations complete, the trace has %d", seed, u.ops, forked)
+		}
+		if u.recovered != 2 || u.again != 2 {
+			t.Errorf("seed %d: %d bodies recovered and %d operations panicked again, want 2 and 2", seed, u.recovered, u.again)
+		}
+		if got.Deadlocked {
+			deadlocked++
+		} else {
+			truncated++
+		}
+	}
+	if deadlocked == 0 || truncated == 0 {
+		t.Errorf("want both endings among the runs, got %d deadlocked and %d truncated", deadlocked, truncated)
+	}
+	checkGoroutines(t, start)
+}
+
 // TestPanicEndsRun checks that a forked thread's panic ends the run
 // through Run, with the other threads torn down, not the process.
 func TestPanicEndsRun(t *testing.T) {
