@@ -19,8 +19,9 @@ type Table1Row struct {
 	BaseTime time.Duration
 	// Slowdowns relative to BaseTime.
 	Empty, Eraser, Atomizer, Velodrome float64
-	// Events processed in the instrumented runs.
-	Events int
+	// Steps are the scheduling decisions of the base run, and Events the
+	// events it delivers (every configuration runs the same schedule).
+	Steps, Events int
 	// Happens-before graph statistics, without and with merging.
 	NoMergeAllocated, NoMergeMaxAlive int
 	MergeAllocated, MergeMaxAlive     int
@@ -61,24 +62,27 @@ const (
 )
 
 // timeRuns measures w's per-run wall time under each back-end factory
-// (nil is the uninstrumented base run) and returns the events one run
-// delivers.
-func timeRuns(w *bench.Workload, seed int64, p bench.Params, mks []func() rr.Backend) ([]time.Duration, int) {
-	run := func(mk func() rr.Backend) int {
+// (nil is the uninstrumented base run) and returns the first
+// configuration's report.
+func timeRuns(w *bench.Workload, seed int64, p bench.Params, mks []func() rr.Backend) ([]time.Duration, *rr.Report) {
+	run := func(mk func() rr.Backend) *rr.Report {
 		var be rr.Backend
 		if mk != nil {
 			be = mk()
 		}
 		return rr.Run(rr.Options{Seed: seed, Backend: be}, func(t *rr.Thread) {
 			w.Body(t, p)
-		}).Events
+		})
 	}
 	reps := make([]int, len(mks))
-	events := 0
+	var first *rr.Report
 	for i, mk := range mks {
 		start := time.Now() // a warm-up run sizes the batch
-		events = run(mk)
+		rep := run(mk)
 		reps[i] = max(1, min(int(minBatch/max(time.Since(start), 1)), 1<<16))
+		if i == 0 {
+			first = rep
+		}
 	}
 	best := make([]time.Duration, len(mks))
 	for r := 0; r < timingRounds; r++ {
@@ -92,7 +96,7 @@ func timeRuns(w *bench.Workload, seed int64, p bench.Params, mks []func() rr.Bac
 			}
 		}
 	}
-	return best, events
+	return best, first
 }
 
 // NonAtomicSpec runs Velodrome over the standard seeds and returns the
@@ -138,7 +142,7 @@ func table1(seed int64, scale int, specFiltered bool) []Table1Row {
 			spec = NonAtomicSpec(w, DefaultSeeds, 1)
 		}
 
-		times, events := timeRuns(w, seed, p, []func() rr.Backend{
+		times, base := timeRuns(w, seed, p, []func() rr.Backend{
 			nil,
 			func() rr.Backend { return &rr.Empty{} },
 			func() rr.Backend { return rr.NewEraser() },
@@ -149,7 +153,7 @@ func table1(seed int64, scale int, specFiltered bool) []Table1Row {
 			},
 			func() rr.Backend { return rr.NewVelodrome(core.Options{Ignore: spec}) },
 		})
-		row.BaseTime, row.Events = times[0], events
+		row.BaseTime, row.Steps, row.Events = times[0], base.Steps, base.Events
 		ratio := func(d time.Duration) float64 {
 			if row.BaseTime <= 0 {
 				return 0

@@ -32,22 +32,31 @@ func writeRow(w io.Writer, widths []int, cells ...string) {
 	fmt.Fprintln(w, strings.TrimRight(b.String(), " "))
 }
 
-// Table1 renders the timing and node-statistics table. Paper node counts
-// are shown in parentheses next to the measured values.
+// Table1 renders the timing and node-statistics table: the base run's
+// scheduling steps, events and time per step next to its time, then the
+// slowdowns. Paper node counts are shown in parentheses next to the
+// measured values.
 func Table1(w io.Writer, rows []exper.Table1Row) {
 	fmt.Fprintln(w, "Table 1: running times, slowdowns, and happens-before graph statistics")
 	fmt.Fprintln(w, "(slowdowns relative to the uninstrumented base run; paper node counts in parentheses)")
 	fmt.Fprintln(w)
-	widths := []int{11, 9, 10, 7, 7, 9, 10, 22, 12, 22, 12}
-	writeRow(w, widths, "Program", "Size", "Base", "Empty", "Eraser", "Atomizer", "Velodrome",
+	widths := []int{11, 9, 10, 8, 8, 9, 7, 7, 9, 10, 22, 12, 22, 12}
+	writeRow(w, widths, "Program", "Size", "Base", "Steps", "Events", "Base/step", "Empty", "Eraser", "Atomizer", "Velodrome",
 		"Alloc w/o merge", "Alive", "Alloc w/ merge", "Alive")
-	writeRow(w, widths, "", "(lines)", "", "", "", "", "",
+	writeRow(w, widths, "", "(lines)", "", "", "", "(ns)", "", "", "", "",
 		"", "(max)", "", "(max)")
 	for _, r := range rows {
+		perStep := "-"
+		if r.Steps > 0 {
+			perStep = fmt.Sprintf("%.0f", float64(r.BaseTime.Nanoseconds())/float64(r.Steps))
+		}
 		writeRow(w, widths,
 			r.Name,
 			fmt.Sprintf("%d", r.JavaLines),
 			r.BaseTime.Round(r.BaseTime/100+1).String(),
+			fmt.Sprintf("%d", r.Steps),
+			fmt.Sprintf("%d", r.Events),
+			perStep,
 			fmt.Sprintf("%.1f", r.Empty),
 			fmt.Sprintf("%.1f", r.Eraser),
 			fmt.Sprintf("%.1f", r.Atomizer),

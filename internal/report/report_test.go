@@ -11,6 +11,7 @@ import (
 func TestTable1Rendering(t *testing.T) {
 	rows := []exper.Table1Row{{
 		Name: "elevator", JavaLines: 520, BaseTime: 5 * time.Millisecond,
+		Steps: 12500, Events: 9876,
 		Empty: 1.1, Eraser: 1.2, Atomizer: 1.3, Velodrome: 1.4,
 		NoMergeAllocated: 420, NoMergeMaxAlive: 20,
 		MergeAllocated: 380, MergeMaxAlive: 13,
@@ -20,7 +21,7 @@ func TestTable1Rendering(t *testing.T) {
 	var b strings.Builder
 	Table1(&b, rows)
 	out := b.String()
-	for _, want := range []string{"Table 1", "elevator", "520", "1.4", "420 (174,000)", "13 (13)"} {
+	for _, want := range []string{"Table 1", "elevator", "520", "12500", "9876", " 400 ", "1.4", "420 (174,000)", "13 (13)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q:\n%s", want, out)
 		}
