@@ -1,5 +1,3 @@
-//go:build go1.23
-
 // Package rr is this reproduction's stand-in for RoadRunner, the dynamic
 // analysis framework Velodrome is built on (Section 5). Go has no
 // load-time bytecode instrumentation, so — per the repro plan — programs
@@ -204,8 +202,6 @@ func Run(opts Options, main func(*Thread)) *Report {
 
 // spawn creates a virtual thread: a coroutine that runs the body from its
 // admission on and takes the next scheduling decision when it finishes.
-// (iter.Pull is why this file carries a go1.23 build constraint: it lifts
-// the file's language version above the module's go 1.22 line.)
 func (rt *Runtime) spawn(body func(*Thread)) *thread {
 	rt.nextTid++
 	th := &thread{id: rt.nextTid}
