@@ -200,25 +200,6 @@ func TestCLIVelodromeJSONAndDot(t *testing.T) {
 	}
 }
 
-// TestCLIVelodromeOnlyFlags: what only the Velodrome back-end honours is
-// a usage error under any other back-end, and nothing gets written.
-func TestCLIVelodromeOnlyFlags(t *testing.T) {
-	dir := t.TempDir()
-	for _, args := range [][]string{
-		{"-dot", filepath.Join(dir, "c.dot")}, {"-explain"}, {"-forensics"}, {"-no-merge"},
-		{"-nofilter"}, {"-engine", "optimized"}, {"-trace-out", filepath.Join(dir, "t.json")},
-	} {
-		all := append([]string{"-workload", "multiset", "-backend", "atomizer"}, args...)
-		out, code := runTool(t, "velodrome", all...)
-		if code != 2 || !strings.Contains(out, args[0]+" requires -backend velodrome") {
-			t.Errorf("%s under atomizer: exit %d:\n%s", args[0], code, out)
-		}
-	}
-	if files, _ := os.ReadDir(dir); len(files) != 0 {
-		t.Errorf("refused runs wrote %d files", len(files))
-	}
-}
-
 // TestCLIEveryEngineJSONAndDot: the renderings of a warning hold for every
 // registered engine, AeroDrome's position-only warning included — it has
 // no cycle, and -json used to dereference one.
@@ -766,41 +747,6 @@ func TestCLIVeloinstrAnalyze(t *testing.T) {
 	}
 }
 
-// TestCLIVeloinstrFlagRules pins which flag combinations veloinstr
-// accepts: -analyze takes only -json and -intra, and -trace,
-// -trace-out, -obs-json and -server need -run. A flag the chosen mode
-// would ignore is a usage error, never a silent no-op.
-func TestCLIVeloinstrFlagRules(t *testing.T) {
-	dir := t.TempDir()
-	pkg := "examples/instr/bankfixed"
-	for _, tc := range []struct {
-		args []string
-		exit int
-	}{
-		{[]string{"-analyze"}, 0},
-		{[]string{"-analyze", "-json", "-intra"}, 0},
-		{[]string{"-o", filepath.Join(dir, "out"), "-noprune"}, 0},
-		{[]string{"-analyze", "-run"}, 2},
-		{[]string{"-analyze", "-o", filepath.Join(dir, "analyze-out")}, 2},
-		{[]string{"-analyze", "-noprune"}, 2},
-		{[]string{"-analyze", "-trace-out", filepath.Join(dir, "spans.json")}, 2},
-		{[]string{"-analyze", "-server", "127.0.0.1:1"}, 2},
-		{[]string{"-trace", filepath.Join(dir, "trace.txt")}, 2},
-		{[]string{"-obs-json"}, 2},
-		{[]string{"-trace-out", filepath.Join(dir, "spans.json")}, 2},
-	} {
-		out, code := runTool(t, "veloinstr", append(tc.args, pkg)...)
-		if code != tc.exit {
-			t.Errorf("veloinstr %v: exit %d, want %d:\n%s", tc.args, code, tc.exit, out)
-		}
-	}
-	for _, name := range []string{"analyze-out", "trace.txt", "spans.json"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
-			t.Errorf("a refused invocation wrote %s", name)
-		}
-	}
-}
-
 // TestCLIVeloinstrAnalyzeJSON checks the machine-readable report: the
 // classification rows and the annotation diagnostics, under the keys
 // package, vars, atomic_blocks and diagnostics.
@@ -1086,7 +1032,7 @@ func TestCLITracecheckTraceOut(t *testing.T) {
 	} {
 		args := append(append([]string{"tracecheck"}, local...), "-server", "127.0.0.1:1", tracePath)
 		if out, code := runTool(t, args[0], args[1:]...); code != 2 ||
-			!strings.Contains(out, local[0]+" only applies to local checking") {
+			!strings.Contains(out, local[0]+" does not apply to -server") {
 			t.Errorf("%s with -server: exit %d:\n%s", local[0], code, out)
 		}
 	}
@@ -1457,7 +1403,7 @@ func TestCLIVelobenchTraceOut(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d:\n%s", code, out)
 	}
-	if !strings.Contains(out, "wrote experiment timeline to "+path) {
+	if !strings.Contains(out, "velobench: wrote pipeline trace to "+path) {
 		t.Errorf("missing timeline notice:\n%s", out)
 	}
 	data, err := os.ReadFile(path)

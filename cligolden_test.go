@@ -8,9 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -27,13 +25,18 @@ var updateCLIGolden = flag.Bool("update-cli-golden", false, "rewrite "+cliGolden
 // timingField matches a JSON member whose value is a duration — the
 // stage clocks (velodrome_stage_ns_total{stage="…"}) and any *_ns
 // field — the only bytes of the grid's output that differ from run to
-// run.
-var timingField = regexp.MustCompile(`"[a-z_]*_ns(_total)?(\{[^}]*\})?":[0-9]+`)
+// run. sessionField matches a daemon verdict's session id and time.
+var (
+	timingField  = regexp.MustCompile(`"[a-z_]*_ns(_total)?(\{[^}]*\})?":[0-9]+`)
+	sessionField = regexp.MustCompile(`session s[0-9]+ in [0-9]+ms`)
+)
 
-// withoutTiming is the golden's one filter: it drops the timing fields
-// and names the run's temporary directory $TMP.
+// withoutTiming is the CLI tests' one filter: it drops the timing
+// fields, and the session id and time of a -server verdict, and names
+// the run's temporary directory $TMP.
 func withoutTiming(out []byte, tmp string) []byte {
 	out = timingField.ReplaceAll(out, nil)
+	out = sessionField.ReplaceAll(out, []byte("session"))
 	return []byte(strings.ReplaceAll(string(out), tmp, "$TMP"))
 }
 
@@ -123,22 +126,7 @@ func TestCLIGolden(t *testing.T) {
 	bin := tools(t)
 	grid := cliGrid(t)
 	lines := make([]string, len(grid))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				lines[i] = cliGoldenLine(t, bin, grid[i])
-			}
-		}()
-	}
-	for i := range grid {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	parallel(len(grid), func(i int) { lines[i] = cliGoldenLine(t, bin, grid[i]) })
 	got := strings.Join(lines, "\n") + "\n"
 	if *updateCLIGolden {
 		if err := os.WriteFile(cliGolden, []byte(got), 0o644); err != nil {

@@ -32,6 +32,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/dot"
 	"repro/internal/forensic"
@@ -43,32 +44,21 @@ import (
 )
 
 func main() {
-	dotOut := flag.String("dot", "", "write error graphs (dot format) to this file")
-	engine := flag.String("engine", "optimized", "analysis engine: "+core.EngineNames())
 	quiet := flag.Bool("q", false, "suppress warning details")
-	obsJSON := flag.Bool("obs-json", false, "emit the full obs snapshot (graph stats, warning and filter counts, stage times) as JSON on stderr")
-	noFilter := flag.Bool("nofilter", false, "disable the redundant-event fast path (Section 5 filtering)")
-	forensics := flag.Bool("forensics", false, "enable the event flight recorder (provenance reports on warnings)")
-	explain := flag.Bool("explain", false, "print a provenance report per warning (implies -forensics; works in -server mode too)")
 	inFlag := flag.String("in", "", "trace input: a file name or - for standard input (alternative to the positional argument)")
-	serverAddr := flag.String("server", "", "check via a velodromed daemon at this address (host:port or unix:/path) instead of locally")
-	apiKey := flag.String("key", "", "tenant API key sent in the session header (-server mode); absent = the daemon's default tenant")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event timeline of the local pipeline (decode, check, oracle, dot) to this file")
-	var oflags obs.CLIFlags
-	oflags.Register(flag.CommandLine, obs.FlagProfile)
-	flag.Parse()
-	if *explain {
-		*forensics = true
-	}
-	einfo, ok := core.EngineByName(*engine)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "tracecheck: unknown engine %q (want %s)\n", *engine, core.EngineNames())
-		os.Exit(2)
-	}
-	if _, err := oflags.Logger(os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "tracecheck:", err)
-		os.Exit(2)
-	}
+	var f cli.Flags
+	f.Register(flag.CommandLine, "tracecheck", cli.Engine|cli.NoFilter|cli.Forensics|cli.Explain|cli.Dot|
+		cli.TraceOut|cli.ObsJSON|cli.Server|cli.Key|cli.Profile)
+	f.Parse(os.Args[1:], func() []string {
+		mode := "local checking"
+		if f.Server != "" {
+			mode = "-server"
+		}
+		if *quiet {
+			mode += " with -q"
+		}
+		return []string{mode}
+	})
 	name := *inFlag
 	switch {
 	case name == "" && flag.NArg() == 1:
@@ -90,25 +80,11 @@ func main() {
 		in = f
 	}
 
-	if *serverAddr != "" {
-		// A flag the daemon cannot honour is refused, not dropped: it
-		// traces, filters and meters sessions itself and sends no graphs.
-		for _, f := range []struct {
-			name string
-			set  bool
-		}{
-			{"-trace-out", *traceOut != ""}, {"-nofilter", *noFilter}, {"-dot", *dotOut != ""},
-			{"-obs-json", *obsJSON},
-		} {
-			if f.set {
-				fmt.Fprintf(os.Stderr, "tracecheck: %s only applies to local checking, not to -server (the daemon has its own -trace-dir and /metrics)\n", f.name)
-				os.Exit(2)
-			}
-		}
+	if f.Server != "" {
 		// Client mode: stream the raw bytes to the daemon and relay its
 		// verdict, mapping statuses onto the local exit convention.
-		hdr := trace.SessionHeader{Engine: einfo.Name, Forensics: *forensics, Key: *apiKey}
-		v, err := server.CheckReader(*serverAddr, hdr, in)
+		hdr := trace.SessionHeader{Engine: f.EngineInfo.Name, Forensics: f.Forensics, Key: f.Key}
+		v, err := server.CheckReader(f.Server, hdr, in)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tracecheck:", err)
 			os.Exit(2)
@@ -118,14 +94,14 @@ func main() {
 			printComments(v.Comments)
 			if v.Serializable {
 				fmt.Printf("serializable: %d operations (checked by %s at %s; session %s in %dms)\n",
-					v.Ops, v.Engine, *serverAddr, v.Session, v.DurationMs)
+					v.Ops, v.Engine, f.Server, v.Session, v.DurationMs)
 			} else {
 				fmt.Printf("NOT serializable: %d warnings over %d operations (checked by %s at %s; session %s in %dms)\n",
-					len(v.Warnings), v.Ops, v.Engine, *serverAddr, v.Session, v.DurationMs)
+					len(v.Warnings), v.Ops, v.Engine, f.Server, v.Session, v.DurationMs)
 				if !*quiet {
 					for i, w := range v.Warnings {
 						fmt.Println(w)
-						if *explain && i < len(v.Reports) {
+						if f.Explain && i < len(v.Reports) {
 							if rep, err := forensic.ParseReport(v.Reports[i]); err == nil {
 								rep.WriteText(os.Stdout)
 							}
@@ -134,25 +110,17 @@ func main() {
 				}
 			}
 		default:
-			fmt.Fprintf(os.Stderr, "tracecheck: server %s: %s: %s (%d ops consumed)\n", *serverAddr, v.Status, v.Error, v.Ops)
+			fmt.Fprintf(os.Stderr, "tracecheck: server %s: %s: %s (%d ops consumed)\n", f.Server, v.Status, v.Error, v.Ops)
 		}
 		os.Exit(v.ExitCode())
 	}
 
-	// The pipeline tracer (nil unless -trace-out or -obs-json is set, and
-	// then every span call below is an inert pointer test — the traced
-	// and untraced paths run the same code). -obs-json reads the stage
+	// The pipeline tracer (inert unless -trace-out or -obs-json is set,
+	// and then every span call below is a pointer test — the traced and
+	// untraced paths run the same code). -obs-json reads the stage
 	// accumulators of its buffer.
-	var tracer *span.Tracer
-	var sb *span.Buf
-	var root span.SpanID
-	if *traceOut != "" || *obsJSON {
-		tracer = span.New()
-		sb = tracer.Buffer("tracecheck")
-		root = sb.Start("session", 0)
-		sb.AttrStr(root, "input", name)
-		sb.AttrStr(root, "engine", einfo.Name)
-	}
+	pt := f.StartTrace(f.ObsJSON, "session", "input", name, "engine", f.EngineInfo.Name)
+	tracer, sb, root := pt.Tracer, pt.Buf, pt.Root
 
 	loadStart := tracer.Now()
 	dec := trace.NewDecoder(in)
@@ -176,8 +144,8 @@ func main() {
 		sb.AttrInt(id, "ops", int64(len(tr)))
 	}
 
-	opts := core.Options{Engine: einfo.Engine, NoFilter: *noFilter, Forensics: *forensics, Spans: sb}
-	stopProf, _, err := oflags.StartProfile()
+	opts := core.Options{Engine: f.EngineInfo.Engine, NoFilter: f.NoFilter, Forensics: f.Forensics, Spans: sb}
+	stopProf, _, err := f.StartProfile()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracecheck:", err)
 		os.Exit(2)
@@ -189,21 +157,15 @@ func main() {
 		if err := stopProf(); err != nil {
 			fmt.Fprintln(os.Stderr, "tracecheck: profile:", err)
 		}
-		if *obsJSON {
+		if f.ObsJSON {
 			reg := obs.NewRegistry()
 			core.NewPublisher(reg, sb).Publish(res.Snapshot)
 			reg.Snapshot().WriteJSON(os.Stderr)
 		}
-		if *traceOut != "" {
-			sb.End(root)
-			sb.Flush()
-			if err := tracer.WriteChromeFile(*traceOut); err != nil {
-				fmt.Fprintln(os.Stderr, "tracecheck: trace-out:", err)
-				if code == 0 {
-					code = 2
-				}
-			} else {
-				fmt.Fprintf(os.Stderr, "tracecheck: wrote pipeline trace to %s\n", *traceOut)
+		if err := pt.Finish(); err != nil {
+			fmt.Fprintln(os.Stderr, "tracecheck:", err)
+			if code == 0 {
+				code = 2
 			}
 		}
 		os.Exit(code)
@@ -234,14 +196,14 @@ func main() {
 	if !*quiet {
 		for _, w := range res.Warnings {
 			fmt.Println(w)
-			if rep := w.Forensics(); *explain && rep != nil {
+			if rep := w.Forensics(); f.Explain && rep != nil {
 				rep.WriteText(os.Stdout)
 			}
 		}
 	}
-	if *dotOut != "" {
+	if f.Dot != "" {
 		dotStart := tracer.Now()
-		if err := os.WriteFile(*dotOut, []byte(dot.RenderAll(res.Warnings)), 0o644); err != nil {
+		if err := os.WriteFile(f.Dot, []byte(dot.RenderAll(res.Warnings)), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "tracecheck:", err)
 			finish(2)
 		}

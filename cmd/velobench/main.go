@@ -11,8 +11,10 @@
 //	velobench -coverage            cumulative warnings per run
 //	velobench -all                 everything
 //
-// Each table prints the paper's published numbers alongside the measured
-// ones. See EXPERIMENTS.md for the recorded comparison. Per-layer
+// A flag that no selected experiment reads (-detail and -adversarial
+// are table 2's, -spec-filtered and -timing-scale table 1's, -scale every
+// other experiment's) exits 2. Each table prints the paper's published
+// numbers alongside the measured ones. See EXPERIMENTS.md for the recorded comparison. Per-layer
 // ns/event and daemon sessions/s figures come from `go run ./benchmark`.
 package main
 
@@ -23,12 +25,12 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/exper"
 	"repro/internal/obs"
 	"repro/internal/obs/obshttp"
 	"repro/internal/report"
-	"repro/internal/span"
 )
 
 func main() {
@@ -45,15 +47,24 @@ func main() {
 	specFiltered := flag.Bool("spec-filtered", false, "table 1: exempt known non-atomic methods first (the paper's configuration)")
 	seeds := flag.String("seeds", "1,2,3,4,5", "comma-separated scheduler seeds (the paper's five runs)")
 	detail := flag.Bool("detail", false, "list flagged methods per benchmark (table 2)")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace-event timeline with one span per experiment to this file")
-	var oflags obs.CLIFlags
-	oflags.Register(flag.CommandLine, obs.FlagMetrics|obs.FlagProfile)
-	flag.Parse()
-	logger, err := oflags.Logger(os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "velobench:", err)
-		os.Exit(2)
-	}
+	var f cli.Flags
+	f.Register(flag.CommandLine, "velobench", cli.TraceOut|cli.Log|cli.Metrics|cli.Profile)
+	// A flag no selected experiment reads is refused.
+	f.Parse(os.Args[1:], func() []string {
+		var modes []string
+		for _, m := range []struct {
+			name string
+			on   bool
+		}{
+			{"-table 1", *table == 1}, {"-table 2", *table == 2}, {"-smoke", *smoke}, {"-inject", *inject},
+			{"-coverage", *coverage}, {"-ablate", *ablate}, {"-policies", *policyStudy},
+		} {
+			if m.on || *all {
+				modes = append(modes, m.name)
+			}
+		}
+		return modes
+	})
 
 	seedList, err := parseSeeds(*seeds)
 	if err != nil {
@@ -65,38 +76,32 @@ func main() {
 	// the optional live endpoint (whose main payload here is pprof).
 	reg := obs.NewRegistry()
 	experiments := reg.Counter("velobench_experiments_total")
-	if oflags.MetricsAddr != "" {
-		_, addr, err := obshttp.Serve(oflags.MetricsAddr, reg)
+	if f.MetricsAddr != "" {
+		_, addr, err := obshttp.Serve(f.MetricsAddr, reg)
 		if err != nil {
-			logger.Error("metrics server failed", "error", err)
+			f.Log.Error("metrics server failed", "error", err)
 			os.Exit(2)
 		}
-		logger.Info("serving metrics", "url", "http://"+addr.String())
+		f.Log.Info("serving metrics", "url", "http://"+addr.String())
 	}
-	stopProf, profPath, err := oflags.StartProfile()
+	stopProf, profPath, err := f.StartProfile()
 	if err != nil {
-		logger.Error("profile failed", "error", err)
+		f.Log.Error("profile failed", "error", err)
 		os.Exit(2)
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
-			logger.Error("profile failed", "error", err)
+			f.Log.Error("profile failed", "error", err)
 			return
 		}
 		if profPath != "" {
-			logger.Info("wrote profile", "kind", oflags.Profile, "path", profPath)
+			f.Log.Info("wrote profile", "kind", f.Profile, "path", profPath)
 		}
 	}()
-	// The experiment tracer: inert (nil) without -trace-out. Each
-	// experiment becomes one span on the exported timeline.
-	var tracer *span.Tracer
-	var sb *span.Buf
-	var root span.SpanID
-	if *traceOut != "" {
-		tracer = span.New()
-		sb = tracer.Buffer("velobench")
-		root = sb.Start("velobench", 0)
-	}
+	// The experiment tracer: inert without -trace-out. Each experiment
+	// becomes one span on the exported timeline.
+	pt := f.StartTrace(false, "velobench")
+	sb, root := pt.Buf, pt.Root
 	ran := false
 	// mark opens one experiment: it flips the ran flag, counts the
 	// experiment, and returns a closure that closes its span.
@@ -185,14 +190,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if tracer != nil {
-		sb.End(root)
-		sb.Flush()
-		if err := tracer.WriteChromeFile(*traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, "velobench: trace-out:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote experiment timeline to %s\n", *traceOut)
+	if err := pt.Finish(); err != nil {
+		fmt.Fprintln(os.Stderr, "velobench:", err)
+		os.Exit(2)
 	}
 }
 

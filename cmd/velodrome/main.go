@@ -11,6 +11,10 @@
 // Warnings from Velodrome are guaranteed violations of conflict-
 // serializability in the observed trace; the blamed method, when
 // assigned, is not self-serializable (Sections 3–4 of the paper).
+//
+// Exit status: 0 after a run, whatever it found; 2 on a usage error
+// (a flag the chosen back-end would ignore among them) or when -record,
+// -dot, -trace-out or standard output cannot be written.
 package main
 
 import (
@@ -22,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/dot"
 	"repro/internal/obs"
@@ -34,43 +39,18 @@ import (
 func main() {
 	workload := flag.String("workload", "", "benchmark to run (see -list)")
 	backend := flag.String("backend", "velodrome", "analysis: velodrome, atomizer, eraser, empty")
-	engine := flag.String("engine", "optimized", "with -backend velodrome: the core engine, one of "+core.EngineNames())
 	seed := flag.Int64("seed", 1, "scheduler seed")
 	scale := flag.Int("scale", 1, "workload scale multiplier")
 	adversarial := flag.Bool("adversarial", false, "enable Atomizer-guided adversarial scheduling")
-	dotOut := flag.String("dot", "", "write Velodrome error graphs (dot format) to this file")
 	record := flag.String("record", "", "write the event stream to this file (binary when it ends in .bin)")
 	list := flag.Bool("list", false, "list available workloads")
 	describe := flag.Bool("describe", false, "print the workload's method inventory and exit")
-	noMerge := flag.Bool("no-merge", false, "disable the merge optimization (Section 4.2)")
-	noFilter := flag.Bool("nofilter", false, "disable the redundant-event fast path (Section 5 filtering)")
 	stats := flag.Bool("stats", false, "print happens-before graph statistics")
 	asJSON := flag.Bool("json", false, "emit velodrome warnings as JSON lines (with -stats: one obs snapshot object)")
-	forensics := flag.Bool("forensics", false, "enable the event flight recorder (provenance reports on warnings)")
-	explain := flag.Bool("explain", false, "print a provenance report per warning (implies -forensics)")
-	traceOut := flag.String("trace-out", "", "with -backend velodrome: write a Chrome trace-event timeline of the run (check, filter, graph stages) to this file")
-	var oflags obs.CLIFlags
-	oflags.Register(flag.CommandLine, obs.FlagMetrics|obs.FlagProfile|obs.FlagHeartbeat)
-	flag.Parse()
-	logger, err := oflags.Logger(os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "velodrome:", err)
-		os.Exit(2)
-	}
-	// What only the Velodrome back-end honours is refused under any
-	// other, not dropped.
-	if *backend != "velodrome" {
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "engine", "dot", "explain", "forensics", "no-merge", "nofilter", "trace-out":
-				fmt.Fprintf(os.Stderr, "velodrome: -%s requires -backend velodrome\n", f.Name)
-				os.Exit(2)
-			}
-		})
-	}
-	if *explain {
-		*forensics = true
-	}
+	var f cli.Flags
+	f.Register(flag.CommandLine, "velodrome", cli.Engine|cli.NoFilter|cli.Forensics|cli.Explain|cli.Dot|
+		cli.NoMerge|cli.TraceOut|cli.Log|cli.Metrics|cli.Profile|cli.Heartbeat)
+	f.Parse(os.Args[1:], func() []string { return []string{"-backend " + *backend} })
 
 	if *list {
 		for _, w := range bench.All() {
@@ -94,54 +74,40 @@ func main() {
 	// scheduler (steps, events, threads). It exists only when the run is
 	// actually observed.
 	var reg *obs.Registry
-	if oflags.MetricsAddr != "" || oflags.Heartbeat > 0 || *stats {
+	if f.MetricsAddr != "" || f.Heartbeat > 0 || *stats {
 		reg = obs.NewRegistry()
 	}
-	if oflags.MetricsAddr != "" {
-		_, addr, err := obshttp.Serve(oflags.MetricsAddr, reg)
+	if f.MetricsAddr != "" {
+		_, addr, err := obshttp.Serve(f.MetricsAddr, reg)
 		if err != nil {
-			logger.Error("metrics server failed", "error", err)
+			f.Log.Error("metrics server failed", "error", err)
 			os.Exit(2)
 		}
-		logger.Info("serving metrics", "url", "http://"+addr.String())
+		f.Log.Info("serving metrics", "url", "http://"+addr.String())
 	}
-	stopProf, profPath, err := oflags.StartProfile()
+	stopProf, profPath, err := f.StartProfile()
 	if err != nil {
-		logger.Error("profile failed", "error", err)
+		f.Log.Error("profile failed", "error", err)
 		os.Exit(2)
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
-			logger.Error("profile failed", "error", err)
+			f.Log.Error("profile failed", "error", err)
 			return
 		}
 		if profPath != "" {
-			logger.Info("wrote profile", "kind", oflags.Profile, "path", profPath)
+			f.Log.Info("wrote profile", "kind", f.Profile, "path", profPath)
 		}
 	}()
 
-	// The pipeline tracer: inert (nil) unless the run is traced or
-	// observed (the engine's stage clock is what the registry's stage
-	// families are published from), so all paths run identical code. The
-	// scheduler serializes backend calls, so one buffer serves the whole
-	// run.
-	var tracer *span.Tracer
-	var sbuf *span.Buf
-	var root span.SpanID
-	if *traceOut != "" || reg != nil && *backend == "velodrome" {
-		tracer = span.New()
-		sbuf = tracer.Buffer("velodrome")
-		root = sbuf.Start("run", 0)
-		sbuf.AttrStr(root, "workload", w.Name)
-	}
+	// The pipeline tracer: inert unless the run is traced or observed
+	// (the engine's stage clock is what the registry's stage families are
+	// published from), so all paths run identical code. The scheduler
+	// serializes backend calls, so one buffer serves the whole run.
+	pt := f.StartTrace(reg != nil && *backend == "velodrome", "run", "workload", w.Name)
+	tracer, sbuf := pt.Tracer, pt.Buf
 
-	einfo, ok := core.EngineByName(*engine)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "velodrome: unknown engine %q (want %s)\n", *engine, core.EngineNames())
-		os.Exit(2)
-	}
-
-	copts := core.Options{Engine: einfo.Engine, NoMerge: *noMerge, NoFilter: *noFilter, Forensics: *forensics, Spans: sbuf}
+	copts := core.Options{Engine: f.EngineInfo.Engine, NoMerge: f.NoMerge, NoFilter: f.NoFilter, Forensics: f.Forensics, Spans: sbuf}
 	var be rr.Backend
 	publish := func() {} // an observed velodrome run: the checker's snapshot to the registry
 	switch *backend {
@@ -170,12 +136,12 @@ func main() {
 		opts.Backend = rr.Multi{be, adv}
 		opts.Advisor = adv
 	}
-	if oflags.Heartbeat > 0 {
+	if f.Heartbeat > 0 {
 		events := reg.Counter("rr_events_total")
 		alive := reg.Gauge(core.MetricNodesAlive)
 		warns := reg.Counter(core.MetricWarnings)
 		rate := obs.NewRate(time.Now())
-		stopHB := obs.StartHeartbeat(os.Stderr, oflags.Heartbeat, func() string {
+		stopHB := obs.StartHeartbeat(os.Stderr, f.Heartbeat, func() string {
 			ev := events.Value()
 			return fmt.Sprintf("heartbeat: %d events (%.0f/s), %d live nodes, %d warnings",
 				ev, rate.Per(ev, time.Now()), alive.Value(), warns.Value())
@@ -187,37 +153,33 @@ func main() {
 		w.Body(t, bench.Params{Scale: *scale})
 	})
 	publish() // the end-of-run values
-	if *traceOut != "" {
+	if f.TraceOut != "" {
 		// rr.Run has returned, so every backend Step (and its AddStage
 		// bookkeeping) is sequenced before this point.
 		now := tracer.Now()
-		chk := sbuf.Emit("check", root, checkStart, now)
+		chk := sbuf.Emit("check", pt.Root, checkStart, now)
 		sbuf.AttrInt(chk, "events", int64(rep.Events))
 		sbuf.EmitStages(chk, checkStart, now, nil,
 			span.StageFilter, span.StageGraph, span.StageForensics)
-		sbuf.End(root)
-		sbuf.Flush()
-		if err := tracer.WriteChromeFile(*traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, "velodrome: trace-out:", err)
-			os.Exit(2)
+		if err := pt.Finish(); err != nil {
+			fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "velodrome: wrote pipeline trace to %s\n", *traceOut)
 	}
 	if *record != "" {
-		f, err := os.Create(*record)
+		out, err := os.Create(*record)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "velodrome:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		marshal := trace.Marshal
 		if strings.HasSuffix(*record, ".bin") {
 			marshal = trace.MarshalBinary
 		}
-		if err := marshal(f, rep.Trace); err != nil {
-			fmt.Fprintln(os.Stderr, "velodrome:", err)
-			os.Exit(1)
+		if err := marshal(out, rep.Trace); err == nil {
+			err = out.Close()
 		}
-		f.Close()
+		if err != nil {
+			fail(err)
+		}
 		fmt.Printf("recorded %d events to %s\n", len(rep.Trace), *record)
 	}
 	if !*asJSON {
@@ -241,13 +203,11 @@ func main() {
 			enc := json.NewEncoder(os.Stdout)
 			for _, s := range sums {
 				if err := enc.Encode(s.First.JSON()); err != nil {
-					fmt.Fprintln(os.Stderr, "velodrome:", err)
-					os.Exit(1)
+					fail(err)
 				}
-				if rep := s.First.Forensics(); *explain && rep != nil {
+				if rep := s.First.Forensics(); f.Explain && rep != nil {
 					if err := enc.Encode(rep); err != nil {
-						fmt.Fprintln(os.Stderr, "velodrome:", err)
-						os.Exit(1)
+						fail(err)
 					}
 				}
 			}
@@ -256,15 +216,14 @@ func main() {
 				// (counters, gauges, latency histograms) in place of the
 				// human-readable graph table, for scraping tools.
 				if err := reg.Snapshot().WriteJSON(os.Stdout); err != nil {
-					fmt.Fprintln(os.Stderr, "velodrome:", err)
-					os.Exit(1)
+					fail(err)
 				}
 			}
 		} else {
 			fmt.Printf("velodrome: %d warnings across %d methods\n", len(b.Warnings()), len(sums))
 			for _, s := range sums {
 				fmt.Printf("[%d warnings, %d increasing]\n%s\n", s.Count, s.Increasing, s.First)
-				if rep := s.First.Forensics(); *explain && rep != nil {
+				if rep := s.First.Forensics(); f.Explain && rep != nil {
 					rep.WriteText(os.Stdout)
 				}
 			}
@@ -277,21 +236,20 @@ func main() {
 					snap.Filtered, st.FilteredEdges)
 			}
 		}
-		if *dotOut != "" {
+		if f.Dot != "" {
 			var firsts []*core.Warning
 			for _, s := range sums {
 				firsts = append(firsts, s.First)
 			}
-			if err := os.WriteFile(*dotOut, []byte(dot.RenderAll(firsts)), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "velodrome:", err)
-				os.Exit(1)
+			if err := os.WriteFile(f.Dot, []byte(dot.RenderAll(firsts)), 0o644); err != nil {
+				fail(err)
 			}
 			// Under -json stdout carries nothing but JSON.
 			notice := os.Stdout
 			if *asJSON {
 				notice = os.Stderr
 			}
-			fmt.Fprintf(notice, "wrote %d error graphs to %s\n", len(firsts), *dotOut)
+			fmt.Fprintf(notice, "wrote %d error graphs to %s\n", len(firsts), f.Dot)
 		}
 	case *rr.Atomizer:
 		fmt.Printf("atomizer: %d warnings\n", len(b.Warnings()))
@@ -310,4 +268,10 @@ func main() {
 	case *rr.Empty:
 		fmt.Printf("empty backend consumed %d events\n", b.Count)
 	}
+}
+
+// fail reports an I/O error, which is exit status 2 like a usage error.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "velodrome:", err)
+	os.Exit(2)
 }

@@ -46,7 +46,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/cli"
 	"repro/internal/obs"
 	"repro/internal/obs/obshttp"
 	"repro/internal/server"
@@ -64,7 +64,6 @@ func run() int {
 	idleTimeout := flag.Duration("idle-timeout", 30*time.Second, "per-read deadline: fail a session that goes this long without a byte")
 	sessionTimeout := flag.Duration("session-timeout", 0, "bound one session's total wall-clock time (0 = unbounded)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "on SIGINT/SIGTERM, let in-flight sessions finish this long before cutting them")
-	engine := flag.String("engine", "optimized", "default analysis engine for sessions that name none: "+core.ProductionEngineNames())
 	spanTrace := flag.Bool("span-trace", true, "trace each session's pipeline stages (decode/filter/graph/forensics); summaries land in verdicts, /api/sessions and /debug/velo. The engine stages are sampled: 1-2 ns per operation, a few per cent of throughput (EXPERIMENTS.md, \"Tracing overhead\")")
 	traceDir := flag.String("trace-dir", "", "write each session's full span timeline as <dir>/<session>.trace.json (Chrome trace-event format)")
 	history := flag.Int("history", server.DefaultHistorySize, "completed sessions retained for /api/sessions and the /debug/velo dashboard")
@@ -74,18 +73,14 @@ func run() int {
 	storeSyncEvery := flag.Int("store-sync-every", 1, "fsync the store after every N appended records (1 = every verdict durable before the ring)")
 	keyfile := flag.String("keyfile", "", "tenant keyfile: 'tenant <name> key=<k> rate=N burst=N concurrent=N' per line; sessions authenticate with the VELOSESS/1 key= field")
 	quiet := flag.Bool("q", false, "suppress per-session log lines")
-	var oflags obs.CLIFlags
-	oflags.Register(flag.CommandLine, obs.FlagMetrics|obs.FlagHeartbeat)
-	flag.Parse()
+	var f cli.Flags
+	f.Register(flag.CommandLine, "velodromed", cli.Engine|cli.Log|cli.Metrics|cli.Heartbeat)
+	f.Parse(os.Args[1:], nil)
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "usage: velodromed [-listen addr] [-unix path] [flags]")
 		return 2
 	}
-	logger, err := oflags.Logger(os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "velodromed:", err)
-		return 2
-	}
+	logger := f.Log
 
 	cfg := server.Config{
 		MaxSessions:    *maxSessions,
@@ -106,7 +101,7 @@ func run() int {
 			return 2
 		}
 	}
-	einfo, err := server.SessionEngine(*engine)
+	einfo, err := server.SessionEngine(f.Engine)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "velodromed:", err)
 		return 2
@@ -150,8 +145,8 @@ func run() int {
 			"recovered", stats.Recovered, "lastSeq", stats.LastSeq,
 			"tailTruncated", stats.TailTruncated)
 	}
-	if oflags.MetricsAddr != "" {
-		_, addr, err := obshttp.Serve(oflags.MetricsAddr, cfg.Metrics,
+	if f.MetricsAddr != "" {
+		_, addr, err := obshttp.Serve(f.MetricsAddr, cfg.Metrics,
 			obshttp.Mount{Pattern: "/debug/velo", Handler: s.DebugHandler()},
 			obshttp.Mount{Pattern: "/api/sessions/", Handler: s.History().APIHandler()})
 		if err != nil {
@@ -162,12 +157,12 @@ func run() int {
 			"endpoints", "/metrics /debug/pprof/ /debug/velo /api/sessions")
 	}
 
-	if oflags.Heartbeat > 0 {
+	if f.Heartbeat > 0 {
 		// The heartbeat is the no-scrape view of service health: a bare
 		// terminal (or journald) shows load, rejections and store lag
 		// without anyone curling /metrics.
 		sessRate, opRate := obs.NewRate(time.Now()), obs.NewRate(time.Now())
-		stopHB := obs.StartHeartbeat(os.Stderr, oflags.Heartbeat, func() string {
+		stopHB := obs.StartHeartbeat(os.Stderr, f.Heartbeat, func() string {
 			h := s.Health()
 			now := time.Now()
 			return fmt.Sprintf("velodromed: active=%d sessions/s=%.1f ops/s=%.0f shed=%d quota-rejected=%d rejected=%d store-lag=%d store-errors=%d",

@@ -16,7 +16,8 @@
 //
 // Atomicity specifications are //velo:atomic comments on function
 // declarations. -analyze takes only -json and -intra; -trace,
-// -trace-out, -obs-json and -server need -run.
+// -trace-out, -obs-json and -server need -run, and -server excludes the
+// other three. A flag the mode would ignore exits 2.
 //
 // Exit status: -analyze exits 0 when every annotation is well formed
 // and 1 when one is not; -run exits 0 for a serializable trace and 1
@@ -36,6 +37,7 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/instr"
 	"repro/internal/obs"
@@ -57,57 +59,31 @@ func run() int {
 	outDir := flag.String("o", "", "write the instrumented package to this directory")
 	noprune := flag.Bool("noprune", false, "emit events even for accesses the analysis proved redundant")
 	traceOut := flag.String("trace", "", "with -run: also save the collected trace to this file")
-	spanOut := flag.String("trace-out", "", "with -run: write a Chrome trace-event timeline of the pipeline (instrument, execute, check, oracle) to this file")
-	obsJSON := flag.Bool("obs-json", false, "with -run: emit the obs snapshot (instr + engine metrics) as JSON on stderr")
-	serverAddr := flag.String("server", "", "with -run: stream the trace to a velodromed daemon at this address instead of checking locally")
-	var oflags obs.CLIFlags
-	oflags.Register(flag.CommandLine, 0)
-	flag.Parse()
-	if _, err := oflags.Logger(os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "veloinstr:", err)
-		return 2
-	}
+	var f cli.Flags
+	f.Register(flag.CommandLine, "veloinstr", cli.TraceOut|cli.ObsJSON|cli.Server)
+	f.Parse(os.Args[1:], func() []string {
+		switch {
+		case *analyze:
+			return []string{"-analyze"}
+		case *doRun && f.Server != "":
+			return []string{"-run -server"}
+		case *doRun:
+			return []string{"-run"}
+		}
+		return []string{"rewriting"}
+	})
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: veloinstr -analyze [-json] [-intra] <package dir>")
 		fmt.Fprintln(os.Stderr, "       veloinstr [-run [-server addr | -trace file -trace-out file -obs-json]] [-intra] [-o dir] [-noprune] <package dir>")
 		return 2
 	}
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	for _, name := range []string{"run", "o", "noprune", "trace", "trace-out", "obs-json", "server"} {
-		if *analyze && set[name] {
-			fmt.Fprintf(os.Stderr, "veloinstr: -analyze takes only -json and -intra, not -%s\n", name)
-			return 2
-		}
-	}
-	for _, name := range []string{"trace", "trace-out", "obs-json", "server"} {
-		if !*doRun && set[name] {
-			fmt.Fprintf(os.Stderr, "veloinstr: -%s requires -run\n", name)
-			return 2
-		}
-	}
-	if *serverAddr != "" && (*traceOut != "" || *obsJSON || *spanOut != "") {
-		fmt.Fprintln(os.Stderr, "veloinstr: -server is incompatible with -trace, -trace-out and -obs-json")
-		return 2
-	}
-	if *jsonOut && !*analyze {
-		fmt.Fprintln(os.Stderr, "veloinstr: -json requires -analyze")
-		return 2
-	}
 	dir := flag.Arg(0)
 
-	// The pipeline tracer: inert (nil) without -trace-out or -obs-json
-	// (which reads its buffer's stage accumulators), so all paths run the
-	// same code.
-	var tracer *span.Tracer
-	var sb *span.Buf
-	var root span.SpanID
-	if *spanOut != "" || *obsJSON {
-		tracer = span.New()
-		sb = tracer.Buffer("veloinstr")
-		root = sb.Start("run", 0)
-		sb.AttrStr(root, "package", dir)
-	}
+	// The pipeline tracer: inert without -trace-out or -obs-json (which
+	// reads its buffer's stage accumulators), so all paths run the same
+	// code.
+	pt := f.StartTrace(f.ObsJSON, "run", "package", dir)
+	tracer, sb, root := pt.Tracer, pt.Buf, pt.Root
 
 	instStart := tracer.Now()
 	pkg, err := instr.Load(dir)
@@ -185,8 +161,8 @@ func run() int {
 		return 2
 	}
 
-	if *serverAddr != "" {
-		return runViaServer(runDir, *serverAddr, filepath.Base(dir), out)
+	if f.Server != "" {
+		return runViaServer(runDir, f.Server, filepath.Base(dir), out)
 	}
 
 	reg := obs.NewRegistry()
@@ -262,18 +238,13 @@ func run() int {
 	oracleStart := tracer.Now()
 	offline, _ := serial.Check(tr)
 	sb.Emit("oracle", root, oracleStart, tracer.Now())
-	if *spanOut != "" {
-		sb.End(root)
-		sb.Flush()
-		if err := tracer.WriteChromeFile(*spanOut); err != nil {
-			fmt.Fprintln(os.Stderr, "veloinstr: trace-out:", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "veloinstr: wrote pipeline trace to %s\n", *spanOut)
+	if err := pt.Finish(); err != nil {
+		fmt.Fprintln(os.Stderr, "veloinstr:", err)
+		return 2
 	}
 
 	reg.Counter("instr_trace_ops").Add(int64(len(tr)))
-	if *obsJSON {
+	if f.ObsJSON {
 		core.NewPublisher(reg, sb).Publish(optimized.Snapshot)
 		defer reg.Snapshot().WriteJSON(os.Stderr)
 	}
