@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // Tenant accounting: velodromed's answer to "which service flooded us
@@ -89,13 +90,13 @@ func ParseKeyfile(r io.Reader) ([]TenantConfig, error) {
 			}
 			switch k {
 			case "key":
-				if strings.ContainsAny(v, " \t\r\n=") || v == "" {
+				if v == "" || (trace.SessionHeader{Key: v}).Validate() != nil {
 					return nil, fmt.Errorf("keyfile line %d: bad key %q", lineno, v)
 				}
 				cfg.Key = v
 			case "rate":
 				rate, err := strconv.ParseFloat(v, 64)
-				if err != nil || rate < 0 {
+				if err != nil || !(rate >= 0) || math.IsInf(rate, 0) {
 					return nil, fmt.Errorf("keyfile line %d: bad rate %q", lineno, v)
 				}
 				cfg.RatePerSec = rate
@@ -197,10 +198,7 @@ func NewTenants(cfgs []TenantConfig) (*Tenants, error) {
 	now := time.Now()
 	for _, cfg := range cfgs {
 		if cfg.Burst <= 0 && cfg.RatePerSec > 0 {
-			cfg.Burst = int(math.Ceil(cfg.RatePerSec))
-			if cfg.Burst < 1 {
-				cfg.Burst = 1
-			}
+			cfg.Burst = int(math.Min(math.Ceil(cfg.RatePerSec), math.MaxInt32))
 		}
 		t := &tenant{cfg: cfg, tokens: float64(cfg.Burst), lastRefill: now}
 		if _, dup := ts.byName[cfg.Name]; dup {

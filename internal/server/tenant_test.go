@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -348,4 +349,50 @@ func TestLegacyVerdictShape(t *testing.T) {
 	if v.Status != trace.StatusOK || !v.Serializable {
 		t.Errorf("verdict %+v, want ok/serializable", v)
 	}
+}
+
+// FuzzParseKeyfile: no keyfile panics the parser, and what it accepts
+// the daemon can run: names valid and distinct, keys distinct and
+// header-safe, every tenant but default keyed, quotas finite and
+// non-negative, and NewTenants builds a table in which each key finds
+// its tenant and a rate-limited tenant can admit a session.
+func FuzzParseKeyfile(f *testing.F) {
+	f.Add("# production tenants\ntenant checkout key=ck_live_27f rate=50 burst=100 concurrent=16\ntenant default rate=200\n")
+	f.Add("tenant a key=k1 rate=NaN\n")
+	f.Add("tenant a key=k1 rate=1e300\n")
+	f.Add("tenant a key=k1\ntenant b key=k1\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		cfgs, err := ParseKeyfile(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		names, keys := map[string]bool{}, map[string]bool{}
+		for _, c := range cfgs {
+			if !validTenantName(c.Name) || names[c.Name] {
+				t.Fatalf("accepted tenant name %q twice or malformed", c.Name)
+			}
+			names[c.Name] = true
+			if c.Key == "" && c.Name != DefaultTenant || c.Key != "" && keys[c.Key] ||
+				(trace.SessionHeader{Key: c.Key}).Validate() != nil {
+				t.Fatalf("accepted key %q for %q", c.Key, c.Name)
+			}
+			keys[c.Key] = true
+			if !(c.RatePerSec >= 0) || math.IsInf(c.RatePerSec, 0) || c.Burst < 0 || c.MaxConcurrent < 0 {
+				t.Fatalf("accepted quotas %+v", c)
+			}
+		}
+		ts, err := NewTenants(cfgs)
+		if err != nil {
+			t.Fatalf("NewTenants refused what ParseKeyfile accepted: %v", err)
+		}
+		for _, c := range cfgs {
+			ten := ts.byName[c.Name]
+			if c.Key != "" && ts.lookup(c.Key) != ten {
+				t.Fatalf("key %q does not find tenant %q", c.Key, c.Name)
+			}
+			if c.RatePerSec > 0 && ten.cfg.Burst < 1 {
+				t.Fatalf("tenant %+v can never admit a session", ten.cfg)
+			}
+		}
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode"
 )
 
 // Session protocol: the framing velodromed speaks with its clients. A
@@ -72,8 +73,8 @@ func (h SessionHeader) Encode() []byte {
 // checks that Engine names a known engine).
 func (h SessionHeader) Validate() error {
 	for _, f := range []struct{ key, v string }{{"engine", h.Engine}, {"name", h.Name}, {"key", h.Key}} {
-		if strings.ContainsAny(f.v, " \t\r\n=") {
-			return fmt.Errorf("trace: session header %s=%q: spaces, '=' and control characters are not allowed", f.key, f.v)
+		if strings.ContainsFunc(f.v, func(r rune) bool { return r == '=' || unicode.IsSpace(r) || unicode.IsControl(r) }) {
+			return fmt.Errorf("trace: session header %s=%q: spaces, '=' and control characters are not allowed", f.key, clip(f.v))
 		}
 	}
 	return nil
@@ -95,7 +96,7 @@ func ReadSessionHeader(br *bufio.Reader) (SessionHeader, error) {
 	for _, f := range fields[1:] {
 		key, val, ok := strings.Cut(f, "=")
 		if !ok {
-			return SessionHeader{}, fmt.Errorf("trace: malformed session header field %q", f)
+			return SessionHeader{}, fmt.Errorf("trace: malformed session header field %q", clip(f))
 		}
 		switch key {
 		case "engine":
@@ -109,6 +110,14 @@ func ReadSessionHeader(br *bufio.Reader) (SessionHeader, error) {
 		}
 	}
 	return h, nil
+}
+
+// clip shortens what a header error quotes back to the client.
+func clip(s string) string {
+	if len(s) > 64 {
+		return s[:64] + "..."
+	}
+	return s
 }
 
 // Verdict statuses.

@@ -110,3 +110,27 @@ func TestVerdictExitCode(t *testing.T) {
 		}
 	}
 }
+
+// FuzzReadSessionHeader: whatever a client sends first, ReadSessionHeader
+// must not panic and must fail with a message of bounded length (it
+// travels back in the verdict and into the daemon's log); and a header
+// that Validates must read back as itself from its Encode.
+func FuzzReadSessionHeader(f *testing.F) {
+	f.Add([]byte("VELOSESS/1 engine=optimized name=run-7 forensics=1 key=k1\nrd(1,x0)\n"), "aerodrome", "n", "k", true)
+	f.Add([]byte("VELOSESS/1 engine\n"), "", "", "", false)
+	f.Add([]byte("GET / HTTP/1.1\n"), "basic", "two\vwords", "", false)
+	f.Add([]byte("VELOSESS/1 "+strings.Repeat("x", 5000)+"\n"), "", "", strings.Repeat("k", 300), false)
+	f.Fuzz(func(t *testing.T, raw []byte, engine, name, key string, forensics bool) {
+		if _, err := ReadSessionHeader(bufio.NewReader(bytes.NewReader(raw))); err != nil && len(err.Error()) > 256 {
+			t.Fatalf("a %d-byte input gives a %d-byte error", len(raw), len(err.Error()))
+		}
+		h := SessionHeader{Engine: engine, Name: name, Forensics: forensics, Key: key}
+		if h.Validate() != nil {
+			return
+		}
+		got, err := ReadSessionHeader(bufio.NewReader(bytes.NewReader(h.Encode())))
+		if err != nil || got != h {
+			t.Fatalf("%+v encodes as %q and reads back as %+v, %v", h, h.Encode(), got, err)
+		}
+	})
+}
