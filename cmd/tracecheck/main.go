@@ -120,9 +120,9 @@ func main() {
 	// untraced paths run the same code). -obs-json reads the stage
 	// accumulators of its buffer.
 	pt := f.StartTrace(f.ObsJSON, "session", "input", name, "engine", f.EngineInfo.Name)
-	tracer, sb, root := pt.Tracer, pt.Buf, pt.Root
+	sb := pt.Buf
 
-	loadStart := tracer.Now()
+	loadStart := pt.Now()
 	dec := trace.NewDecoder(in)
 	tr, err := dec.ReadAll()
 	if err != nil {
@@ -138,25 +138,16 @@ func main() {
 		os.Exit(2)
 	}
 	printComments(dec.Comments)
-	if sb != nil {
-		sb.AddStage(span.StageDecode, tracer.Now()-loadStart)
-		id := sb.Emit("decode", root, loadStart, tracer.Now())
-		sb.AttrInt(id, "ops", int64(len(tr)))
-	}
+	sb.AddStage(span.StageDecode, pt.Now()-loadStart)
+	sb.AttrInt(pt.Span("decode", loadStart), "ops", int64(len(tr)))
 
 	opts := core.Options{Engine: f.EngineInfo.Engine, NoFilter: f.NoFilter, Forensics: f.Forensics, Spans: sb}
-	stopProf, _, err := f.StartProfile()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracecheck:", err)
-		os.Exit(2)
-	}
+	stopProf := f.Start(nil)
 	// finish finalizes the profile, snapshot and pipeline trace before
 	// exiting, since os.Exit skips deferred calls.
 	var res *core.Result
 	finish := func(code int) {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "tracecheck: profile:", err)
-		}
+		stopProf()
 		if f.ObsJSON {
 			reg := obs.NewRegistry()
 			core.NewPublisher(reg, sb).Publish(res.Snapshot)
@@ -170,19 +161,14 @@ func main() {
 		}
 		os.Exit(code)
 	}
-	checkStart := tracer.Now()
+	checkStart := pt.Now()
 	res = core.CheckTrace(tr, opts)
-	if sb != nil {
-		now := tracer.Now()
-		chk := sb.Emit("check", root, checkStart, now)
-		sb.AttrInt(chk, "ops", int64(len(tr)))
-		sb.AttrInt(chk, "warnings", int64(len(res.Warnings)))
-		sb.EmitStages(chk, checkStart, now, nil,
-			span.StageFilter, span.StageGraph, span.StageForensics)
-	}
-	oracleStart := tracer.Now()
+	chk := pt.Span("check", checkStart, span.StageFilter, span.StageGraph, span.StageForensics)
+	sb.AttrInt(chk, "ops", int64(len(tr)))
+	sb.AttrInt(chk, "warnings", int64(len(res.Warnings)))
+	oracleStart := pt.Now()
 	offline, _ := serial.Check(tr)
-	sb.Emit("oracle", root, oracleStart, tracer.Now())
+	pt.Span("oracle", oracleStart)
 	if offline != res.Serializable {
 		fmt.Fprintln(os.Stderr, "tracecheck: INTERNAL DISAGREEMENT between online and offline checkers")
 		finish(2)
@@ -202,12 +188,12 @@ func main() {
 		}
 	}
 	if f.Dot != "" {
-		dotStart := tracer.Now()
+		dotStart := pt.Now()
 		if err := os.WriteFile(f.Dot, []byte(dot.RenderAll(res.Warnings)), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "tracecheck:", err)
 			finish(2)
 		}
-		sb.Emit("dot", root, dotStart, tracer.Now())
+		pt.Span("dot", dotStart)
 	}
 	finish(1)
 }

@@ -29,7 +29,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exper"
 	"repro/internal/obs"
-	"repro/internal/obs/obshttp"
 	"repro/internal/report"
 )
 
@@ -49,25 +48,69 @@ func main() {
 	detail := flag.Bool("detail", false, "list flagged methods per benchmark (table 2)")
 	var f cli.Flags
 	f.Register(flag.CommandLine, "velobench", cli.TraceOut|cli.Log|cli.Metrics|cli.Profile)
-	// A flag no selected experiment reads is refused.
+	var seedList []int64
+	drift := false
+	// The experiments in the order they run; each is a mode of the
+	// command-line contract, and a flag no selected one reads is refused.
+	exps := []struct {
+		mode, span string
+		on         func() bool
+		run        func()
+	}{
+		{"-table 1", "table1", func() bool { return *table == 1 }, func() {
+			rows := exper.Table1
+			if *specFiltered {
+				fmt.Println("(known non-atomic methods exempted, as in the paper's measurement setup)")
+				rows = exper.Table1SpecFiltered
+			}
+			report.Table1(os.Stdout, rows(seedList[0], *timingScale))
+		}},
+		{"-table 2", "table2", func() bool { return *table == 2 }, func() {
+			rows := exper.Table2(seedList, *scale, *adversarial)
+			if *adversarial {
+				fmt.Println("(adversarial scheduling enabled)")
+			}
+			report.Table2(os.Stdout, rows)
+			if *detail {
+				fmt.Println()
+				report.MethodDetail(os.Stdout, rows)
+			}
+		}},
+		{"-smoke", "smoke", func() bool { return *smoke }, func() {
+			rows := exper.Smoke(seedList[0], *scale*10)
+			var engineCols []string
+			for _, info := range core.Engines() {
+				engineCols = append(engineCols, info.Name)
+			}
+			report.Smoke(os.Stdout, rows, engineCols)
+			for _, r := range rows {
+				if r.Drift != "" {
+					fmt.Fprintf(os.Stderr, "velobench: engine drift on %s: %s\n", r.Workload, r.Drift)
+					drift = true
+				}
+			}
+		}},
+		{"-inject", "inject", func() bool { return *inject }, func() {
+			report.Inject(os.Stdout, exper.Inject([]string{"elevator", "colt"}, seedList, *scale))
+		}},
+		{"-coverage", "coverage", func() bool { return *coverage }, func() { report.Coverage(os.Stdout, exper.Coverage(seedList, *scale)) }},
+		{"-ablate", "ablate", func() bool { return *ablate }, func() { report.Ablate(os.Stdout, exper.Ablate(seedList[0], *scale*5)) }},
+		{"-policies", "policies", func() bool { return *policyStudy }, func() {
+			report.Policies(os.Stdout, exper.PolicyStudy([]string{"elevator", "colt"}, seedList, *scale))
+		}},
+	}
 	f.Parse(os.Args[1:], func() []string {
 		var modes []string
-		for _, m := range []struct {
-			name string
-			on   bool
-		}{
-			{"-table 1", *table == 1}, {"-table 2", *table == 2}, {"-smoke", *smoke}, {"-inject", *inject},
-			{"-coverage", *coverage}, {"-ablate", *ablate}, {"-policies", *policyStudy},
-		} {
-			if m.on || *all {
-				modes = append(modes, m.name)
+		for _, e := range exps {
+			if e.on() || *all {
+				modes = append(modes, e.mode)
 			}
 		}
 		return modes
 	})
 
-	seedList, err := parseSeeds(*seeds)
-	if err != nil {
+	var err error
+	if seedList, err = parseSeeds(*seeds); err != nil {
 		fmt.Fprintln(os.Stderr, "velobench:", err)
 		os.Exit(2)
 	}
@@ -76,115 +119,24 @@ func main() {
 	// the optional live endpoint (whose main payload here is pprof).
 	reg := obs.NewRegistry()
 	experiments := reg.Counter("velobench_experiments_total")
-	if f.MetricsAddr != "" {
-		_, addr, err := obshttp.Serve(f.MetricsAddr, reg)
-		if err != nil {
-			f.Log.Error("metrics server failed", "error", err)
-			os.Exit(2)
-		}
-		f.Log.Info("serving metrics", "url", "http://"+addr.String())
-	}
-	stopProf, profPath, err := f.StartProfile()
-	if err != nil {
-		f.Log.Error("profile failed", "error", err)
-		os.Exit(2)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			f.Log.Error("profile failed", "error", err)
-			return
-		}
-		if profPath != "" {
-			f.Log.Info("wrote profile", "kind", f.Profile, "path", profPath)
-		}
-	}()
+	defer f.Start(reg)()
 	// The experiment tracer: inert without -trace-out. Each experiment
 	// becomes one span on the exported timeline.
 	pt := f.StartTrace(false, "velobench")
-	sb, root := pt.Buf, pt.Root
 	ran := false
-	// mark opens one experiment: it flips the ran flag, counts the
-	// experiment, and returns a closure that closes its span.
-	mark := func(name string) func() {
+	for _, e := range exps {
+		if !e.on() && !*all {
+			continue
+		}
 		ran = true
 		experiments.Inc()
-		id := sb.Start(name, root)
-		return func() { sb.End(id) }
-	}
-	if *table == 1 || *all {
-		done := mark("table1")
-		var rows []exper.Table1Row
-		if *specFiltered {
-			fmt.Println("(known non-atomic methods exempted, as in the paper's measurement setup)")
-			rows = exper.Table1SpecFiltered(seedList[0], *timingScale)
-		} else {
-			rows = exper.Table1(seedList[0], *timingScale)
-		}
-		report.Table1(os.Stdout, rows)
+		id := pt.Buf.Start(e.span, pt.Root)
+		e.run()
 		fmt.Println()
-		done()
-	}
-	if *table == 2 || *all {
-		done := mark("table2")
-		rows := exper.Table2(seedList, *scale, *adversarial)
-		if *adversarial {
-			fmt.Println("(adversarial scheduling enabled)")
-		}
-		report.Table2(os.Stdout, rows)
-		if *detail {
-			fmt.Println()
-			report.MethodDetail(os.Stdout, rows)
-		}
-		fmt.Println()
-		done()
-	}
-	if *smoke || *all {
-		done := mark("smoke")
-		rows := exper.Smoke(seedList[0], *scale*10)
-		var engineCols []string
-		for _, info := range core.Engines() {
-			engineCols = append(engineCols, info.Name)
-		}
-		report.Smoke(os.Stdout, rows, engineCols)
-		fmt.Println()
-		drift := false
-		for _, r := range rows {
-			if r.Drift != "" {
-				fmt.Fprintf(os.Stderr, "velobench: engine drift on %s: %s\n", r.Workload, r.Drift)
-				drift = true
-			}
-		}
-		done()
+		pt.Buf.End(id)
 		if drift {
 			os.Exit(1)
 		}
-	}
-	if *inject || *all {
-		done := mark("inject")
-		res := exper.Inject([]string{"elevator", "colt"}, seedList, *scale)
-		report.Inject(os.Stdout, res)
-		fmt.Println()
-		done()
-	}
-	if *coverage || *all {
-		done := mark("coverage")
-		report.Coverage(os.Stdout, exper.Coverage(seedList, *scale))
-		fmt.Println()
-		done()
-	}
-	if *ablate || *all {
-		done := mark("ablate")
-		rows := exper.Ablate(seedList[0], *scale*5)
-		report.Ablate(os.Stdout, rows)
-		fmt.Println()
-		done()
-	}
-	if *policyStudy || *all {
-		done := mark("policies")
-		res := exper.PolicyStudy([]string{"elevator", "colt"}, seedList, *scale)
-		report.Policies(os.Stdout, res)
-		fmt.Println()
-		done()
 	}
 	if !ran {
 		flag.Usage()

@@ -30,7 +30,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dot"
 	"repro/internal/obs"
-	"repro/internal/obs/obshttp"
 	"repro/internal/rr"
 	"repro/internal/span"
 	"repro/internal/trace"
@@ -77,35 +76,14 @@ func main() {
 	if f.MetricsAddr != "" || f.Heartbeat > 0 || *stats {
 		reg = obs.NewRegistry()
 	}
-	if f.MetricsAddr != "" {
-		_, addr, err := obshttp.Serve(f.MetricsAddr, reg)
-		if err != nil {
-			f.Log.Error("metrics server failed", "error", err)
-			os.Exit(2)
-		}
-		f.Log.Info("serving metrics", "url", "http://"+addr.String())
-	}
-	stopProf, profPath, err := f.StartProfile()
-	if err != nil {
-		f.Log.Error("profile failed", "error", err)
-		os.Exit(2)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			f.Log.Error("profile failed", "error", err)
-			return
-		}
-		if profPath != "" {
-			f.Log.Info("wrote profile", "kind", f.Profile, "path", profPath)
-		}
-	}()
+	defer f.Start(reg)()
 
 	// The pipeline tracer: inert unless the run is traced or observed
 	// (the engine's stage clock is what the registry's stage families are
 	// published from), so all paths run identical code. The scheduler
 	// serializes backend calls, so one buffer serves the whole run.
 	pt := f.StartTrace(reg != nil && *backend == "velodrome", "run", "workload", w.Name)
-	tracer, sbuf := pt.Tracer, pt.Buf
+	sbuf := pt.Buf
 
 	copts := core.Options{Engine: f.EngineInfo.Engine, NoMerge: f.NoMerge, NoFilter: f.NoFilter, Forensics: f.Forensics, Spans: sbuf}
 	var be rr.Backend
@@ -148,22 +126,17 @@ func main() {
 		})
 		defer stopHB()
 	}
-	checkStart := tracer.Now()
+	checkStart := pt.Now()
 	rep := rr.Run(opts, func(t *rr.Thread) {
 		w.Body(t, bench.Params{Scale: *scale})
 	})
 	publish() // the end-of-run values
-	if f.TraceOut != "" {
-		// rr.Run has returned, so every backend Step (and its AddStage
-		// bookkeeping) is sequenced before this point.
-		now := tracer.Now()
-		chk := sbuf.Emit("check", pt.Root, checkStart, now)
-		sbuf.AttrInt(chk, "events", int64(rep.Events))
-		sbuf.EmitStages(chk, checkStart, now, nil,
-			span.StageFilter, span.StageGraph, span.StageForensics)
-		if err := pt.Finish(); err != nil {
-			fail(err)
-		}
+	// rr.Run has returned, so every backend Step (and its AddStage
+	// bookkeeping) is sequenced before this point.
+	chk := pt.Span("check", checkStart, span.StageFilter, span.StageGraph, span.StageForensics)
+	pt.Buf.AttrInt(chk, "events", int64(rep.Events))
+	if err := pt.Finish(); err != nil {
+		fail(err)
 	}
 	if *record != "" {
 		out, err := os.Create(*record)

@@ -145,17 +145,8 @@ func run() int {
 			"recovered", stats.Recovered, "lastSeq", stats.LastSeq,
 			"tailTruncated", stats.TailTruncated)
 	}
-	if f.MetricsAddr != "" {
-		_, addr, err := obshttp.Serve(f.MetricsAddr, cfg.Metrics,
-			obshttp.Mount{Pattern: "/debug/velo", Handler: s.DebugHandler()},
-			obshttp.Mount{Pattern: "/api/sessions/", Handler: s.History().APIHandler()})
-		if err != nil {
-			logger.Error("metrics server failed", "error", err)
-			return 2
-		}
-		logger.Info("serving metrics", "url", "http://"+addr.String(),
-			"endpoints", "/metrics /debug/pprof/ /debug/velo /api/sessions")
-	}
+	f.Start(cfg.Metrics, obshttp.Mount{Pattern: "/debug/velo", Handler: s.DebugHandler()},
+		obshttp.Mount{Pattern: "/api/sessions/", Handler: s.History().APIHandler()})
 
 	if f.Heartbeat > 0 {
 		// The heartbeat is the no-scrape view of service health: a bare

@@ -30,10 +30,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
@@ -83,9 +84,9 @@ func run() int {
 	// reads its buffer's stage accumulators), so all paths run the same
 	// code.
 	pt := f.StartTrace(f.ObsJSON, "run", "package", dir)
-	tracer, sb, root := pt.Tracer, pt.Buf, pt.Root
+	sb := pt.Buf
 
-	instStart := tracer.Now()
+	instStart := pt.Now()
 	pkg, err := instr.Load(dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "veloinstr:", err)
@@ -125,7 +126,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "veloinstr:", err)
 		return 2
 	}
-	sb.Emit("instrument", root, instStart, tracer.Now())
+	pt.Span("instrument", instStart)
 
 	if !*doRun {
 		if *outDir != "" {
@@ -137,7 +138,7 @@ func run() int {
 				len(out.Files)+2, *outDir, out.SitesEmitted, out.SitesPruned)
 			return 0
 		}
-		for _, name := range sortedNames(out.Files) {
+		for _, name := range slices.Sorted(maps.Keys(out.Files)) {
 			fmt.Printf("// ---- %s ----\n%s\n", name, out.Files[name])
 		}
 		fmt.Printf("// ---- %s ----\n%s\n", instr.ShimFileName, out.Shim)
@@ -170,16 +171,13 @@ func run() int {
 	reg.Gauge("instr_sites_emitted").Set(int64(out.SitesEmitted))
 	reg.Gauge("instr_sites_pruned").Set(int64(out.SitesPruned))
 
-	execStart := tracer.Now()
+	execStart := pt.Now()
 	tr, runtimeComments, err := execAndCollect(runDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "veloinstr:", err)
 		return 2
 	}
-	if sb != nil {
-		id := sb.Emit("execute", root, execStart, tracer.Now())
-		sb.AttrInt(id, "ops", int64(len(tr)))
-	}
+	sb.AttrInt(pt.Span("execute", execStart), "ops", int64(len(tr)))
 	if len(tr) == 0 {
 		fmt.Fprintln(os.Stderr, "veloinstr: empty trace: the instrumented program emitted 0 operations (crashed before its first event?)")
 		return 2
@@ -220,24 +218,19 @@ func run() int {
 			continue
 		}
 		eopts := core.Options{Engine: info.Engine}
+		var stages []span.Stage
 		if info.Engine == core.Optimized {
 			eopts.Spans = sb
+			stages = []span.Stage{span.StageFilter, span.StageGraph}
 		}
-		engStart := tracer.Now()
+		engStart := pt.Now()
 		results[info.Name] = core.CheckTrace(tr, eopts)
-		if sb != nil {
-			now := tracer.Now()
-			chk := sb.Emit("check:"+info.Name, root, engStart, now)
-			sb.AttrInt(chk, "ops", int64(len(tr)))
-			if info.Engine == core.Optimized {
-				sb.EmitStages(chk, engStart, now, nil, span.StageFilter, span.StageGraph)
-			}
-		}
+		sb.AttrInt(pt.Span("check:"+info.Name, engStart, stages...), "ops", int64(len(tr)))
 	}
 	optimized := results["optimized"]
-	oracleStart := tracer.Now()
+	oracleStart := pt.Now()
 	offline, _ := serial.Check(tr)
-	sb.Emit("oracle", root, oracleStart, tracer.Now())
+	pt.Span("oracle", oracleStart)
 	if err := pt.Finish(); err != nil {
 		fmt.Fprintln(os.Stderr, "veloinstr:", err)
 		return 2
@@ -299,24 +292,11 @@ func checkTrailer(comments []string, received int64) error {
 // verdict. The child's bytes flow through untouched — the daemon does
 // the decoding — so a multi-gigabyte run never materializes here.
 func runViaServer(dir, addr, name string, out *instr.Output) int {
-	pr, pw, err := os.Pipe()
+	cmd, pr, err := startProgram(dir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "veloinstr:", err)
 		return 2
 	}
-	cmd := exec.Command("go", "run", ".")
-	cmd.Dir = dir
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	cmd.ExtraFiles = []*os.File{pw} // becomes fd 3 in the child
-	cmd.Env = append(os.Environ(), "VELO_TRACE=fd:3")
-	if err := cmd.Start(); err != nil {
-		pr.Close()
-		pw.Close()
-		fmt.Fprintln(os.Stderr, "veloinstr:", err)
-		return 2
-	}
-	pw.Close() // child holds the write end now
 
 	hdr := trace.SessionHeader{Engine: "optimized", Name: sanitizeName(name)}
 	v, cerr := server.CheckReader(addr, hdr, pr)
@@ -389,11 +369,9 @@ func writePackage(dir string, out *instr.Output) error {
 	return os.WriteFile(filepath.Join(dir, "go.mod"), []byte(gomod), 0o644)
 }
 
-// execAndCollect runs `go run .` in dir with the trace streamed over an
-// inherited pipe (fd 3, selected via VELO_TRACE), decoding events as
-// they arrive. It returns the complete trace and any runtime summary
-// comments (the "velo events emitted=..." trailer).
-func execAndCollect(dir string) (trace.Trace, []string, error) {
+// startProgram runs `go run .` in dir with the trace on an inherited
+// pipe (fd 3, selected via VELO_TRACE) and returns the pipe's read end.
+func startProgram(dir string) (*exec.Cmd, *os.File, error) {
 	pr, pw, err := os.Pipe()
 	if err != nil {
 		return nil, nil, err
@@ -404,12 +382,23 @@ func execAndCollect(dir string) (trace.Trace, []string, error) {
 	cmd.Stderr = os.Stderr
 	cmd.ExtraFiles = []*os.File{pw} // becomes fd 3 in the child
 	cmd.Env = append(os.Environ(), "VELO_TRACE=fd:3")
-	if err := cmd.Start(); err != nil {
+	err = cmd.Start()
+	pw.Close() // the child holds the write end now
+	if err != nil {
 		pr.Close()
-		pw.Close()
 		return nil, nil, err
 	}
-	pw.Close() // child holds the write end now
+	return cmd, pr, nil
+}
+
+// execAndCollect runs the program in dir, decoding its events as they
+// arrive. It returns the complete trace and any runtime summary
+// comments (the "velo events emitted=..." trailer).
+func execAndCollect(dir string) (trace.Trace, []string, error) {
+	cmd, pr, err := startProgram(dir)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	dec := trace.NewDecoder(pr)
 	tr, decErr := dec.ReadAll()
@@ -422,13 +411,4 @@ func execAndCollect(dir string) (trace.Trace, []string, error) {
 		return nil, nil, fmt.Errorf("decoding trace: %w", decErr)
 	}
 	return tr, dec.Comments, nil
-}
-
-func sortedNames(m map[string][]byte) []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

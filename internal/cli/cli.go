@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/obs/obshttp"
 	"repro/internal/span"
 )
 
@@ -26,34 +27,20 @@ import (
 type Set uint
 
 const (
-	// Engine declares -engine.
-	Engine Set = 1 << iota
-	// NoFilter declares -nofilter.
-	NoFilter
-	// Forensics declares -forensics.
-	Forensics
-	// Explain declares -explain, which implies -forensics.
-	Explain
-	// Dot declares -dot.
-	Dot
-	// NoMerge declares -no-merge.
-	NoMerge
-	// TraceOut declares -trace-out.
-	TraceOut
-	// ObsJSON declares -obs-json.
-	ObsJSON
-	// Server declares -server.
-	Server
-	// Key declares -key.
-	Key
-	// Log declares -log-level and -log-json.
-	Log
-	// Metrics declares -metrics-addr.
-	Metrics
-	// Profile declares -profile and -profile-out.
-	Profile
-	// Heartbeat declares -heartbeat.
-	Heartbeat
+	Engine    Set = 1 << iota // -engine
+	NoFilter                  // -nofilter
+	Forensics                 // -forensics
+	Explain                   // -explain, which implies -forensics
+	Dot                       // -dot
+	NoMerge                   // -no-merge
+	TraceOut                  // -trace-out
+	ObsJSON                   // -obs-json
+	Server                    // -server
+	Key                       // -key
+	Log                       // -log-level and -log-json
+	Metrics                   // -metrics-addr
+	Profile                   // -profile and -profile-out
+	Heartbeat                 // -heartbeat
 )
 
 // Mode is one way a command runs and the mode-dependent flags it
@@ -103,69 +90,47 @@ type Flags struct {
 	cmd string
 	fs  *flag.FlagSet
 
-	Engine                                         string
+	Engine, Dot, TraceOut, Server, Key             string
 	NoFilter, Forensics, Explain, NoMerge, ObsJSON bool
-	Dot, TraceOut, Server, Key                     string
 	EngineInfo                                     core.EngineInfo
 
-	MetricsAddr string
-	Heartbeat   time.Duration
-	Profile     string
-	ProfileOut  string
-	LogLevel    string
-	LogJSON     bool
-	Log         *slog.Logger
+	MetricsAddr, Profile, ProfileOut, LogLevel string
+	LogJSON                                    bool
+	Heartbeat                                  time.Duration
+	Log                                        *slog.Logger
 }
 
 // Register declares the selected flags on fs for the command cmd.
 func (f *Flags) Register(fs *flag.FlagSet, cmd string, which Set) {
 	f.cmd, f.fs = cmd, fs
-	if which&Engine != 0 {
-		fs.StringVar(&f.Engine, "engine", "optimized", "analysis engine: "+core.EngineNames()+
-			" (velodromed: the default for sessions that name none, one of "+core.ProductionEngineNames()+")")
+	str := func(s Set, p *string, name, def, usage string) {
+		if which&s != 0 {
+			fs.StringVar(p, name, def, usage)
+		}
 	}
-	if which&NoFilter != 0 {
-		fs.BoolVar(&f.NoFilter, "nofilter", false, "disable the redundant-event fast path (Section 5 filtering)")
+	boolean := func(s Set, p *bool, name, usage string) {
+		if which&s != 0 {
+			fs.BoolVar(p, name, false, usage)
+		}
 	}
-	if which&Forensics != 0 {
-		fs.BoolVar(&f.Forensics, "forensics", false, "enable the event flight recorder (provenance reports on warnings)")
-	}
-	if which&Explain != 0 {
-		fs.BoolVar(&f.Explain, "explain", false, "print a provenance report per warning (implies -forensics)")
-	}
-	if which&Dot != 0 {
-		fs.StringVar(&f.Dot, "dot", "", "write the error graphs (dot format) to this file")
-	}
-	if which&NoMerge != 0 {
-		fs.BoolVar(&f.NoMerge, "no-merge", false, "disable the merge optimization (Section 4.2)")
-	}
-	if which&TraceOut != 0 {
-		fs.StringVar(&f.TraceOut, "trace-out", "", "write a Chrome trace-event timeline of the run's pipeline stages to this file")
-	}
-	if which&ObsJSON != 0 {
-		fs.BoolVar(&f.ObsJSON, "obs-json", false, "emit the obs snapshot (graph stats, warning and filter counts, stage times) as JSON on stderr")
-	}
-	if which&Server != 0 {
-		fs.StringVar(&f.Server, "server", "", "check through a velodromed daemon at this address (host:port or unix:/path) instead of locally")
-	}
-	if which&Key != 0 {
-		fs.StringVar(&f.Key, "key", "", "tenant API key sent in the session header; absent = the daemon's default tenant")
-	}
-	if which&Log != 0 {
-		fs.StringVar(&f.LogLevel, "log-level", "info", "minimum log level: debug, info, warn or error")
-		fs.BoolVar(&f.LogJSON, "log-json", false, "emit log lines as JSON objects")
-	}
-	if which&Metrics != 0 {
-		fs.StringVar(&f.MetricsAddr, "metrics-addr", "",
-			"serve /metrics (Prometheus text or ?format=json) and /debug/pprof/ on this address")
-	}
-	if which&Profile != 0 {
-		fs.StringVar(&f.Profile, "profile", "", "write a pprof profile: cpu, mem or mutex")
-		fs.StringVar(&f.ProfileOut, "profile-out", "", "profile output file (default <kind>.pprof)")
-	}
+	str(Engine, &f.Engine, "engine", "optimized", "analysis engine: "+core.EngineNames()+
+		" (velodromed: the default for sessions that name none, one of "+core.ProductionEngineNames()+")")
+	boolean(NoFilter, &f.NoFilter, "nofilter", "disable the redundant-event fast path (Section 5 filtering)")
+	boolean(Forensics, &f.Forensics, "forensics", "enable the event flight recorder (provenance reports on warnings)")
+	boolean(Explain, &f.Explain, "explain", "print a provenance report per warning (implies -forensics)")
+	str(Dot, &f.Dot, "dot", "", "write the error graphs (dot format) to this file")
+	boolean(NoMerge, &f.NoMerge, "no-merge", "disable the merge optimization (Section 4.2)")
+	str(TraceOut, &f.TraceOut, "trace-out", "", "write a Chrome trace-event timeline of the run's pipeline stages to this file")
+	boolean(ObsJSON, &f.ObsJSON, "obs-json", "emit the obs snapshot (graph stats, warning and filter counts, stage times) as JSON on stderr")
+	str(Server, &f.Server, "server", "", "check through a velodromed daemon at this address (host:port or unix:/path) instead of locally")
+	str(Key, &f.Key, "key", "", "tenant API key sent in the session header; absent = the daemon's default tenant")
+	str(Log, &f.LogLevel, "log-level", "info", "minimum log level: debug, info, warn or error")
+	boolean(Log, &f.LogJSON, "log-json", "emit log lines as JSON objects")
+	str(Metrics, &f.MetricsAddr, "metrics-addr", "", "serve /metrics (Prometheus text or ?format=json) and /debug/pprof/ on this address")
+	str(Profile, &f.Profile, "profile", "", "write a pprof profile: cpu, mem or mutex")
+	str(Profile, &f.ProfileOut, "profile-out", "", "profile output file (default <kind>.pprof)")
 	if which&Heartbeat != 0 {
-		fs.DurationVar(&f.Heartbeat, "heartbeat", 0,
-			"print a progress line (events/sec, live nodes, warnings) at this interval")
+		fs.DurationVar(&f.Heartbeat, "heartbeat", 0, "print a progress line (events/sec, live nodes, warnings) at this interval")
 	}
 }
 
@@ -176,39 +141,29 @@ func (f *Flags) Register(fs *flag.FlagSet, cmd string, which Set) {
 // nil skips the check).
 func (f *Flags) Parse(args []string, mode func() []string) {
 	f.fs.Parse(args)
-	if err := f.resolve(mode); err != nil {
+	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", f.cmd, err)
 		os.Exit(2)
 	}
-}
-
-func (f *Flags) resolve(mode func() []string) error {
 	if mode != nil {
 		if err := Refuse(f.fs, f.cmd, mode()...); err != nil {
-			return err
+			fail(err)
 		}
 	}
 	if f.ProfileOut != "" && f.Profile == "" {
-		return fmt.Errorf("-profile-out does not apply to a run without -profile")
+		fail(fmt.Errorf("-profile-out does not apply to a run without -profile"))
 	}
-	if f.Explain {
-		f.Forensics = true
-	}
-	if f.fs.Lookup("engine") != nil {
-		info, ok := core.EngineByName(f.Engine)
-		if !ok {
-			return fmt.Errorf("unknown engine %q (want %s)", f.Engine, core.EngineNames())
-		}
-		f.EngineInfo = info
+	f.Forensics = f.Forensics || f.Explain
+	var ok bool
+	if f.EngineInfo, ok = core.EngineByName(f.Engine); f.fs.Lookup("engine") != nil && !ok {
+		fail(fmt.Errorf("unknown engine %q (want %s)", f.Engine, core.EngineNames()))
 	}
 	if f.fs.Lookup("log-level") != nil {
-		lg, err := f.Logger(os.Stderr)
-		if err != nil {
-			return err
+		var err error
+		if f.Log, err = f.Logger(os.Stderr); err != nil {
+			fail(err)
 		}
-		f.Log = lg
 	}
-	return nil
 }
 
 // Refuse reports the first flag set on fs that the contract scopes to
@@ -253,28 +208,44 @@ func (f *Flags) Logger(w io.Writer) (*slog.Logger, error) {
 		return nil, fmt.Errorf("bad -log-level %q (want debug, info, warn or error)", f.LogLevel)
 	}
 	opts := &slog.HandlerOptions{Level: lvl}
-	var h slog.Handler
+	var h slog.Handler = slog.NewTextHandler(w, opts)
 	if f.LogJSON {
 		h = slog.NewJSONHandler(w, opts)
-	} else {
-		h = slog.NewTextHandler(w, opts)
 	}
 	return slog.New(h), nil
 }
 
-// StartProfile begins the profile requested by -profile (a no-op stop
-// and empty path when the flag is unset) and returns the resolved
-// output path alongside the stop function.
-func (f *Flags) StartProfile() (stop func() error, path string, err error) {
-	if f.Profile == "" {
-		return func() error { return nil }, "", nil
+// Start serves reg, with the extra mounts, on -metrics-addr and begins
+// the -profile profile, exiting 2 when either cannot start. stop ends
+// the profile and says where it went.
+func (f *Flags) Start(reg *obs.Registry, mounts ...obshttp.Mount) (stop func()) {
+	if f.MetricsAddr != "" {
+		_, addr, err := obshttp.Serve(f.MetricsAddr, reg, mounts...)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: metrics: %v\n", f.cmd, err)
+			os.Exit(2)
+		}
+		f.Log.Info("serving metrics", "url", "http://"+addr.String())
 	}
-	path = f.ProfileOut
+	if f.Profile == "" {
+		return func() {}
+	}
+	path := f.ProfileOut
 	if path == "" {
 		path = f.Profile + ".pprof"
 	}
-	stop, err = obs.StartProfile(f.Profile, path)
-	return stop, path, err
+	end, err := obs.StartProfile(f.Profile, path)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: profile: %v\n", f.cmd, err)
+		os.Exit(2)
+	}
+	return func() {
+		if err := end(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: profile: %v\n", f.cmd, err)
+		} else if f.Log != nil {
+			f.Log.Info("wrote profile", "kind", f.Profile, "path", path)
+		}
+	}
 }
 
 // Trace is a command's pipeline tracer: one buffer, named after the
@@ -285,16 +256,15 @@ type Trace struct {
 	Tracer *span.Tracer
 	Buf    *span.Buf
 	Root   span.SpanID
-	cmd    string
-	path   string
+	f      *Flags
 }
 
 // StartTrace opens the tracer under -trace-out, or when on (for a run
 // whose snapshot reads the buffer's stage clocks), with a root span
 // named root carrying attrs as key, value pairs.
 func (f *Flags) StartTrace(on bool, root string, attrs ...string) *Trace {
-	t := &Trace{cmd: f.cmd, path: f.TraceOut}
-	if t.path == "" && !on {
+	t := &Trace{f: f}
+	if f.TraceOut == "" && !on {
 		return t
 	}
 	t.Tracer = span.New()
@@ -306,17 +276,29 @@ func (f *Flags) StartTrace(on bool, root string, attrs ...string) *Trace {
 	return t
 }
 
+// Now is the tracer's clock (0 when off).
+func (t *Trace) Now() int64 { return t.Tracer.Now() }
+
+// Span records a step of the run that began at start as a child of the
+// root, with the buffer's clocks for stages laid out beneath it.
+func (t *Trace) Span(name string, start int64, stages ...span.Stage) span.SpanID {
+	now := t.Tracer.Now()
+	id := t.Buf.Emit(name, t.Root, start, now)
+	t.Buf.EmitStages(id, start, now, nil, stages...)
+	return id
+}
+
 // Finish closes the root span and, under -trace-out, writes the
 // timeline and says so on stderr.
 func (t *Trace) Finish() error {
-	if t.path == "" {
+	if t.f.TraceOut == "" {
 		return nil
 	}
 	t.Buf.End(t.Root)
 	t.Buf.Flush()
-	if err := t.Tracer.WriteChromeFile(t.path); err != nil {
+	if err := t.Tracer.WriteChromeFile(t.f.TraceOut); err != nil {
 		return fmt.Errorf("trace-out: %w", err)
 	}
-	fmt.Fprintf(os.Stderr, "%s: wrote pipeline trace to %s\n", t.cmd, t.path)
+	fmt.Fprintf(os.Stderr, "%s: wrote pipeline trace to %s\n", t.f.cmd, t.f.TraceOut)
 	return nil
 }

@@ -108,11 +108,5 @@ func TestCLIFlagsLogger(t *testing.T) {
 
 func TestCLIFlagsStartProfileUnset(t *testing.T) {
 	var c Flags
-	stop, path, err := c.StartProfile()
-	if err != nil || path != "" {
-		t.Fatalf("unset profile: path=%q err=%v", path, err)
-	}
-	if err := stop(); err != nil {
-		t.Errorf("no-op stop: %v", err)
-	}
+	c.Start(nil)() // no -metrics-addr, no -profile: nothing to start or stop
 }
