@@ -140,7 +140,9 @@ func (f *Flags) Register(fs *flag.FlagSet, cmd string, which Set) {
 // the modes the parsed flags select (a command may run several at once;
 // nil skips the check).
 func (f *Flags) Parse(args []string, mode func() []string) {
-	f.fs.Parse(args)
+	if f.fs.Parse(args) != nil {
+		os.Exit(2) // the flag package has said why
+	}
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", f.cmd, err)
 		os.Exit(2)
