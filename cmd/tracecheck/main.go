@@ -71,13 +71,13 @@ func main() {
 
 	var in io.Reader = os.Stdin
 	if name != "-" {
-		f, err := os.Open(name)
+		file, err := os.Open(name)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tracecheck:", err)
 			os.Exit(2)
 		}
-		defer f.Close()
-		in = f
+		defer file.Close()
+		in = file
 	}
 
 	if f.Server != "" {

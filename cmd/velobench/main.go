@@ -14,8 +14,9 @@
 // A flag that no selected experiment reads (-detail and -adversarial
 // are table 2's, -spec-filtered and -timing-scale table 1's, -scale every
 // other experiment's) exits 2. Each table prints the paper's published
-// numbers alongside the measured ones. See EXPERIMENTS.md for the recorded comparison. Per-layer
-// ns/event and daemon sessions/s figures come from `go run ./benchmark`.
+// numbers alongside the measured ones. See EXPERIMENTS.md for the
+// recorded comparison. Per-layer ns/event and daemon sessions/s figures
+// come from `go run ./benchmark`.
 package main
 
 import (

@@ -134,7 +134,7 @@ func main() {
 	// rr.Run has returned, so every backend Step (and its AddStage
 	// bookkeeping) is sequenced before this point.
 	chk := pt.Span("check", checkStart, span.StageFilter, span.StageGraph, span.StageForensics)
-	pt.Buf.AttrInt(chk, "events", int64(rep.Events))
+	sbuf.AttrInt(chk, "events", int64(rep.Events))
 	if err := pt.Finish(); err != nil {
 		fail(err)
 	}
