@@ -303,6 +303,62 @@ func TestCLIContract(t *testing.T) {
 	})
 }
 
+// TestCLIVelodromeOnlyFlags pins the contract's refusal of each
+// velodrome-backend flag under -backend atomizer, one run per flag.
+func TestCLIVelodromeOnlyFlags(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-dot", filepath.Join(dir, "c.dot")}, {"-explain"}, {"-forensics"}, {"-no-merge"},
+		{"-nofilter"}, {"-engine", "optimized"}, {"-trace-out", filepath.Join(dir, "t.json")},
+	} {
+		all := append([]string{"-workload", "multiset", "-backend", "atomizer"}, args...)
+		out, code := runTool(t, "velodrome", all...)
+		if code != 2 || !strings.Contains(out, "velodrome: "+args[0]+" does not apply to -backend atomizer") {
+			t.Errorf("%s under atomizer: exit %d:\n%s", args[0], code, out)
+		}
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Errorf("refused runs wrote %d files", len(files))
+	}
+}
+
+// TestCLIVeloinstrFlagRules pins which veloinstr flag combinations the
+// contract accepts and which it refuses: -analyze takes only -json and
+// -intra, and -trace, -trace-out, -obs-json and -server need -run.
+func TestCLIVeloinstrFlagRules(t *testing.T) {
+	dir := t.TempDir()
+	pkg := "examples/instr/bankfixed"
+	for _, tc := range []struct {
+		args []string
+		exit int
+	}{
+		{[]string{"-analyze"}, 0},
+		{[]string{"-analyze", "-json", "-intra"}, 0},
+		{[]string{"-o", filepath.Join(dir, "out"), "-noprune"}, 0},
+		{[]string{"-analyze", "-run"}, 2},
+		{[]string{"-analyze", "-o", filepath.Join(dir, "analyze-out")}, 2},
+		{[]string{"-analyze", "-noprune"}, 2},
+		{[]string{"-analyze", "-trace-out", filepath.Join(dir, "spans.json")}, 2},
+		{[]string{"-analyze", "-server", "127.0.0.1:1"}, 2},
+		{[]string{"-trace", filepath.Join(dir, "trace.txt")}, 2},
+		{[]string{"-obs-json"}, 2},
+		{[]string{"-trace-out", filepath.Join(dir, "spans.json")}, 2},
+	} {
+		out, code := runTool(t, "veloinstr", append(tc.args, pkg)...)
+		if code != tc.exit {
+			t.Errorf("veloinstr %v: exit %d, want %d:\n%s", tc.args, code, tc.exit, out)
+		}
+		if tc.exit == 2 && !refusal.MatchString(out) {
+			t.Errorf("veloinstr %v: refused without the shared message:\n%s", tc.args, out)
+		}
+	}
+	for _, name := range []string{"analyze-out", "trace.txt", "spans.json"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			t.Errorf("a refused invocation wrote %s", name)
+		}
+	}
+}
+
 // parallel calls do(0) … do(n-1) on GOMAXPROCS goroutines.
 func parallel(n int, do func(int)) {
 	work := make(chan int)
