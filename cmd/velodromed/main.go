@@ -152,13 +152,18 @@ func run() int {
 		// The heartbeat is the no-scrape view of service health: a bare
 		// terminal (or journald) shows load, rejections and store lag
 		// without anyone curling /metrics.
+		reg := cfg.Metrics
+		active, accepted, ops := reg.Gauge("velodromed_sessions_active"),
+			reg.Counter("velodromed_sessions_accepted_total"), reg.Counter("velodromed_ops_total")
+		shed, quota, rejected := reg.Counter("velodromed_sessions_shed_total"),
+			reg.Counter("velodromed_sessions_quota_rejected_total"), reg.Counter("velodromed_sessions_rejected_total")
+		storeLag, storeErrors := reg.Gauge("velodromed_store_lag"), reg.Counter("velodromed_store_errors_total")
 		sessRate, opRate := obs.NewRate(time.Now()), obs.NewRate(time.Now())
 		stopHB := obs.StartHeartbeat(os.Stderr, f.Heartbeat, func() string {
-			h := s.Health()
 			now := time.Now()
 			return fmt.Sprintf("velodromed: active=%d sessions/s=%.1f ops/s=%.0f shed=%d quota-rejected=%d rejected=%d store-lag=%d store-errors=%d",
-				h.Active, sessRate.Per(h.Accepted, now), opRate.Per(h.Ops, now),
-				h.Shed, h.QuotaRejected, h.Rejected, h.StoreLag, h.StoreErrors)
+				active.Value(), sessRate.Per(accepted.Value(), now), opRate.Per(ops.Value(), now),
+				shed.Value(), quota.Value(), rejected.Value(), storeLag.Value(), storeErrors.Value())
 		})
 		defer stopHB()
 	}

@@ -222,6 +222,13 @@ func (f *Flags) Logger(w io.Writer) (*slog.Logger, error) {
 // the profile and says where it went.
 func (f *Flags) Start(reg *obs.Registry, mounts ...obshttp.Mount) (stop func()) {
 	if f.MetricsAddr != "" {
+		// Every metrics endpoint self-identifies: build version, Go
+		// version, the engines this binary ships, and the start time.
+		var engines []string
+		for _, info := range core.Engines() {
+			engines = append(engines, info.Name)
+		}
+		obs.RegisterBuildInfo(reg, strings.Join(engines, ","))
 		_, addr, err := obshttp.Serve(f.MetricsAddr, reg, mounts...)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: metrics: %v\n", f.cmd, err)

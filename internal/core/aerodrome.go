@@ -38,9 +38,9 @@ import (
 // of the minimal non-serializable prefix.
 //
 // AeroDrome is inherently first-violation: after a warning the clocks
-// no longer describe an acyclic order, so the checker stops (the
-// registry advertises ReportsAllViolations=false). Forensics are not
-// supported — there is no cycle to annotate.
+// no longer describe an acyclic order, so the checker stops, and a
+// comparison against it must use first-violation semantics. Forensics
+// are not supported — there is no cycle to annotate.
 
 // aeroObj is one transaction's clock object. Unary (non-transactional)
 // operations get objects too, possibly merged into a shared container

@@ -11,23 +11,10 @@ type EngineInfo struct {
 	Engine  Engine
 	Name    string
 	Aliases []string
-	// Summary is the one-line description shown in -engine usage text.
-	Summary string
-	// ReportsAllViolations: the engine keeps checking past the first
-	// warning (the graph engines). AeroDrome stops at the first
-	// violation — past it the clocks no longer describe an acyclic
-	// order — so comparisons against it must use first-violation
-	// semantics.
-	ReportsAllViolations bool
 	// SupportsForensics: Options.Forensics yields provenance reports.
 	// Requires a happens-before cycle to annotate, so it is a graph
 	// engine capability.
 	SupportsForensics bool
-	// SupportsPrefilter: SkipFiltered consumes externally prefiltered
-	// operations state-identically, so internal/pipeline may run its
-	// sharded mark stage ahead of this engine. Engines without it fall
-	// back to the plain serial loop inside the pipeline.
-	SupportsPrefilter bool
 	// Reference: the engine is a reproduction artifact kept as the
 	// differential reference (tests, velobench, the benchmark's
 	// reference check, and every CLI -engine flag), not a production
@@ -39,32 +26,21 @@ type EngineInfo struct {
 // default everywhere.
 var engines = []EngineInfo{
 	{
-		Engine:               Optimized,
-		Name:                 "optimized",
-		Aliases:              []string{"opt"},
-		Summary:              "transactional happens-before graph with merging, GC and blame (Figure 4)",
-		ReportsAllViolations: true,
-		SupportsForensics:    true,
-		SupportsPrefilter:    true,
+		Engine:            Optimized,
+		Name:              "optimized",
+		Aliases:           []string{"opt"},
+		SupportsForensics: true,
 	},
 	{
-		Engine:               Basic,
-		Name:                 "basic",
-		Aliases:              nil,
-		Summary:              "the initial analysis of Figure 2 (differential testing; no blame)",
-		ReportsAllViolations: true,
-		SupportsForensics:    true,
-		SupportsPrefilter:    true,
-		Reference:            true,
+		Engine:            Basic,
+		Name:              "basic",
+		SupportsForensics: true,
+		Reference:         true,
 	},
 	{
-		Engine:               Aero,
-		Name:                 "aerodrome",
-		Aliases:              []string{"aero"},
-		Summary:              "linear-time vector-clock engine; first violation only, no graph",
-		ReportsAllViolations: false,
-		SupportsForensics:    false,
-		SupportsPrefilter:    true,
+		Engine:  Aero,
+		Name:    "aerodrome",
+		Aliases: []string{"aero"},
 	},
 }
 

@@ -32,9 +32,6 @@ type Mount struct {
 // plus any extra mounts. The pprof handlers are mounted explicitly so
 // the handler works on any mux without touching http.DefaultServeMux.
 func Handler(r *obs.Registry, extra ...Mount) http.Handler {
-	// Every metrics endpoint self-identifies: build version, Go version,
-	// the engines this binary ships, and the process start time.
-	obs.RegisterBuildInfo(r, "optimized,basic")
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		snap := r.Snapshot()

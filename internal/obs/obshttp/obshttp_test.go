@@ -66,9 +66,12 @@ func TestHandlerMetricsAndPprof(t *testing.T) {
 
 // TestHandlerBuildInfo checks the self-identification series every
 // metrics endpoint must expose: the velo_build_info info-gauge with its
-// version/goversion/engines labels, and the process start time.
+// version/goversion/engines labels, and the process start time. The
+// commands register them with the engine registry's names before they
+// serve (internal/cli); the test does the same.
 func TestHandlerBuildInfo(t *testing.T) {
 	r := obs.NewRegistry()
+	obs.RegisterBuildInfo(r, "optimized,basic,aerodrome")
 	srv := httptest.NewServer(Handler(r))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -78,7 +81,7 @@ func TestHandlerBuildInfo(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	for _, want := range []string{
-		`velo_build_info{`, `goversion="go`, `engines="optimized,basic"`, `version="`,
+		`velo_build_info{`, `goversion="go`, `engines="optimized,basic,aerodrome"`, `version="`,
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
@@ -99,7 +102,7 @@ func TestHandlerBuildInfo(t *testing.T) {
 		t.Errorf("process start %d implausible against now %d", start, now)
 	}
 	// Registering twice (two endpoints, one registry) must not diverge.
-	obs.RegisterBuildInfo(r, "optimized,basic")
+	obs.RegisterBuildInfo(r, "optimized,basic,aerodrome")
 	obs.RegisterBuildInfo(nil, "x") // nil registry is a no-op, not a panic
 }
 

@@ -183,10 +183,9 @@ func newSource(d *trace.Decoder, tr trace.Trace, opts core.Options, cfg Config) 
 	if d != nil {
 		s.labels = d.Labels()
 	}
-	// The mark stage applies only when the engine accepts prefiltered
-	// skips and the run does not need every operation to reach it.
-	if cfg.Workers > 1 && !opts.NoFilter && !opts.Forensics &&
-		core.InfoFor(opts.Engine).SupportsPrefilter {
+	// The mark stage applies only when the run does not need every
+	// operation to reach the engine.
+	if cfg.Workers > 1 && !opts.NoFilter && !opts.Forensics {
 		s.workers = cfg.Workers
 	}
 	bsize := cfg.Batch

@@ -11,60 +11,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dot"
 	"repro/internal/forensic"
 	"repro/internal/span"
 	"repro/internal/trace"
 )
-
-// sessionStats is the lock-free per-session publisher behind /debug/velo.
-// The session goroutine stores into the atomics as it works (once per
-// consumed batch, and per warning); the debug handler only loads. No
-// field is read-modify-written by more than one goroutine, so plain
-// atomic operations suffice — a reader may see a slightly torn view
-// across fields, which is fine for introspection.
-type sessionStats struct {
-	id      string
-	remote  string
-	tenant  string
-	started time.Time
-
-	engine      atomic.Pointer[string] // nil until the header is parsed
-	forensics   atomic.Bool
-	ops         atomic.Int64
-	snap        atomic.Pointer[core.Snapshot] // never nil: the engine at the last batch boundary, zero before the first
-	warnings    atomic.Int64
-	lastWarning atomic.Pointer[string]
-}
-
-func (st *sessionStats) noteWarning(s string) {
-	st.warnings.Add(1)
-	// Only the first line — a warning renders its whole cycle.
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		s = s[:i]
-	}
-	st.lastWarning.Store(&s)
-}
-
-// SessionInfo is one active session's row in the /debug/velo listing.
-type SessionInfo struct {
-	Session    string  `json:"session"`
-	Tenant     string  `json:"tenant,omitempty"`
-	Remote     string  `json:"remote"`
-	Engine     string  `json:"engine,omitempty"`
-	Forensics  bool    `json:"forensics,omitempty"`
-	AgeSeconds float64 `json:"ageSeconds"`
-	Ops        int64   `json:"ops"`
-	Filtered   int64   `json:"filtered"`
-	// FilterHitRate is Filtered/Ops — the fraction of the stream the
-	// redundant-event fast path discarded so far.
-	FilterHitRate float64 `json:"filterHitRate"`
-	GraphNodes    int64   `json:"graphNodes"`
-	GraphEdges    int64   `json:"graphEdges"`
-	Warnings      int64   `json:"warnings"`
-	LastWarning   string  `json:"lastWarning,omitempty"`
-}
 
 // DebugState is the full /debug/velo document.
 type DebugState struct {
@@ -73,11 +24,22 @@ type DebugState struct {
 	Draining    bool `json:"draining"`
 	// TenantFilter echoes the ?tenant= query when the view is scoped to
 	// one tenant.
-	TenantFilter string        `json:"tenantFilter,omitempty"`
-	Sessions     []SessionInfo `json:"sessions"`
+	TenantFilter string `json:"tenantFilter,omitempty"`
+	// Sessions are the active sessions' records as of their last batch
+	// (Status is empty while a session runs).
+	Sessions []SessionRecord `json:"sessions"`
 	// Recent is the completed-session history (newest first), the same
 	// records /api/sessions serves.
 	Recent []SessionRecord `json:"recent,omitempty"`
+}
+
+// publish stores a copy of a running session's record for the live
+// listing. The copies share rec.Warnings' backing array; that is
+// race-free because the session only appends past every length it has
+// published.
+func publish(live *atomic.Pointer[SessionRecord], rec *SessionRecord) {
+	pub := *rec
+	live.Store(&pub)
 }
 
 // DebugState snapshots the active sessions.
@@ -91,35 +53,9 @@ func (s *Server) debugState(tenantFilter string) DebugState {
 	st.Draining = s.draining
 	s.mu.Unlock()
 	s.active.Range(func(_, v any) bool {
-		ss := v.(*sessionStats)
-		if tenantFilter != "" && ss.tenant != tenantFilter {
-			return true
+		if rec := v.(*atomic.Pointer[SessionRecord]).Load(); tenantFilter == "" || rec.tenantName() == tenantFilter {
+			st.Sessions = append(st.Sessions, *rec)
 		}
-		snap := ss.snap.Load()
-		info := SessionInfo{
-			Session:    ss.id,
-			Remote:     ss.remote,
-			Forensics:  ss.forensics.Load(),
-			AgeSeconds: time.Since(ss.started).Seconds(),
-			Ops:        ss.ops.Load(),
-			Filtered:   snap.Filtered,
-			GraphNodes: int64(snap.Stats.Alive),
-			GraphEdges: int64(snap.Stats.Edges),
-			Warnings:   ss.warnings.Load(),
-		}
-		if ss.tenant != DefaultTenant {
-			info.Tenant = ss.tenant
-		}
-		if e := ss.engine.Load(); e != nil {
-			info.Engine = *e
-		}
-		if w := ss.lastWarning.Load(); w != nil {
-			info.LastWarning = *w
-		}
-		if info.Ops > 0 {
-			info.FilterHitRate = float64(info.Filtered) / float64(info.Ops)
-		}
-		st.Sessions = append(st.Sessions, info)
 		return true
 	})
 	sort.Slice(st.Sessions, func(i, j int) bool { return st.Sessions[i].Session < st.Sessions[j].Session })
@@ -178,20 +114,24 @@ func (s *Server) DebugHandler() http.Handler {
 <table border="1" cellpadding="4">
 <tr><th>session</th><th>tenant</th><th>remote</th><th>engine</th><th>age</th><th>ops</th><th>filter hit</th><th>nodes</th><th>edges</th><th>warnings</th><th>last warning</th></tr>
 `)
-		for _, info := range state.Sessions {
-			engine := info.Engine
-			if info.Forensics {
+		for _, rec := range state.Sessions {
+			engine := rec.Engine
+			if rec.Forensics {
 				engine += " +forensics"
 			}
-			tenant := info.Tenant
-			if tenant == "" {
-				tenant = DefaultTenant
+			var hit float64
+			if rec.Ops > 0 {
+				hit = float64(rec.Filtered) / float64(rec.Ops)
+			}
+			var last string
+			if n := len(rec.Warnings); n > 0 {
+				last = rec.Warnings[n-1]
 			}
 			fmt.Fprintf(w, "<tr><td>%s</td><td>%s</td><td>%s</td><td>%s</td><td>%.1fs</td><td>%d</td><td>%.1f%%</td><td>%d</td><td>%d</td><td>%d</td><td>%s</td></tr>\n",
-				html.EscapeString(info.Session), html.EscapeString(tenant),
-				html.EscapeString(info.Remote), html.EscapeString(engine),
-				info.AgeSeconds, info.Ops, 100*info.FilterHitRate,
-				info.GraphNodes, info.GraphEdges, info.Warnings, html.EscapeString(info.LastWarning))
+				html.EscapeString(rec.Session), html.EscapeString(rec.tenantName()),
+				html.EscapeString(rec.Remote), html.EscapeString(engine),
+				time.Since(rec.Started).Seconds(), rec.Ops, 100*hit,
+				rec.GraphNodes, rec.GraphEdges, len(rec.Warnings), html.EscapeString(last))
 		}
 		fmt.Fprint(w, "</table>\n<h2>recent</h2>\n")
 		if len(state.Recent) == 0 {

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -74,7 +75,7 @@ func testDebugVeloLiveSessions(t *testing.T) {
 		warmed := false
 		forensicsOn := false
 		for _, info := range state.Sessions {
-			if !info.Forensics && info.Warnings >= 1 && info.Ops >= 4 {
+			if !info.Forensics && len(info.Warnings) >= 1 && info.Ops >= 4 {
 				warmed = true
 			}
 			if info.Forensics && info.Ops >= 2 {
@@ -108,11 +109,12 @@ func testDebugVeloLiveSessions(t *testing.T) {
 			if info.Filtered != 0 || info.GraphNodes != 2 || info.GraphEdges != 1 {
 				t.Errorf("warm row filtered=%d graphNodes=%d graphEdges=%d, want 0, 2, 1", info.Filtered, info.GraphNodes, info.GraphEdges)
 			}
-			if !strings.Contains(info.LastWarning, "inc") {
-				t.Errorf("last warning %q does not name the blamed block", info.LastWarning)
+			last := info.Warnings[len(info.Warnings)-1]
+			if !strings.Contains(last, "inc") {
+				t.Errorf("last warning %q does not name the blamed block", last)
 			}
-			if strings.Contains(info.LastWarning, "\n") {
-				t.Errorf("last warning must be one line: %q", info.LastWarning)
+			if strings.Contains(last, "\n") {
+				t.Errorf("last warning must be one line: %q", last)
 			}
 		}
 	}
@@ -146,8 +148,21 @@ func testDebugVeloLiveSessions(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	// The history records carry the engines' final counters: every
-	// transaction over, the graph collected.
+	// transaction over, the graph collected. Each is its session's last
+	// live row carried on: the same identity, no fewer ops or warnings.
+	rows := map[string]SessionRecord{}
+	for _, info := range state.Sessions {
+		rows[info.Session] = info
+	}
 	for _, rec := range s.History().Recent(10, 0) {
+		row, ok := rows[rec.Session]
+		if !ok {
+			t.Errorf("record %s was never a live row", rec.Session)
+		} else if rec.Remote != row.Remote || rec.Engine != row.Engine || rec.Forensics != row.Forensics ||
+			!rec.Started.Equal(row.Started) || rec.Ops < row.Ops || len(rec.Warnings) < len(row.Warnings) ||
+			!slices.Equal(rec.Warnings[:len(row.Warnings)], row.Warnings) {
+			t.Errorf("record %+v does not carry on its last live row %+v", rec, row)
+		}
 		wantFiltered := int64(0)
 		if rec.Forensics {
 			wantFiltered = 2
@@ -160,9 +175,26 @@ func testDebugVeloLiveSessions(t *testing.T) {
 	stop()
 }
 
+// multiBatchBuggy repeats buggyTrace's cycle once per batch, each under
+// its own label and variable, so the session's warning digests grow
+// across the copies it publishes.
+func multiBatchBuggy(batches int) trace.Trace {
+	var tr trace.Trace
+	for k := 0; k < batches; k++ {
+		x := trace.Var(int32(k))
+		tr = append(tr, trace.Beg(1, trace.Label(fmt.Sprintf("inc%d", k))), trace.Rd(1, x), trace.Wr(2, x), trace.Wr(1, x), trace.Fin(1))
+		for len(tr) < (k+1)*sessionBatch {
+			tr = append(tr, trace.Rd(3, 1000))
+		}
+	}
+	return tr
+}
+
 // TestDebugVeloConcurrent is the race exercise: many checking sessions
-// (half with forensics) run while scrapers hammer /debug/velo, so the
-// publisher's stores and the handler's loads overlap constantly. Run
+// (a third with forensics) run while scrapers hammer /debug/velo, so the
+// session's per-batch publications and the handler's loads overlap
+// constantly. The buggy sessions warn in every batch: the live copies
+// share the record's warning slice while the session appends to it. Run
 // under -race. It also pins the verdict contract: session ids are
 // unique, durations set, and forensics verdicts carry one parseable
 // provenance report per warning.
@@ -208,7 +240,7 @@ func TestDebugVeloConcurrent(t *testing.T) {
 			buggy := i%2 == 0
 			body := cleanTrace()
 			if buggy {
-				body = buggyTrace()
+				body = multiBatchBuggy(4)
 			}
 			hdr := trace.SessionHeader{Name: fmt.Sprintf("c%d", i), Forensics: i%3 == 0}
 			v, err := CheckReader(addr, hdr, bytes.NewReader(encode(t, body, i%2 == 1)))
@@ -220,8 +252,8 @@ func TestDebugVeloConcurrent(t *testing.T) {
 				t.Errorf("session %d: verdict %+v", i, v)
 				return
 			}
-			if buggy == v.Serializable {
-				t.Errorf("session %d: serializable=%v for buggy=%v", i, v.Serializable, buggy)
+			if buggy == v.Serializable || (buggy && len(v.Warnings) != 4) {
+				t.Errorf("session %d: serializable=%v with %d warnings for buggy=%v", i, v.Serializable, len(v.Warnings), buggy)
 			}
 			if v.DurationMs < 0 || !strings.HasPrefix(v.Session, "s") {
 				t.Errorf("session %d: verdict identity %q/%dms", i, v.Session, v.DurationMs)

@@ -7,9 +7,8 @@ import (
 	"repro/internal/trace"
 )
 
-// serverMetrics are the daemon-level instruments. With a nil registry
-// the zero-value instruments are used unregistered, so the hot path
-// never branches on observability being enabled.
+// serverMetrics are the daemon-level instruments, registered on
+// Config.Metrics (which New never leaves nil).
 //
 // Exposed names (see EXPERIMENTS.md):
 //
@@ -47,15 +46,6 @@ type serverMetrics struct {
 }
 
 func newServerMetrics(r *obs.Registry) *serverMetrics {
-	if r == nil {
-		return &serverMetrics{
-			accepted: &obs.Counter{}, shed: &obs.Counter{}, rejected: &obs.Counter{}, quota: &obs.Counter{},
-			active: &obs.Gauge{}, panics: &obs.Counter{}, ops: &obs.Counter{},
-			verdictOK: &obs.Counter{}, verdictMal: &obs.Counter{}, verdictErr: &obs.Counter{},
-			serializable: &obs.Counter{}, duration: &obs.Histogram{},
-			storeLag: &obs.Gauge{}, storeWrites: &obs.Counter{}, storeErrors: &obs.Counter{},
-		}
-	}
 	return &serverMetrics{
 		accepted:     r.Counter("velodromed_sessions_accepted_total"),
 		shed:         r.Counter("velodromed_sessions_shed_total"),

@@ -61,11 +61,11 @@ type Config struct {
 	MaxWarnings int
 	// DefaultEngine is used when a session header names none.
 	DefaultEngine core.Engine
-	// Metrics, when non-nil, receives the daemon's instruments (see
-	// metrics.go for the names). Engines do not attach to it: the
-	// graph gauges assume one graph per registry, and seeding them
-	// from dozens of concurrent per-session graphs would corrupt the
-	// aggregate. Session-level throughput is recorded here instead.
+	// Metrics receives the daemon's instruments (see metrics.go for the
+	// names); nil gets a registry of its own. Engines do not attach to
+	// it: the graph gauges assume one graph per registry, and seeding
+	// them from dozens of concurrent per-session graphs would corrupt
+	// the aggregate. Session-level throughput is recorded here instead.
 	Metrics *obs.Registry
 	// NoSpans disables per-session span tracing. By default every
 	// session carries a lightweight tracer (see internal/span) whose
@@ -115,6 +115,9 @@ func (c *Config) applyDefaults() {
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
+	if c.Metrics == nil {
+		c.Metrics = obs.NewRegistry()
+	}
 }
 
 // Server accepts and checks trace sessions. Construct with New, feed it
@@ -128,7 +131,7 @@ type Server struct {
 	slots chan struct{} // session-cap semaphore
 
 	seq    atomic.Int64 // session id source
-	active sync.Map     // session id → *sessionStats, for /debug/velo
+	active sync.Map     // session id → *atomic.Pointer[SessionRecord], for /debug/velo
 
 	mu        sync.Mutex
 	listeners map[net.Listener]bool
@@ -184,34 +187,6 @@ func (s *Server) BindStore(st *store.Store) error {
 	}
 	s.seq.Store(int64(seed))
 	return nil
-}
-
-// Health is a point-in-time operational snapshot, cheap enough for a
-// heartbeat line: live counts plus the shed/quota/store totals an
-// operator wants before reaching for /metrics.
-type Health struct {
-	Active        int64 // sessions running now
-	Accepted      int64 // connections accepted since start
-	Ops           int64 // operations checked since start
-	Shed          int64 // sessions refused at the daemon-wide cap
-	QuotaRejected int64 // sessions refused by a tenant quota
-	Rejected      int64 // connections refused before admission
-	StoreLag      int64 // records appended but not yet fsynced
-	StoreErrors   int64 // failed store appends
-}
-
-// Health returns the current operational snapshot.
-func (s *Server) Health() Health {
-	return Health{
-		Active:        s.met.active.Value(),
-		Accepted:      s.met.accepted.Value(),
-		Ops:           s.met.ops.Value(),
-		Shed:          s.met.shed.Value(),
-		QuotaRejected: s.met.quota.Value(),
-		Rejected:      s.met.rejected.Value(),
-		StoreLag:      s.met.storeLag.Value(),
-		StoreErrors:   s.met.storeErrors.Value(),
-	}
 }
 
 // ErrServerClosed is returned by Serve after Shutdown begins.
@@ -388,6 +363,9 @@ func (s *Server) handle(conn net.Conn) {
 
 // session is one complete session up to its verdict: admission (header,
 // rejection, load shedding, the slot claim), op stream, history record.
+// An admitted session is one SessionRecord, built here and filled in by
+// run; the live listing, the history, the verdict's engine and op count
+// and the tenant counters all read it.
 func (s *Server) session(conn net.Conn) *trace.SessionVerdict {
 	start := time.Now()
 
@@ -486,25 +464,27 @@ func (s *Server) session(conn net.Conn) *trace.SessionVerdict {
 	defer s.met.active.Add(-1)
 	ten.sessions.Inc()
 
-	st := &sessionStats{
-		id:      fmt.Sprintf("s%d", s.seq.Add(1)),
-		remote:  conn.RemoteAddr().String(),
-		tenant:  ten.Name(),
-		started: start,
+	rec := &SessionRecord{
+		Session:   fmt.Sprintf("s%d", s.seq.Add(1)),
+		Tenant:    tenantLabel(ten),
+		Remote:    conn.RemoteAddr().String(),
+		Engine:    info.Name, // canonical: "opt" in the header reports as "optimized"
+		Forensics: hdr.Forensics,
+		Started:   start,
 	}
-	st.snap.Store(&core.Snapshot{})
-	s.active.Store(st.id, st)
-	defer s.active.Delete(st.id)
-	logger := s.cfg.Logger.With("session", st.id, "remote", st.remote)
+	live := new(atomic.Pointer[SessionRecord])
+	publish(live, rec)
+	s.active.Store(rec.Session, live)
+	defer s.active.Delete(rec.Session)
+	logger := s.cfg.Logger.With("session", rec.Session, "remote", rec.Remote)
 
-	v := s.run(br, hdr, info, st, logger, tr, hdrStart, hdrEnd)
+	v := s.run(br, info.Engine, rec, live, logger, tr, hdrStart, hdrEnd)
 
 	elapsed := time.Since(start)
-	v.Session = st.id
-	v.Tenant = tenantLabel(ten)
+	v.Session, v.Tenant, v.Engine, v.Ops = rec.Session, rec.Tenant, rec.Engine, rec.Ops
 	v.DurationMs = elapsed.Milliseconds()
-	ten.ops.Add(v.Ops)
-	ten.warnings.Add(int64(len(v.Warnings)))
+	ten.ops.Add(rec.Ops)
+	ten.warnings.Add(int64(len(rec.Warnings)))
 	ten.duration.Observe(int64(elapsed))
 	// The engine and decoder have quiesced (run returned), so the span
 	// rollup is safe to read; it rides in the verdict's metrics block as
@@ -535,43 +515,17 @@ func (s *Server) session(conn net.Conn) *trace.SessionVerdict {
 		"engine", v.Engine, "status", v.Status, "ops", v.Ops,
 		"warnings", len(v.Warnings), "duration", elapsed.Round(time.Millisecond).String())
 
-	snap := st.snap.Load()
-	rec := SessionRecord{
-		Session:      st.id,
-		Tenant:       tenantLabel(ten),
-		Remote:       st.remote,
-		Forensics:    st.forensics.Load(),
-		Status:       v.Status,
-		Serializable: v.Serializable,
-		Ops:          v.Ops,
-		Filtered:     snap.Filtered,
-		GraphNodes:   int64(snap.Stats.Alive),
-		GraphEdges:   int64(snap.Stats.Edges),
-		Started:      start,
-		DurationMs:   v.DurationMs,
-		Error:        v.Error,
-		Spans:        sum,
-		Reports:      v.Reports,
-	}
-	if e := st.engine.Load(); e != nil {
-		rec.Engine = *e
-	}
-	for _, w := range v.Warnings {
-		// History keeps one-line digests; the verdict carries the cycles.
-		if i := strings.IndexByte(w, '\n'); i >= 0 {
-			w = w[:i]
-		}
-		rec.Warnings = append(rec.Warnings, w)
-	}
+	rec.Status, rec.Serializable, rec.Error = v.Status, v.Serializable, v.Error
+	rec.DurationMs, rec.Spans, rec.Reports = v.DurationMs, sum, v.Reports
 	if s.cfg.TraceDir != "" && tr != nil && v.Status != trace.StatusError {
-		path := filepath.Join(s.cfg.TraceDir, st.id+".trace.json")
+		path := filepath.Join(s.cfg.TraceDir, rec.Session+".trace.json")
 		if err := tr.WriteChromeFile(path); err != nil {
 			logger.Warn("writing session trace failed", "path", path, "error", err)
 		} else {
 			rec.TraceFile = path
 		}
 	}
-	s.hist.Add(rec)
+	s.hist.Add(*rec)
 	return v
 }
 
@@ -592,11 +546,14 @@ const sessionBatch = 4096
 // every failure mode — malformed ops, engine panic — into a verdict.
 // (Header failures never reach here: session rejects them before
 // admission.) It never lets a panic escape: one poisoned session must
-// not take down the daemon. hdrStart/hdrEnd are the tracer timestamps
-// bracketing session's header read, re-emitted here so the header stage
-// still appears on the session's span timeline.
-func (s *Server) run(br *bufio.Reader, hdr trace.SessionHeader, info core.EngineInfo,
-	st *sessionStats, logger *slog.Logger, tr *span.Tracer, hdrStart, hdrEnd int64) (v *trace.SessionVerdict) {
+// not take down the daemon. At each batch boundary it brings rec's
+// counters and warning digests up to date and publishes a copy to live,
+// so a panicked session's record still holds what it consumed.
+// hdrStart/hdrEnd are the tracer timestamps bracketing session's header
+// read, re-emitted here so the header stage still appears on the
+// session's span timeline.
+func (s *Server) run(br *bufio.Reader, engine core.Engine, rec *SessionRecord,
+	live *atomic.Pointer[SessionRecord], logger *slog.Logger, tr *span.Tracer, hdrStart, hdrEnd int64) (v *trace.SessionVerdict) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.met.panics.Inc()
@@ -614,16 +571,13 @@ func (s *Server) run(br *bufio.Reader, hdr trace.SessionHeader, info core.Engine
 	// All are inert under a nil tracer.
 	sb := tr.Buffer("session")
 	root := sb.Start("session", 0)
-	sb.AttrStr(root, "session", st.id)
+	sb.AttrStr(root, "session", rec.Session)
 
 	if hid := sb.Emit("header", root, hdrStart, hdrEnd); hid != 0 {
 		sb.AddStage(span.StageHeader, hdrEnd-hdrStart)
 	}
-	opts := core.Options{Engine: info.Engine, MaxWarnings: s.cfg.MaxWarnings, Forensics: hdr.Forensics, Spans: sb}
-	engineName := info.Name // canonical: "opt" in the header reports as "optimized"
-	st.engine.Store(&engineName)
-	st.forensics.Store(hdr.Forensics)
-	sb.AttrStr(root, "engine", engineName)
+	opts := core.Options{Engine: engine, MaxWarnings: s.cfg.MaxWarnings, Forensics: rec.Forensics, Spans: sb}
+	sb.AttrStr(root, "engine", rec.Engine)
 
 	// The session decodes and checks batch by batch on this goroutine: a
 	// step costs what a decode costs, so a decode-ahead goroutine would buy
@@ -667,23 +621,25 @@ func (s *Server) run(br *bufio.Reader, hdr trace.SessionHeader, info core.Engine
 	var checker core.Checker
 	res, _, derr := core.Check(next, opts, &core.Observer{
 		Checker: func(c core.Checker) { checker = c },
-		Warning: func(w *core.Warning) { st.noteWarning(w.String()) },
-		// The batch is the live-stats and span interval.
+		// The batch is the record's and the span timeline's interval.
 		Batch: func(ops, _ int) {
 			s.met.ops.Add(int64(ops))
-			st.ops.Add(int64(ops))
 			snap := checker.Snapshot()
-			st.snap.Store(&snap)
+			rec.Ops += int64(ops)
+			rec.Filtered, rec.GraphNodes, rec.GraphEdges = snap.Filtered, int64(snap.Stats.Alive), int64(snap.Stats.Edges)
+			// The engine keeps at most MaxWarnings, the verdict's cap. The
+			// record keeps each one's first line; the verdict carries the cycles.
+			for _, w := range checker.Warnings()[len(rec.Warnings):] {
+				line, _, _ := strings.Cut(w.String(), "\n")
+				rec.Warnings = append(rec.Warnings, line)
+			}
+			publish(live, rec)
 			emitBatch("check", ops, span.StageFilter, span.StageGraph, span.StageForensics)
 		},
 	})
 
 	verdictStart := tr.Now()
-	v = &trace.SessionVerdict{
-		Engine:   engineName,
-		Ops:      st.ops.Load(),
-		Comments: dec.Comments,
-	}
+	v = &trace.SessionVerdict{Comments: dec.Comments}
 	switch {
 	case derr == nil:
 		v.Status = trace.StatusOK

@@ -408,9 +408,10 @@ func testServerGracefulDrain(t *testing.T) {
 	// The accept loop takes connections off the listener in its own
 	// time; one still queued there when the listener closes is reset by
 	// the kernel, and that is not the drain under test.
-	for deadline := time.Now().Add(5 * time.Second); s.Health().Accepted < n; time.Sleep(time.Millisecond) {
+	accepted := s.cfg.Metrics.Counter("velodromed_sessions_accepted_total")
+	for deadline := time.Now().Add(5 * time.Second); accepted.Value() < n; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d connections accepted", s.Health().Accepted, n)
+			t.Fatalf("only %d of %d connections accepted", accepted.Value(), n)
 		}
 	}
 
@@ -460,13 +461,14 @@ func testServerGracefulDrain(t *testing.T) {
 // asserts each gets an error verdict while the daemon itself is
 // untouched and keeps serving. The deep case panics 150 k ops into a
 // 400 k-op stream, with the client still busy: every goroutine the
-// sessions started must be gone afterwards.
+// sessions started must be gone afterwards, and each such session's
+// record, verdict and op counters agree on what it consumed.
 func TestServerPanicIsolation(t *testing.T) { t.Run(sessionSubtest, testServerPanicIsolation) }
 
 func testServerPanicIsolation(t *testing.T) {
 	reg := obs.NewRegistry()
 	const poison = 66_666
-	_, addr, stop := startServer(t, Config{MaxSessions: 8, Metrics: reg, stepHook: func(op trace.Op) {
+	s, addr, stop := startServer(t, Config{MaxSessions: 8, Metrics: reg, stepHook: func(op trace.Op) {
 		if op.Kind == trace.Write && op.Target == poison {
 			panic("poisoned op")
 		}
@@ -481,6 +483,9 @@ func testServerPanicIsolation(t *testing.T) {
 	if v.Status != trace.StatusError || !strings.Contains(v.Error, "panicked") {
 		t.Fatalf("verdict %+v, want error/panic", v)
 	}
+	if v.Engine != "optimized" {
+		t.Errorf("poisoned verdict engine %q, want optimized", v.Engine)
+	}
 
 	deep := make(trace.Trace, 0, 400_000)
 	deep = append(deep, trace.Beg(1, "loop"))
@@ -491,13 +496,38 @@ func testServerPanicIsolation(t *testing.T) {
 	body := encode(t, deep, true)
 	const deepSessions = 5
 	before := runtime.NumGoroutine()
+	opsTotal := func() (daemon, tenant int64) {
+		c := reg.Snapshot().Counters
+		return c["velodromed_ops_total"], c[`velodromed_tenant_ops_total{tenant="default"}`]
+	}
 	for i := 0; i < deepSessions; i++ {
+		daemon0, tenant0 := opsTotal()
+		recorded := s.History().Total()
 		// The daemon hangs up with most of the stream unread, so the
 		// verdict can be lost to the connection reset: a transport error
 		// is acceptable here, any other verdict is not.
 		v, err := CheckReader(addr, trace.SessionHeader{Name: "deep"}, bytes.NewReader(body))
 		if err == nil && v.Status != trace.StatusError {
 			t.Fatalf("deep-poisoned session %d: verdict %+v, want error/panic", i, v)
+		}
+		for deadline := time.Now().Add(10 * time.Second); s.History().Total() == recorded; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("deep-poisoned session %d never reached the history", i)
+			}
+		}
+		// The operations the session consumed before the panic are the
+		// same count in its record, the daemon counter and its tenant's.
+		rec := s.History().Recent(1, 0)[0]
+		daemon1, tenant1 := opsTotal()
+		if rec.Ops == 0 || rec.Ops != daemon1-daemon0 || rec.Ops != tenant1-tenant0 {
+			t.Errorf("deep-poisoned session %d: record ops %d, velodromed_ops_total +%d, tenant ops +%d; want equal and non-zero",
+				i, rec.Ops, daemon1-daemon0, tenant1-tenant0)
+		}
+		if rec.Filtered > rec.Ops || rec.Engine != "optimized" || rec.Status != trace.StatusError {
+			t.Errorf("deep-poisoned session %d: record %+v, want filtered <= ops, engine optimized, status error", i, rec)
+		}
+		if err == nil && (v.Ops != rec.Ops || v.Engine != rec.Engine) {
+			t.Errorf("deep-poisoned session %d: verdict ops/engine %d/%q, record %d/%q", i, v.Ops, v.Engine, rec.Ops, rec.Engine)
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)

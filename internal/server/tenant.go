@@ -222,18 +222,11 @@ func NewTenants(cfgs []TenantConfig) (*Tenants, error) {
 	return ts, nil
 }
 
-// bind attaches the per-tenant instrument families to reg (zero-value
-// unregistered instruments with a nil registry, like serverMetrics).
-// Called once by Server.New.
+// bind attaches the per-tenant instrument families to reg. Called once
+// by Server.New.
 func (ts *Tenants) bind(reg *obs.Registry) {
 	ts.bindOnce.Do(func() {
 		for _, t := range ts.byName {
-			if reg == nil {
-				t.sessions, t.ops, t.warnings = &obs.Counter{}, &obs.Counter{}, &obs.Counter{}
-				t.shed, t.quota = &obs.Counter{}, &obs.Counter{}
-				t.duration, t.activeNow = &obs.Histogram{}, &obs.Gauge{}
-				continue
-			}
 			label := fmt.Sprintf("{tenant=%q}", t.cfg.Name)
 			t.sessions = reg.Counter("velodromed_tenant_sessions_total" + label)
 			t.ops = reg.Counter("velodromed_tenant_ops_total" + label)

@@ -66,7 +66,7 @@ func TestTenantQuotas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts.bind(nil)
+	ts.bind(obs.NewRegistry())
 	ten := ts.lookup("ka")
 	if ten == nil {
 		t.Fatal("lookup(ka) = nil")
@@ -106,7 +106,7 @@ func TestTenantsDefaultAlwaysPresent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts.bind(nil)
+	ts.bind(obs.NewRegistry())
 	def := ts.lookup("")
 	if def == nil || def.Name() != DefaultTenant {
 		t.Fatalf("keyless lookup = %+v, want the default tenant", def)
