@@ -449,22 +449,49 @@ func TestCLITracecheckEmptyInput(t *testing.T) {
 }
 
 // TestCLITracecheckTruncatedMagic checks that a binary trace cut inside
-// its 4-byte magic is reported as a format-level error naming the byte
-// offset, not as a "line 1" text parse error.
+// its 4-byte magic, and a trace in the retired counted binary format
+// ("VTR1", an op count in place of the end record, as velodrome -record
+// x.bin once wrote), are reported as format-level errors, not as a
+// "line 1" text parse error.
 func TestCLITracecheckTruncatedMagic(t *testing.T) {
-	p := filepath.Join(t.TempDir(), "stub.bin")
-	if err := os.WriteFile(p, []byte("VT"), 0o644); err != nil {
+	var stream bytes.Buffer
+	if err := trace.MarshalBinary(&stream, trace.Trace{trace.Rd(1, 2), trace.Wr(1, 2)}); err != nil {
 		t.Fatal(err)
 	}
-	out, code := runTool(t, "tracecheck", p)
-	if code != 2 {
-		t.Fatalf("truncated magic must exit 2, got %d:\n%s", code, out)
+	for _, c := range []struct {
+		data []byte
+		want []string
+	}{
+		{[]byte("VT"), []string{"truncated binary trace", "byte offset 2"}},
+		{append([]byte("VTR1\x02"), stream.Bytes()[4:10]...), []string{"retired counted binary format"}},
+	} {
+		p := filepath.Join(t.TempDir(), "stub.bin")
+		if err := os.WriteFile(p, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, code := runTool(t, "tracecheck", p)
+		if code != 2 {
+			t.Fatalf("%q: must exit 2, got %d:\n%s", c.data, code, out)
+		}
+		for _, want := range c.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("%q: missing %q in the diagnostic:\n%s", c.data, want, out)
+			}
+		}
+		if strings.Contains(out, "line 1") {
+			t.Errorf("%q: must not surface as a text parse error:\n%s", c.data, out)
+		}
 	}
-	if !strings.Contains(out, "truncated binary trace") || !strings.Contains(out, "byte offset 2") {
-		t.Errorf("missing format-level diagnostic:\n%s", out)
-	}
-	if strings.Contains(out, "line 1") {
-		t.Errorf("must not surface as a text parse error:\n%s", out)
+}
+
+// TestCLITracecheckTraceOutFailure: a pipeline trace that cannot be
+// written is an error (exit 2) whatever the verdict would have been.
+func TestCLITracecheckTraceOutFailure(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "missing", "x.json")
+	for _, file := range []string{"testdata/setadd.txt", "testdata/forkjoin.txt"} {
+		if out, code := runTool(t, "tracecheck", "-q", "-trace-out", bad, file); code != 2 {
+			t.Errorf("%s with an unwritable -trace-out: exit %d, want 2:\n%s", file, code, out)
+		}
 	}
 }
 

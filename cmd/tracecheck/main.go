@@ -1,10 +1,9 @@
 // Command tracecheck reads a trace — the one-operation-per-line text
-// format or either binary format (counted, or the streaming one an
-// instrumented program writes), auto-detected — and decides
-// conflict-serializability with the online Velodrome analysis,
-// cross-checking the offline oracle. The trace's comments — a text
-// trace's "#" lines, a binary stream's trailer — are printed first, as
-// "# ..." lines:
+// format or the binary format an instrumented program writes,
+// auto-detected — and decides conflict-serializability with the online
+// Velodrome analysis, cross-checking the offline oracle. The trace's
+// comments — a text trace's "#" lines, a binary stream's trailer — are
+// printed first, as "# ..." lines:
 //
 //	tracecheck trace.txt
 //	tracecheck -          # read standard input
@@ -155,9 +154,7 @@ func main() {
 		}
 		if err := pt.Finish(); err != nil {
 			fmt.Fprintln(os.Stderr, "tracecheck:", err)
-			if code == 0 {
-				code = 2
-			}
+			code = 2
 		}
 		os.Exit(code)
 	}

@@ -44,7 +44,7 @@ func TestTraceCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := trace.Unmarshal(f)
+		tr, err := trace.ReadAuto(f)
 		f.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -80,7 +80,7 @@ func TestCorpusRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := trace.Unmarshal(f)
+		tr, err := trace.ReadAuto(f)
 		f.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -95,7 +95,7 @@ func TestCorpusRoundTrips(t *testing.T) {
 		if _, err := tmp.Seek(0, 0); err != nil {
 			t.Fatal(err)
 		}
-		tr2, err := trace.Unmarshal(tmp)
+		tr2, err := trace.ReadAuto(tmp)
 		tmp.Close()
 		if err != nil {
 			t.Fatal(err)

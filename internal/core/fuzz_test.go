@@ -174,11 +174,11 @@ func FuzzDecodedInputNeverPanics(f *testing.F) {
 	tr := trace.Trace{trace.Beg(1, "a"), trace.Rd(1, -3), trace.ForkOp(1, 2), trace.Wr(2, -3), trace.Wr(1, -3), trace.Fin(1), trace.Fin(1)}
 	var bin, stream bytes.Buffer
 	trace.MarshalBinary(&bin, tr)
-	trace.MarshalStream(&stream, tr, "")
+	trace.MarshalStream(&stream, tr, "velo events emitted=7 pruned=0")
 	f.Add(bin.Bytes())
 	f.Add(stream.Bytes())
-	f.Add([]byte{'V', 'T', 'R', '1', 1, byte(trace.Read), 0x80, 0x80, 0x80, 0x80, 0x08, 2}) // thread 1<<31
-	f.Add([]byte{'V', 'T', 'S', '1', byte(trace.Acquire), 0, 9, 0xFF, 0})                   // lock -5
+	f.Add([]byte{'V', 'T', 'S', '1', byte(trace.Read), 0x80, 0x80, 0x80, 0x80, 0x08, 2, 0xFF, 0}) // thread 1<<31
+	f.Add([]byte{'V', 'T', 'S', '1', byte(trace.Acquire), 0, 9, 0xFF, 0})                         // lock -5
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, _ := trace.NewDecoder(bytes.NewReader(data)).ReadAll()
 		for _, op := range ops {

@@ -78,7 +78,7 @@ func TestStepBatchMatchesStep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := trace.Unmarshal(f)
+		tr, err := trace.ReadAuto(f)
 		f.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", file, err)

@@ -2,7 +2,6 @@ package exper
 
 import (
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/rr"
 )
 
@@ -43,8 +42,8 @@ func Inject(names []string, seeds []int64, scale int) []InjectResult {
 		for _, inj := range w.InjectionPoints {
 			for _, seed := range seeds {
 				trial := InjectTrial{Point: inj.Point, Method: inj.Method, Seed: seed}
-				trial.Plain = injectedCaught(w, inj, seed, scale, false)
-				trial.Adversry = injectedCaught(w, inj, seed, scale, true)
+				trial.Plain = policyCaught(w, inj, seed, scale, nil)
+				trial.Adversry = policyCaught(w, inj, seed, scale, rr.NewAtomizerAdvisor())
 				res.Trials++
 				if trial.Plain {
 					res.PlainHits++
@@ -62,24 +61,4 @@ func Inject(names []string, seeds []int64, scale int) []InjectResult {
 		out = append(out, res)
 	}
 	return out
-}
-
-// injectedCaught runs the corrupted program once and reports whether
-// Velodrome blamed the unprotected method.
-func injectedCaught(w *bench.Workload, inj bench.Injection, seed int64, scale int, adversarial bool) bool {
-	velo := rr.NewVelodrome(core.Options{})
-	opts := rr.Options{Seed: seed, Backend: velo}
-	if adversarial {
-		adv := rr.NewAtomizerAdvisor()
-		opts.Backend = rr.Multi{velo, adv}
-		opts.Advisor = adv
-	}
-	p := bench.Params{Scale: scale, Disabled: map[string]bool{inj.Point: true}}
-	rr.Run(opts, func(t *rr.Thread) { w.Body(t, p) })
-	for _, warn := range velo.Warnings() {
-		if string(warn.Method()) == inj.Method {
-			return true
-		}
-	}
-	return false
 }

@@ -70,6 +70,8 @@ func PolicyStudy(names []string, seeds []int64, scale int) []PolicyResult {
 	return out
 }
 
+// policyCaught runs the corrupted program once, under adv unless it is
+// nil, and reports whether Velodrome blamed the unprotected method.
 func policyCaught(w *bench.Workload, inj bench.Injection, seed int64, scale int, adv *rr.AtomizerAdvisor) bool {
 	velo := rr.NewVelodrome(core.Options{})
 	opts := rr.Options{Seed: seed, Backend: velo}

@@ -16,16 +16,6 @@ type Empty struct {
 // Event implements Backend.
 func (e *Empty) Event(trace.Op) { e.Count++ }
 
-// Stream forwards every event to a trace.Emitter, recording the
-// execution as a streamed text trace (for piping into tracecheck or
-// archiving) instead of — or, under Multi, alongside — analyzing it.
-type Stream struct {
-	E *trace.Emitter
-}
-
-// Event implements Backend.
-func (s Stream) Event(op trace.Op) { s.E.Emit(op) }
-
 // Velodrome adapts a core.Checker to the Backend interface.
 type Velodrome struct {
 	Checker core.Checker

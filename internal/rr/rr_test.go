@@ -1,7 +1,6 @@
 package rr
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/core"
@@ -402,26 +401,5 @@ func TestThreadLocalFilterIsSlightlyUnsound(t *testing.T) {
 	}
 	if witnessed == 0 {
 		t.Fatal("no seed witnessed the violation unfiltered; test inert")
-	}
-}
-
-func TestStreamBackend(t *testing.T) {
-	var buf bytes.Buffer
-	em := trace.NewEmitter(&buf)
-	rep := Run(Options{Seed: 1, Record: true, Backend: Stream{E: em}}, func(th *Thread) {
-		x := th.Runtime().NewVar("x")
-		th.Atomic("blk", func() {
-			x.Store(th, 1)
-		})
-	})
-	if err := em.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	got, err := trace.NewDecoder(&buf).ReadAll()
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if got.String() != rep.Trace.String() {
-		t.Fatalf("streamed trace differs from recorded trace:\n%s\nvs\n%s", got, rep.Trace)
 	}
 }

@@ -26,7 +26,7 @@ func labelledTrace(t *testing.T, prefix string, binaryFmt bool) []byte {
 	if !binaryFmt {
 		return []byte(text)
 	}
-	tr, err := trace.Unmarshal(strings.NewReader(text))
+	tr, err := trace.ReadAuto(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -621,8 +621,9 @@ func testServerTruncatedBinarySession(t *testing.T) {
 // TestServerStreamingBinarySession sends what an instrumented program's
 // shim writes: the streaming binary format, whose end record carries the
 // trailer. Whole, the verdict reports the trailer in Comments, where
-// veloinstr -run -server cross-checks it; cut anywhere or padded, the
-// session is malformed with the decode-error code, never ok.
+// veloinstr -run -server cross-checks it; cut anywhere, padded, or in
+// the retired counted format, the session is malformed with the
+// decode-error code, never ok.
 func TestServerStreamingBinarySession(t *testing.T) {
 	t.Run(sessionSubtest, testServerStreamingBinarySession)
 }
@@ -659,6 +660,16 @@ func testServerStreamingBinarySession(t *testing.T) {
 		if len(v.Comments) != 0 {
 			t.Errorf("%s: a refused stream's trailer %q reached the verdict", name, v.Comments)
 		}
+	}
+	// The same operations in the retired counted format: refused by name.
+	counted := append([]byte("VTR1\x05"), full[4:]...)
+	v, err = CheckReader(addr, trace.SessionHeader{}, bytes.NewReader(counted))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Status != trace.StatusMalformed || v.Code != trace.CodeDecodeError || v.Ops != 0 ||
+		!strings.Contains(v.Error, "retired counted binary format") {
+		t.Errorf("counted format: verdict %+v, want malformed/decode-error naming the retired format", v)
 	}
 }
 
@@ -708,7 +719,7 @@ func testServerOutOfRangeIDsAreDecodeErrors(t *testing.T) {
 		"negative thread":   {"begin.a(0)\nrd(-1,x1)\nend(0)\n", "line 2"},
 		"negative lock":     {"begin.a(0)\nacq(0,m-5)\nend(0)\n", "line 2"},
 		"thread past int32": {"begin.a(0)\nrd(4294967295,x1)\nend(0)\n", "line 2"},
-		"binary, thread 1<<31": {"VTR1\x02" + string([]byte{byte(trace.End), 0, 0}) +
+		"binary, thread 1<<31": {"VTS1" + string([]byte{byte(trace.End), 0, 0}) +
 			string([]byte{byte(trace.Read), 0x80, 0x80, 0x80, 0x80, 0x08, 2}), "op 1"},
 	}
 	for _, info := range core.Engines() {

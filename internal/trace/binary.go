@@ -4,32 +4,25 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 )
 
 // Binary trace encoding, for recording long executions where the text
 // format's size and parse cost matter (a multiset run at scale 100 is
-// about a million events). Layout:
+// about a million events), and the wire format of the runtime shim,
+// which does not know its length in advance. Layout:
 //
-//	magic "VTR1" (4 bytes)
-//	count uvarint
+//	magic "VTS1" (4 bytes)
 //	per op: kind byte, thread uvarint, target uvarint (zig-zag),
 //	        label length uvarint + bytes (Begin only)
+//	end record: byte 0xFF, trailer length uvarint + bytes
 //
 // Labels are interned: the low bit of the length marks a back-reference
 // to a previously seen label index, so repeated method names cost two
 // bytes after their first occurrence. The wire index is the stream's own;
-// the decoder maps it to an id in its Labels table, and the encoders
-// name an op's id through the process-wide table.
-//
-// A producer that does not know its length in advance — the runtime shim
-// of an instrumented program — writes the streaming variant instead:
-//
-//	magic "VTS1" (4 bytes)
-//	per op: exactly as above
-//	end record: byte 0xFF, trailer length uvarint + bytes
+// the decoder maps it to an id in its Labels table, and the encoder
+// names an op's id through the process-wide table.
 //
 // There is no count; the end record closes the stream, and its trailer
 // text (the shim's "velo events emitted=N pruned=M") becomes the
@@ -38,8 +31,10 @@ import (
 // clean EOF: unlike text, a cut is detectable from the bytes alone.
 
 var (
-	binaryMagic = [4]byte{'V', 'T', 'R', '1'}
 	streamMagic = [4]byte{'V', 'T', 'S', '1'}
+	// retiredMagic opened the counted binary format, an op count in
+	// place of the end record. It is read only to be refused by name.
+	retiredMagic = [4]byte{'V', 'T', 'R', '1'}
 )
 
 const (
@@ -57,8 +52,8 @@ const (
 	maxStreamLabelBytes = 1 << 20
 )
 
-// opEncoder appends operations in the per-op record both binary
-// variants share, naming Begin labels through the process-wide table.
+// opEncoder appends operations as binary records, naming Begin labels
+// through the process-wide table.
 type opEncoder struct {
 	labelIdx map[LabelID]uint64
 }
@@ -84,10 +79,17 @@ func (e *opEncoder) append(b []byte, op Op) []byte {
 	return append(b, l...)
 }
 
-// marshalOps writes head, then every operation's record, then tail.
-func marshalOps(w io.Writer, head []byte, tr Trace, tail []byte) error {
+// MarshalBinary writes the trace in the binary format, with no trailer.
+func MarshalBinary(w io.Writer, tr Trace) error { return MarshalStream(w, tr, "") }
+
+// MarshalStream writes the trace in the binary format, as the runtime
+// shim does, with an end record carrying trailer.
+func MarshalStream(w io.Writer, tr Trace, trailer string) error {
+	if len(trailer) > maxTrailerBytes {
+		return fmt.Errorf("trace: trailer of %d bytes exceeds %d", len(trailer), maxTrailerBytes)
+	}
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(head); err != nil {
+	if _, err := bw.Write(streamMagic[:]); err != nil {
 		return err
 	}
 	var enc opEncoder
@@ -98,57 +100,32 @@ func marshalOps(w io.Writer, head []byte, tr Trace, tail []byte) error {
 			return err
 		}
 	}
-	if _, err := bw.Write(tail); err != nil {
+	tail := binary.AppendUvarint([]byte{streamEnd}, uint64(len(trailer)))
+	if _, err := bw.Write(append(tail, trailer...)); err != nil {
 		return err
 	}
 	return bw.Flush()
 }
 
-// MarshalBinary writes the trace in the binary format.
-func MarshalBinary(w io.Writer, tr Trace) error {
-	head := binary.AppendUvarint(binaryMagic[:], uint64(len(tr)))
-	return marshalOps(w, head, tr, nil)
-}
-
-// MarshalStream writes the trace in the streaming binary format, as the
-// runtime shim does: no count, and an end record carrying trailer.
-func MarshalStream(w io.Writer, tr Trace, trailer string) error {
-	if len(trailer) > maxTrailerBytes {
-		return fmt.Errorf("trace: trailer of %d bytes exceeds %d", len(trailer), maxTrailerBytes)
-	}
-	tail := binary.AppendUvarint([]byte{streamEnd}, uint64(len(trailer)))
-	return marshalOps(w, streamMagic[:], tr, append(tail, trailer...))
-}
-
-// UnmarshalBinary reads a trace in either variant of the binary format.
-func UnmarshalBinary(r io.Reader) (Trace, error) {
-	d := NewDecoder(r)
-	if err := d.sniff(); err != nil {
-		return nil, err
-	}
-	if d.mode < modeBinary {
-		return nil, errors.New("trace: bad magic: not a binary trace")
-	}
-	return d.readAll()
-}
-
 // truncatedMagic reports a format-level error when a stream ended
-// mid-way through a binary magic: head is a short Peek result that is a
-// non-empty proper prefix of "VTR1" or "VTS1". Without this check the
-// sniff in ReadAuto and Decoder.Next would fall through to text mode and
-// a 2-byte stub of a binary trace would surface as a baffling "line 1"
-// parse error — or, worse, as an empty-but-clean text trace.
+// mid-way through the binary magic: head is a short Peek result that is
+// a non-empty proper prefix of "VTS1". Without this check the sniff
+// would fall through to text mode and a 2-byte stub of a binary trace
+// would surface as a baffling "line 1" parse error — or, worse, as an
+// empty-but-clean text trace.
 func truncatedMagic(head []byte) error {
-	if len(head) == 0 || len(head) >= len(binaryMagic) {
+	if len(head) == 0 || len(head) >= len(streamMagic) || !bytes.HasPrefix(streamMagic[:], head) {
 		return nil
 	}
-	for _, magic := range [][4]byte{binaryMagic, streamMagic} {
-		if bytes.HasPrefix(magic[:], head) {
-			return fmt.Errorf("trace: truncated binary trace: stream ended at byte offset %d, inside the %q magic header", len(head), magic)
-		}
-	}
-	return nil
+	return fmt.Errorf("trace: truncated binary trace: stream ended at byte offset %d, inside the %q magic header", len(head), streamMagic)
 }
 
-// ReadAuto decodes a trace in either format, sniffing the binary magic.
-func ReadAuto(r io.Reader) (Trace, error) { return NewDecoder(r).readAll() }
+// ReadAuto decodes a whole trace in either format, sniffing the binary
+// magic; on an error it returns no trace.
+func ReadAuto(r io.Reader) (Trace, error) {
+	tr, err := NewDecoder(r).ReadAll()
+	if err != nil {
+		return nil, err
+	}
+	return tr, nil
+}

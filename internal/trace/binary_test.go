@@ -20,13 +20,18 @@ func sampleTrace() Trace {
 	}
 }
 
+// TestBinaryRoundTrip: MarshalBinary is MarshalStream with no trailer,
+// and what it writes reads back as the trace it was given.
 func TestBinaryRoundTrip(t *testing.T) {
 	tr := sampleTrace()
 	var buf bytes.Buffer
 	if err := MarshalBinary(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalBinary(&buf)
+	if stream := streamBytes(tr, ""); !bytes.Equal(buf.Bytes(), stream) {
+		t.Fatalf("MarshalBinary wrote %x, MarshalStream with no trailer %x", buf.Bytes(), stream)
+	}
+	got, err := ReadAuto(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,26 +45,16 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryNegativeTargetRoundTrip pins the 32-bit zig-zag: until the
-// two writers shared one encoder, MarshalBinary wrote -1 as 0x1FFFFFFFF,
-// which decodes as 0.
+// TestBinaryNegativeTargetRoundTrip pins the 32-bit zig-zag: a 64-bit
+// one writes -1 as 0x1FFFFFFFF, which decodes as 0.
 func TestBinaryNegativeTargetRoundTrip(t *testing.T) {
 	tr := Trace{Rd(1, -1), Wr(2, -1<<31), Rd(1, 1<<31-1)}
-	var bin, stream bytes.Buffer
-	if err := MarshalBinary(&bin, tr); err != nil {
+	got, err := ReadAuto(bytes.NewReader(streamBytes(tr, "")))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := MarshalStream(&stream, tr, ""); err != nil {
-		t.Fatal(err)
-	}
-	for name, buf := range map[string]*bytes.Buffer{"MarshalBinary": &bin, "MarshalStream": &stream} {
-		got, err := UnmarshalBinary(buf)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !slices.Equal(got, tr) {
-			t.Errorf("%s: read back %v, wrote %v", name, got, tr)
-		}
+	if !slices.Equal(got, tr) {
+		t.Errorf("read back %v, wrote %v", got, tr)
 	}
 }
 
@@ -76,7 +71,7 @@ func TestBinaryLabelInterning(t *testing.T) {
 	if buf.Len() > 6000 {
 		t.Errorf("interning ineffective: %d bytes for 1000 ops", buf.Len())
 	}
-	got, err := UnmarshalBinary(&buf)
+	got, err := ReadAuto(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,15 +82,35 @@ func TestBinaryLabelInterning(t *testing.T) {
 
 func TestBinaryRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
-		nil,
 		[]byte("WRONGMAGIC"),
-		[]byte("VTR1"),                      // missing count
-		append([]byte("VTR1"), 0xFF, 0xFF),  // truncated varint... then EOF
-		append([]byte("VTR1"), 2, 99, 1, 0), // unknown kind 99
+		[]byte("VTS1"),                     // no end record
+		append([]byte("VTS1"), 0xFF, 0xFF), // end record cut inside its length
+		append([]byte("VTS1"), 99, 1, 0),   // unknown kind 99
 	}
 	for i, c := range cases {
-		if _, err := UnmarshalBinary(bytes.NewReader(c)); err == nil {
+		if _, err := ReadAuto(bytes.NewReader(c)); err == nil {
 			t.Errorf("case %d: accepted garbage", i)
+		}
+	}
+}
+
+// TestBinaryRefusesRetiredFormat: a trace in the counted binary format,
+// "VTR1" and an op count in place of the end record, is refused by name
+// before any of it is read, through every entry point, and not handed
+// to the text parser as a line 1 it cannot read.
+func TestBinaryRefusesRetiredFormat(t *testing.T) {
+	counted := append([]byte("VTR1\x02"), streamBytes(Trace{Rd(1, 2), Wr(1, 2)}, "")[4:10]...)
+	for name, decode := range map[string]func([]byte) (Trace, error){
+		"Next":      decodeAll,
+		"NextBatch": func(b []byte) (Trace, error) { return decodeBatched(bytes.NewReader(b), 64) },
+		"ReadAuto":  func(b []byte) (Trace, error) { return ReadAuto(bytes.NewReader(b)) },
+	} {
+		tr, err := decode(counted)
+		if err == nil || errors.Is(err, io.EOF) || len(tr) != 0 {
+			t.Fatalf("%s: %d ops, err %v; want the input refused", name, len(tr), err)
+		}
+		if !strings.Contains(err.Error(), `"VTR1"`) || !strings.Contains(err.Error(), "retired counted binary format") {
+			t.Errorf("%s: %q does not name the retired format", name, err)
 		}
 	}
 }
@@ -103,14 +118,14 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 func TestBinaryRejectsBadBackref(t *testing.T) {
 	// One Begin op with a back-reference to label index 7 (never defined).
 	var buf bytes.Buffer
-	buf.WriteString("VTR1")
-	buf.WriteByte(1)              // count = 1
+	buf.WriteString("VTS1")
 	buf.WriteByte(byte(Begin))    // kind
 	buf.WriteByte(1)              // thread
 	buf.WriteByte(0)              // target zig-zag
 	buf.WriteByte(byte(7<<1 | 1)) // back-ref to 7
-	if _, err := UnmarshalBinary(&buf); err == nil {
-		t.Fatal("accepted out-of-range label back-reference")
+	buf.Write([]byte{streamEnd, 0})
+	if _, err := ReadAuto(&buf); err == nil || !strings.Contains(err.Error(), "back-reference 7 out of range") {
+		t.Fatalf("out-of-range label back-reference: err %v", err)
 	}
 }
 
@@ -140,7 +155,7 @@ func TestBinarySmallerThanText(t *testing.T) {
 	if bin.Len()*2 > txt.Len() {
 		t.Errorf("binary %d bytes not ≪ text %d bytes", bin.Len(), txt.Len())
 	}
-	got, err := UnmarshalBinary(&bin)
+	got, err := ReadAuto(&bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,35 +164,13 @@ func TestBinarySmallerThanText(t *testing.T) {
 	}
 }
 
-func FuzzUnmarshalBinary(f *testing.F) {
-	var buf bytes.Buffer
-	_ = MarshalBinary(&buf, sampleTrace())
-	f.Add(buf.Bytes())
-	f.Add([]byte("VTR1"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := UnmarshalBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Anything accepted must re-encode and re-decode stably.
-		var out bytes.Buffer
-		if err := MarshalBinary(&out, tr); err != nil {
-			t.Fatal(err)
-		}
-		tr2, err := UnmarshalBinary(&out)
-		if err != nil || tr2.String() != tr.String() {
-			t.Fatalf("unstable round trip: %v", err)
-		}
-	})
-}
-
 func TestBinaryTextEquivalence(t *testing.T) {
 	tr := sampleTrace()
 	var bin bytes.Buffer
 	if err := MarshalBinary(&bin, tr); err != nil {
 		t.Fatal(err)
 	}
-	fromBin, err := UnmarshalBinary(&bin)
+	fromBin, err := ReadAuto(&bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +178,7 @@ func TestBinaryTextEquivalence(t *testing.T) {
 	if err := Marshal(&txt, tr); err != nil {
 		t.Fatal(err)
 	}
-	fromTxt, err := Unmarshal(strings.NewReader(txt.String()))
+	fromTxt, err := ReadAuto(strings.NewReader(txt.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,16 +195,8 @@ func TestStreamMatchesTextRoundTrip(t *testing.T) {
 	tr := append(benchTrace(300), truncCorpus()...)
 	tr = append(tr, Beg(9, ""), Fin(9), Rd(1<<20, 1<<30))
 
-	var txt bytes.Buffer
-	e := NewEmitter(&txt)
-	for _, op := range tr {
-		e.Emit(op)
-	}
-	e.Comment(trailer)
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	fromText := NewDecoder(&txt)
+	txt := append(textBytes(tr), "# "+trailer+"\n"...)
+	fromText := NewDecoder(bytes.NewReader(txt))
 	want, err := fromText.ReadAll()
 	if err != nil {
 		t.Fatal(err)
@@ -233,24 +218,24 @@ func TestStreamMatchesTextRoundTrip(t *testing.T) {
 	if !slices.Equal(fromStream.Comments, fromText.Comments) {
 		t.Errorf("comments: stream %q, text %q", fromStream.Comments, fromText.Comments)
 	}
-	// The one-shot readers take the variant too.
-	for name, read := range map[string]func(io.Reader) (Trace, error){"ReadAuto": ReadAuto, "UnmarshalBinary": UnmarshalBinary} {
-		if tr2, err := read(bytes.NewReader(streamBytes(tr, trailer))); err != nil || tr2.String() != tr.String() {
-			t.Errorf("%s on a stream: %d ops, err %v", name, len(tr2), err)
-		}
+	// The one-shot reader takes it too.
+	if tr2, err := ReadAuto(bytes.NewReader(streamBytes(tr, trailer))); err != nil || tr2.String() != tr.String() {
+		t.Errorf("ReadAuto on a stream: %d ops, err %v", len(tr2), err)
 	}
 }
 
-// FuzzStreamDecode: whatever follows the streaming magic, the decoder
-// must not panic and must not allocate beyond its input (a hostile
-// length is refused, not obeyed); and what it accepts is a fixed point
-// of decode → MarshalStream, operations and trailer alike. And after
-// either magic there is one decoder at two speeds: NextBatch, whatever
-// the batch size and however the reader cuts the bytes up, yields the
-// operations and the error text of the record-at-a-time code.
+// FuzzStreamDecode: whatever follows the binary magic, the decoder must
+// not panic and must not allocate beyond its input (a hostile length is
+// refused, not obeyed); and what it accepts is a fixed point of decode →
+// MarshalStream, operations and trailer alike. And there is one decoder
+// at two speeds: NextBatch, whatever the batch size and however the
+// reader cuts the bytes up, yields the operations and the error text of
+// the record-at-a-time code.
 func FuzzStreamDecode(f *testing.F) {
 	whole := streamBytes(truncCorpus(), truncTrailer)
 	f.Add(whole[4:])
+	f.Add(streamBytes(sampleTrace(), "")[4:])
+	f.Add([]byte{}) // the magic alone
 	f.Add(whole[4 : len(whole)-3])
 	f.Add(append(bytes.Clone(whole[4:]), 0))
 	f.Add([]byte{streamEnd, 0})
@@ -263,28 +248,25 @@ func FuzzStreamDecode(f *testing.F) {
 	}
 	for _, recs := range hardRecords {
 		f.Add(append(bytes.Clone(recs), streamEnd, 0))
-		f.Add(append([]byte{3}, recs...)) // as the body of a counted trace
+		f.Add(bytes.Clone(recs)) // with no end record
 	}
 	f.Add(streamBytes(benchTrace(300), truncTrailer)[4:])                            // longer than the smallest read buffer
 	f.Add(append(labelFlood(maxStreamLabelBytes/(maxLabelBytes+1)+1), streamEnd, 0)) // labels past the stream's bound
 	f.Fuzz(func(t *testing.T, body []byte) {
 		defer func() { testBuf = 0 }()
+		data := append(streamMagic[:], body...)
 		for _, testBuf = range []int{0, minDecoderBuf} {
-			for _, magic := range [][4]byte{binaryMagic, streamMagic} {
-				data := append(magic[:], body...)
-				want, wantErr := decodeRecords(data)
-				for _, size := range []int{1, 7, 512} {
-					for how, wrap := range cutReaders {
-						got, err := decodeBatched(wrap(bytes.NewReader(data)), size)
-						if !slices.Equal(got, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
-							t.Fatalf("%q, %d-byte buffer, batches of %d, %s reads: %d ops and %v, record at a time %d ops and %v",
-								magic, testBuf, size, how, len(got), err, len(want), wantErr)
-						}
+			want, wantErr := decodeRecords(data)
+			for _, size := range []int{1, 7, 512} {
+				for how, wrap := range cutReaders {
+					got, err := decodeBatched(wrap(bytes.NewReader(data)), size)
+					if !slices.Equal(got, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+						t.Fatalf("%d-byte buffer, batches of %d, %s reads: %d ops and %v, record at a time %d ops and %v",
+							testBuf, size, how, len(got), err, len(want), wantErr)
 					}
 				}
 			}
 		}
-		data := append(streamMagic[:], body...)
 		dec := NewDecoder(bytes.NewReader(data))
 		tr, err := dec.ReadAll()
 		if err != nil {

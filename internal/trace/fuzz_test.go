@@ -31,14 +31,14 @@ func FuzzParseOp(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshal: multi-line inputs must never panic; accepted traces must
-// re-marshal losslessly.
+// FuzzUnmarshal: ReadAuto must never panic on multi-line text inputs;
+// accepted traces must re-marshal losslessly.
 func FuzzUnmarshal(f *testing.F) {
 	f.Add("rd(1,x0)\nwr(2,x0)\n")
 	f.Add("# comment\n\nbegin.m(1)\nend(1)\n")
 	f.Add("garbage\n")
 	f.Fuzz(func(t *testing.T, s string) {
-		tr, err := Unmarshal(strings.NewReader(s))
+		tr, err := ReadAuto(strings.NewReader(s))
 		if err != nil {
 			return
 		}
@@ -46,7 +46,7 @@ func FuzzUnmarshal(f *testing.F) {
 		if err := Marshal(&b, tr); err != nil {
 			t.Fatal(err)
 		}
-		tr2, err := Unmarshal(strings.NewReader(b.String()))
+		tr2, err := ReadAuto(strings.NewReader(b.String()))
 		if err != nil {
 			t.Fatalf("re-parse failed: %v", err)
 		}

@@ -37,7 +37,7 @@ var outOfRangeIDs = []struct {
 	{"variable past int32", "rd(0,x4294967295)", Read, 0, zz(1<<32 - 1)},
 }
 
-// TestOutOfRangeIDsAreDecodeErrors: in all three formats, through Next and
+// TestOutOfRangeIDsAreDecodeErrors: in both formats, through Next and
 // through NextBatch, such an id is an error that names where it stood —
 // after the operations in front of it have been handed over, and never
 // io.EOF.
@@ -55,7 +55,6 @@ func TestOutOfRangeIDsAreDecodeErrors(t *testing.T) {
 			pos  string
 		}{
 			"text": {[]byte(good.String() + "\n" + c.text + "\nend(0)\n"), "line 3"},
-			"VTR1": {bytes.Join([][]byte{binaryMagic[:], {3}, goodRecs, bad}, nil), "op 2"},
 			"VTS1": {bytes.Join([][]byte{streamMagic[:], goodRecs, bad, {streamEnd, 0}}, nil), "op 2"},
 		}
 		for format, in := range inputs {
@@ -95,11 +94,7 @@ func TestNegativeVariableRoundTrips(t *testing.T) {
 	if err := Marshal(&txt, tr); err != nil {
 		t.Fatal(err)
 	}
-	var bin bytes.Buffer
-	if err := MarshalBinary(&bin, tr); err != nil {
-		t.Fatal(err)
-	}
-	for name, data := range map[string][]byte{"text": txt.Bytes(), "VTR1": bin.Bytes(), "VTS1": streamBytes(tr, "")} {
+	for name, data := range map[string][]byte{"text": txt.Bytes(), "VTS1": streamBytes(tr, "")} {
 		got, err := ReadAuto(bytes.NewReader(data))
 		if err != nil || got.String() != tr.String() {
 			t.Errorf("%s: %v, err %v; want %v", name, got, err, tr)

@@ -17,11 +17,11 @@ type LabelID int32
 // Labels is an append-only table of Begin label names, indexed by
 // LabelID. An id means something only in the table that minted it:
 //
-//   - ops built in code (Beg, ParseOp), rr's recordings and the one-shot
-//     whole-trace readers (ReadAuto, Unmarshal, UnmarshalBinary), and any
-//     Decoder made by NewDecoder, mint into one process-wide table,
-//     ProcessLabels, whose names come from program text or, at most
-//     maxStreamLabelBytes of them, from each stream read;
+//   - ops built in code (Beg, ParseOp), rr's recordings, the one-shot
+//     whole-trace reader ReadAuto, and any Decoder made by NewDecoder,
+//     mint into one process-wide table, ProcessLabels, whose names come
+//     from program text or, at most maxStreamLabelBytes of them, from
+//     each stream read;
 //   - a Decoder made by NewDecoderLabels mints into the table it is
 //     given: a daemon session gives each decoder its own, which dies with
 //     the session.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -74,7 +75,7 @@ func (h SessionHeader) Encode() []byte {
 func (h SessionHeader) Validate() error {
 	for _, f := range []struct{ key, v string }{{"engine", h.Engine}, {"name", h.Name}, {"key", h.Key}} {
 		if strings.ContainsFunc(f.v, func(r rune) bool { return r == '=' || unicode.IsSpace(r) || unicode.IsControl(r) }) {
-			return fmt.Errorf("trace: session header %s=%q: spaces, '=' and control characters are not allowed", f.key, clip(f.v))
+			return fmt.Errorf("trace: session header %s=%s: spaces, '=' and control characters are not allowed", f.key, clip(f.v))
 		}
 	}
 	return nil
@@ -96,7 +97,7 @@ func ReadSessionHeader(br *bufio.Reader) (SessionHeader, error) {
 	for _, f := range fields[1:] {
 		key, val, ok := strings.Cut(f, "=")
 		if !ok {
-			return SessionHeader{}, fmt.Errorf("trace: malformed session header field %q", clip(f))
+			return SessionHeader{}, fmt.Errorf("trace: malformed session header field %s", clip(f))
 		}
 		switch key {
 		case "engine":
@@ -112,12 +113,15 @@ func ReadSessionHeader(br *bufio.Reader) (SessionHeader, error) {
 	return h, nil
 }
 
-// clip shortens what a header error quotes back to the client.
+// clip quotes s for an error message, keeping at most 64 bytes of the
+// quoted form: what a header or verdict error quotes back stays short
+// whatever bytes it was sent.
 func clip(s string) string {
-	if len(s) > 64 {
-		return s[:64] + "..."
+	q := strconv.QuoteToASCII(s)
+	if len(q) > 64 {
+		return q[:64] + "..."
 	}
-	return s
+	return q
 }
 
 // Verdict statuses.
@@ -225,7 +229,7 @@ func ReadVerdict(r io.Reader) (*SessionVerdict, error) {
 	}
 	var v SessionVerdict
 	if err := json.Unmarshal([]byte(line), &v); err != nil {
-		return nil, fmt.Errorf("trace: malformed verdict %q: %v", strings.TrimSpace(line), err)
+		return nil, fmt.Errorf("trace: malformed verdict %s: %s", clip(strings.TrimSpace(line)), clip(err.Error()))
 	}
 	return &v, nil
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -120,6 +121,7 @@ func FuzzReadSessionHeader(f *testing.F) {
 	f.Add([]byte("VELOSESS/1 engine\n"), "", "", "", false)
 	f.Add([]byte("GET / HTTP/1.1\n"), "basic", "two\vwords", "", false)
 	f.Add([]byte("VELOSESS/1 "+strings.Repeat("x", 5000)+"\n"), "", "", strings.Repeat("k", 300), false)
+	f.Add([]byte("VELOSESS/1 "+strings.Repeat("\x01", 100)+"\n"), "", "", "", false) // each byte quotes as four
 	f.Fuzz(func(t *testing.T, raw []byte, engine, name, key string, forensics bool) {
 		if _, err := ReadSessionHeader(bufio.NewReader(bytes.NewReader(raw))); err != nil && len(err.Error()) > 256 {
 			t.Fatalf("a %d-byte input gives a %d-byte error", len(raw), len(err.Error()))
@@ -131,6 +133,43 @@ func FuzzReadSessionHeader(f *testing.F) {
 		got, err := ReadSessionHeader(bufio.NewReader(bytes.NewReader(h.Encode())))
 		if err != nil || got != h {
 			t.Fatalf("%+v encodes as %q and reads back as %+v, %v", h, h.Encode(), got, err)
+		}
+	})
+}
+
+// FuzzReadVerdict: whatever line a server sends back, ReadVerdict must
+// not panic and must fail with a message of at most 256 bytes (it is
+// printed by every client); and what it accepts is a fixed point of
+// WriteVerdict → ReadVerdict.
+func FuzzReadVerdict(f *testing.F) {
+	var whole bytes.Buffer
+	WriteVerdict(&whole, &SessionVerdict{Status: StatusOK, Session: "s7", Engine: "optimized", Ops: 9,
+		Warnings: []string{"warning: m is not atomic"}, Reports: []json.RawMessage{json.RawMessage(`{"a": [1, "<b>"]}`)},
+		Comments: []string{"velo events emitted=9 pruned=0"}, Metrics: map[string]int64{"core_events_filtered_total": 3}})
+	f.Add(whole.Bytes())
+	f.Add([]byte(`{"status":"malformed","code":"decode-error","ops":1,"error":"trace: op 1: id out of range"}` + "\n"))
+	f.Add([]byte("not json\n"))
+	f.Add([]byte(`{"ops":1` + strings.Repeat("0", 400) + "}\n"))
+	f.Add([]byte(strings.Repeat("\x01", 300) + "\n"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, line []byte) {
+		v, err := ReadVerdict(bytes.NewReader(line))
+		if err != nil {
+			if len(err.Error()) > 256 {
+				t.Fatalf("a %d-byte line gives a %d-byte error", len(line), len(err.Error()))
+			}
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := WriteVerdict(&once, v); err != nil {
+			t.Fatalf("an accepted verdict does not write: %v", err)
+		}
+		back, err := ReadVerdict(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("%q reads back as an error: %v", once.Bytes(), err)
+		}
+		if err := WriteVerdict(&twice, back); err != nil || !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("not a fixed point: %q, then %q (%v)", once.Bytes(), twice.Bytes(), err)
 		}
 	})
 }

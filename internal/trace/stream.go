@@ -9,25 +9,22 @@ import (
 	"io"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 )
 
 // This file is the streaming half of the trace format: an Emitter that
-// writes text operations one at a time (the recording back-end of
-// internal/rr; the runtime shim that veloinstr injects writes the
-// streaming binary format of binary.go itself) and a Decoder that reads
-// every format back incrementally, so a checker can consume a trace
-// while the instrumented program is still producing it.
+// writes text operations one at a time, and a Decoder that reads either
+// format back incrementally, so a checker can consume a trace while the
+// instrumented program is still producing it (its runtime shim writes
+// the binary format of binary.go itself).
 
 // Emitter streams operations in the textual trace format. It is safe for
 // concurrent use: instrumented programs emit from many goroutines, and
 // serializing emission is what linearizes the observed trace.
 type Emitter struct {
-	mu      sync.Mutex
-	bw      *bufio.Writer
-	err     error
-	emitted int64
+	mu  sync.Mutex
+	bw  *bufio.Writer
+	err error
 }
 
 // NewEmitter returns an Emitter writing the text format to w.
@@ -36,7 +33,7 @@ func NewEmitter(w io.Writer) *Emitter {
 }
 
 // Emit appends one operation. The first write error is retained and
-// reported by Flush/Err; later calls become no-ops.
+// reported by Flush; later calls become no-ops.
 func (e *Emitter) Emit(op Op) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -49,37 +46,7 @@ func (e *Emitter) Emit(op Op) {
 	}
 	if err := e.bw.WriteByte('\n'); err != nil {
 		e.err = err
-		return
 	}
-	e.emitted++
-}
-
-// Comment appends a comment line ("# ..."), ignored by readers but kept
-// for human inspection and out-of-band metadata (newlines are replaced).
-func (e *Emitter) Comment(text string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.err != nil {
-		return
-	}
-	text = strings.ReplaceAll(text, "\n", " ")
-	if _, err := fmt.Fprintf(e.bw, "# %s\n", text); err != nil {
-		e.err = err
-	}
-}
-
-// Emitted returns the number of operations emitted so far.
-func (e *Emitter) Emitted() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.emitted
-}
-
-// Err returns the first write error, if any.
-func (e *Emitter) Err() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.err
 }
 
 // Flush flushes buffered output and returns the first error seen.
@@ -123,24 +90,22 @@ type Decoder struct {
 	intern  map[string]LabelID // the labels this stream has named so far
 
 	// binary state
-	remaining uint64    // ops still to come; in modeStream, nonzero until the end record
-	labels    []LabelID // by the stream's label index
-	binIndex  uint64
+	labels   []LabelID // by the stream's label index
+	binIndex uint64
+	ended    bool // the end record has been read
 
 	// Comments collects the "#" comment lines of a text trace, in
-	// order, or the end record's trailer of a streaming binary one.
+	// order, or the end record's trailer of a binary one.
 	// Instrumented programs report their runtime counters (events
 	// emitted vs pruned) there, out of band.
 	Comments []string
 }
 
-// Decoder modes. The binary ones sort last: both decode operations with
-// nextBinary and fillBinary.
+// Decoder modes.
 const (
 	modeUnknown = iota
 	modeText
-	modeBinary // "VTR1": op count up front
-	modeStream // "VTS1": no count, closed by an end record
+	modeBinary
 )
 
 // decoderBufSize is sized so that batched reads amortize the syscall per
@@ -200,8 +165,9 @@ func (d *Decoder) Next() (Op, error) {
 	return one[0], nil
 }
 
-// sniff picks the format from the stream's first bytes: a binary magic
-// (after "VTR1" it also reads the op count), or else text.
+// sniff picks the format from the stream's first bytes: the binary
+// magic, or else text. The retired counted format's magic is refused by
+// name rather than parsed as a text line.
 func (d *Decoder) sniff() error {
 	head, err := d.br.Peek(4)
 	if err != nil {
@@ -212,21 +178,11 @@ func (d *Decoder) sniff() error {
 		return nil
 	}
 	switch [4]byte(head) {
-	case binaryMagic:
-		d.mode = modeBinary
-		d.br.Discard(4)
-		count, err := binary.ReadUvarint(d.br)
-		if err != nil {
-			return fmt.Errorf("trace: reading count: %w", err)
-		}
-		const maxOps = 1 << 30
-		if count > maxOps {
-			return fmt.Errorf("trace: implausible op count %d", count)
-		}
-		d.remaining = count
 	case streamMagic:
 		d.br.Discard(4)
-		d.mode, d.remaining = modeStream, math.MaxUint64
+		d.mode = modeBinary
+	case retiredMagic:
+		return fmt.Errorf("trace: %q opens the retired counted binary format; traces are text or %q binary", retiredMagic, streamMagic)
 	default:
 		d.mode = modeText
 	}
@@ -323,10 +279,22 @@ func idsInRange(kind Kind, tid, zz uint64) bool {
 		(zz&1 == 0 || kind == Read || kind == Write)
 }
 
-func (d *Decoder) nextBinary() (Op, error) {
-	if d.remaining == 0 {
+// nextBinary decodes one record, blocking for its bytes: an operation,
+// or the end record, after which it returns io.EOF. Running out of bytes
+// before the end record is an error that cannot be mistaken for io.EOF,
+// even through errors.Is.
+func (d *Decoder) nextBinary() (op Op, err error) {
+	if d.ended {
 		return Op{}, io.EOF
 	}
+	if head, _ := d.br.Peek(1); len(head) == 1 && head[0] == streamEnd {
+		return Op{}, d.readEnd()
+	}
+	defer func() {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			err = fmt.Errorf("trace: truncated binary stream, no end record: %v", err) // %v: the cause must not unwrap to io.EOF
+		}
+	}()
 	i := d.binIndex
 	kind, err := d.br.ReadByte()
 	if err != nil {
@@ -346,7 +314,7 @@ func (d *Decoder) nextBinary() (Op, error) {
 	if !idsInRange(Kind(kind), tid, zz) {
 		return Op{}, fmt.Errorf("trace: op %d: id out of range (%s, thread %d, target %d)", i, Kind(kind), tid, int64(zz>>1)^-int64(zz&1))
 	}
-	op := Op{Kind: Kind(kind), Thread: Tid(tid), Target: unzigzag(zz)}
+	op = Op{Kind: Kind(kind), Thread: Tid(tid), Target: unzigzag(zz)}
 	if op.Kind == Begin {
 		lv, err := binary.ReadUvarint(d.br)
 		if err != nil {
@@ -374,25 +342,7 @@ func (d *Decoder) nextBinary() (Op, error) {
 		}
 	}
 	d.binIndex++
-	d.remaining--
 	return op, nil
-}
-
-// nextStream is nextBinary for the streaming variant: the end record, not
-// a count, closes the stream, and running out of bytes before it is an
-// error that cannot be mistaken for io.EOF, even through errors.Is.
-func (d *Decoder) nextStream() (Op, error) {
-	if d.remaining == 0 {
-		return Op{}, io.EOF
-	}
-	if head, _ := d.br.Peek(1); len(head) == 1 && head[0] == streamEnd {
-		return Op{}, d.readEnd()
-	}
-	op, err := d.nextBinary()
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		err = fmt.Errorf("trace: truncated binary stream, no end record: %v", err) // %v: the cause must not unwrap to io.EOF
-	}
-	return op, err
 }
 
 // readEnd consumes the end record and its trailer, checks that nothing
@@ -420,7 +370,7 @@ func (d *Decoder) readEnd() error {
 	if n > 0 {
 		d.Comments = append(d.Comments, string(trailer))
 	}
-	d.remaining = 0
+	d.ended = true
 	return io.EOF
 }
 
@@ -449,13 +399,10 @@ func (d *Decoder) NextBatch(buf []Op) (int, error) {
 	// operation through it, and look at what it holds now.
 	d.br.Discard(d.parsed)
 	d.parsed, d.win = 0, nil
-	switch d.mode {
-	case modeText:
+	if d.mode == modeText {
 		buf[0], err = d.nextText()
-	case modeBinary:
+	} else {
 		buf[0], err = d.nextBinary()
-	default:
-		buf[0], err = d.nextStream()
 	}
 	if err != nil {
 		return 0, err
@@ -504,9 +451,6 @@ func (d *Decoder) fillText(buf []Op) (int, error) {
 // errors are reported by a single code path.
 func (d *Decoder) fillBinary(buf []Op) int {
 	p := d.win[d.parsed:]
-	if uint64(len(buf)) > d.remaining {
-		buf = buf[:d.remaining]
-	}
 	n, off := 0, 0
 	for n < len(buf) {
 		r := p[off:]
@@ -554,7 +498,6 @@ func (d *Decoder) fillBinary(buf []Op) int {
 	}
 	d.parsed += off
 	d.binIndex += uint64(n)
-	d.remaining -= uint64(n)
 	return n
 }
 
@@ -576,14 +519,4 @@ func (d *Decoder) ReadAll() (Trace, error) {
 			return tr, err
 		}
 	}
-}
-
-// readAll is ReadAll for the one-shot readers, which return no trace
-// alongside an error.
-func (d *Decoder) readAll() (Trace, error) {
-	tr, err := d.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	return tr, nil
 }

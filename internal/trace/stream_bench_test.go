@@ -33,14 +33,6 @@ func textBytes(tr Trace) []byte {
 	return buf.Bytes()
 }
 
-func binaryBytes(tr Trace) []byte {
-	var buf bytes.Buffer
-	if err := MarshalBinary(&buf, tr); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
-
 func streamBytes(tr Trace, trailer string) []byte {
 	var buf bytes.Buffer
 	if err := MarshalStream(&buf, tr, trailer); err != nil {
@@ -75,7 +67,7 @@ func BenchmarkDecoderText(b *testing.B) {
 }
 
 func BenchmarkDecoderBinary(b *testing.B) {
-	benchDecode(b, binaryBytes(benchTrace(10000)))
+	benchDecode(b, streamBytes(benchTrace(10000), ""))
 }
 
 func BenchmarkParseOp(b *testing.B) {

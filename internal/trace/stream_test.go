@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"slices"
@@ -32,28 +31,21 @@ func TestEmitterRoundTrip(t *testing.T) {
 	tr := streamSampleTrace()
 	var buf bytes.Buffer
 	e := NewEmitter(&buf)
-	e.Comment("header")
 	for _, op := range tr {
 		e.Emit(op)
 	}
-	e.Comment("velo events emitted=10 pruned=3")
 	if err := e.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	if got := e.Emitted(); got != int64(len(tr)) {
-		t.Fatalf("Emitted = %d, want %d", got, len(tr))
+	if !bytes.Equal(buf.Bytes(), textBytes(tr)) {
+		t.Fatalf("Emitter wrote\n%s\nMarshal writes\n%s", buf.Bytes(), textBytes(tr))
 	}
-
-	d := NewDecoder(bytes.NewReader(buf.Bytes()))
-	got, err := d.ReadAll()
+	got, err := NewDecoder(bytes.NewReader(buf.Bytes())).ReadAll()
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if got.String() != tr.String() {
 		t.Fatalf("round trip mismatch:\n%s\nwant:\n%s", got, tr)
-	}
-	if len(d.Comments) != 2 || d.Comments[1] != "velo events emitted=10 pruned=3" {
-		t.Fatalf("comments = %q", d.Comments)
 	}
 }
 
@@ -231,14 +223,17 @@ func decodeBatched(r io.Reader, size int) (Trace, error) {
 }
 
 // decodeRecords drains data through the blocking record-at-a-time code —
-// nextText, nextBinary, nextStream: the only producers of decode errors —
-// without the in-place fill that Next and NextBatch put in front of it.
+// nextText and nextBinary, the only producers of decode errors — without
+// the in-place fill that Next and NextBatch put in front of it.
 func decodeRecords(data []byte) (Trace, error) {
 	d := testDecoder(bytes.NewReader(data))
 	if err := d.sniff(); err != nil {
 		return nil, err
 	}
-	next := map[int]func() (Op, error){modeText: d.nextText, modeBinary: d.nextBinary, modeStream: d.nextStream}[d.mode]
+	next := d.nextBinary
+	if d.mode == modeText {
+		next = d.nextText
+	}
 	var tr Trace
 	for {
 		op, err := next()
@@ -277,38 +272,32 @@ var cutReaders = map[string]func(io.Reader) io.Reader{
 
 // straddler returns records laid out so that one of five bytes starts two
 // bytes short of the decoder's first buffer edge, behind a header of the
-// given length, and how many records that is.
-func straddler(header int) ([]byte, int) {
+// given length.
+func straddler(header int) []byte {
 	var b []byte
-	n := 0
 	edge := bufEdge()
-	for ; (edge-2-header-len(b))%3 != 0; n++ {
+	for (edge-2-header-len(b))%3 != 0 {
 		b = append(b, rawRecord(Read, 1, 0x80)...) // four bytes
 	}
-	for ; header+len(b) < edge-2; n++ {
+	for header+len(b) < edge-2 {
 		b = append(b, rawRecord(Write, 2, 6)...)
 	}
 	b = append(b, rawRecord(Read, 3, 1<<14)...) // five bytes, across the edge
-	return append(b, rawRecord(Write, 3, 8)...), n + 2
+	return append(b, rawRecord(Write, 3, 8)...)
 }
 
 // TestNextBatchMatchesNext is the in-place fill's differential: for
-// every encoding, every batch size, readers that deliver whole, half and
+// both encodings, every batch size, readers that deliver whole, half and
 // byte at a time (so records straddle every refill), every truncation of
-// the two binary corpora and of the records the fill must pass on, Next
-// and NextBatch yield exactly the ops and the terminal error text of the
+// the binary corpus and of the records the fill must pass on, Next and
+// NextBatch yield exactly the ops and the terminal error text of the
 // blocking record-at-a-time code.
 func TestNextBatchMatchesNext(t *testing.T) { eachBufSize(t, testNextBatchMatchesNext) }
 
 func testNextBatchMatchesNext(t *testing.T) {
-	var bin bytes.Buffer
-	if err := MarshalBinary(&bin, truncCorpus()); err != nil {
-		t.Fatal(err)
-	}
 	stream := streamBytes(truncCorpus(), truncTrailer)
 	inputs := map[string][]byte{
 		"text":          []byte("# head\n\n" + string(textBytes(benchTrace(300))) + "# velo events emitted=300\n"),
-		"binary":        binaryBytes(benchTrace(300)),
 		"stream":        streamBytes(benchTrace(300), "velo events emitted=300 pruned=0"),
 		"stream-empty":  streamBytes(nil, ""),
 		"stream-padded": append(bytes.Clone(stream), 0),
@@ -322,19 +311,15 @@ func testNextBatchMatchesNext(t *testing.T) {
 			inputs[fmt.Sprintf("%s-cut-%d", name, cut)] = data[:cut]
 		}
 	}
-	cuts("binary", bin.Bytes(), 1)
 	cuts("stream", stream, 1)
 	for name, recs := range hardRecords {
 		whole := bytes.Join([][]byte{streamMagic[:], recs, {streamEnd, 0}}, nil)
 		inputs[name] = whole
 		cuts(name, whole, 5)
-		inputs[name+"-counted"] = bytes.Join([][]byte{binaryMagic[:], {3}, recs}, nil)
 	}
-	recs, n := straddler(len(streamMagic))
+	recs := straddler(len(streamMagic))
 	inputs["straddle-stream"] = bytes.Join([][]byte{streamMagic[:], recs, {streamEnd, 0}}, nil)
-	recs, n = straddler(len(binaryMagic) + 3)
-	inputs["straddle-binary"] = bytes.Join([][]byte{binary.AppendUvarint(binaryMagic[:], uint64(n)), recs}, nil)
-	inputs["straddle-binary-cut"] = inputs["straddle-binary"][:bufEdge()+1]
+	inputs["straddle-stream-cut"] = inputs["straddle-stream"][:bufEdge()+1]
 	for name, data := range inputs {
 		want, wantErr := decodeRecords(data)
 		check := func(how string, got Trace, err error) {
@@ -369,13 +354,9 @@ func testNextBatchMatchesNext(t *testing.T) {
 // on the transport to fill its buffer.
 func TestNextBatchDoesNotWaitForAFullBatch(t *testing.T) {
 	three := Trace{Beg(1, "m"), Rd(1, 0), Wr(1, 0)}
-	// The binary header announces four ops; end(1) is three bytes
-	// (kind, thread, target) and never arrives.
-	bin := binaryBytes(append(three, Fin(1)))
 	stream := streamBytes(three, "")
 	for name, data := range map[string][]byte{
 		"text":   textBytes(three),
-		"binary": bin[:len(bin)-3],
 		"stream": stream[:len(stream)-2], // the end record (0xFF, length 0) never arrives
 	} {
 		pr, pw := io.Pipe()
@@ -412,7 +393,6 @@ func testNextBatchSteadyStateAllocs(t *testing.T) {
 	tr := benchTrace(64)
 	for name, data := range map[string][]byte{
 		"text":   bytes.Repeat(textBytes(tr), 400),
-		"binary": binaryBytes(repeatOps(tr, 400)),
 		"stream": streamBytes(repeatOps(tr, 400), ""),
 	} {
 		d := testDecoder(bytes.NewReader(data))
@@ -459,7 +439,7 @@ func TestDecoderBoundsLineLength(t *testing.T) {
 	if _, err := decodeBatched(strings.NewReader(long), 64); err == nil || !strings.Contains(err.Error(), "longer than") {
 		t.Errorf("NextBatch: err = %v, want the line-length error", err)
 	}
-	if _, err := Unmarshal(strings.NewReader(long)); err == nil {
-		t.Error("Unmarshal accepted an endless line")
+	if _, err := ReadAuto(strings.NewReader(long)); err == nil {
+		t.Error("ReadAuto accepted an endless line")
 	}
 }

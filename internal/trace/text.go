@@ -8,9 +8,18 @@ import (
 	"math"
 )
 
-// Marshal writes the trace in the textual format accepted by Unmarshal:
-// one operation per line, in the same syntax produced by Op.String.
-// Blank lines and lines starting with '#' are comments on input.
+// Marshal writes the trace in the textual format: one operation per
+// line, in the same syntax produced by Op.String, e.g.
+//
+//	begin.add(1)
+//	rd(1,x0)
+//	acq(1,m2)
+//	wr(1,x0)
+//	rel(1,m2)
+//	end(1)
+//	fork(1,t2)
+//
+// Blank lines and lines beginning with '#' are comments on input.
 func Marshal(w io.Writer, tr Trace) error {
 	bw := bufio.NewWriter(w)
 	for _, op := range tr {
@@ -22,23 +31,6 @@ func Marshal(w io.Writer, tr Trace) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// Unmarshal parses the textual trace format: one operation per line, e.g.
-//
-//	begin.add(1)
-//	rd(1,x0)
-//	acq(1,m2)
-//	wr(1,x0)
-//	rel(1,m2)
-//	end(1)
-//	fork(1,t2)
-//
-// Blank lines and lines beginning with '#' are ignored.
-func Unmarshal(r io.Reader) (Trace, error) {
-	d := NewDecoder(r)
-	d.mode = modeText
-	return d.readAll()
 }
 
 // ParseOp parses a single operation in the syntax produced by Op.String,

@@ -65,7 +65,7 @@ func TestMarshalUnmarshal(t *testing.T) {
 	if err := Marshal(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Unmarshal(&buf)
+	got, err := ReadAuto(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestMarshalUnmarshal(t *testing.T) {
 
 func TestUnmarshalSkipsCommentsAndBlanks(t *testing.T) {
 	in := "# header\n\nrd(1,x0)\n  # indented comment\nwr(2,x1)\n"
-	tr, err := Unmarshal(strings.NewReader(in))
+	tr, err := ReadAuto(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestUnmarshalSkipsCommentsAndBlanks(t *testing.T) {
 }
 
 func TestUnmarshalReportsLine(t *testing.T) {
-	_, err := Unmarshal(strings.NewReader("rd(1,x0)\nbogus\n"))
+	_, err := ReadAuto(strings.NewReader("rd(1,x0)\nbogus\n"))
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("err = %v, want line 2 mention", err)
 	}

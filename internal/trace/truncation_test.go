@@ -46,60 +46,6 @@ func decodeAll(data []byte) (Trace, error) {
 	}
 }
 
-// TestBinaryTruncationCorpus cuts a valid binary trace at every prefix
-// length and requires that no cut decodes as a clean success: the
-// binary format's up-front count makes every truncation detectable, and
-// silently returning a prefix would hand the checker an incomplete
-// trace with a plausible verdict.
-func TestBinaryTruncationCorpus(t *testing.T) { eachBufSize(t, testBinaryTruncationCorpus) }
-
-func testBinaryTruncationCorpus(t *testing.T) {
-	var buf bytes.Buffer
-	full := truncCorpus()
-	if err := MarshalBinary(&buf, full); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	// Sanity: the uncut encoding round-trips.
-	tr, err := decodeAll(data)
-	if err != nil || len(tr) != len(full) {
-		t.Fatalf("full decode: %d ops, err %v", len(tr), err)
-	}
-
-	for cut := 0; cut < len(data); cut++ {
-		tr, err := decodeAll(data[:cut])
-		if cut == 0 {
-			// The empty stream decodes as zero text ops; rejecting it
-			// is CheckStream's job (ErrEmptyStream), tested in core.
-			if err != nil || len(tr) != 0 {
-				t.Errorf("cut 0: want clean empty decode, got %d ops, err %v", len(tr), err)
-			}
-			continue
-		}
-		if err == nil {
-			t.Errorf("cut at byte %d of %d: decoded %d ops with no error; truncation must not look like success",
-				cut, len(data), len(tr))
-			continue
-		}
-		if cut < 4 && !strings.Contains(err.Error(), "truncated binary trace") {
-			t.Errorf("cut at byte %d (inside magic): want a truncated-header error naming the offset, got: %v", cut, err)
-		}
-		if cut < 4 && !strings.Contains(err.Error(), "byte offset") {
-			t.Errorf("cut at byte %d: error must name the byte offset: %v", cut, err)
-		}
-	}
-
-	// The same cuts through ReadAuto: the one-shot reader shares the
-	// sniff and must agree.
-	for cut := 1; cut < 4; cut++ {
-		if _, err := ReadAuto(bytes.NewReader(data[:cut])); err == nil ||
-			!strings.Contains(err.Error(), "truncated binary trace") {
-			t.Errorf("ReadAuto cut %d: want truncated-header error, got %v", cut, err)
-		}
-	}
-}
-
 // TestTruncatedMagicNotText makes sure ordinary short text inputs that
 // merely share a first byte with nothing are unaffected, and that a
 // true magic prefix is the only trigger.
@@ -126,11 +72,12 @@ func TestTruncatedMagicNotText(t *testing.T) {
 
 const truncTrailer = "velo events emitted=11 pruned=3"
 
-// TestStreamTruncationCorpus is TestBinaryTruncationCorpus for the
-// streaming variant, which has no count to fall short of: the end record
-// alone says the stream is whole. Every proper prefix must fail, through
-// Next and through NextBatch, with an error nobody can take for a clean
-// end — not io.EOF itself and not a wrapper of it.
+// TestStreamTruncationCorpus cuts a valid binary trace at every prefix
+// length: the end record alone says the stream is whole, and silently
+// returning a prefix would hand the checker an incomplete trace with a
+// plausible verdict. Every proper prefix must fail, through Next,
+// NextBatch and ReadAuto, with an error nobody can take for a clean end
+// — not io.EOF itself and not a wrapper of it.
 func TestStreamTruncationCorpus(t *testing.T) { eachBufSize(t, testStreamTruncationCorpus) }
 
 func testStreamTruncationCorpus(t *testing.T) {
@@ -153,11 +100,12 @@ func testStreamTruncationCorpus(t *testing.T) {
 		for name, decode := range map[string]func([]byte) (Trace, error){
 			"Next":      decodeAll,
 			"NextBatch": func(b []byte) (Trace, error) { return decodeBatched(bytes.NewReader(b), 4) },
+			"ReadAuto":  func(b []byte) (Trace, error) { return ReadAuto(bytes.NewReader(b)) },
 		} {
 			tr, err := decode(data[:cut])
 			if cut == 0 {
-				// As for "VTR1": the empty stream is zero text ops, and
-				// rejecting it is CheckStream's job.
+				// The empty stream is zero text ops; rejecting it is
+				// CheckStream's job (ErrEmptyStream), tested in core.
 				if err != nil || len(tr) != 0 {
 					t.Errorf("%s, cut 0: want clean empty decode, got %d ops, err %v", name, len(tr), err)
 				}
