@@ -95,14 +95,13 @@ const syncBatch = 512
 // unlike CheckTrace it cannot be cross-checked against the offline
 // oracle, which needs the full trace. Results are as for Check.
 func CheckStream(d *trace.Decoder, opts Options) (*Result, int, error) {
-	return Check(StreamSource(d, syncBatch, opts.Spans), opts, nil)
+	return Check(StreamSource(d, make([]trace.Op, syncBatch), opts.Spans), opts, nil)
 }
 
 // StreamSource is the synchronous decoder source: every call decodes the
-// next batch of up to size operations from d on the caller's goroutine,
-// into one buffer it reuses, and books the time to sp's decode stage.
-func StreamSource(d *trace.Decoder, size int, sp *span.Buf) Source {
-	buf := make([]trace.Op, size)
+// next batch of up to len(buf) operations from d on the caller's
+// goroutine, into buf, and books the time to sp's decode stage.
+func StreamSource(d *trace.Decoder, buf []trace.Op, sp *span.Buf) Source {
 	return func() (Batch, error) {
 		n, err := DecodeBatch(d, buf, sp)
 		return Batch{Ops: buf[:n], Labels: d.Labels()}, err

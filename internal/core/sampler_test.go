@@ -182,6 +182,37 @@ func TestSamplerOverheadGuard(t *testing.T) {
 	}
 }
 
+// TestSamplerOverheadGuardDense is (d) on the violation-dense corpus,
+// where a warning every twenty operations makes the per-warning path the
+// tracer's main cost: a marker span per warning with two clock reads and
+// its blamed transaction formatted was 1.35x to 1.9x here.
+func TestSamplerOverheadGuardDense(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing guard")
+	}
+	corpus := denseCorpus(t)
+	check := func(traced bool) time.Duration {
+		t0 := time.Now()
+		for _, tr := range corpus {
+			var opts core.Options
+			if traced {
+				opts.Spans = span.New().Buffer("engine")
+			}
+			core.CheckTrace(tr, opts)
+		}
+		return time.Since(t0)
+	}
+	best := fastestBatches([]func() time.Duration{
+		func() time.Duration { return check(false) },
+		func() time.Duration { return check(true) },
+	})
+	plain, spans := best[0], best[1]
+	t.Logf("untraced %v, traced %v (%.2fx)", plain, spans, float64(spans)/float64(plain))
+	if spans > plain*3/2 {
+		t.Errorf("CheckTrace with Spans took %v over the dense corpus, without %v: more than 1.5x", spans, plain)
+	}
+}
+
 // fastestBatches times each of runs — each returns the time of the call
 // it measures — as the fastest of thirty batches of at least 10 ms of its
 // calls, taken round by round across runs, as Table 1's timing does

@@ -108,11 +108,14 @@ const (
 	modeBinary
 )
 
-// decoderBufSize is sized so that batched reads amortize the syscall per
-// buffer fill across a few thousand typical (8-16 byte) trace lines.
-// minDecoderBuf is the least a source of known length gets.
+// DecoderBufSize is a decoder's read buffer, sized so that batched reads
+// amortize the syscall per buffer fill across a few thousand typical
+// (8-16 byte) trace lines. A decoder handed a *bufio.Reader at least this
+// large reads through it as its own, so a caller that reuses one reuses
+// the decoder's buffer. minDecoderBuf is the least a source of known
+// length gets.
 const (
-	decoderBufSize = 64 * 1024
+	DecoderBufSize = 64 * 1024
 	minDecoderBuf  = 512
 )
 
@@ -131,7 +134,7 @@ func NewDecoder(r io.Reader) *Decoder { return NewDecoderLabels(r, processLabels
 // a daemon session's decoder owns a table, so what one tenant's stream
 // names is neither kept past the session nor visible to another's.
 func NewDecoderLabels(r io.Reader, labels *Labels) *Decoder {
-	size := decoderBufSize
+	size := DecoderBufSize
 	if l, ok := r.(interface{ Len() int }); ok {
 		size = min(size, max(minDecoderBuf, l.Len()))
 	}

@@ -196,7 +196,7 @@ func eachBufSize(t *testing.T, suite func(*testing.T)) {
 // input longer than that.
 func bufEdge() int {
 	if testBuf == 0 {
-		return decoderBufSize
+		return DecoderBufSize
 	}
 	return testBuf
 }
@@ -333,7 +333,7 @@ func testNextBatchMatchesNext(t *testing.T) {
 		got, err := decodeAll(data)
 		check("Next", got, err)
 		sizes := []int{1, 2, 3, 7, 512, 4096}
-		if len(data) > decoderBufSize {
+		if len(data) > DecoderBufSize {
 			sizes = []int{1, 512} // a byte at a time, 64 KiB is slow
 		}
 		for _, size := range sizes {
@@ -425,7 +425,7 @@ func repeatOps(tr Trace, n int) Trace {
 // is refused once the line passes maxLineBytes instead of being buffered
 // without limit — through Next, NextBatch and the one-shot reader alike.
 func TestDecoderBoundsLineLength(t *testing.T) {
-	long := "rd(1,x0)\n# " + strings.Repeat("x", maxLineBytes+2*decoderBufSize)
+	long := "rd(1,x0)\n# " + strings.Repeat("x", maxLineBytes+2*DecoderBufSize)
 	d := NewDecoder(strings.NewReader(long))
 	if _, err := d.Next(); err != nil {
 		t.Fatalf("first op: %v", err)
