@@ -64,7 +64,7 @@ func run() int {
 	idleTimeout := flag.Duration("idle-timeout", 30*time.Second, "per-read deadline: fail a session that goes this long without a byte")
 	sessionTimeout := flag.Duration("session-timeout", 0, "bound one session's total wall-clock time (0 = unbounded)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "on SIGINT/SIGTERM, let in-flight sessions finish this long before cutting them")
-	spanTrace := flag.Bool("span-trace", true, "trace each session's pipeline stages (decode/filter/graph/forensics); summaries land in verdicts, /api/sessions and /debug/velo. The engine stages are sampled: 1-2 ns per operation, a few per cent of throughput (EXPERIMENTS.md, \"Tracing overhead\")")
+	spanTrace := flag.Bool("span-trace", true, "trace each session's pipeline stages (decode/filter/graph/forensics); summaries land in verdicts, /api/sessions and /debug/velo. The engine stages are sampled: about half a nanosecond per operation, a session within 2-6 per cent of an untraced one (EXPERIMENTS.md, \"Tracing overhead\")")
 	traceDir := flag.String("trace-dir", "", "write each session's full span timeline as <dir>/<session>.trace.json (Chrome trace-event format)")
 	history := flag.Int("history", server.DefaultHistorySize, "completed sessions retained for /api/sessions and the /debug/velo dashboard")
 	storeDir := flag.String("store-dir", "", "persist session verdicts to an append-only log in this directory; /api/sessions survives restarts")

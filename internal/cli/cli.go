@@ -304,7 +304,6 @@ func (t *Trace) Finish() error {
 		return nil
 	}
 	t.Buf.End(t.Root)
-	t.Buf.Flush()
 	if err := t.Tracer.WriteChromeFile(t.f.TraceOut); err != nil {
 		return fmt.Errorf("trace-out: %w", err)
 	}
