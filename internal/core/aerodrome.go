@@ -87,7 +87,7 @@ type aeroChecker struct {
 
 // run is the engine's one loop: the decision cache first, as in
 // optChecker.run, then the operation itself.
-func (c *aeroChecker) run(ops []trace.Op, warn func(*Warning)) {
+func (c *aeroChecker) run(ops []trace.Op) {
 	if c.done {
 		return
 	}
@@ -109,13 +109,8 @@ func (c *aeroChecker) run(ops []trace.Op, warn func(*Warning)) {
 			w = c.step1(*op)
 		}
 		c.idx++
-		if w != nil {
-			if warn != nil {
-				warn(w)
-			}
-			if c.done {
-				return
-			}
+		if w != nil && c.done {
+			return
 		}
 	}
 }

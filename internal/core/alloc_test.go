@@ -3,34 +3,14 @@ package core_test
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"runtime"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/dot"
 	"repro/internal/graph"
-	"repro/internal/rr"
 	"repro/internal/trace"
 )
-
-// denseCorpus records every Table 1 program once under the deterministic
-// scheduler: what the benchmark's check-dense workload checks, at a
-// scale a test can afford.
-func denseCorpus(tb testing.TB) []trace.Trace {
-	var corpus []trace.Trace
-	for _, w := range bench.All() {
-		rep := rr.Run(rr.Options{Seed: 1, Record: true}, func(t *rr.Thread) {
-			w.Body(t, bench.Params{Scale: 2})
-		})
-		if rep.Deadlocked || rep.Truncated {
-			tb.Fatalf("recording %s: deadlocked=%v truncated=%v", w.Name, rep.Deadlocked, rep.Truncated)
-		}
-		corpus = append(corpus, rep.Trace)
-	}
-	return corpus
-}
 
 // perCheckAllocs is what one check may allocate that is not its output:
 // the checker and its graph, and the growth of the node pool, of the first
@@ -161,7 +141,7 @@ func TestShortStreamFixedCost(t *testing.T) {
 
 // TestWarningsStableAndDisjoint holds the chunks' lifetime rule from the
 // outside. Stable: a warning reads the same when the check has ended as
-// it did in Observer.Warning, the moment it was reported — as JSON, as
+// it did when Step returned it, the moment it was reported — as JSON, as
 // text, as a dot graph, and as its provenance report — whatever the
 // engine wrote into the same chunks after it. Disjoint: what a warning
 // hands out ends where it ends (len == cap), so an append to one
@@ -182,20 +162,25 @@ func TestWarningsStableAndDisjoint(t *testing.T) {
 	for i, tr := range denseCorpus(t) {
 		for _, opts := range []core.Options{{}, {Engine: core.Basic}, {Forensics: true}} {
 			var reported []string
-			res, _, err := core.Check(func() (core.Batch, error) { return core.Batch{Ops: tr}, io.EOF }, opts,
-				&core.Observer{Warning: func(w *core.Warning) { reported = append(reported, render(w)) }})
-			if err != nil || len(res.Warnings) != len(reported) {
-				t.Fatalf("trace %d %+v: %d warnings kept, %d reported, err %v", i, opts, len(res.Warnings), len(reported), err)
+			c := core.New(opts)
+			for _, op := range tr {
+				if w := c.Step(op); w != nil {
+					reported = append(reported, render(w))
+				}
+			}
+			kept := c.Warnings()
+			if len(kept) != len(reported) {
+				t.Fatalf("trace %d %+v: %d warnings kept, %d reported", i, opts, len(kept), len(reported))
 			}
 			same := func(when string) {
-				for k, w := range res.Warnings {
+				for k, w := range kept {
 					if got := render(w); got != reported[k] {
 						t.Fatalf("trace %d %+v, warning %d, %s: reads\n%s\nwas reported as\n%s", i, opts, k, when, got, reported[k])
 					}
 				}
 			}
 			same("after the check")
-			for _, w := range res.Warnings {
+			for _, w := range kept {
 				_ = append(w.Refuted, "scribbled")
 				_ = append(w.Cycle.Edges, graph.CycleEdge{From: 9999, To: 9999, FromData: "scribbled"})
 			}

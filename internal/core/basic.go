@@ -46,7 +46,7 @@ type basicChecker struct {
 }
 
 // run is the engine's one loop.
-func (c *basicChecker) run(ops []trace.Op, warn func(*Warning)) {
+func (c *basicChecker) run(ops []trace.Op) {
 	if c.done {
 		return
 	}
@@ -63,13 +63,8 @@ func (c *basicChecker) run(ops []trace.Op, warn func(*Warning)) {
 			w = c.step1(op)
 		}
 		c.idx++
-		if w != nil {
-			if warn != nil {
-				warn(w)
-			}
-			if c.done {
-				return
-			}
+		if w != nil && c.done {
+			return
 		}
 	}
 }

@@ -209,13 +209,11 @@ type Checker interface {
 	// completed a happens-before cycle (nil otherwise). The cycle-closing
 	// edge is discarded so the graph stays acyclic and checking continues.
 	Step(op trace.Op) *Warning
-	// StepBatch processes ops in order, as Step would one at a time, and
-	// hands each warning to warn (which may be nil) before the operation
-	// behind it runs. It is what a driver calls: an engine's own loop over
-	// the batch, with no call per operation across this interface. warn
-	// runs inside the engine's loop and must not call back into the
-	// Checker's stepping methods; Warnings and Snapshot are safe.
-	StepBatch(ops []trace.Op, warn func(*Warning))
+	// StepBatch processes ops in order, as Step would one at a time. It is
+	// what a driver calls: an engine's own loop over the batch, with no
+	// call per operation across this interface. The batch's warnings are
+	// the ones Warnings gained.
+	StepBatch(ops []trace.Op)
 	// Warnings returns all warnings reported so far.
 	Warnings() []*Warning
 	// Snapshot returns the engine's counters as of the last Step.
@@ -337,7 +335,7 @@ type common struct {
 // and the store its own filter makes on a hit, which SkipFiltered
 // replays.
 type engine interface {
-	run(ops []trace.Op, warn func(*Warning))
+	run(ops []trace.Op)
 	hitStore(op trace.Op)
 }
 
@@ -382,7 +380,7 @@ func (c *common) filterCount() *int64 { return &c.snap.Filtered }
 // Step implements Checker: the batch of one.
 func (c *common) Step(op trace.Op) *Warning {
 	c.one[0], c.first = op, nil
-	c.StepBatch(c.one[:], nil)
+	c.StepBatch(c.one[:])
 	return c.first
 }
 
@@ -391,24 +389,24 @@ func (c *common) Step(op trace.Op) *Warning {
 // and a pick is a run of one, counted to its stage, and timed between
 // startTimed and endTimed when it is one to time: it takes the path its
 // neighbours take. The batch's last warnings take its end for their time.
-func (c *common) StepBatch(ops []trace.Op, warn func(*Warning)) {
+func (c *common) StepBatch(ops []trace.Op) {
 	if c.opts.Spans == nil {
-		c.eng.run(ops, warn)
+		c.eng.run(ops)
 		return
 	}
 	for len(ops) > 0 {
 		k := c.unpicked(len(ops))
-		c.eng.run(ops[:k], warn)
+		c.eng.run(ops[:k])
 		if k == len(ops) {
 			break
 		}
 		if c.timed() {
 			t := c.startTimed()
-			c.eng.run(ops[k:k+1], warn)
+			c.eng.run(ops[k : k+1])
 			c.endTimed(t)
 		} else {
 			filtered := c.snap.Filtered
-			c.eng.run(ops[k:k+1], warn)
+			c.eng.run(ops[k : k+1])
 			c.count(filtered)
 		}
 		ops = ops[k+1:]

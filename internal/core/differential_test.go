@@ -10,67 +10,6 @@ import (
 	"repro/internal/trace"
 )
 
-// allConfigs are the engine configurations that must agree on every trace.
-var allConfigs = []Options{
-	{},
-	{NoFilter: true},
-	{NoMerge: true},
-	{NoGC: true},
-	{NoFilter: true, NoGC: true},
-	{NoMerge: true, NoGC: true},
-	{Engine: Basic},
-	{Engine: Basic, NoFilter: true},
-	{Engine: Basic, NoGC: true},
-	{Engine: Aero},
-	{Engine: Aero, NoFilter: true},
-	{Engine: Aero, NoMerge: true},
-	{Engine: Aero, NoMerge: true, NoFilter: true},
-}
-
-// TestDifferentialRandomTraces is the central soundness/completeness
-// property test: on random feasible traces, every engine configuration
-// must agree with the offline graph oracle.
-func TestDifferentialRandomTraces(t *testing.T) {
-	rng := rand.New(rand.NewSource(20080607))
-	for i := 0; i < 400; i++ {
-		tr := sema.RandomTrace(rng, sema.DefaultGenConfig())
-		if err := trace.Validate(tr); err != nil {
-			t.Fatalf("generator produced ill-formed trace: %v", err)
-		}
-		want, _ := serial.Check(tr)
-		for _, opts := range allConfigs {
-			r := CheckTrace(tr, opts)
-			if r.Serializable != want {
-				t.Fatalf("iter %d opts %+v: got serializable=%v, oracle=%v\ntrace:\n%s",
-					i, opts, r.Serializable, want, tr)
-			}
-		}
-	}
-}
-
-// TestDifferentialSwapOracle cross-checks against the brute-force
-// equivalent-serial-trace search on tiny traces, which shares no theory
-// with the happens-before formulation.
-func TestDifferentialSwapOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	cfg := sema.GenConfig{Threads: 2, OpsPerThd: 4, Vars: 2, Locks: 1, PAtomic: 0.7, PLock: 0.3}
-	for i := 0; i < 300; i++ {
-		tr := sema.RandomTrace(rng, cfg)
-		if len(tr) > 20 {
-			continue
-		}
-		want := serial.SwapCheck(tr)
-		oracle, _ := serial.Check(tr)
-		if oracle != want {
-			t.Fatalf("iter %d: graph oracle %v != swap oracle %v\ntrace:\n%s", i, oracle, want, tr)
-		}
-		r := CheckTrace(tr, Options{})
-		if r.Serializable != want {
-			t.Fatalf("iter %d: velodrome %v != swap oracle %v\ntrace:\n%s", i, r.Serializable, want, tr)
-		}
-	}
-}
-
 // TestAeroFirstViolationParity pins the AeroDrome comparison contract:
 // on every random trace, the vector-clock engine agrees with both graph
 // engines on the verdict and reports its first (and only) warning at

@@ -54,10 +54,9 @@ type Observer struct {
 	Checker func(Checker)
 	// Batch runs after each non-empty batch with the number of
 	// operations consumed and how many of them were skipped on an
-	// honoured mark.
+	// honoured mark. The batch's warnings are the ones the checker's
+	// Warnings gained.
 	Batch func(ops, skipped int)
-	// Warning runs for each warning, before the next operation.
-	Warning func(*Warning)
 }
 
 // Check runs a fresh Checker over src. It returns the result, the
@@ -170,7 +169,7 @@ func drive(src Source, opts Options, obs *Observer) (*Result, int, error) {
 					}
 				}
 				before := *filtered
-				w := c.Step(op)
+				c.Step(op)
 				if (op.Kind == trace.Read || op.Kind == trace.Write) &&
 					op.Target >= 0 && op.Target < PrefilterVarLimit {
 					for int(op.Target) >= len(anchors) {
@@ -178,12 +177,9 @@ func drive(src Source, opts Options, obs *Observer) (*Result, int, error) {
 					}
 					anchors[op.Target] = anchorRec{idx: n + i, filtered: *filtered > before}
 				}
-				if w != nil && obs.Warning != nil {
-					obs.Warning(w)
-				}
 			}
 		} else {
-			c.StepBatch(b.Ops, obs.Warning)
+			c.StepBatch(b.Ops)
 		}
 		n += len(b.Ops)
 		skipped += skip

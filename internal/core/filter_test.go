@@ -1,81 +1,17 @@
 package core
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 
-	"repro/internal/sema"
-	"repro/internal/serial"
 	"repro/internal/trace"
 )
 
 // The redundant-event filter (Section 5, filter.go) must be invisible:
-// with it on or off, both engines must report the same serializability
-// verdict, the same warnings at the same operations, and the same blame.
-// These tests enforce that over random feasible traces and over crafted
-// loop traces built to drive every fast-path branch (anchor repeats,
+// with it on or off, every engine reports the same verdict, the same
+// warnings at the same operations, and the same blame. The conformance
+// matrix (matrix_test.go) holds that over its inputs, loopTraces among
+// them: crafted loops that drive every fast-path branch (anchor repeats,
 // decision-cache hits, cross-thread edge memos, outside-merge reuse).
-
-// warningKey flattens the comparable part of a Warning: position,
-// increasing flag, blamed method, and the refuted label list.
-func warningKey(w *Warning) string {
-	blamed := ""
-	if w.Blamed != nil {
-		blamed = string(w.Blamed.Label)
-	}
-	return fmt.Sprintf("%d/%v/%s/%v", w.OpIndex, w.Increasing, blamed, w.Refuted)
-}
-
-func warningKeys(ws []*Warning) []string {
-	out := make([]string, len(ws))
-	for i, w := range ws {
-		out[i] = warningKey(w)
-	}
-	return out
-}
-
-// assertFilterInvisible checks the full matrix {Basic, Optimized,
-// Aero} × {filter on, off} on one trace: verdicts match the offline
-// oracle, and within each engine the filtered run reproduces the
-// unfiltered run's warnings exactly (for Aero that is the single
-// first-violation warning, position-only).
-func assertFilterInvisible(t *testing.T, tr trace.Trace, ctx string) {
-	t.Helper()
-	want, _ := serial.Check(tr)
-	for _, engine := range []Engine{Optimized, Basic, Aero} {
-		off := CheckTrace(tr, Options{Engine: engine, NoFilter: true})
-		on := CheckTrace(tr, Options{Engine: engine})
-		if off.Filtered != 0 {
-			t.Fatalf("%s engine %v: NoFilter run filtered %d events", ctx, engine, off.Filtered)
-		}
-		if on.Serializable != want || off.Serializable != want {
-			t.Fatalf("%s engine %v: serializable on=%v off=%v oracle=%v\ntrace:\n%s",
-				ctx, engine, on.Serializable, off.Serializable, want, tr)
-		}
-		onKeys, offKeys := warningKeys(on.Warnings), warningKeys(off.Warnings)
-		if len(onKeys) != len(offKeys) {
-			t.Fatalf("%s engine %v: %d warnings with filter, %d without\ntrace:\n%s",
-				ctx, engine, len(onKeys), len(offKeys), tr)
-		}
-		for i := range onKeys {
-			if onKeys[i] != offKeys[i] {
-				t.Fatalf("%s engine %v warning %d: filter-on %s != filter-off %s\ntrace:\n%s",
-					ctx, engine, i, onKeys[i], offKeys[i], tr)
-			}
-		}
-	}
-}
-
-// TestFilterDifferentialMatrix runs the matrix over random feasible
-// traces from the sema generator.
-func TestFilterDifferentialMatrix(t *testing.T) {
-	rng := rand.New(rand.NewSource(20080608))
-	for i := 0; i < 300; i++ {
-		tr := sema.RandomTrace(rng, sema.DefaultGenConfig())
-		assertFilterInvisible(t, tr, fmt.Sprintf("iter %d", i))
-	}
-}
 
 // loopTraces are crafted streams that exercise the fast-path branches
 // far more densely than random traces do: in-transaction read/write
@@ -173,15 +109,6 @@ func loopTraces() map[string]trace.Trace {
 	out["outside-lock-loop"] = locks
 
 	return out
-}
-
-func TestFilterDifferentialLoopTraces(t *testing.T) {
-	for name, tr := range loopTraces() {
-		if err := trace.Validate(tr); err != nil {
-			t.Fatalf("%s: crafted trace ill-formed: %v", name, err)
-		}
-		assertFilterInvisible(t, tr, name)
-	}
 }
 
 // TestFilteredAccessAddsNothing pins the operational meaning of a filter

@@ -80,14 +80,15 @@ func positions(r *Result) []int {
 	return at
 }
 
-// FuzzCheckerMatchesOracle drives the optimized engine with arbitrary
-// well-formed traces and cross-checks the offline oracle, plus the
-// invariant battery: no panics, GC empties the graph when quiet, engines
-// agree. Inputs of odd length run every engine with a span buffer
-// attached, and may be twice as long, so that the checkers leave
-// their exact prefix and sample: tracing must not move a verdict. Every
-// check runs twice, over the whole trace and over a split seeded by the
-// input: where the batches end must not move a warning.
+// FuzzCheckerMatchesOracle drives every configuration the conformance
+// matrix runs (configs) with arbitrary well-formed traces: each must agree
+// with the offline oracle, and on a violation each must report its first
+// warning at the same operation (AeroDrome its only one). Inputs of odd
+// length run with a span buffer attached, and may be twice as long, so
+// that the checkers leave their exact prefix and sample: tracing must not
+// move a verdict. Every check runs twice, over the whole trace and over a
+// split seeded by the input: where the batches end must not move a
+// warning.
 func FuzzCheckerMatchesOracle(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte("atomicity"))
@@ -119,30 +120,23 @@ func FuzzCheckerMatchesOracle(f *testing.F) {
 			}
 			return whole
 		}
-		opt := check(Options{Spans: sb})
-		if opt.Serializable != want {
-			t.Fatalf("optimized=%v oracle=%v\n%s", opt.Serializable, want, tr)
-		}
-		bas := check(Options{Engine: Basic, Spans: sb})
-		if bas.Serializable != want {
-			t.Fatalf("basic=%v oracle=%v\n%s", bas.Serializable, want, tr)
-		}
-		noMerge := check(Options{NoMerge: true, Spans: sb})
-		if noMerge.Serializable != want {
-			t.Fatalf("no-merge=%v oracle=%v\n%s", noMerge.Serializable, want, tr)
-		}
-		aero := check(Options{Engine: Aero, Spans: sb})
-		if aero.Serializable != want {
-			t.Fatalf("aero=%v oracle=%v\n%s", aero.Serializable, want, tr)
-		}
-		if !want {
-			if len(aero.Warnings) != 1 {
-				t.Fatalf("aero reported %d warnings, want 1\n%s", len(aero.Warnings), tr)
+		first := -1
+		for _, opts := range configs() {
+			opts.Spans = sb
+			res := check(opts)
+			if res.Serializable != want {
+				t.Fatalf("%+v: serializable=%v, oracle=%v\n%s", opts, res.Serializable, want, tr)
 			}
-			first := check(Options{FirstOnly: true, Spans: sb})
-			if aero.Warnings[0].OpIndex != first.Warnings[0].OpIndex {
-				t.Fatalf("aero first warning at op %d, optimized at op %d\n%s",
-					aero.Warnings[0].OpIndex, first.Warnings[0].OpIndex, tr)
+			if want {
+				continue
+			}
+			if opts.Engine == Aero && len(res.Warnings) != 1 {
+				t.Fatalf("aero reported %d warnings, want 1\n%s", len(res.Warnings), tr)
+			}
+			if at := res.Warnings[0].OpIndex; first < 0 {
+				first = at
+			} else if at != first {
+				t.Fatalf("%+v: first warning at op %d, the first configuration's at op %d\n%s", opts, at, first, tr)
 			}
 		}
 	})

@@ -28,7 +28,7 @@ func (c *optChecker) setOpenMeta(t trace.Tid, m *TxnMeta) {
 // the operation where it lies, and a hit ends there: hit fails on every
 // operation whose kind or state keeps step1 from filtering it (see
 // filter.go), so only a miss pays for the copy and the call.
-func (c *optChecker) run(ops []trace.Op, warn func(*Warning)) {
+func (c *optChecker) run(ops []trace.Op) {
 	if c.done {
 		return
 	}
@@ -51,13 +51,8 @@ func (c *optChecker) run(ops []trace.Op, warn func(*Warning)) {
 			w = c.step1(*op)
 		}
 		c.idx++
-		if w != nil {
-			if warn != nil {
-				warn(w)
-			}
-			if c.done {
-				return
-			}
+		if w != nil && c.done {
+			return
 		}
 	}
 }

@@ -210,16 +210,14 @@ func BenchmarkForensics(b *testing.B) {
 }
 
 // TestForensicsDifferentialOnBenchCorpus is the acceptance gate for the
-// forensics layer. Across every workload trace, the repository's testdata
-// traces and both engines: with the recorder off the result is
-// bit-identical to a forensics-on run — same verdict, warning positions,
-// blame, graph statistics and filter counters — no warning carries a
-// report and no cycle edge a provenance, so recording cannot perturb the
-// analysis and costs nothing when off; with it on, every warning carries
-// a provenance report whose cycle edges check out against the trace, and
-// every report is, byte for byte, the one reportsGolden pins — edges
-// refreshed through the last-edge memo and edges into merged unary nodes
-// included.
+// forensics layer's reports. Across every workload trace, the
+// repository's testdata traces and every engine that supports forensics,
+// each warning of a forensics-on run carries a provenance report whose
+// cycle edges check out against the trace, and every report is, byte for
+// byte, the one reportsGolden pins — edges refreshed through the
+// last-edge memo and edges into merged unary nodes included. That the
+// recorder perturbs nothing, and that with it off no warning carries a
+// report, is held by internal/core's TestConformanceMatrix.
 func TestForensicsDifferentialOnBenchCorpus(t *testing.T) {
 	scale := 4
 	if testing.Short() {
@@ -227,40 +225,15 @@ func TestForensicsDifferentialOnBenchCorpus(t *testing.T) {
 	}
 	reports, intoUnary, memoHits := 0, 0, 0
 	diff := func(name string, tr trace.Trace, digests map[string]string) {
-		for _, engine := range []core.Engine{core.Optimized, core.Basic} {
-			off := core.CheckTrace(tr, core.Options{Engine: engine})
-			on := core.CheckTrace(tr, core.Options{Engine: engine, Forensics: true})
-			if off.Serializable != on.Serializable {
-				t.Fatalf("%s engine %v: forensics flipped the verdict: off=%v on=%v",
-					name, engine, off.Serializable, on.Serializable)
+		for _, info := range core.Engines() {
+			if !info.SupportsForensics {
+				continue
 			}
-			if off.Filtered != on.Filtered {
-				t.Fatalf("%s engine %v: filtered %d events without forensics, %d with",
-					name, engine, off.Filtered, on.Filtered)
-			}
-			if off.Stats != on.Stats {
-				t.Fatalf("%s engine %v: graph stats diverge:\noff %+v\non  %+v",
-					name, engine, off.Stats, on.Stats)
-			}
-			if len(off.Warnings) != len(on.Warnings) {
-				t.Fatalf("%s engine %v: %d warnings without forensics, %d with",
-					name, engine, len(off.Warnings), len(on.Warnings))
-			}
-			for i := range off.Warnings {
-				if a, b := warnKey(off.Warnings[i]), warnKey(on.Warnings[i]); a != b {
-					t.Fatalf("%s engine %v warning %d:\noff %s\non  %s", name, engine, i, a, b)
-				}
-				if off.Warnings[i].Forensics() != nil {
-					t.Fatalf("%s engine %v warning %d: report with forensics off", name, engine, i)
-				}
-				rep := on.Warnings[i].Forensics()
+			on := core.CheckTrace(tr, core.Options{Engine: info.Engine, Forensics: true})
+			for i, w := range on.Warnings {
+				rep := w.Forensics()
 				if rep == nil {
-					t.Fatalf("%s engine %v warning %d: no report with forensics on", name, engine, i)
-				}
-				for k, e := range off.Warnings[i].CycleEdges() {
-					if e.Prov != nil || on.Warnings[i].CycleEdges()[k].Prov == nil {
-						t.Fatalf("%s engine %v warning %d edge %d: provenance with forensics off, or none with it on", name, engine, i, k)
-					}
+					t.Fatalf("%s engine %s warning %d: no report with forensics on", name, info.Name, i)
 				}
 				validateReport(t, name, tr, rep)
 				for _, e := range rep.Edges {
@@ -271,7 +244,7 @@ func TestForensicsDifferentialOnBenchCorpus(t *testing.T) {
 				reports++
 			}
 			if len(on.Warnings) > 0 {
-				digests[name+"/"+core.InfoFor(engine).Name] = reportsDigest(t, on.Warnings)
+				digests[name+"/"+info.Name] = reportsDigest(t, on.Warnings)
 				memoHits += on.Stats.FilteredEdges
 			}
 		}

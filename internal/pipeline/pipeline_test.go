@@ -279,8 +279,8 @@ func TestSerialFallbacks(t *testing.T) {
 }
 
 // TestOnOpWarnings: the observer must see every op exactly once and
-// each warning exactly once, in trace order, before any later batch is
-// reported, at every worker count.
+// each warning exactly once, in trace order, among the checker's
+// Warnings at the end of the batch that raised it, at every worker count.
 func TestOnOpWarnings(t *testing.T) {
 	tr := trace.Trace{
 		trace.ForkOp(1, 2),
@@ -297,17 +297,19 @@ func TestOnOpWarnings(t *testing.T) {
 	}
 	for _, n := range workerCounts {
 		var seen []int
+		var chk core.Checker
 		idx := 0
 		CheckTrace(tr, core.Options{}, Config{Workers: n, Batch: 2, Observer: &core.Observer{
-			Warning: func(w *core.Warning) {
-				// The warning's batch is still being stepped: it may not
-				// have been reported as consumed yet.
-				if w.OpIndex < idx {
-					t.Errorf("workers=%d: warning at op %d delivered after %d ops were reported consumed", n, w.OpIndex, idx)
+			Checker: func(c core.Checker) { chk = c },
+			Batch: func(ops, _ int) {
+				for _, w := range chk.Warnings()[len(seen):] {
+					if w.OpIndex < idx || w.OpIndex >= idx+ops {
+						t.Errorf("workers=%d: warning at op %d seen after the batch of ops %d to %d", n, w.OpIndex, idx, idx+ops-1)
+					}
+					seen = append(seen, w.OpIndex)
 				}
-				seen = append(seen, w.OpIndex)
+				idx += ops
 			},
-			Batch: func(ops, _ int) { idx += ops },
 		}})
 		if idx != len(tr) {
 			t.Fatalf("workers=%d: observer saw %d ops, want %d", n, idx, len(tr))

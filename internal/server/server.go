@@ -536,22 +536,6 @@ func (s *Server) session(conn net.Conn) *trace.SessionVerdict {
 	return v
 }
 
-// maxEchoedComments bounds, in bytes, the stream comments a verdict
-// carries back: a text stream may send any number of comment lines, and a
-// verdict must stay within what trace.ReadVerdict reads.
-const maxEchoedComments = 4 << 20
-
-// echoed is the leading run of comments that fits maxEchoedComments.
-func echoed(comments []string) []string {
-	n := 0
-	for i, c := range comments {
-		if n += len(c); n > maxEchoedComments {
-			return comments[:i]
-		}
-	}
-	return comments
-}
-
 // SessionEngine resolves an engine name for a session: the registry
 // minus its reference engines, which the daemon does not run.
 func SessionEngine(name string) (core.EngineInfo, error) {
@@ -675,7 +659,7 @@ func (s *Server) run(br *bufio.Reader, ops []trace.Op, engine core.Engine, rec *
 	})
 
 	verdictStart := tr.Now()
-	v = &trace.SessionVerdict{Comments: echoed(dec.Comments)}
+	v = &trace.SessionVerdict{Comments: dec.Comments}
 	switch {
 	case derr == nil:
 		v.Status = trace.StatusOK

@@ -735,8 +735,8 @@ func TestVerdictCommentsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Status != trace.StatusOK || v.Ops != 1 || len(v.Comments) != maxEchoedComments/len(line) || v.Comments[0] != line {
+	if v.Status != trace.StatusOK || v.Ops != 1 || len(v.Comments) != trace.MaxCommentBytes/len(line) || v.Comments[0] != line {
 		t.Errorf("verdict %s, %d ops, %d comments: want ok, 1 op and the first %d comments",
-			v.Status, v.Ops, len(v.Comments), maxEchoedComments/len(line))
+			v.Status, v.Ops, len(v.Comments), trace.MaxCommentBytes/len(line))
 	}
 }

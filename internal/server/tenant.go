@@ -46,6 +46,11 @@ type TenantConfig struct {
 	MaxConcurrent int
 }
 
+// maxKeyBytes bounds a tenant key. A session header must fit the
+// session's read buffer, trace.DecoderBufSize; a key this long leaves
+// most of it to the header's other fields.
+const maxKeyBytes = 4 << 10
+
 // ParseKeyfile reads the tenant keyfile format:
 //
 //	# comment
@@ -53,9 +58,10 @@ type TenantConfig struct {
 //	tenant batch    key=bt_9a1      rate=5  concurrent=2
 //	tenant default  rate=200                 # quotas for keyless sessions
 //
-// One "tenant <name> [k=v ...]" line per tenant; keys must be unique and
-// free of spaces, '=' and control characters (they travel in the session
-// header). A "default" entry needs no key and bounds legacy clients.
+// One "tenant <name> [k=v ...]" line per tenant; keys must be unique,
+// free of spaces, '=' and control characters, and at most maxKeyBytes
+// long (they travel in the session header). A "default" entry needs no
+// key and bounds legacy clients.
 func ParseKeyfile(r io.Reader) ([]TenantConfig, error) {
 	var out []TenantConfig
 	names := map[string]bool{}
@@ -90,7 +96,7 @@ func ParseKeyfile(r io.Reader) ([]TenantConfig, error) {
 			}
 			switch k {
 			case "key":
-				if v == "" || (trace.SessionHeader{Key: v}).Validate() != nil {
+				if v == "" || len(v) > maxKeyBytes || (trace.SessionHeader{Key: v}).Validate() != nil {
 					return nil, fmt.Errorf("keyfile line %d: bad key %q", lineno, v)
 				}
 				cfg.Key = v

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -356,6 +357,32 @@ func TestLegacyVerdictShape(t *testing.T) {
 // header-safe, every tenant but default keyed, quotas finite and
 // non-negative, and NewTenants builds a table in which each key finds
 // its tenant and a rate-limited tenant can admit a session.
+// TestKeyfileKeysFitTheHeader: the longest key ParseKeyfile accepts
+// still reaches the daemon, in every header a client can make from it
+// with a registered engine and a name of up to half the session's read
+// buffer; one byte more is refused when the keyfile is read, not when a
+// session sends it.
+func TestKeyfileKeysFitTheHeader(t *testing.T) {
+	key := strings.Repeat("k", maxKeyBytes)
+	cfgs, err := ParseKeyfile(strings.NewReader("tenant a key=" + key + "\n"))
+	if err != nil || len(cfgs) != 1 || cfgs[0].Key != key {
+		t.Fatalf("a %d-byte key: %+v, %v", len(key), cfgs, err)
+	}
+	if _, err := ParseKeyfile(strings.NewReader("tenant a key=" + key + "k\n")); err == nil {
+		t.Fatalf("a %d-byte key was accepted", len(key)+1)
+	}
+	for _, info := range append(core.Engines(), core.EngineInfo{}) {
+		for _, engine := range append(info.Aliases, info.Name) {
+			for _, name := range []string{"", strings.Repeat("n", trace.DecoderBufSize/2)} {
+				h := trace.SessionHeader{Engine: engine, Name: name, Forensics: name != "", Key: key}
+				if got, err := trace.ReadSessionHeader(bufio.NewReaderSize(bytes.NewReader(h.Encode()), trace.DecoderBufSize)); err != nil || got != h {
+					t.Fatalf("engine %q, a %d-byte name: read back %v", engine, len(name), err)
+				}
+			}
+		}
+	}
+}
+
 func FuzzParseKeyfile(f *testing.F) {
 	f.Add("# production tenants\ntenant checkout key=ck_live_27f rate=50 burst=100 concurrent=16\ntenant default rate=200\n")
 	f.Add("tenant a key=k1 rate=NaN\n")
@@ -372,7 +399,7 @@ func FuzzParseKeyfile(f *testing.F) {
 				t.Fatalf("accepted tenant name %q twice or malformed", c.Name)
 			}
 			names[c.Name] = true
-			if c.Key == "" && c.Name != DefaultTenant || c.Key != "" && keys[c.Key] ||
+			if c.Key == "" && c.Name != DefaultTenant || c.Key != "" && keys[c.Key] || len(c.Key) > maxKeyBytes ||
 				(trace.SessionHeader{Key: c.Key}).Validate() != nil {
 				t.Fatalf("accepted key %q for %q", c.Key, c.Name)
 			}

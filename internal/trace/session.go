@@ -84,14 +84,19 @@ func (h SessionHeader) Validate() error {
 }
 
 // ReadSessionHeader parses the header line from br, leaving the reader
-// positioned at the first byte of the operation stream. Unknown keys
-// are ignored so the header can grow without breaking old servers.
+// positioned at the first byte of the operation stream. The line must fit
+// br's buffer (a session's is DecoderBufSize): the daemon reads it before
+// it knows whose it is, so a longer one is refused, not buffered. Unknown
+// keys are ignored so the header can grow without breaking old servers.
 func ReadSessionHeader(br *bufio.Reader) (SessionHeader, error) {
-	line, err := br.ReadString('\n')
+	line, err := br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		return SessionHeader{}, fmt.Errorf("trace: session header longer than %d bytes", br.Size())
+	}
 	if err != nil {
 		return SessionHeader{}, fmt.Errorf("trace: reading session header: %w", err)
 	}
-	fields := strings.Fields(strings.TrimSpace(line))
+	fields := strings.Fields(strings.TrimSpace(string(line)))
 	if len(fields) == 0 || fields[0] != SessionMagic {
 		return SessionHeader{}, fmt.Errorf("trace: not a session header (want %q first)", SessionMagic)
 	}

@@ -132,11 +132,69 @@ func FuzzReadSessionHeader(f *testing.F) {
 		if h.Validate() != nil {
 			return
 		}
-		got, err := ReadSessionHeader(bufio.NewReader(bytes.NewReader(h.Encode())))
-		if err != nil || got != h {
-			t.Fatalf("%+v encodes as %q and reads back as %+v, %v", h, h.Encode(), got, err)
+		line := h.Encode()
+		got, err := ReadSessionHeader(bufio.NewReaderSize(bytes.NewReader(line), DecoderBufSize))
+		if len(line) > DecoderBufSize {
+			if err == nil {
+				t.Fatalf("a %d-byte header read back as %+v", len(line), got)
+			}
+		} else if err != nil || got != h {
+			t.Fatalf("%+v encodes as %q and reads back as %+v, %v", h, line, got, err)
 		}
 	})
+}
+
+// TestSessionHeaderBoundsItsLine: a header line that does not end fails
+// once it fills the session's read buffer, having allocated about that
+// buffer, not what was sent. Reading a 32 MiB line through an unbounded
+// ReadString allocated 67.2 MB.
+func TestSessionHeaderBoundsItsLine(t *testing.T) {
+	read, alloc := endlessLine(t, func(r io.Reader) error {
+		_, err := ReadSessionHeader(bufio.NewReaderSize(r, DecoderBufSize))
+		return err
+	})
+	if read > DecoderBufSize {
+		t.Errorf("read %d bytes of the line, want at most %d", read, DecoderBufSize)
+	}
+	if !raceBuild && alloc > 2*DecoderBufSize {
+		t.Errorf("the call allocated %d bytes, want at most %d", alloc, 2*DecoderBufSize)
+	}
+}
+
+// TestReadVerdictBoundsItsLine: a line that does not end — a broken or
+// hostile daemon's — fails once it passes maxVerdictBytes, having read and
+// allocated a small multiple of that, not of what was sent. Reading a
+// 32 MiB line through an unbounded ReadString allocated about 176 MiB.
+func TestReadVerdictBoundsItsLine(t *testing.T) {
+	read, alloc := endlessLine(t, func(r io.Reader) error {
+		_, err := ReadVerdict(r)
+		return err
+	})
+	if read > maxVerdictBytes+4096 {
+		t.Errorf("read %d bytes of the line, want at most %d", read, maxVerdictBytes+4096)
+	}
+	if !raceBuild && alloc > 3*maxVerdictBytes {
+		t.Errorf("the call allocated %d bytes, want at most %d", alloc, 3*maxVerdictBytes)
+	}
+}
+
+// endlessLine hands read a 32 MiB line without a newline, which read must
+// refuse as too long, and returns how much of it read took and what the
+// call allocated.
+func endlessLine(t *testing.T, read func(io.Reader) error) (taken int64, alloc uint64) {
+	const sent = 32 << 20
+	src := &io.LimitedReader{R: endless('x'), N: sent}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	err := read(src)
+	runtime.ReadMemStats(&m1)
+	if err == nil || !strings.Contains(err.Error(), "longer than") {
+		t.Fatalf("a %d-byte line without a newline: %v, want a too-long error", sent, err)
+	}
+	taken, alloc = sent-src.N, m1.TotalAlloc-m0.TotalAlloc
+	t.Logf("read %d bytes of a %d-byte line, allocated %d", taken, int64(sent), alloc)
+	return taken, alloc
 }
 
 // endless is a reader of ever more of one byte, and never a newline.
@@ -147,31 +205,6 @@ func (e endless) Read(p []byte) (int, error) {
 		p[i] = byte(e)
 	}
 	return len(p), nil
-}
-
-// TestReadVerdictBoundsItsLine: a line that does not end — a broken or
-// hostile daemon's — fails once it passes maxVerdictBytes, having read and
-// allocated a small multiple of that, not of what was sent. Reading a
-// 32 MiB line through an unbounded ReadString allocated about 176 MiB.
-func TestReadVerdictBoundsItsLine(t *testing.T) {
-	const sent = 32 << 20
-	src := &io.LimitedReader{R: endless('x'), N: sent}
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	_, err := ReadVerdict(src)
-	runtime.ReadMemStats(&m1)
-	if err == nil || !strings.Contains(err.Error(), "longer than") {
-		t.Fatalf("a %d-byte line without a newline: %v, want a verdict-too-long error", sent, err)
-	}
-	read, alloc := sent-src.N, m1.TotalAlloc-m0.TotalAlloc
-	t.Logf("read %d bytes of a %d-byte line, allocated %d", read, int64(sent), alloc)
-	if read > maxVerdictBytes+4096 {
-		t.Errorf("read %d bytes of the line, want at most %d", read, maxVerdictBytes+4096)
-	}
-	if !raceBuild && alloc > 3*maxVerdictBytes {
-		t.Errorf("the call allocated %d bytes, want at most %d", alloc, 3*maxVerdictBytes)
-	}
 }
 
 // FuzzReadVerdict: whatever line a server sends back, ReadVerdict must

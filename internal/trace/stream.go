@@ -95,10 +95,13 @@ type Decoder struct {
 	ended    bool // the end record has been read
 
 	// Comments collects the "#" comment lines of a text trace, in
-	// order, or the end record's trailer of a binary one.
-	// Instrumented programs report their runtime counters (events
-	// emitted vs pruned) there, out of band.
-	Comments []string
+	// order, or the end record's trailer of a binary one: the leading
+	// run of them that fits MaxCommentBytes. Instrumented programs
+	// report their runtime counters (events emitted vs pruned) there,
+	// out of band. DroppedComments counts the ones after that run.
+	Comments        []string
+	DroppedComments int
+	commentBytes    int // the bytes of Comments
 }
 
 // Decoder modes.
@@ -118,6 +121,11 @@ const (
 	DecoderBufSize = 64 * 1024
 	minDecoderBuf  = 512
 )
+
+// MaxCommentBytes bounds the comments a Decoder keeps, in bytes: a text
+// stream may send any number of comment lines, and what the daemon echoes
+// of them in a verdict must stay within what ReadVerdict reads.
+const MaxCommentBytes = 4 << 20
 
 // maxLineBytes bounds one text line, so a stream that never sends a
 // newline cannot grow the spill buffer without limit.
@@ -238,7 +246,7 @@ func (d *Decoder) textLine(line []byte) (op Op, ok bool, err error) {
 	case len(trimmed) == 0:
 		return Op{}, false, nil
 	case trimmed[0] == '#':
-		d.Comments = append(d.Comments, string(trimSpaceBytes(trimmed[1:])))
+		d.comment(trimSpaceBytes(trimmed[1:]))
 		return Op{}, false, nil
 	}
 	op, label, err := parseOpBytes(trimmed)
@@ -249,6 +257,17 @@ func (d *Decoder) textLine(line []byte) (op Op, ok bool, err error) {
 		return Op{}, false, fmt.Errorf("line %d: %w", d.lineno, err)
 	}
 	return op, true, nil
+}
+
+// comment keeps c if it and every comment before it fit
+// MaxCommentBytes, and otherwise counts it dropped.
+func (d *Decoder) comment(c []byte) {
+	if d.DroppedComments == 0 && d.commentBytes+len(c) <= MaxCommentBytes {
+		d.commentBytes += len(c)
+		d.Comments = append(d.Comments, string(c))
+		return
+	}
+	d.DroppedComments++
 }
 
 // internText returns the id of a label a text line names. label may
@@ -371,7 +390,7 @@ func (d *Decoder) readEnd() error {
 		return fmt.Errorf("trace: end record after %d ops does not close the stream: %v", d.binIndex, err)
 	}
 	if n > 0 {
-		d.Comments = append(d.Comments, string(trailer))
+		d.comment(trailer)
 	}
 	d.ended = true
 	return io.EOF

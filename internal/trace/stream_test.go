@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -441,5 +442,34 @@ func TestDecoderBoundsLineLength(t *testing.T) {
 	}
 	if _, err := ReadAuto(strings.NewReader(long)); err == nil {
 		t.Error("ReadAuto accepted an endless line")
+	}
+}
+
+// TestDecoderBoundsComments: a text stream may send any number of
+// comment lines, and the decoder keeps the leading run of them that fits
+// MaxCommentBytes and counts the rest, allocating about what it keeps,
+// not what was sent. Keeping every line held 104.9 MB live after 100 MiB
+// of comments.
+func TestDecoderBoundsComments(t *testing.T) {
+	const sent = 32 << 20
+	line := "# " + strings.Repeat("c", 1<<10-3) + "\n"
+	src := strings.NewReader(strings.Repeat(line, sent/len(line)) + "wr(1,x1)\n")
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	d := NewDecoder(src)
+	tr, err := d.ReadAll()
+	runtime.ReadMemStats(&m1)
+	if err != nil || len(tr) != 1 {
+		t.Fatalf("%d ops, err %v; want the one after the comments", len(tr), err)
+	}
+	comment := len(line) - 3 // what a comment line keeps: its text
+	if kept := MaxCommentBytes / comment; len(d.Comments) != kept || d.DroppedComments != sent/len(line)-kept {
+		t.Errorf("kept %d comments and dropped %d of %d, want the first %d kept", len(d.Comments), d.DroppedComments, sent/len(line), kept)
+	}
+	alloc := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("%d bytes of comments, allocated %d", sent, alloc)
+	if !raceBuild && alloc > 2*MaxCommentBytes {
+		t.Errorf("decoding allocated %d bytes, want at most %d", alloc, 2*MaxCommentBytes)
 	}
 }
