@@ -21,10 +21,90 @@ import (
 	"repro/internal/trace"
 )
 
-// TestConformanceMatrix is Theorem 1 as one table: every registered
-// engine, in every configuration and every way a check can run, warns
-// if and only if the trace is not conflict-serializable. Rows are inputs
-// with the serial oracle's verdict (matrixRows). Columns are:
+// TestConformanceMatrix runs the matrix on the bench corpus — its
+// Table 1 programs and hot loops recorded at scale 4 (2 under -short).
+func TestConformanceMatrix(t *testing.T) {
+	scale := 4
+	if testing.Short() {
+		scale = 2
+	}
+	conform(t, corpusRows(t, scale))
+}
+
+// TestDifferentialRandomTraces runs the matrix on random feasible traces
+// from the sema generator.
+func TestDifferentialRandomTraces(t *testing.T) {
+	conform(t, randomRows(t, 20080607, 400, sema.DefaultGenConfig(), false))
+}
+
+// TestFilterDifferentialMatrix runs the matrix on a second seed's random
+// traces.
+func TestFilterDifferentialMatrix(t *testing.T) {
+	conform(t, randomRows(t, 20080608, 300, sema.DefaultGenConfig(), false))
+}
+
+// TestDifferentialSwapOracle runs the matrix on small random traces, and
+// holds the graph oracle to the brute-force search for an equivalent
+// serial trace, which shares no theory with the happens-before
+// formulation, on those of at most 20 operations.
+func TestDifferentialSwapOracle(t *testing.T) {
+	rows := randomRows(t, 42, 300, sema.GenConfig{Threads: 2, OpsPerThd: 4, Vars: 2, Locks: 1, PAtomic: 0.7, PLock: 0.3}, false)
+	for _, r := range rows {
+		if len(r.tr) <= 20 && serial.SwapCheck(r.tr) != r.want {
+			t.Fatalf("%s: the swap oracle says %v, the graph oracle %v\n%s", r.name, !r.want, r.want, r.tr)
+		}
+	}
+	conform(t, rows)
+}
+
+// TestFilterDifferentialLoopTraces runs the matrix, split columns
+// included, on the crafted loops that exercise the filter's fast paths.
+func TestFilterDifferentialLoopTraces(t *testing.T) {
+	loops := core.LoopTraces()
+	var rows []row
+	for _, name := range slices.Sorted(maps.Keys(loops)) {
+		rows = append(rows, newRow(t, "loop/"+name, loops[name], true))
+	}
+	conform(t, rows)
+}
+
+// TestStepBatchMatchesStep runs the matrix, split columns included, on
+// random traces, the Table 1 programs at scale 2 (what the benchmark's
+// check-dense workload checks, at a scale a test can afford) and the
+// benchmark's synthetic loop mix.
+func TestStepBatchMatchesStep(t *testing.T) {
+	rows := randomRows(t, 22, 40, sema.DefaultGenConfig(), true)
+	for i, tr := range denseCorpus(t) {
+		rows = append(rows, newRow(t, "scale=2/"+bench.All()[i].Name, tr, true))
+	}
+	conform(t, append(rows, newRow(t, "synthetic-mix", bench.SyntheticMix(3000), true)))
+}
+
+// TestCheckStreamMatchesCheckTrace runs the matrix, split columns
+// included, on the testdata traces and those the instrumenter's shim
+// recorded.
+func TestCheckStreamMatchesCheckTrace(t *testing.T) {
+	files, err := filepath.Glob("../../testdata/*.txt")
+	if len(files) == 0 {
+		t.Fatalf("no testdata traces: %v", err)
+	}
+	var rows []row
+	for _, file := range append(files, "../instr/testdata/single.trace.golden", "../instr/testdata/single.noprune.trace.golden") {
+		data, err := os.ReadFile(file)
+		tr, err2 := trace.ReadAuto(bytes.NewReader(data))
+		if err != nil || err2 != nil {
+			t.Fatalf("%s: %v, %v", file, err, err2)
+		}
+		rows = append(rows, newRow(t, filepath.Base(file), tr, true))
+	}
+	conform(t, rows)
+}
+
+// conform is Theorem 1 as one table: every registered engine, in every
+// configuration and every way a check can run, warns if and only if the
+// trace is not conflict-serializable. Rows are inputs with the serial
+// oracle's verdict; the tests above each run the table on one set of
+// them. Columns are:
 //
 //   - configuration: core.Configs(), each engine at its default and with
 //     the filter off, forensics on (where supported), NoMerge or NoGC;
@@ -48,10 +128,12 @@ import (
 // suite's time). Elsewhere the filter and forensics, and everywhere
 // NoMerge and NoGC, vary one at a time against the default, in one batch
 // without spans; NoGC on rows of at most noGCLimit operations.
-func TestConformanceMatrix(t *testing.T) {
+func conform(t *testing.T, rows []row) {
+	t.Helper()
 	splitRNG := rand.New(rand.NewSource(22))
-	warnings, splitWarnings := 0, 0
-	for _, r := range matrixRows(t) {
+	warnings, splitWarnings, split := 0, 0, false
+	for _, r := range rows {
+		split = split || r.split
 		var splits [][]int
 		if r.split {
 			splits = [][]int{{0}, {0, 63, 0, 1}, randomSplit(splitRNG, len(r.tr)), randomSplit(splitRNG, len(r.tr))}
@@ -104,7 +186,7 @@ func TestConformanceMatrix(t *testing.T) {
 			}
 		}
 	}
-	if warnings == 0 || splitWarnings == 0 {
+	if warnings == 0 || split && splitWarnings == 0 {
 		t.Fatalf("%d warnings in all, %d in the split cells: the matrix is not reaching what it is for", warnings, splitWarnings)
 	}
 }
@@ -122,73 +204,34 @@ type row struct {
 	want, split bool // serializable by serial.Check; the split columns run on it
 }
 
-// matrixRows are random feasible traces from the sema generator (40 of
-// them split, and 300 small ones for the brute-force oracle), the crafted
-// filter loops, the testdata traces and those the instrumenter's shim
-// recorded, the bench corpus at scale 4 (2 under -short) and its Table 1
-// programs at scale 2, and the benchmark's synthetic loop mix.
-func matrixRows(t *testing.T) []row {
-	var rows []row
-	named := map[string]bool{}
-	add := func(name string, tr trace.Trace, split bool) {
-		if named[name] {
-			return // the Table 1 programs, under -short
-		}
-		named[name] = true
-		if err := trace.Validate(tr); err != nil {
-			t.Fatalf("%s: ill-formed: %v", name, err)
-		}
-		want, _ := serial.Check(tr)
-		rows = append(rows, row{name, tr, want, split})
+// newRow checks that tr is well formed and takes the oracle's verdict.
+func newRow(t *testing.T, name string, tr trace.Trace, split bool) row {
+	t.Helper()
+	if err := trace.Validate(tr); err != nil {
+		t.Fatalf("%s: ill-formed: %v", name, err)
 	}
-	random := func(seed int64, n int, cfg sema.GenConfig, split bool) {
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < n; i++ {
-			add(fmt.Sprintf("seed=%d/%d", seed, i), sema.RandomTrace(rng, cfg), split)
-		}
-	}
-	random(20080607, 400, sema.DefaultGenConfig(), false)
-	random(20080608, 300, sema.DefaultGenConfig(), false)
-	random(22, 40, sema.DefaultGenConfig(), true)
-	// The brute-force search for an equivalent serial trace shares no
-	// theory with the happens-before oracle; on traces of at most 20
-	// operations it must reach the same verdict.
-	n := len(rows)
-	random(42, 300, sema.GenConfig{Threads: 2, OpsPerThd: 4, Vars: 2, Locks: 1, PAtomic: 0.7, PLock: 0.3}, false)
-	for _, r := range rows[n:] {
-		if len(r.tr) <= 20 && serial.SwapCheck(r.tr) != r.want {
-			t.Fatalf("%s: the swap oracle says %v, the graph oracle %v\n%s", r.name, !r.want, r.want, r.tr)
-		}
-	}
+	want, _ := serial.Check(tr)
+	return row{name, tr, want, split}
+}
 
-	loops := core.LoopTraces()
-	for _, name := range slices.Sorted(maps.Keys(loops)) {
-		add("loop/"+name, loops[name], true)
+// randomRows are n random feasible traces from the sema generator.
+func randomRows(t *testing.T, seed int64, n int, cfg sema.GenConfig, split bool) []row {
+	rng := rand.New(rand.NewSource(seed))
+	rows := make([]row, n)
+	for i := range rows {
+		rows[i] = newRow(t, fmt.Sprintf("seed=%d/%d", seed, i), sema.RandomTrace(rng, cfg), split)
 	}
-	files, err := filepath.Glob("../../testdata/*.txt")
-	if len(files) == 0 {
-		t.Fatalf("no testdata traces: %v", err)
-	}
-	for _, file := range append(files, "../instr/testdata/single.trace.golden", "../instr/testdata/single.noprune.trace.golden") {
-		data, err := os.ReadFile(file)
-		tr, err2 := trace.ReadAuto(bytes.NewReader(data))
-		if err != nil || err2 != nil {
-			t.Fatalf("%s: %v, %v", file, err, err2)
-		}
-		add(filepath.Base(file), tr, true)
-	}
+	return rows
+}
+
+// corpusRows are the bench corpus at scale: bench.All()'s Table 1
+// programs, then bench.Hot()'s loops.
+func corpusRows(t *testing.T, scale int) []row {
 	names := append(bench.All(), bench.Hot()...)
-	for i, tr := range denseCorpus(t) {
-		add("scale=2/"+names[i].Name, tr, true)
-	}
-	scale := 4
-	if testing.Short() {
-		scale = 2
-	}
+	var rows []row
 	for i, tr := range corpus(t, scale) {
-		add(fmt.Sprintf("scale=%d/%s", scale, names[i].Name), tr, false)
+		rows = append(rows, newRow(t, fmt.Sprintf("scale=%d/%s", scale, names[i].Name), tr, false))
 	}
-	add("synthetic-mix", bench.SyntheticMix(3000), true)
 	return rows
 }
 

@@ -9,12 +9,14 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/rr"
+	"repro/internal/serial"
 	"repro/internal/trace"
 )
 
 var (
 	corpusMu      sync.Mutex
 	corpusByScale = map[int]map[string]trace.Trace{}
+	oracleByScale = map[int]map[string]bool{}
 )
 
 // corpusTraces is the bench suite (the Table 1/2 programs plus the
@@ -39,12 +41,103 @@ func corpusTraces(scale int) map[string]trace.Trace {
 	return c
 }
 
+// corpusOracle is the serial oracle's verdict on each trace of
+// corpusTraces(scale), computed once per scale; the map is shared and
+// must not be written to.
+func corpusOracle(scale int) map[string]bool {
+	traces := corpusTraces(scale)
+	corpusMu.Lock()
+	defer corpusMu.Unlock()
+	if o, ok := oracleByScale[scale]; ok {
+		return o
+	}
+	o := map[string]bool{}
+	for name, tr := range traces {
+		o[name], _ = serial.Check(tr)
+	}
+	oracleByScale[scale] = o
+	return o
+}
+
 func warnKey(w *core.Warning) string {
 	blamed := ""
 	if w.Blamed != nil {
 		blamed = string(w.Blamed.Label)
 	}
 	return fmt.Sprintf("%d/%v/%s/%v", w.OpIndex, w.Increasing, blamed, w.Refuted)
+}
+
+// TestFilterMatrixOnBenchCorpus is the corpus half of the filter
+// soundness argument: on every workload trace, every registered engine
+// with the filter on and off agrees with the offline serial oracle on
+// the verdict, and each engine's filtered run reproduces its unfiltered
+// warnings — same operations, same increasing flags, same blame —
+// exactly. AeroDrome runs under first-violation semantics (one
+// position-only warning); its cross-engine half is
+// TestAeroCorpusFirstViolationParity below.
+func TestFilterMatrixOnBenchCorpus(t *testing.T) {
+	scale := 4
+	if testing.Short() {
+		scale = 2
+	}
+	oracle := corpusOracle(scale)
+	for name, tr := range corpusTraces(scale) {
+		want := oracle[name]
+		for _, info := range core.Engines() {
+			off := core.CheckTrace(tr, core.Options{Engine: info.Engine, NoFilter: true})
+			on := core.CheckTrace(tr, core.Options{Engine: info.Engine})
+			if off.Filtered != 0 {
+				t.Fatalf("%s engine %s: NoFilter run filtered %d events", name, info.Name, off.Filtered)
+			}
+			if on.Serializable != want || off.Serializable != want {
+				t.Fatalf("%s engine %s: serializable on=%v off=%v oracle=%v",
+					name, info.Name, on.Serializable, off.Serializable, want)
+			}
+			if len(on.Warnings) != len(off.Warnings) {
+				t.Fatalf("%s engine %s: %d warnings with filter, %d without",
+					name, info.Name, len(on.Warnings), len(off.Warnings))
+			}
+			for i := range on.Warnings {
+				if got, wantK := warnKey(on.Warnings[i]), warnKey(off.Warnings[i]); got != wantK {
+					t.Fatalf("%s engine %s warning %d: filter-on %s != filter-off %s",
+						name, info.Name, i, got, wantK)
+				}
+			}
+		}
+	}
+}
+
+// TestAeroCorpusFirstViolationParity is the acceptance check that the
+// vector-clock engine agrees with the graph engines across the whole
+// workload corpus under first-violation semantics: same verdict as the
+// serial oracle, and on non-serializable workloads, the single aero
+// warning lands at the same operation as the graph engines' earliest
+// warning (every sound-and-complete online checker fires exactly at
+// the end of the minimal non-serializable prefix).
+func TestAeroCorpusFirstViolationParity(t *testing.T) {
+	scale := 4
+	if testing.Short() {
+		scale = 2
+	}
+	oracle := corpusOracle(scale)
+	for name, tr := range corpusTraces(scale) {
+		want := oracle[name]
+		opt := core.CheckTrace(tr, core.Options{FirstOnly: true})
+		aero := core.CheckTrace(tr, core.Options{Engine: core.Aero})
+		if opt.Serializable != want || aero.Serializable != want {
+			t.Fatalf("%s: serializable opt=%v aero=%v oracle=%v",
+				name, opt.Serializable, aero.Serializable, want)
+		}
+		if want {
+			continue
+		}
+		if len(aero.Warnings) != 1 {
+			t.Fatalf("%s: aero reported %d warnings, want exactly 1", name, len(aero.Warnings))
+		}
+		if a, o := aero.Warnings[0].OpIndex, opt.Warnings[0].OpIndex; a != o {
+			t.Fatalf("%s: aero first warning at op %d, graph engines at op %d", name, a, o)
+		}
+	}
 }
 
 // TestFilterRegressionGuard holds the redundancy filter to floors on

@@ -217,7 +217,7 @@ func BenchmarkForensics(b *testing.B) {
 // byte, the one reportsGolden pins — edges refreshed through the
 // last-edge memo and edges into merged unary nodes included. That the
 // recorder perturbs nothing, and that with it off no warning carries a
-// report, is held by internal/core's TestConformanceMatrix.
+// report, is held by internal/core's conformance matrix (matrix_test.go).
 func TestForensicsDifferentialOnBenchCorpus(t *testing.T) {
 	scale := 4
 	if testing.Short() {
