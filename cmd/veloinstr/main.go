@@ -37,7 +37,6 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/analysis"
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/instr"
@@ -93,9 +92,7 @@ func run() int {
 		return 2
 	}
 	dirs := instr.ScanDirectives(pkg)
-	opts := analysis.DefaultOptions()
-	opts.Interprocedural = !*intra
-	an := instr.AnalyzeOpts(pkg, dirs, opts)
+	an := instr.AnalyzeOpts(pkg, dirs, instr.Options{Intraprocedural: *intra})
 	rep := instr.NewReport(pkg, dirs, an)
 
 	if *analyze {

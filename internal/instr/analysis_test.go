@@ -1,4 +1,4 @@
-package analysis
+package instr
 
 import (
 	"strings"
@@ -7,17 +7,17 @@ import (
 
 // analyzeSrc loads one in-memory file, scans directives and builds
 // facts with the given options.
-func analyzeSrc(t *testing.T, src string, opts Options) (*Facts, *Directives) {
+func analyzeSrc(t *testing.T, src string, opts Options) (*Analysis, *Directives) {
 	t.Helper()
 	p, err := LoadSource("main.go", []byte(src))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dirs := ScanDirectives(p)
-	return BuildFacts(p, dirs, opts), dirs
+	return AnalyzeOpts(p, dirs, opts), dirs
 }
 
-func varByName(t *testing.T, facts *Facts, name string) *VarInfo {
+func varByName(t *testing.T, facts *Analysis, name string) *VarInfo {
 	t.Helper()
 	for _, v := range facts.Vars {
 		if v.Name == name {
@@ -39,7 +39,7 @@ var n int
 func f() { n++ }
 
 func main() { f() }
-`, DefaultOptions())
+`, Options{})
 	found := false
 	for _, d := range dirs.Diags {
 		if d.Code == "velo-directive" && d.Severity == "error" && strings.Contains(d.Message, "duplicate") {
@@ -74,7 +74,7 @@ func main() {
 	go func() { defer wg.Done(); b() }()
 	wg.Wait()
 }
-`, DefaultOptions())
+`, Options{})
 	if v := varByName(t, facts, "n"); v.Class != ClassShared {
 		t.Errorf("n must be shared under disjoint locksets, got %v", v.Class)
 	}
@@ -115,14 +115,14 @@ func main() {
 // strictly improves on the syntactic analysis, and marks the variable
 // it alone proved protected.
 func TestInterprocFixpoint(t *testing.T) {
-	facts, _ := analyzeSrc(t, srcInterproc, DefaultOptions())
+	facts, _ := analyzeSrc(t, srcInterproc, Options{})
 	v := varByName(t, facts, "n")
 	if v.Class != ClassLockProtected || v.Lock != "mu" || !v.Interproc {
 		t.Errorf("n = {class: %v, lock: %q, interproc: %v}, want interprocedurally mu-protected", v.Class, v.Lock, v.Interproc)
 	}
 
 	// The same package classified intraprocedurally degrades to shared.
-	facts, _ = analyzeSrc(t, srcInterproc, Options{Interprocedural: false})
+	facts, _ = analyzeSrc(t, srcInterproc, Options{Intraprocedural: true})
 	if v := varByName(t, facts, "n"); v.Class != ClassShared || v.Interproc {
 		t.Errorf("intra: n = {class: %v, interproc: %v}, want plain shared", v.Class, v.Interproc)
 	}
@@ -196,7 +196,7 @@ func main() {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			facts, _ := analyzeSrc(t, tc.src, DefaultOptions())
+			facts, _ := analyzeSrc(t, tc.src, Options{})
 			if v := varByName(t, facts, "n"); v.Class != ClassShared {
 				t.Errorf("n classified %v; the fixpoint must not trust this call graph", v.Class)
 			}

@@ -1,4 +1,4 @@
-package analysis
+package instr
 
 import (
 	"fmt"

@@ -1,4 +1,4 @@
-package analysis
+package instr
 
 import (
 	"fmt"
@@ -128,20 +128,17 @@ type FuncInfo struct {
 	Threadable bool
 }
 
-// Options configure fact construction.
+// Options configure classification; the zero value is the default.
 type Options struct {
-	// Interprocedural enables the call-graph entry-lock fixpoint
-	// (interproc.go). Off, classification is the purely syntactic
-	// per-function analysis, kept selectable for the before/after
-	// pruning measurements.
-	Interprocedural bool
+	// Intraprocedural turns the call-graph entry-lock fixpoint
+	// (interproc.go) off: classification is the purely syntactic
+	// per-function analysis, kept selectable (veloinstr -intra) for the
+	// before/after pruning measurements.
+	Intraprocedural bool
 }
 
-// DefaultOptions enable everything.
-func DefaultOptions() Options { return Options{Interprocedural: true} }
-
-// Facts is the classification result the rewriter consumes.
-type Facts struct {
+// Analysis is the classification result the rewriter consumes.
+type Analysis struct {
 	Vars   []*VarInfo // sorted by name
 	ByStmt map[ast.Stmt]*StmtSites
 	// Funcs lists every scanned function body: declarations in file
@@ -160,23 +157,16 @@ type Facts struct {
 	WaitGroups int
 
 	accesses []*Access
-	fnOf     map[*types.Func]*FuncInfo
+	fnOf     map[*types.Func]*FuncInfo // named functions with bodies
 }
 
-// StmtFor exposes per-statement sites to the rewriter.
-func (a *Facts) StmtFor(s ast.Stmt) *StmtSites { return a.ByStmt[s] }
-
-// FuncOfObj looks up the FuncInfo of a named function object.
-func (a *Facts) FuncOfObj(fn *types.Func) *FuncInfo { return a.fnOf[fn] }
-
 type builder struct {
-	a        *Facts
+	a        *Analysis
 	p        *Package
 	opts     Options
-	queue    []litWork
+	queue    []*FuncInfo // literals discovered but not yet scanned
 	captured map[*types.Var]bool
 	addrOf   map[*types.Var]bool
-	funcs    map[*types.Func]*FuncInfo // named functions with bodies
 	allFns   []*FuncInfo
 	goNamed  map[*types.Func]bool
 	refNamed map[*types.Func]bool
@@ -188,10 +178,6 @@ type builder struct {
 	// callSites feed the interprocedural entry-lock fixpoint.
 	callSites []callSite
 	inDefer   bool
-}
-
-type litWork struct {
-	fi *FuncInfo
 }
 
 // callSite is one direct same-package invocation: of a named function
@@ -208,20 +194,19 @@ type callSite struct {
 
 // Analyze classifies every candidate access of the package with the
 // default options.
-func Analyze(p *Package, dirs *Directives) *Facts {
-	return BuildFacts(p, dirs, DefaultOptions())
+func Analyze(p *Package, dirs *Directives) *Analysis {
+	return AnalyzeOpts(p, dirs, Options{})
 }
 
-// BuildFacts classifies every candidate access of the package.
-func BuildFacts(p *Package, dirs *Directives, opts Options) *Facts {
-	a := &Facts{ByStmt: map[ast.Stmt]*StmtSites{}}
+// AnalyzeOpts classifies every candidate access of the package.
+func AnalyzeOpts(p *Package, dirs *Directives, opts Options) *Analysis {
+	a := &Analysis{ByStmt: map[ast.Stmt]*StmtSites{}, fnOf: map[*types.Func]*FuncInfo{}}
 	b := &builder{
 		a:            a,
 		p:            p,
 		opts:         opts,
 		captured:     map[*types.Var]bool{},
 		addrOf:       map[*types.Var]bool{},
-		funcs:        map[*types.Func]*FuncInfo{},
 		goNamed:      map[*types.Func]bool{},
 		refNamed:     map[*types.Func]bool{},
 		litInfo:      map[*ast.FuncLit]*FuncInfo{},
@@ -236,7 +221,7 @@ func BuildFacts(p *Package, dirs *Directives, opts Options) *Facts {
 			}
 			if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
 				fi := &FuncInfo{Decl: fd}
-				b.funcs[fn] = fi
+				a.fnOf[fn] = fi
 				b.allFns = append(b.allFns, fi)
 			}
 		}
@@ -249,7 +234,7 @@ func BuildFacts(p *Package, dirs *Directives, opts Options) *Facts {
 				continue
 			}
 			fn, _ := p.Info.Defs[fd.Name].(*types.Func)
-			fi := b.funcs[fn]
+			fi := a.fnOf[fn]
 			if fi == nil {
 				continue
 			}
@@ -257,9 +242,9 @@ func BuildFacts(p *Package, dirs *Directives, opts Options) *Facts {
 		}
 	}
 	for len(b.queue) > 0 {
-		w := b.queue[0]
+		fi := b.queue[0]
 		b.queue = b.queue[1:]
-		b.scanStmts(w.fi, w.fi.Lit.Body.List, map[string]bool{})
+		b.scanStmts(fi, fi.Lit.Body.List, map[string]bool{})
 	}
 	b.markRefNamed()
 	for _, fi := range b.allFns {
@@ -270,7 +255,6 @@ func BuildFacts(p *Package, dirs *Directives, opts Options) *Facts {
 	b.lockFixpoint()
 	b.classify()
 	a.Funcs = b.allFns
-	a.fnOf = b.funcs
 	return a
 }
 
@@ -864,7 +848,7 @@ func (b *builder) enterLit(parent *FuncInfo, lit *ast.FuncLit, goLaunched, immed
 	fi := &FuncInfo{Lit: lit, Parent: parent, GoLaunched: goLaunched, Escapes: !goLaunched && !immediate}
 	b.litInfo[lit] = fi
 	b.allFns = append(b.allFns, fi)
-	b.queue = append(b.queue, litWork{fi: fi})
+	b.queue = append(b.queue, fi)
 	if immediate && !goLaunched {
 		// An immediately-invoked literal runs synchronously at the call
 		// point: it inherits the caller's held locks like a direct call.
@@ -912,7 +896,7 @@ func (b *builder) scanIndexPartsInto(fi *FuncInfo, s ast.Stmt, lv ast.Expr, held
 }
 
 func (b *builder) markAddrTaken(e ast.Expr) {
-	if root := b.p.RootVar(e); root != nil {
+	if root := b.p.rootVar(e); root != nil {
 		b.addrOf[root] = true
 	}
 }
@@ -930,7 +914,7 @@ func (b *builder) recordAccess(fi *FuncInfo, s ast.Stmt, kind listKind, lv ast.E
 
 func (b *builder) recordAccessInto(fi *FuncInfo, s ast.Stmt, lv ast.Expr, write bool, held map[string]bool, record func(*StmtSites, *Access)) {
 	lv = unparen(lv)
-	root := b.p.RootVar(lv)
+	root := b.p.rootVar(lv)
 	if root == nil {
 		if lvalueShape(lv) {
 			// A candidate-shaped lvalue rooted in a call or other
@@ -942,13 +926,11 @@ func (b *builder) recordAccessInto(fi *FuncInfo, s ast.Stmt, lv ast.Expr, write 
 	}
 	// Skip non-data roots: functions, channels, and the sync primitives
 	// (their synchronization is traced via acq/rel/join events instead).
-	switch t := root.Type().Underlying().(type) {
+	switch root.Type().Underlying().(type) {
 	case *types.Signature, *types.Chan:
 		return
-	case *types.Named:
-		_ = t
 	}
-	if isSyncType(root.Type()) || containsSyncType(root.Type()) {
+	if isLockState(root.Type()) {
 		return
 	}
 	ac := &Access{
@@ -959,11 +941,8 @@ func (b *builder) recordAccessInto(fi *FuncInfo, s ast.Stmt, lv ast.Expr, write 
 		SynHeld: heldList(held),
 		Fn:      fi,
 	}
-	if clonable(lv) {
+	if cloneExpr(lv) != nil {
 		ac.Addr = addrTarget(b.p, lv)
-		if ac.Addr == nil {
-			ac.Opaque = true
-		}
 	} else {
 		ac.Opaque = true
 	}
@@ -971,8 +950,8 @@ func (b *builder) recordAccessInto(fi *FuncInfo, s ast.Stmt, lv ast.Expr, write 
 	record(b.sites(s), ac)
 }
 
-// RootVar walks to the leftmost identifier of an lvalue chain.
-func (p *Package) RootVar(e ast.Expr) *types.Var {
+// rootVar walks to the leftmost identifier of an lvalue chain.
+func (p *Package) rootVar(e ast.Expr) *types.Var {
 	for {
 		switch ex := unparen(e).(type) {
 		case *ast.Ident:
@@ -1045,29 +1024,6 @@ func unparen(e ast.Expr) ast.Expr {
 	}
 }
 
-// clonable limits lvalues (and their sub-expressions) to syntax the
-// rewriter can safely duplicate into an emission call: re-evaluation
-// must be side-effect free.
-func clonable(e ast.Expr) bool {
-	switch ex := e.(type) {
-	case *ast.Ident, *ast.BasicLit:
-		return true
-	case *ast.SelectorExpr:
-		return clonable(ex.X)
-	case *ast.IndexExpr:
-		return clonable(ex.X) && clonable(ex.Index)
-	case *ast.StarExpr:
-		return clonable(ex.X)
-	case *ast.ParenExpr:
-		return clonable(ex.X)
-	case *ast.BinaryExpr:
-		return clonable(ex.X) && clonable(ex.Y)
-	case *ast.UnaryExpr:
-		return ex.Op != token.AND && clonable(ex.X)
-	}
-	return false
-}
-
 // addrTarget picks the expression whose address identifies the accessed
 // location: the lvalue itself when addressable, the base map variable
 // for (non-addressable) map elements. Returns nil when no stable
@@ -1083,6 +1039,51 @@ func addrTarget(p *Package, lv ast.Expr) ast.Expr {
 
 // ---- sync primitive detection ----
 
+// shimWrappers maps the sync primitives the rewriter replaces with shim
+// wrappers to the wrappers' names. Their operations are the only
+// synchronization that reaches the checker, so a Mutex is the only lock
+// that can prove an access protected, and values built from these types
+// are lock state, not data.
+var shimWrappers = map[string]string{"Mutex": "_veloMutex", "WaitGroup": "_veloWaitGroup"}
+
+// syncName names the type of package sync that t is, "" for any other
+// type. It goes by the type's identity, so sync may be imported under
+// any name, dot-imported included.
+func syncName(t types.Type) string {
+	if named, ok := t.(*types.Named); ok {
+		if obj := named.Obj(); obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
+			return obj.Name()
+		}
+	}
+	return ""
+}
+
+// wrapperOf names the shim type that replaces the type expression e,
+// "" unless e denotes one of the shimWrappers.
+func (p *Package) wrapperOf(e ast.Expr) string {
+	if tv, ok := p.Info.Types[e]; ok && tv.IsType() {
+		return shimWrappers[syncName(tv.Type)]
+	}
+	return ""
+}
+
+// isLockState reports the wrapped primitives and the types built from
+// them by pointer, slice or array (e.g. []sync.Mutex).
+func isLockState(t types.Type) bool {
+	if shimWrappers[syncName(t)] != "" {
+		return true
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Slice:
+		return isLockState(u.Elem())
+	case *types.Array:
+		return isLockState(u.Elem())
+	case *types.Pointer:
+		return isLockState(u.Elem())
+	}
+	return false
+}
+
 // lockOp recognizes a path.Lock() / path.Unlock() call on a sync.Mutex
 // and returns its stable path ("" when the receiver is dynamic, e.g. an
 // index by a variable) plus whether the path is rooted at a
@@ -1097,19 +1098,13 @@ func (b *builder) lockOp(e ast.Expr) (path string, pkgLevel, locked, ok bool) {
 	if !isSel || len(call.Args) != 0 {
 		return "", false, false, false
 	}
+	// TryLock as a statement (result discarded) never happens in
+	// practice; as an expression it is not a balanced section.
 	name := sel.Sel.Name
-	if name != "Lock" && name != "Unlock" && name != "TryLock" {
+	if (name != "Lock" && name != "Unlock") || syncName(recvType(p, sel)) != "Mutex" {
 		return "", false, false, false
 	}
-	if !isNamedSyncType(recvType(p, sel), "Mutex") {
-		return "", false, false, false
-	}
-	if name == "TryLock" {
-		// TryLock as a statement (result discarded) never happens in
-		// practice; as an expression it is not a balanced section.
-		return "", false, false, false
-	}
-	if root := p.RootVar(sel.X); root != nil && root.Parent() == p.Pkg.Scope() {
+	if root := p.rootVar(sel.X); root != nil && root.Parent() == p.Pkg.Scope() {
 		pkgLevel = true
 	}
 	return stablePath(sel.X), pkgLevel, name == "Lock", true
@@ -1126,58 +1121,17 @@ func recvType(p *Package, sel *ast.SelectorExpr) types.Type {
 	return types.Typ[types.Invalid]
 }
 
-func isNamedSyncType(t types.Type, name string) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == "sync"
-}
-
 // noteUnsupportedSync records sync primitives whose synchronization the
 // front-end cannot translate into trace events.
 func (b *builder) noteUnsupportedSync(sel *ast.SelectorExpr) bool {
-	t := recvType(b.p, sel)
-	for _, name := range []string{"RWMutex", "Once", "Cond", "Pool", "Map"} {
-		if isNamedSyncType(t, name) {
-			b.a.Unsupported = append(b.a.Unsupported,
-				fmt.Sprintf("%s: sync.%s.%s (synchronization invisible to the trace)",
-					b.p.Position(sel.Pos()), name, sel.Sel.Name))
-			return true
-		}
+	switch name := syncName(recvType(b.p, sel)); name {
+	case "RWMutex", "Once", "Cond", "Pool", "Map":
+		b.a.Unsupported = append(b.a.Unsupported,
+			fmt.Sprintf("%s: sync.%s.%s (synchronization invisible to the trace)",
+				b.p.Position(sel.Pos()), name, sel.Sel.Name))
+		return true
 	}
 	return false
-}
-
-// isSyncType reports sync.Mutex / sync.WaitGroup (possibly via pointer).
-func isSyncType(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "WaitGroup"
-}
-
-// containsSyncType reports composite types built from the rewritten sync
-// primitives (e.g. []sync.Mutex), which are lock state, not data.
-func containsSyncType(t types.Type) bool {
-	switch u := t.Underlying().(type) {
-	case *types.Slice:
-		return isSyncType(u.Elem()) || containsSyncType(u.Elem())
-	case *types.Array:
-		return isSyncType(u.Elem()) || containsSyncType(u.Elem())
-	case *types.Pointer:
-		return isSyncType(u.Elem()) || containsSyncType(u.Elem())
-	}
-	return isSyncType(t)
 }
 
 // stablePath renders an lvalue as a protection identity when it is built
@@ -1225,15 +1179,11 @@ func (b *builder) countSyncDecls() {
 			t = p.Elem()
 		}
 		check := func(t types.Type) {
-			if named, ok := t.(*types.Named); ok {
-				if obj := named.Obj(); obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-					switch obj.Name() {
-					case "Mutex":
-						b.a.Mutexes++
-					case "WaitGroup":
-						b.a.WaitGroups++
-					}
-				}
+			switch syncName(t) {
+			case "Mutex":
+				b.a.Mutexes++
+			case "WaitGroup":
+				b.a.WaitGroups++
 			}
 		}
 		check(t)
@@ -1244,14 +1194,4 @@ func (b *builder) countSyncDecls() {
 			check(u.Elem())
 		}
 	}
-}
-
-// VarClass looks up the classification of a variable (tests).
-func (a *Facts) VarClass(name string) (Class, bool) {
-	for _, v := range a.Vars {
-		if v.Name == name {
-			return v.Class, true
-		}
-	}
-	return 0, false
 }

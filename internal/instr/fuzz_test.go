@@ -4,10 +4,10 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
-
-	"repro/internal/analysis"
 )
 
 // FuzzInstrument asserts the rewriter's core contract on arbitrary
@@ -164,6 +164,11 @@ func main() {
 	defer func() { x++ }()
 }
 `)
+	renamed, err := os.ReadFile(filepath.Join("testdata", "renamed", "main.go"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(renamed))
 	f.Fuzz(func(t *testing.T, src string) {
 		fset := token.NewFileSet()
 		parsed, err := parser.ParseFile(fset, "fuzz.go", src, parser.ParseComments)
@@ -188,52 +193,21 @@ func main() {
 		if collision {
 			t.Skip()
 		}
-		p, err := LoadSource("fuzz.go", []byte(src))
-		if err != nil {
-			t.Skip()
-		}
-		dirs := ScanDirectives(p)
-		if len(dirs.Diags) > 0 {
-			t.Skip()
-		}
-		a := Analyze(p, dirs)
+		// Rewrite mutates the package: each option set loads afresh.
 		for _, prune := range []bool{true, false} {
-			pp, err := LoadSource("fuzz.go", []byte(src))
+			p, err := LoadSource("fuzz.go", []byte(src))
 			if err != nil {
 				t.Skip()
 			}
-			dd := ScanDirectives(pp)
-			aa := Analyze(pp, dd)
-			out, err := Rewrite(pp, dd, aa, RewriteOptions{Prune: prune})
+			dirs := ScanDirectives(p)
+			if len(dirs.Diags) > 0 {
+				t.Skip()
+			}
+			out, err := Rewrite(p, dirs, Analyze(p, dirs), RewriteOptions{Prune: prune})
 			if err != nil {
 				t.Fatalf("rewrite (prune=%v): %v", prune, err)
 			}
-			reparseFuzz(t, out)
+			reparse(t, out)
 		}
-		_ = a
 	})
-}
-
-func reparseFuzz(t *testing.T, out *Output) {
-	t.Helper()
-	fset := token.NewFileSet()
-	var files []*ast.File
-	var names []string
-	for name, src := range out.Files {
-		f, err := parser.ParseFile(fset, name, src, 0)
-		if err != nil {
-			t.Fatalf("instrumented %s does not parse: %v\n%s", name, err, src)
-		}
-		files = append(files, f)
-		names = append(names, name)
-	}
-	sf, err := parser.ParseFile(fset, ShimFileName, out.Shim, 0)
-	if err != nil {
-		t.Fatalf("shim does not parse: %v", err)
-	}
-	files = append(files, sf)
-	names = append(names, ShimFileName)
-	if _, err := analysis.Check(".", fset, files, names); err != nil {
-		t.Fatalf("instrumented output does not type-check: %v\n%s", err, out.Files["fuzz.go"])
-	}
 }

@@ -4,10 +4,11 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/analysis"
 )
 
 // load type-checks src and runs the full front half of the pipeline.
@@ -60,14 +61,14 @@ func TestClassify(t *testing.T) {
 		"guarded": ClassLockProtected,
 	}
 	for name, class := range want {
-		if got, ok := a.VarClass(name); !ok || got != class {
+		if got := varByName(t, a, name).Class; got != class {
 			t.Errorf("%s: got %v, want %v", name, got, class)
 		}
 	}
 	// mainOnly is read from the goroutine via mainOnly0, so it must NOT
 	// be thread-local; the call-graph fixpoint has to see through the
 	// call.
-	if got, ok := a.VarClass("mainOnly"); !ok || got != ClassShared {
+	if got := varByName(t, a, "mainOnly").Class; got != ClassShared {
 		t.Errorf("mainOnly: got %v, want shared (reached via call from goroutine)", got)
 	}
 	for _, v := range a.Vars {
@@ -95,7 +96,7 @@ func main() {
 
 func spin() {}
 `)
-	if got, ok := a.VarClass("mainOnly"); !ok || got != ClassThreadLocal {
+	if got := varByName(t, a, "mainOnly").Class; got != ClassThreadLocal {
 		t.Errorf("mainOnly: got %v, want thread-local", got)
 	}
 }
@@ -196,9 +197,9 @@ func reparse(t *testing.T, out *Output) *Package {
 	}
 	files = append(files, f)
 	names = append(names, ShimFileName)
-	p, err := analysis.Check(".", fset, files, names)
+	p, err := Check(".", fset, files, names)
 	if err != nil {
-		t.Fatalf("instrumented output does not type-check: %v", err)
+		t.Fatalf("instrumented output does not type-check: %v\n%s", err, out.Files)
 	}
 	return p
 }
@@ -221,6 +222,45 @@ func TestRewriteTypechecks(t *testing.T) {
 	}
 	if out.SitesPruned == 0 || out.SitesEmitted == 0 {
 		t.Errorf("want both pruned and emitted sites, got %d/%d", out.SitesEmitted, out.SitesPruned)
+	}
+}
+
+// TestRewriteSyncUnderAnyImportName: n is pruned as protected by mu,
+// which holds only while mu's acquire and release reach the checker.
+// However sync is imported and its types spelled, every Mutex and
+// WaitGroup the package declares must become a shim wrapper, and the
+// output must compile: a renamed import left unused does not, a blank
+// one stays.
+func TestRewriteSyncUnderAnyImportName(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "renamed", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, edits := range [][]string{
+		{`import xs "sync"`, `import "sync"`, "xs.", "sync."},
+		{},
+		{`import xs "sync"`, `import . "sync"`, "xs.", ""},
+		{`import xs "sync"`, "import (\n\txs \"sync\"\n\t_ \"sync\"\n)"},
+		{"mu xs.Mutex", "mu (xs.Mutex)"},
+	} {
+		src := strings.NewReplacer(edits...).Replace(string(fixture))
+		p, dirs, a := load(t, src)
+		if v := varByName(t, a, "n"); v.Class != ClassLockProtected || v.Lock != "mu" {
+			t.Fatalf("%q: n = {class: %v, lock: %q}, want protected by mu", edits, v.Class, v.Lock)
+		}
+		out, err := Rewrite(p, dirs, a, RewriteOptions{Prune: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp := reparse(t, out)
+		for id, obj := range rp.Info.Defs {
+			if v, ok := obj.(*types.Var); ok && rp.Fset.Position(id.Pos()).Filename == "main.go" && isLockState(v.Type()) {
+				t.Errorf("%q: %s is still a %s, invisible to the checker:\n%s", edits, v.Name(), v.Type(), out.Files["main.go"])
+			}
+		}
+		if blank := strings.Contains(src, `_ "sync"`); blank != strings.Contains(string(out.Files["main.go"]), `_ "sync"`) {
+			t.Errorf("%q: blank import kept = %v, want %v", edits, !blank, blank)
+		}
 	}
 }
 

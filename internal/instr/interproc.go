@@ -1,4 +1,4 @@
-package analysis
+package instr
 
 import (
 	"go/types"
@@ -35,7 +35,7 @@ import (
 
 // lockFixpoint fills FuncInfo.Entry and Access.Held.
 func (b *builder) lockFixpoint() {
-	if !b.opts.Interprocedural {
+	if b.opts.Intraprocedural {
 		for _, ac := range b.a.accesses {
 			ac.Held = ac.SynHeld
 		}
@@ -106,7 +106,7 @@ func (b *builder) lockFixpoint() {
 		for _, cs := range b.callSites {
 			target := cs.lit
 			if target == nil {
-				target = b.funcs[cs.fn]
+				target = b.a.fnOf[cs.fn]
 			}
 			if target == nil {
 				continue

@@ -1,4 +1,4 @@
-package analysis
+package instr
 
 import (
 	"bytes"
@@ -53,7 +53,7 @@ func Load(dir string) (*Package, error) {
 	}
 	sort.Strings(names)
 	if len(names) == 0 {
-		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
+		return nil, fmt.Errorf("instr: no Go files in %s", dir)
 	}
 	fset := token.NewFileSet()
 	var files []*ast.File
@@ -78,20 +78,20 @@ func LoadSource(name string, src []byte) (*Package, error) {
 	return Check(".", fset, []*ast.File{f}, []string{name})
 }
 
-// Check type-checks already-parsed files into a Package (exported for
-// tests that re-parse rewritten output). Imports resolve from compiler
-// export data, located by running go list in dir (see exportImporter).
+// Check type-checks already-parsed files into a Package: the one place a
+// types.Config is built. Imports resolve from compiler export data,
+// located by running go list in dir (see exportImporter).
 func Check(dir string, fset *token.FileSet, files []*ast.File, names []string) (*Package, error) {
 	imp, err := exportImporter(dir, fset, files)
 	if err != nil {
-		return nil, fmt.Errorf("analysis: type-checking %s: %w", dir, err)
+		return nil, fmt.Errorf("instr: type-checking %s: %w", dir, err)
 	}
 	conf := types.Config{Importer: imp}
 	info := newInfo()
 	pkgName := files[0].Name.Name
 	pkg, err := conf.Check(pkgName, fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("analysis: type-checking %s: %w", dir, err)
+		return nil, fmt.Errorf("instr: type-checking %s: %w", dir, err)
 	}
 	return &Package{
 		Dir:   dir,

@@ -7,6 +7,7 @@ import (
 	"go/format"
 	"go/token"
 	"go/types"
+	"slices"
 	"strconv"
 )
 
@@ -140,7 +141,7 @@ func Rewrite(p *Package, dirs *Directives, a *Analysis, opt RewriteOptions) (*Ou
 	out := &Output{Files: map[string][]byte{}}
 	for i, f := range p.Files {
 		rw.fixSyncTypes(f)
-		rw.dropSyncImportIfUnused(f)
+		rw.dropSyncImports(f)
 
 		var buf bytes.Buffer
 		fmt.Fprintf(&buf, "// Code generated by veloinstr from %s. DO NOT EDIT.\n\n", p.Names[i])
@@ -306,7 +307,7 @@ func (rw *rewriter) rewriteCall(call *ast.CallExpr, s *slot) {
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
 		fn, _ := rw.p.Info.Uses[fun].(*types.Func)
-		if fi := rw.a.FuncOfObj(fn); fi != nil && fi.Threadable {
+		if fi := rw.a.fnOf[fn]; fi != nil && fi.Threadable {
 			rw.calls = append(rw.calls, threadedCall{call, rw.slots[fi.Decl], s})
 		}
 	case *ast.SelectorExpr:
@@ -329,11 +330,17 @@ func (rw *rewriter) rewriteCall(call *ast.CallExpr, s *slot) {
 func (rw *rewriter) collectOwnSync(f *ast.File) {
 	var isSync func(e ast.Expr) *ast.Ident
 	isSync = func(e ast.Expr) *ast.Ident {
-		switch t := e.(type) {
-		case *ast.SelectorExpr:
-			if rw.syncWrapper(t) != "" {
+		if rw.p.wrapperOf(e) != "" {
+			// The type name, which defines an embedded field: Mutex, or
+			// the Sel of sync.Mutex.
+			switch t := unparen(e).(type) {
+			case *ast.SelectorExpr:
 				return t.Sel
+			case *ast.Ident:
+				return t
 			}
+		}
+		switch t := e.(type) {
 		case *ast.StarExpr:
 			return isSync(t.X)
 		case *ast.ArrayType:
@@ -356,7 +363,7 @@ func (rw *rewriter) collectOwnSync(f *ast.File) {
 			return
 		}
 		if len(names) == 0 {
-			names = []*ast.Ident{embedded} // an embedded field is defined by its type name
+			names = []*ast.Ident{embedded}
 		}
 		for _, id := range names {
 			if v, ok := rw.p.Info.Defs[id].(*types.Var); ok {
@@ -428,14 +435,7 @@ func (rw *rewriter) rewriteBlock(b *ast.BlockStmt) {
 func (rw *rewriter) rewriteList(list []ast.Stmt) []ast.Stmt {
 	var out []ast.Stmt
 	for _, s := range list {
-		ss := rw.a.StmtFor(s)
-		if ss != nil {
-			out = append(out, rw.emissions(ss.Pre)...)
-		}
-		out = append(out, rw.transformStmt(s, ss)...)
-		if ss != nil {
-			out = append(out, rw.emissions(ss.Post)...)
-		}
+		out = append(out, rw.transformWithSites(s)...)
 	}
 	return out
 }
@@ -477,7 +477,7 @@ func (rw *rewriter) transformStmt(s ast.Stmt, ss *StmtSites) []ast.Stmt {
 			}
 		}
 	case *ast.LabeledStmt:
-		inner := rw.transformStmt(st.Stmt, rw.a.StmtFor(st.Stmt))
+		inner := rw.transformStmt(st.Stmt, rw.a.ByStmt[st.Stmt])
 		if len(inner) == 1 {
 			st.Stmt = inner[0]
 		} else {
@@ -487,8 +487,10 @@ func (rw *rewriter) transformStmt(s ast.Stmt, ss *StmtSites) []ast.Stmt {
 	return []ast.Stmt{s}
 }
 
+// transformWithSites rewrites one statement between the emissions of
+// the accesses attributed to it.
 func (rw *rewriter) transformWithSites(s ast.Stmt) []ast.Stmt {
-	ss := rw.a.StmtFor(s)
+	ss := rw.a.ByStmt[s]
 	var out []ast.Stmt
 	if ss != nil {
 		out = append(out, rw.emissions(ss.Pre)...)
@@ -518,7 +520,7 @@ func (rw *rewriter) emissions(accs []*Access) []ast.Stmt {
 	pruned := 0
 	for _, ac := range accs {
 		switch {
-		case ac.Action == actionEmit || (ac.Action == actionPrune && !rw.opt.Prune):
+		case ac.Action == ActionEmit || (ac.Action == ActionPrune && !rw.opt.Prune):
 			rw.sitesEmitted++
 			name := "_velo_rd"
 			if ac.Write {
@@ -526,7 +528,7 @@ func (rw *rewriter) emissions(accs []*Access) []ast.Stmt {
 			}
 			addr := &ast.UnaryExpr{Op: token.AND, X: cloneExpr(ac.Addr)}
 			out = append(out, exprStmt(callExpr(name, rw.tid(rw.cur), addr)))
-		case ac.Action == actionPrune:
+		case ac.Action == ActionPrune:
 			rw.sitesPruned++
 			pruned++
 		}
@@ -597,20 +599,9 @@ func (rw *rewriter) transformGo(st *ast.GoStmt) []ast.Stmt {
 // sync.WaitGroup with the shim wrappers, so lock and wait-group
 // operations emit acq/rel and join events from inside the primitive.
 func (rw *rewriter) fixSyncTypes(f *ast.File) {
-	repl := func(e ast.Expr) ast.Expr {
-		if sel, ok := e.(*ast.SelectorExpr); ok {
-			if name := rw.syncWrapper(sel); name != "" {
-				return ast.NewIdent(name)
-			}
-		}
-		return nil
-	}
 	fix := func(slot *ast.Expr) {
-		if *slot == nil {
-			return
-		}
-		if r := repl(*slot); r != nil {
-			*slot = r
+		if name := rw.p.wrapperOf(*slot); name != "" {
+			*slot = ast.NewIdent(name)
 		}
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -646,74 +637,47 @@ func (rw *rewriter) fixSyncTypes(f *ast.File) {
 	})
 }
 
-// syncWrapper names the shim type that replaces the type expression
-// sel, "" unless sel is sync.Mutex or sync.WaitGroup.
-func (rw *rewriter) syncWrapper(sel *ast.SelectorExpr) string {
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	pn, ok := rw.p.Info.Uses[id].(*types.PkgName)
-	if !ok || pn.Imported().Path() != "sync" {
-		return ""
-	}
-	switch sel.Sel.Name {
-	case "Mutex":
-		return "_veloMutex"
-	case "WaitGroup":
-		return "_veloWaitGroup"
-	}
-	return ""
-}
-
-// dropSyncImportIfUnused removes the sync import once every reference
-// was rewritten away (the shim imports sync itself).
-func (rw *rewriter) dropSyncImportIfUnused(f *ast.File) {
-	used := false
+// dropSyncImports removes each import of sync that nothing refers to
+// once fixSyncTypes has run (the shim imports sync itself), whatever
+// name it is imported under. A blank import stays.
+func (rw *rewriter) dropSyncImports(f *ast.File) {
+	used := map[string]bool{} // local names of sync still referred to; "." for a dot import
 	ast.Inspect(f, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if pn, ok := rw.p.Info.Uses[id].(*types.PkgName); ok && pn.Imported().Path() == "sync" {
-			used = true
+		switch x := n.(type) {
+		case *ast.SelectorExpr:
+			if id, ok := x.X.(*ast.Ident); ok {
+				if pn, ok := rw.p.Info.Uses[id].(*types.PkgName); ok {
+					if pn.Imported().Path() == "sync" {
+						used[pn.Name()] = true
+					}
+					return false
+				}
+			}
+		case *ast.Ident:
+			// A package-level object of sync named without a qualifier.
+			if obj := rw.p.Info.Uses[x]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Parent() == obj.Pkg().Scope() {
+				used["."] = true
+			}
 		}
 		return true
 	})
-	if used {
-		return
+	unused := func(is *ast.ImportSpec) bool {
+		name := "sync"
+		if is.Name != nil {
+			name = is.Name.Name
+		}
+		path, _ := strconv.Unquote(is.Path.Value)
+		return path == "sync" && name != "_" && !used[name]
 	}
-	for _, d := range f.Decls {
+	f.Imports = slices.DeleteFunc(f.Imports, unused)
+	f.Decls = slices.DeleteFunc(f.Decls, func(d ast.Decl) bool {
 		gd, ok := d.(*ast.GenDecl)
 		if !ok || gd.Tok != token.IMPORT {
-			continue
+			return false
 		}
-		var kept []ast.Spec
-		for _, spec := range gd.Specs {
-			is := spec.(*ast.ImportSpec)
-			if v, err := strconv.Unquote(is.Path.Value); err == nil && v == "sync" && is.Name == nil {
-				continue
-			}
-			kept = append(kept, spec)
-		}
-		gd.Specs = kept
-	}
-	var kept []ast.Decl
-	for _, d := range f.Decls {
-		if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.IMPORT && len(gd.Specs) == 0 {
-			continue
-		}
-		kept = append(kept, d)
-	}
-	f.Decls = kept
-	var keptImports []*ast.ImportSpec
-	for _, is := range f.Imports {
-		if v, err := strconv.Unquote(is.Path.Value); err == nil && v == "sync" && is.Name == nil {
-			continue
-		}
-		keptImports = append(keptImports, is)
-	}
-	f.Imports = keptImports
+		gd.Specs = slices.DeleteFunc(gd.Specs, func(s ast.Spec) bool { return unused(s.(*ast.ImportSpec)) })
+		return len(gd.Specs) == 0
+	})
 }
 
 // ---- AST construction helpers (all position-free) ----
@@ -732,8 +696,11 @@ func intLit(n int) ast.Expr {
 	return &ast.BasicLit{Kind: token.INT, Value: strconv.Itoa(n)}
 }
 
-// cloneExpr duplicates a clonable lvalue with positions stripped, so the
-// copy can be re-printed inside an injected emission call.
+// cloneExpr duplicates an lvalue with positions stripped, so the copy
+// can be re-printed inside an injected emission call. It is nil when
+// the lvalue holds syntax whose re-evaluation could have an effect or
+// differ (a call, a receive, an address-of): the analysis marks such an
+// access opaque and the rewriter never emits it.
 func cloneExpr(e ast.Expr) ast.Expr {
 	switch ex := e.(type) {
 	case *ast.Ident:
@@ -741,18 +708,29 @@ func cloneExpr(e ast.Expr) ast.Expr {
 	case *ast.BasicLit:
 		return &ast.BasicLit{Kind: ex.Kind, Value: ex.Value}
 	case *ast.SelectorExpr:
-		return &ast.SelectorExpr{X: cloneExpr(ex.X), Sel: ast.NewIdent(ex.Sel.Name)}
+		if x := cloneExpr(ex.X); x != nil {
+			return &ast.SelectorExpr{X: x, Sel: ast.NewIdent(ex.Sel.Name)}
+		}
 	case *ast.IndexExpr:
-		return &ast.IndexExpr{X: cloneExpr(ex.X), Index: cloneExpr(ex.Index)}
+		if x, i := cloneExpr(ex.X), cloneExpr(ex.Index); x != nil && i != nil {
+			return &ast.IndexExpr{X: x, Index: i}
+		}
 	case *ast.StarExpr:
-		return &ast.StarExpr{X: cloneExpr(ex.X)}
+		if x := cloneExpr(ex.X); x != nil {
+			return &ast.StarExpr{X: x}
+		}
 	case *ast.ParenExpr:
-		return &ast.ParenExpr{X: cloneExpr(ex.X)}
+		if x := cloneExpr(ex.X); x != nil {
+			return &ast.ParenExpr{X: x}
+		}
 	case *ast.BinaryExpr:
-		return &ast.BinaryExpr{X: cloneExpr(ex.X), Op: ex.Op, Y: cloneExpr(ex.Y)}
+		if x, y := cloneExpr(ex.X), cloneExpr(ex.Y); x != nil && y != nil {
+			return &ast.BinaryExpr{X: x, Op: ex.Op, Y: y}
+		}
 	case *ast.UnaryExpr:
-		return &ast.UnaryExpr{Op: ex.Op, X: cloneExpr(ex.X)}
+		if x := cloneExpr(ex.X); x != nil && ex.Op != token.AND {
+			return &ast.UnaryExpr{Op: ex.Op, X: x}
+		}
 	}
-	// clonable() gates what reaches here.
-	panic(fmt.Sprintf("instr: cloneExpr on %T", e))
+	return nil
 }
