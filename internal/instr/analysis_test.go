@@ -5,32 +5,20 @@ import (
 	"testing"
 )
 
-// analyzeSrc loads one in-memory file, scans directives and builds
-// facts with the given options.
-func analyzeSrc(t *testing.T, src string, opts Options) (*Analysis, *Directives) {
+func varByName(t *testing.T, a *Analysis, name string) *VarInfo {
 	t.Helper()
-	p, err := LoadSource("main.go", []byte(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs := ScanDirectives(p)
-	return AnalyzeOpts(p, dirs, opts), dirs
-}
-
-func varByName(t *testing.T, facts *Analysis, name string) *VarInfo {
-	t.Helper()
-	for _, v := range facts.Vars {
+	for _, v := range a.Vars {
 		if v.Name == name {
 			return v
 		}
 	}
-	t.Fatalf("variable %s not classified (have %d vars)", name, len(facts.Vars))
+	t.Fatalf("variable %s not classified (have %d vars)", name, len(a.Vars))
 	return nil
 }
 
 // TestDuplicateDirective covers the duplicate-annotation error.
 func TestDuplicateDirective(t *testing.T) {
-	_, dirs := analyzeSrc(t, `package main
+	_, dirs, _ := load(t, `package main
 
 var n int
 
@@ -39,7 +27,7 @@ var n int
 func f() { n++ }
 
 func main() { f() }
-`, Options{})
+`)
 	found := false
 	for _, d := range dirs.Diags {
 		if d.Code == "velo-directive" && d.Severity == "error" && strings.Contains(d.Message, "duplicate") {
@@ -54,7 +42,7 @@ func main() { f() }
 // TestDisjointLocksetsStayShared: a variable accessed concurrently
 // under two different mutexes has no common lock, so it stays shared.
 func TestDisjointLocksetsStayShared(t *testing.T) {
-	facts, _ := analyzeSrc(t, `package main
+	_, _, facts := load(t, `package main
 
 import "sync"
 
@@ -74,7 +62,7 @@ func main() {
 	go func() { defer wg.Done(); b() }()
 	wg.Wait()
 }
-`, Options{})
+`)
 	if v := varByName(t, facts, "n"); v.Class != ClassShared {
 		t.Errorf("n must be shared under disjoint locksets, got %v", v.Class)
 	}
@@ -115,14 +103,14 @@ func main() {
 // strictly improves on the syntactic analysis, and marks the variable
 // it alone proved protected.
 func TestInterprocFixpoint(t *testing.T) {
-	facts, _ := analyzeSrc(t, srcInterproc, Options{})
+	p, dirs, facts := load(t, srcInterproc)
 	v := varByName(t, facts, "n")
 	if v.Class != ClassLockProtected || v.Lock != "mu" || !v.Interproc {
 		t.Errorf("n = {class: %v, lock: %q, interproc: %v}, want interprocedurally mu-protected", v.Class, v.Lock, v.Interproc)
 	}
 
 	// The same package classified intraprocedurally degrades to shared.
-	facts, _ = analyzeSrc(t, srcInterproc, Options{Intraprocedural: true})
+	facts = AnalyzeOpts(p, dirs, Options{Intraprocedural: true})
 	if v := varByName(t, facts, "n"); v.Class != ClassShared || v.Interproc {
 		t.Errorf("intra: n = {class: %v, interproc: %v}, want plain shared", v.Class, v.Interproc)
 	}
@@ -196,7 +184,7 @@ func main() {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			facts, _ := analyzeSrc(t, tc.src, Options{})
+			_, _, facts := load(t, tc.src)
 			if v := varByName(t, facts, "n"); v.Class != ClassShared {
 				t.Errorf("n classified %v; the fixpoint must not trust this call graph", v.Class)
 			}

@@ -229,8 +229,8 @@ func TestRewriteTypechecks(t *testing.T) {
 // which holds only while mu's acquire and release reach the checker.
 // However sync is imported and its types spelled, every Mutex and
 // WaitGroup the package declares must become a shim wrapper, and the
-// output must compile: a renamed import left unused does not, a blank
-// one stays.
+// output must compile: a renamed import left unused does not, one still
+// used must stay, and so does a blank one.
 func TestRewriteSyncUnderAnyImportName(t *testing.T) {
 	fixture, err := os.ReadFile(filepath.Join("testdata", "renamed", "main.go"))
 	if err != nil {
@@ -242,6 +242,9 @@ func TestRewriteSyncUnderAnyImportName(t *testing.T) {
 		{`import xs "sync"`, `import . "sync"`, "xs.", ""},
 		{`import xs "sync"`, "import (\n\txs \"sync\"\n\t_ \"sync\"\n)"},
 		{"mu xs.Mutex", "mu (xs.Mutex)"},
+		// Imports still referred to after the rewrite stay.
+		{"\tn  int\n", "\tn  int\n\to  xs.Once\n", "func main() {", "func init() { o.Do(func() {}) }\n\nfunc main() {"},
+		{`import xs "sync"`, `import . "sync"`, "xs.", "", "\tn  int\n", "\tn  int\n\to  Once\n", "func main() {", "func init() { o.Do(func() {}) }\n\nfunc main() {"},
 	} {
 		src := strings.NewReplacer(edits...).Replace(string(fixture))
 		p, dirs, a := load(t, src)
