@@ -858,23 +858,6 @@ func TestCLIVeloinstrAnalyzeJSON(t *testing.T) {
 	}
 }
 
-// TestCLIVeloinstrIntra checks that -intra disables the interprocedural
-// entry-lock inference: the audit ledger (mutated only by helpers that
-// never lock) degrades from lock-protected to shared.
-func TestCLIVeloinstrIntra(t *testing.T) {
-	out, _ := runTool(t, "veloinstr", "-analyze", "examples/instr/auditfixed")
-	if !strings.Contains(out, "pruned (held: mu, interprocedural)") {
-		t.Fatalf("default analysis must prove ledger lock-protected:\n%s", out)
-	}
-	outIntra, _ := runTool(t, "veloinstr", "-analyze", "-intra", "examples/instr/auditfixed")
-	if strings.Contains(outIntra, "interprocedural") {
-		t.Errorf("-intra must not report interprocedural facts:\n%s", outIntra)
-	}
-	if !strings.Contains(outIntra, "2 shared") {
-		t.Errorf("-intra must classify ledger shared:\n%s", outIntra)
-	}
-}
-
 // TestCLIVeloinstrAnnotationLint checks -analyze's well-formedness
 // pass over //velo: directives on a fixture where every one is bad.
 func TestCLIVeloinstrAnnotationLint(t *testing.T) {
@@ -1572,7 +1555,7 @@ func directiveDiagnosticsOnly(out string) string {
 
 // TestCLIVeloinstrAnalyzeGolden pins what veloinstr -analyze prints —
 // the classification table, the annotation summary and the
-// velo-directive diagnostics — with and without -intra, plus the vars
+// velo-directive diagnostics, plus the vars
 // and atomic_blocks of -analyze -json, over every example package and
 // the annotation fixtures. Exit codes are not pinned. Regenerate with
 //
@@ -1580,11 +1563,9 @@ func directiveDiagnosticsOnly(out string) string {
 func TestCLIVeloinstrAnalyzeGolden(t *testing.T) {
 	var b strings.Builder
 	for _, dir := range analyzeGoldenDirs {
-		for _, args := range [][]string{{"-analyze"}, {"-analyze", "-intra"}} {
-			out, _ := runTool(t, "veloinstr", append(args, dir)...)
-			fmt.Fprintf(&b, "== veloinstr %s %s\n%s", strings.Join(args, " "), dir, directiveDiagnosticsOnly(out))
-		}
-		out, _ := runTool(t, "veloinstr", "-analyze", "-json", dir)
+		out, _ := runTool(t, "veloinstr", "-analyze", dir)
+		fmt.Fprintf(&b, "== veloinstr -analyze %s\n%s", dir, directiveDiagnosticsOnly(out))
+		out, _ = runTool(t, "veloinstr", "-analyze", "-json", dir)
 		var rep struct {
 			Vars         json.RawMessage `json:"vars"`
 			AtomicBlocks json.RawMessage `json:"atomic_blocks"`

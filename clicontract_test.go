@@ -112,7 +112,6 @@ func contractCmds(daemon string) map[string]contractCmd {
 			modes: map[string][]string{
 				"-table 1":  {"-table", "1", "-timing-scale", "1"},
 				"-table 2":  {"-table", "2"},
-				"-smoke":    {"-smoke"},
 				"-inject":   {"-inject"},
 				"-coverage": {"-coverage"},
 				"-ablate":   {"-ablate"},
@@ -323,8 +322,8 @@ func TestCLIVelodromeOnlyFlags(t *testing.T) {
 }
 
 // TestCLIVeloinstrFlagRules pins which veloinstr flag combinations the
-// contract accepts and which it refuses: -analyze takes only -json and
-// -intra, and -trace, -trace-out, -obs-json and -server need -run.
+// contract accepts and which it refuses: -analyze takes only -json,
+// and -trace, -trace-out, -obs-json and -server need -run.
 func TestCLIVeloinstrFlagRules(t *testing.T) {
 	dir := t.TempDir()
 	pkg := "examples/instr/bankfixed"
@@ -333,7 +332,7 @@ func TestCLIVeloinstrFlagRules(t *testing.T) {
 		exit int
 	}{
 		{[]string{"-analyze"}, 0},
-		{[]string{"-analyze", "-json", "-intra"}, 0},
+		{[]string{"-analyze", "-json"}, 0},
 		{[]string{"-o", filepath.Join(dir, "out"), "-noprune"}, 0},
 		{[]string{"-analyze", "-run"}, 2},
 		{[]string{"-analyze", "-o", filepath.Join(dir, "analyze-out")}, 2},
@@ -382,7 +381,7 @@ func parallel(n int, do func(int)) {
 // maxFlags is how many flags the five commands declare together. A
 // change may lower it; raising it needs a reason the contract cannot
 // absorb.
-const maxFlags = 85
+const maxFlags = 83
 
 func TestCLIFlagCount(t *testing.T) {
 	bin := tools(t)

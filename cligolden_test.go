@@ -77,7 +77,7 @@ func cliGrid(t *testing.T) [][]string {
 				[]string{"tracecheck", "-engine", info.Name, "-explain", tr})
 		}
 	}
-	for _, exp := range [][]string{{"-table", "2"}, {"-policies"}, {"-inject"}, {"-smoke"}} {
+	for _, exp := range [][]string{{"-table", "2"}, {"-policies"}, {"-inject"}} {
 		grid = append(grid, append([]string{"velobench"}, exp...))
 	}
 	return grid

@@ -4,7 +4,6 @@
 //	velobench -table 1             Table 1 (timings + graph statistics)
 //	velobench -table 2             Table 2 (Atomizer vs Velodrome warnings)
 //	velobench -table 2 -adversarial   ... with the adversarial scheduler
-//	velobench -smoke               every engine's verdicts on the loop regime; exit 1 on drift
 //	velobench -inject              the 30% → 70% defect-injection study
 //	velobench -policies            compare adversarial pause policies
 //	velobench -ablate              merge/GC design-choice ablation
@@ -27,7 +26,6 @@ import (
 	"strings"
 
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/exper"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -35,7 +33,6 @@ import (
 
 func main() {
 	table := flag.Int("table", 0, "reproduce table 1 or 2")
-	smoke := flag.Bool("smoke", false, "cross-check every registered engine's verdicts on the loop-regime family; exit 1 on drift")
 	inject := flag.Bool("inject", false, "run the defect-injection experiment")
 	policyStudy := flag.Bool("policies", false, "compare adversarial pause policies on the injection trials")
 	ablate := flag.Bool("ablate", false, "ablate the merge and GC design choices per benchmark")
@@ -50,7 +47,6 @@ func main() {
 	var f cli.Flags
 	f.Register(flag.CommandLine, "velobench", cli.TraceOut|cli.Log|cli.Metrics|cli.Profile)
 	var seedList []int64
-	drift := false
 	// The experiments in the order they run; each is a mode of the
 	// command-line contract, and a flag no selected one reads is refused.
 	exps := []struct {
@@ -75,20 +71,6 @@ func main() {
 			if *detail {
 				fmt.Println()
 				report.MethodDetail(os.Stdout, rows)
-			}
-		}},
-		{"-smoke", "smoke", func() bool { return *smoke }, func() {
-			rows := exper.Smoke(seedList[0], *scale*10)
-			var engineCols []string
-			for _, info := range core.Engines() {
-				engineCols = append(engineCols, info.Name)
-			}
-			report.Smoke(os.Stdout, rows, engineCols)
-			for _, r := range rows {
-				if r.Drift != "" {
-					fmt.Fprintf(os.Stderr, "velobench: engine drift on %s: %s\n", r.Workload, r.Drift)
-					drift = true
-				}
 			}
 		}},
 		{"-inject", "inject", func() bool { return *inject }, func() {
@@ -135,9 +117,6 @@ func main() {
 		e.run()
 		fmt.Println()
 		pt.Buf.End(id)
-		if drift {
-			os.Exit(1)
-		}
 	}
 	if !ran {
 		flag.Usage()

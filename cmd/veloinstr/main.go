@@ -8,14 +8,13 @@
 //
 //	veloinstr -analyze examples/instr/bankbug      classification + annotation errors
 //	veloinstr -analyze -json <pkg>                 same, machine-readable
-//	veloinstr -analyze -intra <pkg>                disable interprocedural lock inference
 //	veloinstr examples/instr/bankbug               print instrumented source
 //	veloinstr -o /tmp/out examples/instr/bankbug   write instrumented package
 //	veloinstr -run examples/instr/bankbug          instrument, go run, check
 //	veloinstr -run -server 127.0.0.1:7764 <pkg>    stream the trace to velodromed
 //
 // Atomicity specifications are //velo:atomic comments on function
-// declarations. -analyze takes only -json and -intra; -trace,
+// declarations. -analyze takes only -json; -trace,
 // -trace-out, -obs-json and -server need -run, and -server excludes the
 // other three. A flag the mode would ignore exits 2.
 //
@@ -54,7 +53,6 @@ func main() {
 func run() int {
 	analyze := flag.Bool("analyze", false, "print the access classification table and annotation errors, without rewriting")
 	jsonOut := flag.Bool("json", false, "with -analyze: emit the report as JSON")
-	intra := flag.Bool("intra", false, "disable interprocedural entry-lock inference (classify each function in isolation)")
 	doRun := flag.Bool("run", false, "instrument, build and run the package, checking the emitted trace online")
 	outDir := flag.String("o", "", "write the instrumented package to this directory")
 	noprune := flag.Bool("noprune", false, "emit events even for accesses the analysis proved redundant")
@@ -73,8 +71,8 @@ func run() int {
 		return []string{"rewriting"}
 	})
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: veloinstr -analyze [-json] [-intra] <package dir>")
-		fmt.Fprintln(os.Stderr, "       veloinstr [-run [-server addr | -trace file -trace-out file -obs-json]] [-intra] [-o dir] [-noprune] <package dir>")
+		fmt.Fprintln(os.Stderr, "usage: veloinstr -analyze [-json] <package dir>")
+		fmt.Fprintln(os.Stderr, "       veloinstr [-run [-server addr | -trace file -trace-out file -obs-json]] [-o dir] [-noprune] <package dir>")
 		return 2
 	}
 	dir := flag.Arg(0)
@@ -92,7 +90,7 @@ func run() int {
 		return 2
 	}
 	dirs := instr.ScanDirectives(pkg)
-	an := instr.AnalyzeOpts(pkg, dirs, instr.Options{Intraprocedural: *intra})
+	an := instr.Analyze(pkg, dirs)
 	rep := instr.NewReport(pkg, dirs, an)
 
 	if *analyze {

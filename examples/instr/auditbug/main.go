@@ -10,7 +10,7 @@
 // every caller holds it around the call. A per-function analysis must
 // classify ledger as shared; only the interprocedural entry-lock
 // inference proves it lock-protected, so this example is where
-// `veloinstr -analyze` and `veloinstr -analyze -intra` visibly diverge.
+// `veloinstr -analyze` marks the ledger's row interprocedural.
 //
 // Pruning fodder for -analyze:
 //   - ledger is mutated by credit/debit, which never lock: pruned only

@@ -82,9 +82,6 @@ func (c *Checker) Warnings() []Warning { return c.warns }
 // Races exposes the embedded Eraser detector's warnings.
 func (c *Checker) Races() []eraser.Warning { return c.er.Warnings() }
 
-// InBlock reports whether thread t is inside an atomic block.
-func (c *Checker) InBlock(t trace.Tid) bool { return len(c.blocks[t]) > 0 }
-
 // Step processes one operation and returns the warnings it triggered (one
 // per violated open block, at most).
 func (c *Checker) Step(op trace.Op) []Warning {

@@ -76,7 +76,6 @@ var Contract = map[string][]Mode{
 	"velobench": {
 		{"-table 1", []string{"spec-filtered", "timing-scale"}},
 		{"-table 2", []string{"adversarial", "detail", "scale"}},
-		{"-smoke", []string{"scale"}},
 		{"-inject", []string{"scale"}},
 		{"-coverage", []string{"scale"}},
 		{"-ablate", []string{"scale"}},

@@ -441,5 +441,5 @@ func (c *aeroChecker) unaryTarget(t trace.Tid, srcs []*aeroObj) *aeroObj {
 // linear-time verdict.
 func (c *aeroChecker) violation(op trace.Op) *Warning {
 	c.done = true
-	return c.record(c.newWarning(op, nil))
+	return c.warn(c.newWarning(op, nil))
 }

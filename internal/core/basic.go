@@ -37,12 +37,11 @@ func sortedTids(m map[trace.Tid]graph.Step) []trace.Tid {
 type basicChecker struct {
 	common
 	blocks
-	cur     map[trace.Tid]graph.Step               // C of Figure 2: the running transaction
-	l       map[trace.Tid]graph.Step               // L
-	u       map[trace.Lock]graph.Step              // U
-	r       map[trace.Var]map[trace.Tid]graph.Step // R
-	w       map[trace.Var]graph.Step               // W
-	curMeta map[trace.Tid]*TxnMeta                 // forensics: open txn metadata
+	cur map[trace.Tid]graph.Step               // C of Figure 2: the running transaction
+	l   map[trace.Tid]graph.Step               // L
+	u   map[trace.Lock]graph.Step              // U
+	r   map[trace.Var]map[trace.Tid]graph.Step // R
+	w   map[trace.Var]graph.Step               // W
 }
 
 // run is the engine's one loop.
@@ -106,12 +105,7 @@ func (c *basicChecker) step1(op trace.Op) *Warning {
 // enter is [INS ENTER]: allocate a fresh node ordered after L(t).
 func (c *basicChecker) enter(t trace.Tid, meta *TxnMeta, op trace.Op) {
 	n := c.g.NewNode(true, meta)
-	if c.rec == nil {
-		c.g.AddEdge(stepOf(c.l, t), n, op) // fresh target: cannot close a cycle
-	} else {
-		c.addEdgeP(stepOf(c.l, t), n, op, c.poProv())
-		c.curMeta[t] = meta
-	}
+	c.g.AddEdge(stepOf(c.l, t), n, op, c.prov(op, programOrder, 0)) // fresh target: cannot close a cycle
 	c.cur[t] = n
 }
 
@@ -120,13 +114,7 @@ func (c *basicChecker) exit(t trace.Tid) {
 	n := c.cur[t]
 	delete(c.cur, t)
 	c.l[t] = n
-	c.g.Finish(n)
-	if c.rec != nil {
-		if m := c.curMeta[t]; m != nil {
-			m.End = c.idx
-			delete(c.curMeta, t)
-		}
-	}
+	c.finish(n)
 }
 
 // action applies [INS ACQUIRE/RELEASE/READ/WRITE] inside transaction C(t).
@@ -135,13 +123,7 @@ func (c *basicChecker) action(op trace.Op) *Warning {
 	n := c.cur[t]
 	switch op.Kind {
 	case trace.Acquire:
-		var cyc *graph.Cycle
-		if c.rec == nil {
-			cyc = c.g.AddEdge(stepOf(c.u, op.Lock()), n, op)
-		} else {
-			cyc = c.addEdgeP(stepOf(c.u, op.Lock()), n, op, c.tailProv(c.rec.LastRelease(op.Lock())))
-		}
-		if cyc != nil {
+		if cyc := c.g.AddEdge(stepOf(c.u, op.Lock()), n, op, c.prov(op, trace.Release, 0)); cyc != nil {
 			return c.violation(op, cyc)
 		}
 	case trace.Release:
@@ -149,12 +131,7 @@ func (c *basicChecker) action(op trace.Op) *Warning {
 		c.access(op)
 	case trace.Read:
 		x := op.Var()
-		var cyc *graph.Cycle
-		if c.rec == nil {
-			cyc = c.g.AddEdge(stepOf(c.w, x), n, op)
-		} else {
-			cyc = c.addEdgeP(stepOf(c.w, x), n, op, c.tailProv(c.rec.LastWrite(x)))
-		}
+		cyc := c.g.AddEdge(stepOf(c.w, x), n, op, c.prov(op, trace.Write, 0))
 		m := c.r[x]
 		if m == nil {
 			m = map[trace.Tid]graph.Step{}
@@ -177,23 +154,11 @@ func (c *basicChecker) action(op trace.Op) *Warning {
 				delete(c.r[x], t2)
 				continue
 			}
-			var cy *graph.Cycle
-			if c.rec == nil {
-				cy = c.g.AddEdge(rs, n, op)
-			} else {
-				cy = c.addEdgeP(rs, n, op, c.tailProv(c.rec.LastRead(x, t2)))
-			}
-			if cy != nil && cyc == nil {
+			if cy := c.g.AddEdge(rs, n, op, c.prov(op, trace.Read, t2)); cy != nil && cyc == nil {
 				cyc = cy
 			}
 		}
-		var cy *graph.Cycle
-		if c.rec == nil {
-			cy = c.g.AddEdge(stepOf(c.w, x), n, op)
-		} else {
-			cy = c.addEdgeP(stepOf(c.w, x), n, op, c.tailProv(c.rec.LastWrite(x)))
-		}
-		if cy != nil && cyc == nil {
+		if cy := c.g.AddEdge(stepOf(c.w, x), n, op, c.prov(op, trace.Write, 0)); cy != nil && cyc == nil {
 			cyc = cy
 		}
 		c.w[x] = n
@@ -208,5 +173,5 @@ func (c *basicChecker) action(op trace.Op) *Warning {
 // violation records a warning. The basic engine has no timestamps, so no
 // blame is assigned (Section 4.3 is an extension of the optimized engine).
 func (c *basicChecker) violation(op trace.Op, cyc *graph.Cycle) *Warning {
-	return c.record(c.newWarning(op, cyc))
+	return c.warn(c.newWarning(op, cyc))
 }

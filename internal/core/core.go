@@ -150,13 +150,15 @@ type Warning struct {
 	// labels is the table Op's and the cycle's label ids index.
 	labels *trace.Labels
 	// report is the provenance report assembled at warning time under
-	// Options.Forensics (nil otherwise). It must be built eagerly: the
-	// flight-recorder windows advance as checking continues.
+	// Options.Forensics for a kept warning (nil otherwise). It must be
+	// built eagerly: the flight-recorder windows advance as checking
+	// continues.
 	report *forensic.Report
 }
 
 // Forensics returns the warning's provenance report, or nil when the
-// checker ran without Options.Forensics.
+// checker ran without Options.Forensics or did not keep the warning
+// (any after the first Options.MaxWarnings).
 func (w *Warning) Forensics() *forensic.Report { return w.report }
 
 // Method returns the outermost refuted atomic block label, or the blamed
@@ -248,7 +250,7 @@ func New(opts Options) Checker {
 	case Basic:
 		c := &basicChecker{common: cm, cur: map[trace.Tid]graph.Step{}, l: map[trace.Tid]graph.Step{},
 			u: map[trace.Lock]graph.Step{}, r: map[trace.Var]map[trace.Tid]graph.Step{},
-			w: map[trace.Var]graph.Step{}, curMeta: map[trace.Tid]*TxnMeta{}}
+			w: map[trace.Var]graph.Step{}}
 		c.eng = c
 		return c
 	case Aero:
@@ -307,6 +309,8 @@ type common struct {
 	g    *graph.Graph
 	opts Options
 	rec  *forensic.Recorder // nil when Options.Forensics is off
+	// edgeProv is what prov returns a pointer to.
+	edgeProv graph.EdgeProv
 	// labels is the table the ops' Begin label ids index, the one the
 	// source handed over (the process-wide one until a source hands
 	// another).
@@ -455,11 +459,15 @@ func (w *warningArgs) SpanArgs(add func(string, any)) {
 	}
 }
 
-func (c *common) record(w *Warning) *Warning {
+// warn counts w, and keeps it while fewer than Options.MaxWarnings are
+// kept: only a kept warning gets a provenance report under forensics,
+// since nothing reads the others'.
+func (c *common) warn(w *Warning) *Warning {
 	if c.first == nil {
 		c.first = w
 	}
-	if c.rec != nil {
+	kept := len(c.warns) < c.opts.MaxWarnings
+	if c.rec != nil && kept {
 		// Eager: the flight-recorder windows are only valid right now.
 		if b := c.opts.Spans; b != nil {
 			t0 := span.Nanotime()
@@ -484,7 +492,7 @@ func (c *common) record(w *Warning) *Warning {
 		c.snap.Blamed++
 	}
 	c.snap.Refuted += len(w.Refuted)
-	if len(c.warns) < c.opts.MaxWarnings {
+	if kept {
 		c.warns = append(c.warns, w)
 	}
 	if c.opts.FirstOnly {

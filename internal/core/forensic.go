@@ -1,9 +1,11 @@
 package core
 
 // Forensics support shared by the graph engines: provenance construction for
-// happens-before edges and the assembly of a warning's provenance report
-// from the detected cycle plus the flight recorder. Everything here runs
-// only under Options.Forensics; the rec == nil path never reaches it.
+// happens-before edges, transaction end stamps, and the assembly of a
+// warning's provenance report from the detected cycle plus the flight
+// recorder. Everything here runs only under Options.Forensics; the
+// rec == nil path never reaches it. The engines' rules never test the
+// recorder themselves: each edge takes prov's result as an argument.
 
 import (
 	"sort"
@@ -13,27 +15,84 @@ import (
 	"repro/internal/trace"
 )
 
-// poProv is the provenance of a program-order edge (thread-successor
-// ordering) inserted by the operation being processed.
-func (c *common) poProv() graph.EdgeProv {
-	return graph.EdgeProv{HeadIdx: int64(c.idx), Program: true}
+// programOrder is the tail kind prov reads as a program-order edge
+// (thread-successor ordering, from L(t)): its tail is no access a table
+// stored.
+const programOrder = trace.Begin
+
+// prov is the access-pair provenance of an edge the operation being
+// processed, op, draws: from the stored step of its tail access of kind
+// — the last release of op's lock (trace.Release), the last write of
+// op's variable (trace.Write) or thread tid's last read of it
+// (trace.Read) — or, for programOrder, from L(t). It is nil with
+// forensics off, and valid until the next call: graph.AddEdge copies it.
+func (c *common) prov(op trace.Op, kind trace.Kind, tid trace.Tid) *graph.EdgeProv {
+	if c.rec == nil {
+		return nil
+	}
+	return c.recordedProv(op, kind, tid)
 }
 
-// tailProv is the provenance of a conflict edge inserted by the operation
-// being processed, drawn from the stored predecessor step whose recorded
-// access is tail (no tail access when the recorder has none, e.g. a
-// predecessor stored before forensics could observe it).
-func (c *common) tailProv(tail forensic.Access) graph.EdgeProv {
-	p := graph.EdgeProv{HeadIdx: int64(c.idx)}
+// recordedProv is prov with forensics on, apart so that prov inlines.
+func (c *common) recordedProv(op trace.Op, kind trace.Kind, tid trace.Tid) *graph.EdgeProv {
+	var tail forensic.Access
+	switch kind {
+	case trace.Release:
+		tail = c.rec.LastRelease(op.Lock())
+	case trace.Write:
+		tail = c.rec.LastWrite(op.Var())
+	case trace.Read:
+		tail = c.rec.LastRead(op.Var(), tid)
+	}
+	p := &c.edgeProv
+	*p = graph.EdgeProv{HeadIdx: int64(c.idx), Program: kind == programOrder}
 	if tail.OK {
 		p.TailIdx, p.TailOp, p.HasTail = tail.Idx, tail.Op, true
 	}
 	return p
 }
 
-// addEdgeP inserts from ⇒ to with prov beside it (graph.AddEdgeP copies).
-func (c *common) addEdgeP(from, to graph.Step, op trace.Op, prov graph.EdgeProv) *graph.Cycle {
-	return c.g.AddEdgeP(from, to, op, &prov)
+// mergeProvs is the provenance of each edge merge draws from preds for
+// op, in the order outsideOp lists them — L(t), then U(m) for an
+// acquire, W(x) for a read, or R(x,t') for each t' then W(x) for a
+// write — or nil with forensics off. It is valid until the next call.
+func (c *optChecker) mergeProvs(op trace.Op, preds []graph.Step) []graph.EdgeProv {
+	if c.rec == nil {
+		return nil
+	}
+	return c.recordedProvs(op, preds)
+}
+
+// recordedProvs is mergeProvs with forensics on, apart so that
+// mergeProvs inlines.
+func (c *optChecker) recordedProvs(op trace.Op, preds []graph.Step) []graph.EdgeProv {
+	provs := c.provs[:0]
+	for i := range preds {
+		kind, tid := programOrder, trace.Tid(0)
+		switch {
+		case i == 0:
+		case op.Kind == trace.Acquire:
+			kind = trace.Release
+		case op.Kind == trace.Read || i == len(preds)-1:
+			kind = trace.Write
+		default:
+			kind, tid = trace.Read, trace.Tid(i-1)
+		}
+		provs = append(provs, *c.prov(op, kind, tid))
+	}
+	c.provs = provs
+	return provs
+}
+
+// finish is [INS EXIT] for the transaction at s: under forensics it
+// first stamps the transaction's End, while s's node is surely alive.
+func (c *common) finish(s graph.Step) {
+	if c.rec != nil {
+		if m, ok := c.g.Data(s).(*TxnMeta); ok {
+			m.End = c.idx
+		}
+	}
+	c.g.Finish(s)
 }
 
 // noteOp feeds the flight recorder; access mirrors a W/R/U table store

@@ -32,6 +32,27 @@ func TestForensicsOffNoReport(t *testing.T) {
 	}
 }
 
+// TestForensicsOnlyKeptWarningsReport: past Options.MaxWarnings a
+// warning is counted but not kept, and no report is built for it.
+func TestForensicsOnlyKeptWarningsReport(t *testing.T) {
+	tr := append(rmwTrace(), rmwTrace()...)
+	for _, engine := range []Engine{Optimized, Basic} {
+		c := New(Options{Engine: engine, Forensics: true, MaxWarnings: 1})
+		var got []*Warning
+		for _, op := range tr {
+			if w := c.Step(op); w != nil {
+				got = append(got, w)
+			}
+		}
+		if len(got) != 2 || len(c.Warnings()) != 1 {
+			t.Fatalf("engine %d: %d warnings stepped, %d kept; want 2 and 1", engine, len(got), len(c.Warnings()))
+		}
+		if got[0].Forensics() == nil || got[1].Forensics() != nil {
+			t.Errorf("engine %d: reports %v, %v; want the kept warning's only", engine, got[0].Forensics() != nil, got[1].Forensics() != nil)
+		}
+	}
+}
+
 // TestForensicsReport checks the provenance report of the RMW violation on
 // both engines: every conflict edge names a genuine access pair from the
 // trace, the blamed transaction is marked, and the flight recorder holds

@@ -10,18 +10,7 @@ type optChecker struct {
 	common
 	tables[graph.Step]
 	preds []graph.Step
-	// Forensics-only state: a reusable provenance buffer parallel to
-	// preds, and the open transaction's metadata per thread so its End
-	// position can be stamped at exit.
-	provBuf  []graph.EdgeProv
-	openMeta []*TxnMeta
-}
-
-func (c *optChecker) setOpenMeta(t trace.Tid, m *TxnMeta) {
-	for int(t) >= len(c.openMeta) {
-		c.openMeta = append(c.openMeta, nil)
-	}
-	c.openMeta[t] = m
+	provs []graph.EdgeProv // mergeProvs' buffer, parallel to preds
 }
 
 // run is the engine's one loop. The decision cache is tested first, on
@@ -84,14 +73,8 @@ func (c *optChecker) step1(op trace.Op) *Warning {
 		}
 		// [INS2 ENTER]: fresh transaction node, ordered after the
 		// thread's previous transaction.
-		meta := c.newMeta(TxnMeta{Thread: t, Label: c.labels.Name(op.Label), Start: c.idx, End: -1})
-		s := c.g.NewNode(true, meta)
-		if c.rec == nil {
-			c.g.AddEdge(c.l.get(int32(t)), s, op) // fresh target: cannot close a cycle
-		} else {
-			c.addEdgeP(c.l.get(int32(t)), s, op, c.poProv())
-			c.setOpenMeta(t, meta)
-		}
+		s := c.g.NewNode(true, c.newMeta(TxnMeta{Thread: t, Label: c.labels.Name(op.Label), Start: c.idx, End: -1}))
+		c.g.AddEdge(c.l.get(int32(t)), s, op, c.prov(op, programOrder, 0)) // fresh target: cannot close a cycle
 		c.push(t, frame{op.Label, s.Time(), false})
 		c.l.set(int32(t), s)
 		return nil
@@ -106,11 +89,7 @@ func (c *optChecker) step1(op trace.Op) *Warning {
 			s := c.g.Tick(c.l.get(int32(t)))
 			c.l.set(int32(t), s)
 			if !popped.ignored && c.depth(t) == 0 {
-				c.g.Finish(s)
-				if c.rec != nil && int(t) < len(c.openMeta) && c.openMeta[t] != nil {
-					c.openMeta[t].End = c.idx
-					c.openMeta[t] = nil
-				}
+				c.finish(s)
 			}
 		}
 		return nil
@@ -127,11 +106,7 @@ func (c *optChecker) step1(op trace.Op) *Warning {
 	if c.opts.NoMerge {
 		// [INS OUTSIDE]: wrap the operation in its own unary transaction.
 		s := c.g.NewNode(true, c.newMeta(TxnMeta{Thread: t, Start: c.idx, Unary: true, End: c.idx}))
-		if c.rec == nil {
-			c.g.AddEdge(c.l.get(int32(t)), s, op)
-		} else {
-			c.addEdgeP(c.l.get(int32(t)), s, op, c.poProv())
-		}
+		c.g.AddEdge(c.l.get(int32(t)), s, op, c.prov(op, programOrder, 0))
 		c.push(t, frame{0, s.Time(), false})
 		c.l.set(int32(t), s)
 		w := c.insideOp(op)
@@ -159,13 +134,7 @@ func (c *optChecker) insideOp(op trace.Op) *Warning {
 	c.l.set(int32(t), s)
 	switch op.Kind {
 	case trace.Acquire:
-		var cyc *graph.Cycle
-		if c.rec == nil {
-			cyc = c.g.AddEdge(c.u.get(op.Target), s, op)
-		} else {
-			cyc = c.addEdgeP(c.u.get(op.Target), s, op, c.tailProv(c.rec.LastRelease(op.Lock())))
-		}
-		if cyc != nil {
+		if cyc := c.g.AddEdge(c.u.get(op.Target), s, op, c.prov(op, trace.Release, 0)); cyc != nil {
 			return c.violation(op, cyc)
 		}
 	case trace.Release:
@@ -173,12 +142,7 @@ func (c *optChecker) insideOp(op trace.Op) *Warning {
 		c.access(op)
 	case trace.Read:
 		x := op.Var()
-		var cyc *graph.Cycle
-		if c.rec == nil {
-			cyc = c.g.AddEdge(c.w.get(x), s, op)
-		} else {
-			cyc = c.addEdgeP(c.w.get(x), s, op, c.tailProv(c.rec.LastWrite(x)))
-		}
+		cyc := c.g.AddEdge(c.w.get(x), s, op, c.prov(op, trace.Write, 0))
 		c.r.set(x, t, s)
 		c.access(op)
 		if cyc != nil {
@@ -202,21 +166,12 @@ func (c *optChecker) insideOp(op trace.Op) *Warning {
 		}
 		// Most of a row is ⊥ — the threads that never read x — and an edge
 		// from ⊥ is none: those entries are not worth the call.
-		if c.rec == nil {
-			for _, rs := range c.r.row(x) {
-				if rs != graph.None {
-					keep(c.g.AddEdge(rs, s, op))
-				}
+		for t2, rs := range c.r.row(x) {
+			if rs != graph.None {
+				keep(c.g.AddEdge(rs, s, op, c.prov(op, trace.Read, trace.Tid(t2))))
 			}
-			keep(c.g.AddEdge(c.w.get(x), s, op))
-		} else {
-			for t2, rs := range c.r.row(x) {
-				if rs != graph.None {
-					keep(c.addEdgeP(rs, s, op, c.tailProv(c.rec.LastRead(x, trace.Tid(t2)))))
-				}
-			}
-			keep(c.addEdgeP(c.w.get(x), s, op, c.tailProv(c.rec.LastWrite(x))))
 		}
+		keep(c.g.AddEdge(c.w.get(x), s, op, c.prov(op, trace.Write, 0)))
 		c.w.set(x, s)
 		c.access(op)
 		if cyc != nil {
@@ -233,12 +188,7 @@ func (c *optChecker) outsideOp(op trace.Op) *Warning {
 	switch op.Kind {
 	case trace.Acquire:
 		preds := append(c.preds[:0], c.l.get(int32(t)), c.u.get(op.Target))
-		var provs []graph.EdgeProv
-		if c.rec != nil {
-			provs = append(c.provBuf[:0], c.poProv(), c.tailProv(c.rec.LastRelease(op.Lock())))
-			c.provBuf = provs[:0]
-		}
-		s := c.merge(op, preds, provs)
+		s := c.merge(op, preds)
 		c.preds = preds[:0]
 		c.l.set(int32(t), s)
 	case trace.Release:
@@ -249,12 +199,7 @@ func (c *optChecker) outsideOp(op trace.Op) *Warning {
 	case trace.Read:
 		x := op.Var()
 		preds := append(c.preds[:0], c.l.get(int32(t)), c.w.get(x))
-		var provs []graph.EdgeProv
-		if c.rec != nil {
-			provs = append(c.provBuf[:0], c.poProv(), c.tailProv(c.rec.LastWrite(x)))
-			c.provBuf = provs[:0]
-		}
-		s := c.merge(op, preds, provs)
+		s := c.merge(op, preds)
 		c.preds = preds[:0]
 		c.r.set(x, t, s)
 		c.l.set(int32(t), s)
@@ -265,16 +210,7 @@ func (c *optChecker) outsideOp(op trace.Op) *Warning {
 		preds := append(c.preds[:0], c.l.get(int32(t)))
 		preds = append(preds, c.r.row(x)...)
 		preds = append(preds, c.w.get(x))
-		var provs []graph.EdgeProv
-		if c.rec != nil {
-			provs = append(c.provBuf[:0], c.poProv())
-			for t2 := range c.r.row(x) {
-				provs = append(provs, c.tailProv(c.rec.LastRead(x, trace.Tid(t2))))
-			}
-			provs = append(provs, c.tailProv(c.rec.LastWrite(x)))
-			c.provBuf = provs[:0]
-		}
-		s := c.merge(op, preds, provs)
+		s := c.merge(op, preds)
 		c.preds = preds[:0]
 		c.w.set(x, s)
 		c.l.set(int32(t), s)
@@ -283,11 +219,10 @@ func (c *optChecker) outsideOp(op trace.Op) *Warning {
 	return nil
 }
 
-// merge wraps graph.MergeP, attaching unary-transaction metadata only
-// when a node was actually allocated. provs, non-nil only under
-// forensics, annotates the edge from each predecessor.
-func (c *optChecker) merge(op trace.Op, preds []graph.Step, provs []graph.EdgeProv) graph.Step {
-	s, fresh := c.g.MergeP(preds, op, nil, provs)
+// merge wraps graph.Merge, attaching unary-transaction metadata only
+// when a node was actually allocated.
+func (c *optChecker) merge(op trace.Op, preds []graph.Step) graph.Step {
+	s, fresh := c.g.Merge(preds, op, nil, c.mergeProvs(op, preds))
 	if fresh {
 		c.g.SetData(s, c.newMeta(TxnMeta{Thread: op.Thread, Start: c.idx, Unary: true, End: c.idx}))
 	}
@@ -320,5 +255,5 @@ func (c *optChecker) violation(op trace.Op, cyc *graph.Cycle) *Warning {
 			w.Refuted = refuted[:len(refuted):len(refuted)]
 		}
 	}
-	return c.record(w)
+	return c.warn(w)
 }

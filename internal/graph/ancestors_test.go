@@ -21,7 +21,7 @@ func TestAncestorSetMatchesDFS(t *testing.T) {
 		for e := 0; e < 14; e++ {
 			a := steps[rng.Intn(len(steps))]
 			b := steps[rng.Intn(len(steps))]
-			g.AddEdge(a, b, anyOp) // cycles rejected; fine
+			g.AddEdge(a, b, anyOp, nil) // cycles rejected; fine
 			if rng.Intn(4) == 0 {
 				g.Finish(steps[rng.Intn(len(steps))])
 			}
@@ -48,7 +48,7 @@ func TestAncestorEntriesSurviveRecycling(t *testing.T) {
 	g := New()
 	a := g.NewNode(true, nil)
 	b := g.NewNode(true, nil)
-	g.AddEdge(a, b, anyOp) // a is an ancestor of b
+	g.AddEdge(a, b, anyOp, nil) // a is an ancestor of b
 	aID := a.ID()
 	g.Finish(a) // collected; cascade also frees b? b has in-edge... a's
 	// collection removes a→b, then b (inactive? no: b still active).
@@ -61,7 +61,7 @@ func TestAncestorEntriesSurviveRecycling(t *testing.T) {
 		t.Fatal("stale ancestor entry leaked into recycled incarnation")
 	}
 	// And the edge b→a2 must now be legal (no phantom cycle).
-	if cyc := g.AddEdge(b, a2, anyOp); cyc != nil {
+	if cyc := g.AddEdge(b, a2, anyOp, nil); cyc != nil {
 		t.Fatalf("phantom cycle from recycled id: %v", cyc)
 	}
 }
@@ -90,7 +90,7 @@ func TestQuickRandomGraphsStayAcyclic(t *testing.T) {
 					steps[rng.Intn(len(steps))] = n
 				}
 			default:
-				g.AddEdge(steps[rng.Intn(len(steps))], steps[rng.Intn(len(steps))], anyOp)
+				g.AddEdge(steps[rng.Intn(len(steps))], steps[rng.Intn(len(steps))], anyOp, nil)
 			}
 		}
 		for _, s := range steps {
@@ -115,11 +115,11 @@ func TestMergeUsesAncestorKnowledge(t *testing.T) {
 	a := g.NewNode(true, nil)
 	b := g.NewNode(true, nil)
 	c := g.NewNode(true, nil)
-	g.AddEdge(a, b, anyOp)
-	g.AddEdge(b, c, anyOp)
+	g.AddEdge(a, b, anyOp, nil)
+	g.AddEdge(b, c, anyOp, nil)
 	g.Finish(c) // finished but pinned by incoming edge
 	before := g.Stats().Allocated
-	s := g.Merge([]Step{a, c}, anyOp, nil) // a ⇒* c transitively
+	s, _ := g.Merge([]Step{a, c}, anyOp, nil, nil) // a ⇒* c transitively
 	if s.ID() != c.ID() {
 		t.Fatalf("merge returned %v, want c's node", s)
 	}
@@ -136,7 +136,7 @@ func TestEdgeCountBoundedByNodePairs(t *testing.T) {
 	b := g.NewNode(true, nil)
 	for i := 0; i < 50; i++ {
 		a2, b2 := g.Tick(a), g.Tick(b)
-		g.AddEdge(a2, b2, anyOp)
+		g.AddEdge(a2, b2, anyOp, nil)
 		a, b = a2, b2
 	}
 	if got := g.Stats().Edges; got != 1 {
@@ -150,8 +150,8 @@ func TestMergeScratchNotRetained(t *testing.T) {
 	g := New()
 	a := g.NewNode(true, nil)
 	b := g.NewNode(true, nil)
-	s1 := g.Merge([]Step{a, b}, anyOp, nil)
-	s2 := g.Merge([]Step{a, b, s1}, anyOp, nil)
+	s1, _ := g.Merge([]Step{a, b}, anyOp, nil, nil)
+	s2, _ := g.Merge([]Step{a, b, s1}, anyOp, nil, nil)
 	if s2 == None {
 		t.Fatal("second merge lost its candidates")
 	}
@@ -185,9 +185,9 @@ func TestInvariantsUnderRandomUse(t *testing.T) {
 				}
 			case 3:
 				g.Merge([]Step{steps[rng.Intn(len(steps))], steps[rng.Intn(len(steps))]},
-					anyOp, nil)
+					anyOp, nil, nil)
 			default:
-				g.AddEdge(steps[rng.Intn(len(steps))], steps[rng.Intn(len(steps))], anyOp)
+				g.AddEdge(steps[rng.Intn(len(steps))], steps[rng.Intn(len(steps))], anyOp, nil)
 			}
 			if err := g.CheckInvariants(); err != nil {
 				t.Fatalf("iter %d step %d: %v", iter, e, err)
@@ -276,7 +276,7 @@ func TestAddAncestorsMatchesScan(t *testing.T) {
 						iter, e, entries, dst.ID(), id, got.nodes[id].anc, want.nodes[id].anc)
 				}
 			}
-			g.AddEdge(src, dst, anyOp)
+			g.AddEdge(src, dst, anyOp, nil)
 		}
 		recycled += g.Stats().Recycled
 	}
@@ -297,11 +297,11 @@ func buildOpenChain(t *testing.T, g *Graph) (open, last Step) {
 	last = None
 	for k := 0; k < openChainLen; k++ {
 		n := g.NewNode(true, nil)
-		if c := g.AddEdge(open, n, anyOp); c != nil {
+		if c := g.AddEdge(open, n, anyOp, nil); c != nil {
 			t.Fatalf("node %d: cycle %v", k, c)
 		}
 		if last != None {
-			if c := g.AddEdge(last, n, anyOp); c != nil {
+			if c := g.AddEdge(last, n, anyOp, nil); c != nil {
 				t.Fatalf("node %d: cycle %v", k, c)
 			}
 		}
@@ -337,7 +337,7 @@ func TestOpenTransactionChainIsLinearPerNode(t *testing.T) {
 	}
 
 	last := g.NewNode(true, nil)
-	g.AddEdge(open, last, anyOp)
+	g.AddEdge(open, last, anyOp, nil)
 	entries := slices.Clone(g.ancestorsPlusSelf(prev.ID()))
 	nd := &g.nodes[last.ID()] // last has no descendants: the merge touches this set only
 	reads := g.ancReads

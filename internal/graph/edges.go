@@ -119,17 +119,14 @@ func (nd *node) setProv(i int, p *EdgeProv) {
 // H ⊕ {(from, to)}). Edges from or to ⊥ (including stale steps) and
 // self-edges are filtered out. If the edge would close a cycle, the cycle
 // is returned and the edge is NOT added, keeping the graph acyclic; the
-// caller reports the violation and continues.
-func (g *Graph) AddEdge(from, to Step, op trace.Op) *Cycle {
-	return g.AddEdgeP(from, to, op, nil)
-}
-
-// AddEdgeP is AddEdge carrying access-pair provenance for the edge (nil
-// for none). The forensics-enabled engines use it; *prov is copied beside
-// the edge (and refreshed with the timestamps under ⊕) so a later cycle
-// report can name the exact accesses that created each edge. A returned
-// Cycle is the caller's to keep: the graph never writes its chunks again.
-func (g *Graph) AddEdgeP(from, to Step, op trace.Op, prov *EdgeProv) *Cycle {
+// caller reports the violation and continues. A returned Cycle is the
+// caller's to keep: the graph never writes its chunks again.
+//
+// prov is the edge's access-pair provenance, nil for none (forensics
+// off): *prov is copied beside the edge (and refreshed with the
+// timestamps under ⊕) so a later cycle report can name the exact
+// accesses that created each edge.
+func (g *Graph) AddEdge(from, to Step, op trace.Op, prov *EdgeProv) *Cycle {
 	from, to = g.Resolve(from), g.Resolve(to)
 	if from == None || to == None || from.ID() == to.ID() {
 		return nil
@@ -252,7 +249,7 @@ type pathFrame struct {
 // findPath reports whether some path src ⇒* dst exists and returns its
 // edges (none when src == dst). The result is the graph's own scratch,
 // valid until the next findPath, its Prov pointers until the next
-// insertion: AddEdgeP copies both into the Cycle it returns, and
+// insertion: AddEdge copies both into the Cycle it returns, and
 // nothing else keeps them. The live graph is small (a few
 // dozen nodes even on large benchmarks, Table 1), so an iterative DFS
 // per query is cheap.

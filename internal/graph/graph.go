@@ -145,11 +145,10 @@ type Graph struct {
 	noGC        bool
 	noMemo      bool
 	scratch     []Step            // Merge's reusable candidate buffer
-	provScratch []EdgeProv        // MergeP's reusable provenance buffer
 	ancScratch  []ancEntry        // ancestorsPlusSelf's reusable buffer
 	pathStack   []pathFrame       // findPath's DFS stack
 	pathScratch []CycleEdge       // findPath's result, valid until its next call
-	cycles      Chunks[Cycle]     // the cycles AddEdgeP has returned
+	cycles      Chunks[Cycle]     // the cycles AddEdge has returned
 	cycEdges    Chunks[CycleEdge] // and their edges
 	ancMarks    []ancMark         // addAncestors' stamps, one per node id
 	ancGen      uint64            // number of the current addAncestors merge
@@ -359,6 +358,15 @@ func (g *Graph) maybeCollect(id NodeID) {
 		to.in--
 		g.maybeCollect(e.to)
 	}
+}
+
+// Data returns the client metadata of the step's node, nil for ⊥ or a
+// stale step.
+func (g *Graph) Data(s Step) any {
+	if nd := g.live(s); nd != nil {
+		return nd.data
+	}
+	return nil
 }
 
 // SetData attaches client metadata to the step's node (used by callers

@@ -29,8 +29,8 @@ func TestNewNodeAndTick(t *testing.T) {
 		t.Fatal("fresh step should resolve to itself")
 	}
 	o := g.NewNode(true, nil)
-	g.AddEdge(s, o, anyOp)
-	if cyc := g.AddEdge(o, s, anyOp); cyc == nil || cyc.Edges[0].FromData != "meta" {
+	g.AddEdge(s, o, anyOp, nil)
+	if cyc := g.AddEdge(o, s, anyOp, nil); cyc == nil || cyc.Edges[0].FromData != "meta" {
 		t.Fatal("data lost")
 	}
 	s2 := g.Tick(s)
@@ -64,7 +64,7 @@ func TestIncomingEdgePinsNode(t *testing.T) {
 	g := New()
 	a := g.NewNode(true, nil)
 	b := g.NewNode(true, nil)
-	if c := g.AddEdge(a, b, anyOp); c != nil {
+	if c := g.AddEdge(a, b, anyOp, nil); c != nil {
 		t.Fatal("unexpected cycle")
 	}
 	g.Finish(b)
@@ -99,10 +99,10 @@ func TestCycleDetectionAndRejection(t *testing.T) {
 	g := New()
 	a := g.NewNode(true, "A")
 	b := g.NewNode(true, "B")
-	if c := g.AddEdge(a, b, anyOp); c != nil {
+	if c := g.AddEdge(a, b, anyOp, nil); c != nil {
 		t.Fatal("a→b should not cycle")
 	}
-	cyc := g.AddEdge(b, a, anyOp)
+	cyc := g.AddEdge(b, a, anyOp, nil)
 	if cyc == nil {
 		t.Fatal("b→a must close a cycle")
 	}
@@ -117,7 +117,7 @@ func TestCycleDetectionAndRejection(t *testing.T) {
 	}
 	// The rejected edge must not have been added: graph stays acyclic and
 	// a second attempt reports the same cycle.
-	if g.AddEdge(b, a, anyOp) == nil {
+	if g.AddEdge(b, a, anyOp, nil) == nil {
 		t.Fatal("graph should still contain a→b only")
 	}
 	if g.Stats().Edges != 1 {
@@ -129,13 +129,13 @@ func TestSelfAndBottomEdgesFiltered(t *testing.T) {
 	g := New()
 	a := g.NewNode(true, nil)
 	a2 := g.Tick(a)
-	if c := g.AddEdge(a, a2, anyOp); c != nil {
+	if c := g.AddEdge(a, a2, anyOp, nil); c != nil {
 		t.Fatal("self-edge must be filtered, not reported")
 	}
-	if c := g.AddEdge(None, a, anyOp); c != nil {
+	if c := g.AddEdge(None, a, anyOp, nil); c != nil {
 		t.Fatal("⊥ edge must be filtered")
 	}
-	if c := g.AddEdge(a, None, anyOp); c != nil {
+	if c := g.AddEdge(a, None, anyOp, nil); c != nil {
 		t.Fatal("⊥ edge must be filtered")
 	}
 	if g.Stats().Edges != 0 {
@@ -147,15 +147,15 @@ func TestEdgeTimestampReplacement(t *testing.T) {
 	g := New()
 	a := g.NewNode(true, nil)
 	b := g.NewNode(true, nil)
-	g.AddEdge(a, b, anyOp)
+	g.AddEdge(a, b, anyOp, nil)
 	a2 := g.Tick(a)
 	b2 := g.Tick(b)
-	g.AddEdge(a2, b2, anyOp)
+	g.AddEdge(a2, b2, anyOp, nil)
 	if g.Stats().Edges != 1 {
 		t.Fatalf("duplicate node-pair edge stored: %d", g.Stats().Edges)
 	}
 	// Close a cycle to observe the stored timestamps.
-	cyc := g.AddEdge(b2, a2, anyOp)
+	cyc := g.AddEdge(b2, a2, anyOp, nil)
 	if cyc == nil {
 		t.Fatal("expected cycle")
 	}
@@ -170,8 +170,8 @@ func TestHappensBeforeOrSame(t *testing.T) {
 	a := g.NewNode(true, nil)
 	b := g.NewNode(true, nil)
 	c := g.NewNode(true, nil)
-	g.AddEdge(a, b, anyOp)
-	g.AddEdge(b, c, anyOp)
+	g.AddEdge(a, b, anyOp, nil)
+	g.AddEdge(b, c, anyOp, nil)
 	if !g.HappensBeforeOrSame(a, c) {
 		t.Error("a ⇒* c must hold transitively")
 	}
@@ -188,7 +188,7 @@ func TestHappensBeforeOrSame(t *testing.T) {
 
 func TestMergeAllBottom(t *testing.T) {
 	g := New()
-	if s := g.Merge([]Step{None, None}, anyOp, nil); s != None {
+	if s, _ := g.Merge([]Step{None, None}, anyOp, nil, nil); s != None {
 		t.Fatalf("merge of ⊥s = %v, want ⊥", s)
 	}
 	if g.Stats().Allocated != 0 {
@@ -200,9 +200,9 @@ func TestMergeReusesMaximalFinishedNode(t *testing.T) {
 	g := New()
 	a := g.NewNode(true, nil)
 	b := g.NewNode(true, nil)
-	g.AddEdge(a, b, anyOp)
+	g.AddEdge(a, b, anyOp, nil)
 	g.Finish(b) // b stays alive? no incoming? a→b gives b one incoming.
-	s := g.Merge([]Step{b, a}, anyOp, nil)
+	s, _ := g.Merge([]Step{b, a}, anyOp, nil, nil)
 	if s.ID() != b.ID() {
 		t.Fatalf("merge should reuse b (happens-after a); got %v", s)
 	}
@@ -214,7 +214,7 @@ func TestMergeReusesMaximalFinishedNode(t *testing.T) {
 func TestMergeRefusesActiveNode(t *testing.T) {
 	g := New()
 	a := g.NewNode(true, nil) // still active
-	s := g.Merge([]Step{a}, anyOp, nil)
+	s, _ := g.Merge([]Step{a}, anyOp, nil, nil)
 	if s == None || s.ID() == a.ID() {
 		t.Fatalf("merge must allocate rather than reuse active node; got %v", s)
 	}
@@ -235,14 +235,14 @@ func TestMergeAllocatesOnIncomparable(t *testing.T) {
 	// build pinned structure directly:
 	a = g.NewNode(true, nil)
 	b = g.NewNode(true, nil)
-	s := g.Merge([]Step{a, b}, anyOp, "u")
+	s, _ := g.Merge([]Step{a, b}, anyOp, "u", nil)
 	if s == None {
 		t.Fatal("merge of incomparable steps must allocate")
 	}
 	if !g.HappensBeforeOrSame(a, s) || !g.HappensBeforeOrSame(b, s) {
 		t.Error("merge node must happen-after all predecessors")
 	}
-	if cyc := g.AddEdge(s, a, anyOp); cyc == nil || cyc.Edges[0].ToData != "u" {
+	if cyc := g.AddEdge(s, a, anyOp, nil); cyc == nil || cyc.Edges[0].ToData != "u" {
 		t.Error("data not attached to fresh merge node")
 	}
 }
@@ -284,7 +284,7 @@ func TestDeepChainCollection(t *testing.T) {
 	for i := range steps {
 		steps[i] = g.NewNode(true, nil)
 		if i > 0 {
-			g.AddEdge(steps[i-1], steps[i], anyOp)
+			g.AddEdge(steps[i-1], steps[i], anyOp, nil)
 		}
 	}
 	for i := n - 1; i >= 1; i-- {
@@ -303,7 +303,7 @@ func TestDebugDot(t *testing.T) {
 	g := New()
 	a := g.NewNode(true, "A")
 	b := g.NewNode(false, "B")
-	g.AddEdge(a, b, trace.Rd(2, 7))
+	g.AddEdge(a, b, trace.Rd(2, 7), nil)
 	out := g.DebugDot(trace.ProcessLabels())
 	for _, want := range []string{"digraph hbgraph", `label="A"`, `label="B"`, "rd(2,x7)", "style=bold"} {
 		if !strings.Contains(out, want) {

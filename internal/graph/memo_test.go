@@ -10,7 +10,7 @@ func TestEdgeMemoDedupesRepeatedPair(t *testing.T) {
 	a := g.NewNode(true, "a")
 	b := g.NewNode(true, "b")
 
-	if c := g.AddEdge(a, b, anyOp); c != nil {
+	if c := g.AddEdge(a, b, anyOp, nil); c != nil {
 		t.Fatal("unexpected cycle")
 	}
 	if g.Stats().FilteredEdges != 0 {
@@ -19,7 +19,7 @@ func TestEdgeMemoDedupesRepeatedPair(t *testing.T) {
 	checksBefore := g.Stats().CycleChecks
 	for i := 0; i < 5; i++ {
 		a2, b2 := g.Tick(a), g.Tick(b)
-		if c := g.AddEdge(a2, b2, anyOp); c != nil {
+		if c := g.AddEdge(a2, b2, anyOp, nil); c != nil {
 			t.Fatal("unexpected cycle")
 		}
 		a, b = a2, b2
@@ -55,11 +55,11 @@ func TestEdgeMemoAlternatingDestinations(t *testing.T) {
 	c := g.NewNode(true, nil)
 	for i := 0; i < 4; i++ {
 		a = g.Tick(a)
-		if cy := g.AddEdge(a, g.Tick(b), anyOp); cy != nil {
+		if cy := g.AddEdge(a, g.Tick(b), anyOp, nil); cy != nil {
 			t.Fatal("cycle")
 		}
 		a = g.Tick(a)
-		if cy := g.AddEdge(a, g.Tick(c), anyOp); cy != nil {
+		if cy := g.AddEdge(a, g.Tick(c), anyOp, nil); cy != nil {
 			t.Fatal("cycle")
 		}
 	}
@@ -81,7 +81,7 @@ func TestMemoAndWatermarkResetOnRecycle(t *testing.T) {
 	g := New()
 	a := g.NewNode(true, nil)
 	b := g.NewNode(true, nil)
-	g.AddEdge(a, b, anyOp)
+	g.AddEdge(a, b, anyOp, nil)
 	g.Finish(a) // a has no in-edges: collected, cascading b's in-count to 0
 	g.Finish(b)
 	if g.Alive() != 0 {
@@ -94,7 +94,7 @@ func TestMemoAndWatermarkResetOnRecycle(t *testing.T) {
 		t.Fatal("fresh node must report no newer incoming edge")
 	}
 	d := g.NewNode(true, nil)
-	if cy := g.AddEdge(c, d, anyOp); cy != nil {
+	if cy := g.AddEdge(c, d, anyOp, nil); cy != nil {
 		t.Fatal("cycle")
 	}
 	if g.Stats().FilteredEdges != 0 {
@@ -113,7 +113,7 @@ func TestNoNewerIncomingTracksEdgeHeads(t *testing.T) {
 		t.Fatal("no edges yet: must hold")
 	}
 	b2 := g.Tick(b)
-	g.AddEdge(a, b2, anyOp) // head at b2.Time()
+	g.AddEdge(a, b2, anyOp, nil) // head at b2.Time()
 	if g.NoNewerIncoming(b) {
 		t.Fatal("edge head is newer than the original step")
 	}
@@ -132,14 +132,14 @@ func TestReusable(t *testing.T) {
 		t.Fatal("active node is not reusable")
 	}
 	b := g.NewNode(true, nil)
-	g.AddEdge(a, b, anyOp) // pin a... (edge is a→b: pins b)
+	g.AddEdge(a, b, anyOp, nil) // pin a... (edge is a→b: pins b)
 	g.Finish(a)
 	// a had no incoming edges, so it was collected on Finish.
 	if g.Reusable(a) {
 		t.Fatal("collected step is not reusable")
 	}
 	c := g.NewNode(false, nil)
-	g.AddEdge(b, c, anyOp)
+	g.AddEdge(b, c, anyOp, nil)
 	g.Finish(c)
 	// c is finished but pinned by b's edge: live and inactive.
 	if !g.Reusable(c) {

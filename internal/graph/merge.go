@@ -23,30 +23,19 @@ import "repro/internal/trace"
 // what the prose of Section 4.2 (which only ever reuses L(t)) implies.
 //
 // Candidates earlier in preds are preferred, so callers pass L(t) first.
-// data is attached to a freshly allocated node, if any.
-func (g *Graph) Merge(preds []Step, op trace.Op, data any) Step {
-	s, _ := g.MergeP(preds, op, data, nil)
-	return s
-}
-
-// MergeP is Merge carrying per-predecessor access-pair provenance:
-// provs[i], when provs is non-nil, annotates the edge drawn from preds[i]
-// into a freshly allocated node. The forensics-enabled engines use it so
-// even the edges into merged unary transactions name their accesses.
-// fresh reports whether the result is such a node.
-func (g *Graph) MergeP(preds []Step, op trace.Op, data any, provs []EdgeProv) (_ Step, fresh bool) {
+// data is attached to a freshly allocated node, if any, and fresh
+// reports whether the result is such a node. provs, when non-nil,
+// annotates the edge drawn from each preds[i] into a fresh node with
+// provs[i] (see AddEdge), so even the edges into merged unary
+// transactions name their accesses under forensics.
+func (g *Graph) Merge(preds []Step, op trace.Op, data any, provs []EdgeProv) (_ Step, fresh bool) {
 	live := g.scratch[:0] // reused buffer; callers do not retain it
-	liveProv := g.provScratch[:0]
-	for i, s := range preds {
+	for _, s := range preds {
 		if s = g.Resolve(s); s != None {
 			live = append(live, s)
-			if provs != nil {
-				liveProv = append(liveProv, provs[i])
-			}
 		}
 	}
 	g.scratch = live[:0]
-	g.provScratch = liveProv[:0]
 	if len(live) == 0 {
 		return None, false
 	}
@@ -67,14 +56,17 @@ func (g *Graph) MergeP(preds []Step, op trace.Op, data any, provs []EdgeProv) (_
 		}
 	}
 	s := g.NewNode(false, data)
-	for i, p := range live {
+	for i, p := range preds {
+		if p == None {
+			continue // most of a write's R(x,·) row: not worth the call
+		}
 		var prov *EdgeProv
-		if i < len(liveProv) {
-			prov = &liveProv[i]
+		if provs != nil {
+			prov = &provs[i]
 		}
 		// Edges into a brand-new node with no outgoing edges can never
-		// close a cycle.
-		if c := g.AddEdgeP(p, s, op, prov); c != nil {
+		// close a cycle; AddEdge drops those from a stale step.
+		if c := g.AddEdge(p, s, op, prov); c != nil {
 			panic("graph: impossible cycle through fresh merge node")
 		}
 	}

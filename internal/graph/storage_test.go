@@ -54,8 +54,8 @@ func TestReturnedCycleIsNotScratch(t *testing.T) {
 	g := New()
 	op := func(i int) trace.Op { return trace.Wr(trace.Tid(i), trace.Var(i)) }
 	a, b, c := g.NewNode(true, "a"), g.NewNode(true, "b"), g.NewNode(true, "c")
-	g.AddEdge(a, b, op(1))
-	g.AddEdge(b, c, op(2))
+	g.AddEdge(a, b, op(1), nil)
+	g.AddEdge(b, c, op(2), nil)
 	type held struct {
 		got  *Cycle
 		want []CycleEdge
@@ -68,11 +68,11 @@ func TestReturnedCycleIsNotScratch(t *testing.T) {
 		}
 		cycles = append(cycles, held{cyc, cloneCycleEdges(cyc.Edges)})
 	}
-	hold(g.AddEdgeP(c, a, op(3), &EdgeProv{HeadIdx: 7, TailIdx: 3, HasTail: true}), 3) // a→b→c, then c→a
+	hold(g.AddEdge(c, a, op(3), &EdgeProv{HeadIdx: 7, TailIdx: 3, HasTail: true}), 3) // a→b→c, then c→a
 	d := g.NewNode(true, "d")
-	g.AddEdge(c, d, op(4))
-	hold(g.AddEdge(d, a, op(5)), 4) // longer than the first: the whole scratch is rewritten
-	hold(g.AddEdge(b, a, op(6)), 2) // shorter: its head is rewritten
+	g.AddEdge(c, d, op(4), nil)
+	hold(g.AddEdge(d, a, op(5), nil), 4) // longer than the first: the whole scratch is rewritten
+	hold(g.AddEdge(b, a, op(6), nil), 2) // shorter: its head is rewritten
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +84,8 @@ func TestReturnedCycleIsNotScratch(t *testing.T) {
 	}
 	// The same ids, new transactions, another cycle through them.
 	x, y := g.NewNode(true, "x"), g.NewNode(true, "y")
-	g.AddEdge(x, y, op(8))
-	hold(g.AddEdge(y, x, op(9)), 2)
+	g.AddEdge(x, y, op(8), nil)
+	hold(g.AddEdge(y, x, op(9), nil), 2)
 	if g.Stats().Recycled != 2 {
 		t.Fatalf("recycled %d ids, want 2", g.Stats().Recycled)
 	}
@@ -154,14 +154,14 @@ func TestRecycledNodeStartsEmpty(t *testing.T) {
 				if seed%2 == 1 {
 					provs = []EdgeProv{{HeadIdx: int64(e), Program: true}, {HeadIdx: int64(e), TailIdx: int64(j), HasTail: true}}
 				}
-				both(func(g *Graph) Step { s, _ := g.MergeP([]Step{steps[i], steps[j]}, anyOp, e, provs); return s })
+				both(func(g *Graph) Step { s, _ := g.Merge([]Step{steps[i], steps[j]}, anyOp, e, provs); return s })
 			default:
 				op := trace.Wr(trace.Tid(i), trace.Var(e))
 				var prov *EdgeProv
 				if seed%2 == 1 {
 					prov = &EdgeProv{HeadIdx: int64(e), TailIdx: int64(i), TailOp: op, HasTail: true}
 				}
-				got, want = g.AddEdgeP(steps[i], steps[j], op, prov), ref.AddEdgeP(steps[i], steps[j], op, prov)
+				got, want = g.AddEdge(steps[i], steps[j], op, prov), ref.AddEdge(steps[i], steps[j], op, prov)
 			}
 			if (got == nil) != (want == nil) || got != nil && !sameCycleEdges(got.Edges, want.Edges) {
 				t.Fatalf("seed %d step %d: cycle %v, reference %v", seed, e, got, want)
@@ -254,8 +254,8 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	l, r := g.NewNode(true, nil), g.NewNode(true, nil)
 	life := func() {
 		n := g.NewNode(true, nil)
-		g.AddEdge(l, n, anyOp)
-		g.AddEdge(r, n, anyOp)
+		g.AddEdge(l, n, anyOp, nil)
+		g.AddEdge(r, n, anyOp, nil)
 		g.Finish(n) // stays, reachable from l and r, until they finish
 		g.Finish(l)
 		g.Finish(r)

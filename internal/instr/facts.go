@@ -80,7 +80,7 @@ type Access struct {
 	Deref bool // reaches data through a pointer, slice or map
 	// SynHeld is the syntactically held lock set at the access; Held
 	// additionally includes the enclosing function's interprocedural
-	// entry set (equal to SynHeld when that inference is disabled).
+	// entry set.
 	SynHeld []string
 	Held    []string
 	Fn      *FuncInfo
@@ -119,22 +119,13 @@ type FuncInfo struct {
 	Calls      []*types.Func
 	// Entry is the interprocedural entry lock set: package-level mutex
 	// paths held at every reachable call site (nil when the function is
-	// an analysis root or the inference is disabled).
+	// an analysis root).
 	Entry []string
 	// Threadable marks a declared function whose every invocation is a
 	// same-package direct call or go statement the scan saw (see
 	// directOnly): a rewriter may change its signature, because it can
 	// reach every caller.
 	Threadable bool
-}
-
-// Options configure classification; the zero value is the default.
-type Options struct {
-	// Intraprocedural turns the call-graph entry-lock fixpoint
-	// (interproc.go) off: classification is the purely syntactic
-	// per-function analysis, kept selectable (veloinstr -intra) for the
-	// before/after pruning measurements.
-	Intraprocedural bool
 }
 
 // Analysis is the classification result the rewriter consumes.
@@ -158,12 +149,12 @@ type Analysis struct {
 
 	accesses []*Access
 	fnOf     map[*types.Func]*FuncInfo // named functions with bodies
+	ownSync  map[*types.Var]bool       // Package.ownSync: what the rewrite wraps
 }
 
 type builder struct {
 	a        *Analysis
 	p        *Package
-	opts     Options
 	queue    []*FuncInfo // literals discovered but not yet scanned
 	captured map[*types.Var]bool
 	addrOf   map[*types.Var]bool
@@ -192,19 +183,12 @@ type callSite struct {
 	held []string
 }
 
-// Analyze classifies every candidate access of the package with the
-// default options.
+// Analyze classifies every candidate access of the package.
 func Analyze(p *Package, dirs *Directives) *Analysis {
-	return AnalyzeOpts(p, dirs, Options{})
-}
-
-// AnalyzeOpts classifies every candidate access of the package.
-func AnalyzeOpts(p *Package, dirs *Directives, opts Options) *Analysis {
-	a := &Analysis{ByStmt: map[ast.Stmt]*StmtSites{}, fnOf: map[*types.Func]*FuncInfo{}}
+	a := &Analysis{ByStmt: map[ast.Stmt]*StmtSites{}, fnOf: map[*types.Func]*FuncInfo{}, ownSync: p.ownSync()}
 	b := &builder{
 		a:            a,
 		p:            p,
-		opts:         opts,
 		captured:     map[*types.Var]bool{},
 		addrOf:       map[*types.Var]bool{},
 		goNamed:      map[*types.Func]bool{},
@@ -1104,10 +1088,20 @@ func (b *builder) lockOp(e ast.Expr) (path string, pkgLevel, locked, ok bool) {
 	if (name != "Lock" && name != "Unlock") || syncName(recvType(p, sel)) != "Mutex" {
 		return "", false, false, false
 	}
+	path = stablePath(sel.X)
+	if path != "" && !b.a.ownSync[p.syncHolder(sel.X, p.Info.Selections[sel])] {
+		// Only a mutex this package declares with a sync.Mutex type is
+		// rewritten: any other one's Lock and Unlock emit no event, so they
+		// prove nothing. (An unstable path proves nothing either way.)
+		b.a.Unsupported = append(b.a.Unsupported,
+			fmt.Sprintf("%s: sync.Mutex.%s of %s, which the rewrite does not wrap (synchronization invisible to the trace)",
+				p.Position(sel.Pos()), name, path))
+		return "", false, false, true
+	}
 	if root := p.rootVar(sel.X); root != nil && root.Parent() == p.Pkg.Scope() {
 		pkgLevel = true
 	}
-	return stablePath(sel.X), pkgLevel, name == "Lock", true
+	return path, pkgLevel, name == "Lock", true
 }
 
 func recvType(p *Package, sel *ast.SelectorExpr) types.Type {

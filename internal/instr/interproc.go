@@ -35,12 +35,6 @@ import (
 
 // lockFixpoint fills FuncInfo.Entry and Access.Held.
 func (b *builder) lockFixpoint() {
-	if b.opts.Intraprocedural {
-		for _, ac := range b.a.accesses {
-			ac.Held = ac.SynHeld
-		}
-		return
-	}
 	type state struct {
 		reached bool
 		set     map[string]bool

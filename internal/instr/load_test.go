@@ -77,6 +77,68 @@ func main() { c.N++; fmt.Println(c.N) }
 	}
 }
 
+// TestForeignMutexProvesNothing: a mutex whose declaration is in a
+// sibling package keeps its sync.Mutex type through the rewrite, so its
+// Lock and Unlock emit no event. They must not prove n lock-protected,
+// and are listed as unsupported synchronization.
+func TestForeignMutexProvesNothing(t *testing.T) {
+	offline(t)
+	root := writeTree(t, map[string]string{
+		"go.mod": "module velotmp\n\ngo 1.21\n",
+		"counter/counter.go": `package counter
+
+import "sync"
+
+type C struct{ Mu sync.Mutex }
+`,
+		"main.go": `package main
+
+import (
+	"sync"
+
+	"velotmp/counter"
+)
+
+var c counter.C
+
+var n int
+
+//velo:atomic
+func inc() {
+	c.Mu.Lock()
+	n++
+	c.Mu.Unlock()
+}
+
+func main() {
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); inc() }()
+	}
+	wg.Wait()
+}
+`,
+	})
+	p, err := Load(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := Analyze(p, ScanDirectives(p))
+	if v := varByName(t, a, "n"); v.Class != ClassShared {
+		t.Errorf("n = {class: %v, lock: %q}, want shared: c.Mu's operations reach no checker", v.Class, v.Lock)
+	}
+	var lines []string
+	for _, u := range a.Unsupported {
+		if strings.Contains(u, "c.Mu") {
+			lines = append(lines, u)
+		}
+	}
+	if len(lines) != 2 {
+		t.Errorf("unsupported %q, want c.Mu's Lock and Unlock", a.Unsupported)
+	}
+}
+
 // TestLoadMissingImport: an import nothing provides is an error of the
 // package that names the directory, the import and what go list said.
 func TestLoadMissingImport(t *testing.T) {

@@ -209,37 +209,3 @@ func Coverage(w io.Writer, c exper.CoverageCurve) {
 			fmt.Sprintf("%d", c.CumAtom[i]))
 	}
 }
-
-// Smoke renders the engine-drift smoke matrix: one row per loop-regime
-// workload, one verdict column per registered engine, oracle first.
-func Smoke(w io.Writer, rows []exper.SmokeRow, engines []string) {
-	fmt.Fprintln(w, "Smoke: loop-regime verdicts, every registered engine vs the serial oracle")
-	fmt.Fprintln(w)
-	widths := []int{11, 8, 8}
-	header := []string{"Program", "Events", "oracle"}
-	for _, e := range engines {
-		header = append(header, e)
-		widths = append(widths, len(e))
-	}
-	header = append(header, "drift")
-	widths = append(widths, 5)
-	writeRow(w, widths, header...)
-	verdict := func(serializable bool) string {
-		if serializable {
-			return "ok"
-		}
-		return "VIOL"
-	}
-	for _, r := range rows {
-		cells := []string{r.Workload, fmt.Sprintf("%d", r.Events), verdict(r.Serializable)}
-		for _, e := range engines {
-			cells = append(cells, verdict(r.Verdicts[e]))
-		}
-		drift := "-"
-		if r.Drift != "" {
-			drift = r.Drift
-		}
-		cells = append(cells, drift)
-		writeRow(w, widths, cells...)
-	}
-}

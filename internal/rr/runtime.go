@@ -141,8 +141,6 @@ type thread struct {
 // thread's coroutine wrapper recovers it.
 type torndown struct{}
 
-var debugCands func(n int, delayed bool)
-
 // Runtime owns the virtual threads, the shared-state registry and the
 // event pipe. Workloads reach it through *Thread.
 type Runtime struct {
@@ -311,9 +309,6 @@ func (rt *Runtime) decide() *thread {
 		if rt.met != nil {
 			rt.met.steps.Inc()
 		}
-		if debugCands != nil {
-			debugCands(len(cands), th.delayed)
-		}
 		rt.tickParks()
 		// Consult the advisor unless the op was already delayed once or
 		// no other thread could use the pause to interleave.
@@ -468,6 +463,3 @@ func (rt *Runtime) LockName(m trace.Lock) string {
 	}
 	return fmt.Sprintf("m%d", m)
 }
-
-// DebugCands installs a test hook observing each scheduling decision.
-func DebugCands(f func(n int, delayed bool)) { debugCands = f }

@@ -279,15 +279,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// ListenAndServe is Listen followed by Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := Listen(addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Shutdown drains the server: close the listeners (new connections are
 // refused by the OS), let in-flight sessions finish and emit their
 // verdicts, and only force-close connections when ctx expires. It
