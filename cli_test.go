@@ -937,6 +937,20 @@ func TestCLIVeloinstrRunFixed(t *testing.T) {
 	}
 }
 
+// TestCLIVeloinstrRunKeepsLoopSemantics: the instrumented program prints
+// what the original prints, so its build keeps the target module's
+// language version (one variable per loop iteration since Go 1.22).
+func TestCLIVeloinstrRunKeepsLoopSemantics(t *testing.T) {
+	want, err := exec.Command("go", "run", "./testdata/instr/loopvar").Output()
+	if err != nil {
+		t.Fatalf("go run of the original: %v", err)
+	}
+	out, code := runTool(t, "veloinstr", "-run", "testdata/instr/loopvar")
+	if code == 2 || !strings.HasPrefix(out, string(want)) {
+		t.Errorf("veloinstr -run: exit %d, printed:\n%s\nwant the original's output first:\n%s", code, out, want)
+	}
+}
+
 // warningLabels extracts the set of atomicity-violation labels (the
 // "<label>@" prefix of each warning line) from a -run transcript, so
 // differential tests compare which functions were blamed rather than

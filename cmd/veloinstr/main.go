@@ -28,11 +28,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"go/version"
 	"io"
 	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 
@@ -125,7 +127,7 @@ func run() int {
 
 	if !*doRun {
 		if *outDir != "" {
-			if err := writePackage(*outDir, out); err != nil {
+			if err := writePackage(*outDir, dir, out); err != nil {
 				fmt.Fprintln(os.Stderr, "veloinstr:", err)
 				return 2
 			}
@@ -152,7 +154,7 @@ func run() int {
 		defer os.RemoveAll(tmp)
 		runDir = tmp
 	}
-	if err := writePackage(runDir, out); err != nil {
+	if err := writePackage(runDir, dir, out); err != nil {
 		fmt.Fprintln(os.Stderr, "veloinstr:", err)
 		return 2
 	}
@@ -346,9 +348,10 @@ func sanitizeName(s string) string {
 	}, s)
 }
 
-// writePackage materializes the instrumented sources, the runtime shim
-// and a module file so the output builds standalone with `go run .`.
-func writePackage(dir string, out *instr.Output) error {
+// writePackage materializes the instrumented sources of the package in
+// target, the runtime shim and a module file so the output builds
+// standalone with `go run .`.
+func writePackage(dir, target string, out *instr.Output) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -360,8 +363,25 @@ func writePackage(dir string, out *instr.Output) error {
 	if err := os.WriteFile(filepath.Join(dir, instr.ShimFileName), out.Shim, 0o644); err != nil {
 		return err
 	}
-	gomod := "module veloinstrumented\n\ngo 1.21\n"
+	gomod := "module veloinstrumented\n\ngo " + goVersion(target) + "\n"
 	return os.WriteFile(filepath.Join(dir, "go.mod"), []byte(gomod), 0o644)
+}
+
+// goVersion returns the go line of the go.mod enclosing dir, else the
+// running toolchain's language version: the instrumented build must keep
+// the target's semantics (since Go 1.22, one variable per loop iteration).
+func goVersion(dir string) string {
+	for d, _ := filepath.Abs(dir); d != filepath.Dir(d); d = filepath.Dir(d) {
+		if data, err := os.ReadFile(filepath.Join(d, "go.mod")); err == nil {
+			for _, line := range strings.Split(string(data), "\n") {
+				if f := strings.Fields(line); len(f) > 1 && f[0] == "go" {
+					return f[1]
+				}
+			}
+			break
+		}
+	}
+	return strings.TrimPrefix(version.Lang(runtime.Version()), "go")
 }
 
 // startProgram runs `go run .` in dir with the trace on an inherited

@@ -85,3 +85,23 @@ func TestDocMetricsExist(t *testing.T) {
 		t.Error("no metric token found in the docs: the scan is broken")
 	}
 }
+
+// docsBudget caps DESIGN + README + EXPERIMENTS, in lines. A change may
+// lower it, to the count it leaves, and never raises it: a document that
+// grows pays for the lines elsewhere.
+const docsBudget = 3100
+
+// TestDocsBudget: the three documents together stay within docsBudget.
+func TestDocsBudget(t *testing.T) {
+	lines := 0
+	for _, name := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines += strings.Count(string(data), "\n")
+	}
+	if lines > docsBudget {
+		t.Errorf("DESIGN + README + EXPERIMENTS = %d lines, over the budget of %d: cut as many lines as were added", lines, docsBudget)
+	}
+}

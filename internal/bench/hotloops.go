@@ -12,7 +12,7 @@ import "repro/internal/rr"
 // violations; this group reproduces its *event mix*: violation-free,
 // loop-dominated traffic where redundant events are the common case.
 // They are kept out of All() so the Table 1/2 reproductions are
-// untouched; the -baseline experiment replays both groups.
+// untouched; the filter differential and the conformance matrix run both.
 
 const (
 	hotReaders = 3

@@ -31,8 +31,8 @@ type Engine int
 const (
 	// Optimized is the production analysis of Figure 4.
 	Optimized Engine = iota
-	// Basic is the initial analysis of Figure 2, kept for differential
-	// testing and for the "Without Merge" columns of Table 1.
+	// Basic is the initial analysis of Figure 2, the reference of the
+	// differential tests and of the benchmark's FirstOnly check.
 	Basic
 	// Aero is the AeroDrome engine (Mathur & Viswanathan): single-pass
 	// vector-clock checking with no happens-before graph. Linear-regime

@@ -39,6 +39,25 @@ func main() { f() }
 	}
 }
 
+// TestOneUnlockedAccessIsShared: a variable a goroutine reads once with
+// no lock held has no common lock; the intersection of one empty lock
+// set must not be indexed.
+func TestOneUnlockedAccessIsShared(t *testing.T) {
+	_, _, facts := load(t, `package main
+
+var n int
+
+func main() {
+	done := make(chan bool)
+	go func() { _ = n; done <- true }()
+	<-done
+}
+`)
+	if v := varByName(t, facts, "n"); v.Class != ClassShared {
+		t.Errorf("n = {class: %v, lock: %q}, want shared", v.Class, v.Lock)
+	}
+}
+
 // TestDisjointLocksetsStayShared: a variable accessed concurrently
 // under two different mutexes has no common lock, so it stays shared.
 func TestDisjointLocksetsStayShared(t *testing.T) {

@@ -142,14 +142,14 @@ type Analysis struct {
 	// model (e.g. RWMutex); their synchronization is invisible to the
 	// emitted trace.
 	Unsupported []string
-	// Mutexes and WaitGroups count declarations whose type mentions the
-	// corresponding sync primitive (rewritten to shim wrappers).
+	// Mutexes and WaitGroups count the declarations of each primitive
+	// that the rewrite wraps (ownSync).
 	Mutexes    int
 	WaitGroups int
 
 	accesses []*Access
 	fnOf     map[*types.Func]*FuncInfo // named functions with bodies
-	ownSync  map[*types.Var]bool       // Package.ownSync: what the rewrite wraps
+	ownSync  map[*types.Var]string     // Package.ownSync: what the rewrite wraps
 }
 
 type builder struct {
@@ -234,7 +234,13 @@ func Analyze(p *Package, dirs *Directives) *Analysis {
 	for _, fi := range b.allFns {
 		fi.Threadable = fi.Decl != nil && b.directOnly(fi)
 	}
-	b.countSyncDecls()
+	for _, name := range a.ownSync {
+		if name == "Mutex" {
+			a.Mutexes++
+		} else {
+			a.WaitGroups++
+		}
+	}
 	b.fixpoint()
 	b.lockFixpoint()
 	b.classify()
@@ -457,12 +463,13 @@ func commonLock(accs []*Access, view heldView) string {
 			return ""
 		}
 	}
-	locks := make([]string, 0, len(common))
+	lock := "" // the least, so the choice is deterministic
 	for l := range common {
-		locks = append(locks, l)
+		if lock == "" || l < lock {
+			lock = l
+		}
 	}
-	sort.Strings(locks)
-	return locks[0]
+	return lock
 }
 
 // ---- statement scanning ----
@@ -1089,7 +1096,7 @@ func (b *builder) lockOp(e ast.Expr) (path string, pkgLevel, locked, ok bool) {
 		return "", false, false, false
 	}
 	path = stablePath(sel.X)
-	if path != "" && !b.a.ownSync[p.syncHolder(sel.X, p.Info.Selections[sel])] {
+	if path != "" && b.a.ownSync[p.syncHolder(sel.X, p.Info.Selections[sel])] == "" {
 		// Only a mutex this package declares with a sync.Mutex type is
 		// rewritten: any other one's Lock and Unlock emit no event, so they
 		// prove nothing. (An unstable path proves nothing either way.)
@@ -1156,36 +1163,4 @@ func stablePath(e ast.Expr) string {
 		}
 	}
 	return ""
-}
-
-// countSyncDecls counts declarations whose type mentions the rewritten
-// sync primitives, for the report.
-func (b *builder) countSyncDecls() {
-	seen := map[*types.Var]bool{}
-	for id, obj := range b.p.Info.Defs {
-		v, ok := obj.(*types.Var)
-		if !ok || seen[v] || id.Name == "_" {
-			continue
-		}
-		seen[v] = true
-		t := v.Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		check := func(t types.Type) {
-			switch syncName(t) {
-			case "Mutex":
-				b.a.Mutexes++
-			case "WaitGroup":
-				b.a.WaitGroups++
-			}
-		}
-		check(t)
-		switch u := t.Underlying().(type) {
-		case *types.Slice:
-			check(u.Elem())
-		case *types.Array:
-			check(u.Elem())
-		}
-	}
 }

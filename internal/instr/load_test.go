@@ -139,6 +139,39 @@ func main() {
 	}
 }
 
+// TestForeignMutexNotCounted: a *sync.Mutex that a sibling package hands
+// out stays a plain mutex through the rewrite, so the report must not
+// count it as rewritten.
+func TestForeignMutexNotCounted(t *testing.T) {
+	offline(t)
+	root := writeTree(t, map[string]string{
+		"go.mod": "module velotmp\n\ngo 1.21\n",
+		"counter/counter.go": `package counter
+
+import "sync"
+
+var mu sync.Mutex
+
+func Get() *sync.Mutex { return &mu }
+`,
+		"main.go": `package main
+
+import "velotmp/counter"
+
+var pm = counter.Get()
+
+func main() { pm.Lock(); pm.Unlock() }
+`,
+	})
+	p, err := Load(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := Analyze(p, ScanDirectives(p)); a.Mutexes != 0 || a.WaitGroups != 0 {
+		t.Errorf("counted %d mutexes, %d waitgroups rewritten, want 0: pm stays a sync.Mutex", a.Mutexes, a.WaitGroups)
+	}
+}
+
 // TestLoadMissingImport: an import nothing provides is an error of the
 // package that names the directory, the import and what go list said.
 func TestLoadMissingImport(t *testing.T) {

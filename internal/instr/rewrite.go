@@ -309,7 +309,7 @@ func (rw *rewriter) rewriteCall(call *ast.CallExpr, s *slot) {
 			return
 		}
 		name, ok := tidMethods[sel.Obj().(*types.Func).FullName()]
-		if ok && rw.a.ownSync[rw.p.syncHolder(fun.X, sel)] {
+		if ok && rw.a.ownSync[rw.p.syncHolder(fun.X, sel)] != "" {
 			fun.Sel = ast.NewIdent(name)
 			call.Args = []ast.Expr{rw.tid(s)}
 		}
@@ -318,35 +318,29 @@ func (rw *rewriter) rewriteCall(call *ast.CallExpr, s *slot) {
 
 // ownSync returns the variables, parameters and fields whose declared
 // type expression is sync.Mutex or sync.WaitGroup under any nesting of
-// pointer, slice, array, map or channel: indexing or dereferencing one
-// of those yields a shim wrapper after fixSyncTypes. Only the calls on
-// these are retargeted to the shim's tid-taking methods, and only their
-// Lock and Unlock prove an access lock-protected.
-func (p *Package) ownSync() map[*types.Var]bool {
-	own := map[*types.Var]bool{}
-	var isSync func(e ast.Expr) *ast.Ident
-	isSync = func(e ast.Expr) *ast.Ident {
+// pointer, slice, array, map or channel, each with that primitive's name:
+// indexing or dereferencing one of those yields a shim wrapper after
+// fixSyncTypes. Only the calls on these are retargeted to the shim's
+// tid-taking methods, and only their Lock and Unlock prove an access
+// lock-protected.
+func (p *Package) ownSync() map[*types.Var]string {
+	own := map[*types.Var]string{}
+	var syncType func(e ast.Expr) ast.Expr
+	syncType = func(e ast.Expr) ast.Expr {
 		if p.wrapperOf(e) != "" {
-			// The type name, which defines an embedded field: Mutex, or
-			// the Sel of sync.Mutex.
-			switch t := unparen(e).(type) {
-			case *ast.SelectorExpr:
-				return t.Sel
-			case *ast.Ident:
-				return t
-			}
+			return e
 		}
 		switch t := e.(type) {
 		case *ast.StarExpr:
-			return isSync(t.X)
+			return syncType(t.X)
 		case *ast.ArrayType:
-			return isSync(t.Elt)
+			return syncType(t.Elt)
 		case *ast.MapType:
-			return isSync(t.Value)
+			return syncType(t.Value)
 		case *ast.ChanType:
-			return isSync(t.Value)
+			return syncType(t.Value)
 		case *ast.ParenExpr:
-			return isSync(t.X)
+			return syncType(t.X)
 		}
 		return nil
 	}
@@ -354,16 +348,23 @@ func (p *Package) ownSync() map[*types.Var]bool {
 		if typ == nil {
 			return
 		}
-		embedded := isSync(typ)
-		if embedded == nil {
+		st := syncType(typ)
+		if st == nil {
 			return
 		}
 		if len(names) == 0 {
-			names = []*ast.Ident{embedded}
+			// The type name defines an embedded field: Mutex, or the Sel
+			// of sync.Mutex.
+			switch t := unparen(st).(type) {
+			case *ast.SelectorExpr:
+				names = []*ast.Ident{t.Sel}
+			case *ast.Ident:
+				names = []*ast.Ident{t}
+			}
 		}
 		for _, id := range names {
 			if v, ok := p.Info.Defs[id].(*types.Var); ok {
-				own[v] = true
+				own[v] = syncName(p.Info.Types[st].Type)
 			}
 		}
 	}
@@ -492,7 +493,12 @@ func (rw *rewriter) transformWithSites(s ast.Stmt) []ast.Stmt {
 	ss := rw.a.ByStmt[s]
 	var out []ast.Stmt
 	if ss != nil {
-		out = append(out, rw.emissions(ss.Pre)...)
+		// Not before s the accesses to what s's init declares: those do
+		// not exist yet, and s runs them before any other thread can see
+		// them.
+		out = append(out, rw.emissions(slices.DeleteFunc(slices.Clone(ss.Pre), func(ac *Access) bool {
+			return ac.Root != nil && ac.Root.Pos() >= s.Pos() && ac.Root.Pos() < s.End()
+		}))...)
 	}
 	out = append(out, rw.transformStmt(s, ss)...)
 	if ss != nil {

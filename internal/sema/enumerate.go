@@ -15,48 +15,26 @@ import "repro/internal/trace"
 // in *every* schedule (barrier phases, fork/join ownership, flag
 // handoffs) are validated against it in the tests.
 func Interleavings(p Program, limit int, visit func(tr trace.Trace) bool) (visited int, exhaustive bool) {
-	var tids []trace.Tid
-	for t := range p {
-		tids = append(tids, t)
-	}
-	for i := 1; i < len(tids); i++ {
-		for j := i; j > 0 && tids[j] < tids[j-1]; j-- {
-			tids[j], tids[j-1] = tids[j-1], tids[j]
-		}
-	}
-	total := 0
-	for _, ops := range p {
-		total += len(ops)
-	}
-	pc := map[trace.Tid]int{}
-	s := NewStore()
-	cur := make(trace.Trace, 0, total)
-	exhaustive = true
-
-	// Fork/join structure: a forked thread may not step before its fork
-	// executes; a join is enabled only once the target has finished.
-	type forkSite struct {
-		parent trace.Tid
-		index  int
-	}
+	tids := p.threads()
+	pos := map[trace.Tid]int{} // a thread's place in tids, ops and pc
+	ops := make([][]trace.Op, len(tids))
+	// Fork/join structure, which no trace prefix can know: a forked thread
+	// may not step before its fork executes; a join is enabled only once
+	// the target has finished.
+	type forkSite struct{ parent, index int }
 	forkedBy := map[trace.Tid]forkSite{}
-	for t, ops := range p {
-		for i, op := range ops {
+	for k, t := range tids {
+		pos[t], ops[k] = k, p[t]
+		for i, op := range p[t] {
 			if op.Kind == trace.Fork {
-				forkedBy[op.Other()] = forkSite{parent: t, index: i}
+				forkedBy[op.Other()] = forkSite{parent: k, index: i}
 			}
 		}
 	}
-	stepEnabled := func(t trace.Tid, op trace.Op) bool {
-		if fs, ok := forkedBy[t]; ok && pc[fs.parent] <= fs.index {
-			return false // not forked yet
-		}
-		if op.Kind == trace.Join {
-			u := op.Other()
-			return pc[u] >= len(p[u])
-		}
-		return s.Enabled(op)
-	}
+	pc := make([]int, len(tids))
+	var w trace.WellFormed
+	var cur trace.Trace
+	exhaustive = true
 
 	var rec func() bool // false = stop everything
 	rec = func() bool {
@@ -65,34 +43,25 @@ func Interleavings(p Program, limit int, visit func(tr trace.Trace) bool) (visit
 			return false
 		}
 		progressed := false
-		for _, t := range tids {
-			i := pc[t]
-			if i >= len(p[t]) {
+		for k, t := range tids {
+			i := pc[k]
+			if i >= len(ops[k]) {
 				continue
 			}
-			op := p[t][i]
-			if !stepEnabled(t, op) {
+			op := ops[k][i]
+			if fs, ok := forkedBy[t]; ok && pc[fs.parent] <= fs.index {
+				continue // not forked yet
+			}
+			if op.Kind == trace.Join && pc[pos[op.Other()]] < len(p[op.Other()]) || w.Step(op) != nil {
 				continue
 			}
 			progressed = true
-			// Apply.
-			var undo func()
-			switch op.Kind {
-			case trace.Acquire:
-				s.Locks[op.Lock()] = t
-				undo = func() { delete(s.Locks, op.Lock()) }
-			case trace.Release:
-				delete(s.Locks, op.Lock())
-				undo = func() { s.Locks[op.Lock()] = t }
-			default:
-				undo = func() {}
-			}
-			pc[t] = i + 1
+			pc[k] = i + 1
 			cur = append(cur, op)
 			ok := rec()
 			cur = cur[:len(cur)-1]
-			pc[t] = i
-			undo()
+			pc[k] = i
+			w.Undo(op)
 			if !ok {
 				return false
 			}

@@ -1,8 +1,15 @@
+// Package sema gives the formal semantics of Section 2 an executable form:
+// the [STD STEP] interleaving relation for whole programs, whose
+// per-operation premises are trace.WellFormed's rules. It also generates
+// random well-formed programs and feasible interleavings of them, which
+// drive the property-based differential tests of the analyses.
 package sema
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"repro/internal/trace"
@@ -14,22 +21,13 @@ type Program map[trace.Tid][]trace.Op
 
 // Interleave produces one feasible trace of the program: a random
 // interleaving in which each step picks, with the given source of
-// randomness, a thread whose next operation is enabled in the current
-// store (the [STD STEP] rule). If no thread is enabled (deadlock), the
-// partial trace is returned with ok=false.
+// randomness, a thread whose next operation the trace so far allows (the
+// [STD STEP] rule). If no thread's is allowed (deadlock), the partial
+// trace is returned with ok=false.
 func (p Program) Interleave(rng *rand.Rand) (tr trace.Trace, ok bool) {
 	pc := map[trace.Tid]int{}
-	s := NewStore()
-	var tids []trace.Tid
-	for t := range p {
-		tids = append(tids, t)
-	}
-	// Deterministic iteration order regardless of map layout.
-	for i := 1; i < len(tids); i++ {
-		for j := i; j > 0 && tids[j] < tids[j-1]; j-- {
-			tids[j], tids[j-1] = tids[j-1], tids[j]
-		}
-	}
+	var w trace.WellFormed
+	tids := p.threads()
 	total := 0
 	for _, ops := range p {
 		total += len(ops)
@@ -37,7 +35,7 @@ func (p Program) Interleave(rng *rand.Rand) (tr trace.Trace, ok bool) {
 	for len(tr) < total {
 		var enabled []trace.Tid
 		for _, t := range tids {
-			if pc[t] < len(p[t]) && s.Enabled(p[t][pc[t]]) {
+			if pc[t] < len(p[t]) && w.Allowed(p[t][pc[t]]) == nil {
 				enabled = append(enabled, t)
 			}
 		}
@@ -47,13 +45,17 @@ func (p Program) Interleave(rng *rand.Rand) (tr trace.Trace, ok bool) {
 		t := enabled[rng.Intn(len(enabled))]
 		op := p[t][pc[t]]
 		pc[t]++
-		if _, err := s.Apply(op, Value(len(tr))); err != nil {
-			panic("sema: enabled operation failed: " + err.Error())
+		if err := w.Step(op); err != nil {
+			panic("sema: allowed operation refused: " + err.Error())
 		}
 		tr = append(tr, op)
 	}
 	return tr, true
 }
+
+// threads returns the program's thread ids in increasing order, so that
+// iteration does not depend on map layout.
+func (p Program) threads() []trace.Tid { return slices.Sorted(maps.Keys(p)) }
 
 // GenConfig bounds the shape of random programs.
 type GenConfig struct {
@@ -148,17 +150,8 @@ func RandomTrace(rng *rand.Rand, cfg GenConfig) trace.Trace {
 
 // String renders the program one thread per block, in trace syntax.
 func (p Program) String() string {
-	var tids []trace.Tid
-	for t := range p {
-		tids = append(tids, t)
-	}
-	for i := 1; i < len(tids); i++ {
-		for j := i; j > 0 && tids[j] < tids[j-1]; j-- {
-			tids[j], tids[j-1] = tids[j-1], tids[j]
-		}
-	}
 	var b strings.Builder
-	for _, t := range tids {
+	for _, t := range p.threads() {
 		fmt.Fprintf(&b, "thread %d:\n", t)
 		for _, op := range p[t] {
 			fmt.Fprintf(&b, "  %s\n", op)

@@ -9,68 +9,6 @@ import (
 	"repro/internal/trace"
 )
 
-func TestStoreSemantics(t *testing.T) {
-	s := NewStore()
-	if !s.Enabled(trace.Acq(1, 0)) {
-		t.Fatal("free lock must be acquirable")
-	}
-	if _, err := s.Apply(trace.Acq(1, 0), 0); err != nil {
-		t.Fatal(err)
-	}
-	if s.Holder(0) != 1 {
-		t.Fatalf("holder = %d", s.Holder(0))
-	}
-	if s.Enabled(trace.Acq(2, 0)) {
-		t.Fatal("held lock must not be acquirable ([ACT ACQUIRE] premise)")
-	}
-	if s.Enabled(trace.Rel(2, 0)) {
-		t.Fatal("non-holder must not release ([ACT RELEASE] premise)")
-	}
-	if _, err := s.Apply(trace.Rel(1, 0), 0); err != nil {
-		t.Fatal(err)
-	}
-	if s.Holder(0) != NoHolder {
-		t.Fatal("lock should be free after release")
-	}
-}
-
-func TestReadSeesLastWrite(t *testing.T) {
-	s := NewStore()
-	if v, _ := s.Apply(trace.Rd(1, 5), 0); v != 0 {
-		t.Fatalf("initial read = %d, want 0", v)
-	}
-	s.Apply(trace.Wr(2, 5), 42)
-	if v, _ := s.Apply(trace.Rd(1, 5), 0); v != 42 {
-		t.Fatalf("read after write = %d, want 42", v)
-	}
-}
-
-func TestExecRejectsIllFormed(t *testing.T) {
-	_, err := Exec(trace.Trace{trace.Rel(1, 0)})
-	if err == nil {
-		t.Fatal("Exec must reject release of a free lock")
-	}
-}
-
-func TestExecFinalStore(t *testing.T) {
-	tr := trace.Trace{
-		trace.Acq(1, 0),
-		trace.Wr(1, 3), // value = index 1
-		trace.Rel(1, 0),
-		trace.Wr(2, 3), // value = index 3
-	}
-	s, err := Exec(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Vars[3] != 3 {
-		t.Fatalf("x3 = %d, want 3 (last write's stamp)", s.Vars[3])
-	}
-	if len(s.Locks) != 0 {
-		t.Fatal("all locks should be free at the end")
-	}
-}
-
 func TestInterleaveIsFeasibleAndComplete(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 100; i++ {
@@ -88,9 +26,6 @@ func TestInterleaveIsFeasibleAndComplete(t *testing.T) {
 		}
 		if err := trace.Validate(tr); err != nil {
 			t.Fatalf("iter %d: infeasible trace: %v", i, err)
-		}
-		if _, err := Exec(tr); err != nil {
-			t.Fatalf("iter %d: semantics reject generated trace: %v", i, err)
 		}
 	}
 }

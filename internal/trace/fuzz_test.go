@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -52,6 +54,66 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		if tr.String() != tr2.String() {
 			t.Fatal("marshal round trip changed the trace")
+		}
+	})
+}
+
+// FuzzWellFormed: whatever ops the bytes decode to, Validate must not
+// panic, and Undo must take back Step exactly: the input's ops are
+// stepped (refused ones skipped) and the accepted ones undone in reverse
+// order, and after each Undo, Allowed answers every op as it did before
+// the Step undone; after the last, as the empty trace's checker does.
+func FuzzWellFormed(f *testing.F) {
+	for _, tr := range []Trace{
+		{Acq(1, 0), Acq(2, 0)},
+		{Acq(1, 0), Acq(1, 0)},
+		{Rel(1, 0)},
+		{Acq(1, 0), Rel(2, 0)},
+		{Fin(1)},
+		{ForkOp(1, 1)},
+		{ForkOp(1, 2), ForkOp(3, 2)},
+		{Wr(2, 0), ForkOp(1, 2)},
+		{JoinOp(1, 2), Wr(2, 0)},
+	} {
+		var b bytes.Buffer
+		if err := MarshalBinary(&b, tr); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
+		f.Add([]byte(tr.String()))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, _ := NewDecoder(bytes.NewReader(data)).ReadAll()
+		_ = Validate(tr)           // only must not panic here
+		tr = tr[:min(len(tr), 64)] // the check is quadratic
+		var w WellFormed
+		answers := func() string {
+			var b strings.Builder
+			for _, op := range tr {
+				fmt.Fprintln(&b, w.Allowed(op))
+			}
+			return b.String()
+		}
+		zero := answers()
+		var accepted Trace
+		var before []string
+		for _, op := range tr {
+			if w.Allowed(op) == nil {
+				before = append(before, answers())
+				accepted = append(accepted, op)
+				if err := w.Step(op); err != nil {
+					t.Fatalf("Step(%s) refused what Allowed accepted: %v", op, err)
+				}
+			}
+		}
+		for i := len(accepted) - 1; i >= 0; i-- {
+			w.Undo(accepted[i])
+			if got := answers(); got != before[i] {
+				t.Fatalf("after undoing %s (accepted op %d), Allowed answers\n%s\nwant\n%s", accepted[i], i, got, before[i])
+			}
+		}
+		if len(accepted) > 0 && before[0] != zero {
+			t.Fatal("Allowed changed the checker")
 		}
 	})
 }

@@ -210,6 +210,36 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestWellFormedLocks: the lock premises of [ACT ACQUIRE] and
+// [ACT RELEASE], that Allowed changes nothing, and that Undo takes a
+// Step back.
+func TestWellFormedLocks(t *testing.T) {
+	var w WellFormed
+	if w.Allowed(Acq(1, 0)) != nil || w.Allowed(Acq(1, 0)) != nil {
+		t.Fatal("free lock must be acquirable, and asking must not acquire it")
+	}
+	if err := w.Step(Acq(1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if w.Allowed(Acq(2, 0)) == nil {
+		t.Fatal("held lock must not be acquirable")
+	}
+	if w.Allowed(Rel(2, 0)) == nil {
+		t.Fatal("non-holder must not release")
+	}
+	if err := w.Step(Rel(1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	w.Undo(Rel(1, 0))
+	if w.Allowed(Acq(2, 0)) == nil || w.Allowed(Rel(1, 0)) != nil {
+		t.Fatal("undoing the release must leave thread 1 holding the lock")
+	}
+	w.Undo(Acq(1, 0))
+	if err := w.Allowed(Rel(1, 0)); err == nil || err.(*ValidationError).Index != 0 {
+		t.Fatalf("undoing the acquire must free the lock at index 0, got %v", err)
+	}
+}
+
 func TestValidationErrorMessage(t *testing.T) {
 	err := Validate(Trace{Rel(1, 7)})
 	ve, ok := err.(*ValidationError)
